@@ -25,7 +25,7 @@ The single-artifact subcommands (``fig4`` … ``resilience``) are thin
 aliases for ``run <name> --no-cache``: every path goes through the
 artifact registry and the sweep engine.
 
-Shared flag vocabulary (``--seed``/``--engine``/``--obs-out``/...) and
+Shared flag vocabulary (``--seed``/``--cache-dir``/``--obs-out``/...) and
 the ``--json`` output mode on read-only subcommands come from
 :mod:`repro.cli`.
 """

@@ -27,7 +27,6 @@ from repro.broker.cache import CacheStats, SweepCache, code_fingerprint, point_k
 from repro.broker.registry import ArtifactSpec, get_artifact, resolve_artifacts
 from repro.harness.config import RunConfig
 from repro.obs.core import NULL_RANK_OBS, Observability, ObsConfig
-from repro.simmpi.launcher import engine_override
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,8 @@ def _worker_evaluate(
     spec = get_artifact(artifact_name)
     hub = Observability(ObsConfig(out_dir=None)) if observed else None
     view = NULL_RANK_OBS if hub is None else hub.wall_view()
-    # config.engine pins the simmpi execution core for every SPMD launch
-    # this point makes (workers are fresh processes, so the env scope is
-    # effectively process-wide and bit-identity makes it value-safe).
-    with engine_override(config.engine):
-        with view.span("sweep_point", artifact=artifact_name, point=key):
-            value = spec.evaluate(key, config, hub)
+    with view.span("sweep_point", artifact=artifact_name, point=key):
+        value = spec.evaluate(key, config, hub)
     return value, None if hub is None else hub.telemetry_payload()
 
 
@@ -157,19 +152,18 @@ def run_sweep(
                 if cache is not None:
                     cache.put(ckey, value)
     else:
-        with engine_override(config.engine):
-            for spec, key, ckey in pending:
-                with view.span(
-                    "sweep_point", artifact=spec.name, point=key, cached=False
-                ):
-                    value = spec.evaluate(key, config, hub)
-                view.count("sweep_points_total", artifact=spec.name, cached="false")
-                values[(spec.name, key)] = value
-                if stream is not None:
-                    stream.emit("point", artifact=spec.name, point=key,
-                                cached=False)
-                if cache is not None:
-                    cache.put(ckey, value)
+        for spec, key, ckey in pending:
+            with view.span(
+                "sweep_point", artifact=spec.name, point=key, cached=False
+            ):
+                value = spec.evaluate(key, config, hub)
+            view.count("sweep_points_total", artifact=spec.name, cached="false")
+            values[(spec.name, key)] = value
+            if stream is not None:
+                stream.emit("point", artifact=spec.name, point=key,
+                            cached=False)
+            if cache is not None:
+                cache.put(ckey, value)
 
     results = {
         spec.name: spec.assemble(

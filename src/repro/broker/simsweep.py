@@ -89,7 +89,6 @@ def _rank_main(comm, problem: RDProblem, charger: ModeledCompute) -> None:
 def capture_recording(
     problem: RDProblem | None = None,
     num_ranks: int = SWEEP_NUM_RANKS,
-    engine: str | None = None,
 ):
     """Execute the numerics once and return the frozen schedule.
 
@@ -106,7 +105,6 @@ def capture_recording(
         args=(problem, rd_modeled_compute(problem, num_ranks, rate=1.0)),
         record_schedule=True,
         real_timeout=300.0,
-        engine=engine,
     )
     recording = result.recording
     if recording is None:  # pragma: no cover - the RD solve is recordable
@@ -125,8 +123,7 @@ def _platform_topology(spec, num_ranks: int):
     return spec.topology()
 
 
-def _full_sim(problem: RDProblem, num_ranks: int, topology, rate: float,
-              engine: str | None):
+def _full_sim(problem: RDProblem, num_ranks: int, topology, rate: float):
     """Full per-platform execution (the slow path replay short-cuts)."""
     return run_spmd(
         _rank_main,
@@ -134,7 +131,6 @@ def _full_sim(problem: RDProblem, num_ranks: int, topology, rate: float,
         topology=topology,
         args=(problem, rd_modeled_compute(problem, num_ranks, rate=rate)),
         real_timeout=300.0,
-        engine=engine,
     )
 
 
@@ -162,9 +158,7 @@ def _eval_simsweep(key: str, config: RunConfig, hub) -> dict[str, Any]:
         recording = store.get(rec_key)
         if recording is None:
             with view.span("replay_capture", platform=key):
-                recording = capture_recording(
-                    problem, num_ranks, engine=config.engine
-                )
+                recording = capture_recording(problem, num_ranks)
             store.put(rec_key, recording)
         ok, reason = recording.compatible_with(topology)
         if not ok:
@@ -179,13 +173,12 @@ def _eval_simsweep(key: str, config: RunConfig, hub) -> dict[str, Any]:
                 recording,
                 topology=topology,
                 compute_rate=rate,
-                engine=config.engine,
                 check_compatibility=False,
             )
         replayed = True
     else:
         with view.span("replay_full_sim", platform=key):
-            result = _full_sim(problem, num_ranks, topology, rate, config.engine)
+            result = _full_sim(problem, num_ranks, topology, rate)
         replayed = False
 
     return {

@@ -1,15 +1,14 @@
 """Shared CLI plumbing: one flag vocabulary for every subcommand.
 
 Before this module, ``run``, ``broker``, ``trace``, ``tail`` and
-``health`` each declared their own ``--seed``/``--engine``/``--obs-out``
+``health`` each declared their own ``--seed``/``--cache-dir``/``--obs-out``
 variants, with drift in names and defaults.  The helpers here are the
 single source of truth the :mod:`repro.__main__` subparsers compose:
 
 * :func:`add_config_options` / :func:`config_from_args` — the
   :class:`~repro.harness.config.RunConfig` flags (``--seed``,
-  ``--cache-dir``, ``--obs-out``, ``--engine``,
-  ``--replay/--no-replay``), identical wherever a config is built
-  (``run``, ``serve``, ``submit``);
+  ``--cache-dir``, ``--obs-out``, ``--replay/--no-replay``),
+  identical wherever a config is built (``run``, ``serve``, ``submit``);
 * :func:`add_json_flag` / :func:`render` — the ``--json`` output mode
   every read-only subcommand supports: same data, machine shape;
 * :func:`add_service_endpoint` — the ``--url`` flag the service-facing
@@ -37,9 +36,6 @@ def add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="result cache directory (default .repro_cache)")
     parser.add_argument("--obs-out", default=None, metavar="DIR",
                         help="observe the run and export artifacts to DIR")
-    parser.add_argument("--engine", choices=("events", "threads"), default=None,
-                        help="simmpi execution core for SPMD points "
-                             "(default: REPRO_SIMMPI_ENGINE or events)")
     parser.add_argument("--replay", dest="replay", action="store_true",
                         default=True,
                         help="let executed platform sweeps record the schedule "
@@ -56,7 +52,7 @@ def config_from_args(args: argparse.Namespace):
 
     obs = ObsConfig(out_dir=args.obs_out) if args.obs_out else None
     return RunConfig(seed=args.seed, obs=obs, cache_dir=args.cache_dir,
-                     engine=args.engine, replay=args.replay)
+                     replay=args.replay)
 
 
 def add_json_flag(parser: argparse.ArgumentParser) -> None:

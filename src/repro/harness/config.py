@@ -65,31 +65,18 @@ class RunConfig:
     * ``resilience`` — parameters of the resilience artifact;
     * ``cache_dir`` — where the content-addressed sweep cache lives
       (None = the engine's default ``.repro_cache``);
-    * ``engine`` — which simmpi execution core runs SPMD points
-      (``"events"`` / ``"threads"``; None defers to
-      ``REPRO_SIMMPI_ENGINE`` or the default).  Both engines are
-      bit-identical, so this is excluded from :meth:`cache_token`;
     * ``replay`` — whether multi-platform simulation sweeps may take
       the record/replay fast path (``docs/replay.md``).  Replayed
       virtual times are bit-identical to full simulation, so this is
-      a pure execution-strategy knob and, like ``engine``, excluded
-      from :meth:`cache_token`.
+      a pure execution-strategy knob and excluded from
+      :meth:`cache_token`.
     """
 
     seed: int = DEFAULT_SEED
     obs: ObsConfig | None = None
     resilience: ResilienceParams = field(default_factory=ResilienceParams)
     cache_dir: str | None = None
-    engine: str | None = None
     replay: bool = True
-
-    def __post_init__(self) -> None:
-        from repro.simmpi.launcher import ENGINE_KINDS
-
-        if self.engine is not None and self.engine not in ENGINE_KINDS:
-            raise ExperimentError(
-                f"engine {self.engine!r} is not one of {ENGINE_KINDS}"
-            )
 
     def hub(self) -> Observability | None:
         """A fresh observability hub for this config (None when off)."""

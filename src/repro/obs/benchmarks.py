@@ -593,7 +593,7 @@ def measure_replay(
         rate = spec.core_flops()
 
         start = time.perf_counter()
-        full = _full_sim(problem, num_ranks, topology, rate, engine=None)
+        full = _full_sim(problem, num_ranks, topology, rate)
         full_wall = time.perf_counter() - start
 
         start = time.perf_counter()

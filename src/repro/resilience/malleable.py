@@ -211,7 +211,6 @@ def run_malleable(
     tol: float = 1e-12,
     real_timeout: float = 120.0,
     obs=None,
-    engine: str | None = None,
 ) -> MalleableRunResult:
     """Run the RD time loop through a rank-count ``schedule``.
 
@@ -262,7 +261,6 @@ def run_malleable(
             args=(problem, ownership, resume, cursor, steps, tol, shared),
             real_timeout=real_timeout,
             observability=obs,
-            engine=engine,
         )
         cursor += steps
         if cursor < problem.num_steps:

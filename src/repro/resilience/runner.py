@@ -176,7 +176,6 @@ class ResilientRunner:
         topology=None,
         real_timeout: float = 120.0,
         obs=None,
-        engine: str | None = None,
     ):
         if checkpoint_every < 1:
             raise ReproError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -200,7 +199,6 @@ class ResilientRunner:
         self.topology = topology
         self.real_timeout = real_timeout
         self.obs = obs
-        self.engine = engine
 
     def _metrics(self):
         """The hub's metrics registry, or None when not observed."""
@@ -234,7 +232,6 @@ class ResilientRunner:
                     fault_injector=self.injector,
                     real_timeout=self.real_timeout,
                     observability=self.obs,
-                    engine=self.engine,
                 )
             except RankFailedError as exc:
                 stats.failed_ranks.append(exc.rank)

@@ -97,7 +97,7 @@ class ServiceClient:
     def submit(self, request, tenant: str = "default") -> SubmitReceipt:
         """Submit a typed request; returns the service's receipt.
 
-        The request crosses as pickle so every field (config, engine,
+        The request crosses as pickle so every field (config, seeds,
         resilience knobs) survives exactly; the JSON-only form of the
         endpoint remains available to curl (see ``docs/api.md``).
         """

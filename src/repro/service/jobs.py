@@ -8,7 +8,7 @@ sets, the value-relevant slice of the
 code fingerprint.  Two tenants submitting the same computation thus
 produce the *same* job id, which is what lets the queue coalesce them
 onto one execution — and why execution-strategy knobs (``parallel``,
-``use_cache``, ``engine``, ``replay``) are deliberately excluded: they
+``use_cache``, ``replay``) are deliberately excluded: they
 never change result values (pinned by the broker's bit-identity
 tests), so sharing across them is safe.
 

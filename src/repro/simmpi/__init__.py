@@ -1,7 +1,8 @@
 """simmpi: a virtual-time MPI runtime.
 
-SPMD programs run as real Python threads with real message passing
-(mailbox transport), so communication *semantics* are executed, not
+SPMD rank programs run as cooperative tasks on a deterministic
+discrete-event scheduler with real message passing (mailbox
+transport), so communication *semantics* are executed, not
 approximated — a distributed CG over simmpi produces the same numbers a
 sequential solve does.  Time, however, is *virtual*: every rank owns a
 clock, computation advances it explicitly, and each message advances the
@@ -30,13 +31,7 @@ from repro.simmpi.datatypes import (
 from repro.simmpi.clock import VirtualClock
 from repro.simmpi.comm import Communicator, Request
 from repro.simmpi.events import EventEngine, current_task
-from repro.simmpi.launcher import (
-    ENGINE_KINDS,
-    SPMDResult,
-    default_engine,
-    engine_override,
-    run_spmd,
-)
+from repro.simmpi.launcher import SPMDResult, run_spmd
 from repro.simmpi.recording import ScheduleRecorder, ScheduleRecording
 from repro.simmpi.replay import replay_schedule
 from repro.simmpi.selector import CollectiveSelector, Selection
@@ -60,9 +55,6 @@ __all__ = [
     "Request",
     "EventEngine",
     "current_task",
-    "ENGINE_KINDS",
-    "default_engine",
-    "engine_override",
     "SPMDResult",
     "run_spmd",
     "ScheduleRecorder",

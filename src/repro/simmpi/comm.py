@@ -1,7 +1,7 @@
 """The simmpi Communicator: mpi4py-style message passing in virtual time.
 
 Semantics are executed for real (payloads actually move between
-threads); timing is modeled: each message advances virtual clocks
+rank tasks); timing is modeled: each message advances virtual clocks
 through the platform's :class:`~repro.network.topology.ClusterTopology`.
 
 Collectives run the schedules from :mod:`repro.simmpi.collectives` with
@@ -99,11 +99,10 @@ class Request:
         """Non-blocking completion check: (done, payload_or_None)."""
         if self._done:
             return True, self._payload
-        msg = self._comm._try_collect(self._source, self._tag)
-        if msg is None:
+        got = self._comm._try_recv(self._source, self._tag)
+        if got is None:
             return False, None
-        self._comm._absorb(msg)
-        self._payload = msg.payload
+        self._payload = got[0]
         self._done = True
         return True, self._payload
 
@@ -220,9 +219,9 @@ class Communicator:
         """Eager send: charges the sender its overhead and returns."""
         self._check_peer(dest)
         self._check_tag(tag)
-        self._send_impl(payload, dest, tag + 0, internal=False)
+        self._send_impl(payload, dest, tag + 0)
 
-    def _send_impl(self, payload: Any, dest: int, tag: int, internal: bool) -> None:
+    def _send_impl(self, payload: Any, dest: int, tag: int) -> None:
         self.engine.fault_op(self.world_rank)
         nbytes = payload_nbytes(payload)
         self.bytes_sent += nbytes
@@ -294,10 +293,19 @@ class Communicator:
         """Blocking receive; returns (payload, Status)."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         start = self.clock.time
+        return self._trace_recv(self._recv_impl(source, tag), start)
+
+    def _recv_impl(self, source: int, tag: int) -> Message:
+        """The one receive path (mirror of :meth:`_send_impl`): block for
+        the match from local rank ``source`` and absorb it."""
+        world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         msg = self.engine.wait_for_message(self.world_rank, self.context, world_source, tag)
         self._absorb(msg)
+        return msg
+
+    def _trace_recv(self, msg: Message, start: float) -> tuple[Any, Status]:
+        """Record an absorbed user-level receive; returns (payload, Status)."""
         local_source = self._local_of(msg.source)
         self.tracer.record(
             TraceRecord(
@@ -328,7 +336,9 @@ class Communicator:
         table = self._world_to_local
         return world if table is None else table[world]
 
-    def _try_collect(self, source: int, tag: int) -> Message | None:
+    def _try_recv(self, source: int, tag: int) -> tuple[Any, Status] | None:
+        """Non-blocking receive for :meth:`Request.test`: None if no
+        match is pending, else what :meth:`recv_status` returns."""
         if self.op_recorder is not None:
             # Request.test polling is timing-dependent control flow: the
             # outcome (and hence the program's op sequence) can legally
@@ -336,8 +346,13 @@ class Communicator:
             self.op_recorder.mark_unsupported("Request.test polling")
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         mailbox = self.engine.mailboxes[self.world_rank]
+        start = self.clock.time
         with mailbox.condition:
-            return mailbox.try_collect(self.context, world_source, tag)
+            msg = mailbox.try_collect(self.context, world_source, tag)
+        if msg is None:
+            return None
+        self._absorb(msg)
+        return self._trace_recv(msg, start)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send (eager: completes immediately)."""
@@ -455,12 +470,9 @@ class Communicator:
         """Dissemination barrier; synchronizes virtual clocks."""
         tag = self._next_coll_tag()
         for offset in coll.dissemination_rounds(self.size):
-            self._send_impl(None, (self.rank + offset) % self.size, tag, internal=True)
+            self._send_impl(None, (self.rank + offset) % self.size, tag)
             self.engine.check_abort()
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[(self.rank - offset) % self.size], tag
-            )
-            self._absorb(msg)
+            self._recv_impl((self.rank - offset) % self.size, tag)
 
     @_traced_collective
     def bcast(
@@ -508,12 +520,9 @@ class Communicator:
             if self.rank == root:
                 for dest in range(self.size):
                     if dest != root:
-                        self._send_impl(payload, dest, tag, internal=True)
+                        self._send_impl(payload, dest, tag)
                 return payload
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[root], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(root, tag)
             return msg.payload
         if algorithm == "scatter_allgather":
             return self._bcast_scatter_allgather(payload, root, tag)
@@ -529,13 +538,10 @@ class Communicator:
         me = members.index(me_rank)
         parent = coll.binomial_parent(me, size, root_pos)
         if parent is not None:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[parent]], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(members[parent], tag)
             payload = msg.payload
         for child in coll.binomial_children(me, size, root_pos):
-            self._send_impl(payload, members[child], tag, internal=True)
+            self._send_impl(payload, members[child], tag)
         return payload
 
     def _bcast_scatter_allgather(self, payload: Any, root: int, tag: int) -> Any:
@@ -554,10 +560,7 @@ class Communicator:
             segments = dict(enumerate(np.array_split(payload.ravel(), self.size)))
         else:
             parent = coll.binomial_parent(self.rank, self.size, root)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[parent], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(parent, tag)
             meta, segments = msg.payload
             segments = dict(segments)
         # Forward each child its subtree's share of the segments; after
@@ -569,7 +572,7 @@ class Communicator:
                 for i in coll.binomial_subtree(child_virtual, self.size)
                 if i in segments
             }
-            self._send_impl((meta, share), child, tag, internal=True)
+            self._send_impl((meta, share), child, tag)
         # Ring allgather (in virtual numbering): circulate one segment
         # per step until every rank holds all of them.
         collected = dict(segments)
@@ -577,11 +580,8 @@ class Communicator:
         send_to = (self.rank + 1) % self.size
         recv_from = (self.rank - 1) % self.size
         for _ in range(self.size - 1):
-            self._send_impl(carry, send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[recv_from], tag
-            )
-            self._absorb(msg)
+            self._send_impl(carry, send_to, tag)
+            msg = self._recv_impl(recv_from, tag)
             carry = msg.payload
             collected[carry[0]] = carry[1]
         if virtual == 0:
@@ -601,12 +601,9 @@ class Communicator:
         # the root already leads its node).
         if root != root_leader:
             if self.rank == root:
-                self._send_impl(payload, root_leader, tag, internal=True)
+                self._send_impl(payload, root_leader, tag)
             elif self.rank == root_leader:
-                msg = self.engine.wait_for_message(
-                    self.world_rank, self.context, self.group[root], tag
-                )
-                self._absorb(msg)
+                msg = self._recv_impl(root, tag)
                 payload = msg.payload
         if self.rank == leader:
             payload = self._bcast_members(
@@ -628,28 +625,22 @@ class Communicator:
             accum = value
             # Receive from children in reverse send order (deepest first).
             for child in reversed(coll.binomial_children(self.rank, self.size, root)):
-                msg = self.engine.wait_for_message(
-                    self.world_rank, self.context, self.group[child], tag
-                )
-                self._absorb(msg)
+                msg = self._recv_impl(child, tag)
                 accum = op(accum, msg.payload)
             parent = coll.binomial_parent(self.rank, self.size, root)
             if parent is not None:
-                self._send_impl(accum, parent, tag, internal=True)
+                self._send_impl(accum, parent, tag)
                 return None
             return accum
         if algorithm == "linear":
             if self.rank != root:
-                self._send_impl(value, root, tag, internal=True)
+                self._send_impl(value, root, tag)
                 return None
             accum = value
             for src in range(self.size):
                 if src == root:
                     continue
-                msg = self.engine.wait_for_message(
-                    self.world_rank, self.context, self.group[src], tag
-                )
-                self._absorb(msg)
+                msg = self._recv_impl(src, tag)
                 accum = op(accum, msg.payload)
             return accum
         raise CommunicatorError(f"unknown reduce algorithm {algorithm!r}")
@@ -719,32 +710,23 @@ class Communicator:
         # Pre-phase: the top `excess` ranks fold into partners below pof2.
         if me >= pof2:
             partner = members[me - pof2]
-            self._send_impl(accum, partner, tag, internal=True)
+            self._send_impl(accum, partner, tag)
             # Wait for the final result in the post-phase.
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(partner, tag)
             return msg.payload
 
         if me < excess:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[me + pof2]], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(members[me + pof2], tag)
             accum = op(accum, msg.payload)
 
         for mask in masks:
             partner = members[me ^ mask]
-            self._send_impl(accum, partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
+            self._send_impl(accum, partner, tag)
+            msg = self._recv_impl(partner, tag)
             accum = op(accum, msg.payload)
 
         if me < excess:
-            self._send_impl(accum, members[me + pof2], tag, internal=True)
+            self._send_impl(accum, members[me + pof2], tag)
         return accum
 
     def _require_ndarray(self, value: Any, algorithm: str) -> np.ndarray:
@@ -770,20 +752,14 @@ class Communicator:
         me = members.index(me_rank)
         segments = np.array_split(arr.ravel(), size)
         send_to = members[(me + 1) % size]
-        recv_world = self.group[members[(me - 1) % size]]
+        recv_from = members[(me - 1) % size]
         for send_block, recv_block in coll.ring_reduce_scatter_steps(me, size):
-            self._send_impl(segments[send_block], send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, recv_world, tag
-            )
-            self._absorb(msg)
+            self._send_impl(segments[send_block], send_to, tag)
+            msg = self._recv_impl(recv_from, tag)
             segments[recv_block] = op(segments[recv_block], msg.payload)
         for send_block, recv_block in coll.ring_allgather_steps(me, size):
-            self._send_impl(segments[send_block], send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, recv_world, tag
-            )
-            self._absorb(msg)
+            self._send_impl(segments[send_block], send_to, tag)
+            msg = self._recv_impl(recv_from, tag)
             segments[recv_block] = msg.payload
         return np.concatenate(segments).reshape(arr.shape)
 
@@ -802,17 +778,11 @@ class Communicator:
         accum: Any = arr
         if me >= pof2:
             partner = members[me - pof2]
-            self._send_impl(accum, partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
+            self._send_impl(accum, partner, tag)
+            msg = self._recv_impl(partner, tag)
             return msg.payload
         if me < excess:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[me + pof2]], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(members[me + pof2], tag)
             accum = op(accum, msg.payload)
 
         work = np.array(accum, copy=True).ravel()
@@ -823,25 +793,19 @@ class Communicator:
             partner = members[me ^ mask]
             s0, s1 = bounds[send[0]], bounds[send[1]]
             k0, k1 = bounds[keep[0]], bounds[keep[1]]
-            self._send_impl(work[s0:s1].copy(), partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
+            self._send_impl(work[s0:s1].copy(), partner, tag)
+            msg = self._recv_impl(partner, tag)
             work[k0:k1] = op(work[k0:k1], msg.payload)
         for mask, keep, send in reversed(plan):
             partner = members[me ^ mask]
             k0, k1 = bounds[keep[0]], bounds[keep[1]]
             s0, s1 = bounds[send[0]], bounds[send[1]]
-            self._send_impl(work[k0:k1].copy(), partner, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[partner], tag
-            )
-            self._absorb(msg)
+            self._send_impl(work[k0:k1].copy(), partner, tag)
+            msg = self._recv_impl(partner, tag)
             work[s0:s1] = msg.payload
         result = work.reshape(arr.shape)
         if me < excess:
-            self._send_impl(result, members[me + pof2], tag, internal=True)
+            self._send_impl(result, members[me + pof2], tag)
         return result
 
     def _allreduce_hierarchical(
@@ -874,14 +838,11 @@ class Communicator:
         me = members.index(me_rank)
         accum = value
         for child in reversed(coll.binomial_children(me, size, 0)):
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[members[child]], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(members[child], tag)
             accum = op(accum, msg.payload)
         parent = coll.binomial_parent(me, size, 0)
         if parent is not None:
-            self._send_impl(accum, members[parent], tag, internal=True)
+            self._send_impl(accum, members[parent], tag)
             return None
         return accum
 
@@ -891,17 +852,14 @@ class Communicator:
         self._check_peer(root)
         tag = self._next_coll_tag()
         if self.rank != root:
-            self._send_impl(value, root, tag, internal=True)
+            self._send_impl(value, root, tag)
             return None
         out = [None] * self.size
         out[root] = value
         for src in range(self.size):
             if src == root:
                 continue
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[src], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(src, tag)
             out[self._local_of(msg.source)] = msg.payload
         return out
 
@@ -914,11 +872,8 @@ class Communicator:
         send_to, recv_from = coll.ring_neighbors(self.rank, self.size)
         carry_index = self.rank
         for _ in range(self.size - 1):
-            self._send_impl((carry_index, out[carry_index]), send_to, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[recv_from], tag
-            )
-            self._absorb(msg)
+            self._send_impl((carry_index, out[carry_index]), send_to, tag)
+            msg = self._recv_impl(recv_from, tag)
             carry_index, payload = msg.payload
             out[carry_index] = payload
         return out
@@ -935,12 +890,9 @@ class Communicator:
                 )
             for dest in range(self.size):
                 if dest != root:
-                    self._send_impl(values[dest], dest, tag, internal=True)
+                    self._send_impl(values[dest], dest, tag)
             return values[root]
-        msg = self.engine.wait_for_message(
-            self.world_rank, self.context, self.group[root], tag
-        )
-        self._absorb(msg)
+        msg = self._recv_impl(root, tag)
         return msg.payload
 
     @_traced_collective
@@ -956,11 +908,8 @@ class Communicator:
         for shift in range(1, self.size):
             dest = (self.rank + shift) % self.size
             src = (self.rank - shift) % self.size
-            self._send_impl(values[dest], dest, tag, internal=True)
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[src], tag
-            )
-            self._absorb(msg)
+            self._send_impl(values[dest], dest, tag)
+            msg = self._recv_impl(src, tag)
             out[self._local_of(msg.source)] = msg.payload
         return out
 
@@ -970,13 +919,10 @@ class Communicator:
         tag = self._next_coll_tag()
         accum = value
         if self.rank > 0:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[self.rank - 1], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(self.rank - 1, tag)
             accum = op(msg.payload, value)
         if self.rank + 1 < self.size:
-            self._send_impl(accum, self.rank + 1, tag, internal=True)
+            self._send_impl(accum, self.rank + 1, tag)
         return accum
 
     @_traced_collective
@@ -989,14 +935,11 @@ class Communicator:
         tag = self._next_coll_tag()
         prefix = None
         if self.rank > 0:
-            msg = self.engine.wait_for_message(
-                self.world_rank, self.context, self.group[self.rank - 1], tag
-            )
-            self._absorb(msg)
+            msg = self._recv_impl(self.rank - 1, tag)
             prefix = msg.payload
         if self.rank + 1 < self.size:
             carry = value if prefix is None else op(prefix, value)
-            self._send_impl(carry, self.rank + 1, tag, internal=True)
+            self._send_impl(carry, self.rank + 1, tag)
         return prefix
 
     @_traced_collective

@@ -32,14 +32,12 @@ threaded engine -- and, unlike the threaded engine, wildcard
 (``ANY_SOURCE``/``ANY_TAG``) matching is deterministic run-to-run, since
 mailbox arrival order is fixed by the policy instead of an OS race.
 
-Context backends: CPython's standard library has no user-level stack
-switching, so the portable backend (``"threadstack"``) parks one OS
-thread per task as a coroutine stack -- the scheduler serializes them so
-exactly one ever runs, and a switch is a single lock handoff.  When the
-optional :mod:`greenlet` package is importable the ``"greenlet"``
-backend runs every task on *one* OS thread with user-space switches; the
-scheduler, policy, and results are identical.  Select explicitly with
-``REPRO_SIMMPI_CONTEXT=threadstack|greenlet``.
+Contexts: CPython's standard library has no user-level stack
+switching, so each task parks one OS thread as a coroutine stack -- the
+scheduler serializes them so exactly one ever runs, and a switch is a
+single lock handoff.  Stack size (:data:`STACK_BYTES`) and the pool cap
+(:data:`POOL_MAX`) are constants: nothing in the ambient environment
+changes how a run executes.
 
 Failure semantics mirror the threaded engine: the first exception
 aborts the run (:meth:`EventEngine.abort` is the scheduler-level
@@ -62,11 +60,6 @@ from repro.errors import DeadlockError, SimMPIError
 from repro.simmpi.datatypes import Message
 from repro.simmpi.transport import Mailbox
 
-try:  # pragma: no cover - exercised only where greenlet is installed
-    import greenlet as _greenlet
-except ImportError:  # pragma: no cover
-    _greenlet = None
-
 #: Task lifecycle states.  RUNNABLE covers both "queued" and "currently
 #: executing" -- the scheduler's single-runnable invariant makes the
 #: distinction unobservable.
@@ -79,63 +72,40 @@ def current_task() -> "Task | None":
     """The event-engine task executing on this context, or None.
 
     This is the task-local anchor the observability layer hangs its
-    ambient span context on (:func:`repro.obs.core.current`): under the
-    threadstack backend each task owns its thread so thread-local
-    storage would suffice, but under the greenlet backend every task
-    shares one OS thread -- storing ambient state *on the task* is what
-    keeps per-rank span trees from bleeding into each other.
+    ambient span context on (:func:`repro.obs.core.current`): pooled
+    stacks outlive tasks, so ambient state stored *on the task* (not on
+    the thread that happens to carry it) is what keeps per-rank span
+    trees from bleeding into each other across runs.
     """
     return getattr(_task_tls, "task", None)
 
 
-def have_greenlet() -> bool:
-    """Whether the optional greenlet context backend is importable."""
-    return _greenlet is not None
+#: Per-task stack reservation: 1 MiB (vs the 8 MiB OS default) keeps a
+#: p = 4096 run at a few GiB of *virtual* reservation.
+STACK_BYTES = 1024 * 1024
 
-
-def default_context_backend() -> str:
-    """Backend selection: env override, else greenlet if present."""
-    forced = os.environ.get("REPRO_SIMMPI_CONTEXT", "").strip()
-    if forced:
-        return forced
-    return "greenlet" if _greenlet is not None else "threadstack"
-
-
-def _stack_bytes() -> int:
-    """Per-task stack reservation for threadstack contexts.
-
-    1 MiB default (vs the 8 MiB OS default) keeps a p = 4096 run at a
-    few GiB of *virtual* reservation; override with
-    ``REPRO_SIMMPI_STACK_KB`` for deep rank programs.
-    """
-    kb = int(os.environ.get("REPRO_SIMMPI_STACK_KB", "1024"))
-    return max(64, kb) * 1024
-
-
-def _pool_max() -> int:
-    """Cap on parked stacks retained process-wide between runs."""
-    return int(os.environ.get("REPRO_SIMMPI_POOL_MAX", "4096"))
+#: Cap on parked stacks retained process-wide between runs.
+POOL_MAX = 4096
 
 
 class _PooledStack:
     """A parked OS thread serving as a reusable coroutine stack.
 
-    Thread creation is the threadstack backend's only expensive
-    operation (each ``Thread.start`` is an OS round-trip that lands on
-    the scheduler's critical path), so stacks outlive tasks *and*
-    engines: after a task finishes, its stack re-parks in a process-wide
-    pool and the next run's tasks resume it with one lock release.  This
-    is the same context-reuse trick parallel simulators use to make
-    rank counts cheap, and it is why a warm p = 512 launch costs
-    milliseconds instead of a thread-spawn storm.
+    Thread creation is the engine's only expensive operation (each
+    ``Thread.start`` is an OS round-trip that lands on the scheduler's
+    critical path), so stacks outlive tasks *and* engines: after a task
+    finishes, its stack re-parks in a process-wide pool and the next
+    run's tasks resume it with one lock release.  This is the same
+    context-reuse trick parallel simulators use to make rank counts
+    cheap, and it is why a warm p = 512 launch costs milliseconds
+    instead of a thread-spawn storm.
     """
 
-    __slots__ = ("park", "thread", "stack_bytes", "job")
+    __slots__ = ("park", "thread", "job")
 
-    def __init__(self, stack_bytes: int) -> None:
+    def __init__(self) -> None:
         self.park = threading.Lock()
         self.park.acquire()  # parked state = locked; released to hand a job
-        self.stack_bytes = stack_bytes
         #: (engine, task) to execute on next wake; cleared once taken.
         self.job: tuple | None = None
         self.thread = threading.Thread(
@@ -155,18 +125,15 @@ class _PooledStack:
 
 
 _pool_lock = threading.Lock()
-_pool: dict[int, list[_PooledStack]] = {}
-_pool_size = 0
+_pool: list[_PooledStack] = []
 
 
 def _drain_pool() -> None:
     """Wake and join every parked stack (atexit: a daemon thread parked
     across interpreter finalization confuses stream teardown)."""
-    global _pool_size
     with _pool_lock:
-        stacks = [s for bucket in _pool.values() for s in bucket]
+        stacks = _pool[:]
         _pool.clear()
-        _pool_size = 0
     for stack in stacks:
         stack.park.release()  # job is None -> the loop returns
     for stack in stacks:
@@ -185,10 +152,9 @@ def _reset_pool_after_fork() -> None:
     ``ProcessPoolExecutor`` fan-out after an in-process run).  Children
     start with an empty pool and grow their own stacks.
     """
-    global _pool_lock, _pool, _pool_size
+    global _pool_lock, _pool
     _pool_lock = threading.Lock()
-    _pool = {}
-    _pool_size = 0
+    _pool = []
 
 
 if hasattr(os, "register_at_fork"):
@@ -198,42 +164,43 @@ if hasattr(os, "register_at_fork"):
 def pool_stats() -> tuple[int, int]:
     """(parked stacks, cap) -- introspection for tests and benchmarks."""
     with _pool_lock:
-        return _pool_size, _pool_max()
+        return len(_pool), POOL_MAX
 
 
-def _pool_get(stack_bytes: int) -> _PooledStack:
-    """A parked stack with the requested reservation (created if none)."""
-    global _pool_size
+def _pool_get() -> _PooledStack:
+    """A parked stack (started with a :data:`STACK_BYTES` reservation if
+    the pool is empty).
+
+    ``threading.stack_size`` is process-global, so the set -> start ->
+    restore sequence stays under the pool lock: two concurrent launches
+    interleaving it would restore each other's value and leave every
+    later thread in the process on the small stack.
+    """
     with _pool_lock:
-        bucket = _pool.get(stack_bytes)
-        if bucket:
-            _pool_size -= 1
-            return bucket.pop()
-    stack = _PooledStack(stack_bytes)
-    restore = None
-    try:
-        restore = threading.stack_size(stack_bytes)
-    except (ValueError, RuntimeError, OverflowError):
-        restore = None
-    try:
-        stack.thread.start()
-    finally:
-        if restore is not None:
-            try:
-                threading.stack_size(restore)
-            except (ValueError, RuntimeError):  # pragma: no cover
-                pass
-    return stack
+        if _pool:
+            return _pool.pop()
+        stack = _PooledStack()
+        try:
+            restore = threading.stack_size(STACK_BYTES)
+        except (ValueError, RuntimeError):  # platform refuses the size
+            restore = None
+        try:
+            stack.thread.start()
+        finally:
+            if restore is not None:
+                try:
+                    threading.stack_size(restore)
+                except (ValueError, RuntimeError):  # pragma: no cover
+                    pass
+        return stack
 
 
 def _pool_put(stack: _PooledStack) -> bool:
     """Re-park a stack; False (thread exits) once the pool is full."""
-    global _pool_size
     with _pool_lock:
-        if _pool_size >= _pool_max():
+        if len(_pool) >= POOL_MAX:
             return False
-        _pool.setdefault(stack.stack_bytes, []).append(stack)
-        _pool_size += 1
+        _pool.append(stack)
     return True
 
 
@@ -242,7 +209,7 @@ class Task:
 
     __slots__ = (
         "rank", "clock", "state", "waiting", "result", "locals",
-        "deliver_exception", "_stack", "_glet",
+        "deliver_exception", "_stack",
     )
 
     def __init__(self, rank: int, clock):
@@ -259,7 +226,6 @@ class Task:
         #: (how the deadlock detector addresses the detecting rank).
         self.deliver_exception: BaseException | None = None
         self._stack: _PooledStack | None = None
-        self._glet = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task(rank={self.rank}, state={self.state})"
@@ -276,27 +242,13 @@ class EventEngine:
     every collective schedule and trace record) is engine-agnostic.
     """
 
-    engine_kind = "events"
-
     def __init__(self, num_ranks: int, real_timeout: float = 120.0,
-                 fault_injector=None, context_backend: str | None = None):
+                 fault_injector=None):
         if num_ranks < 1:
             raise SimMPIError(f"need at least one rank, got {num_ranks}")
-        backend = context_backend or default_context_backend()
-        if backend not in ("threadstack", "greenlet"):
-            raise SimMPIError(
-                f"unknown context backend {backend!r}; "
-                "expected 'threadstack' or 'greenlet'"
-            )
-        if backend == "greenlet" and _greenlet is None:
-            raise SimMPIError(
-                "context backend 'greenlet' requested but greenlet is not "
-                "installed; use 'threadstack'"
-            )
         self.num_ranks = num_ranks
         self.real_timeout = real_timeout
         self.fault_injector = fault_injector
-        self.context_backend = backend
         self.mailboxes = [Mailbox() for _ in range(num_ranks)]
         self._abort_exception: BaseException | None = None
         self._next_context = 1  # context 0 is the world communicator
@@ -305,7 +257,6 @@ class EventEngine:
         self._finished = 0
         self._errors: list[tuple[int, BaseException]] = []
         self._main_park = threading.Lock()
-        self._main_glet = None
         self._bind: tuple | None = None
 
     # -- context ids for split communicators --------------------------------
@@ -344,9 +295,6 @@ class EventEngine:
         exc = self._abort_exception
         if exc is not None:
             raise SimMPIError(f"run aborted: {exc!r}") from exc
-
-    def rank_finished(self) -> None:
-        """Bookkeeping parity with the threaded engine (no-op here)."""
 
     # -- fault injection -------------------------------------------------------
 
@@ -461,24 +409,17 @@ class EventEngine:
         self._switch(leaving, nxt, park)
 
     def _switch(self, leaving: Task, nxt: Task | None, park: bool) -> None:
-        """Backend-specific context transfer; returns when resumed.
+        """Context transfer; returns when ``leaving`` is resumed.
 
-        Under threadstack the handoff is a lock release plus a park on
-        the leaving task's own lock.  The park is *unconditional* on the
-        blocking path: the woken task may deliver a message and re-ready
-        ``leaving`` before ``leaving`` reaches its park, so checking
-        ``leaving.state`` here would race -- instead the binary-lock
-        protocol absorbs a wake-before-park (the release leaves the lock
-        open; the late acquire sails through).  The only overlap between
-        two stacks is that park, which touches no scheduler state.
-        Under greenlet it is one in-thread switch.
+        The handoff is a lock release plus a park on the leaving task's
+        own lock.  The park is *unconditional* on the blocking path: the
+        woken task may deliver a message and re-ready ``leaving`` before
+        ``leaving`` reaches its park, so checking ``leaving.state`` here
+        would race -- instead the binary-lock protocol absorbs a
+        wake-before-park (the release leaves the lock open; the late
+        acquire sails through).  The only overlap between two stacks is
+        that park, which touches no scheduler state.
         """
-        if self.context_backend == "greenlet":
-            _task_tls.task = nxt
-            target = self._main_glet if nxt is None else self._ensure_greenlet(nxt)
-            target.switch()
-            _task_tls.task = leaving  # resumed
-            return
         if nxt is None:
             self._main_park.release()
         else:
@@ -486,24 +427,15 @@ class EventEngine:
         if park:
             leaving._stack.park.acquire()
 
-    # -- threadstack backend ---------------------------------------------------
-
     def _wake_thread(self, task: Task) -> None:
         """Resume the task's stack, binding a pooled one on first run."""
         if task._stack is not None:
             task._stack.park.release()
             return
-        stack = _pool_get(_stack_bytes())
+        stack = _pool_get()
         task._stack = stack
         stack.job = (self, task)
         stack.park.release()
-
-    # -- greenlet backend ------------------------------------------------------
-
-    def _ensure_greenlet(self, task: Task):  # pragma: no cover - optional dep
-        if task._glet is None:
-            task._glet = _greenlet.greenlet(lambda: self._run_task(task))
-        return task._glet
 
     # -- task body -------------------------------------------------------------
 
@@ -549,21 +481,15 @@ class EventEngine:
         for task in self._tasks:
             self._ready(task)
         first = self._pick_next(self._tasks[0])
-        if self.context_backend == "greenlet":  # pragma: no cover - optional dep
-            self._main_glet = _greenlet.getcurrent()
-            _task_tls.task = first
-            self._ensure_greenlet(first).switch()
-            _task_tls.task = None
-        else:
-            self._main_park.acquire()  # parked state for the launcher
-            self._wake_thread(first)
-            if not self._main_park.acquire(timeout=self.real_timeout + 10.0):
-                exc = SimMPIError(
-                    f"event scheduler stalled for {self.real_timeout + 10.0:.0f}s "
-                    "real time (runaway rank program)"
-                )
-                self.abort(exc)
-                raise exc
+        self._main_park.acquire()  # parked state for the launcher
+        self._wake_thread(first)
+        if not self._main_park.acquire(timeout=self.real_timeout + 10.0):
+            exc = SimMPIError(
+                f"event scheduler stalled for {self.real_timeout + 10.0:.0f}s "
+                "real time (runaway rank program)"
+            )
+            self.abort(exc)
+            raise exc
         if self._errors:
             root = self._abort_exception
             if root is None:

@@ -1,20 +1,17 @@
 """SPMD launcher: the simulated ``mpiexec``.
 
 Hands each rank a :class:`Communicator`, runs the rank programs on the
-selected engine, and collects return values, clocks and traces.  Two
-engines share one runtime contract (``engine=`` / ``REPRO_SIMMPI_ENGINE``):
+discrete-event scheduler of :mod:`repro.simmpi.events` -- cooperative
+rank tasks, deterministic ``(virtual time, rank)`` ordering, exact
+deadlock detection, and the scale headroom for the paper's p = 1000
+axis and beyond -- and collects return values, clocks and traces.
 
-* ``"events"`` (default) -- the discrete-event scheduler of
-  :mod:`repro.simmpi.events`: cooperative rank tasks, deterministic
-  ``(virtual time, rank)`` ordering, exact deadlock detection, and the
-  scale headroom for the paper's p = 1000 axis and beyond;
-* ``"threads"`` -- the legacy free-running thread-per-rank engine of
-  :mod:`repro.simmpi.transport`, kept as a debug fallback (real
-  preemption occasionally shakes out ordering assumptions the
-  cooperative engine cannot).
-
-Both engines produce bit-identical results, virtual clocks, and
-per-rank trace sequences for deterministic rank programs.
+The free-running thread-per-rank engine of :mod:`repro.simmpi.transport`
+is kept as the tests' reference implementation: it is reachable only
+through the explicit ``run_spmd(engine="threads")`` keyword, never
+through configuration or the environment, and produces bit-identical
+results, virtual clocks, and per-rank trace sequences for deterministic
+rank programs.
 
 Failure injection hooks reproduce the launch pathologies the paper hit:
 ellipse's ``mpiexec`` could not initialize more than 512 remote daemons,
@@ -25,9 +22,7 @@ hooks).
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -39,45 +34,6 @@ from repro.simmpi.comm import Communicator
 from repro.simmpi.events import EventEngine
 from repro.simmpi.tracing import Tracer
 from repro.simmpi.transport import Engine
-
-ENGINE_KINDS = ("events", "threads")
-
-
-def default_engine() -> str:
-    """The engine ``run_spmd`` uses when none is passed explicitly.
-
-    ``REPRO_SIMMPI_ENGINE`` overrides (read per call, so the broker's
-    worker processes and test matrices can flip it), else ``"events"``.
-    """
-    kind = os.environ.get("REPRO_SIMMPI_ENGINE", "").strip() or "events"
-    if kind not in ENGINE_KINDS:
-        raise LaunchError(
-            f"REPRO_SIMMPI_ENGINE={kind!r} is not one of {ENGINE_KINDS}"
-        )
-    return kind
-
-
-@contextmanager
-def engine_override(kind: str | None):
-    """Temporarily pin the default engine (None = leave as-is).
-
-    The sweep engine uses this to honor ``RunConfig.engine`` on its
-    in-process path; worker processes just set the env var.
-    """
-    if kind is None:
-        yield
-        return
-    if kind not in ENGINE_KINDS:
-        raise LaunchError(f"engine {kind!r} is not one of {ENGINE_KINDS}")
-    previous = os.environ.get("REPRO_SIMMPI_ENGINE")
-    os.environ["REPRO_SIMMPI_ENGINE"] = kind
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIMMPI_ENGINE", None)
-        else:
-            os.environ["REPRO_SIMMPI_ENGINE"] = previous
 
 
 @dataclass
@@ -134,7 +90,7 @@ def run_spmd(
     launch_hook: Callable[[int], None] | None = None,
     fault_injector=None,
     observability=None,
-    engine: str | None = None,
+    engine: str = "events",
     record_schedule: bool = False,
     causal: Any = None,
 ) -> SPMDResult:
@@ -156,10 +112,10 @@ def run_spmd(
     comm event); span instrumentation inside ``target`` still needs the
     hub passed through ``args``/``kwargs`` to open rank views.
 
-    ``engine`` selects the execution core — ``"events"`` (cooperative
-    discrete-event scheduler, the default) or ``"threads"`` (the legacy
-    thread-per-rank debug fallback); None defers to
-    :func:`default_engine`.  Results are bit-identical either way.
+    ``engine`` is ``"events"`` (the cooperative discrete-event
+    scheduler) everywhere outside the test suite; ``"threads"`` runs the
+    thread-per-rank reference engine the cross-engine tests compare
+    against.  Results are bit-identical either way.
 
     ``record_schedule=True`` attaches a
     :class:`~repro.simmpi.recording.ScheduleRecorder` to every rank's
@@ -178,9 +134,8 @@ def run_spmd(
     """
     if num_ranks < 1:
         raise LaunchError(f"cannot launch {num_ranks} ranks")
-    engine_kind = engine if engine is not None else default_engine()
-    if engine_kind not in ENGINE_KINDS:
-        raise LaunchError(f"engine {engine_kind!r} is not one of {ENGINE_KINDS}")
+    if engine not in ("events", "threads"):
+        raise LaunchError(f"engine {engine!r} is not 'events' or 'threads'")
     if kwargs is None:
         kwargs = {}
     if topology is None:
@@ -192,7 +147,7 @@ def run_spmd(
     if launch_hook is not None:
         launch_hook(num_ranks)
 
-    engine_cls = EventEngine if engine_kind == "events" else Engine
+    engine_cls = EventEngine if engine == "events" else Engine
     runtime = engine_cls(num_ranks, real_timeout=real_timeout,
                          fault_injector=fault_injector)
     if observability is not None:
@@ -233,7 +188,7 @@ def run_spmd(
         for r in range(num_ranks)
     ]
 
-    if engine_kind == "events":
+    if engine == "events":
         returns = runtime.run(target, comms, args=args, kwargs=kwargs)
     else:
         returns = _run_threaded(runtime, target, comms, args, kwargs, real_timeout)
@@ -250,7 +205,7 @@ def run_spmd(
         tracer=tracer,
         bytes_sent=[c.bytes_sent for c in comms],
         messages_sent=[c.messages_sent for c in comms],
-        engine=engine_kind,
+        engine=engine,
         algorithm_counts=algorithm_counts,
         recording=None if recorder is None else recorder.finish(),
         causal=tracker,

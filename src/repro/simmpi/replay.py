@@ -52,23 +52,19 @@ def _replay_rank(
 
     Sends use ``bytes(nbytes)`` dummy payloads (``payload_nbytes`` of a
     bytes object is its length, so byte accounting is exact); receives
-    wait on the engine directly with the recorded source and tag —
-    collective-internal tags included, which is why this bypasses the
-    user-facing ``recv`` (its tag check rejects the reserved range).
+    go through the communicator's one receive path with the recorded
+    source and tag — collective-internal tags included, which is why
+    this bypasses the user-facing ``recv`` (its tag check rejects the
+    reserved range).
     """
-    engine = comm.engine
-    world_rank = comm.world_rank
-    context = comm.context
-    group = comm.group
     for op in recording.ops[comm.rank]:
         kind = op[0]
         if kind == OP_COMPUTE:
             comm.compute(op[1] / compute_rate, label=op[2])
         elif kind == OP_SEND:
-            comm._send_impl(bytes(op[3]), op[1], op[2], internal=True)
+            comm._send_impl(bytes(op[3]), op[1], op[2])
         elif kind == OP_RECV:
-            msg = engine.wait_for_message(world_rank, context, group[op[1]], op[2])
-            comm._absorb(msg)
+            comm._recv_impl(op[1], op[2])
         # OP_COLLECTIVE markers carry no timing; the sends/recvs of the
         # collective's schedule are already in the stream.
 
@@ -79,7 +75,7 @@ def replay_schedule(
     compute_rate: float = 1.0,
     nic_concurrency: float = 1.0,
     volume_limit_bytes: float | None = None,
-    engine: str | None = None,
+    engine: str = "events",
     trace: bool = False,
     observability=None,
     real_timeout: float = 120.0,

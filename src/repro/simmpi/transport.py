@@ -45,10 +45,6 @@ class Mailbox:
                 return self._messages.pop(i)
         return None
 
-    def pending_count(self) -> int:
-        """Number of undelivered messages (approximate, unlocked read)."""
-        return len(self._messages)
-
 
 class Engine:
     """Shared state for one SPMD run: mailboxes, abort channel, detectors."""

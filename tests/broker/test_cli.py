@@ -58,6 +58,12 @@ class TestRunCommand:
         assert "exported" in out
         assert (tmp_path / "o" / "obs-trace.json").exists()
 
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig4", "--engine", "threads"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_legacy_subcommand_goes_through_registry(self, capsys):
         assert main(["fig4"]) == 0
         legacy = capsys.readouterr().out

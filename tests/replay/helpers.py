@@ -59,7 +59,7 @@ def platform_topology(name: str, num_ranks: int):
 
 
 @functools.lru_cache(maxsize=None)
-def capture(app: str, num_ranks: int, engine: str | None = None):
+def capture(app: str, num_ranks: int, engine: str = "events"):
     """One recorded capture per (app, p): unit-rate modeled compute."""
     problem_fn, rank_main, modeled = _APPS[app]
     problem = problem_fn()

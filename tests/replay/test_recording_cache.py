@@ -1,10 +1,9 @@
 """Recording cache keying: semantic knobs move the key, others don't.
 
-The regression this pins down: ``RunConfig.engine`` (and the new
-``RunConfig.replay``) are execution-strategy knobs with no effect on
-values, so they must not fragment the recording cache — switching
-engines must *hit* the same recording, while any discretization change
-must *miss*.
+The regression this pins down: ``RunConfig.replay`` is an
+execution-strategy knob with no effect on values, so it must not
+fragment the recording cache — toggling it must *hit* the same
+recording, while any discretization change must *miss*.
 """
 
 import pytest
@@ -49,10 +48,6 @@ class TestRecordingKey:
 class TestConfigTokenInvariance:
     """The fix itself: non-semantic RunConfig knobs share a cache token."""
 
-    def test_engine_excluded_from_token(self):
-        assert RunConfig(engine="threads").cache_token() == RunConfig().cache_token()
-        assert RunConfig(engine="events").cache_token() == RunConfig().cache_token()
-
     def test_replay_flag_excluded_from_token(self):
         assert RunConfig(replay=False).cache_token() == RunConfig().cache_token()
 
@@ -61,12 +56,8 @@ class TestConfigTokenInvariance:
 
     def test_engine_plus_replay_hit_the_same_recording_key(self):
         base = recording_key("rd", 8, _DISC, RunConfig().cache_token(), "f")
-        for config in (
-            RunConfig(engine="threads"),
-            RunConfig(replay=False),
-            RunConfig(engine="events", replay=False),
-        ):
-            assert recording_key("rd", 8, _DISC, config.cache_token(), "f") == base
+        config = RunConfig(replay=False)
+        assert recording_key("rd", 8, _DISC, config.cache_token(), "f") == base
 
 
 class TestRecordingStore:

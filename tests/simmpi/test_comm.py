@@ -165,6 +165,28 @@ class TestPointToPoint:
         done, payload = run(main, 2).returns[1]
         assert done and payload == "x"
 
+    @pytest.mark.parametrize("complete", ["wait", "test"])
+    def test_irecv_completion_is_traced(self, complete):
+        """wait() and test() leave the same "recv" trace record: a polled
+        completion must not look like an orphan send to obs.analysis."""
+
+        def main(comm):
+            if comm.rank == 0:
+                comm.send("x", dest=1, tag=3)
+                return None
+            req = comm.irecv(source=0, tag=3)
+            if complete == "wait":
+                return req.wait()
+            done, payload = req.test()  # rank 0 ran first: already posted
+            assert done
+            return payload
+
+        result = run(main, 2, trace=True)
+        assert result.returns[1] == "x"
+        assert result.tracer.message_count("send") == 1
+        (recv,) = [r for r in result.tracer.by_rank(1) if r.kind == "recv"]
+        assert (recv.peer, recv.tag, recv.nbytes) == (0, 3, payload_nbytes("x"))
+
     def test_sendrecv(self):
         def main(comm):
             peer = 1 - comm.rank

@@ -4,25 +4,24 @@ The scheduler's ``(virtual time, rank)`` ordering is a documented
 contract (:mod:`repro.simmpi.events` module docstring): these tests pin
 it with deterministic wildcard-receive programs that would race under
 the threaded engine, and cover the engine-specific machinery — the
-launcher flag and env override, exact deadlock detection, fault kills
-as scheduler-level cancellation, task-local observability context, and
-the process-wide context pool.
+launcher keyword (the only selector: no environment variable is read),
+exact deadlock detection, fault kills as scheduler-level cancellation,
+task-local observability context, and the process-wide context pool.
 """
 
-import os
+import pickle
+import re
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import RunConfig, RunRequest
 from repro.errors import DeadlockError, LaunchError, RankFailedError
 from repro.obs.core import Observability, current
 from repro.resilience import FaultEvent, FaultInjector, FaultPlan
-from repro.simmpi import (
-    ANY_SOURCE,
-    ENGINE_KINDS,
-    default_engine,
-    engine_override,
-    run_spmd,
-)
+from repro.simmpi import ANY_SOURCE, events, run_spmd
 from repro.simmpi.events import pool_stats
 
 
@@ -33,20 +32,36 @@ def run(fn, n, **kw):
 
 
 class TestEngineSelection:
-    def test_default_engine_is_events(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIMMPI_ENGINE", raising=False)
-        assert default_engine() == "events"
+    """``run_spmd(engine=)`` is the only selector; nothing ambient is read."""
 
-    def test_env_var_selects_engine(self, monkeypatch):
+    def test_default_engine_is_events(self):
+        assert run_spmd(lambda comm: comm.rank, 2).engine == "events"
+
+    def test_env_vars_are_ignored(self, monkeypatch, tmp_path):
+        def simsweep(cache_dir):
+            result = repro.run(RunRequest(
+                artifacts=("simsweep",), use_cache=False,
+                config=RunConfig(cache_dir=str(tmp_path / cache_dir)),
+            ))
+            return pickle.dumps(result.artifact("simsweep"))
+
+        for name in ("ENGINE", "CONTEXT", "STACK_KB", "POOL_MAX"):
+            monkeypatch.delenv(f"REPRO_SIMMPI_{name}", raising=False)
+        unset = simsweep("unset")
         monkeypatch.setenv("REPRO_SIMMPI_ENGINE", "threads")
-        assert default_engine() == "threads"
-        result = run_spmd(lambda comm: comm.rank, 2)
-        assert result.engine == "threads"
+        monkeypatch.setenv("REPRO_SIMMPI_CONTEXT", "greenlet")
+        monkeypatch.setenv("REPRO_SIMMPI_STACK_KB", "64")
+        monkeypatch.setenv("REPRO_SIMMPI_POOL_MAX", "1")
+        assert run_spmd(lambda comm: comm.rank, 2).engine == "events"
+        assert pool_stats()[1] == 4096
+        assert simsweep("set") == unset
 
-    def test_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMMPI_ENGINE", "fibers")
-        with pytest.raises(LaunchError, match="fibers"):
-            default_engine()
+    def test_simmpi_reads_no_environment(self):
+        pattern = re.compile(r"\bos\.environ\b|\bgetenv\b")
+        sources = sorted(Path(events.__file__).parent.glob("*.py"))
+        assert sources
+        hits = [p.name for p in sources if pattern.search(p.read_text())]
+        assert hits == []
 
     def test_explicit_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIMMPI_ENGINE", "threads")
@@ -56,22 +71,6 @@ class TestEngineSelection:
     def test_bad_engine_flag(self):
         with pytest.raises(LaunchError, match="carrier-pigeon"):
             run_spmd(lambda comm: comm.rank, 2, engine="carrier-pigeon")
-
-    def test_engine_override_restores_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIMMPI_ENGINE", raising=False)
-        with engine_override("threads"):
-            assert default_engine() == "threads"
-        assert "REPRO_SIMMPI_ENGINE" not in os.environ
-        with engine_override(None):
-            assert default_engine() == "events"
-
-    def test_engine_override_validates(self):
-        with pytest.raises(LaunchError):
-            with engine_override("fibers"):
-                pass
-
-    def test_engine_kinds(self):
-        assert ENGINE_KINDS == ("events", "threads")
 
 
 class TestSchedulingPolicy:
@@ -218,3 +217,48 @@ class TestContextPool:
         parked_after_second, _ = pool_stats()
         # the second run drew from the pool instead of growing it
         assert parked_after_second <= parked_after_first
+
+    def test_concurrent_pool_growth_restores_stack_size(self, monkeypatch):
+        """Two launches growing the pool at once must not leak the 1 MiB
+        stack reservation into the process-wide default.
+
+        The patched ``Thread.start`` forces the losing interleaving of
+        an unserialized set -> start -> restore: the launch that set
+        first (and so holds the original value) waits for the second to
+        set, restores first, and only then does the second restore --
+        its saved "previous" value being the first launch's 1 MiB.
+        """
+        events._drain_pool()
+        before = threading.stack_size()
+        real_start = threading.Thread.start
+        arrivals = []
+        second_arrived = threading.Event()
+        first_done = threading.Event()
+
+        def start(thread):
+            if thread.name == "simmpi-stack":
+                arrivals.append(thread)
+                if len(arrivals) == 1:
+                    second_arrived.wait(timeout=0.5)
+                else:
+                    second_arrived.set()
+                    first_done.wait(timeout=5.0)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        stacks = []
+
+        def grow():
+            stacks.append(events._pool_get())
+            first_done.set()
+
+        launches = [threading.Thread(target=grow) for _ in range(2)]
+        for launch in launches:
+            real_start(launch)
+        for launch in launches:
+            launch.join(timeout=10.0)
+        assert not any(launch.is_alive() for launch in launches)
+        for stack in stacks:
+            assert events._pool_put(stack)
+        assert len(arrivals) == 2
+        assert threading.stack_size() == before
