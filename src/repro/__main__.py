@@ -6,11 +6,6 @@ Usage::
     python -m repro run fig4 table2       # any artifacts, cached
     python -m repro run --all --parallel 4
     python -m repro broker --ranks 1000   # ranked placement plans
-    python -m repro table1                # Table I
-    python -m repro porting               # §VI man-hours
-    python -m repro fig4 | fig5           # weak-scaling figures
-    python -m repro table2                # EC2 full vs mix
-    python -m repro fig6 | fig7           # cost figures
     python -m repro compare --app rd --ranks 64
     python -m repro script --platform ec2 # provisioning shell script
     python -m repro trace --out traces/  # observed RD run + exports
@@ -21,9 +16,8 @@ Usage::
     python -m repro submit fig4 --wait   # run through a service, coalesced
     python -m repro status --url ...     # jobs on a running service
 
-The single-artifact subcommands (``fig4`` … ``resilience``) are thin
-aliases for ``run <name> --no-cache``: every path goes through the
-artifact registry and the sweep engine.
+``run`` is the one path to every artifact (Table I … ``elasticity``):
+through the artifact registry and the sweep engine.
 
 Shared flag vocabulary (``--seed``/``--cache-dir``/``--obs-out``/...) and
 the ``--json`` output mode on read-only subcommands come from
@@ -132,51 +126,6 @@ def _cmd_broker(args) -> str:
             ],
         },
     )
-
-
-def _render_artifact(name: str) -> str:
-    """One artifact through the registry, uncached (the legacy behavior)."""
-    from repro.broker.api import RunRequest, run
-
-    result = run(RunRequest(artifacts=(name,), use_cache=False))
-    return result.render(name)
-
-
-def _cmd_table1(_args) -> str:
-    return _render_artifact("table1")
-
-
-def _cmd_porting(_args) -> str:
-    return _render_artifact("porting")
-
-
-def _cmd_fig4(_args) -> str:
-    return _render_artifact("fig4")
-
-
-def _cmd_fig5(_args) -> str:
-    return _render_artifact("fig5")
-
-
-def _cmd_table2(_args) -> str:
-    return _render_artifact("table2")
-
-
-def _cmd_fig6(_args) -> str:
-    return _render_artifact("fig6")
-
-
-def _cmd_fig7(_args) -> str:
-    return _render_artifact("fig7")
-
-
-def _cmd_resilience(_args) -> str:
-    return _render_artifact("resilience")
-
-
-def _cmd_elasticity(_args) -> str:
-    """Table II (extended): elastic re-brokering on a volatile market."""
-    return _render_artifact("elasticity")
 
 
 def _cmd_compare(args) -> str:
@@ -688,15 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     cli.add_json_flag(brokerp)
     brokerp.set_defaults(func=_cmd_broker)
 
-    for name, fn in [
-        ("table1", _cmd_table1), ("porting", _cmd_porting),
-        ("fig4", _cmd_fig4), ("fig5", _cmd_fig5), ("table2", _cmd_table2),
-        ("fig6", _cmd_fig6), ("fig7", _cmd_fig7),
-        ("resilience", _cmd_resilience), ("elasticity", _cmd_elasticity),
-        ("validate", _cmd_validate),
-    ]:
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.set_defaults(func=fn)
+    validate = sub.add_parser("validate", help=_cmd_validate.__doc__)
+    validate.set_defaults(func=_cmd_validate)
     experiments = sub.add_parser(
         "experiments", help="paper-vs-measured summary for numeric artifacts"
     )

@@ -439,10 +439,7 @@ def run_ns_distributed(
                 f"distributed {'CG' if symmetric else 'BiCGStab'} stalled at "
                 f"residual {result.residual_norm:.3e}"
             )
-        full = dist.gather_global(
-            _dist_vec(dist, result.x), root=0
-        )
-        return comm.bcast(full, root=0)
+        return dist.allgather_global(result.x)
 
     dt = problem.dt
     alpha0 = solver.bdf[0].alpha0
@@ -500,9 +497,3 @@ def run_ns_distributed(
             view.observe("phase_seconds", it.solve, phase="solve")
         view.count("ns_steps_total", float(problem.num_steps))
     return solver.velocity_error(), solver.pressure_error(), log
-
-
-def _dist_vec(dist, owned_values):
-    from repro.la.distributed import DistVector
-
-    return DistVector(dist.comm, owned_values, dist.ghost_indices.size)

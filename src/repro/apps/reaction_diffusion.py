@@ -37,7 +37,13 @@ from repro.fem.boundary import DirichletPlan, apply_dirichlet
 from repro.fem.dofmap import DofMap
 from repro.fem.function import l2_error
 from repro.fem.mesh import StructuredBoxMesh
-from repro.la.krylov import cg
+from repro.la.distributed import (
+    DistBlockJacobiPreconditioner,
+    DistJacobiPreconditioner,
+    DistMatrix,
+    dist_cg_fused,
+)
+from repro.la.krylov import SolveResult, cg
 from repro.la.preconditioners import make_preconditioner
 
 
@@ -191,14 +197,18 @@ class RDSolver:
                 matrix, rhs, x0=self.bdf.latest(), preconditioner=precond,
                 tol=self.tol, maxiter=5000, strict=True,
             )
-        self.solve_iterations.append(result.iterations)
-        self.residual_norms.append(result.residual_norm)
-        self.bdf.advance(result.x)
-        self.t = t_new
-        self.steps_taken += 1
+        self._advance(result.x, result)
         phases = self.clock.finish_iteration()
         self.log.append(phases)
         return phases
+
+    def _advance(self, solution: np.ndarray, result: SolveResult) -> None:
+        """Accept ``solution`` (global) as the state at ``t + dt``."""
+        self.solve_iterations.append(result.iterations)
+        self.residual_norms.append(result.residual_norm)
+        self.bdf.advance(solution)
+        self.t = self.t + self.problem.dt
+        self.steps_taken += 1
 
     def run(self) -> PhaseLog:
         """Run all steps; returns the phase log."""
@@ -249,6 +259,95 @@ def slab_ownership(dofmap: DofMap, num_ranks: int) -> list[np.ndarray]:
     ]
 
 
+class DistributedRDStep:
+    """The one distributed RD time step, in the paper's three phases.
+
+    ``solver`` is an :class:`RDSolver` in ``"combine"`` mode: it owns the
+    step-invariant operators, the BDF history, ``t`` and the system
+    assembly.  This class owns what the distribution adds — the
+    :class:`~repro.la.distributed.DistMatrix` and preconditioner
+    lifecycle, the fused CG, the global gather and the history advance.
+    Drivers call :meth:`assemble`, :meth:`precondition` and :meth:`solve`
+    once per step, in that order, and put their own phase clocks, spans,
+    fault gates and compute charges between them.
+
+    ``ownership`` and ``numbering`` go to
+    :meth:`DistMatrix.from_global <repro.la.distributed.DistMatrix.from_global>`
+    unchanged.
+    """
+
+    PRECONDITIONERS = {
+        "block-jacobi": DistBlockJacobiPreconditioner,
+        "jacobi": DistJacobiPreconditioner,
+        "none": None,
+        "identity": None,
+    }
+
+    def __init__(
+        self,
+        comm,
+        solver: RDSolver,
+        ownership: list[np.ndarray],
+        preconditioner: str,
+        tol: float,
+        numbering: str = "owned-first",
+    ):
+        self.check_preconditioner(preconditioner)
+        self.comm = comm
+        self.solver = solver
+        self.ownership = ownership
+        self.preconditioner = preconditioner
+        self.tol = tol
+        self.numbering = numbering
+        self.dist: DistMatrix | None = None
+        self.precond = None
+        self._rhs: np.ndarray | None = None
+        # Step-invariant, so assembled here rather than inside the first
+        # step's (charged) assembly phase.
+        solver._load_vector()
+
+    @classmethod
+    def check_preconditioner(cls, name: str) -> None:
+        """Raise :class:`ReproError` unless ``name`` is a distributed preconditioner."""
+        if name not in cls.PRECONDITIONERS:
+            raise ReproError(f"unknown distributed preconditioner {name!r}")
+
+    def assemble(self) -> None:
+        """Assemble the system at ``t + dt`` and push its values to the ranks."""
+        solver = self.solver
+        matrix, self._rhs = solver._assemble_system(solver.t + solver.problem.dt)
+        if self.dist is None:
+            # First step: the collective structure exchange happens once.
+            self.dist = DistMatrix.from_global(
+                self.comm, matrix, ownership=self.ownership, numbering=self.numbering
+            )
+        else:
+            # Later steps: communication-free in-place value refresh.
+            self.dist.update_values(matrix)
+
+    def precondition(self) -> None:
+        """Build the preconditioner on the first step, refresh it afterwards."""
+        factory = self.PRECONDITIONERS[self.preconditioner]
+        if self.precond is not None:
+            self.precond.update(self.dist)
+        elif factory is not None:
+            self.precond = factory(self.dist)
+
+    def solve(self) -> SolveResult:
+        """Fused CG from the latest state, then advance the replicated history."""
+        solver, dist = self.solver, self.dist
+        result = dist_cg_fused(
+            dist,
+            dist.vector_from_global(self._rhs),
+            x0=dist.vector_from_global(solver.bdf.latest()),
+            preconditioner=self.precond,
+            tol=self.tol,
+            maxiter=5000,
+        )
+        solver._advance(dist.allgather_global(result.x), result)
+        return result
+
+
 def run_rd_distributed(
     comm,
     problem: RDProblem,
@@ -282,40 +381,12 @@ def run_rd_distributed(
     Returns ``(owned_solution_values, PhaseLog, nodal_error)`` per rank;
     the phase log carries *virtual* durations.
     """
-    from repro.la.distributed import (
-        DistBlockJacobiPreconditioner,
-        DistJacobiPreconditioner,
-        DistMatrix,
-        dist_cg_fused,
-    )
-
     if cpu_speed_factor <= 0:
         raise ReproError("cpu_speed_factor must be positive")
-    if preconditioner not in ("block-jacobi", "jacobi", "none", "identity"):
-        raise ReproError(f"unknown distributed preconditioner {preconditioner!r}")
 
-    exact = RDManufacturedSolution()
-    dofmap = DofMap(problem.mesh(), problem.order)
-    ownership = slab_ownership(dofmap, comm.size)
-    owned = ownership[comm.rank]
-    coords = dofmap.dof_coords
-    bdf = BDF(problem.bdf_order, problem.dt)
-    times = [problem.t0 + i * problem.dt for i in range(problem.bdf_order)]
-    bdf.initialize([exact(coords, t) for t in times])
-    t = times[-1]
-
-    # Step-invariant structure, built once: M and K with their merged
-    # sparsity, the constant-source load vector, the Dirichlet plan, and
-    # (after the first step) the distributed matrix + preconditioner.
-    mass = assemble_mass(dofmap)
-    stiffness = assemble_stiffness(dofmap)
-    composite = CompositeOperator({"mass": mass, "stiffness": stiffness})
-    cached_load = assemble_load(dofmap, exact.SOURCE_VALUE)
-    boundary = dofmap.boundary_dofs
-    combined = None
-    plan = None
-    dist = None
-    precond = None
+    solver = RDSolver(problem, tol=tol, assembly_mode="combine", discard=discard)
+    ownership = slab_ownership(solver.dofmap, comm.size)
+    stepper = DistributedRDStep(comm, solver, ownership, preconditioner, tol)
     clock = PhaseClock(now=lambda: comm.time)
     log = PhaseLog(discard=discard)
     if obs is not None:
@@ -331,61 +402,24 @@ def run_rd_distributed(
         else:
             comm.compute(real_seconds / cpu_speed_factor)
 
-    solution = bdf.latest()
     for step_idx in range(problem.num_steps):
         with view.span("step", step=step_idx):
-            t_new = t + problem.dt
-            alpha0 = bdf.alpha0
-
             with clock.phase("assembly"), view.span("assembly"):
                 start = time.perf_counter()
-                mass_coeff = alpha0 / problem.dt - 2.0 / t_new
-                combined = composite.combine(
-                    {"mass": mass_coeff, "stiffness": 1.0 / t_new**2}, out=combined
-                )
-                rhs = cached_load + mass @ (bdf.history_rhs() / problem.dt)
-                values = exact(coords[boundary], t_new)
-                if plan is None:
-                    plan = DirichletPlan(combined, boundary, symmetric=True)
-                matrix, rhs = plan.apply(combined, rhs, values)
-                if dist is None:
-                    # First step: the collective structure exchange happens once.
-                    dist = DistMatrix.from_global(comm, matrix, ownership=ownership)
-                else:
-                    # Later steps: communication-free in-place value refresh.
-                    dist.update_values(matrix)
+                stepper.assemble()
                 charge("assembly", time.perf_counter() - start)
 
             with clock.phase("preconditioner"), view.span("preconditioner"):
                 start = time.perf_counter()
-                if precond is not None:
-                    precond.update(dist)
-                elif preconditioner == "block-jacobi":
-                    precond = DistBlockJacobiPreconditioner(dist)
-                elif preconditioner == "jacobi":
-                    precond = DistJacobiPreconditioner(dist)
-                else:
-                    precond = None
+                stepper.precondition()
                 charge("preconditioner", time.perf_counter() - start)
 
             with clock.phase("solve"), view.span("solve"):
-                rhs_dist = dist.vector_from_global(rhs)
-                x0_dist = dist.vector_from_global(bdf.latest())
-                result = dist_cg_fused(
-                    dist, rhs_dist, x0=x0_dist, preconditioner=precond,
-                    tol=tol, maxiter=5000,
-                )
-                full = dist.gather_global(
-                    _vec(dist, result.x), root=0
-                )
-                full = comm.bcast(full, root=0)
+                stepper.solve()
 
-            bdf.advance(full)
-            solution = full
-            t = t_new
             log.append(clock.finish_iteration())
 
-    nodal_error = float(np.max(np.abs(solution - exact(coords, t))))
+    nodal_error = solver.nodal_error()
     if view.enabled:
         # Post-discard observations, in PhaseLog.averages() accumulation
         # order: the histogram's (sum, count) then reproduce the paper's
@@ -396,10 +430,4 @@ def run_rd_distributed(
             view.observe("phase_seconds", it.solve, phase="solve")
         view.count("rd_steps_total", float(problem.num_steps))
         view.gauge("rd_nodal_error", nodal_error)
-    return solution[owned], log, nodal_error
-
-
-def _vec(dist, owned_values):
-    from repro.la.distributed import DistVector
-
-    return DistVector(dist.comm, owned_values, dist.ghost_indices.size)
+    return solver.solution[ownership[comm.rank]], log, nodal_error

@@ -258,6 +258,21 @@ def _normalize(value):
     return value
 
 
+def rd_discretization(problem) -> dict:
+    """The RD checkpoint-compatibility key (rank count deliberately absent).
+
+    Every entry is validated on load: a BDF history restored onto a
+    different mesh, element order, scheme order or step size would
+    silently continue a different trajectory.
+    """
+    return {
+        "mesh_shape": list(problem.mesh_shape),
+        "order": problem.order,
+        "bdf_order": problem.bdf_order,
+        "dt": problem.dt,
+    }
+
+
 def save_rd_state(path: str | Path, solver, extra_metadata: dict | None = None,
                   rng_state: dict | None = None) -> int:
     """Checkpoint an RD solver: BDF history, clock, and solver counters.
@@ -272,12 +287,7 @@ def save_rd_state(path: str | Path, solver, extra_metadata: dict | None = None,
         states=solver.bdf._history,  # newest first
         t=solver.t,
         step=getattr(solver, "steps_taken", 0),
-        discretization={
-            "mesh_shape": list(solver.problem.mesh_shape),
-            "order": solver.problem.order,
-            "bdf_order": solver.problem.bdf_order,
-            "dt": solver.problem.dt,
-        },
+        discretization=rd_discretization(solver.problem),
         solver_state={
             "solve_iterations": list(solver.solve_iterations),
             "residual_norms": list(getattr(solver, "residual_norms", [])),
@@ -297,11 +307,7 @@ def load_rd_state(path: str | Path, solver) -> float:
     states, t, step, meta = load_history_state(
         path,
         app="reaction-diffusion",
-        discretization={
-            "mesh_shape": list(solver.problem.mesh_shape),
-            "order": solver.problem.order,
-            "bdf_order": solver.problem.bdf_order,
-        },
+        discretization=rd_discretization(solver.problem),
     )
     if len(states) != solver.problem.bdf_order:
         raise CheckpointError(
@@ -353,6 +359,7 @@ def load_ns_state(path: str | Path, solver) -> float:
         discretization={
             "mesh_shape": list(solver.problem.mesh_shape),
             "bdf_order": order,
+            "dt": solver.problem.dt,
             "nu": solver.problem.nu,
         },
     )

@@ -381,6 +381,17 @@ class DistMatrix:
             out[idx] = vals
         return out
 
+    def allgather_global(self, owned_values: np.ndarray) -> np.ndarray:
+        """The global vector on every rank, from each rank's owned block.
+
+        Takes the bare owned array a solver returns as ``SolveResult.x``.
+        Deliberately a gather to rank 0 followed by a broadcast, not an
+        allgather: the replicated time loops have always moved their
+        solution this way, and the recorded message patterns pin it.
+        """
+        vector = DistVector(self.comm, owned_values, self.ghost_indices.size)
+        return self.comm.bcast(self.gather_global(vector, root=0), root=0)
+
     # -- operations --------------------------------------------------------
 
     def update_ghosts(self, vector: DistVector, tag: int = 101) -> None:

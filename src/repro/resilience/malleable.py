@@ -12,7 +12,7 @@ The lifecycle (``docs/elasticity.md``) is checkpoint → repartition →
 resume:
 
 1. a segment of the time loop runs at ``p_old`` ranks and persists a v2
-   restart checkpoint (:func:`repro.io.checkpoint.save_history_state`);
+   restart checkpoint (:func:`repro.io.checkpoint.save_rd_state`);
 2. :func:`repartition_state` loads the checkpoint, re-decomposes the
    mesh at ``p_new`` with the existing RCB partitioner
    (:func:`repro.partition.partition_rcb`), derives the new DOF
@@ -20,10 +20,13 @@ resume:
    balance);
 3. the next segment resumes at ``p_new`` from the restored BDF history.
 
-Bit-consistency across the width change is guaranteed by the
-deterministic numerics mode of :mod:`repro.la.distributed`
-(``numbering="global"`` + rank-count-invariant dot products + the
-element-wise Jacobi preconditioner): every segment computes exactly the
+Every segment is a loop around the shared
+:class:`~repro.apps.reaction_diffusion.DistributedRDStep` — the step the
+plain SPMD driver and the resilient runner run.  Bit-consistency across
+the width change is guaranteed by the distributed linear algebra's
+deterministic numerics mode (``numbering="global"`` +
+rank-count-invariant dot products + the element-wise Jacobi
+preconditioner, ``docs/elasticity.md``): every segment computes exactly the
 scalars an uninterrupted fixed-``p`` run computes, so the per-step
 records and final solution are bit-identical for *any* schedule at
 matching discretization — the property the gate tests pin.
@@ -38,34 +41,20 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ResilienceError
-from repro.apps.exact import RDManufacturedSolution
-from repro.apps.reaction_diffusion import RDProblem
-from repro.fem.assembly import (
-    CompositeOperator,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-)
-from repro.fem.bdf import BDF
-from repro.fem.boundary import DirichletPlan
+from repro.apps.reaction_diffusion import DistributedRDStep, RDProblem, RDSolver
 from repro.fem.dofmap import DofMap
-from repro.io.checkpoint import load_history_state, save_history_state
+from repro.io.checkpoint import (
+    load_history_state,
+    load_rd_state,
+    rd_discretization,
+    save_rd_state,
+)
 from repro.partition import edge_cut, load_imbalance, partition_rcb
 from repro.resilience.runner import StepRecord
 from repro.simmpi.launcher import run_spmd
 
 #: File name of the malleable restart checkpoint inside checkpoint_dir.
 MALLEABLE_CHECKPOINT = "rd-malleable.ckpt"
-
-
-def _discretization(problem: RDProblem) -> dict:
-    """The checkpoint-compatibility key (rank count deliberately absent)."""
-    return {
-        "mesh_shape": list(problem.mesh_shape),
-        "order": problem.order,
-        "bdf_order": problem.bdf_order,
-        "dt": problem.dt,
-    }
 
 
 def ownership_from_partition(
@@ -161,7 +150,7 @@ def repartition_state(
     states, t, step, meta = load_history_state(
         checkpoint_path,
         app="reaction-diffusion",
-        discretization=_discretization(problem),
+        discretization=rd_discretization(problem),
     )
     p_old = int(meta.get("num_ranks", 0))
     dofmap = DofMap(problem.mesh(), problem.order)
@@ -242,46 +231,36 @@ def run_malleable(
     checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_path.unlink(missing_ok=True)
 
-    shared: dict = {"records": {}, "final": None, "history": None, "t": None}
+    shared: dict = {"records": {}, "solver": None}
     repartitions: list[RepartitionReport] = []
-    cursor = 0
     for index, (width, steps) in enumerate(schedule):
         if index == 0:
-            resume = None
+            resume_from = None
             ownership = decompose(problem, width)
         else:
-            states, t, _step, ownership, report = repartition_state(
-                checkpoint_path, problem, width
-            )
+            *_, ownership, report = repartition_state(checkpoint_path, problem, width)
             repartitions.append(report)
-            resume = (states, t)
+            resume_from = checkpoint_path
         run_spmd(
             target=_segment_body,
             num_ranks=width,
-            args=(problem, ownership, resume, cursor, steps, tol, shared),
+            args=(problem, ownership, resume_from, steps, tol, shared),
             real_timeout=real_timeout,
             observability=obs,
         )
-        cursor += steps
-        if cursor < problem.num_steps:
-            save_history_state(
-                checkpoint_path,
-                app="reaction-diffusion",
-                states=shared["history"],  # newest first
-                t=shared["t"],
-                step=cursor,
-                discretization=_discretization(problem),
+        if index < len(schedule) - 1:
+            save_rd_state(
+                checkpoint_path, shared["solver"],
                 extra_metadata={"num_ranks": width},
             )
 
-    solution, t, nodal_error = shared["final"]
-    records = [shared["records"][s] for s in range(problem.num_steps)]
+    solver = shared["solver"]
     return MalleableRunResult(
-        solution=solution,
-        t=t,
-        records=records,
+        solution=solver.solution,
+        t=solver.t,
+        records=[shared["records"][s] for s in range(problem.num_steps)],
         repartitions=repartitions,
-        nodal_error=nodal_error,
+        nodal_error=solver.nodal_error(),
     )
 
 
@@ -289,109 +268,41 @@ def _segment_body(
     comm,
     problem: RDProblem,
     ownership: list[np.ndarray],
-    resume: tuple[list[np.ndarray], float] | None,
-    start_step: int,
+    resume_from: Path | None,
     num_steps: int,
     tol: float,
     shared: dict,
 ):
     """One fixed-width segment of the malleable time loop.
 
-    Mirrors :func:`~repro.apps.reaction_diffusion.run_rd_distributed`
-    step for step, but with the deterministic numerics mode switched on
-    and the (replicated) BDF history handed back through ``shared`` so
+    A loop around the shared
+    :class:`~repro.apps.reaction_diffusion.DistributedRDStep` with the
+    deterministic numerics mode switched on (RCB ownership, globally
+    numbered columns, element-wise Jacobi); rank 0 hands the solver —
+    and with it the replicated BDF history — back through ``shared`` so
     the driver can checkpoint between segments.
     """
-    from repro.la.distributed import (
-        DistJacobiPreconditioner,
-        DistMatrix,
-        DistVector,
-        dist_cg_fused,
+    solver = RDSolver(problem, tol=tol, assembly_mode="combine")
+    if resume_from is not None:
+        load_rd_state(resume_from, solver)
+    stepper = DistributedRDStep(
+        comm, solver, ownership, "jacobi", tol, numbering="global"
     )
 
-    rank = comm.rank
-    exact = RDManufacturedSolution()
-    dofmap = DofMap(problem.mesh(), problem.order)
-    coords = dofmap.dof_coords
-    bdf = BDF(problem.bdf_order, problem.dt)
-    if resume is not None:
-        states, t = resume
-        bdf.initialize(list(reversed(states)))  # oldest first
-    else:
-        times = [problem.t0 + i * problem.dt for i in range(problem.bdf_order)]
-        bdf.initialize([exact(coords, tt) for tt in times])
-        t = times[-1]
-
-    mass = assemble_mass(dofmap)
-    stiffness = assemble_stiffness(dofmap)
-    composite = CompositeOperator({"mass": mass, "stiffness": stiffness})
-    cached_load = assemble_load(dofmap, exact.SOURCE_VALUE)
-    boundary = dofmap.boundary_dofs
-    combined = None
-    plan = None
-    dist = None
-    precond = None
-
-    def charge(real_seconds: float) -> None:
-        comm.compute(real_seconds)
-
-    solution = bdf.latest()
-    for s in range(start_step, start_step + num_steps):
-        t_new = t + problem.dt
-        alpha0 = bdf.alpha0
+    first = solver.steps_taken
+    for step in range(first, first + num_steps):
+        start = time.perf_counter()
+        stepper.assemble()
+        comm.compute(time.perf_counter() - start)
 
         start = time.perf_counter()
-        mass_coeff = alpha0 / problem.dt - 2.0 / t_new
-        combined = composite.combine(
-            {"mass": mass_coeff, "stiffness": 1.0 / t_new**2}, out=combined
-        )
-        rhs = cached_load + mass @ (bdf.history_rhs() / problem.dt)
-        values = exact(coords[boundary], t_new)
-        if plan is None:
-            plan = DirichletPlan(combined, boundary, symmetric=True)
-        matrix, rhs = plan.apply(combined, rhs, values)
-        if dist is None:
-            dist = DistMatrix.from_global(
-                comm, matrix, ownership=ownership, numbering="global"
-            )
-        else:
-            dist.update_values(matrix)
-        charge(time.perf_counter() - start)
+        stepper.precondition()
+        comm.compute(time.perf_counter() - start)
 
-        start = time.perf_counter()
-        if precond is None:
-            precond = DistJacobiPreconditioner(dist)
-        else:
-            precond.update(dist)
-        charge(time.perf_counter() - start)
+        result = stepper.solve()
+        if comm.rank == 0:
+            shared["records"][step] = StepRecord.from_solve(step, solver.t, result)
 
-        rhs_dist = dist.vector_from_global(rhs)
-        x0_dist = dist.vector_from_global(bdf.latest())
-        result = dist_cg_fused(
-            dist, rhs_dist, x0=x0_dist, preconditioner=precond,
-            tol=tol, maxiter=5000,
-        )
-        full = dist.gather_global(
-            DistVector(comm, result.x, dist.ghost_indices.size), root=0
-        )
-        full = comm.bcast(full, root=0)
-
-        bdf.advance(full)
-        solution = full
-        t = t_new
-        if rank == 0:
-            shared["records"][s] = StepRecord(
-                step=s,
-                t=t_new,
-                iterations=result.iterations,
-                residual_norm=result.residual_norm,
-                allreduce_rounds=result.allreduce_rounds,
-                residuals=tuple(result.residuals),
-            )
-
-    if rank == 0:
-        shared["history"] = [np.asarray(h).copy() for h in bdf._history]
-        shared["t"] = t
-        nodal_error = float(np.max(np.abs(solution - exact(coords, t))))
-        shared["final"] = (solution, t, nodal_error)
-    return solution[ownership[rank]]
+    if comm.rank == 0:
+        shared["solver"] = solver
+    return solver.solution[ownership[comm.rank]]

@@ -7,10 +7,12 @@ re-assemble the machine and resume from the latest checkpoint.  The
 :class:`ResilientRunner` executes exactly that protocol against the
 simmpi runtime:
 
-1. run the distributed RD loop with a :class:`~repro.resilience.FaultInjector`
-   installed in the transport;
+1. run the distributed RD loop — the shared
+   :class:`~repro.apps.reaction_diffusion.DistributedRDStep`, the same
+   step the plain SPMD driver runs — with a
+   :class:`~repro.resilience.FaultInjector` installed in the transport;
 2. rank 0 writes a v2 restart checkpoint (BDF history + clock + solver
-   counters, :func:`repro.io.checkpoint.save_history_state`) every
+   counters, :func:`repro.io.checkpoint.save_rd_state`) every
    ``checkpoint_every`` steps, *before* the step's kill gate — so a kill
    at step ``s`` always finds the state at ``s`` persisted;
 3. a kill surfaces as :class:`~repro.errors.RankFailedError` out of
@@ -36,19 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import RankFailedError, ReproError, RetriesExhaustedError
-from repro.apps.exact import RDManufacturedSolution
-from repro.apps.phases import PhaseClock
-from repro.apps.reaction_diffusion import RDProblem, slab_ownership
-from repro.fem.assembly import (
-    CompositeOperator,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
+from repro.apps.reaction_diffusion import (
+    DistributedRDStep,
+    RDProblem,
+    RDSolver,
+    slab_ownership,
 )
-from repro.fem.bdf import BDF
-from repro.fem.boundary import DirichletPlan
-from repro.fem.dofmap import DofMap
-from repro.io.checkpoint import load_history_state, save_history_state
+from repro.io.checkpoint import load_rd_state, save_rd_state
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simmpi.launcher import run_spmd
 
@@ -79,6 +75,18 @@ class StepRecord:
             "allreduce_rounds": self.allreduce_rounds,
             "residuals": list(self.residuals),
         }
+
+    @classmethod
+    def from_solve(cls, step: int, t: float, result) -> "StepRecord":
+        """The record of step ``step``, which ``result`` advanced to time ``t``."""
+        return cls(
+            step=step,
+            t=t,
+            iterations=result.iterations,
+            residual_norm=result.residual_norm,
+            allreduce_rounds=result.allreduce_rounds,
+            residuals=tuple(result.residuals),
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepRecord":
@@ -183,6 +191,7 @@ class ResilientRunner:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
         if checkpoint_dir is None:
             raise ReproError("ResilientRunner needs a checkpoint_dir")
+        DistributedRDStep.check_preconditioner(preconditioner)
         self.problem = problem
         self.num_ranks = num_ranks
         self.plan = plan or FaultPlan()
@@ -293,83 +302,44 @@ class ResilientRunner:
 
     # -- the SPMD body (one attempt) ----------------------------------------
 
-    def _discretization(self) -> dict:
-        return {
-            "mesh_shape": list(self.problem.mesh_shape),
-            "order": self.problem.order,
-            "bdf_order": self.problem.bdf_order,
-            "dt": self.problem.dt,
-        }
-
     def _rd_body(self, comm, shared: dict, stats: RestartStats):
         """One attempt of the distributed RD loop with fault hooks.
 
-        Mirrors :func:`~repro.apps.reaction_diffusion.run_rd_distributed`
-        step for step (same operators, same fused CG, same gather/bcast)
-        so a fault-free resilient run is bit-identical to the plain one;
-        adds the injector's step/phase gates and rank 0's checkpoint
-        writes.
+        A loop around the shared
+        :class:`~repro.apps.reaction_diffusion.DistributedRDStep` — the
+        step :func:`~repro.apps.reaction_diffusion.run_rd_distributed`
+        runs — adding the injector's step/phase gates, rank 0's
+        checkpoint writes and the per-step records.
         """
-        from repro.la.distributed import (
-            DistBlockJacobiPreconditioner,
-            DistJacobiPreconditioner,
-            DistMatrix,
-            dist_cg_fused,
-        )
-
-        problem = self.problem
         injector = self.injector
         rank = comm.rank
+        metrics = self._metrics()
 
-        exact = RDManufacturedSolution()
-        dofmap = DofMap(problem.mesh(), problem.order)
-        ownership = slab_ownership(dofmap, comm.size)
-        coords = dofmap.dof_coords
-        bdf = BDF(problem.bdf_order, problem.dt)
-
+        solver = RDSolver(self.problem, tol=self.tol, assembly_mode="combine")
         # Resume point: every rank reads the (process-local) checkpoint
         # file; BDF state is replicated, so no broadcast is needed and
         # the restored trajectory is identical on all ranks.
-        metrics = self._metrics()
         if self.checkpoint_path.exists():
             load_start = time.perf_counter()
-            states, t, start_step, _meta = load_history_state(
-                self.checkpoint_path,
-                app="reaction-diffusion",
-                discretization=self._discretization(),
-            )
+            load_rd_state(self.checkpoint_path, solver)
             if metrics is not None:
                 metrics.histogram("checkpoint_load_seconds").observe(
                     time.perf_counter() - load_start, rank=rank
                 )
-            bdf.initialize(list(reversed(states)))  # oldest first
-        else:
-            times = [problem.t0 + i * problem.dt for i in range(problem.bdf_order)]
-            bdf.initialize([exact(coords, tt) for tt in times])
-            t = times[-1]
-            start_step = 0
-
-        mass = assemble_mass(dofmap)
-        stiffness = assemble_stiffness(dofmap)
-        composite = CompositeOperator({"mass": mass, "stiffness": stiffness})
-        cached_load = assemble_load(dofmap, exact.SOURCE_VALUE)
-        boundary = dofmap.boundary_dofs
-        combined = None
-        plan = None
-        dist = None
-        precond = None
-        clock = PhaseClock(now=lambda: comm.time)
+        ownership = slab_ownership(solver.dofmap, comm.size)
+        stepper = DistributedRDStep(
+            comm, solver, ownership, self.preconditioner, self.tol
+        )
 
         def charge(real_seconds: float) -> None:
             comm.compute(real_seconds / self.cpu_speed_factor)
 
-        solution = bdf.latest()
-        for s in range(start_step, problem.num_steps):
+        for s in range(solver.steps_taken, self.problem.num_steps):
             if rank == 0 and s % self.checkpoint_every == 0:
                 # Persist BEFORE the kill gate: a reclaim at step s must
                 # still find the state entering step s on disk.
                 save_start = time.perf_counter()
-                self._write_checkpoint(bdf, t, s, shared)
+                save_rd_state(self.checkpoint_path, solver)
                 stats.checkpoints_written += 1
                 if metrics is not None:
                     metrics.histogram("checkpoint_save_seconds").observe(
@@ -378,89 +348,22 @@ class ResilientRunner:
                     metrics.counter("checkpoints_written_total").inc(rank=rank)
             injector.begin_step(s, rank)
 
-            t_new = t + problem.dt
-            alpha0 = bdf.alpha0
-
             injector.enter_phase(rank, "assembly")
-            with clock.phase("assembly"):
-                start = time.perf_counter()
-                mass_coeff = alpha0 / problem.dt - 2.0 / t_new
-                combined = composite.combine(
-                    {"mass": mass_coeff, "stiffness": 1.0 / t_new**2}, out=combined
-                )
-                rhs = cached_load + mass @ (bdf.history_rhs() / problem.dt)
-                values = exact(coords[boundary], t_new)
-                if plan is None:
-                    plan = DirichletPlan(combined, boundary, symmetric=True)
-                matrix, rhs = plan.apply(combined, rhs, values)
-                if dist is None:
-                    dist = DistMatrix.from_global(comm, matrix, ownership=ownership)
-                else:
-                    dist.update_values(matrix)
-                charge(time.perf_counter() - start)
+            start = time.perf_counter()
+            stepper.assemble()
+            charge(time.perf_counter() - start)
 
             injector.enter_phase(rank, "preconditioner")
-            with clock.phase("preconditioner"):
-                start = time.perf_counter()
-                if precond is not None:
-                    precond.update(dist)
-                elif self.preconditioner == "block-jacobi":
-                    precond = DistBlockJacobiPreconditioner(dist)
-                elif self.preconditioner == "jacobi":
-                    precond = DistJacobiPreconditioner(dist)
-                else:
-                    precond = None
-                charge(time.perf_counter() - start)
+            start = time.perf_counter()
+            stepper.precondition()
+            charge(time.perf_counter() - start)
 
             injector.enter_phase(rank, "solve")
-            with clock.phase("solve"):
-                rhs_dist = dist.vector_from_global(rhs)
-                x0_dist = dist.vector_from_global(bdf.latest())
-                result = dist_cg_fused(
-                    dist, rhs_dist, x0=x0_dist, preconditioner=precond,
-                    tol=self.tol, maxiter=5000,
-                )
-                full = dist.gather_global(_vec(dist, result.x), root=0)
-                full = comm.bcast(full, root=0)
-
-            bdf.advance(full)
-            solution = full
-            t = t_new
-            clock.finish_iteration()
+            result = stepper.solve()
             if rank == 0:
-                shared["records"][s] = StepRecord(
-                    step=s,
-                    t=t_new,
-                    iterations=result.iterations,
-                    residual_norm=result.residual_norm,
-                    allreduce_rounds=result.allreduce_rounds,
-                    residuals=tuple(result.residuals),
-                )
+                shared["records"][s] = StepRecord.from_solve(s, solver.t, result)
                 stats.executed_steps += 1
 
         if rank == 0:
-            nodal_error = float(np.max(np.abs(solution - exact(coords, t))))
-            shared["final"] = (solution, t, nodal_error)
-        return solution[ownership[rank]]
-
-    def _write_checkpoint(self, bdf, t: float, step: int, shared: dict) -> None:
-        records = shared["records"]
-        done = [records[i] for i in range(step) if i in records]
-        save_history_state(
-            self.checkpoint_path,
-            app="reaction-diffusion",
-            states=bdf._history,  # newest first
-            t=t,
-            step=step,
-            discretization=self._discretization(),
-            solver_state={
-                "solve_iterations": [r.iterations for r in done],
-                "residual_norms": [r.residual_norm for r in done],
-            },
-        )
-
-
-def _vec(dist, owned_values):
-    from repro.la.distributed import DistVector
-
-    return DistVector(dist.comm, owned_values, dist.ghost_indices.size)
+            shared["final"] = (solver.solution, solver.t, solver.nodal_error())
+        return solver.solution[ownership[rank]]

@@ -64,12 +64,11 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
-    def test_legacy_subcommand_goes_through_registry(self, capsys):
-        assert main(["fig4"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(["run", "fig4", "--no-cache"]) == 0
-        unified = capsys.readouterr().out
-        assert legacy.strip() in unified
+    def test_legacy_subcommands_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig4"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fig4'" in capsys.readouterr().err
 
 
 class TestBrokerCommand:

@@ -7,30 +7,30 @@ from repro.__main__ import build_parser, main
 
 class TestCLI:
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "puma" in out and "lagrange" in out
 
     def test_porting(self, capsys):
-        assert main(["porting"]) == 0
+        assert main(["run", "porting", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "man-hours" in out
         assert "trilinos" in out
 
     def test_fig4(self, capsys):
-        assert main(["fig4"]) == 0
+        assert main(["run", "fig4", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Figure 4" in out
         assert "legend" in out
 
     def test_table2(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["run", "table2", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Table II" in out
         assert "est. cost" in out
 
     def test_fig6(self, capsys):
-        assert main(["fig6"]) == 0
+        assert main(["run", "fig6", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "ec2 mix" in out
 

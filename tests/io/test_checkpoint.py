@@ -156,6 +156,9 @@ class TestSolverRestart:
         b = RDSolver(RDProblem(mesh_shape=(4, 4, 4), order=1), assembly_mode="combine")
         with pytest.raises(CheckpointError, match="discretization"):
             load_rd_state(path, b)
+        c = RDSolver(RDProblem(mesh_shape=(4, 4, 4), dt=0.1), assembly_mode="combine")
+        with pytest.raises(CheckpointError, match="'dt'"):
+            load_rd_state(path, c)
 
     def test_wrong_app_rejected(self, tmp_path):
         path = tmp_path / "x.rprc"
@@ -336,3 +339,7 @@ class TestRngAndNSRestart:
         b = NSSolver(NSProblem(mesh_shape=(4, 4, 4)))
         with pytest.raises(CheckpointError, match="mesh_shape"):
             load_ns_state(path, b)
+        default_dt = NSProblem().dt
+        c = NSSolver(NSProblem(mesh_shape=(3, 3, 3), dt=default_dt / 2))
+        with pytest.raises(CheckpointError, match="'dt'"):
+            load_ns_state(path, c)
