@@ -91,6 +91,14 @@ def dissemination_rounds(size: int) -> list[int]:
     return offsets
 
 
+def dissemination_peers(rank: int, size: int) -> list[tuple[int, int]]:
+    """Per round ``(send_to, recv_from)`` of ``rank`` in the dissemination barrier."""
+    _check_rank(rank, size)
+    return [
+        ((rank + d) % size, (rank - d) % size) for d in dissemination_rounds(size)
+    ]
+
+
 def recursive_doubling_plan(size: int) -> tuple[int, list[int]]:
     """Plan for recursive-doubling allreduce on arbitrary ``size``.
 

@@ -14,7 +14,6 @@ its log2(p) hops is.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from contextlib import contextmanager
 from typing import Any, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from repro.errors import CommunicatorError, DataVolumeExceededError
 from repro.network.topology import ClusterTopology
 from repro.simmpi import collectives as coll
-from repro.simmpi.selector import CollectiveSelector
+from repro.simmpi.selector import CollectiveSelector, GroupPlan
 from repro.simmpi.clock import VirtualClock
 from repro.simmpi.datatypes import (
     ANY_SOURCE,
@@ -46,6 +45,19 @@ _COLL_TAG_BASE = 1 << 20
 _MAX_USER_TAG = _COLL_TAG_BASE - 1
 
 
+_obs_current = None
+
+
+def _ambient_obs():
+    """The rank view of :func:`repro.obs.core.current`.  ``repro.obs``
+    imports this module, so the lookup is bound on first use, not at
+    import -- and not once per collective either."""
+    global _obs_current
+    if _obs_current is None:
+        from repro.obs.core import current as _obs_current
+    return _obs_current()
+
+
 def _traced_collective(method):
     """Record a "collective" trace event and bump the per-comm counter.
 
@@ -65,9 +77,10 @@ def _traced_collective(method):
         if self.causal is not None:
             self.causal.on_collective_exit(self.world_rank, name)
         self.collective_counts[name] += 1
-        self.tracer.record(
-            TraceRecord(self.rank, "collective", start, self.clock.time, label=name)
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                TraceRecord(self.rank, "collective", start, self.clock.time, label=name)
+            )
         if self.op_recorder is not None:
             self.op_recorder.on_collective(self.rank, name)
         return result
@@ -111,7 +124,9 @@ class Communicator:
     """An MPI-like communicator over the virtual-time engine.
 
     ``group`` maps local ranks to engine (world) ranks; the world
-    communicator has the identity group and context 0.
+    communicator has the identity group and context 0.  The engine must
+    already hold the group's :class:`~repro.simmpi.selector.GroupPlan`
+    under ``context`` (``run_spmd`` and :meth:`split` register it).
     """
 
     def __init__(
@@ -147,24 +162,21 @@ class Communicator:
             raise CommunicatorError(
                 f"group has {len(self.group)} entries for size-{size} communicator"
             )
-        self._world_to_local = (
-            None if group is None else {w: l for l, w in enumerate(group)}
-        )
+        #: This rank's id in the engine's world numbering.
+        self.world_rank = self.group[rank]
+        #: The group's shared placement and plans; everything below that
+        #: depends on other ranks is a lookup in it, never a rebuild.
+        self._plan: GroupPlan = engine.plans[context]
+        self._node = self._plan.node_of[rank]
+        self._links = self._plan.links[self._node]
         self.volume_limit_bytes = volume_limit_bytes
         self.nic_concurrency = max(1.0, float(nic_concurrency))
-        self.bytes_sent = 0
-        #: Bytes this rank pushed through the NIC (destination on another
-        #: node) — the fabric-load share of ``bytes_sent``, and the
-        #: quantity the adaptive collective layer is designed to shrink.
-        self.offnode_bytes_sent = 0
-        self.messages_sent = 0
-        self.collective_counts: dict[str, int] = defaultdict(int)
-        #: Executions per resolved algorithm, keyed "collective.algorithm"
-        #: (what the adaptive layer actually chose, including explicit picks).
-        self.algorithm_counts: dict[str, int] = defaultdict(int)
+        #: Per physical rank, like ``clock``: the world communicator and
+        #: every split/dup of it count into (and are capped by) one tally.
+        self._traffic = engine.counters[self.world_rank]
+        self.collective_counts = self._traffic.collective_counts
+        self.algorithm_counts = self._traffic.algorithm_counts
         self._coll_seq = 0
-        self._node_groups_cache: list[list[int]] | None = None
-        self._selector_cache: CollectiveSelector | None = None
         #: Schedule recorder (:class:`~repro.simmpi.recording.ScheduleRecorder`)
         #: when the launch asked for ``record_schedule=True``; its hooks fire
         #: at the same sites the tracer records, plus inside collectives.
@@ -178,14 +190,24 @@ class Communicator:
     # -- identity -------------------------------------------------------------
 
     @property
-    def world_rank(self) -> int:
-        """This rank's id in the engine's world numbering."""
-        return self.group[self.rank]
-
-    @property
     def time(self) -> float:
         """This rank's current virtual time."""
         return self.clock.time
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes this physical rank has sent, on any of its communicators."""
+        return self._traffic.bytes_sent
+
+    @property
+    def offnode_bytes_sent(self) -> int:
+        """The share of :attr:`bytes_sent` that crossed the node boundary."""
+        return self._traffic.offnode_bytes_sent
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages this physical rank has sent, on any of its communicators."""
+        return self._traffic.messages_sent
 
     def __repr__(self) -> str:
         return f"Communicator(rank={self.rank}/{self.size}, context={self.context})"
@@ -198,9 +220,10 @@ class Communicator:
             raise CommunicatorError(f"compute duration must be >= 0, got {seconds}")
         start = self.clock.time
         self.clock.advance(seconds)
-        self.tracer.record(
-            TraceRecord(self.rank, "compute", start, self.clock.time, label=label)
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                TraceRecord(self.rank, "compute", start, self.clock.time, label=label)
+            )
         if self.op_recorder is not None:
             self.op_recorder.on_compute(self.rank, seconds, label)
 
@@ -209,9 +232,10 @@ class Communicator:
         """Trace a phase: ``with comm.phase("assembly"): ...``"""
         start = self.clock.time
         yield
-        self.tracer.record(
-            TraceRecord(self.rank, "phase", start, self.clock.time, label=label)
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                TraceRecord(self.rank, "phase", start, self.clock.time, label=label)
+            )
 
     # -- point-to-point -----------------------------------------------------------
 
@@ -222,65 +246,65 @@ class Communicator:
         self._send_impl(payload, dest, tag + 0)
 
     def _send_impl(self, payload: Any, dest: int, tag: int) -> None:
-        self.engine.fault_op(self.world_rank)
+        world_rank = self.world_rank
+        self.engine.fault_op(world_rank)
         nbytes = payload_nbytes(payload)
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
+        traffic = self._traffic
+        traffic.bytes_sent += nbytes
+        traffic.messages_sent += 1
         if (
             self.volume_limit_bytes is not None
-            and self.bytes_sent > self.volume_limit_bytes
+            and traffic.bytes_sent > self.volume_limit_bytes
         ):
             raise DataVolumeExceededError(
                 f"rank {self.rank} exceeded the fabric data-volume budget "
-                f"({self.bytes_sent} > {self.volume_limit_bytes:.0f} bytes) — "
+                f"({traffic.bytes_sent} > {self.volume_limit_bytes:.0f} bytes) — "
                 f"the lagrange IB limitation (paper §VII.A)",
                 rank=self.rank,
-                volume_bytes=self.bytes_sent,
+                volume_bytes=traffic.bytes_sent,
                 limit_bytes=int(self.volume_limit_bytes),
             )
-        start = self.clock.time
+        clock = self.clock
+        start = clock.time
         world_dest = self.group[dest]
-        src_node = self.topology.node_of_rank(self.world_rank)
-        dst_node = self.topology.node_of_rank(world_dest)
-        if src_node != dst_node:
-            self.offnode_bytes_sent += nbytes
-        concurrency = 1 if src_node == dst_node else max(1.0, self.nic_concurrency)
-        link = self.topology.network.link_between(src_node, dst_node)
+        dst_node = self._plan.node_of[dest]
+        link = self._links.get(dst_node)
+        if link is None:
+            link = self._links[dst_node] = self.topology.network.link_between(
+                self._node, dst_node
+            )
+        if dst_node == self._node:
+            concurrency = 1
+        else:
+            traffic.offnode_bytes_sent += nbytes
+            concurrency = self.nic_concurrency
         # Store-and-forward injection: the sender's NIC serializes the
         # payload (LogGP's G*n charged at the sender), so back-to-back
         # sends cannot overlap on one adapter — this is what makes a
         # linear broadcast genuinely slower than a binomial tree.
         inject = nbytes * concurrency / link.bandwidth
-        self.clock.advance(SEND_OVERHEAD + inject)
-        arrival = self.clock.time + link.latency
+        arrival = clock.advance(SEND_OVERHEAD + inject) + link.latency
         stamp = (
             None
             if self.causal is None
-            else self.causal.on_send(self.world_rank, world_dest, tag, nbytes)
+            else self.causal.on_send(world_rank, world_dest, tag, nbytes)
         )
         self.engine.post(
             world_dest,
-            Message(
-                context=self.context,
-                source=self.world_rank,
-                tag=tag,
-                payload=payload,
-                nbytes=nbytes,
-                arrival_time=arrival,
-                causal=stamp,
-            ),
+            Message(self.context, world_rank, tag, payload, nbytes, arrival, stamp),
         )
-        self.tracer.record(
-            TraceRecord(
-                self.rank,
-                "send",
-                start,
-                self.clock.time,
-                nbytes=nbytes,
-                peer=dest,
-                tag=tag,
+        if self.tracer.enabled:
+            self.tracer.record(
+                TraceRecord(
+                    self.rank,
+                    "send",
+                    start,
+                    clock.time,
+                    nbytes=nbytes,
+                    peer=dest,
+                    tag=tag,
+                )
             )
-        )
         if self.op_recorder is not None:
             self.op_recorder.on_send(self.rank, dest, tag, nbytes)
 
@@ -307,17 +331,18 @@ class Communicator:
     def _trace_recv(self, msg: Message, start: float) -> tuple[Any, Status]:
         """Record an absorbed user-level receive; returns (payload, Status)."""
         local_source = self._local_of(msg.source)
-        self.tracer.record(
-            TraceRecord(
-                self.rank,
-                "recv",
-                start,
-                self.clock.time,
-                nbytes=msg.nbytes,
-                peer=local_source,
-                tag=msg.tag,
+        if self.tracer.enabled:
+            self.tracer.record(
+                TraceRecord(
+                    self.rank,
+                    "recv",
+                    start,
+                    self.clock.time,
+                    nbytes=msg.nbytes,
+                    peer=local_source,
+                    tag=msg.tag,
+                )
             )
-        )
         return msg.payload, Status(source=local_source, tag=msg.tag, nbytes=msg.nbytes)
 
     def _absorb(self, msg: Message) -> None:
@@ -333,7 +358,7 @@ class Communicator:
 
     def _local_of(self, world: int) -> int:
         """Local rank of a world rank (identity for the world group)."""
-        table = self._world_to_local
+        table = self._plan.local_of
         return world if table is None else table[world]
 
     def _try_recv(self, source: int, tag: int) -> tuple[Any, Status] | None:
@@ -427,23 +452,9 @@ class Communicator:
 
     # -- adaptive algorithm selection ---------------------------------------
 
-    def _node_groups(self) -> list[list[int]]:
-        """Local ranks grouped by hosting node (canonical order on all ranks)."""
-        if self._node_groups_cache is None:
-            by_node: dict[int, list[int]] = {}
-            for local, world in enumerate(self.group):
-                by_node.setdefault(self.topology.node_of_rank(world), []).append(local)
-            self._node_groups_cache = [by_node[n] for n in sorted(by_node)]
-        return self._node_groups_cache
-
     def selector(self) -> CollectiveSelector:
-        """The algorithm selector for this communicator's rank placement."""
-        if self._selector_cache is None:
-            occupancy = max(len(g) for g in self._node_groups())
-            self._selector_cache = CollectiveSelector(
-                self.topology, self.size, ranks_per_node=occupancy
-            )
-        return self._selector_cache
+        """The algorithm selector for this group's rank placement."""
+        return self._plan.selector
 
     def _record_algorithm(
         self, collective: str, algorithm: str, site: str,
@@ -454,9 +465,7 @@ class Communicator:
             self.op_recorder.on_algorithm(
                 self.rank, collective, algorithm, nbytes, auto, segmentable
             )
-        from repro.obs.core import current as _obs_current
-
-        obs = _obs_current()
+        obs = _ambient_obs()
         if obs.enabled:
             obs.count(
                 "collective_algorithm_total",
@@ -469,10 +478,12 @@ class Communicator:
     def barrier(self) -> None:
         """Dissemination barrier; synchronizes virtual clocks."""
         tag = self._next_coll_tag()
-        for offset in coll.dissemination_rounds(self.size):
-            self._send_impl(None, (self.rank + offset) % self.size, tag)
+        for send_to, recv_from in self._plan.peers(
+            coll.dissemination_peers, self.rank, self.size
+        ):
+            self._send_impl(None, send_to, tag)
             self.engine.check_abort()
-            self._recv_impl((self.rank - offset) % self.size, tag)
+            self._recv_impl(recv_from, tag)
 
     @_traced_collective
     def bcast(
@@ -514,7 +525,7 @@ class Communicator:
         )
         if algorithm == "binomial":
             return self._bcast_members(
-                payload, tag, list(range(self.size)), self.rank, root_pos=root
+                payload, tag, range(self.size), self.rank, root_pos=root
             )
         if algorithm == "linear":
             if self.rank == root:
@@ -531,16 +542,16 @@ class Communicator:
         raise CommunicatorError(f"unknown bcast algorithm {algorithm!r}")
 
     def _bcast_members(
-        self, payload: Any, tag: int, members: list[int], me_rank: int, root_pos: int = 0
+        self, payload: Any, tag: int, members: Sequence[int], me: int, root_pos: int = 0
     ) -> Any:
-        """Binomial-tree bcast over ``members`` (a sublist of local ranks)."""
+        """Binomial-tree bcast over ``members`` (local ranks), of which
+        this rank is the ``me``-th."""
         size = len(members)
-        me = members.index(me_rank)
         parent = coll.binomial_parent(me, size, root_pos)
         if parent is not None:
             msg = self._recv_impl(members[parent], tag)
             payload = msg.payload
-        for child in coll.binomial_children(me, size, root_pos):
+        for child in self._plan.peers(coll.binomial_children, me, size, root_pos):
             self._send_impl(payload, members[child], tag)
         return payload
 
@@ -565,7 +576,7 @@ class Communicator:
             segments = dict(segments)
         # Forward each child its subtree's share of the segments; after
         # the loop this rank holds exactly its own segment.
-        for child in coll.binomial_children(self.rank, self.size, root):
+        for child in self._plan.peers(coll.binomial_children, self.rank, self.size, root):
             child_virtual = (child - root) % self.size
             share = {
                 i: segments.pop(i)
@@ -591,25 +602,23 @@ class Communicator:
 
     def _bcast_hierarchical(self, payload: Any, root: int, tag: int) -> Any:
         """Leader-relay bcast: fabric hops leaders-only, shm fan-out on-node."""
-        groups = self._node_groups()
-        my_group = next(g for g in groups if self.rank in g)
-        leader = my_group[0]
-        leaders = [g[0] for g in groups]
-        root_group = next(g for g in groups if root in g)
-        root_leader = root_group[0]
+        plan = self._plan
+        node, pos = plan.where[self.rank]
+        root_node, root_pos = plan.where[root]
+        root_leader = plan.leaders[root_node]
         # Hand off to the root's node leader (one shm hop, skipped if
         # the root already leads its node).
-        if root != root_leader:
+        if root_pos != 0:
             if self.rank == root:
                 self._send_impl(payload, root_leader, tag)
             elif self.rank == root_leader:
                 msg = self._recv_impl(root, tag)
                 payload = msg.payload
-        if self.rank == leader:
+        if pos == 0:
             payload = self._bcast_members(
-                payload, tag, leaders, self.rank, root_pos=leaders.index(root_leader)
+                payload, tag, plan.leaders, node, root_pos=root_node
             )
-        return self._bcast_members(payload, tag, my_group, self.rank, root_pos=0)
+        return self._bcast_members(payload, tag, plan.node_groups[node], pos)
 
     @_traced_collective
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0,
@@ -624,7 +633,9 @@ class Communicator:
         if algorithm == "binomial":
             accum = value
             # Receive from children in reverse send order (deepest first).
-            for child in reversed(coll.binomial_children(self.rank, self.size, root)):
+            for child in reversed(
+                self._plan.peers(coll.binomial_children, self.rank, self.size, root)
+            ):
                 msg = self._recv_impl(child, tag)
                 accum = op(accum, msg.payload)
             parent = coll.binomial_parent(self.rank, self.size, root)
@@ -684,7 +695,7 @@ class Communicator:
             "allreduce", algorithm, site,
             nbytes=rec_nbytes, auto=was_auto, segmentable=segmentable,
         )
-        members = list(range(self.size))
+        members = range(self.size)
         if algorithm == "recursive_doubling":
             return self._allreduce_rd(value, op, tag, members, self.rank)
         if algorithm == "ring":
@@ -698,12 +709,12 @@ class Communicator:
         raise CommunicatorError(f"unknown allreduce algorithm {algorithm!r}")
 
     def _allreduce_rd(
-        self, value: Any, op: ReduceOp, tag: int, members: list[int], me_rank: int
+        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int
     ) -> Any:
-        """Recursive-doubling allreduce over ``members`` (local-rank sublist)."""
+        """Recursive-doubling allreduce over ``members`` (local ranks), of
+        which this rank is the ``me``-th."""
         size = len(members)
-        me = members.index(me_rank)
-        pof2, masks = coll.recursive_doubling_plan(size)
+        pof2, masks = self._plan.peers(coll.recursive_doubling_plan, size)
         excess = size - pof2
         accum = value
 
@@ -738,7 +749,7 @@ class Communicator:
         return value
 
     def _allreduce_ring(
-        self, value: Any, op: ReduceOp, tag: int, members: list[int], me_rank: int
+        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int
     ) -> Any:
         """Segmented-ring allreduce: reduce-scatter + allgather.
 
@@ -749,7 +760,6 @@ class Communicator:
         size = len(members)
         if size == 1:
             return arr
-        me = members.index(me_rank)
         segments = np.array_split(arr.ravel(), size)
         send_to = members[(me + 1) % size]
         recv_from = members[(me - 1) % size]
@@ -764,7 +774,7 @@ class Communicator:
         return np.concatenate(segments).reshape(arr.shape)
 
     def _allreduce_rabenseifner(
-        self, value: Any, op: ReduceOp, tag: int, members: list[int], me_rank: int
+        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int
     ) -> Any:
         """Rabenseifner allreduce: recursive-halving reduce-scatter +
         recursive-doubling allgather, with the non-power-of-two fold."""
@@ -772,8 +782,7 @@ class Communicator:
         size = len(members)
         if size == 1:
             return arr
-        me = members.index(me_rank)
-        pof2, _ = coll.recursive_doubling_plan(size)
+        pof2, _ = self._plan.peers(coll.recursive_doubling_plan, size)
         excess = size - pof2
         accum: Any = arr
         if me >= pof2:
@@ -813,31 +822,30 @@ class Communicator:
     ) -> Any:
         """Node-aware allreduce: binomial fold to the node leader over
         shared memory, leaders-only inter-node exchange, binomial fan-out."""
-        groups = self._node_groups()
-        my_group = next(g for g in groups if self.rank in g)
-        accum = self._reduce_members(value, op, tag, my_group, self.rank)
-        if self.rank == my_group[0]:
-            leaders = [g[0] for g in groups]
+        plan = self._plan
+        node, pos = plan.where[self.rank]
+        my_group = plan.node_groups[node]
+        accum = self._reduce_members(value, op, tag, my_group, pos)
+        if pos == 0:
             if inter_algorithm == "recursive_doubling":
-                accum = self._allreduce_rd(accum, op, tag, leaders, self.rank)
+                accum = self._allreduce_rd(accum, op, tag, plan.leaders, node)
             elif inter_algorithm == "ring":
-                accum = self._allreduce_ring(accum, op, tag, leaders, self.rank)
+                accum = self._allreduce_ring(accum, op, tag, plan.leaders, node)
             elif inter_algorithm == "rabenseifner":
-                accum = self._allreduce_rabenseifner(accum, op, tag, leaders, self.rank)
+                accum = self._allreduce_rabenseifner(accum, op, tag, plan.leaders, node)
             else:
                 raise CommunicatorError(
                     f"unknown hierarchical inter-node algorithm {inter_algorithm!r}"
                 )
-        return self._bcast_members(accum, tag, my_group, self.rank, root_pos=0)
+        return self._bcast_members(accum, tag, my_group, pos)
 
     def _reduce_members(
-        self, value: Any, op: ReduceOp, tag: int, members: list[int], me_rank: int
+        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int
     ) -> Any:
         """Binomial reduce over ``members`` to position 0 (None elsewhere)."""
         size = len(members)
-        me = members.index(me_rank)
         accum = value
-        for child in reversed(coll.binomial_children(me, size, 0)):
+        for child in reversed(self._plan.peers(coll.binomial_children, me, size, 0)):
             msg = self._recv_impl(members[child], tag)
             accum = op(accum, msg.payload)
         parent = coll.binomial_parent(me, size, 0)
@@ -975,27 +983,31 @@ class Communicator:
         if key is None:
             key = self.rank
         triples = self.allgather((int(color), int(key), self.rank))
-        # Local rank 0 allocates context ids so all members agree.
-        colors = sorted({c for c, _, _ in triples})
+        mapping = None
         if self.rank == 0:
-            mapping = {c: self.engine.allocate_context() for c in colors}
-        else:
-            mapping = None
+            # Local rank 0 allocates the context ids, so all members agree,
+            # and builds each colour's plan once, before the bcast below
+            # tells its members where to find it.
+            by_color: dict[int, list[tuple[int, int]]] = {}
+            for c, k, r in triples:
+                by_color.setdefault(c, []).append((k, r))
+            mapping = {}
+            for c in sorted(by_color):
+                mapping[c] = self.engine.allocate_context()
+                self.engine.plans[mapping[c]] = GroupPlan(
+                    self.topology, [self.group[r] for _, r in sorted(by_color[c])]
+                )
         mapping = self.bcast(mapping, root=0)
-        members = sorted(
-            [(k, r) for c, k, r in triples if c == color]
-        )
-        local_ranks = [r for _, r in members]
-        new_rank = local_ranks.index(self.rank)
+        plan = self.engine.plans[mapping[color]]
         return Communicator(
             engine=self.engine,
-            rank=new_rank,
-            size=len(local_ranks),
+            rank=plan.local_of[self.world_rank],
+            size=len(plan.group),
             topology=self.topology,
             clock=self.clock,  # shared: same physical rank, same timeline
             tracer=self.tracer,
             context=mapping[color],
-            group=[self.group[r] for r in local_ranks],
+            group=plan.group,
             volume_limit_bytes=self.volume_limit_bytes,
             nic_concurrency=self.nic_concurrency,
             causal=self.causal,

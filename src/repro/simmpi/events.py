@@ -58,7 +58,7 @@ from typing import Any, Callable
 
 from repro.errors import DeadlockError, SimMPIError
 from repro.simmpi.datatypes import Message
-from repro.simmpi.transport import Mailbox
+from repro.simmpi.transport import Mailbox, RankCounters
 
 #: Task lifecycle states.  RUNNABLE covers both "queued" and "currently
 #: executing" -- the scheduler's single-runnable invariant makes the
@@ -204,6 +204,15 @@ def _pool_put(stack: _PooledStack) -> bool:
     return True
 
 
+class _TaskMailbox(Mailbox):
+    """Mailbox of a cooperative task: the sender is the only thing
+    running and the scheduler, not a condition variable, wakes the
+    receiver, so delivery is the bare FIFO append."""
+
+    def deliver(self, message: Message) -> None:
+        self._messages.append(message)
+
+
 class Task:
     """One rank program's cooperative execution context."""
 
@@ -249,7 +258,10 @@ class EventEngine:
         self.num_ranks = num_ranks
         self.real_timeout = real_timeout
         self.fault_injector = fault_injector
-        self.mailboxes = [Mailbox() for _ in range(num_ranks)]
+        self.mailboxes = [_TaskMailbox() for _ in range(num_ranks)]
+        self.counters = [RankCounters() for _ in range(num_ranks)]
+        #: Context id -> the group's shared :class:`~repro.simmpi.selector.GroupPlan`.
+        self.plans: dict = {}
         self._abort_exception: BaseException | None = None
         self._next_context = 1  # context 0 is the world communicator
         self._tasks: list[Task] | None = None
@@ -342,8 +354,8 @@ class EventEngine:
         mailbox = self.mailboxes[rank]
         while True:
             self.check_abort()
-            with mailbox.condition:
-                msg = mailbox.try_collect(context, source, tag)
+            # No lock: this task is the only thing running.
+            msg = mailbox.try_collect(context, source, tag)
             if msg is not None:
                 return msg
             task.waiting = (context, source, tag)

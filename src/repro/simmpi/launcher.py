@@ -32,6 +32,7 @@ from repro.network.topology import ClusterTopology
 from repro.simmpi.clock import VirtualClock
 from repro.simmpi.comm import Communicator
 from repro.simmpi.events import EventEngine
+from repro.simmpi.selector import GroupPlan
 from repro.simmpi.tracing import Tracer
 from repro.simmpi.transport import Engine
 
@@ -172,6 +173,7 @@ def run_spmd(
         tracker = CausalTracker(num_ranks)
     if observability is not None and tracker is not None:
         observability.causal = tracker
+    runtime.plans[0] = GroupPlan(topology, range(num_ranks))
     comms = [
         Communicator(
             engine=runtime,

@@ -16,13 +16,20 @@ the serial-vs-parallel bit-identity guarantee intact.  The resulting
 per-interconnect decision tables are documented in
 ``docs/collectives.md`` and recorded in ``BENCH_kernels.json``'s
 ``collectives`` section.
+
+Because the answer depends only on the group and the topology, it is
+held -- with the placement it is derived from and every per-rank peer
+list the schedules need -- in one :class:`GroupPlan` per communicator
+group, built once and read by all of the group's ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from repro.network.contention import nic_sharing_factor
+from repro.network.model import LinkModel
 from repro.network.topology import ClusterTopology
 from repro.simmpi import collectives as coll
 
@@ -203,3 +210,59 @@ class CollectiveSelector:
                 }
             )
         return rows
+
+
+class GroupPlan:
+    """Placement and collective plans of one communicator group.
+
+    One instance per group -- the world launch, each colour of a
+    ``split`` -- registered in the engine under the group's context id
+    before any member's :class:`~repro.simmpi.comm.Communicator` exists,
+    and read by all of them: building it is the only O(group size) work
+    a group ever does.  Everything here is a pure function of (group,
+    topology) -- peer lists of (algorithm, position, size, root) too --
+    so ranks consult it without communicating.  The placement is
+    immutable; the memos (selector, peer lists, links) fill on first
+    use with values that do not depend on who fills them, so ranks of
+    the thread-per-rank engine may race a fill harmlessly.
+    """
+
+    def __init__(self, topology: ClusterTopology, group: Sequence[int]):
+        #: Local rank -> world rank (``range`` for the world group).
+        self.group = group
+        #: World rank -> local rank; None for the identity world group.
+        self.local_of = (
+            None if isinstance(group, range) else {w: l for l, w in enumerate(group)}
+        )
+        #: Local rank -> hosting node.
+        self.node_of = [topology.node_of_rank(w) for w in group]
+        by_node: dict[int, list[int]] = {}
+        for local, node in enumerate(self.node_of):
+            by_node.setdefault(node, []).append(local)
+        #: Local ranks grouped by hosting node, nodes ascending.
+        self.node_groups = [by_node[n] for n in sorted(by_node)]
+        #: First local rank of every node group.
+        self.leaders = [g[0] for g in self.node_groups]
+        #: Local rank -> (index of its node group, position inside it).
+        self.where = {
+            local: (gi, pos)
+            for gi, members in enumerate(self.node_groups)
+            for pos, local in enumerate(members)
+        }
+        self.selector = CollectiveSelector(
+            topology, len(group), ranks_per_node=max(map(len, self.node_groups))
+        )
+        #: Source node -> {destination node -> link}, filled by the first
+        #: message between the pair and shared by the source node's ranks.
+        self.links: dict[int, dict[int, LinkModel]] = {n: {} for n in by_node}
+        self._peers: dict[tuple, Any] = {}
+
+    def peers(self, schedule: Callable[..., Any], *args: int) -> Any:
+        """``schedule(*args)`` -- a pure peer list from
+        :mod:`~repro.simmpi.collectives` -- computed once for the group
+        and shared by every repeat of the collective.  Read-only."""
+        key = (schedule, args)
+        hit = self._peers.get(key)
+        if hit is None:
+            hit = self._peers[key] = schedule(*args)
+        return hit

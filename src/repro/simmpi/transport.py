@@ -14,7 +14,7 @@ aborts all ranks with :class:`~repro.errors.DeadlockError`.
 from __future__ import annotations
 
 import threading
-from typing import Any
+from collections import defaultdict
 
 from repro.errors import DeadlockError, SimMPIError
 from repro.simmpi.datatypes import Message
@@ -38,12 +38,33 @@ class Mailbox:
     def try_collect(self, context: int, source: int, tag: int) -> Message | None:
         """Pop the first matching message, FIFO order; None if absent.
 
-        Caller must hold ``condition``.
+        Caller must hold ``condition`` (or be the event engine's one
+        running task, which nothing can interleave with).
         """
         for i, msg in enumerate(self._messages):
             if msg.context == context and msg.matches(source, tag):
                 return self._messages.pop(i)
         return None
+
+
+class RankCounters:
+    """Traffic of one physical rank, over every communicator it holds
+    (the world one and each ``split`` / ``dup`` of it)."""
+
+    __slots__ = ("bytes_sent", "offnode_bytes_sent", "messages_sent",
+                 "collective_counts", "algorithm_counts")
+
+    def __init__(self) -> None:
+        self.bytes_sent = 0
+        #: Bytes pushed through the NIC (destination on another node) --
+        #: the fabric-load share of ``bytes_sent``, and the quantity the
+        #: adaptive collective layer is designed to shrink.
+        self.offnode_bytes_sent = 0
+        self.messages_sent = 0
+        self.collective_counts: dict[str, int] = defaultdict(int)
+        #: Executions per resolved algorithm, keyed "collective.algorithm"
+        #: (what the adaptive layer actually chose, including explicit picks).
+        self.algorithm_counts: dict[str, int] = defaultdict(int)
 
 
 class Engine:
@@ -57,6 +78,9 @@ class Engine:
         self.real_timeout = real_timeout
         self.fault_injector = fault_injector
         self.mailboxes = [Mailbox() for _ in range(num_ranks)]
+        self.counters = [RankCounters() for _ in range(num_ranks)]
+        #: Context id -> the group's shared :class:`~repro.simmpi.selector.GroupPlan`.
+        self.plans: dict = {}
         self._lock = threading.Lock()
         self._blocked: set[int] = set()
         self._alive = num_ranks

@@ -459,6 +459,50 @@ class TestSplit:
 
         assert all(r == 3 for r in run(main, 3).returns)
 
+    def test_sub_communicator_traffic_is_the_ranks_traffic(self):
+        """Counters are per physical rank: what a split/dup communicator
+        sends shows on its parent and in the SPMDResult."""
+
+        def main(comm):
+            sub = comm.split(comm.rank % 2)
+            before = (comm.bytes_sent, comm.messages_sent, comm.offnode_bytes_sent)
+            sub.allreduce(np.ones(1000), algorithm="recursive_doubling")
+            assert (sub.bytes_sent, sub.messages_sent) == (
+                comm.bytes_sent, comm.messages_sent
+            )
+            assert sub.collective_counts is comm.collective_counts
+            return (
+                comm.bytes_sent - before[0],
+                comm.messages_sent - before[1],
+                comm.offnode_bytes_sent - before[2],
+            )
+
+        def baseline(comm):
+            comm.split(comm.rank % 2)
+
+        # 2 ranks per node: each colour's pair {0, 2} / {1, 3} spans nodes.
+        result = run(main, 4, topology=topo(nodes=2, cores=2))
+        assert result.returns == [(8000, 1, 8000)] * 4
+        split_only = run(baseline, 4, topology=topo(nodes=2, cores=2))
+        assert [b - a for a, b in zip(split_only.bytes_sent, result.bytes_sent)] == (
+            [8000] * 4
+        )
+        assert [
+            b - a for a, b in zip(split_only.messages_sent, result.messages_sent)
+        ] == [1] * 4
+        assert result.algorithm_counts["allreduce.recursive_doubling"] == 4
+
+    def test_dup_does_not_dodge_the_volume_cap(self):
+        """The lagrange IB cap is per rank, not per communicator."""
+
+        def main(comm):
+            for _ in range(4):
+                comm = comm.dup()
+                comm.allreduce(np.ones(100))  # 800 bytes a round
+
+        with pytest.raises(DataVolumeExceededError):
+            run(main, 2, volume_limit_bytes=2000)
+
 
 class TestFailureModes:
     def test_deadlock_detection(self):

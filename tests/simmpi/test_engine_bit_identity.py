@@ -13,9 +13,13 @@ values, errors) are compared — they are exact because both engines run
 the same floating-point operations in the same order.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.network.model import GIGABIT_ETHERNET, NetworkModel
+from repro.network.topology import ClusterTopology
 from repro.simmpi import MAX, SUM, run_spmd
 from repro.simmpi.collectives import ALLREDUCE_ALGORITHMS, BCAST_ALGORITHMS
 
@@ -103,6 +107,84 @@ class TestAlgorithmVariants:
             return np.asarray(value).tolist(), comm.time
 
         assert_identical(*run_both(main, num_ranks))
+
+
+class TestSharedPlansOnSubCommunicators:
+    """Each colour of a split reads one plan built by the parent's rank 0;
+    under the threads engine its members consult it concurrently.
+
+    Untraced: a sub-communicator's records carry *local* ranks, so two
+    physical ranks append to one tracer buffer in scheduling order."""
+
+    @staticmethod
+    def topology():
+        # 3 ranks a node: each colour of ``rank % 2`` spans every node,
+        # with 1 or 2 members on it.
+        return ClusterTopology(4, 3, NetworkModel(GIGABIT_ETHERNET))
+
+    @pytest.mark.parametrize("num_ranks", (9, 12))
+    def test_hierarchical_collectives_per_colour(self, num_ranks):
+        def main(comm):
+            sub = comm.split(comm.rank % 2)
+            root = sub.size - 1
+            total = sub.allreduce(
+                np.full(5, float(comm.rank)), algorithm="hier_recursive_doubling"
+            )
+            word = sub.bcast(
+                f"from {comm.rank}" if sub.rank == root else None,
+                root=root, algorithm="hierarchical",
+            )
+            sub.barrier()
+            return sub.rank, total.tolist(), word, comm.time
+
+        events, threads = run_both(
+            main, num_ranks, topology=self.topology(), trace=False
+        )
+        assert_identical(events, threads)
+        for rank, (sub_rank, total, word, _time) in enumerate(events.returns):
+            members = range(rank % 2, num_ranks, 2)
+            assert sub_rank == rank // 2
+            assert total == [float(sum(members))] * 5
+            assert word == f"from {members[-1]}"
+        assert events.algorithm_counts == threads.algorithm_counts
+        assert events.algorithm_counts["allreduce.hier_recursive_doubling"] == num_ranks
+        assert events.algorithm_counts["bcast.hierarchical"] == num_ranks
+
+    def test_colours_fill_their_plans_in_interleaved_order(self):
+        """Colour 0 runs allreduce, bcast, barrier while colour 1 runs them
+        in reverse: the two plans' memos fill in opposite orders, and a
+        third communicator (a dup of the world) fills between them."""
+
+        def main(comm):
+            color = comm.rank % 2
+            sub = comm.split(color)
+            steps = [
+                lambda: sub.allreduce(comm.rank + 1, algorithm="hier_recursive_doubling"),
+                lambda: sub.bcast(
+                    color if sub.rank == 0 else None, algorithm="hierarchical"
+                ),
+                lambda: sub.barrier(),
+            ]
+            out = [step() for step in (steps if color == 0 else reversed(steps))]
+            world = comm.dup().allreduce(1)
+            again = [step() for step in steps]
+            return out if color == 0 else out[::-1], world, again, comm.time
+
+        # Switch rank threads far more often than the default 5 ms, so the
+        # threads engine's ranks really do race their memo fills.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            events, threads = run_both(
+                main, 10, topology=self.topology(), trace=False
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_identical(events, threads)
+        for rank, (first, world, again, _time) in enumerate(events.returns):
+            expected = [sum(r + 1 for r in range(rank % 2, 10, 2)), rank % 2, None]
+            assert first == expected and again == expected
+            assert world == 10
 
 
 class TestDistributedSolves:
