@@ -1,4 +1,4 @@
-"""Unified observability: spans, metrics, exporters, analysis, bench gate.
+"""Unified observability: spans, metrics, exporters, analysis.
 
 The package the rest of the library reports into:
 
@@ -16,11 +16,10 @@ The package the rest of the library reports into:
   (late-sender / late-receiver / wait-at-collective) plus
   load-imbalance and NIC-saturation indices;
 * :mod:`repro.obs.streaming` — the bounded-memory telemetry stream
-  behind ``python -m repro tail``;
-* :mod:`repro.obs.benchmarks` / :mod:`repro.obs.gate` — the kernel
-  measurements behind ``BENCH_kernels.json`` and the regression gate
-  that compares fresh measurements against that baseline (and against
-  the committed ``BENCH_history.json`` trajectory).
+  behind ``python -m repro tail``.
+
+Nothing here times the library itself: performance is measured from
+outside the package by ``benchmarks/perf`` (``BENCHMARK.json``).
 """
 
 from repro.obs.causal import (

@@ -20,7 +20,7 @@ Observability is first-class: every lifecycle transition emits a
 ``job`` row on the hub's telemetry stream (so ``python -m repro tail``
 watches the service live), and the hub's metrics registry carries
 per-tenant submission/coalesce/denial counters plus a queue-depth
-gauge — the exact series the bench gate's ``service`` section checks.
+gauge.
 """
 
 from __future__ import annotations

@@ -79,7 +79,9 @@ def _traced_collective(method):
         self.collective_counts[name] += 1
         if self.tracer.enabled:
             self.tracer.record(
-                TraceRecord(self.rank, "collective", start, self.clock.time, label=name)
+                TraceRecord(
+                    self.world_rank, "collective", start, self.clock.time, label=name
+                )
             )
         if self.op_recorder is not None:
             self.op_recorder.on_collective(self.rank, name)
@@ -222,7 +224,9 @@ class Communicator:
         self.clock.advance(seconds)
         if self.tracer.enabled:
             self.tracer.record(
-                TraceRecord(self.rank, "compute", start, self.clock.time, label=label)
+                TraceRecord(
+                    self.world_rank, "compute", start, self.clock.time, label=label
+                )
             )
         if self.op_recorder is not None:
             self.op_recorder.on_compute(self.rank, seconds, label)
@@ -234,7 +238,9 @@ class Communicator:
         yield
         if self.tracer.enabled:
             self.tracer.record(
-                TraceRecord(self.rank, "phase", start, self.clock.time, label=label)
+                TraceRecord(
+                    self.world_rank, "phase", start, self.clock.time, label=label
+                )
             )
 
     # -- point-to-point -----------------------------------------------------------
@@ -296,12 +302,12 @@ class Communicator:
         if self.tracer.enabled:
             self.tracer.record(
                 TraceRecord(
-                    self.rank,
+                    world_rank,
                     "send",
                     start,
                     clock.time,
                     nbytes=nbytes,
-                    peer=dest,
+                    peer=world_dest,
                     tag=tag,
                 )
             )
@@ -334,12 +340,12 @@ class Communicator:
         if self.tracer.enabled:
             self.tracer.record(
                 TraceRecord(
-                    self.rank,
+                    self.world_rank,
                     "recv",
                     start,
                     self.clock.time,
                     nbytes=msg.nbytes,
-                    peer=local_source,
+                    peer=msg.source,
                     tag=msg.tag,
                 )
             )

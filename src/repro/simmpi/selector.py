@@ -14,8 +14,8 @@ message bytes, topology)`` — every rank computes the same answer with
 no extra communication, which is what keeps SPMD ranks in lockstep and
 the serial-vs-parallel bit-identity guarantee intact.  The resulting
 per-interconnect decision tables are documented in
-``docs/collectives.md`` and recorded in ``BENCH_kernels.json``'s
-``collectives`` section.
+``docs/collectives.md`` and pinned row for row by
+``tests/simmpi/test_adaptive_collectives.py``.
 
 Because the answer depends only on the group and the topology, it is
 held -- with the placement it is derived from and every per-rank peer

@@ -29,7 +29,12 @@ from typing import Callable, Iterator
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One traced event on one rank."""
+    """One traced event on one rank.
+
+    ``rank`` and ``peer`` are world ranks, also for events on a
+    ``split()`` / ``dup()`` communicator: a record belongs to the
+    physical rank that produced it.
+    """
 
     rank: int
     kind: str  # "send" | "recv" | "compute" | "collective" | "phase"

@@ -177,6 +177,20 @@ class TestRDDistributed:
         dist_solution = np.concatenate(pieces)
         assert np.allclose(dist_solution, seq.solution, atol=1e-8)
 
+    def test_collective_kinds_and_counts_per_rank(self):
+        """The hot loop's collective footprint, exactly: one setup
+        alltoall, one gather + bcast per step, and the fused-CG
+        allreduces.  A new collective kind in the step fails here."""
+        prob = RDProblem(mesh_shape=(6, 6, 6), num_steps=8)
+
+        def main(comm):
+            run_rd_distributed(comm, prob, preconditioner="block-jacobi")
+
+        tracer = run_spmd(main, 2, trace=True, real_timeout=60.0).tracer
+        assert tracer.collective_counts_by_label(rank=0) == {
+            "alltoall": 1, "allreduce": 159, "gather": 8, "bcast": 8,
+        }
+
     def test_virtual_phase_times_positive(self):
         prob = RDProblem(mesh_shape=(4, 4, 4), num_steps=3)
 

@@ -13,6 +13,9 @@ per-rank messages and bytes of a run must equal what
 contract :mod:`repro.perfmodel.phases` relies on.
 """
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
+from repro.platforms import platform_by_name
 from repro.simmpi import MAX, SUM, CollectiveSelector, run_spmd
 from repro.simmpi import collectives as coll
 
@@ -217,6 +221,52 @@ class TestSelectorDecisions:
         selector = CollectiveSelector(one_rank_per_node(16), 16)
         assert selector.select_bcast(64).algorithm == "binomial"
         assert selector.select_bcast(1 << 20).algorithm != "binomial"
+
+    def test_fat_node_large_allreduce_cuts_nic_bytes(self):
+        """The headline of docs/collectives.md: 4 nodes x 4 cores on 1 GbE,
+        one 512 KB allreduce -- ``auto`` keeps all but the node leaders
+        off the NIC (5.33x fewer fabric bytes) and is no slower."""
+        topology = ClusterTopology(4, 4, NetworkModel(GIGABIT_ETHERNET))
+
+        def main(comm, algorithm):
+            comm.allreduce(np.full(65536, float(comm.rank + 1)), algorithm=algorithm)
+            return comm.offnode_bytes_sent
+
+        fixed, adaptive = (
+            run(main, 16, topology=topology, kwargs={"algorithm": algorithm})
+            for algorithm in ("recursive_doubling", "auto")
+        )
+        assert adaptive.algorithm_counts == {"allreduce.hier_rabenseifner": 16}
+        assert sum(fixed.returns) == 16_777_216
+        assert sum(adaptive.returns) == 3_145_728
+        assert adaptive.max_time <= fixed.max_time
+
+    @pytest.mark.parametrize(
+        "heading, platform, num_ranks",
+        [("puma / ellipse", "puma", 64), ("lagrange", "lagrange", 64),
+         ("EC2", "ec2", 16)],
+    )
+    def test_selection_tables_match_the_docs(self, heading, platform, num_ranks):
+        """docs/collectives.md prints ``selection_table()`` per platform;
+        this is what keeps those tables true."""
+        docs = Path(__file__).resolve().parents[2] / "docs" / "collectives.md"
+        lines = iter(docs.read_text().splitlines())
+        title = next(line for line in lines if line.startswith(f"**{heading}"))
+        assert f"{num_ranks} ranks" in title
+        next(lines)  # blank line between the title and its table
+        table = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
+        documented = [
+            tuple(cell.strip(" `") for cell in row.strip("|").split("|"))
+            for row in table[2:]  # skip the header and |---| rows
+        ]
+        spec = platform_by_name(platform)
+        topology = spec.topology(num_nodes=spec.nodes_for_ranks(num_ranks))
+        labels = {8: "8", 1024: "1 KB", 65536: "64 KB", 1 << 20: "1 MB"}
+        derived = [
+            (labels[row["nbytes"]], row["allreduce"], row["bcast"])
+            for row in CollectiveSelector(topology, num_ranks).selection_table()
+        ]
+        assert derived == documented
 
     @given(size=st.integers(2, 32), nbytes=st.integers(1, 1 << 21))
     @settings(max_examples=60, deadline=None)

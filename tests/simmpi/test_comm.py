@@ -277,6 +277,20 @@ class TestVirtualTime:
         ib = run(main, 5, topology=topo(link=INFINIBAND_4X_DDR)).returns[4]
         assert ib < eth / 5
 
+    def test_ethernet_saturates_under_a_bandwidth_bound_collective(self):
+        """64 KiB recursive-doubling allreduce + barrier on 2 x 32-core
+        nodes: the 1 GbE model must cost at least twice InfiniBand."""
+
+        def main(comm):
+            comm.allreduce(np.ones(8192), algorithm="recursive_doubling")
+            comm.barrier()
+
+        eth, ib = (
+            run(main, 64, topology=topo(nodes=2, cores=32, link=link)).max_time
+            for link in (GIGABIT_ETHERNET, INFINIBAND_4X_DDR)
+        )
+        assert eth >= 2 * ib
+
     def test_nic_concurrency_slows_offnode(self):
         def main(comm):
             if comm.rank == 0:
@@ -491,6 +505,28 @@ class TestSplit:
             b - a for a, b in zip(split_only.messages_sent, result.messages_sent)
         ] == [1] * 4
         assert result.algorithm_counts["allreduce.recursive_doubling"] == 4
+
+    def test_sub_communicator_trace_records_carry_world_ranks(self):
+        """A split communicator's events belong to the physical rank that
+        produced them, with world-rank peers -- not to its local rank."""
+
+        def main(comm):
+            sub = comm.split(comm.rank % 2)  # colour 1 is world {1, 3}
+            if sub.rank == 0:
+                sub.send(b"x" * 8, dest=1, tag=5)
+            else:
+                sub.recv(source=0, tag=5)
+            sub.barrier()
+
+        tracer = run(main, 4, trace=True).tracer
+        for rank in range(4):
+            records = tracer.by_rank(rank)
+            assert records and {r.rank for r in records} == {rank}
+        p2p = [(r.kind, r.rank, r.peer) for r in tracer.snapshot() if r.tag == 5]
+        assert p2p == [
+            ("send", 0, 2), ("send", 1, 3), ("recv", 2, 0), ("recv", 3, 1),
+        ]
+        assert [tracer.collective_count("barrier", rank=r) for r in range(4)] == [1] * 4
 
     def test_dup_does_not_dodge_the_volume_cap(self):
         """The lagrange IB cap is per rank, not per communicator."""

@@ -112,9 +112,7 @@ class TestAlgorithmVariants:
 class TestSharedPlansOnSubCommunicators:
     """Each colour of a split reads one plan built by the parent's rank 0;
     under the threads engine its members consult it concurrently.
-
-    Untraced: a sub-communicator's records carry *local* ranks, so two
-    physical ranks append to one tracer buffer in scheduling order."""
+    Traced: every record lands in its physical rank's own buffer."""
 
     @staticmethod
     def topology():
@@ -137,9 +135,7 @@ class TestSharedPlansOnSubCommunicators:
             sub.barrier()
             return sub.rank, total.tolist(), word, comm.time
 
-        events, threads = run_both(
-            main, num_ranks, topology=self.topology(), trace=False
-        )
+        events, threads = run_both(main, num_ranks, topology=self.topology())
         assert_identical(events, threads)
         for rank, (sub_rank, total, word, _time) in enumerate(events.returns):
             members = range(rank % 2, num_ranks, 2)
@@ -175,9 +171,7 @@ class TestSharedPlansOnSubCommunicators:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            events, threads = run_both(
-                main, 10, topology=self.topology(), trace=False
-            )
+            events, threads = run_both(main, 10, topology=self.topology())
         finally:
             sys.setswitchinterval(interval)
         assert_identical(events, threads)
