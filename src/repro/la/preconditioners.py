@@ -16,6 +16,16 @@ figures.  All preconditioners expose:
 The update protocol is what lets the time-stepping loops stop paying
 full preconditioner setup every step: a BDF step changes only the
 operator's ``data`` array, never its pattern.
+
+ILU(0) records its IKJ elimination once, as CSR positions, and replays
+it by *waves*.  Step ``t`` of row ``i`` — divide ``a_ik`` by ``u_kk``,
+then subtract ``l_ik * u_kj`` along the rest of the row — runs in wave
+``1 + max(wave of step t-1, final(k))``, where ``final(k)`` is the wave
+of row ``k``'s last step (0 if it has none).  The steps of a wave lie in
+distinct rows and read only rows finished in earlier waves, and each
+row still takes its own steps in order, so one vectorised update per
+wave performs on every entry the subtractions of the row-by-row loop,
+in its order: the factors are bit-identical to it, not merely close.
 """
 
 from __future__ import annotations
@@ -40,6 +50,17 @@ def _entry_keys(csr: sp.csr_matrix) -> np.ndarray:
     n_rows, n_cols = csr.shape
     row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr))
     return row_ids * np.int64(n_cols) + csr.indices.astype(np.int64)
+
+
+def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every (start, count) pair, concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+
+
+# Elimination steps the ILU(0) symbolic phase expands at a time: bounds
+# its transient candidate arrays independently of the matrix size.
+_SYMBOLIC_CHUNK = 1024
 
 
 class _PatternGuard:
@@ -212,48 +233,62 @@ class ILU0Preconditioner:
         keys = _entry_keys(csr)
         diag_keys = np.arange(n, dtype=np.int64) * np.int64(n + 1)
         diag_pos = np.searchsorted(keys, diag_keys)
-        present = (diag_pos < keys.size) & (keys[np.minimum(diag_pos, keys.size - 1)] == diag_keys)
-        if not np.all(present):
+        if keys.size < n or not np.array_equal(
+            keys[np.minimum(diag_pos, keys.size - 1)], diag_keys
+        ):
             raise SolverError("ILU(0): structurally zero diagonal entry")
 
-        # Symbolic phase: record every elimination step as CSR positions
-        # once, so refreshes replay pure array arithmetic.
-        flops = 0
-        schedule: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for i in range(1, n):
-            row_start, row_end = indptr[i], indptr[i + 1]
-            row_cols = indices[row_start:row_end]
-            # map col -> position for fast lookup in row i
-            col_to_pos = {int(c): row_start + off for off, c in enumerate(row_cols)}
-            for pos in range(row_start, row_end):
-                k = indices[pos]
-                if k >= i:
-                    break
-                tgts = []
-                srcs = []
-                # subtract lik * U[k, j] for j in pattern of row i, j > k
-                for kpos in range(diag_pos[k] + 1, indptr[k + 1]):
-                    j = int(indices[kpos])
-                    tgt = col_to_pos.get(j)
-                    if tgt is not None:
-                        tgts.append(tgt)
-                        srcs.append(kpos)
-                schedule.append(
-                    (
-                        int(pos),
-                        int(diag_pos[k]),
-                        np.asarray(tgts, dtype=np.int64),
-                        np.asarray(srcs, dtype=np.int64),
-                    )
-                )
-                flops += 1 + 2 * len(tgts)
+        # Symbolic phase.  An elimination step (i, k) is a strictly-lower
+        # entry; sorted rows hold those first, so in CSR order row i owns
+        # steps first[i]:first[i + 1].  Per row the wave recurrence (module
+        # docstring) closes to t + 1 + cummax(final[k_t] - t).
+        num_lower = diag_pos - indptr[:-1]
+        first = np.concatenate(([0], np.cumsum(num_lower))).tolist()
+        step_pos = _expand_ranges(indptr[:-1], num_lower)
+        step_k = indices[step_pos]
+        wave = np.empty(step_pos.size, dtype=np.int64)
+        final = np.zeros(n, dtype=np.int64)
+        ramp = np.arange(num_lower.max(initial=0))
+        for i in np.flatnonzero(num_lower).tolist():
+            a, b = first[i], first[i + 1]
+            t = ramp[: b - a]
+            wave[a:b] = t + 1 + np.maximum.accumulate(final[step_k[a:b]] - t)
+            final[i] = wave[b - 1]
+        order = np.argsort(wave, kind="stable")
+        step_ends = np.cumsum(np.bincount(wave))[1:]
+        ks = step_k[order]
+        row_keys = np.repeat(np.arange(n, dtype=np.int64) * n, num_lower)[order]
+        pos = step_pos[order].astype(indices.dtype)
+        dpos = diag_pos[ks].astype(indices.dtype)
 
-        self._schedule = schedule
+        # Step (i, k) draws its sources from the tail of row k after the
+        # diagonal; the ones whose column is in row i's pattern, and their
+        # targets there, come from one search of i*n + j in `keys`.
+        # Expanded in wave order, a bounded number of steps at a time.
+        found = [np.empty((3, 0), dtype=indices.dtype)]
+        for lo in range(0, ks.size, _SYMBOLIC_CHUNK):
+            k = ks[lo : lo + _SYMBOLIC_CHUNK]
+            count = indptr[k + 1] - diag_pos[k] - 1
+            src = _expand_ranges(diag_pos[k] + 1, count)
+            key = np.repeat(row_keys[lo : lo + _SYMBOLIC_CHUNK], count) + indices[src]
+            tgt = np.searchsorted(keys, key)
+            hit = np.flatnonzero(keys[np.minimum(tgt, keys.size - 1)] == key)
+            owner = np.repeat(np.arange(lo, lo + k.size), count)
+            found.append(np.stack([tgt[hit], src[hit], owner[hit]]).astype(indices.dtype))
+        tgts, srcs, muls = np.concatenate(found, axis=1)
+        tgt_ends = np.searchsorted(muls, step_ends)  # owning steps ascend
+        # A target's multiplier l_ik is read back from its step's position.
+        muls[:] = pos[muls]
+
+        self._schedule = []  # per wave: (pos, dpos, tgts, muls, srcs)
+        a = c = 0
+        for b, d in zip(step_ends.tolist(), tgt_ends.tolist()):
+            self._schedule.append((pos[a:b], dpos[a:b], tgts[c:d], muls[c:d], srcs[c:d]))
+            a, c = b, d
         self._diag_pos = diag_pos
-        self._n = n
-        self.setup_flops = flops
+        self.setup_flops = pos.size + 2 * tgts.size
 
-        data = self._numeric(csr.data.astype(float).copy())
+        data = self._numeric(csr.data.astype(float))
         self._factors = sp.csr_matrix(
             (data, indices.copy(), indptr.copy()), shape=(n, n)
         )
@@ -268,31 +303,30 @@ class ILU0Preconditioner:
         self._upper.sort_indices()
 
         # Refill maps: factor entries -> positions in the split triangles.
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        cols = indices.astype(np.int64)
-        self._strict_lower_src = np.nonzero(cols < row_ids)[0]
-        self._upper_src = np.nonzero(cols >= row_ids)[0]
+        self._strict_lower_src = step_pos
+        self._upper_src = _expand_ranges(diag_pos, indptr[1:] - diag_pos)
         lower_keys = _entry_keys(self._lower)
         upper_keys = _entry_keys(self._upper)
         self._lower_tgt = np.searchsorted(lower_keys, keys[self._strict_lower_src])
         self._upper_tgt = np.searchsorted(upper_keys, keys[self._upper_src])
 
     def _numeric(self, data: np.ndarray) -> np.ndarray:
-        """Replay the elimination schedule on a fresh data array."""
-        for pos, dpos, tgts, srcs in self._schedule:
+        """Replay the elimination waves on a fresh data array."""
+        for pos, dpos, tgts, muls, srcs in self._schedule:
             pivot = data[dpos]
-            if pivot == 0.0:
+            if (pivot == 0.0).any():
                 raise SolverError("ILU(0): zero pivot during factorization")
-            lik = data[pos] / pivot
-            data[pos] = lik
-            if tgts.size:
-                data[tgts] -= lik * data[srcs]
+            data[pos] /= pivot
+            data[tgts] -= data[muls] * data[srcs]
+        # The diagonal of a row no step divides by is still a pivot of apply().
+        if (data[self._diag_pos] == 0.0).any():
+            raise SolverError("ILU(0): zero pivot during factorization")
         return data
 
     def update(self, matrix) -> "ILU0Preconditioner":
         """Re-run the numeric factorization on the cached symbolic schedule."""
         csr = self._guard.check(matrix)
-        data = self._numeric(csr.data.astype(float).copy())
+        data = self._numeric(csr.data.astype(float))
         self._factors.data[:] = data
         self._lower.data[self._lower_tgt] = data[self._strict_lower_src]
         self._upper.data[self._upper_tgt] = data[self._upper_src]

@@ -127,6 +127,25 @@ class TestILU0:
         with pytest.raises(SolverError):
             ILU0Preconditioner(a)
 
+    def test_no_stored_entries_is_a_structural_zero_diagonal(self):
+        with pytest.raises(SolverError, match="structurally zero diagonal"):
+            ILU0Preconditioner(sp.csr_matrix([[0.0]]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_sizes_build_and_apply(self, n):
+        p = ILU0Preconditioner(sp.csr_matrix(2.0 * np.eye(n)))
+        assert np.array_equal(p.apply(np.ones(n)), 0.5 * np.ones(n))
+        assert p.setup_flops == 0
+
+    def test_late_zero_pivot_is_a_solver_error(self):
+        """u_11 = 1 - 1*1 = 0 sits in the last row, which no step divides by."""
+        singular = sp.csr_matrix(np.ones((2, 2)))
+        with pytest.raises(SolverError, match="zero pivot"):
+            ILU0Preconditioner(singular)
+        p = ILU0Preconditioner(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 2.0]])))
+        with pytest.raises(SolverError, match="zero pivot"):
+            p.update(singular)
+
     def test_counts_flops(self, fem_operator):
         p = ILU0Preconditioner(fem_operator)
         assert p.setup_flops > 0
