@@ -36,6 +36,7 @@ import scipy.sparse as sp
 from repro.errors import ReproError, SolverError
 from repro.apps.exact import EthierSteinmanSolution
 from repro.apps.phases import IterationPhases, PhaseClock, PhaseLog
+from repro.apps.shared import shared_discretization
 from repro.fem.assembly import (
     CompositeOperator,
     assemble_advection,
@@ -80,6 +81,35 @@ class NSProblem:
         return StructuredBoxMesh(self.mesh_shape, lower=(-1, -1, -1), upper=(1, 1, 1))
 
 
+@dataclass(frozen=True, eq=False)
+class NSOperators:
+    """The step-invariant Q1 operators of an NS solver; shared read-only.
+
+    They depend on the mesh only, so every solver of a launch holds the
+    same instance (:func:`~repro.apps.shared.shared_discretization`).
+    """
+
+    dofmap: DofMap
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix
+    grad_ops: tuple[sp.csr_matrix, ...]
+    mass_bc: sp.csr_matrix
+
+    @classmethod
+    def build(cls, problem: NSProblem) -> "NSOperators":
+        """Assemble the bundle (setup, not the loop)."""
+        dm = DofMap(problem.mesh(), order=1).materialize()
+        mass = assemble_mass(dm).tocsr()
+        stiffness = assemble_stiffness(dm).tocsr()
+        # D_i[a, b] = integral(phi_a * d(phi_b)/dx_i): pressure gradient /
+        # divergence coupling.
+        grad_ops = tuple(
+            assemble_advection(dm, np.eye(3)[i]).tocsr() for i in range(3)
+        )
+        mass_bc = constrain_operator(mass, dm.boundary_dofs)
+        return cls(dm, mass, stiffness, grad_ops, mass_bc)
+
+
 class NSSolver:
     """Sequential Navier-Stokes solver with phase instrumentation."""
 
@@ -100,7 +130,12 @@ class NSSolver:
         self.rotational = rotational
         self.problem = problem
         self.exact = EthierSteinmanSolution(nu=problem.nu)
-        self.dofmap = DofMap(problem.mesh(), order=1)
+        # Holding the bundle is what keeps the launch's shared entry alive.
+        self._operators = ops = shared_discretization(
+            (type(problem), tuple(problem.mesh_shape)),  # always Q1
+            lambda: NSOperators.build(problem),
+        )
+        self.dofmap = dm = ops.dofmap
         self.preconditioner_name = preconditioner
         self.tol = tol
         self.clock = PhaseClock()
@@ -109,19 +144,12 @@ class NSSolver:
         self.pressure_iterations: list[int] = []
         self.steps_taken = 0
 
-        dm = self.dofmap
         self.rule = default_rule_for_order(1)
-        # Step-invariant operators, assembled once (setup, not the loop).
-        self.mass = assemble_mass(dm).tocsr()
-        self.stiffness = assemble_stiffness(dm).tocsr()
-        # D_i[a, b] = integral(phi_a * d(phi_b)/dx_i): pressure gradient /
-        # divergence coupling.
-        self.grad_ops = [
-            assemble_advection(dm, np.eye(3)[i]).tocsr() for i in range(3)
-        ]
-        boundary = dm.boundary_dofs
-        self.boundary = boundary
-        self.mass_bc = constrain_operator(self.mass, boundary)
+        self.mass = ops.mass
+        self.stiffness = ops.stiffness
+        self.grad_ops = ops.grad_ops
+        self.boundary = dm.boundary_dofs
+        self.mass_bc = ops.mass_bc
 
         # BDF history for the three velocity components.
         coords = dm.dof_coords
@@ -375,11 +403,13 @@ def run_ns_distributed(
     ``cpu_speed_factor`` is ignored when set.
 
     Mirrors :func:`repro.apps.reaction_diffusion.run_rd_distributed`:
-    assembly is replicated (deterministic) and charged to the virtual
-    clock; all seven linear solves per step run distributed — three
-    BiCGStab momentum solves, the pressure-Poisson CG, and three mass
-    projections — so their halo and allreduce traffic accrues through
-    the platform's network model.
+    the step-invariant operators are one read-only copy shared by the
+    launch's ranks (:class:`NSOperators`); the per-step momentum
+    assembly is replicated on every rank (deterministic) and charged to
+    the virtual clock; all seven linear solves per step run distributed
+    — three BiCGStab momentum solves, the pressure-Poisson CG, and three
+    mass projections — so their halo and allreduce traffic accrues
+    through the platform's network model.
 
     The hot path is incremental: the momentum operator is combined into
     a cached sparsity pattern and pushed to the ranks with

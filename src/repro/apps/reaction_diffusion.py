@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from repro.errors import ReproError, SolverError
 from repro.apps.exact import RDManufacturedSolution
 from repro.apps.phases import IterationPhases, PhaseClock, PhaseLog
+from repro.apps.shared import shared_discretization
 from repro.fem.assembly import (
     CompositeOperator,
     assemble_load,
@@ -80,6 +81,36 @@ class RDProblem:
         return StructuredBoxMesh(self.mesh_shape)
 
 
+@dataclass(frozen=True, eq=False)
+class RDOperators:
+    """What an RD solver builds before its first step; shared read-only.
+
+    A function of the mesh and element order only (not of ``dt``, ``t0``
+    or ``num_steps``), so every solver of a launch holds one instance
+    (:func:`~repro.apps.shared.shared_discretization`).
+    """
+
+    dofmap: DofMap
+    mass: sp.csr_matrix
+    load: np.ndarray
+    composite: CompositeOperator | None  #: ``"combine"`` mode only
+
+    @classmethod
+    def build(cls, problem: RDProblem, assembly_mode: str) -> "RDOperators":
+        """Assemble the bundle; ``"full"`` mode pays for no K and no composite."""
+        dofmap = DofMap(problem.mesh(), problem.order).materialize()
+        mass = assemble_mass(dofmap)  # "full" needs M too: the history term
+        load = assemble_load(dofmap, RDManufacturedSolution.SOURCE_VALUE)
+        composite = None
+        if assembly_mode == "combine":
+            # The hot-path cache: the merged sparsity of a(t)M + b(t)K is
+            # computed once; each step only rewrites a data array.
+            composite = CompositeOperator(
+                {"mass": mass, "stiffness": assemble_stiffness(dofmap)}
+            )
+        return cls(dofmap, mass, load, composite)
+
+
 class RDSolver:
     """Sequential RD solver with per-iteration phase instrumentation.
 
@@ -90,6 +121,10 @@ class RDSolver:
       assembly phase its real cost);
     * ``"combine"`` — assemble M and K once, combine per step (fast path
       for tests; assembly phase then measures the sparse combination).
+
+    What is built before the first step (:class:`RDOperators`) is shared
+    read-only with every other live solver of the same discretization —
+    the other ranks of an SPMD launch; a lone solver is a launch of one.
     """
 
     def __init__(
@@ -104,7 +139,15 @@ class RDSolver:
             raise ReproError(f"unknown assembly_mode {assembly_mode!r}")
         self.problem = problem
         self.exact = RDManufacturedSolution()
-        self.dofmap = DofMap(problem.mesh(), problem.order)
+        # Holding the bundle is what keeps the launch's shared entry alive.
+        self._operators = ops = shared_discretization(
+            (type(problem), tuple(problem.mesh_shape), problem.order, assembly_mode),
+            lambda: RDOperators.build(problem, assembly_mode),
+        )
+        self.dofmap = ops.dofmap
+        self._mass = ops.mass
+        self._composite = ops.composite
+        self._load = ops.load
         self.preconditioner_name = preconditioner
         self.tol = tol
         self.assembly_mode = assembly_mode
@@ -122,33 +165,11 @@ class RDSolver:
         self.bdf.initialize([self.exact(coords, t) for t in times])
         self.t = times[-1]
 
-        if assembly_mode == "combine":
-            self._mass = assemble_mass(self.dofmap)
-            self._stiffness = assemble_stiffness(self.dofmap)
-            # The hot-path cache: the merged sparsity of a(t)M + b(t)K is
-            # computed once; each step only rewrites the data array.
-            self._composite = CompositeOperator(
-                {"mass": self._mass, "stiffness": self._stiffness}
-            )
-        else:
-            self._mass = assemble_mass(self.dofmap)  # history term needs M anyway
-            self._stiffness = None
-            self._composite = None
         self._combined: sp.csr_matrix | None = None
         self._dirichlet_plan: DirichletPlan | None = None
-        self._cached_load: np.ndarray | None = None
-        self._use_load_cache = True
         self._precond = None
 
     # -- single step ------------------------------------------------------
-
-    def _load_vector(self) -> np.ndarray:
-        """The (constant-source) load vector; assembled once, then cached."""
-        if not self._use_load_cache:
-            return assemble_load(self.dofmap, self.exact.SOURCE_VALUE)
-        if self._cached_load is None:
-            self._cached_load = assemble_load(self.dofmap, self.exact.SOURCE_VALUE)
-        return self._cached_load
 
     def _assemble_system(self, t_new: float) -> tuple[sp.csr_matrix, np.ndarray]:
         alpha0 = self.bdf.alpha0
@@ -165,8 +186,7 @@ class RDSolver:
             # union, no COO->CSR round trip.
             self._combined = self._composite.combine(coefficients, out=self._combined)
             matrix = self._combined
-        rhs = self._load_vector()
-        rhs = rhs + self._mass @ (self.bdf.history_rhs() / dt)
+        rhs = self._load + self._mass @ (self.bdf.history_rhs() / dt)
         boundary = self.dofmap.boundary_dofs
         values = self.exact(self.dofmap.dof_coords[boundary], t_new)
         if self.assembly_mode == "full":
@@ -262,11 +282,12 @@ def slab_ownership(dofmap: DofMap, num_ranks: int) -> list[np.ndarray]:
 class DistributedRDStep:
     """The one distributed RD time step, in the paper's three phases.
 
-    ``solver`` is an :class:`RDSolver` in ``"combine"`` mode: it owns the
-    step-invariant operators, the BDF history, ``t`` and the system
-    assembly.  This class owns what the distribution adds — the
-    :class:`~repro.la.distributed.DistMatrix` and preconditioner
-    lifecycle, the fused CG, the global gather and the history advance.
+    ``solver`` is an :class:`RDSolver` in ``"combine"`` mode: it holds the
+    launch's shared step-invariant operators and owns the BDF history,
+    ``t`` and the system assembly.  This class owns what the
+    distribution adds — the :class:`~repro.la.distributed.DistMatrix`
+    and preconditioner lifecycle, the fused CG, the global gather and
+    the history advance.
     Drivers call :meth:`assemble`, :meth:`precondition` and :meth:`solve`
     once per step, in that order, and put their own phase clocks, spans,
     fault gates and compute charges between them.
@@ -302,9 +323,6 @@ class DistributedRDStep:
         self.dist: DistMatrix | None = None
         self.precond = None
         self._rhs: np.ndarray | None = None
-        # Step-invariant, so assembled here rather than inside the first
-        # step's (charged) assembly phase.
-        solver._load_vector()
 
     @classmethod
     def check_preconditioner(cls, name: str) -> None:

@@ -311,6 +311,9 @@ class CompositeOperator:
     ``combine`` returns a CSR matrix sharing the cached ``indptr`` /
     ``indices``; pass ``out=`` (a matrix previously returned by
     :meth:`combine`) to also reuse its ``data`` buffer in place.
+    ``combine`` writes to that matrix only, so threads may combine
+    through one operator concurrently, each into its own ``out``;
+    :meth:`update_component` is for an operator nobody else holds.
     """
 
     def __init__(self, components: dict[str, sp.csr_matrix]):
@@ -348,7 +351,6 @@ class CompositeOperator:
             self._component_positions[name] = (
                 None if np.array_equal(positions, identity) else positions
             )
-        self._scratch = np.empty(self._nnz)
 
     @property
     def nnz(self) -> int:
@@ -416,8 +418,7 @@ class CompositeOperator:
                 if not filled:
                     np.multiply(component, coeff, out=data)
                 else:
-                    np.multiply(component, coeff, out=self._scratch)
-                    data += self._scratch
+                    data += coeff * component
             else:
                 if not filled:
                     data[:] = 0.0

@@ -41,6 +41,16 @@ class DofMap:
     def __repr__(self) -> str:
         return f"DofMap(Q{self.order}, {self.num_dofs} dofs on {self.mesh!r})"
 
+    def materialize(self) -> "DofMap":
+        """Compute every lazy index and coordinate array now; returns self.
+
+        ``cached_property`` fills an instance on first read, unlocked, so
+        a map that threads are about to share must be complete first.
+        """
+        for name in ("scatter_indices", "dof_coords", "boundary_dofs", "interior_dofs"):
+            getattr(self, name)
+        return self
+
     # -- numbering ----------------------------------------------------------
 
     def lattice_index(self, i: int, j: int, k: int) -> int:

@@ -155,9 +155,12 @@ class DistVector:
 class DistMatrix:
     """Row-distributed CSR matrix with ghost-column exchange.
 
-    Build with :meth:`from_global`: every rank passes the same global
-    matrix (the simulation analogue of parallel assembly producing
-    consistent local rows) plus the ownership map.
+    Build with :meth:`from_global`: every rank passes a global matrix
+    with the same pattern and values (the simulation analogue of
+    parallel assembly producing consistent local rows) plus the
+    ownership map.  The ranks' matrices may be separate objects or one
+    shared read-only one; only this rank's rows are read, nothing is
+    written.
     """
 
     def __init__(
@@ -231,14 +234,12 @@ class DistMatrix:
             )
         owned = np.asarray(ownership[comm.rank], dtype=np.int64)
 
-        # Owner lookup for every global dof.
-        owner_of = np.empty(n, dtype=np.int64)
-        count = 0
-        for rank, idx in enumerate(ownership):
-            owner_of[np.asarray(idx, dtype=np.int64)] = rank
-            count += len(idx)
-        if count != n:
+        # Owner lookup for every global dof; each must appear exactly once.
+        flat = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in ownership])
+        if not np.array_equal(np.sort(flat), np.arange(n)):
             raise SolverError("ownership arrays must cover every dof exactly once")
+        owner_of = np.empty(n, dtype=np.int64)
+        owner_of[flat] = np.repeat(np.arange(comm.size), [len(idx) for idx in ownership])
 
         if numbering not in ("owned-first", "global"):
             raise SolverError(
@@ -289,28 +290,28 @@ class DistMatrix:
         )
         data_map = pos_local.data.astype(np.int64) - 1
 
-        # Build the exchange plan: tell each owner which of its dofs we need.
-        needs: list[list[int]] = [[] for _ in range(comm.size)]
-        for g in ghosts:
-            needs[owner_of[g]].append(int(g))
-        all_needs = comm.alltoall([np.asarray(lst, dtype=np.int64) for lst in needs])
+        # Build the exchange plan: tell each owner which of its dofs we
+        # need.  A stable sort by owner keeps each request in ascending
+        # global order (``ghosts`` is sorted), and the sorted positions
+        # ARE the ghost-buffer positions the replies fill.
+        ghost_owner = owner_of[ghosts]
+        by_owner = np.argsort(ghost_owner, kind="stable")
+        bounds = np.searchsorted(ghost_owner[by_owner], np.arange(comm.size + 1))
+        ghost_slots = [by_owner[bounds[r]:bounds[r + 1]] for r in range(comm.size)]
+        all_needs = comm.alltoall(
+            [ghosts[slots].astype(np.int64) for slots in ghost_slots]
+        )
 
-        global_to_owned_pos = {int(g): i for i, g in enumerate(owned)}
-        send_to = {}
-        for src, requested in enumerate(all_needs):
-            if requested is None or len(requested) == 0 or src == comm.rank:
-                continue
-            send_to[src] = np.asarray(
-                [global_to_owned_pos[int(g)] for g in requested], dtype=np.int64
-            )
-        ghost_pos = {int(g): i for i, g in enumerate(ghosts)}
-        recv_from = {}
-        for owner in range(comm.size):
-            if owner == comm.rank or not needs[owner]:
-                continue
-            recv_from[owner] = np.asarray(
-                [ghost_pos[g] for g in needs[owner]], dtype=np.int64
-            )
+        # ``owned`` is caller-ordered: look requests up through a sorter.
+        sorter = np.argsort(owned)
+        send_to = {
+            src: sorter[np.searchsorted(owned, requested, sorter=sorter)]
+            for src, requested in enumerate(all_needs)
+            if len(requested)
+        }
+        recv_from = {
+            owner: slots for owner, slots in enumerate(ghost_slots) if slots.size
+        }
         plan = ExchangePlan(send_to=send_to, recv_from=recv_from)
         return cls(
             comm,

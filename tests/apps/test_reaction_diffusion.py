@@ -10,6 +10,7 @@ from repro.apps.reaction_diffusion import (
     run_rd_distributed,
     slab_ownership,
 )
+from repro.fem.assembly import assemble_load
 from repro.fem.dofmap import DofMap
 from repro.fem.mesh import StructuredBoxMesh
 from repro.simmpi import run_spmd
@@ -55,20 +56,18 @@ class TestRDSequential:
         assert np.allclose(a.solution, b.solution, atol=1e-9)
 
     def test_load_cache_bit_identical(self):
-        """Regression for the cached constant-source load vector: the
-        cached and uncached paths must agree bit-for-bit, not just to
-        tolerance — the cache returns the same assembled vector, so any
-        divergence would indicate unwanted mutation of the cache."""
-        prob = RDProblem(mesh_shape=(4, 4, 4), num_steps=3)
-        cached = RDSolver(prob, assembly_mode="combine")
-        uncached = RDSolver(prob, assembly_mode="combine")
-        uncached._use_load_cache = False
-        cached.run()
-        uncached.run()
-        assert cached.nodal_error() == uncached.nodal_error()
-        np.testing.assert_array_equal(cached.solution, uncached.solution)
-        assert cached._cached_load is not None
-        assert uncached._cached_load is None
+        """The constant-source load vector is assembled once and shared
+        read-only: after a run it still equals a fresh assembly bit for
+        bit, and nobody can write to it (or to M) in place."""
+        solver = RDSolver(RDProblem(mesh_shape=(4, 4, 4), num_steps=3),
+                          assembly_mode="combine")
+        solver.run()
+        fresh = assemble_load(solver.dofmap, solver.exact.SOURCE_VALUE)
+        np.testing.assert_array_equal(solver._load, fresh)
+        with pytest.raises(ValueError):
+            solver._load[0] = 1.0
+        with pytest.raises(ValueError):
+            solver._mass.data *= 2.0
 
     def test_q1_is_not_exact(self):
         """Q1 cannot represent |x|^2: the L2 error sits at the O(h^2)

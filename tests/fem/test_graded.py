@@ -247,6 +247,7 @@ class TestGradedRD:
         )
         solver.dofmap = DofMap(mesh, problem.order)
         solver._mass = assemble_mass(solver.dofmap)
+        solver._load = assemble_load(solver.dofmap, solver.exact.SOURCE_VALUE)
         coords = solver.dofmap.dof_coords
         times = [problem.t0 + i * problem.dt for i in range(problem.bdf_order)]
         solver.bdf.initialize([solver.exact(coords, t) for t in times])

@@ -155,12 +155,113 @@ class TestDistMatrix:
         with pytest.raises(SolverError):
             run(main, 2)
 
+    @pytest.mark.parametrize(
+        "ownership",
+        [
+            [[0, 1, 1], [2]],      # right count, one duplicate, one gap
+            [[0, 1], [2, 7]],      # out of range
+            [[0, 1], [2, -1]],     # negative
+            [[0, 1, 2], [3, 3]],   # too many
+        ],
+        ids=["duplicate-plus-gap", "out-of-range", "negative", "over-count"],
+    )
+    def test_ownership_must_cover_every_dof_exactly_once(self, ownership):
+        a = sp.identity(4, format="csr")
+
+        def main(comm):
+            DistMatrix.from_global(comm, a, ownership=ownership)
+
+        with pytest.raises(SolverError, match="exactly once"):
+            run(main, 2)
+
     def test_nonsquare_rejected(self):
         def main(comm):
             DistMatrix.from_global(comm, sp.csr_matrix(np.ones((2, 3))))
 
         with pytest.raises(SolverError):
             run(main, 1)
+
+
+def dict_built_plan(comm, matrix, ownership):
+    """The exchange plan as ``from_global`` built it before it was
+    vectorized — one dof at a time, through ``{global: position}``
+    dicts.  Returns ``(requests, send_to, recv_from)``."""
+    owner_of = np.empty(matrix.shape[0], dtype=np.int64)
+    for rank, idx in enumerate(ownership):
+        owner_of[idx] = rank
+    owned = np.asarray(ownership[comm.rank], dtype=np.int64)
+    referenced = np.unique(matrix[owned].indices)
+    ghosts = referenced[owner_of[referenced] != comm.rank]
+    needs = [[] for _ in range(comm.size)]
+    for g in ghosts:
+        needs[owner_of[g]].append(int(g))
+    requests = [np.asarray(lst, dtype=np.int64) for lst in needs]
+    all_needs = comm.alltoall(requests)
+    owned_pos = {int(g): i for i, g in enumerate(owned)}
+    ghost_pos = {int(g): i for i, g in enumerate(ghosts)}
+    send_to = {
+        src: np.asarray([owned_pos[int(g)] for g in requested], dtype=np.int64)
+        for src, requested in enumerate(all_needs)
+        if src != comm.rank and len(requested)
+    }
+    recv_from = {
+        owner: np.asarray([ghost_pos[g] for g in needs[owner]], dtype=np.int64)
+        for owner in range(comm.size)
+        if owner != comm.rank and needs[owner]
+    }
+    return requests, send_to, recv_from
+
+
+def _rd_operator_and_ownerships(num_ranks):
+    from repro.apps.reaction_diffusion import RDProblem, slab_ownership
+    from repro.resilience.malleable import decompose
+
+    problem = RDProblem(mesh_shape=(3, 3, 4), num_steps=1)
+    dm = DofMap(problem.mesh(), problem.order)
+    matrix = (assemble_mass(dm) + assemble_stiffness(dm)).tocsr()
+    slabs = slab_ownership(dm, num_ranks)
+    rng = np.random.default_rng(5)
+    return matrix, {
+        "slab": slabs,
+        "rcb": decompose(problem, num_ranks),  # non-contiguous (malleable path)
+        "permuted": [rng.permutation(idx) for idx in slabs],  # caller-ordered
+    }
+
+
+class TestExchangePlan:
+    NUM_RANKS = 4
+
+    @pytest.mark.parametrize("kind", ["slab", "rcb", "permuted"])
+    @pytest.mark.parametrize("numbering", ["owned-first", "global"])
+    def test_plan_equals_dict_built_plan(self, kind, numbering):
+        """Same requests on the wire (values, order, int64), same
+        ``send_to`` / ``recv_from`` (keys in the same order, values
+        equal) as the per-dof construction it replaced."""
+        matrix, ownerships = _rd_operator_and_ownerships(self.NUM_RANKS)
+        ownership = ownerships[kind]
+
+        def main(comm):
+            sent = []
+            alltoall = comm.alltoall
+            comm.alltoall = lambda items: alltoall(sent.append(items) or items)
+            dist = DistMatrix.from_global(
+                comm, matrix, ownership=ownership, numbering=numbering
+            )
+            comm.alltoall = alltoall
+            return sent, dist.plan, dict_built_plan(comm, matrix, ownership)
+
+        for (sent,), plan, (requests, send_to, recv_from) in run(
+            main, self.NUM_RANKS
+        ).returns:
+            assert len(sent) == len(requests)
+            for got, want in zip(sent, requests):
+                assert got.dtype == np.int64 and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+            for got, want in ((plan.send_to, send_to), (plan.recv_from, recv_from)):
+                assert list(got) == list(want)
+                for peer in want:
+                    assert got[peer].dtype == np.int64
+                    np.testing.assert_array_equal(got[peer], want[peer])
 
 
 class TestDistCG:

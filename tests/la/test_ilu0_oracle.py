@@ -54,7 +54,6 @@ def slab_blocks():
     """Rank 0's diagonal block of the rd_spmd system at p = 8, steps 1 and 2."""
     problem = RDProblem(mesh_shape=(6, 6, 12), num_steps=2)
     solver = RDSolver(problem, assembly_mode="combine")
-    solver._load_vector()
     owned = slab_ownership(solver.dofmap, 8)[0]
     return [
         solver._assemble_system(step * problem.dt)[0][owned][:, owned].tocsr()
