@@ -36,6 +36,14 @@ _PICKLE_PROTOCOL = 4
 _tmp_counter = itertools.count()
 
 
+def _tmp_name(target: Path) -> Path:
+    """A sibling of ``target`` unique per (process, thread, call)."""
+    return target.with_name(
+        f"{target.name}.{os.getpid()}.{threading.get_ident()}."
+        f"{next(_tmp_counter)}.tmp"
+    )
+
+
 def _write_atomic(target: Path, blob: bytes) -> None:
     """Publish ``blob`` at ``target`` atomically, safe under racing writers.
 
@@ -46,16 +54,42 @@ def _write_atomic(target: Path, blob: bytes) -> None:
     scribbles into a temp file another writer is about to publish.
     (A shared ``<key>.tmp`` name had exactly that interleaving bug.)
     """
-    tmp = target.with_name(
-        f"{target.name}.{os.getpid()}.{threading.get_ident()}."
-        f"{next(_tmp_counter)}.tmp"
-    )
+    tmp = _tmp_name(target)
     try:
         tmp.write_bytes(blob)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _link_atomic(target: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``target`` as one more name of the single
+    stored copy of those bytes, ``objects/<sha256>`` next to it.
+
+    Keys move with the seed even where values do not (seven of the ten
+    artifacts ignore it), so a cache fills with equal entries; linked,
+    a put of bytes the cache already holds allocates no inode and
+    writes no data.  The copy is (re)written first when it is missing
+    or no longer reads back equal — an entry damaged in place damages
+    every name of its inode, and must not be linked again.  Where a
+    link is not to be had (no hard links, EMLINK, a racing ``clear``)
+    the entry is a plain file, as before.
+    """
+    obj = target.parent / "objects" / hashlib.sha256(blob).hexdigest()
+    alias = _tmp_name(target)
+    try:
+        if not (obj.exists() and obj.read_bytes() == blob):
+            obj.parent.mkdir(exist_ok=True)
+            _write_atomic(obj, blob)
+        os.link(obj, alias)
+        os.replace(alias, target)
+    except OSError:
+        _write_atomic(target, blob)
+    finally:
+        # Renaming one name of an inode onto another is a no-op that
+        # leaves both, so the alias may outlive a successful replace.
+        alias.unlink(missing_ok=True)
 
 
 @functools.lru_cache(maxsize=1)
@@ -227,7 +261,7 @@ class SweepCache:
         """Store one result; atomic even under racing writers."""
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
-            _write_atomic(
+            _link_atomic(
                 self._path(key), pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
             )
         except OSError as exc:
@@ -242,4 +276,6 @@ class SweepCache:
             for path in self.dir.glob("*.pkl"):
                 path.unlink(missing_ok=True)
                 removed += 1
+            for path in self.dir.glob("objects/*"):
+                path.unlink(missing_ok=True)
         return removed

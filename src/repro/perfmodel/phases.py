@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.apps.workload import AppWorkload
-from repro.network.contention import nic_sharing_factor
+from repro.network.contention import estimate_offnode_fraction, nic_sharing_factor
 from repro.network.topology import ClusterTopology
 from repro.platforms.spec import PlatformSpec
 from repro.simmpi import collectives as coll
@@ -103,9 +103,10 @@ class PhaseModel:
     def _compute_time(self, flops: float) -> float:
         return self.time_scale * flops / self.platform.core_flops()
 
-    def _comm_params(self, num_ranks: int) -> tuple[float, float]:
+    def _comm_params(
+        self, topo: ClusterTopology, num_ranks: int
+    ) -> tuple[float, float]:
         """(alpha, beta) seen by one rank's off-node traffic."""
-        topo = self._topology(num_ranks)
         if num_ranks <= topo.cores_per_node:
             link = topo.network.intranode
             return link.latency, link.bandwidth
@@ -113,16 +114,9 @@ class PhaseModel:
         sharing = nic_sharing_factor(topo, num_ranks)
         return link.latency, link.bandwidth / sharing
 
-    def _offnode_fraction(self, num_ranks: int) -> float:
-        topo = self._topology(num_ranks)
-        if num_ranks <= topo.cores_per_node:
-            return 0.0
-        from repro.network.contention import estimate_offnode_fraction
-
-        return estimate_offnode_fraction(topo, num_ranks)
-
     def _point_to_point_time(
-        self, num_ranks: int, messages: float, total_bytes: float
+        self, topo: ClusterTopology, num_ranks: int, messages: float,
+        total_bytes: float,
     ) -> float:
         """Latency + the *worse* of per-flow and fabric-wide bandwidth.
 
@@ -137,12 +131,11 @@ class PhaseModel:
         """
         if num_ranks == 1 or messages <= 0:
             return 0.0
-        topo = self._topology(num_ranks)
-        alpha, beta = self._comm_params(num_ranks)
+        alpha, beta = self._comm_params(topo, num_ranks)
         per_flow = total_bytes / beta
         backplane = topo.network.aggregate_backplane
         if backplane is not None and num_ranks > topo.cores_per_node:
-            offnode = total_bytes * self._offnode_fraction(num_ranks)
+            offnode = total_bytes * estimate_offnode_fraction(topo, num_ranks)
             # Partial-node granularity: rank counts that do not fill the
             # last node still drive whole-node fabric contention — the
             # "certain sizes where the performance significantly
@@ -169,25 +162,28 @@ class PhaseModel:
         selector = CollectiveSelector(topo, num_ranks)
         return selector.select_allreduce(int(self.workload.allreduce_bytes))
 
-    def _allreduce_time(self, num_ranks: int, count: float) -> float:
+    def _allreduce_time(
+        self, topo: ClusterTopology, num_ranks: int, count: float
+    ) -> float:
         if num_ranks == 1 or count <= 0:
             return 0.0
-        chosen = self.collective_selection(num_ranks)
-        topo = self._topology(num_ranks)
+        selector = CollectiveSelector(topo, num_ranks)
+        chosen = selector.select_allreduce(int(self.workload.allreduce_bytes))
         shape = coll.allreduce_shape(
             chosen.algorithm,
             num_ranks,
             self.workload.allreduce_bytes,
-            ranks_per_node=topo.cores_per_node,
+            ranks_per_node=selector.ranks_per_node,
         )
-        # Same rounds and bytes the simulator executes; the model keeps
-        # its round-trip convention (each round charges the exchange
-        # both ways) on the round's gating link.
+        # The runs the selector priced and the simulator executes; the
+        # model keeps its round-trip convention (each round charges the
+        # exchange both ways) on the round's gating link.
         per_call = 0.0
         for r in shape.rounds:
             link = topo.network.internode if r.internode else topo.network.intranode
             flows = r.flows if r.internode else 1.0
-            per_call += 2.0 * link.latency + r.nbytes * flows / link.bandwidth
+            per_round = 2.0 * link.latency + r.nbytes * flows / link.bandwidth
+            per_call = coll.add_run(per_call, per_round, r.count)
         return count * per_call
 
     # -- phases ----------------------------------------------------------------
@@ -198,11 +194,13 @@ class PhaseModel:
             raise ExperimentError(f"num_ranks must be >= 1, got {num_ranks}")
         w = self.workload
         e = self.elements_per_rank
+        topo = self._topology(num_ranks)
         neighbors = w.halo_neighbors(num_ranks)
         halo_unit = w.face_dofs(e) * 8.0  # one vector halo plane, bytes
 
         assembly_comp = self._compute_time(w.assembly_flops(e))
         assembly_comm = self._point_to_point_time(
+            topo,
             num_ranks,
             messages=neighbors,
             total_bytes=neighbors * halo_unit * self.ASSEMBLY_ROW_FACTOR,
@@ -210,6 +208,7 @@ class PhaseModel:
 
         precond_comp = self._compute_time(w.precond_flops(e))
         precond_comm = self._point_to_point_time(
+            topo,
             num_ranks,
             messages=neighbors,
             total_bytes=neighbors * halo_unit * self.PRECOND_ROW_FACTOR,
@@ -218,10 +217,11 @@ class PhaseModel:
         iters = w.solver_iterations(num_ranks)
         solve_comp = self._compute_time(w.solve_flops(e, num_ranks))
         solve_comm = self._point_to_point_time(
+            topo,
             num_ranks,
             messages=iters * neighbors,
             total_bytes=iters * neighbors * halo_unit,
-        ) + self._allreduce_time(num_ranks, w.allreduce_count(num_ranks))
+        ) + self._allreduce_time(topo, num_ranks, w.allreduce_count(num_ranks))
 
         comm = assembly_comm + precond_comm + solve_comm
         total = assembly_comp + precond_comp + solve_comp + comm

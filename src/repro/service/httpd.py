@@ -198,12 +198,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         timeout = None
         if "timeout" in query:
             timeout = float(query["timeout"][0])
-        result = self.service.result(job_id, timeout=timeout)
+        blob = self.service.result_blob(job_id, timeout=timeout)
         status = self.service.status(job_id)
         self._send_json({
             "job_id": status.job_id,
             "state": status.state,
-            "result_pickle": base64.b64encode(pickle.dumps(result)).decode(),
+            "result_pickle": base64.b64encode(blob).decode(),
         })
 
     def _post_cancel(self, job_id: str) -> None:

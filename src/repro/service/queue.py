@@ -26,9 +26,11 @@ gauge.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import time
 from typing import Callable
 
+from repro.broker.cache import _PICKLE_PROTOCOL
 from repro.broker.registry import resolve_artifacts
 from repro.errors import JobCancelledError, JobNotFoundError, ServiceError
 from repro.service.admission import AdmissionController, AdmissionPolicy
@@ -48,6 +50,20 @@ def count_points(request) -> int:
     return sum(len(spec.points(request.config)) for spec in specs)
 
 
+def _drop_tracebacks(exc: BaseException) -> BaseException:
+    """``exc`` with no traceback on it or on anything it chains to: it
+    is kept as long as the job table is, and a traceback pins every
+    frame — every local — of the run that raised."""
+    chain, seen = [exc], set()
+    while chain:
+        link = chain.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            link.__traceback__ = None
+            chain += (link.__cause__, link.__context__)
+    return exc
+
+
 class JobQueue:
     """Coalescing, admission-controlled front end to the broker.
 
@@ -59,6 +75,10 @@ class JobQueue:
     buckets.  ``hub`` is the service-lifetime
     :class:`~repro.obs.core.Observability` that collects metrics and
     hosts the telemetry stream.
+
+    Of a ``done`` job's result the queue retains one pickled blob (so
+    ``run_fn`` must return something picklable): :meth:`result` loads a
+    copy per caller, the HTTP endpoint sends the blob as it is.
     """
 
     def __init__(self, policy: AdmissionPolicy | None = None,
@@ -197,6 +217,14 @@ class JobQueue:
     async def result(self, job_id: str, timeout: float | None = None):
         """Await one job's typed :class:`~repro.broker.api.RunResult`.
 
+        Every call unpickles its own copy: waiters never share a
+        mutable result.  Raises as :meth:`result_blob` does.
+        """
+        return pickle.loads(await self.result_blob(job_id, timeout))
+
+    async def result_blob(self, job_id: str, timeout: float | None = None) -> bytes:
+        """Await one job's pickled result — all a done job retains of it.
+
         Raises :class:`~repro.errors.JobCancelledError` if the job was
         cancelled, the job's own exception if it failed, and
         ``TimeoutError`` if ``timeout`` elapses first (the job keeps
@@ -315,7 +343,7 @@ class JobQueue:
             self._emit_job(job, event="state")
             future = self._futures[jid]
             try:
-                result = await asyncio.to_thread(self.run_fn, job.request)
+                blob = await asyncio.to_thread(self._run_pickled, job.request)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
@@ -326,7 +354,7 @@ class JobQueue:
                 self._leave_inflight(job)
                 self._emit_job(job, event="state")
                 if not future.done():
-                    future.set_exception(exc)
+                    future.set_exception(_drop_tracebacks(exc))
             else:
                 job.transition("done")
                 self.counts["done"] += 1
@@ -334,7 +362,10 @@ class JobQueue:
                 self._leave_inflight(job)
                 self._emit_job(job, event="state")
                 if not future.done():
-                    future.set_result(result)
+                    future.set_result(blob)
+
+    def _run_pickled(self, request) -> bytes:
+        return pickle.dumps(self.run_fn(request), protocol=_PICKLE_PROTOCOL)
 
 
 __all__ = ["JobQueue", "count_points"]

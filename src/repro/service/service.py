@@ -22,6 +22,7 @@ client, or a bare URL and routes the run through whichever it got.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,8 +182,13 @@ class BrokerService:
         return self._call(self.queue.jobs())
 
     def result(self, job_id: str, timeout: float | None = None):
-        """Block for one job's typed :class:`~repro.broker.api.RunResult`."""
-        return self._call(self.queue.result(job_id, timeout=timeout))
+        """Block for one job's typed :class:`~repro.broker.api.RunResult`
+        (the caller's own copy, unpickled on the caller's thread)."""
+        return pickle.loads(self.result_blob(job_id, timeout=timeout))
+
+    def result_blob(self, job_id: str, timeout: float | None = None) -> bytes:
+        """Block for one job's pickled result, as the queue retains it."""
+        return self._call(self.queue.result_blob(job_id, timeout=timeout))
 
     def cancel(self, job_id: str):
         """Cancel a not-yet-running job; returns its final status."""

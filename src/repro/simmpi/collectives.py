@@ -19,18 +19,23 @@ Two layers live here:
 
 * **execution plans** (who sends which segment to whom, per round) that
   :meth:`~repro.simmpi.comm.Communicator.allreduce` executes; and
-* **schedule shapes** (:class:`ScheduleShape`: per-round bytes, an
-  intra-/inter-node classification under block rank placement, and the
-  number of concurrent off-node flows per NIC) that both the
-  :mod:`~repro.simmpi.selector` and :mod:`repro.perfmodel` cost without
-  executing, so the simulator and the analytic model agree on rounds
-  and bytes per collective (see ``docs/collectives.md``).
+* **schedule shapes** (:class:`ScheduleShape`: runs of equal rounds,
+  each with its per-round bytes, an intra-/inter-node classification
+  under block rank placement, and the number of concurrent off-node
+  flows per NIC) that both the :mod:`~repro.simmpi.selector` and
+  :mod:`repro.perfmodel` cost without executing, so the simulator and
+  the analytic model agree on rounds and bytes per collective (see
+  ``docs/collectives.md``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Iterable
+
+import numpy as np
 
 from repro.errors import CommunicatorError
 
@@ -239,19 +244,41 @@ def binomial_scatter_rounds(size: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CollRound:
-    """One round of a collective schedule, as the cost models see it.
+    """A run of equal rounds of a collective schedule, as the cost models see it.
 
-    ``nbytes`` is the payload on the critical rank for that round;
+    ``nbytes`` is the payload on the critical rank for one round;
     ``internode`` says whether the slowest hop of the round crosses the
     node boundary under block placement; ``flows`` is how many
     concurrent off-node flows share one NIC during the round (1 for
     ring-style neighbour traffic, ranks-per-node for full pairwise
-    exchanges).
+    exchanges); ``count`` is how many times the round happens back to
+    back (a ring's ``2 (p - 1)`` steps are one run).
     """
 
     nbytes: float
     internode: bool
     flows: float = 1.0
+    count: int = 1
+
+
+def add_run(total: float, term: float, count: int) -> float:
+    """``total`` after ``count`` successive additions of ``term``.
+
+    Not ``total + count * term``: a run must cost bit for bit what its
+    rounds cost one at a time, and float addition is not associative.
+    """
+    if count == 1:
+        return total + term
+    steps = np.full(count + 1, term, dtype=np.float64)
+    steps[0] = total
+    return float(np.add.accumulate(steps, out=steps)[-1])
+
+
+def _payloads(runs: Iterable[CollRound]) -> Iterable[float]:
+    # One payload per round, for the builtin ``sum``: the same builtin
+    # over the same sequence is the only form equal to a per-round sum
+    # on every interpreter (3.12's ``sum`` compensates, 3.11's does not).
+    return chain.from_iterable(repeat(r.nbytes, r.count) for r in runs)
 
 
 @dataclass(frozen=True)
@@ -259,9 +286,11 @@ class ScheduleShape:
     """Rounds and bytes of one collective algorithm on one layout.
 
     This is the contract between the executor and the cost models: the
-    simulator executes exactly these rounds with real messages, the
+    simulator executes exactly these rounds with real messages --
+    ``round_count`` of them, every run ``count`` times -- and the
     selector and :class:`~repro.perfmodel.phases.PhaseModel` price the
-    same rounds analytically.
+    same runs analytically, so pricing a schedule costs its number of
+    *runs* (one for a ring of any size), not its number of rounds.
     """
 
     algorithm: str
@@ -270,22 +299,22 @@ class ScheduleShape:
     @property
     def round_count(self) -> int:
         """Sequential message rounds on the critical path."""
-        return len(self.rounds)
+        return sum(r.count for r in self.rounds)
 
     @property
     def internode_round_count(self) -> int:
         """Rounds whose slowest hop crosses the node boundary."""
-        return sum(1 for r in self.rounds if r.internode)
+        return sum(r.count for r in self.rounds if r.internode)
 
     @property
     def bytes_per_rank(self) -> float:
         """Payload bytes the critical rank sends across all rounds."""
-        return float(sum(r.nbytes for r in self.rounds))
+        return float(sum(_payloads(self.rounds)))
 
     @property
     def internode_bytes(self) -> float:
         """Bytes the critical rank pushes through the NIC."""
-        return float(sum(r.nbytes for r in self.rounds if r.internode))
+        return float(sum(_payloads(r for r in self.rounds if r.internode)))
 
 
 FLAT_ALLREDUCE_ALGORITHMS = ("recursive_doubling", "ring", "rabenseifner")
@@ -325,6 +354,11 @@ def _ring_internode(size: int, ranks_per_node: int) -> bool:
     return size > ranks_per_node
 
 
+def _shape(algorithm: str, runs: list[CollRound]) -> ScheduleShape:
+    # Builders state an absent phase (no fold, p = 1) as a run of count 0.
+    return ScheduleShape(algorithm, tuple(r for r in runs if r.count > 0))
+
+
 def allreduce_shape(
     algorithm: str, size: int, nbytes: float, ranks_per_node: int = 1
 ) -> ScheduleShape:
@@ -339,16 +373,14 @@ def allreduce_shape(
         raise CommunicatorError(f"nbytes must be >= 0, got {nbytes}")
     c = effective_ranks_per_node(size, ranks_per_node)
     if algorithm == "recursive_doubling":
-        return ScheduleShape(algorithm, tuple(_rd_rounds(size, nbytes, c)))
+        return _shape(algorithm, _rd_runs(size, nbytes, c))
     if algorithm == "ring":
-        return ScheduleShape(algorithm, tuple(_ring_allreduce_rounds(size, nbytes, c)))
+        return _shape(algorithm, [_ring_run(size, nbytes, c, 2 * (size - 1))])
     if algorithm == "rabenseifner":
-        return ScheduleShape(algorithm, tuple(_rabenseifner_rounds(size, nbytes, c)))
+        return _shape(algorithm, _rabenseifner_runs(size, nbytes, c))
     if algorithm in HIER_ALLREDUCE_ALGORITHMS:
-        return ScheduleShape(
-            algorithm,
-            tuple(_hier_allreduce_rounds(algorithm[len("hier_"):], size, nbytes, c)),
-        )
+        inter = algorithm[len("hier_"):]
+        return _shape(algorithm, _hier_allreduce_runs(inter, size, nbytes, c))
     raise CommunicatorError(f"unknown allreduce algorithm {algorithm!r}")
 
 
@@ -362,116 +394,83 @@ def bcast_shape(
         raise CommunicatorError(f"nbytes must be >= 0, got {nbytes}")
     c = effective_ranks_per_node(size, ranks_per_node)
     if algorithm == "binomial":
-        return ScheduleShape(algorithm, tuple(_binomial_bcast_rounds(size, nbytes, c)))
+        return _shape(algorithm, _binomial_bcast_runs(size, nbytes, c))
     if algorithm == "linear":
-        rounds = [
-            CollRound(nbytes, internode=size > c, flows=1.0)
-            for _ in range(size - 1)
-        ]
-        return ScheduleShape(algorithm, tuple(rounds))
+        return _shape(algorithm, [CollRound(nbytes, size > c, count=size - 1)])
     if algorithm == "scatter_allgather":
-        return ScheduleShape(
-            algorithm, tuple(_scatter_allgather_rounds(size, nbytes, c))
-        )
+        return _shape(algorithm, _scatter_allgather_runs(size, nbytes, c))
     if algorithm == "hierarchical":
-        return ScheduleShape(algorithm, tuple(_hier_bcast_rounds(size, nbytes, c)))
+        return _shape(algorithm, _hier_bcast_runs(size, nbytes, c))
     raise CommunicatorError(f"unknown bcast algorithm {algorithm!r}")
 
 
-def _rd_rounds(size: int, nbytes: float, c: int) -> list[CollRound]:
+def _rd_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
     pof2, masks = recursive_doubling_plan(size)
-    fold = size != pof2
-    fold_internode = size > c
-    rounds = []
-    if fold:
-        rounds.append(CollRound(nbytes, fold_internode, flows=float(c)))
+    fold = CollRound(nbytes, size > c, flows=float(c), count=int(size != pof2))
+    runs = [fold]
     for mask in masks:
         intra = mask_is_intranode(mask, size, c)
-        rounds.append(CollRound(nbytes, not intra, flows=1.0 if intra else float(c)))
-    if fold:
-        rounds.append(CollRound(nbytes, fold_internode, flows=float(c)))
-    return rounds
+        runs.append(CollRound(nbytes, not intra, flows=1.0 if intra else float(c)))
+    runs.append(fold)
+    return runs
 
 
-def _ring_allreduce_rounds(size: int, nbytes: float, c: int) -> list[CollRound]:
-    if size == 1:
-        return []
-    segment = nbytes / size
-    internode = _ring_internode(size, c)
-    return [
-        CollRound(segment, internode, flows=1.0) for _ in range(2 * (size - 1))
-    ]
+def _ring_run(size: int, nbytes: float, c: int, steps: int) -> CollRound:
+    # ``steps`` equal neighbour exchanges of one of the ``size`` segments.
+    return CollRound(nbytes / size, _ring_internode(size, c), count=steps)
 
 
-def _rabenseifner_rounds(size: int, nbytes: float, c: int) -> list[CollRound]:
+def _rabenseifner_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
     pof2, masks = recursive_doubling_plan(size)
-    fold = size != pof2
-    fold_internode = size > c
-    rounds = []
-    if fold:
-        rounds.append(CollRound(nbytes, fold_internode, flows=float(c)))
-    # Reduce-scatter by recursive halving (largest distance first) then
-    # allgather by recursive doubling: mirrored rounds, halved payloads.
+    fold = CollRound(nbytes, size > c, flows=float(c), count=int(size != pof2))
+    halving = []
     for mask in reversed(masks):
         intra = mask_is_intranode(mask, size, c)
         payload = nbytes * mask / pof2
-        rounds.append(CollRound(payload, not intra, flows=1.0 if intra else float(c)))
-    for mask in masks:
-        intra = mask_is_intranode(mask, size, c)
-        payload = nbytes * mask / pof2
-        rounds.append(CollRound(payload, not intra, flows=1.0 if intra else float(c)))
-    if fold:
-        rounds.append(CollRound(nbytes, fold_internode, flows=float(c)))
-    return rounds
+        halving.append(CollRound(payload, not intra, flows=1.0 if intra else float(c)))
+    # Reduce-scatter by recursive halving (largest distance first) then
+    # allgather by recursive doubling: mirrored rounds, halved payloads.
+    return [fold, *halving, *reversed(halving), fold]
 
 
-def _hier_allreduce_rounds(
+def _hier_allreduce_runs(
     inter_algorithm: str, size: int, nbytes: float, c: int
 ) -> list[CollRound]:
     leaders = -(-size // c)  # ceil: one leader per occupied node
-    intra = binomial_rounds(c)
-    rounds = [CollRound(nbytes, internode=False) for _ in range(intra)]
+    intra = CollRound(nbytes, internode=False, count=binomial_rounds(c))
     # Leaders-only exchange: one rank per node on the NIC, so flows
     # collapse to 1 — the whole point of the node-aware variants.
     inter = allreduce_shape(inter_algorithm, leaders, nbytes, ranks_per_node=1)
-    rounds.extend(inter.rounds)
-    rounds.extend(CollRound(nbytes, internode=False) for _ in range(intra))
-    return rounds
+    return [intra, *inter.rounds, intra]
 
 
-def _binomial_bcast_rounds(size: int, nbytes: float, c: int) -> list[CollRound]:
+def _binomial_bcast_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
     _, masks = recursive_doubling_plan(size)
-    rounds = []
+    runs = []
     for mask in masks:
         intra = mask_is_intranode(mask, size, c)
-        rounds.append(CollRound(nbytes, not intra, flows=1.0))
-    if (1 << len(masks)) < size:
-        # Non-power-of-two tail round reaching the last ranks.
-        rounds.append(CollRound(nbytes, size > c, flows=1.0))
-    return rounds
+        runs.append(CollRound(nbytes, not intra, flows=1.0))
+    # Non-power-of-two tail round reaching the last ranks.
+    runs.append(CollRound(nbytes, size > c, count=int((1 << len(masks)) < size)))
+    return runs
 
 
-def _scatter_allgather_rounds(size: int, nbytes: float, c: int) -> list[CollRound]:
-    if size == 1:
-        return []
+def _scatter_allgather_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
     pof2, _ = recursive_doubling_plan(size)
-    rounds = []
+    runs = []
     for dist in binomial_scatter_rounds(size):
         intra = mask_is_intranode(dist, size, c)
         # The busiest holder forwards half of its current range.
-        rounds.append(CollRound(nbytes * dist / pof2, not intra, flows=1.0))
-    segment = nbytes / size
-    internode = _ring_internode(size, c)
-    rounds.extend(CollRound(segment, internode, flows=1.0) for _ in range(size - 1))
-    return rounds
+        runs.append(CollRound(nbytes * dist / pof2, not intra, flows=1.0))
+    runs.append(_ring_run(size, nbytes, c, size - 1))
+    return runs
 
 
-def _hier_bcast_rounds(size: int, nbytes: float, c: int) -> list[CollRound]:
+def _hier_bcast_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
     leaders = -(-size // c)
-    rounds = [CollRound(nbytes, internode=False)]  # root hands off to its leader
     inter = bcast_shape("binomial", leaders, nbytes, ranks_per_node=1)
-    rounds.extend(inter.rounds)
-    rounds.extend(
-        CollRound(nbytes, internode=False) for _ in range(binomial_rounds(c))
-    )
-    return rounds
+    return [
+        CollRound(nbytes, internode=False),  # root hands off to its leader
+        *inter.rounds,
+        CollRound(nbytes, internode=False, count=binomial_rounds(c)),
+    ]

@@ -57,7 +57,7 @@ class Selection:
     bytes_per_rank: float
 
     def as_dict(self) -> dict:
-        """JSON-friendly view (used by the bench ``collectives`` section)."""
+        """JSON-friendly view of the costed candidate."""
         return {
             "collective": self.collective,
             "algorithm": self.algorithm,
@@ -111,7 +111,8 @@ class CollectiveSelector:
         for r in shape.rounds:
             link = network.internode if r.internode else network.intranode
             flows = r.flows if r.internode else 1.0
-            total += PER_ROUND_OVERHEAD + link.latency + r.nbytes * flows / link.bandwidth
+            per_round = PER_ROUND_OVERHEAD + link.latency + r.nbytes * flows / link.bandwidth
+            total = coll.add_run(total, per_round, r.count)
         return total
 
     def _costed(self, collective: str, algorithm: str, nbytes: int) -> Selection:
@@ -197,7 +198,7 @@ class CollectiveSelector:
     def selection_table(
         self, sizes: tuple[int, ...] = (8, 1024, 65536, 1 << 20)
     ) -> list[dict]:
-        """Chosen algorithm per message size — the docs/bench decision table."""
+        """Chosen algorithm per message size — the ``docs/collectives.md`` tables."""
         rows = []
         for nbytes in sizes:
             chosen = self.select_allreduce(nbytes)

@@ -68,6 +68,67 @@ class TestSweepCache:
         assert cache.clear() == 2
         assert cache.get(point_key("a", "1", "", ""))[0] is False
 
+    def test_equal_values_share_one_inode(self, tmp_path):
+        """Keys move with the seed where values do not: the second put
+        of equal bytes is a hard link, not a new file."""
+        cache = SweepCache(tmp_path)
+        keys = [point_key("fig4", "puma", f"seed={s}", "f") for s in (1, 2, 3)]
+        for key in keys:
+            cache.put(key, ("column", 1.5, 2.5))
+        cache.put(point_key("fig4", "ec2", "seed=1", "f"), ("column", 9.0))
+        stats = [cache._path(key).stat() for key in keys]
+        assert len({s.st_ino for s in stats}) == 1
+        assert stats[0].st_nlink == 4  # three keys + objects/<sha256>
+        assert len(list((tmp_path / "objects").iterdir())) == 2
+        assert all(cache.get(key) == (True, ("column", 1.5, 2.5)) for key in keys)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_rerun_of_one_key_leaves_no_alias(self, tmp_path):
+        """Renaming a name of an inode onto another name of it is a
+        no-op that leaves both; the put must not leak its alias."""
+        cache = SweepCache(tmp_path)
+        key = point_key("a", "b", "c", "d")
+        for _ in range(3):
+            cache.put(key, [1, 2, 3])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key}.pkl", "objects"]
+        assert cache.get(key) == (True, [1, 2, 3])
+
+    def test_entry_damaged_in_place_is_not_linked_again(self, tmp_path):
+        """Scribbling into one entry damages every name of its inode:
+        each is a miss once, and the next put writes a sound copy."""
+        cache = SweepCache(tmp_path)
+        first, second, third = (point_key("a", str(n), "", "") for n in range(3))
+        cache.put(first, {"x": 1})
+        cache.put(second, {"x": 1})
+        with open(cache._path(first), "r+b") as fh:  # in place, same inode
+            fh.write(b"not a pickle")
+        assert cache.get(first) == (False, None)
+        assert cache.get(second) == (False, None)
+        cache.put(third, {"x": 1})
+        cache.put(first, {"x": 1})
+        assert cache.get(third) == (True, {"x": 1})
+        assert cache.get(first) == (True, {"x": 1})
+
+    def test_without_hard_links_entries_are_plain_files(self, tmp_path, monkeypatch):
+        def no_link(src, dst):
+            raise PermissionError("hard links are not supported here")
+
+        monkeypatch.setattr("os.link", no_link)
+        cache = SweepCache(tmp_path)
+        keys = [point_key("a", str(n), "", "") for n in range(2)]
+        for key in keys:
+            cache.put(key, "same")
+        assert [cache._path(key).stat().st_nlink for key in keys] == [1, 1]
+        assert all(cache.get(key) == (True, "same") for key in keys)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_clear_empties_the_object_store_too(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        cache.put(point_key("a", "1", "", ""), "same")
+        cache.put(point_key("a", "2", "", ""), "same")
+        assert cache.clear() == 2  # entries, not stored copies
+        assert not list((tmp_path / "objects").iterdir())
+
     def test_distinct_inputs_distinct_keys(self):
         keys = {
             point_key("fig4", "puma", "t", "f"),
