@@ -11,8 +11,8 @@ subpackages remain importable directly for everything else:
 * ``repro.platforms`` / ``repro.cloud`` / ``repro.costs`` — the four
   target platforms, the EC2 simulation, and the dollar models;
 * ``repro.apps`` / ``repro.perfmodel`` / ``repro.harness`` — the two
-  paper applications, the calibrated performance model, and one
-  experiment generator per paper table/figure;
+  paper applications, the calibrated performance model, and the
+  point functions behind each paper table/figure;
 * ``repro.core`` — the deployment/characterization framework;
 * ``repro.broker`` — the assembly broker and the parallel sweep engine
   behind :func:`repro.run`;

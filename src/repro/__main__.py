@@ -215,20 +215,17 @@ def _cmd_validate(_args) -> str:
 
 def _cmd_experiments(args) -> str:
     """Paper-vs-measured summary for every numeric artifact."""
-    from repro.harness import (
-        experiment_fig4_rd_weak_scaling,
-        experiment_porting_effort,
-        experiment_table2_placement,
-    )
+    from repro.broker.api import run
     from repro.harness.paper_data import (
         PAPER_MAX_RANKS,
         PAPER_PORTING_HOURS,
         PAPER_TABLE2,
     )
 
-    efforts = experiment_porting_effort()
-    fig4 = experiment_fig4_rd_weak_scaling()
-    t2 = experiment_table2_placement()
+    result = run(artifacts=("porting", "fig4", "table2"), use_cache=False)
+    efforts = result.artifact("porting")
+    fig4 = result.artifact("fig4")
+    t2 = result.artifact("table2")
     porting = [
         {"platform": name, "paper_hours": PAPER_PORTING_HOURS[name],
          "measured_hours": efforts.effort(name).total_hours}

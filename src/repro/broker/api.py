@@ -1,7 +1,7 @@
 """``repro.run()`` — the one public entry point for paper artifacts.
 
-Everything the per-experiment functions do piecemeal (seeds, hubs,
-resilience knobs, serial loops) is a :class:`RunRequest` here: name the
+Everything an artifact needs (seeds, hubs, resilience knobs, the loop
+over its points) is a :class:`RunRequest` here: name the
 artifacts, pick a :class:`~repro.harness.config.RunConfig`, choose a
 parallelism level, and the sweep engine does the rest — cached,
 observed, and bit-identical whether it fans out or not.

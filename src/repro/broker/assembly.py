@@ -34,9 +34,9 @@ from dataclasses import dataclass, field, replace
 from repro.cloud.instances import CC2_8XLARGE
 from repro.cloud.spot import SpotMarket
 from repro.costs.analysis import DEVELOPER_HOURLY_RATE
+from repro.core.api import workload_by_name
 from repro.costs.model import PlatformCostModel
 from repro.errors import BrokerError
-from repro.harness.experiments import workload_by_name
 from repro.perfmodel.calibration import time_scale_for
 from repro.perfmodel.phases import PhaseModel
 from repro.perfmodel.resilience import CheckpointRestartModel, expected_cost_to_go

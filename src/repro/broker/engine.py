@@ -1,7 +1,7 @@
 """The parallel sweep engine: points out, artifacts back.
 
 Executes the registered paper artifacts as a flat sweep over their
-points, with three properties the serial generators never had:
+points, with three properties:
 
 * **parallelism** — point evaluation fans out over a
   ``ProcessPoolExecutor``; results are reassembled in definition order,
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.broker.cache import CacheStats, SweepCache, code_fingerprint, point_key
 from repro.broker.registry import ArtifactSpec, get_artifact, resolve_artifacts
+from repro.errors import ExperimentError
 from repro.harness.config import RunConfig
 from repro.obs.core import NULL_RANK_OBS, Observability, ObsConfig
 
@@ -79,7 +80,10 @@ def run_sweep(
     """
     config = config if config is not None else RunConfig()
     specs = resolve_artifacts(artifacts)
-    hub = hub if hub is not None else config.hub()
+    if hub is None:
+        hub = config.hub()
+    elif not isinstance(hub, Observability):
+        raise ExperimentError("hub= must be an Observability (or None)")
     view = NULL_RANK_OBS if hub is None else hub.wall_view()
     observed = hub is not None and hub.config.enabled
 

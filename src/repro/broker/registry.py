@@ -5,14 +5,11 @@ computable *points* (a platform column, a Table II row, one resilience
 run), how to evaluate a single point, how to assemble point results
 into the artifact, and how to render the artifact as text.
 
-Both execution paths share these definitions:
-
-* the serial generators in :mod:`repro.harness.experiments` call the
-  same point functions in a plain loop;
-* the parallel sweep engine (:mod:`repro.broker.engine`) fans the
-  points out across worker processes and reassembles;
-
-which is what guarantees the two paths produce bit-identical artifacts.
+This is the only definition of an artifact: the sweep engine
+(:mod:`repro.broker.engine`) evaluates the points — in-process or
+fanned out over worker processes — through the point functions of
+:mod:`repro.harness.experiments`, and reassembles them in definition
+order, so serial and pooled runs produce bit-identical artifacts.
 All evaluate/assemble callables are module-level functions so point
 evaluation can cross a ``ProcessPoolExecutor`` boundary.
 """

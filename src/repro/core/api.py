@@ -11,22 +11,27 @@ The two calls a downstream user actually wants:
 
 from __future__ import annotations
 
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, AppWorkload
 from repro.core.deployment import DeploymentReport, deploy_and_run
 from repro.costs.analysis import ExpenseReport, expense_report, rank_platforms
 from repro.platforms.catalog import all_platforms
 from repro.platforms.spec import PlatformSpec
 
-_WORKLOADS = {"rd": RD_WORKLOAD, "ns": NS_WORKLOAD}
+_WORKLOADS = {
+    "rd": RD_WORKLOAD,
+    "ns": NS_WORKLOAD,
+    RD_WORKLOAD.name: RD_WORKLOAD,
+    NS_WORKLOAD.name: NS_WORKLOAD,
+}
 
 
 def workload_by_name(name: str) -> AppWorkload:
-    """'rd' or 'ns' -> the corresponding workload model."""
+    """'rd' / 'ns' (or a workload's model name) -> the workload model."""
     try:
         return _WORKLOADS[name.lower()]
     except KeyError:
-        raise ReproError(
+        raise ExperimentError(
             f"unknown application {name!r}; choose from {sorted(_WORKLOADS)}"
         ) from None
 

@@ -31,31 +31,6 @@ def platform_gaps(platforms: list[PlatformSpec] | None = None) -> dict[str, dict
     return out
 
 
-def resilience_characterization(checkpoint_dir=None, seed: int = 5) -> str:
-    """The resilience story as characterization text.
-
-    Runs the volatile-market mix-assembly experiment (spot reclaims
-    injected as rank kills, checkpoint/restart recovery, interruption-
-    aware billing) and renders its restart-vs-cost table.  With the
-    default seed the market reclaims at least one instance, so the
-    output shows ``restarts`` > 0 — the paper's spot experience made
-    measurable.
-    """
-    from repro.core.reporting import render_resilience_table
-    from repro.harness.config import ResilienceParams, RunConfig
-    from repro.harness.experiments import experiment_resilience
-
-    report = experiment_resilience(
-        RunConfig(resilience=ResilienceParams(seed=seed)),
-        checkpoint_dir=checkpoint_dir,
-    )
-    return (
-        "mix assembly under spot reclaims "
-        f"(spot ranks {list(report.spot_ranks)}):\n"
-        + render_resilience_table(report)
-    )
-
-
 def render_table1(width: int = 14, rows: dict[str, dict[str, str]] | None = None) -> str:
     """Render Table I as fixed-width text.
 

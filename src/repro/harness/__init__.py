@@ -1,10 +1,11 @@
-"""Experiment harness: one generator per paper table/figure.
+"""Experiment harness: configuration, point functions and result types.
 
-:mod:`repro.harness.experiments` defines the artifacts (Table I,
-Table II, Figures 4-7, the §VI porting narrative) as functions
-returning structured results; :mod:`repro.harness.results` holds the
-shared record types and reductions.  The benchmark scripts under
-``benchmarks/`` are thin wrappers that print these results.
+:mod:`repro.harness.experiments` computes one *point* of a paper
+artifact (a platform column of Figures 4-7, a Table II row, one
+resilience or elasticity run); :mod:`repro.harness.results` holds the
+record types and reductions; :mod:`repro.harness.config` the one
+:class:`RunConfig`.  Whole artifacts are defined once, in
+:mod:`repro.broker.registry`, and produced by :func:`repro.run`.
 """
 
 from repro.harness.config import ResilienceParams, RunConfig
@@ -16,19 +17,7 @@ from repro.harness.results import (
     weak_scaling_rows,
     weak_scaling_series,
 )
-from repro.harness.experiments import (
-    experiment_table1,
-    experiment_porting_effort,
-    experiment_fig4_rd_weak_scaling,
-    experiment_fig5_ns_weak_scaling,
-    experiment_table2_placement,
-    experiment_fig6_rd_costs,
-    experiment_fig7_ns_costs,
-    experiment_resilience,
-    experiment_elasticity,
-    ElasticityReport,
-    Table2Row,
-)
+from repro.harness.experiments import ElasticityReport, Table2Row
 
 __all__ = [
     "RunConfig",
@@ -39,15 +28,6 @@ __all__ = [
     "WeakScalingTable",
     "weak_scaling_rows",
     "weak_scaling_series",
-    "experiment_table1",
-    "experiment_porting_effort",
-    "experiment_fig4_rd_weak_scaling",
-    "experiment_fig5_ns_weak_scaling",
-    "experiment_table2_placement",
-    "experiment_fig6_rd_costs",
-    "experiment_fig7_ns_costs",
-    "experiment_resilience",
-    "experiment_elasticity",
     "ElasticityReport",
     "Table2Row",
 ]

@@ -30,8 +30,7 @@ DEFAULT_SEED = 7
 class ResilienceParams:
     """Parameters of the resilience artifact (the §VII.B nightmare run).
 
-    Defaults reproduce the historical ``experiment_resilience``
-    signature: a 2-rank mostly-spot assembly on a market spiking every
+    Defaults: a 2-rank mostly-spot assembly on a market spiking every
     other hour, one time step per billing interval.
     """
 

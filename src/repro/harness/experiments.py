@@ -1,59 +1,49 @@
-"""The paper's tables and figures as experiment generators.
+"""The paper's tables and figures as *point* functions.
 
-Each function regenerates one artifact of the evaluation section:
+Each artifact of the evaluation section is a sweep over independently
+computable points — a platform column, a Table II row, one resilience
+run — and this module holds the function that computes one point:
 
-====== =======================================================
-T1     Table I — platform specification & gap matrix
-§VI    porting-effort narrative (man-hours per platform)
-F4     Figure 4 — RD weak scaling, 4 platforms, phases
-T2     Table II — EC2 full vs mix assemblies (time and cost)
-F5     Figure 5 — NS weak scaling
-F6     Figure 6 — RD per-iteration costs (incl. the mix curve)
-F7     Figure 7 — NS per-iteration costs
-R      resilience: a mix assembly surviving spot reclaims
-====== =======================================================
+====== ================================ ===========================
+T1     Table I — platform gap matrix    ``core.characterization``
+§VI    porting effort per platform      :func:`porting_effort_for`
+F4/F5  RD / NS weak scaling             :func:`weak_scaling_column`
+T2     EC2 full vs mix assemblies       :func:`table2_row`
+F6/F7  RD / NS per-iteration costs      :func:`cost_column`
+R      mix assembly under spot reclaims :func:`resilience_report`
+E      elastic re-brokering             :func:`elasticity_report`
+====== ================================ ===========================
 
-Every generator takes a single :class:`~repro.harness.config.RunConfig`
-(the unified :func:`repro.run` configuration).  The pre-redesign
-per-function keywords (``obs=``, ``seed=``, per-knob resilience
-arguments) shipped one release of :class:`DeprecationWarning` in PR 4
-and are now gone; see ``docs/api.md`` for the migration table.
-
-The artifact bodies are factored into *point* functions
-(:func:`weak_scaling_column`, :func:`cost_column`, :func:`table2_row`,
-:func:`resilience_report`) so the parallel sweep engine
-(:mod:`repro.broker.engine`) evaluates exactly the same code per point
-as the serial generators — which is what makes serial and parallel
-sweeps bit-identical.
+Which points make up an artifact, how they assemble into a table and
+how the table renders is defined once, in :mod:`repro.broker.registry`;
+:func:`repro.run` is the only way to produce a whole artifact.  Point
+functions return values only — they never write files: an observed
+run's exports are written once, by the sweep engine
+(``RunResult.report.artifacts``).
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, paper_rank_series
+from repro.apps.workload import RD_WORKLOAD
 from repro.cloud.ec2 import EC2Service
 from repro.cloud.instances import CC2_8XLARGE
-from repro.core.characterization import characterization_matrix, platform_gaps
+from repro.core.api import workload_by_name
+from repro.core.characterization import platform_gaps
 from repro.costs.model import cost_per_iteration
-from repro.errors import ExperimentError
-from repro.harness.config import DEFAULT_SEED, ResilienceParams, RunConfig
-from repro.harness.results import (
-    PortingEffort,
-    PortingEffortReport,
-    Table1Matrix,
-    WeakScalingTable,
-)
+from repro.harness.config import DEFAULT_SEED, ResilienceParams
+from repro.harness.results import PortingEffort
 from repro.network.model import NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.obs.core import NULL_RANK_OBS, Observability
 from repro.perfmodel.calibration import time_scale_for
 from repro.perfmodel.phases import PhaseModel
 from repro.perfmodel.weak_scaling import weak_scaling_sweep
-from repro.platforms.catalog import all_platforms, ec2_cc28xlarge, platform_by_name
+from repro.platforms.catalog import ec2_cc28xlarge, platform_by_name
 from repro.platforms.provisioning import plan_provisioning
 
 # The spot per-core rate of §VII.D: $0.54 / 16 cores.
@@ -62,69 +52,10 @@ SPOT_CORE_HOUR = CC2_8XLARGE.core_hourly(spot=True)
 #: The extra column of Figures 6-7: EC2 iteration times at the spot rate.
 MIX_COLUMN = "ec2 mix"
 
-_WORKLOADS = {RD_WORKLOAD.name: RD_WORKLOAD, NS_WORKLOAD.name: NS_WORKLOAD}
-
-
-# ---------------------------------------------------------------------------
-# Config normalisation.
-# ---------------------------------------------------------------------------
-
-
-def _prepare(
-    config: RunConfig | None, hub: "Observability | None" = None
-) -> tuple[RunConfig, "Observability | None"]:
-    """Normalise ``(config, hub)``: default the config, derive the hub.
-
-    ``hub`` lets a caller (the sweep engine, a shared-phase experiment
-    script) pass one :class:`Observability` across several generators —
-    it cannot live inside the frozen config, so it rides alongside and
-    takes precedence over the hub the config would create.
-    """
-    config = config if config is not None else RunConfig()
-    if hub is None:
-        hub = config.hub()
-    elif not isinstance(hub, Observability):
-        raise ExperimentError("hub= must be an Observability (or None)")
-    return config, hub
-
-
-def _obs_view(hub):
-    """A wall-clock root view on the hub (the null view when off)."""
-    return NULL_RANK_OBS if hub is None else hub.wall_view()
-
-
-def _export_artifacts(hub, prefix: str) -> tuple[str, ...]:
-    """Export the hub's artifacts if a directory is configured."""
-    if hub is None or not hub.config.enabled:
-        return ()
-    if hub.config.resolved_dir() is None:
-        return ()
-    return tuple(str(p) for p in hub.export(prefix=prefix))
-
-
-def workload_by_name(name: str):
-    """Look up a workload by its model name (or the 'rd'/'ns' shorthand)."""
-    aliases = {"rd": RD_WORKLOAD, "ns": NS_WORKLOAD}
-    key = name.lower()
-    if key in aliases:
-        return aliases[key]
-    try:
-        return _WORKLOADS[name]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown workload {name!r}; known: {sorted(_WORKLOADS) + ['rd', 'ns']}"
-        ) from None
-
 
 # ---------------------------------------------------------------------------
 # T1 + §VI
 # ---------------------------------------------------------------------------
-
-
-def experiment_table1(config: RunConfig | None = None) -> Table1Matrix:
-    """Table I as a typed matrix: attribute -> platform -> cell text."""
-    del config  # Table I is pure platform metadata.
-    return Table1Matrix(rows=characterization_matrix())
 
 
 def porting_effort_for(platform_name: str) -> PortingEffort:
@@ -141,14 +72,6 @@ def porting_effort_for(platform_name: str) -> PortingEffort:
     )
 
 
-def experiment_porting_effort(config: RunConfig | None = None) -> PortingEffortReport:
-    """§VI: per platform, the typed provisioning plan summary."""
-    del config
-    return PortingEffortReport(
-        entries={p.name: porting_effort_for(p.name) for p in all_platforms()}
-    )
-
-
 # ---------------------------------------------------------------------------
 # F4 / F5 — weak scaling figures
 # ---------------------------------------------------------------------------
@@ -158,43 +81,6 @@ def weak_scaling_column(workload_name: str, platform_name: str):
     """One platform's weak-scaling column (one sweep point of F4/F5)."""
     workload = workload_by_name(workload_name)
     return weak_scaling_sweep(workload, platform_by_name(platform_name))
-
-
-def _weak_scaling_table(workload, hub, label="weak_scaling") -> WeakScalingTable:
-    view = _obs_view(hub)
-    columns = {}
-    with view.span(label, workload=workload.name):
-        for platform in all_platforms():
-            with view.span("platform_sweep", platform=platform.name):
-                columns[platform.name] = weak_scaling_column(
-                    workload.name, platform.name
-                )
-            view.count("platform_sweeps_total", experiment=label)
-    return WeakScalingTable(
-        workload=workload.name,
-        columns=columns,
-        artifacts=_export_artifacts(hub, label),
-    )
-
-
-def experiment_fig4_rd_weak_scaling(
-    config: RunConfig | None = None, *, hub: "Observability | None" = None
-) -> WeakScalingTable:
-    """Figure 4: RD weak scaling (20^3 elements per process).
-
-    ``hub`` optionally shares one :class:`Observability` across several
-    generators (spans from all of them land in the same trace).
-    """
-    _config, hub = _prepare(config, hub)
-    return _weak_scaling_table(RD_WORKLOAD, hub, label="fig4")
-
-
-def experiment_fig5_ns_weak_scaling(
-    config: RunConfig | None = None, *, hub: "Observability | None" = None
-) -> WeakScalingTable:
-    """Figure 5: NS weak scaling."""
-    _config, hub = _prepare(config, hub)
-    return _weak_scaling_table(NS_WORKLOAD, hub, label="fig5")
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +157,6 @@ def table2_row(num_ranks: int, seed: int) -> Table2Row:
     )
 
 
-def experiment_table2_placement(
-    config: RunConfig | None = None, *, hub: "Observability | None" = None
-) -> list[Table2Row]:
-    """Table II: full-price single-group vs spot-mix assemblies.
-
-    Times come from the phase model on the respective topologies (plus a
-    small per-row seeded measurement jitter, since the paper's mix is
-    sometimes faster and sometimes slower than full); costs follow
-    §VII.B — *real* node-hours at $2.40 for the full assembly, the
-    *estimated* all-spot price for the mix.
-    """
-    config, hub = _prepare(config, hub)
-    view = _obs_view(hub)
-    rows = []
-    with view.span("table2", seed=config.seed):
-        for p in paper_rank_series(1000):
-            with view.span("table2_row", ranks=p):
-                rows.append(table2_row(p, config.seed))
-    _export_artifacts(hub, "table2")
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # F6 / F7 — cost figures
 # ---------------------------------------------------------------------------
@@ -311,38 +175,6 @@ def cost_column(workload_name: str, column: str):
             workload, ec2_cc28xlarge, core_hour_rate=SPOT_CORE_HOUR
         )
     return weak_scaling_sweep(workload, platform_by_name(column))
-
-
-def _cost_table(workload, hub, label="costs") -> WeakScalingTable:
-    """Per-iteration costs for the four platforms plus the 'ec2 mix' curve."""
-    view = _obs_view(hub)
-    columns = {}
-    with view.span(label, workload=workload.name):
-        for name in [p.name for p in all_platforms()] + [MIX_COLUMN]:
-            with view.span("platform_sweep", platform=name):
-                columns[name] = cost_column(workload.name, name)
-            view.count("platform_sweeps_total", experiment=label)
-    return WeakScalingTable(
-        workload=workload.name,
-        columns=columns,
-        artifacts=_export_artifacts(hub, label),
-    )
-
-
-def experiment_fig6_rd_costs(
-    config: RunConfig | None = None, *, hub: "Observability | None" = None
-) -> WeakScalingTable:
-    """Figure 6: RD per-iteration cost curves."""
-    _config, hub = _prepare(config, hub)
-    return _cost_table(RD_WORKLOAD, hub, label="fig6")
-
-
-def experiment_fig7_ns_costs(
-    config: RunConfig | None = None, *, hub: "Observability | None" = None
-) -> WeakScalingTable:
-    """Figure 7: NS per-iteration cost curves."""
-    _config, hub = _prepare(config, hub)
-    return _cost_table(NS_WORKLOAD, hub, label="fig7")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +207,6 @@ class ResilienceReport:
     on_demand_cost: float
     model_overhead_fraction: float
     optimal_interval_s: float
-    artifacts: tuple[str, ...] = ()
 
 
 def resilience_report(
@@ -467,28 +298,7 @@ def resilience_report(
             run_seconds, interval_s
         ),
         optimal_interval_s=model.optimal_interval_seconds(),
-        artifacts=_export_artifacts(hub, "resilience"),
     )
-
-
-def experiment_resilience(
-    config: RunConfig | None = None,
-    checkpoint_dir: str | None = None,
-    *,
-    hub: "Observability | None" = None,
-) -> ResilienceReport:
-    """A mix assembly on a volatile spot market, run to completion.
-
-    Parameters live in ``config.resilience`` (a
-    :class:`~repro.harness.config.ResilienceParams`).  ``checkpoint_dir``
-    stays a plain argument as a convenience because scratch space is not
-    an experiment input (it never enters the cache token).
-    """
-    config, hub = _prepare(config, hub)
-    params = config.resilience
-    if checkpoint_dir is not None:
-        params = replace(params, checkpoint_dir=str(checkpoint_dir))
-    return resilience_report(params, hub)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +338,6 @@ class ElasticityReport:
     repartition_p_new: int
     repartition_moved_fraction: float
     trajectory_matches: bool
-    artifacts: tuple[str, ...] = ()
 
     def table2_elastic_row(self) -> dict:
         """The "elastic" row extending Table II (§VII.D)."""
@@ -558,7 +367,7 @@ def elasticity_report(
     from repro.broker.assembly import ElasticBroker, volatile_market_request
     from repro.resilience import run_malleable
 
-    view = _obs_view(hub)
+    view = NULL_RANK_OBS if hub is None else hub.wall_view()
     with view.span("elasticity", seed=seed):
         request = volatile_market_request(seed=seed)
         report = ElasticBroker(request, obs=hub).run()
@@ -595,17 +404,4 @@ def elasticity_report(
         repartition_p_new=repartition.p_new,
         repartition_moved_fraction=repartition.moved_fraction,
         trajectory_matches=matches,
-        artifacts=_export_artifacts(hub, "elasticity"),
     )
-
-
-def experiment_elasticity(
-    config: RunConfig | None = None, *, hub: "Observability | None" = None
-) -> ElasticityReport:
-    """Elastic re-brokering on a volatile market (Table II, elastic row).
-
-    Deterministic in ``config.seed`` alone, so the sweep cache token
-    needs no new fields.
-    """
-    config, hub = _prepare(config, hub)
-    return elasticity_report(config.seed, hub)

@@ -12,12 +12,10 @@ from repro.perfmodel.weak_scaling import WeakScalingPoint
 class Table1Matrix:
     """Table I as a typed result: attribute -> platform -> cell text.
 
-    Replaces the bare ``dict[str, dict[str, str]]`` return of
-    ``experiment_table1``.  Access cells through :meth:`cell` (typed,
-    raising on absent keys) or :meth:`as_dict` for the historical
-    nested-dict shape; the transitional mapping shims
-    (``matrix[attr]``, ``.items()``) were removed after their
-    deprecation release — see ``docs/api.md``.
+    Access cells through :meth:`cell` (typed, raising on absent keys)
+    or :meth:`as_dict` for the historical nested-dict shape; the
+    transitional mapping shims (``matrix[attr]``, ``.items()``) were
+    removed after their deprecation release — see ``docs/api.md``.
     """
 
     rows: dict[str, dict[str, str]]
@@ -91,16 +89,10 @@ class PortingEffortReport:
 
 @dataclass(frozen=True)
 class WeakScalingTable:
-    """A full figure's data: per platform, the weak-scaling column.
-
-    ``artifacts`` lists observability exports (trace/metrics files)
-    written while the table was generated — empty unless the experiment
-    ran with an :class:`~repro.obs.ObsConfig` that names an ``out_dir``.
-    """
+    """A full figure's data: per platform, the weak-scaling column."""
 
     workload: str
     columns: dict[str, list[WeakScalingPoint]]
-    artifacts: tuple[str, ...] = ()
 
     def platforms(self) -> list[str]:
         """Platform names in insertion order."""

@@ -402,8 +402,8 @@ class Observability:
 def observed_run(config: ObsConfig | None = None, label: str = "run"):
     """Run a block under a fresh hub with a wall-clock root span.
 
-    The harness-facing convenience: experiment generators wrap their
-    sweep in ``with observed_run(cfg, "fig4") as obs: ...`` and export
+    The script-facing convenience: wrap a block in
+    ``with observed_run(cfg, "fig4") as obs: ...`` and export
     afterwards; inside, ambient :func:`current` carries the root view.
     """
     obs = Observability(config)

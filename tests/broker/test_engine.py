@@ -1,6 +1,7 @@
 """Sweep-engine mechanics: fan-out, telemetry propagation, accounting."""
 
 import json
+import pickle
 
 import pytest
 
@@ -92,3 +93,51 @@ class TestHubAbsorption:
         dst = Observability(ObsConfig(enabled=False))
         dst.absorb_telemetry(src.telemetry_payload())
         assert dst.all_roots() == {}
+
+
+class TestObservedValuesCarryNoPaths:
+    """Observing a run changes what is exported, never what is returned.
+
+    The exports of an observed run are listed once, on
+    ``SweepReport.artifacts``; the artifact values — which are also what
+    the cache stores — are the values an unobserved run computes.
+    """
+
+    NAMES = ("resilience", "elasticity")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("leak")
+        cache = str(root / "cache")
+        observed = run_sweep(self.NAMES, config=RunConfig(
+            obs=ObsConfig(out_dir=root / "serial", prefix="run"), cache_dir=cache))
+        warm = run_sweep(self.NAMES, config=RunConfig(cache_dir=cache))
+        fresh = run_sweep(self.NAMES, use_cache=False)
+        pooled = run_sweep(
+            self.NAMES,
+            config=RunConfig(obs=ObsConfig(out_dir=root / "pooled", prefix="run")),
+            parallel=2, use_cache=False,
+        )
+        return root, observed, warm, fresh, pooled
+
+    def test_warm_unobserved_run_equals_a_fresh_compute(self, runs):
+        root, _observed, warm, fresh, _pooled = runs
+        assert (warm.stats.hits, warm.stats.misses) == (2, 0)
+        assert warm.artifacts == ()
+        for name in self.NAMES:
+            assert warm.results[name] == fresh.results[name]
+            assert str(root).encode() not in pickle.dumps(warm.results[name])
+
+    def test_observed_run_exports_one_file_set(self, runs):
+        root, observed, _warm, _fresh, _pooled = runs
+        written = {path.name for path in (root / "serial").iterdir()}
+        assert written == (
+            {path.rsplit("/", 1)[-1] for path in observed.artifacts}
+            | {"stream.jsonl"}
+        )
+        assert all(name.startswith("run-") for name in written - {"stream.jsonl"})
+
+    def test_serial_and_pooled_observed_runs_return_equal_values(self, runs):
+        _root, observed, _warm, fresh, pooled = runs
+        assert pooled.workers == 2
+        assert observed.results == pooled.results == fresh.results

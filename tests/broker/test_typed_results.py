@@ -4,13 +4,10 @@ import dataclasses
 
 import pytest
 
+import repro
+from repro.broker import run_sweep
 from repro.errors import ExperimentError
 from repro.harness.config import ResilienceParams, RunConfig
-from repro.harness.experiments import (
-    experiment_fig4_rd_weak_scaling,
-    experiment_porting_effort,
-    experiment_table1,
-)
 from repro.harness.results import (
     PortingEffort,
     PortingEffortReport,
@@ -19,10 +16,15 @@ from repro.harness.results import (
 from repro.obs import Observability, ObsConfig
 
 
+@pytest.fixture(scope="module")
+def artifacts():
+    return repro.run(artifacts=("table1", "porting"), use_cache=False)
+
+
 class TestTable1Matrix:
     @pytest.fixture(scope="class")
-    def matrix(self):
-        return experiment_table1()
+    def matrix(self, artifacts):
+        return artifacts.artifact("table1")
 
     def test_typed(self, matrix):
         assert isinstance(matrix, Table1Matrix)
@@ -44,8 +46,8 @@ class TestTable1Matrix:
 
 class TestPortingEffort:
     @pytest.fixture(scope="class")
-    def report(self):
-        return experiment_porting_effort()
+    def report(self, artifacts):
+        return artifacts.artifact("porting")
 
     def test_typed(self, report):
         assert isinstance(report, PortingEffortReport)
@@ -95,29 +97,28 @@ class TestRunConfig:
 
 
 class TestDeprecatedKeywordsRemoved:
-    """The PR 4 shims are gone: config= (plus hub=) is the only path."""
+    """The per-artifact functions and their shims are gone:
+    ``config=`` (plus ``run_sweep``'s ``hub=``) is the only path."""
 
     def test_obs_keyword_is_gone(self):
         with pytest.raises(TypeError, match="obs"):
-            experiment_fig4_rd_weak_scaling(obs=Observability(ObsConfig()))
+            repro.run("fig4", obs=Observability(ObsConfig()))
 
     def test_seed_keyword_is_gone(self):
-        from repro.harness.experiments import experiment_table2_placement
-
         with pytest.raises(TypeError, match="seed"):
-            experiment_table2_placement(seed=3)
+            repro.run("table2", seed=3)
 
     def test_hub_keyword_shares_one_hub(self):
         hub = Observability(ObsConfig())
-        experiment_fig4_rd_weak_scaling(RunConfig(), hub=hub)
-        assert [root.name for root in hub.span_roots(0)] == ["fig4"]
+        run_sweep("fig4", config=RunConfig(), use_cache=False, hub=hub)
+        assert [root.name for root in hub.span_roots(0)] == ["sweep_point"] * 4
 
     def test_hub_must_be_observability(self):
         with pytest.raises(ExperimentError, match="hub"):
-            experiment_fig4_rd_weak_scaling(RunConfig(), hub=ObsConfig())
+            run_sweep("fig4", config=RunConfig(), use_cache=False, hub=ObsConfig())
 
     def test_config_path_emits_no_warning(self, recwarn):
-        experiment_fig4_rd_weak_scaling(RunConfig())
+        repro.run("fig4", config=RunConfig(), use_cache=False)
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]

@@ -1,56 +1,62 @@
-"""Tests for the paper-artifact experiment generators.
+"""Tests for the paper artifacts, as :func:`repro.run` produces them.
 
 These assert the *shapes* the reproduction must match: who wins, by
 roughly what factor, where curves truncate, and which qualitative
 claims of §VII/§VIII come out of the machinery.
 """
 
+import itertools
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.apps.workload import RD_WORKLOAD
 from repro.errors import ExperimentError
-from repro.harness import (
-    RunConfig,
-    experiment_fig4_rd_weak_scaling,
-    experiment_fig5_ns_weak_scaling,
-    experiment_fig6_rd_costs,
-    experiment_fig7_ns_costs,
-    experiment_porting_effort,
-    experiment_table1,
-    experiment_table2_placement,
-    weak_scaling_rows,
-    weak_scaling_series,
-)
-
+from repro.harness import RunConfig, weak_scaling_rows, weak_scaling_series
+from repro.harness.experiments import _mix_topology
 from repro.harness.paper_data import PAPER_TABLE2
+from repro.perfmodel.calibration import RD_TIME_SCALE
+from repro.perfmodel.phases import PhaseModel
+from repro.platforms import ec2_cc28xlarge
 
 
 @pytest.fixture(scope="module")
-def fig4():
-    return experiment_fig4_rd_weak_scaling()
+def artifacts():
+    """Every model-only artifact, from one uncached in-process run."""
+    return repro.run(
+        artifacts=("table1", "porting", "fig4", "fig5", "table2", "fig6", "fig7"),
+        use_cache=False,
+    )
 
 
 @pytest.fixture(scope="module")
-def fig5():
-    return experiment_fig5_ns_weak_scaling()
+def fig4(artifacts):
+    return artifacts.artifact("fig4")
 
 
 @pytest.fixture(scope="module")
-def table2():
-    return experiment_table2_placement()
+def fig5(artifacts):
+    return artifacts.artifact("fig5")
+
+
+@pytest.fixture(scope="module")
+def table2(artifacts):
+    return artifacts.artifact("table2")
 
 
 class TestTable1:
-    def test_matches_catalog(self):
-        matrix = experiment_table1()
+    def test_matches_catalog(self, artifacts):
+        matrix = artifacts.artifact("table1")
         assert matrix.cell("network", "lagrange") == "IB-4X-DDR"
         assert matrix.cell("access", "ec2") == "root"
 
 
 class TestPortingEffort:
-    def test_narrative_numbers(self):
+    def test_narrative_numbers(self, artifacts):
         """§VI: zero effort at home; ~8 man-hours on ellipse/lagrange;
         about a day (incl. cloud config) on EC2."""
-        report = experiment_porting_effort()
+        report = artifacts.artifact("porting")
         efforts = {
             name: report.effort(name).total_hours
             for name in report.platforms()
@@ -59,9 +65,10 @@ class TestPortingEffort:
         assert 6 <= efforts["ellipse"] <= 10
         assert 5 <= efforts["lagrange"] <= 10
         assert 8 <= efforts["ec2"] <= 14
+        assert efforts["ec2"] > efforts["ellipse"]
 
-    def test_actions_listed(self):
-        effort = experiment_porting_effort().effort("ec2")
+    def test_actions_listed(self, artifacts):
+        effort = artifacts.artifact("porting").effort("ec2")
         assert any("ssh-keys" in a for a in effort.actions)
 
 
@@ -110,14 +117,23 @@ class TestFig4:
 
 class TestFig5:
     def test_ns_worse_scaling_than_rd(self, fig4, fig5):
-        for name in ("puma", "ec2"):
+        for name in fig5.platforms():
             rd_growth = (
                 fig4.point(name, 125).total_time / fig4.point(name, 1).total_time
             )
             ns_growth = (
                 fig5.point(name, 125).total_time / fig5.point(name, 1).total_time
             )
-            assert ns_growth > rd_growth
+            assert ns_growth > rd_growth, name
+
+    def test_does_not_scale_well_in_any_range(self, fig5):
+        """'This test does not scale well in any range' — even 1 -> 8
+        already grows on every platform."""
+        for name in fig5.platforms():
+            assert (
+                fig5.point(name, 8).total_time
+                > 1.2 * fig5.point(name, 1).total_time
+            ), name
 
     def test_lagrange_most_efficient(self, fig5):
         for p in (125, 343):
@@ -164,23 +180,39 @@ class TestTable2:
             assert row.full_real_cost == pytest.approx(paper_cost, rel=0.45), row.mpi
 
     def test_deterministic_for_seed(self):
-        a = experiment_table2_placement(RunConfig(seed=3))
-        b = experiment_table2_placement(RunConfig(seed=3))
+        a, b = (
+            repro.run(
+                "table2", config=RunConfig(seed=3), use_cache=False
+            ).artifact("table2")
+            for _ in range(2)
+        )
         assert all(x.mix_time_s == y.mix_time_s for x, y in zip(a, b))
 
-    def test_legacy_seed_keyword_removed(self):
-        with pytest.raises(TypeError, match="seed"):
-            experiment_table2_placement(seed=3)
+    @pytest.mark.parametrize("p", [125, 512, 1000])
+    def test_placement_groups_move_time_by_a_few_percent(self, p):
+        """Table II's finding as an ablation: at fixed node count the
+        placement-group layout (no measurement jitter here) moves the
+        iteration time by well under 15 %."""
+        single = PhaseModel(
+            RD_WORKLOAD, ec2_cc28xlarge, time_scale=RD_TIME_SCALE
+        ).predict(p).total
+        spread = PhaseModel(
+            RD_WORKLOAD, ec2_cc28xlarge, time_scale=RD_TIME_SCALE,
+            topology=_mix_topology(
+                ec2_cc28xlarge.nodes_for_ranks(p), seed=11 + p
+            ),
+        ).predict(p).total
+        assert spread == pytest.approx(single, rel=0.15)
 
 
 class TestCostFigures:
     @pytest.fixture(scope="class")
-    def fig6(self):
-        return experiment_fig6_rd_costs()
+    def fig6(self, artifacts):
+        return artifacts.artifact("fig6")
 
     @pytest.fixture(scope="class")
-    def fig7(self):
-        return experiment_fig7_ns_costs()
+    def fig7(self, artifacts):
+        return artifacts.artifact("fig7")
 
     def test_mix_curve_present(self, fig6):
         assert "ec2 mix" in fig6.platforms()
@@ -195,9 +227,14 @@ class TestCostFigures:
         rate_8 = eight.cost_per_iteration / eight.total_time
         assert rate_1 == pytest.approx(rate_8, rel=0.01)  # same node total
         assert one.cost_per_iteration / 1 > eight.cost_per_iteration / 8
+        # ... unlike a per-core platform, whose bill follows the ranks.
+        assert (
+            fig6.point("puma", 8).cost_per_iteration
+            > 4.0 * fig6.point("puma", 1).cost_per_iteration
+        )
 
     def test_mix_cheapest_curve_at_scale(self, fig6):
-        for p in (125, 1000):
+        for p in (27, 125, 1000):
             mix = fig6.point("ec2 mix", p).cost_per_iteration
             full = fig6.point("ec2", p).cost_per_iteration
             assert mix < full / 4
@@ -226,3 +263,53 @@ class TestCostFigures:
             for name in ("puma", "ellipse", "lagrange")
         }
         assert costs["lagrange"] > costs["ellipse"] > costs["puma"]
+
+    def test_ns_lagrange_costs_most_per_iteration_at_p8(self, fig7):
+        """The same per-core premium on the compute-bound NS case: at
+        p = 8 lagrange costs more per iteration than puma and ellipse."""
+        lag = fig7.point("lagrange", 8).cost_per_iteration
+        for name in ("puma", "ellipse"):
+            assert lag > fig7.point(name, 8).cost_per_iteration, name
+
+
+def _experiments_md_table(heading: str) -> list[list[str]]:
+    """Body cells of the first markdown table under ``heading``."""
+    path = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+    lines = iter(path.read_text().splitlines())
+    next(line for line in lines if line.startswith(heading))
+    table = itertools.takewhile(
+        lambda line: line.startswith("|"),
+        itertools.dropwhile(lambda line: not line.startswith("|"), lines),
+    )
+    rows = [[cell.strip() for cell in row.strip("|").split("|")] for row in table]
+    return rows[2:]  # skip the header and |---| rows
+
+
+class TestExperimentsMdReadBack:
+    """EXPERIMENTS.md's hand-typed "measured" tables are read back
+    against the run at the printed precision; this is what keeps them
+    true."""
+
+    def test_figure4_measured_table(self, fig4):
+        _headers, rows = weak_scaling_rows(fig4, "total")
+        derived = [
+            [str(row[0])]
+            + ["—" if value is None else f"{value:.1f}" for value in row[1:]]
+            + [f"{PAPER_TABLE2[row[0]].full_time_s:.2f}"]
+            for row in rows
+        ]
+        assert derived == _experiments_md_table("## Figure 4")
+
+    def test_table2_paper_and_ours_cells(self, table2):
+        derived = []
+        for row in table2:
+            paper = PAPER_TABLE2[row.mpi]
+            derived.append([
+                str(row.mpi),
+                str(row.nodes),
+                f"{paper.full_time_s:.2f} / {row.full_time_s:.2f}",
+                f"{paper.full_real_cost:.4f} / {row.full_real_cost:.4f}",
+                f"{paper.mix_time_s:.2f} / {row.mix_time_s:.2f}",
+                f"{paper.mix_est_cost:.4f} / {row.mix_est_cost:.4f}",
+            ])
+        assert derived == _experiments_md_table("## Table II")

@@ -151,6 +151,12 @@ class TestILU0:
         assert p.setup_flops > 0
         assert p.apply_flops > 0
 
+    def test_setup_costs_more_than_jacobi(self, fem_operator):
+        """The trade behind the iteration counts: the stronger
+        preconditioner pays for them in setup flops."""
+        ilu0 = ILU0Preconditioner(fem_operator)
+        assert ilu0.setup_flops > JacobiPreconditioner(fem_operator).setup_flops
+
     @given(seed=st.integers(min_value=0, max_value=30))
     @settings(max_examples=10, deadline=None)
     def test_factorization_matches_pattern(self, seed):

@@ -1,51 +1,50 @@
-"""Experiment generators accept ObsConfig and attach exported artifacts."""
+"""An observed ``repro.run`` exports once, through the sweep engine."""
 
 import json
 
+import repro
+from repro.broker import run_sweep
 from repro.harness.config import RunConfig
-from repro.harness.experiments import (
-    experiment_fig4_rd_weak_scaling,
-    experiment_fig6_rd_costs,
-)
 from repro.obs import Observability, ObsConfig
 
 
 class TestExperimentObs:
     def test_default_is_unobserved(self):
-        table = experiment_fig4_rd_weak_scaling()
-        assert table.artifacts == ()
+        result = repro.run("fig4", use_cache=False)
+        assert result.report.artifacts == ()
 
     def test_obsconfig_exports_and_attaches_artifacts(self, tmp_path):
-        table = experiment_fig4_rd_weak_scaling(
-            RunConfig(obs=ObsConfig(out_dir=tmp_path))
+        result = repro.run(
+            "fig4",
+            config=RunConfig(obs=ObsConfig(out_dir=tmp_path, prefix="fig4")),
+            use_cache=False,
         )
-        assert len(table.artifacts) == 4
-        names = {p.rsplit("/", 1)[-1] for p in table.artifacts}
+        assert len(result.report.artifacts) == 4
+        names = {p.rsplit("/", 1)[-1] for p in result.report.artifacts}
         assert names == {
             "fig4-trace.json", "fig4-spans.jsonl",
             "fig4-metrics.jsonl", "fig4-metrics.prom",
         }
         doc = json.loads((tmp_path / "fig4-trace.json").read_text())
-        sweep_slices = [
+        point_slices = [
             e for e in doc["traceEvents"]
-            if e.get("ph") == "X" and e.get("name") == "platform_sweep"
+            if e.get("ph") == "X" and e.get("name") == "sweep_point"
         ]
-        assert len(sweep_slices) == 4  # one per platform
+        assert len(point_slices) == 4  # one per platform
 
     def test_shared_hub_accumulates_spans(self):
-        # Sharing one live hub across generators via the keyword-only
-        # hub= (the obs= shim's typed replacement).
+        # Sharing one live hub across sweeps via run_sweep's hub=.
         hub = Observability(ObsConfig())
-        experiment_fig4_rd_weak_scaling(hub=hub)
-        experiment_fig6_rd_costs(hub=hub)
-        names = [root.name for root in hub.span_roots(0)]
-        assert names == ["fig4", "fig6"]
-        assert hub.metrics.counter("platform_sweeps_total").total(
-            {"experiment": "fig6"}
+        run_sweep("fig4", use_cache=False, hub=hub)
+        run_sweep("fig6", use_cache=False, hub=hub)
+        artifacts = [root.attrs["artifact"] for root in hub.span_roots(0)]
+        assert artifacts == ["fig4"] * 4 + ["fig6"] * 5
+        assert hub.metrics.counter("sweep_points_total").total(
+            {"artifact": "fig6", "cached": "false"}
         ) == 5.0  # four platforms + the ec2 mix curve
 
     def test_disabled_hub_collects_nothing(self):
         hub = Observability(ObsConfig(enabled=False))
-        table = experiment_fig4_rd_weak_scaling(hub=hub)
-        assert table.artifacts == ()
+        report = run_sweep("fig4", use_cache=False, hub=hub)
+        assert report.artifacts == ()
         assert hub.all_roots() == {}

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, paper_rank_series
+from repro.network.model import GIGABIT_ETHERNET, NetworkModel
+from repro.network.topology import ClusterTopology
 from repro.perfmodel.calibration import (
     NS_TIME_SCALE,
     RD_TIME_SCALE,
@@ -96,6 +98,24 @@ class TestPaperShapeRD:
         assert times["lagrange"] < times["ec2"]
         assert times["ec2"] < times["ellipse"]
         assert times["ec2"] < times["puma"]
+
+    @pytest.mark.parametrize("num_ranks", [64, 125, 512])
+    def test_fat_nodes_beat_thin_nodes_on_slow_fabrics(self, num_ranks):
+        """At fixed rank count and fabric, 16-core nodes communicate less
+        off-node than 4-core nodes — the paper's explanation for EC2's
+        relative resilience (§VII.A)."""
+
+        def predict(cores_per_node):
+            topology = ClusterTopology(
+                -(-num_ranks // cores_per_node), cores_per_node,
+                NetworkModel(GIGABIT_ETHERNET, aggregate_backplane=25e6),
+            )
+            model = PhaseModel(
+                RD_WORKLOAD, puma, time_scale=RD_TIME_SCALE, topology=topology
+            )
+            return model.predict(num_ranks).total
+
+        assert predict(16) < predict(4)
 
     def test_partial_node_granularity_bumps(self, rd_model_ec2):
         """§VII.A: 'there are certain sizes where the performance

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
 from repro.errors import ReproError, RetriesExhaustedError
 from repro.resilience import FaultEvent, FaultPlan, ResilientRunner
@@ -13,6 +14,12 @@ from repro.simmpi.launcher import run_spmd
 pytestmark = pytest.mark.resilience
 
 PROBLEM = RDProblem(mesh_shape=(4, 4, 4), num_steps=5)
+
+
+@pytest.fixture(scope="module")
+def resilience_run():
+    """The resilience artifact at its default seed, computed once."""
+    return repro.run("resilience", use_cache=False)
 
 
 class TestRecovery:
@@ -195,11 +202,8 @@ class TestAccountingAndReporting:
             clone = StepRecord.from_dict(json.loads(json.dumps(record.to_dict())))
             assert clone == record
 
-    def test_characterization_reports_restarts(self, tmp_path):
-        from repro.core.characterization import resilience_characterization
-        from repro.harness.experiments import experiment_resilience
-
-        report = experiment_resilience(checkpoint_dir=tmp_path)
+    def test_characterization_reports_restarts(self, resilience_run):
+        report = resilience_run.artifact("resilience")
         assert report.restarts > 0
         assert report.lost_steps >= 0
         assert report.interruptions > 0
@@ -208,15 +212,13 @@ class TestAccountingAndReporting:
         assert report.model_overhead_fraction > 0
         assert report.nodal_error < 1e-9
 
-        text = resilience_characterization(checkpoint_dir=tmp_path)
+        text = resilience_run.render("resilience")
         assert "restarts" in text
         assert "mix cost" in text
 
-    def test_render_resilience_table_columns(self, tmp_path):
+    def test_render_resilience_table_columns(self, resilience_run):
         from repro.core.reporting import render_resilience_table
-        from repro.harness.experiments import experiment_resilience
 
-        report = experiment_resilience(checkpoint_dir=tmp_path)
-        table = render_resilience_table(report)
+        table = render_resilience_table(resilience_run.artifact("resilience"))
         for column in ("restarts", "lost steps", "overhead", "mix cost"):
             assert column in table
