@@ -27,7 +27,9 @@ histories, RNG state) needed for bit-exact resume — see
 from __future__ import annotations
 
 import json
+import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,21 +97,28 @@ def write_checkpoint(
     except TypeError as exc:
         raise CheckpointError(f"metadata is not JSON-serializable: {exc}") from exc
 
+    # Written beside the target and renamed over it: a writer that dies
+    # mid-chunk leaves the previous generation readable.
     path = Path(path)
+    scratch = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     written = 0
-    with path.open("wb") as fh:
-        written += fh.write(MAGIC)
-        written += fh.write(struct.pack("<II", VERSION, len(header_bytes)))
-        written += fh.write(header_bytes)
-        for name in header["fields"]:
-            arr = data.fields[name]
-            for start in range(0, max(arr.size, 1), chunk_elements):
-                chunk = arr[start : start + chunk_elements]
-                payload = chunk.tobytes()
-                written += fh.write(
-                    struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-                )
-                written += fh.write(payload)
+    try:
+        with scratch.open("wb") as fh:
+            written += fh.write(MAGIC)
+            written += fh.write(struct.pack("<II", VERSION, len(header_bytes)))
+            written += fh.write(header_bytes)
+            for name in header["fields"]:
+                arr = data.fields[name]
+                for start in range(0, max(arr.size, 1), chunk_elements):
+                    chunk = arr[start : start + chunk_elements]
+                    payload = chunk.tobytes()
+                    written += fh.write(
+                        struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+                    )
+                    written += fh.write(payload)
+        os.replace(scratch, path)
+    finally:
+        scratch.unlink(missing_ok=True)  # still there only after a failure
     return written
 
 

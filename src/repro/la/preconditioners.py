@@ -26,6 +26,11 @@ distinct rows and read only rows finished in earlier waves, and each
 row still takes its own steps in order, so one vectorised update per
 wave performs on every entry the subtractions of the row-by-row loop,
 in its order: the factors are bit-identical to it, not merely close.
+
+``apply()`` of ILU(0) and SSOR is two calls into SuperLU objects that
+``update()`` refreshes and that hold the triangles themselves (the rule:
+:class:`_TriangularSolve`): the factors stay bit-identical, ``apply()``
+agrees with ``spsolve_triangular`` (now the test oracle) to rounding.
 """
 
 from __future__ import annotations
@@ -43,13 +48,6 @@ def _require_square_csr(matrix) -> sp.csr_matrix:
     if csr.shape[0] != csr.shape[1]:
         raise SolverError(f"matrix must be square, got {csr.shape}")
     return csr
-
-
-def _entry_keys(csr: sp.csr_matrix) -> np.ndarray:
-    """Row-major (row, col) keys; ascending for a canonical CSR."""
-    n_rows, n_cols = csr.shape
-    row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr))
-    return row_ids * np.int64(n_cols) + csr.indices.astype(np.int64)
 
 
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -74,7 +72,7 @@ class _PatternGuard:
         # Identity of the last index arrays that passed the full
         # comparison: a time loop refreshing from the same cached
         # pattern (CompositeOperator.combine) revalidates by `is` alone.
-        self._validated_indices = None
+        self._validated_indices = csr.indices
 
     def check(self, matrix) -> sp.csr_matrix:
         """Return ``matrix`` as canonical CSR or raise on a pattern change."""
@@ -96,14 +94,71 @@ class _PatternGuard:
                 )
             )
         )
-        if same:
-            self._validated_indices = csr.indices
         if not same:
             raise SolverError(
                 f"{self.who}.update: sparsity pattern changed since setup; "
                 f"rebuild the preconditioner instead"
             )
+        self._validated_indices = csr.indices
         return csr
+
+
+class _TriangularSolve:
+    """``b -> T^{-1} b`` for one triangle of a fixed CSR pattern, via ``splu``.
+
+    With pivoting, column ordering, equilibration and relaxed supernodes
+    off, SuperLU's factors of a triangle are the triangle itself and the
+    identity, entry for entry, under one rule: an upper or a *unit*-lower
+    triangle goes in as it is; a non-unit lower one goes in transposed and
+    is solved with ``trans="T"``, because eliminating under a non-unit
+    diagonal would round the multipliers.  Callers guarantee a nonzero
+    diagonal, so no pivot is zero.
+    """
+
+    def __init__(self, csr: sp.csr_matrix, lower: bool, unit_diagonal: bool = False):
+        n = csr.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(csr.indptr))
+        transposed = lower and not unit_diagonal
+        major, minor = (rows, csr.indices) if transposed else (csr.indices, rows)
+        src = np.flatnonzero(csr.indices <= rows if lower else csr.indices >= rows)
+        # Row-major entries, stably sorted by column, are column-major.
+        self._src = src[np.argsort(major[src], kind="stable")]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(major[src], minlength=n))))
+        self._matrix = sp.csc_matrix(
+            (np.empty(src.size), minor[self._src], indptr), shape=(n, n)
+        )
+        self._diag = np.flatnonzero(major[self._src] == minor[self._src])
+        self._unit_diagonal = unit_diagonal
+        self._trans = "T" if transposed else "N"
+
+    def refactor(self, data: np.ndarray, diagonal=None) -> None:
+        """Refill from the pattern's ``data``, the diagonal from ``diagonal``
+        if given (from 1 for a unit triangle), and factorize."""
+        self._matrix.data[:] = data[self._src]
+        if self._unit_diagonal or diagonal is not None:
+            self._matrix.data[self._diag] = 1.0 if self._unit_diagonal else diagonal
+        self._factorize()
+
+    def _factorize(self) -> None:
+        self._lu = None  # the old factor's storage is free before the new one asks
+        self._lu = sp.linalg.splu(
+            self._matrix, permc_spec="NATURAL", diag_pivot_thresh=0,
+            relax=1, panel_size=1, options={"Equil": False},
+        )
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        if np.shape(b)[:1] != self._matrix.shape[:1]:
+            raise SolverError(
+                f"apply(): expected {self._matrix.shape[0]} rows, got shape {np.shape(b)}"
+            )
+        return self._lu.solve(b, self._trans)
+
+    def __getstate__(self) -> dict:  # a SuperLU object cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_lu"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._factorize()
 
 
 class IdentityPreconditioner:
@@ -156,62 +211,32 @@ class SSORPreconditioner:
         if not (0.0 < omega < 2.0):
             raise SolverError(f"SSOR relaxation must be in (0, 2), got {omega}")
         csr = _require_square_csr(matrix)
-        if not csr.has_sorted_indices:
+        if not csr.has_canonical_format:
             csr = csr.copy()
             csr.sum_duplicates()
-            csr.sort_indices()
         self._guard = _PatternGuard(csr, "SSORPreconditioner")
-        n = csr.shape[0]
-        diag = csr.diagonal()
-        if np.any(diag == 0.0):
-            raise SolverError("SSOR preconditioner: zero on the diagonal")
         self.omega = float(omega)
-        d_over_w = sp.diags(diag / omega)
-        lower = sp.tril(csr, k=-1)
-        upper = sp.triu(csr, k=1)
-        self._lower_factor = (d_over_w + lower).tocsr()
-        self._upper_factor = (d_over_w + upper).tocsr()
-        self._lower_factor.sort_indices()
-        self._upper_factor.sort_indices()
         self._scale = omega / (2.0 - omega)
-        self._diag_over_w = diag / omega
         self.setup_flops = 2 * csr.nnz
         self.apply_flops = 4 * csr.nnz
-
-        # Position maps so update() can refill the factor data arrays in
-        # place: where each strict-triangle entry of A lands in its
-        # factor, and where the factor diagonals sit.
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-        cols = csr.indices.astype(np.int64)
-        self._strict_lower_src = np.nonzero(cols < row_ids)[0]
-        self._strict_upper_src = np.nonzero(cols > row_ids)[0]
-        keys = _entry_keys(csr)
-        lower_keys = _entry_keys(self._lower_factor)
-        upper_keys = _entry_keys(self._upper_factor)
-        diag_keys = np.arange(n, dtype=np.int64) * np.int64(n + 1)
-        self._lower_tri_pos = np.searchsorted(lower_keys, keys[self._strict_lower_src])
-        self._upper_tri_pos = np.searchsorted(upper_keys, keys[self._strict_upper_src])
-        self._lower_diag_pos = np.searchsorted(lower_keys, diag_keys)
-        self._upper_diag_pos = np.searchsorted(upper_keys, diag_keys)
+        self._solve_lower = _TriangularSolve(csr, lower=True)
+        self._solve_upper = _TriangularSolve(csr, lower=False)
+        self.update(csr)
 
     def update(self, matrix) -> "SSORPreconditioner":
-        """Refill the triangular factors for new values, same pattern."""
+        """Refactor ``D/w + L`` and ``D/w + U`` for new values, same pattern."""
         csr = self._guard.check(matrix)
         diag = csr.diagonal()
         if np.any(diag == 0.0):
             raise SolverError("SSOR preconditioner: zero on the diagonal")
         self._diag_over_w = diag / self.omega
-        self._lower_factor.data[self._lower_tri_pos] = csr.data[self._strict_lower_src]
-        self._upper_factor.data[self._upper_tri_pos] = csr.data[self._strict_upper_src]
-        self._lower_factor.data[self._lower_diag_pos] = self._diag_over_w
-        self._upper_factor.data[self._upper_diag_pos] = self._diag_over_w
+        self._solve_lower.refactor(csr.data, self._diag_over_w)
+        self._solve_upper.refactor(csr.data, self._diag_over_w)
         return self
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        y = sp.linalg.spsolve_triangular(self._lower_factor, v, lower=True)
-        y = self._diag_over_w * y
-        z = sp.linalg.spsolve_triangular(self._upper_factor, y, lower=False)
-        return self._scale * z
+        y = self._diag_over_w * self._solve_lower(v)
+        return self._scale * self._solve_upper(y)
 
 
 class ILU0Preconditioner:
@@ -230,7 +255,8 @@ class ILU0Preconditioner:
         indices = csr.indices
         indptr = csr.indptr
 
-        keys = _entry_keys(csr)
+        # Row-major (row, col) keys: ascending, the CSR being canonical.
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
         diag_keys = np.arange(n, dtype=np.int64) * np.int64(n + 1)
         diag_pos = np.searchsorted(keys, diag_keys)
         if keys.size < n or not np.array_equal(
@@ -288,27 +314,14 @@ class ILU0Preconditioner:
         self._diag_pos = diag_pos
         self.setup_flops = pos.size + 2 * tgts.size
 
-        data = self._numeric(csr.data.astype(float))
+        # Unit-lower L and upper U share one factor array, filled by update().
         self._factors = sp.csr_matrix(
-            (data, indices.copy(), indptr.copy()), shape=(n, n)
+            (np.empty(csr.nnz), indices.copy(), indptr.copy()), shape=(n, n)
         )
-        self.apply_flops = 2 * self._factors.nnz
-
-        # Split into strictly-lower-with-unit-diagonal L and upper U once.
-        lower = sp.tril(self._factors, k=-1) + sp.eye(n, format="csr")
-        upper = sp.triu(self._factors, k=0)
-        self._lower = lower.tocsr()
-        self._upper = upper.tocsr()
-        self._lower.sort_indices()
-        self._upper.sort_indices()
-
-        # Refill maps: factor entries -> positions in the split triangles.
-        self._strict_lower_src = step_pos
-        self._upper_src = _expand_ranges(diag_pos, indptr[1:] - diag_pos)
-        lower_keys = _entry_keys(self._lower)
-        upper_keys = _entry_keys(self._upper)
-        self._lower_tgt = np.searchsorted(lower_keys, keys[self._strict_lower_src])
-        self._upper_tgt = np.searchsorted(upper_keys, keys[self._upper_src])
+        self.apply_flops = 2 * csr.nnz
+        self._solve_lower = _TriangularSolve(csr, lower=True, unit_diagonal=True)
+        self._solve_upper = _TriangularSolve(csr, lower=False)
+        self.update(csr)
 
     def _numeric(self, data: np.ndarray) -> np.ndarray:
         """Replay the elimination waves on a fresh data array."""
@@ -326,15 +339,13 @@ class ILU0Preconditioner:
     def update(self, matrix) -> "ILU0Preconditioner":
         """Re-run the numeric factorization on the cached symbolic schedule."""
         csr = self._guard.check(matrix)
-        data = self._numeric(csr.data.astype(float))
-        self._factors.data[:] = data
-        self._lower.data[self._lower_tgt] = data[self._strict_lower_src]
-        self._upper.data[self._upper_tgt] = data[self._upper_src]
+        self._factors.data[:] = self._numeric(csr.data.astype(float))
+        self._solve_lower.refactor(self._factors.data)
+        self._solve_upper.refactor(self._factors.data)
         return self
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        y = sp.linalg.spsolve_triangular(self._lower, v, lower=True, unit_diagonal=True)
-        return sp.linalg.spsolve_triangular(self._upper, y, lower=False)
+        return self._solve_upper(self._solve_lower(v))
 
 
 class BlockJacobiPreconditioner:
@@ -359,18 +370,12 @@ class BlockJacobiPreconditioner:
             local_factory = ILU0Preconditioner
         self._local_factory = local_factory
         self._blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-        self._local = []
-        self.setup_flops = 0
-        self.apply_flops = 0
-        for idx in self._blocks:
-            sub = csr[idx][:, idx].tocsr()
-            solver = local_factory(sub)
-            self._local.append(solver)
-            self.setup_flops += solver.setup_flops
-            self.apply_flops += solver.apply_flops
+        self._local = [None] * len(self._blocks)
+        self.update(csr)
 
     def update(self, matrix) -> "BlockJacobiPreconditioner":
-        """Refresh every local block solver for new operator values."""
+        """Refresh (or, for a slot that cannot, rebuild) every local block
+        solver for new operator values."""
         csr = _require_square_csr(matrix)
         self.setup_flops = 0
         self.apply_flops = 0

@@ -72,6 +72,32 @@ class TestRoundTrip:
             assert read_checkpoint(path) == data
 
 
+class _DiesOnSecondChunk(np.ndarray):
+    """A field whose second ``tobytes`` raises: a writer killed mid-file."""
+
+    calls = 0
+
+    def tobytes(self, *args, **kwargs):
+        type(self).calls += 1
+        if type(self).calls == 2:
+            raise OSError("writer died mid-chunk")
+        return super().tobytes(*args, **kwargs)
+
+
+class TestAtomicWrite:
+    def test_a_writer_that_dies_mid_chunk_leaves_the_previous_generation(self, tmp_path):
+        path = tmp_path / "state.rprc"
+        old = CheckpointData(fields={"u": np.arange(10.0)}, metadata={"step": 1})
+        assert write_checkpoint(path, old) == path.stat().st_size
+        new = CheckpointData(fields={"u": np.arange(10.0) + 1.0}, metadata={"step": 2})
+        new.fields["u"] = new.fields["u"].view(_DiesOnSecondChunk)
+        _DiesOnSecondChunk.calls = 0
+        with pytest.raises(OSError, match="mid-chunk"):
+            write_checkpoint(path, new, chunk_elements=4)
+        assert read_checkpoint(path) == old
+        assert [entry.name for entry in tmp_path.iterdir()] == ["state.rprc"]
+
+
 class TestValidation:
     def test_rejects_2d_fields(self):
         with pytest.raises(CheckpointError):

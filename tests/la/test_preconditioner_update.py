@@ -75,6 +75,41 @@ class TestUpdateMatchesRebuild:
         np.testing.assert_array_equal(precond.apply(vector), baseline)
 
 
+def _stored_zero_pair():
+    """Two 4x4 tridiagonal matrices on one pattern; the first holds stored
+    zeros (a Dirichlet-style row) where the second does not."""
+    indptr = np.array([0, 2, 5, 8, 10])
+    indices = np.array([0, 1, 0, 1, 2, 1, 2, 3, 2, 3])
+    first = np.array([1.0, 0.0, 0.0, 4.0, -1.0, -1.0, 4.0, 0.0, 0.0, 1.0])
+    second = np.array([4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0])
+    return tuple(
+        sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(4, 4))
+        for data in (first, second)
+    )
+
+
+def _two_blocks(matrix):
+    return BlockJacobiPreconditioner(matrix, [np.arange(0, 2), np.arange(2, 4)])
+
+
+@pytest.mark.parametrize(
+    "factory", [ILU0Preconditioner, SSORPreconditioner, _two_blocks],
+    ids=["ilu0", "ssor", "block-jacobi"],
+)
+def test_update_from_stored_zeros_is_a_fresh_build(factory):
+    """ILU(0) and SSOR used to refill split triangles through bare
+    ``searchsorted`` positions, and building those triangles had pruned
+    the stored zeros: an entry that was zero at construction aliased its
+    neighbour (often the diagonal) in every later ``update()``."""
+    first, second = _stored_zero_pair()
+    assert (first.data == 0.0).any() and first.nnz == second.nnz
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    refreshed = factory(first).update(second)
+    np.testing.assert_array_equal(refreshed.apply(v), factory(second).apply(v))
+    # ... and back: nothing of the second matrix survives either.
+    np.testing.assert_array_equal(refreshed.update(first).apply(v), factory(first).apply(v))
+
+
 class TestPatternGuard:
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_pattern_change_raises(self, name, matrices):
