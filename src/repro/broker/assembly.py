@@ -928,7 +928,7 @@ def _elastic_obs(obs) -> tuple:
     if obs is None or not getattr(obs, "config", None) or not obs.config.enabled:
         return NULL_RANK_OBS, None
     sink = None
-    if obs.config.stream and obs.config.resolved_dir() is not None:
+    if obs.config.resolved_dir() is not None:
         sink = obs.attach_stream()
     return obs.wall_view(), sink
 

@@ -12,85 +12,29 @@ produced it: edit any module, or change a seed, and the key moves.
 This is the reproducible-workflows discipline (arXiv:2006.05016)
 applied to the paper's sweeps: a warm re-run replays artifacts from
 content-addressed storage instead of recomputing them.
+
+Sweep points and schedule recordings are the two clients of one
+:class:`KeyedStore` over :mod:`repro.store` (frame, atomic publish,
+miss policy: ``docs/architecture.md``, "On-disk formats").
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
-import os
 import pickle
-import threading
 from pathlib import Path
 
-from repro.errors import RecordingError, SweepCacheError
+from repro.errors import SweepCacheError
+from repro.simmpi.recording import ScheduleRecording
+from repro.store import KIND_POINT, frame, link_atomic, read_entry, unframe
 
 #: Default cache directory (relative to the working directory, like
 #: ``.pytest_cache``); override via ``RunConfig.cache_dir``.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 _PICKLE_PROTOCOL = 4
-
-_tmp_counter = itertools.count()
-
-
-def _tmp_name(target: Path) -> Path:
-    """A sibling of ``target`` unique per (process, thread, call)."""
-    return target.with_name(
-        f"{target.name}.{os.getpid()}.{threading.get_ident()}."
-        f"{next(_tmp_counter)}.tmp"
-    )
-
-
-def _write_atomic(target: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``target`` atomically, safe under racing writers.
-
-    The temp name is unique per (process, thread, call): two processes
-    racing ``put()`` on the same content-addressed key each write their
-    own temp file and then ``os.replace`` it over the target — last
-    rename wins, readers only ever see a complete entry, and nobody
-    scribbles into a temp file another writer is about to publish.
-    (A shared ``<key>.tmp`` name had exactly that interleaving bug.)
-    """
-    tmp = _tmp_name(target)
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _link_atomic(target: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``target`` as one more name of the single
-    stored copy of those bytes, ``objects/<sha256>`` next to it.
-
-    Keys move with the seed even where values do not (seven of the ten
-    artifacts ignore it), so a cache fills with equal entries; linked,
-    a put of bytes the cache already holds allocates no inode and
-    writes no data.  The copy is (re)written first when it is missing
-    or no longer reads back equal — an entry damaged in place damages
-    every name of its inode, and must not be linked again.  Where a
-    link is not to be had (no hard links, EMLINK, a racing ``clear``)
-    the entry is a plain file, as before.
-    """
-    obj = target.parent / "objects" / hashlib.sha256(blob).hexdigest()
-    alias = _tmp_name(target)
-    try:
-        if not (obj.exists() and obj.read_bytes() == blob):
-            obj.parent.mkdir(exist_ok=True)
-            _write_atomic(obj, blob)
-        os.link(obj, alias)
-        os.replace(alias, target)
-    except OSError:
-        _write_atomic(target, blob)
-    finally:
-        # Renaming one name of an inode onto another is a no-op that
-        # leaves both, so the alias may outlive a successful replace.
-        alias.unlink(missing_ok=True)
-
 
 @functools.lru_cache(maxsize=1)
 def code_fingerprint() -> str:
@@ -154,58 +98,6 @@ def recording_key(
     return digest.hexdigest()
 
 
-class RecordingStore:
-    """Content-addressed store for serialized schedule recordings.
-
-    Lives beside the sweep result cache (``<cache_dir>/recordings``)
-    and uses the recording's own self-validating binary format
-    (:meth:`~repro.simmpi.recording.ScheduleRecording.to_bytes`): a
-    corrupt or truncated entry fails its digest check and is treated
-    as a miss and unlinked, exactly like :class:`SweepCache`.
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None):
-        base = Path(cache_dir) if cache_dir is not None else Path(DEFAULT_CACHE_DIR)
-        self.dir = base / "recordings"
-
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}.rec"
-
-    def get(self, key: str):
-        """The stored :class:`ScheduleRecording`, or None on miss/corruption."""
-        from repro.simmpi.recording import ScheduleRecording
-
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            return ScheduleRecording.from_bytes(blob)
-        except RecordingError:
-            path.unlink(missing_ok=True)
-            return None
-
-    def put(self, key: str, recording) -> None:
-        """Store one recording; atomic even under racing writers."""
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            _write_atomic(self._path(key), recording.to_bytes())
-        except OSError as exc:
-            raise SweepCacheError(
-                f"cannot write recording under {self.dir}: {exc}"
-            ) from exc
-
-    def clear(self) -> int:
-        """Delete every stored recording; returns the number removed."""
-        removed = 0
-        if self.dir.is_dir():
-            for path in self.dir.glob("*.rec"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-
 class CacheStats:
     """Hit/miss accounting for one sweep."""
 
@@ -234,48 +126,71 @@ class CacheStats:
         return f"CacheStats({self.summary()})"
 
 
-class SweepCache:
-    """Pickle-per-key store on disk; misses are signalled, not raised."""
+class KeyedStore:
+    """Frame-per-key store on disk; misses are signalled, not raised.
+
+    A subclass names its sub-directory, its suffix and its codec:
+    ``_encode`` to a :func:`repro.store.frame`, ``_decode`` raising a
+    :class:`~repro.errors.ReproError` on bytes it cannot vouch for.
+    """
+
+    subdir = ""
+    suffix = ""
 
     def __init__(self, cache_dir: str | Path | None = None):
-        self.dir = Path(cache_dir) if cache_dir is not None else Path(DEFAULT_CACHE_DIR)
+        base = cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR
+        self.dir = Path(base) / self.subdir
 
     def _path(self, key: str) -> Path:
-        return self.dir / f"{key}.pkl"
+        return self.dir / f"{key}{self.suffix}"
 
     def get(self, key: str) -> tuple[bool, object]:
-        """``(hit, value)``; a corrupt entry counts as a miss and is dropped."""
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return False, None
-        try:
-            return True, pickle.loads(blob)
-        except Exception:
-            # A truncated write (crash mid-put) must not poison the sweep.
-            path.unlink(missing_ok=True)
-            return False, None
+        """``(hit, value)``; a damaged entry counts as a miss and is dropped."""
+        return read_entry(self._path(key), self._decode)
 
     def put(self, key: str, value: object) -> None:
-        """Store one result; atomic even under racing writers."""
+        """Store one value; atomic even under racing writers."""
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
-            _link_atomic(
-                self._path(key), pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-            )
+            link_atomic(self._path(key), self._encode(value))
         except OSError as exc:
             raise SweepCacheError(
-                f"cannot write sweep cache entry under {self.dir}: {exc}"
+                f"cannot write cache entry under {self.dir}: {exc}"
             ) from exc
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.dir.is_dir():
-            for path in self.dir.glob("*.pkl"):
-                path.unlink(missing_ok=True)
-                removed += 1
-            for path in self.dir.glob("objects/*"):
-                path.unlink(missing_ok=True)
-        return removed
+        """Delete every entry, stored copy and stranded temp file (a
+        writer killed mid-put leaves one); returns the entries removed."""
+        entries = list(self.dir.glob(f"*{self.suffix}"))
+        for path in (*entries, *self.dir.glob("*.tmp"), *self.dir.glob("objects/*")):
+            path.unlink(missing_ok=True)
+        return len(entries)
+
+
+class SweepCache(KeyedStore):
+    """Sweep-point values, pickled, at ``<cache_dir>/<key>.pkl``."""
+
+    suffix = ".pkl"
+
+    def _encode(self, value) -> bytes:
+        return frame(KIND_POINT, pickle.dumps(value, protocol=_PICKLE_PROTOCOL))
+
+    def _decode(self, blob: bytes):
+        payload = unframe(KIND_POINT, blob, error=SweepCacheError)
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            raise SweepCacheError(f"sweep point failed to unpickle: {exc}") from exc
+
+
+class RecordingStore(KeyedStore):
+    """Schedule recordings at ``<cache_dir>/recordings/<key>.rec``."""
+
+    subdir = "recordings"
+    suffix = ".rec"
+    _encode = staticmethod(ScheduleRecording.to_bytes)
+    _decode = staticmethod(ScheduleRecording.from_bytes)
+
+    def get(self, key: str):
+        """The stored :class:`ScheduleRecording`, or None on miss/corruption."""
+        return super().get(key)[1]

@@ -94,7 +94,7 @@ def run_sweep(
     t0 = time.perf_counter()
 
     stream = None
-    if observed and hub.config.stream and hub.config.resolved_dir() is not None:
+    if observed and hub.config.resolved_dir() is not None:
         stream = hub.attach_stream()
 
     # One flat point list across all requested artifacts.
@@ -194,7 +194,7 @@ def run_sweep(
 
     exported: tuple[str, ...] = ()
     if observed and hub.config.resolved_dir() is not None:
-        exported = tuple(str(p) for p in hub.export(prefix=hub.config.prefix))
+        exported = tuple(str(p) for p in hub.export())
 
     return SweepReport(
         results=results,

@@ -22,14 +22,15 @@ Format v2 (current) keeps the byte layout of v1 unchanged and adds the
 the step index, and the solver-state counters (iterations, residual
 histories, RNG state) needed for bit-exact resume — see
 ``docs/resilience.md``.  v1 files remain readable.
+
+Published through :func:`repro.store.write_atomic`; why the layout is
+not the store's frame yet: ``docs/architecture.md``, "On-disk formats".
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ReproError
+from repro.store import write_atomic
 
 MAGIC = b"RPRC"
 VERSION = 2
@@ -84,7 +86,8 @@ def write_checkpoint(
     data: CheckpointData,
     chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
 ) -> int:
-    """Write a checkpoint; returns the number of bytes written."""
+    """Write a checkpoint atomically (a writer that dies leaves the
+    previous generation readable); returns the number of bytes written."""
     if chunk_elements < 1:
         raise CheckpointError(f"chunk_elements must be >= 1, got {chunk_elements}")
     header = {
@@ -97,29 +100,18 @@ def write_checkpoint(
     except TypeError as exc:
         raise CheckpointError(f"metadata is not JSON-serializable: {exc}") from exc
 
-    # Written beside the target and renamed over it: a writer that dies
-    # mid-chunk leaves the previous generation readable.
-    path = Path(path)
-    scratch = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    written = 0
-    try:
-        with scratch.open("wb") as fh:
-            written += fh.write(MAGIC)
-            written += fh.write(struct.pack("<II", VERSION, len(header_bytes)))
-            written += fh.write(header_bytes)
-            for name in header["fields"]:
-                arr = data.fields[name]
-                for start in range(0, max(arr.size, 1), chunk_elements):
-                    chunk = arr[start : start + chunk_elements]
-                    payload = chunk.tobytes()
-                    written += fh.write(
-                        struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-                    )
-                    written += fh.write(payload)
-        os.replace(scratch, path)
-    finally:
-        scratch.unlink(missing_ok=True)  # still there only after a failure
-    return written
+    parts = [MAGIC, struct.pack("<II", VERSION, len(header_bytes)), header_bytes]
+    for name in header["fields"]:
+        arr = data.fields[name]
+        for start in range(0, max(arr.size, 1), chunk_elements):
+            payload = arr[start : start + chunk_elements].tobytes()
+            parts.append(
+                struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+            )
+            parts.append(payload)
+    blob = b"".join(parts)
+    write_atomic(path, blob)
+    return len(blob)
 
 
 def read_checkpoint(path: str | Path) -> CheckpointData:
@@ -168,6 +160,8 @@ def read_checkpoint(path: str | Path) -> CheckpointData:
                 f"{path}: field {name!r} has {arr.size} values, header says {size}"
             )
         fields[name] = arr
+    if offset != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
     return CheckpointData(fields=fields, metadata=header.get("metadata", {}))
 
 

@@ -26,6 +26,7 @@ per-rank by construction.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -37,6 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanStack
 from repro.simmpi.events import current_task
 from repro.simmpi.tracing import TraceRecord, Tracer
+from repro.store import write_atomic
 
 _tls = threading.local()
 
@@ -76,28 +78,19 @@ def current() -> "RankObs":
 class ObsConfig:
     """What to collect and where to put it.
 
-    ``out_dir`` of ``None`` means "collect in memory, export only on an
-    explicit :meth:`Observability.export` call with a directory".
+    ``out_dir`` of ``None`` means "collect in memory": nothing is
+    streamed and :meth:`Observability.export` raises.
     """
 
     enabled: bool = True
     out_dir: str | Path | None = None
     prefix: str = "obs"
-    chrome_trace: bool = True
-    jsonl: bool = True
-    prometheus: bool = True
     discard: int = 5  # warm-up iterations the phase statistics drop
     #: Piggyback Lamport/vector clocks on every message so the run can
     #: be happens-before checked (:mod:`repro.obs.causal`).  Off by
     #: default: clocks never perturb virtual time, but they do cost
     #: real time at large p.
     causal: bool = False
-    #: Compute a wait-state :class:`~repro.obs.health.RunHealthReport`
-    #: from the trace when telemetry is gathered or exported.
-    health: bool = True
-    #: Stream sweep telemetry rows into ``<out_dir>/stream.jsonl`` so
-    #: ``python -m repro tail`` can watch a live run.
-    stream: bool = True
 
     def resolved_dir(self) -> Path | None:
         """The output directory as a Path (created lazily by export)."""
@@ -260,9 +253,9 @@ class Observability:
         absorb), metrics via :meth:`MetricsRegistry.payload`.  Tracer
         records are *not* included — the tracer is live-streamed into
         metrics through the sink, so the communication totals survive
-        the hop even though individual message events do not.  With
-        ``config.health``, the trace is reduced to a wait-state health
-        dict before the hop for the same reason.
+        the hop even though individual message events do not; the
+        trace is reduced to a wait-state health dict before the hop for
+        the same reason.
         """
 
         def nest(span: Span) -> dict:
@@ -282,7 +275,7 @@ class Observability:
             },
             "metrics": self.metrics.payload(),
         }
-        if self.config.health and self.tracer.snapshot():
+        if self.tracer.snapshot():
             from repro.obs.health import run_health
 
             payload["health"] = run_health(self.tracer).as_dict()
@@ -338,16 +331,16 @@ class Observability:
             return None
         return merge_reports([RunHealthReport.from_dict(doc) for doc in absorbed])
 
-    def attach_stream(self, out_dir: str | Path | None = None):
+    def attach_stream(self):
         """Create (or return) the hub's live telemetry sink.
 
-        ``out_dir`` defaults to the config's; with neither, the sink is
-        memory-only (ring buffer, nothing on disk).
+        It appends to ``stream.jsonl`` under the config's ``out_dir``;
+        without one the sink is memory-only (ring buffer, nothing on disk).
         """
         if self.stream is None:
             from repro.obs.streaming import StreamingSink, stream_path
 
-            target = Path(out_dir) if out_dir is not None else self.config.resolved_dir()
+            target = self.config.resolved_dir()
             self.stream = StreamingSink(
                 None if target is None else stream_path(target)
             )
@@ -355,44 +348,31 @@ class Observability:
 
     # -- export -------------------------------------------------------------
 
-    def export(self, out_dir: str | Path | None = None,
-               prefix: str | None = None) -> tuple[Path, ...]:
-        """Write the configured artifact files; returns their paths.
-
-        ``out_dir``/``prefix`` default to the config's; a directory must
-        come from one of the two or this raises.
+    def export(self) -> tuple[Path, ...]:
+        """Write the artifact files under the config's ``out_dir`` (required);
+        returns their paths.  Files are published whole: a racing reader
+        sees the previous generation or this one.
         """
         from repro.obs import exporters
 
-        target = Path(out_dir) if out_dir is not None else self.config.resolved_dir()
+        target = self.config.resolved_dir()
         if target is None:
             raise ObservabilityError("export needs an out_dir (none configured)")
         target.mkdir(parents=True, exist_ok=True)
-        prefix = prefix if prefix is not None else self.config.prefix
-        written: list[Path] = []
-        if self.config.chrome_trace:
-            path = target / f"{prefix}-trace.json"
-            exporters.write_chrome_trace(self, path)
-            written.append(path)
-        if self.config.jsonl:
-            path = target / f"{prefix}-spans.jsonl"
-            exporters.write_spans_jsonl(self, path)
-            written.append(path)
-            path = target / f"{prefix}-metrics.jsonl"
-            exporters.write_metrics_jsonl(self, path)
-            written.append(path)
-        if self.config.prometheus:
-            path = target / f"{prefix}-metrics.prom"
-            path.write_text(exporters.prometheus_text(self.metrics))
-            written.append(path)
-        if self.config.health:
-            health = self.run_health()
-            if health is not None:
-                import json
-
-                path = target / f"{prefix}-health.json"
-                path.write_text(json.dumps(health.as_dict(), indent=2) + "\n")
-                written.append(path)
+        prefix = self.config.prefix
+        written = [
+            exporters.write_chrome_trace(self, target / f"{prefix}-trace.json"),
+            exporters.write_spans_jsonl(self, target / f"{prefix}-spans.jsonl"),
+            exporters.write_metrics_jsonl(self, target / f"{prefix}-metrics.jsonl"),
+            write_atomic(target / f"{prefix}-metrics.prom",
+                         exporters.prometheus_text(self.metrics).encode()),
+        ]
+        health = self.run_health()
+        if health is not None:
+            written.append(write_atomic(
+                target / f"{prefix}-health.json",
+                (json.dumps(health.as_dict(), indent=2) + "\n").encode(),
+            ))
         if self.stream is not None:
             self.stream.flush()
         return tuple(written)

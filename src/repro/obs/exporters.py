@@ -12,6 +12,8 @@ Three sinks for one run's observability state:
   ``rank`` label, so a scrape of a run directory diffs cleanly.
 
 Virtual times are seconds; Chrome wants microseconds (``ts``/``dur``).
+Every file is published whole (:func:`repro.store.write_atomic`): a
+reader racing an export never sees a prefix.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import iter_spans
+from repro.store import write_atomic
 
 _US = 1e6  # seconds -> microseconds
 
@@ -106,11 +109,14 @@ def chrome_trace_events(obs) -> list[dict]:
 
 def write_chrome_trace(obs, path: str | Path) -> Path:
     """Write ``{"traceEvents": [...]}`` usable by chrome://tracing/Perfetto."""
-    path = Path(path)
     payload = {"traceEvents": chrome_trace_events(obs),
                "displayTimeUnit": "ms"}
-    path.write_text(json.dumps(payload, indent=1))
-    return path
+    return write_atomic(path, json.dumps(payload, indent=1).encode())
+
+
+def _jsonl(docs) -> bytes:
+    """One JSON document per line."""
+    return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
 
 
 def _jsonable(value):
@@ -123,12 +129,10 @@ def _jsonable(value):
 
 def write_spans_jsonl(obs, path: str | Path) -> Path:
     """One span per line, flattened with parent ids (tree reconstructible)."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for rank, roots in obs.all_roots().items():
-            for span in iter_spans(roots):
-                fh.write(json.dumps(span.to_dict()) + "\n")
-    return path
+    return write_atomic(path, _jsonl(
+        span.to_dict()
+        for roots in obs.all_roots().values() for span in iter_spans(roots)
+    ))
 
 
 def metrics_rows(registry: MetricsRegistry) -> list[dict]:
@@ -157,17 +161,13 @@ def metrics_rows(registry: MetricsRegistry) -> list[dict]:
 
 def write_metrics_jsonl(obs, path: str | Path) -> Path:
     """One metric sample per line: per-rank rows then the merged reduction."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for row in metrics_rows(obs.metrics):
-            fh.write(json.dumps(row) + "\n")
-        for sample in obs.metrics.merged():
-            fh.write(json.dumps({
-                "name": sample.name, "kind": sample.kind, "rank": None,
-                "labels": dict(sample.labels), "value": _jsonable(sample.value),
-                "merged": True,
-            }) + "\n")
-    return path
+    merged = [
+        {"name": sample.name, "kind": sample.kind, "rank": None,
+         "labels": dict(sample.labels), "value": _jsonable(sample.value),
+         "merged": True}
+        for sample in obs.metrics.merged()
+    ]
+    return write_atomic(path, _jsonl(metrics_rows(obs.metrics) + merged))
 
 
 # -- Prometheus text exposition ----------------------------------------------

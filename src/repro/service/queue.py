@@ -110,8 +110,7 @@ class JobQueue:
             return
         self._started = True
         if self.hub is not None and self.hub.config.enabled:
-            if self.hub.config.stream:
-                self._stream = self.hub.attach_stream()
+            self._stream = self.hub.attach_stream()
         self._workers = [
             asyncio.create_task(self._worker(i), name=f"service-worker-{i}")
             for i in range(self.max_workers)

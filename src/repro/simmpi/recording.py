@@ -21,9 +21,9 @@ The frozen :class:`ScheduleRecording` that comes out is everything the
 "timing replay" half (:mod:`repro.simmpi.replay`) needs to walk the
 same message pattern through any platform's network model without
 touching FEM/CG/LA code.  Recordings serialize to a self-validating
-binary format (magic + version + length + SHA-256 over the payload,
-mirroring the checkpoint format of :mod:`repro.io.checkpoint`) so the
-broker can store them in its content-addressed cache
+:func:`repro.store.frame` of kind ``REC `` (layout:
+``docs/architecture.md``, "On-disk formats") so the broker can keep
+them in its content-addressed cache
 (:class:`~repro.broker.cache.RecordingStore`).
 
 Recordings are only valid for deterministic, timing-independent rank
@@ -35,22 +35,15 @@ fall back to full simulation — see ``docs/replay.md``).
 
 from __future__ import annotations
 
-import hashlib
 import pickle
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import RecordingError
 from repro.network.topology import ClusterTopology
 from repro.simmpi.selector import CollectiveSelector
+from repro.store import KIND_RECORDING, MAGIC, frame, unframe  # MAGIC: re-exported
 
-#: File magic of the serialized form ("RePro Recorded Schedule").
-MAGIC = b"RPRS"
-#: Bump on any incompatible change to the pickled payload layout.
-VERSION = 1
-
-_HEADER = struct.Struct("<4sIQ32s")
 _PICKLE_PROTOCOL = 4
 
 #: Op-tuple kind codes: ("c", seconds, label), ("s", peer, tag, nbytes),
@@ -153,7 +146,6 @@ class ScheduleRecording:
     ops: tuple[tuple[tuple, ...], ...]
     algorithms: tuple[tuple[tuple, ...], ...] = ()
     meta: dict = field(default_factory=dict)
-    version: int = VERSION
 
     def with_meta(self, **meta: Any) -> "ScheduleRecording":
         """A copy with ``meta`` entries merged in (recordings are frozen)."""
@@ -243,10 +235,9 @@ class ScheduleRecording:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Self-validating binary form: header + SHA-256 + pickled payload."""
+        """Self-validating binary form: a ``REC `` frame around the pickled document."""
         payload = pickle.dumps(
             {
-                "version": self.version,
                 "num_ranks": self.num_ranks,
                 "meta": self.meta,
                 "ops": self.ops,
@@ -254,38 +245,17 @@ class ScheduleRecording:
             },
             protocol=_PICKLE_PROTOCOL,
         )
-        digest = hashlib.sha256(payload).digest()
-        return _HEADER.pack(MAGIC, VERSION, len(payload), digest) + payload
+        return frame(KIND_RECORDING, payload)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ScheduleRecording":
         """Parse and validate; :class:`RecordingError` on any corruption.
 
-        Every failure mode — short header, wrong magic or version, a
-        truncated payload, or any flipped byte (caught by the SHA-256
-        digest) — raises, so the recording store can treat bad entries
-        as misses instead of replaying garbage timings.
+        Everything :func:`repro.store.unframe` detects raises, so the
+        recording store can treat bad entries as misses instead of
+        replaying garbage timings.
         """
-        if len(blob) < _HEADER.size:
-            raise RecordingError(
-                f"recording blob truncated: {len(blob)} bytes is shorter "
-                f"than the {_HEADER.size}-byte header"
-            )
-        magic, version, length, digest = _HEADER.unpack_from(blob)
-        if magic != MAGIC:
-            raise RecordingError(f"bad recording magic {magic!r}")
-        if version != VERSION:
-            raise RecordingError(
-                f"unsupported recording version {version} (expected {VERSION})"
-            )
-        payload = blob[_HEADER.size:]
-        if len(payload) != length:
-            raise RecordingError(
-                f"recording payload length mismatch: header says {length}, "
-                f"got {len(payload)} bytes"
-            )
-        if hashlib.sha256(payload).digest() != digest:
-            raise RecordingError("recording payload digest mismatch (corrupted)")
+        payload = unframe(KIND_RECORDING, blob, error=RecordingError)
         try:
             doc = pickle.loads(payload)
             recording = cls(
@@ -293,10 +263,7 @@ class ScheduleRecording:
                 meta=dict(doc["meta"]),
                 ops=doc["ops"],
                 algorithms=doc["algorithms"],
-                version=int(doc["version"]),
             )
-        except RecordingError:
-            raise
         except Exception as exc:  # pragma: no cover - digest catches nearly all
             raise RecordingError(f"recording payload failed to decode: {exc}") from exc
         if len(recording.ops) != recording.num_ranks:

@@ -148,3 +148,58 @@ class TestCacheStats:
 
     def test_empty(self):
         assert CacheStats().hit_rate == 0.0
+
+
+def _flip_one_byte(path, offset=-5):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0x40
+    path.unlink()  # a fresh inode: damage this name only, not its aliases
+    path.write_bytes(bytes(raw))
+
+
+class TestDamagedEntriesUnderALiveRun:
+    """ROADMAP 2(c), on-disk half: damage costs a recompute, not a number."""
+
+    def test_flipped_table2_entry_is_one_miss_and_the_same_table(self, tmp_path):
+        cold = repro.run(_request(tmp_path, artifacts=("table2",)))
+        entries = sorted((tmp_path / "cache").glob("*.pkl"))
+        assert len(entries) == cold.stats.misses
+        victim = entries[len(entries) // 2]
+        sound = victim.read_bytes()
+        _flip_one_byte(victim)
+        again = repro.run(_request(tmp_path, artifacts=("table2",)))
+        assert (again.stats.hits, again.stats.misses) == (len(entries) - 1, 1)
+        assert again.render("table2") == cold.render("table2")
+        assert victim.read_bytes() == sound  # rewritten, and sound
+        warm = repro.run(_request(tmp_path, artifacts=("table2",)))
+        assert warm.stats.misses == 0
+
+    def test_flipped_recording_is_one_recapture_and_the_same_clocks(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.broker import simsweep
+
+        captures = []
+        capture = simsweep.capture_recording
+
+        def counted(*args, **kwargs):
+            captures.append(args)
+            return capture(*args, **kwargs)
+
+        monkeypatch.setattr(simsweep, "capture_recording", counted)
+        cold = repro.run(_request(tmp_path, artifacts=("simsweep",)))
+        assert len(captures) == 1
+        (recording,) = (tmp_path / "cache" / "recordings").glob("*.rec")
+        sound = recording.read_bytes()
+        _flip_one_byte(recording, offset=len(sound) // 2)
+        # Bypass the point cache so every platform asks for the recording.
+        again = repro.run(
+            _request(tmp_path, artifacts=("simsweep",), use_cache=False)
+        )
+        assert len(captures) == 2
+        assert recording.read_bytes() == sound
+        rows = lambda result: [
+            (row["platform"], row["clocks"], row["replayed"])
+            for row in result.artifact("simsweep").rows
+        ]
+        assert rows(again) == rows(cold)

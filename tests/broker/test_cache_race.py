@@ -89,7 +89,7 @@ class TestSweepCacheRace:
         assert [p.name for p in entries] == [f"{KEY}.pkl"]
         assert not list(tmp_path.glob("*.tmp")), "temp files leaked"
         # The survivor is one complete payload, bit-for-bit.
-        value = pickle.loads(entries[0].read_bytes())
+        value = SweepCache(tmp_path).get(KEY)[1]
         assert value in [_sweep_payload(w) for w in range(N_WRITERS)]
 
     def test_failed_put_leaves_no_temp_file(self, tmp_path):

@@ -238,3 +238,39 @@ class TestPrometheusHardening:
         text = prometheus_text(reg)
         assert 'g{rank="0"} +Inf' in text
         assert 'g{rank="1"} -Inf' in text
+
+
+class TestAtomicExport:
+    def test_export_that_raises_half_way_keeps_the_previous_generation(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro health <dir>`` racing (or following) a failed export
+        must find whole files: every one is published by rename."""
+        import pytest
+
+        from repro.obs import Observability, ObsConfig
+        from repro.obs.spans import Span
+
+        obs = Observability(ObsConfig(out_dir=tmp_path, prefix="run"))
+        view = obs.wall_view()
+        with view.span("first"):
+            view.count("steps_total")
+        before = {path.name: path.read_bytes() for path in obs.export()}
+        assert sorted(before) == [
+            "run-metrics.jsonl", "run-metrics.prom", "run-spans.jsonl",
+            "run-trace.json",
+        ]
+        with view.span("second"):
+            view.count("steps_total")
+
+        def dies(span):
+            raise RuntimeError("span died mid-export")
+
+        monkeypatch.setattr(Span, "to_dict", dies)
+        with pytest.raises(RuntimeError, match="mid-export"):
+            obs.export()
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)  # no *.tmp, nothing half-made
+        for name in ("run-spans.jsonl", "run-metrics.jsonl", "run-metrics.prom"):
+            assert after[name] == before[name]
+        json.loads(after["run-trace.json"])

@@ -179,6 +179,30 @@ class TestRetryBudget:
             runner.run()
         assert info.value.attempts == 1
 
+    def test_checkpoint_truncated_between_attempts_is_a_typed_error(self, tmp_path):
+        """No hang, no trajectory resumed from half a checkpoint."""
+        import time
+
+        from repro.io.checkpoint import CheckpointError
+
+        plan = FaultPlan([FaultEvent(kind="rank_kill", rank=1, at_step=3)])
+        runner = ResilientRunner(
+            PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path,
+            checkpoint_every=2, real_timeout=60.0,
+        )
+        replace_host = runner.injector.reset_liveness
+
+        def truncate_then_replace_host():  # runs between the two attempts
+            blob = runner.checkpoint_path.read_bytes()
+            runner.checkpoint_path.write_bytes(blob[: len(blob) // 2])
+            replace_host()
+
+        runner.injector.reset_liveness = truncate_then_replace_host
+        t0 = time.monotonic()
+        with pytest.raises(CheckpointError, match="truncated"):
+            runner.run()
+        assert time.monotonic() - t0 < 30.0
+
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ReproError, match="checkpoint_every"):
             ResilientRunner(PROBLEM, 2, checkpoint_dir=tmp_path, checkpoint_every=0)
