@@ -50,6 +50,17 @@ def _require_square_csr(matrix) -> sp.csr_matrix:
     return csr
 
 
+def _canonical_csr(matrix) -> sp.csr_matrix:
+    """``matrix`` as square CSR with sorted, duplicate-free indices — the
+    form a :class:`_PatternGuard` remembers and compares; copied only if
+    it was not in that form already."""
+    csr = _require_square_csr(matrix)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr
+
+
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``arange(s, s + c)`` for every (start, count) pair, concatenated."""
     offsets = np.cumsum(counts) - counts
@@ -62,7 +73,8 @@ _SYMBOLIC_CHUNK = 1024
 
 
 class _PatternGuard:
-    """Remembers a sparsity pattern and validates refresh candidates."""
+    """Remembers a canonical sparsity pattern and validates refresh
+    candidates, canonicalized the same way (:func:`_canonical_csr`)."""
 
     def __init__(self, csr: sp.csr_matrix, who: str):
         self.shape = csr.shape
@@ -76,11 +88,7 @@ class _PatternGuard:
 
     def check(self, matrix) -> sp.csr_matrix:
         """Return ``matrix`` as canonical CSR or raise on a pattern change."""
-        csr = _require_square_csr(matrix)
-        if not csr.has_sorted_indices:
-            csr = csr.copy()
-            csr.sum_duplicates()
-            csr.sort_indices()
+        csr = _canonical_csr(matrix)
         if csr.shape == self.shape and csr.indices is self._validated_indices:
             return csr
         same = (
@@ -180,7 +188,7 @@ class JacobiPreconditioner:
     """Diagonal scaling: M = diag(A)."""
 
     def __init__(self, matrix):
-        csr = _require_square_csr(matrix)
+        csr = _canonical_csr(matrix)
         self._guard = _PatternGuard(csr, "JacobiPreconditioner")
         self.setup_flops = csr.shape[0]
         self.apply_flops = csr.shape[0]
@@ -210,10 +218,7 @@ class SSORPreconditioner:
     def __init__(self, matrix, omega: float = 1.0):
         if not (0.0 < omega < 2.0):
             raise SolverError(f"SSOR relaxation must be in (0, 2), got {omega}")
-        csr = _require_square_csr(matrix)
-        if not csr.has_canonical_format:
-            csr = csr.copy()
-            csr.sum_duplicates()
+        csr = _canonical_csr(matrix)
         self._guard = _PatternGuard(csr, "SSORPreconditioner")
         self.omega = float(omega)
         self._scale = omega / (2.0 - omega)
@@ -247,9 +252,7 @@ class ILU0Preconditioner:
     """
 
     def __init__(self, matrix):
-        csr = _require_square_csr(matrix).copy()
-        csr.sum_duplicates()
-        csr.sort_indices()
+        csr = _canonical_csr(matrix)
         self._guard = _PatternGuard(csr, "ILU0Preconditioner")
         n = csr.shape[0]
         indices = csr.indices

@@ -20,15 +20,58 @@ assembly the bandwidth-dominated one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.apps.workload import AppWorkload
 from repro.network.contention import estimate_offnode_fraction, nic_sharing_factor
+from repro.network.model import LinkModel, NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.platforms.spec import PlatformSpec
 from repro.simmpi import collectives as coll
 from repro.simmpi.selector import CollectiveSelector, Selection
+
+#: Distinct (links, cores per node, p, payload) inputs the allreduce
+#: memo holds; the paper's catalog needs at most 36 per payload.
+ALLREDUCE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=ALLREDUCE_MEMO_SIZE)
+def priced_allreduce(
+    internode: LinkModel,
+    intranode: LinkModel,
+    cores_per_node: int,
+    num_ranks: int,
+    nbytes: float,
+) -> tuple[Selection, float]:
+    """The selector's allreduce for ``num_ranks`` ranks and ``nbytes``,
+    and the phase model's seconds per call of it.
+
+    Memoized per process: the answer is a pure function of these values.
+    The selector reads nothing of a topology but its two links and
+    ``cores_per_node``, and this function hands it a topology rebuilt
+    from exactly those, so no other input can reach the answer.
+    """
+    topo = ClusterTopology(
+        -(-num_ranks // cores_per_node), cores_per_node,
+        NetworkModel(internode, intranode),
+    )
+    selector = CollectiveSelector(topo, num_ranks)
+    chosen = selector.select_allreduce(int(nbytes))
+    shape = coll.allreduce_shape(
+        chosen.algorithm, num_ranks, nbytes, ranks_per_node=selector.ranks_per_node
+    )
+    # The runs the selector priced and the simulator executes; the model
+    # keeps its round-trip convention (each round charges the exchange
+    # both ways) on the round's gating link.
+    per_call = 0.0
+    for r in shape.rounds:
+        link = internode if r.internode else intranode
+        flows = r.flows if r.internode else 1.0
+        per_round = 2.0 * link.latency + r.nbytes * flows / link.bandwidth
+        per_call = coll.add_run(per_call, per_round, r.count)
+    return chosen, per_call
 
 
 @dataclass(frozen=True)
@@ -158,33 +201,23 @@ class PhaseModel:
         """
         if num_ranks == 1:
             return None
-        topo = self._topology(num_ranks)
-        selector = CollectiveSelector(topo, num_ranks)
-        return selector.select_allreduce(int(self.workload.allreduce_bytes))
+        return self._priced(self._topology(num_ranks), num_ranks)[0]
+
+    def _priced(
+        self, topo: ClusterTopology, num_ranks: int
+    ) -> tuple[Selection, float]:
+        network = topo.network
+        return priced_allreduce(
+            network.internode, network.intranode, topo.cores_per_node,
+            num_ranks, self.workload.allreduce_bytes,
+        )
 
     def _allreduce_time(
         self, topo: ClusterTopology, num_ranks: int, count: float
     ) -> float:
         if num_ranks == 1 or count <= 0:
             return 0.0
-        selector = CollectiveSelector(topo, num_ranks)
-        chosen = selector.select_allreduce(int(self.workload.allreduce_bytes))
-        shape = coll.allreduce_shape(
-            chosen.algorithm,
-            num_ranks,
-            self.workload.allreduce_bytes,
-            ranks_per_node=selector.ranks_per_node,
-        )
-        # The runs the selector priced and the simulator executes; the
-        # model keeps its round-trip convention (each round charges the
-        # exchange both ways) on the round's gating link.
-        per_call = 0.0
-        for r in shape.rounds:
-            link = topo.network.internode if r.internode else topo.network.intranode
-            flows = r.flows if r.internode else 1.0
-            per_round = 2.0 * link.latency + r.nbytes * flows / link.bandwidth
-            per_call = coll.add_run(per_call, per_round, r.count)
-        return count * per_call
+        return count * self._priced(topo, num_ranks)[1]
 
     # -- phases ----------------------------------------------------------------
 

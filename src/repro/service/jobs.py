@@ -153,7 +153,10 @@ class Job:
     def __init__(self, job_id: str, request, tenant: str, points: int,
                  clock=time.time):
         self.job_id = job_id
+        #: The request to run; dropped once the job is finished, when
+        #: all the table needs of it is :attr:`artifacts`.
         self.request = request
+        self.artifacts = tuple(request.artifacts)
         self.points = points
         self.tenants: list[str] = [tenant]
         self.state = "queued"
@@ -193,6 +196,7 @@ class Job:
             self.started_wall = now
         if state in ("done", "failed", "cancelled"):
             self.finished_wall = now
+            self.request = None
         return now
 
     def status(self) -> JobStatus:
@@ -200,7 +204,7 @@ class Job:
         return JobStatus(
             job_id=self.job_id,
             state=self.state,
-            artifacts=tuple(self.request.artifacts),
+            artifacts=self.artifacts,
             points=self.points,
             tenants=tuple(self.tenants),
             coalesced=self.coalesced,

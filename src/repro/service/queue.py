@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import time
+import zlib
 from typing import Callable
 
 from repro.broker.cache import _PICKLE_PROTOCOL
@@ -76,9 +77,10 @@ class JobQueue:
     :class:`~repro.obs.core.Observability` that collects metrics and
     hosts the telemetry stream.
 
-    Of a ``done`` job's result the queue retains one pickled blob (so
-    ``run_fn`` must return something picklable): :meth:`result` loads a
-    copy per caller, the HTTP endpoint sends the blob as it is.
+    Of a ``done`` job's result the queue retains one pickled blob, kept
+    ``zlib``-compressed (so ``run_fn`` must return something picklable):
+    :meth:`result` loads a copy per caller, the HTTP endpoint sends the
+    decompressed blob.
     """
 
     def __init__(self, policy: AdmissionPolicy | None = None,
@@ -222,7 +224,8 @@ class JobQueue:
         return pickle.loads(await self.result_blob(job_id, timeout))
 
     async def result_blob(self, job_id: str, timeout: float | None = None) -> bytes:
-        """Await one job's pickled result — all a done job retains of it.
+        """Await one job's pickled result — all a done job retains of it,
+        decompressed from the stored form.
 
         Raises :class:`~repro.errors.JobCancelledError` if the job was
         cancelled, the job's own exception if it failed, and
@@ -234,8 +237,10 @@ class JobQueue:
         if future is None:
             raise ServiceError(f"job {job_id[:12]} has no result future")
         if timeout is None:
-            return await asyncio.shield(future)
-        return await asyncio.wait_for(asyncio.shield(future), timeout)
+            packed = await asyncio.shield(future)
+        else:
+            packed = await asyncio.wait_for(asyncio.shield(future), timeout)
+        return zlib.decompress(packed)
 
     async def cancel(self, job_id: str) -> JobStatus:
         """Cancel a job still waiting for a worker.
@@ -305,7 +310,7 @@ class JobQueue:
             job=job.job_id[:12],
             state=job.state,
             tenant=tenant if tenant is not None else job.owner,
-            artifacts=list(job.request.artifacts),
+            artifacts=list(job.artifacts),
             points=job.points,
             waiters=len(job.tenants),
         )
@@ -342,7 +347,7 @@ class JobQueue:
             self._emit_job(job, event="state")
             future = self._futures[jid]
             try:
-                blob = await asyncio.to_thread(self._run_pickled, job.request)
+                packed = await asyncio.to_thread(self._run_packed, job.request)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
@@ -361,10 +366,11 @@ class JobQueue:
                 self._leave_inflight(job)
                 self._emit_job(job, event="state")
                 if not future.done():
-                    future.set_result(blob)
+                    future.set_result(packed)
 
-    def _run_pickled(self, request) -> bytes:
-        return pickle.dumps(self.run_fn(request), protocol=_PICKLE_PROTOCOL)
+    def _run_packed(self, request) -> bytes:
+        blob = pickle.dumps(self.run_fn(request), protocol=_PICKLE_PROTOCOL)
+        return zlib.compress(blob)
 
 
 __all__ = ["JobQueue", "count_points"]

@@ -110,7 +110,32 @@ def test_update_from_stored_zeros_is_a_fresh_build(factory):
     np.testing.assert_array_equal(refreshed.update(first).apply(v), factory(first).apply(v))
 
 
+def _unsorted(matrix):
+    """A copy of ``matrix`` storing each row's entries in descending column order."""
+    csr = matrix.tocsr(copy=True)
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    order = np.lexsort((-csr.indices, rows))
+    csr.indices, csr.data = csr.indices[order], csr.data[order]
+    csr.has_sorted_indices = False
+    return csr
+
+
 class TestPatternGuard:
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_unsorted_indices_are_the_same_pattern(self, name, matrices, vector):
+        """Jacobi remembered the unsorted pattern and compared it with the
+        sorted candidate, so updating from its own input raised."""
+        first, second = matrices
+        scrambled = _unsorted(first)
+        assert not scrambled.has_sorted_indices and (scrambled != first).nnz == 0
+        precond = FACTORIES[name](scrambled)
+        precond.update(scrambled)
+        precond.update(_unsorted(second))
+        np.testing.assert_array_equal(
+            precond.apply(vector), FACTORIES[name](second).apply(vector)
+        )
+        assert not scrambled.has_sorted_indices  # the caller's matrix is left as it was
+
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_pattern_change_raises(self, name, matrices):
         first, _ = matrices

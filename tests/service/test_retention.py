@@ -1,5 +1,6 @@
-"""What the service keeps of a finished job: one pickled blob of a done
-job's result (a copy per ``result()``), and no frames of a failed one.
+"""What the service keeps of a finished job: one compressed pickled blob
+of a done job's result (a copy per ``result()``), and no frames of a
+failed one.
 
 Counts and identities, not stopwatches: the job table lives as long as
 the service does, so what each entry pins is the service's memory."""
@@ -18,7 +19,13 @@ from repro.broker.api import RunRequest
 from repro.broker.cache import _PICKLE_PROTOCOL
 from repro.errors import ServiceError
 from repro.harness.config import RunConfig
-from repro.service import BrokerService, ServiceClient, ServiceConfig
+from repro.service import (
+    AdmissionPolicy,
+    BrokerService,
+    ServiceClient,
+    ServiceConfig,
+    TenantQuota,
+)
 from repro.service.queue import JobQueue
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=5))
@@ -49,6 +56,29 @@ class TestDoneJob:
         assert yours == table_run(REQ)
         assert blob == pickle.dumps(table_run(REQ), protocol=_PICKLE_PROTOCOL)
 
+    def test_a_done_job_keeps_its_artifacts_not_its_request(self):
+        request = RunRequest(artifacts=("fig4",), config=RunConfig(seed=6))
+        alive = weakref.ref(request)
+
+        async def scenario(queue):
+            await queue.start()
+            receipt = await queue.submit(request)
+            await queue.result(receipt.job_id)
+            return receipt.job_id
+
+        queue = JobQueue(run_fn=table_run)
+        loop = asyncio.new_event_loop()
+        try:
+            job_id = loop.run_until_complete(scenario(queue))
+            del request
+            gc.collect()
+            assert alive() is None
+            status = loop.run_until_complete(queue.status(job_id))
+            assert status.state == "done" and status.artifacts == ("fig4",)
+            loop.run_until_complete(queue.stop())
+        finally:
+            loop.close()
+
     def test_two_http_fetches_return_identical_bytes(self):
         with BrokerService(ServiceConfig(http=True), run_fn=table_run) as svc:
             job_id = svc.submit(REQ).job_id
@@ -58,10 +88,15 @@ class TestDoneJob:
                 assert one.read() == two.read()
             assert ServiceClient(svc.url).result(job_id) == table_run(REQ)
 
-    def test_a_done_fig4_job_retains_under_12_kb(self, tmp_path):
+    def test_a_done_fig4_job_retains_under_7_kb(self, tmp_path):
         """Through the real run function.  Holding the ``RunResult``
-        object tree measured ~20 KB per job here; the blob is 4.6 KB."""
+        object tree measured ~20 KB per job here, the plain blob and the
+        request 8.2 KB; the compressed blob is 2.5 KB."""
         jobs = 200
+        # Retention is what this checks, not the rate limit: 220 fast
+        # jobs would outrun the default quota's burst.
+        roomy = TenantQuota(rate_per_s=1e6, burst=10**6, max_concurrent_points=10**6)
+        policy = AdmissionPolicy(default_quota=roomy, max_queue_depth=10**6)
 
         def request(i):
             return RunRequest(
@@ -69,7 +104,7 @@ class TestDoneJob:
                 config=RunConfig(seed=9000 + i, cache_dir=str(tmp_path)),
             )
 
-        with BrokerService(ServiceConfig()) as svc:
+        with BrokerService(ServiceConfig(policy=policy)) as svc:
             for i in range(20):  # imports, lazy tables, allocator pools
                 svc.run(request(i))
             gc.collect()
@@ -91,7 +126,7 @@ class TestDoneJob:
             finally:
                 tracemalloc.stop()
             assert svc.stats()["done"] == 20 + jobs
-        assert 0 < retained / jobs < 12 * 1024
+        assert 0 < retained / jobs < 7 * 1024
 
 
 class Ballast:

@@ -18,8 +18,9 @@ from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, paper_rank_series
 from repro.harness.experiments import weak_scaling_column
 from repro.network.model import TEN_GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.perfmodel.phases import PhaseModel
+from repro.perfmodel.phases import PhaseModel, priced_allreduce
 from repro.platforms import all_platforms
+from repro.platforms.catalog import ec2_cc28xlarge
 from repro.simmpi import collectives as coll
 from repro.simmpi.collectives import (
     CollRound,
@@ -305,11 +306,20 @@ def test_selector_and_model_agree_on_ranks_per_node():
 @pytest.mark.parametrize("workload", [RD_WORKLOAD, NS_WORKLOAD], ids=lambda w: w.name)
 @pytest.mark.parametrize("fused_solver", [False, True])
 def test_every_catalog_prediction_equals_the_oracle(workload, fused_solver):
+    """Priced through an empty memo, again through a full one, and per round."""
+    series = paper_rank_series(1000)
     for platform in all_platforms():
         runs = PhaseModel(workload, platform, fused_solver=fused_solver)
         rounds = OraclePhaseModel(workload, platform, fused_solver=fused_solver)
-        for p in paper_rank_series(1000):
-            assert runs.predict(p) == rounds.predict(p), (platform.name, p)
+        priced_allreduce.cache_clear()
+        cold = [runs.predict(p) for p in series]
+        warm = [runs.predict(p) for p in series]
+        assert priced_allreduce.cache_info().hits >= len(series) - 1
+        assert cold == warm == [rounds.predict(p) for p in series], platform.name
+        nbytes = int(runs.workload.allreduce_bytes)
+        for p in series[1:]:
+            oracle = OracleSelector(runs._topology(p), p).select_allreduce(nbytes)
+            assert runs.collective_selection(p) == oracle, (platform.name, p)
 
 
 # -- counts, not stopwatches ------------------------------------------------------
@@ -340,9 +350,38 @@ def test_pricing_a_million_ranks_builds_a_handful_of_rounds(rounds_built):
 
 
 def test_one_weak_scaling_column_builds_under_a_thousand_rounds(rounds_built):
-    """6 974 per-round objects before, for the ec2 column of fig4."""
+    """6 974 per-round objects before, for the ec2 column of fig4, priced cold."""
+    priced_allreduce.cache_clear()
     weak_scaling_column(RD_WORKLOAD.name, "ec2")
     assert 0 < len(rounds_built) < 1000
+
+
+def test_a_second_identical_column_builds_no_rounds(rounds_built):
+    """Every collective price of the column is a memo hit the second time."""
+    weak_scaling_column(RD_WORKLOAD.name, "ec2")
+    first = len(rounds_built)
+    weak_scaling_column(RD_WORKLOAD.name, "ec2")
+    assert len(rounds_built) == first
+
+
+def test_links_that_differ_only_in_bandwidth_never_share_an_entry():
+    """Table II's mix assemblies scale the ec2 link per seed: same name,
+    same rank count, a different bandwidth, so a different price."""
+    base = ec2_cc28xlarge.interconnect
+    a, b = (base.scaled(bandwidth_factor=1.0 - 0.07 * f) for f in (0.25, 0.5))
+    assert (a.name, a.latency) == (b.name, b.latency) and a.bandwidth != b.bandwidth
+    priced_allreduce.cache_clear()
+    prices, oracle = [], []
+    for link in (a, b, a, b):
+        topo = ClusterTopology(63, 16, NetworkModel(link))
+        model = PhaseModel(RD_WORKLOAD, ec2_cc28xlarge, topology=topo)
+        prices.append(model._allreduce_time(topo, 1000, 1.0))
+        oracle.append(OraclePhaseModel(RD_WORKLOAD, ec2_cc28xlarge, topology=topo)
+                      ._allreduce_time(topo, 1000, 1.0))
+    info = priced_allreduce.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    assert prices == oracle
+    assert prices[0] == prices[2] != prices[1] == prices[3]
 
 
 def test_a_ring_is_at_most_one_run():
