@@ -1,16 +1,16 @@
-"""Quickstart: solve the paper's RD problem and compare the four platforms.
+"""Quickstart: solve the paper's RD problem and broker the four platforms.
 
 Runs the real FEM solver (Q2 elements + BDF2 on the manufactured
-solution), verifies correctness the way the paper did, then deploys the
-same workload across puma / ellipse / lagrange / EC2 and prints the
-time-cost-effort comparison.
+solution), verifies correctness the way the paper did, then asks the
+assembly broker where the paper-sized job should run: every platform
+(and the §VII.D spot mix) priced with its porting effort, queue wait,
+compute time and dollars, ranked best-first.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.apps.reaction_diffusion import RDProblem, RDSolver
-from repro.core.api import compare_platforms
-from repro.core.reporting import ascii_table
+from repro.broker import BrokerRequest, broker_assemblies, render_broker_report
 
 
 def main() -> None:
@@ -30,31 +30,13 @@ def main() -> None:
         f"solve {avg.solve * 1e3:.1f} ms"
     )
 
-    # -- 2. the platforms: deploy everywhere -----------------------------
-    print("\nDeploying the paper-sized workload (20^3 elements/process, 64 ranks):")
-    deployments, expenses = compare_platforms("rd", num_ranks=64, num_iterations=100)
-    rows = []
-    for d in deployments:
-        rows.append(
-            [
-                d.platform,
-                d.nodes,
-                f"{d.provisioning.total_hours:.1f}",
-                f"{d.queue_wait_s / 3600:.2f}",
-                f"{d.phases.total:.2f}",
-                f"{d.run_cost_dollars:.2f}",
-            ]
-        )
-    print(
-        ascii_table(
-            ["platform", "nodes", "porting [man-h]", "queue wait [h]",
-             "s/iteration", "run cost [$]"],
-            rows,
-        )
-    )
-    for d in deployments:
-        print(f"  {d.platform}: {d.launch_command}")
-
+    # -- 2. the platforms: broker the paper-sized job ---------------------
+    print("\nBrokering the paper-sized workload (20^3 elements/process, 64 ranks):")
+    report = broker_assemblies(BrokerRequest(app="rd", num_ranks=64))
+    print(render_broker_report(report))
+    print("\nlaunch lines:")
+    for plan in report.plans:
+        print(f"  {plan.name}: {plan.launch_command}")
 
 if __name__ == "__main__":
     main()

@@ -24,7 +24,6 @@ subpackages remain importable directly for everything else:
 from repro.errors import ReproError
 from repro.apps.navier_stokes import NSProblem, NSSolver
 from repro.apps.reaction_diffusion import RDProblem, RDSolver
-from repro.core.api import best_platform, compare_platforms
 from repro.core.deployment import deploy_and_run
 from repro.platforms.catalog import (
     all_platforms,
@@ -62,8 +61,6 @@ __all__ = [
     "RDSolver",
     "NSProblem",
     "NSSolver",
-    "best_platform",
-    "compare_platforms",
     "deploy_and_run",
     "all_platforms",
     "platform_by_name",

@@ -6,7 +6,7 @@ Usage::
     python -m repro run fig4 table2       # any artifacts, cached
     python -m repro run --all --parallel 4
     python -m repro broker --ranks 1000   # ranked placement plans
-    python -m repro compare --app rd --ranks 64
+    python -m repro broker --elastic      # re-brokering under spot reclaims
     python -m repro script --platform ec2 # provisioning shell script
     python -m repro trace --out traces/  # observed RD run + exports
     python -m repro tail traces/         # follow a sweep's telemetry stream
@@ -16,7 +16,10 @@ Usage::
     python -m repro status --url ...     # jobs on a running service
 
 ``run`` is the one path to every artifact (Table I … ``elasticity``):
-through the artifact registry and the sweep engine.
+through the artifact registry and the sweep engine.  ``broker`` is the
+one path to a platform recommendation: the ranked portfolio of
+:func:`repro.broker.broker_assemblies` (``--elastic``: its refinement
+along a reclaim trajectory).
 
 Shared flag vocabulary (``--seed``/``--cache-dir``/``--obs-out``/...) and
 the ``--json`` output mode on read-only subcommands come from
@@ -122,48 +125,6 @@ def _cmd_broker(args) -> str:
             "plans": [
                 dataclasses.asdict(plan)
                 for plan in (report.plans[:args.top] if args.top else report.plans)
-            ],
-        },
-    )
-
-
-def _cmd_compare(args) -> str:
-    from repro.core.api import compare_platforms
-
-    deployments, expenses = compare_platforms(
-        args.app, args.ranks, num_iterations=args.iterations
-    )
-    infeasible = [e for e in expenses if not e.feasible]
-
-    def text() -> str:
-        rows = []
-        for d in deployments:
-            rows.append([d.platform, d.nodes, f"{d.queue_wait_s / 3600:.2f}",
-                         f"{d.phases.total:.2f}", f"{d.run_cost_dollars:.2f}"])
-        out = ascii_table(
-            ["platform", "nodes", "wait [h]", "s/iter", "cost [$]"], rows
-        )
-        for e in infeasible:
-            out += f"\n{e.platform}: infeasible - {e.infeasibility_reason}"
-        return out
-
-    return cli.render(
-        args,
-        text=text,
-        payload=lambda: {
-            "deployments": [
-                {
-                    "platform": d.platform,
-                    "nodes": d.nodes,
-                    "queue_wait_s": d.queue_wait_s,
-                    "seconds_per_iteration": d.phases.total,
-                    "run_cost_dollars": d.run_cost_dollars,
-                }
-                for d in deployments
-            ],
-            "infeasible": [
-                {"platform": e.platform, "reason": e.infeasibility_reason}
-                for e in infeasible
             ],
         },
     )
@@ -620,12 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cli.add_json_flag(experiments)
     experiments.set_defaults(func=_cmd_experiments)
-    compare = sub.add_parser("compare", help="deploy an app across all platforms")
-    compare.add_argument("--app", choices=("rd", "ns"), default="rd")
-    compare.add_argument("--ranks", type=int, default=64)
-    compare.add_argument("--iterations", type=int, default=100)
-    cli.add_json_flag(compare)
-    compare.set_defaults(func=_cmd_compare)
     script = sub.add_parser("script", help="emit a provisioning shell script")
     script.add_argument("--platform", required=True,
                         choices=("puma", "ellipse", "lagrange", "ec2"))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 
 BYTES_PER_DOF = 8  # double precision
 
@@ -226,6 +226,23 @@ NS_WORKLOAD = AppWorkload(
     base_solver_iters=55.0,
     iter_growth=0.55,
 )
+
+_WORKLOADS = {
+    "rd": RD_WORKLOAD,
+    "ns": NS_WORKLOAD,
+    RD_WORKLOAD.name: RD_WORKLOAD,
+    NS_WORKLOAD.name: NS_WORKLOAD,
+}
+
+
+def workload_by_name(name: str) -> AppWorkload:
+    """'rd' / 'ns' (or a workload's model name) -> the workload model."""
+    try:
+        return _WORKLOADS[name.lower()]
+    except KeyError:
+        raise ExperimentError(
+            f"unknown application {name!r}; choose from {sorted(_WORKLOADS)}"
+        ) from None
 
 
 def paper_rank_series(max_ranks: int = 1000) -> list[int]:

@@ -7,8 +7,10 @@ candidate placements and scoring each under the user's deadline, budget
 and risk constraints (the HPC-cloud brokering problem of Netto et al.,
 arXiv:1710.08731).
 
-Candidates come from :mod:`repro.platforms.catalog`: one per batch/
-on-demand platform, plus the paper's §VII.D **spot mix** — an EC2
+Candidates come from :mod:`repro.platforms.catalog`, each priced by
+:func:`repro.core.deployment.deploy_and_run` (expected queue wait,
+PhaseModel compute, platform billing): one per batch/on-demand
+platform, plus the paper's §VII.D **spot mix** — an EC2
 assembly filled from the spot market and topped up on demand, priced at
 the blended rate and inflated by checkpoint/restart overhead at Young's
 optimal interval (:mod:`repro.perfmodel.resilience`).  Each candidate
@@ -23,7 +25,8 @@ checkpoint+rework     spot only: Young-interval overhead + expected rework
 
 Plans are ranked by a weighted, best-normalized score over total cost,
 time-to-solution, and interruption risk; infeasible or
-constraint-violating plans sort last with the reason attached.
+constraint-violating plans sort last with the reason attached.  This
+ranked portfolio is the repository's only platform scorer.
 """
 
 from __future__ import annotations
@@ -31,19 +34,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from repro.apps.workload import workload_by_name
 from repro.cloud.instances import CC2_8XLARGE
 from repro.cloud.spot import SpotMarket
-from repro.costs.analysis import DEVELOPER_HOURLY_RATE
-from repro.core.api import workload_by_name
-from repro.costs.model import PlatformCostModel
-from repro.errors import BrokerError
-from repro.perfmodel.calibration import time_scale_for
-from repro.perfmodel.phases import PhaseModel
-from repro.perfmodel.resilience import CheckpointRestartModel, expected_cost_to_go
+from repro.core.deployment import DeploymentReport, deploy_and_run
+from repro.costs.model import DEVELOPER_HOURLY_RATE, PlatformCostModel
+from repro.errors import BrokerError, PlatformError
+from repro.perfmodel.resilience import (
+    CheckpointRestartModel,
+    checkpoint_interval,
+    expected_cost_to_go,
+)
 from repro.platforms.catalog import all_platforms, ec2_cc28xlarge
-from repro.platforms.limits import effective_max_ranks
-from repro.platforms.provisioning import plan_provisioning
-from repro.platforms.schedulers import JobRequest, make_scheduler
 from repro.platforms.spec import PlatformSpec
 
 #: Name of the synthetic spot-mix candidate (the paper's §VII.D strategy).
@@ -82,6 +84,8 @@ class BrokerRequest:
             raise BrokerError("scoring weights must be non-negative")
         if not 0.0 <= self.spot_spike_probability <= 1.0:
             raise BrokerError("spot_spike_probability must be in [0, 1]")
+        if min(self.checkpoint_seconds, self.restart_seconds) < 0:
+            raise BrokerError("checkpoint and restart seconds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -222,55 +226,33 @@ def _infeasible(name: str, platform: PlatformSpec, strategy: str,
 
 def _base_plan(
     platform: PlatformSpec, request: BrokerRequest, name: str, strategy: str
-) -> AssemblyPlan | tuple[float, float, tuple[PlanPhase, ...], str, int]:
-    """Shared feasibility + provision/queue/compute phases.
+) -> AssemblyPlan | tuple[DeploymentReport, tuple[PlanPhase, ...]]:
+    """Price the job on ``platform`` through :func:`deploy_and_run`.
 
-    Returns either an infeasible :class:`AssemblyPlan` or the raw pieces
-    ``(compute_s, queue_s, phases, launch_command, nodes)`` for the
-    caller to extend.
+    Returns either an infeasible :class:`AssemblyPlan` carrying the
+    platform's refusal, or the deployment plus its provision/queue
+    phases for the caller to extend.
     """
-    workload = workload_by_name(request.app)
-    limit = effective_max_ranks(platform)
-    if request.num_ranks > limit:
-        if request.num_ranks > platform.total_cores:
-            reason = (
-                f"{request.num_ranks} ranks exceed the machine's "
-                f"{platform.total_cores} cores"
-            )
-        else:
-            reason = (
-                f"{request.num_ranks} ranks exceed the observed execution "
-                f"ceiling of {limit} (paper §VII.A)"
-            )
-        return _infeasible(name, platform, strategy, request, reason)
-
-    nodes = platform.nodes_for_ranks(request.num_ranks)
-    model = PhaseModel(workload, platform, time_scale=time_scale_for(workload))
-    compute_s = model.predict(request.num_ranks).total * request.num_iterations
-
-    scheduler = make_scheduler(platform, seed=request.seed)
-    outcome = scheduler.submit(
-        JobRequest(num_ranks=request.num_ranks, walltime_s=compute_s * 1.5)
-    )
-    if not outcome.accepted:
-        return _infeasible(name, platform, strategy, request, outcome.reason)
-    # Expected (not sampled) wait keeps ranked plans reproducible; the
-    # scheduler still contributes validation and the launch command.
-    queue_s = platform.availability.expected_wait(
-        request.num_ranks, platform.total_cores
-    )
-
-    provisioning = plan_provisioning(platform)
+    try:
+        deployed = deploy_and_run(
+            platform, workload_by_name(request.app),
+            request.num_ranks, request.num_iterations,
+        )
+    except PlatformError as exc:
+        return _infeasible(name, platform, strategy, request, str(exc))
+    hours = deployed.provisioning.total_hours
     phases = (
         PlanPhase(
-            "provision", 0.0,
-            provisioning.total_hours * DEVELOPER_HOURLY_RATE,
-            f"one-off porting effort ({provisioning.total_hours:.1f} man-h), "
+            "provision", 0.0, hours * DEVELOPER_HOURLY_RATE,
+            f"one-off porting effort ({hours:.1f} man-h), "
             "excluded from deadline",
         ),
-        PlanPhase("queue", queue_s, 0.0, f"availability model, {nodes} nodes"),
+        PlanPhase(
+            "queue", deployed.queue_wait_s, 0.0,
+            f"availability model, {deployed.nodes} nodes",
+        ),
     )
-    return compute_s, queue_s, phases, outcome.launch_command, nodes
+    return deployed, phases
 
 
 def _finish(plan: AssemblyPlan, request: BrokerRequest) -> AssemblyPlan:
@@ -299,13 +281,10 @@ def _platform_plan(platform: PlatformSpec, request: BrokerRequest) -> AssemblyPl
     base = _base_plan(platform, request, platform.name, strategy)
     if isinstance(base, AssemblyPlan):
         return base
-    compute_s, _queue_s, phases, launch, nodes = base
-    cost = PlatformCostModel.for_platform(platform).cost(
-        request.num_ranks, compute_s
-    )
+    deployed, phases = base
     phases = phases + (
         PlanPhase(
-            "compute", compute_s, cost,
+            "compute", deployed.runtime_s, deployed.run_cost_dollars,
             f"{request.num_iterations} iterations at the platform rate",
         ),
     )
@@ -316,13 +295,29 @@ def _platform_plan(platform: PlatformSpec, request: BrokerRequest) -> AssemblyPl
             strategy=strategy,
             num_ranks=request.num_ranks,
             num_iterations=request.num_iterations,
-            nodes=nodes,
+            nodes=deployed.nodes,
             spot_nodes=0,
             phases=phases,
-            launch_command=launch,
+            launch_command=deployed.launch_command,
             feasible=True,
         ),
         request,
+    )
+
+
+def _spot_nodes(request: BrokerRequest, nodes: int) -> int:
+    """Nodes the spot market fills, in expectation (§VII.B)."""
+    return min(nodes, int(round(request.spot_pool_mean)))
+
+
+def _checkpoint_model(
+    request: BrokerRequest, spot_nodes: int
+) -> CheckpointRestartModel:
+    """Checkpoint/restart model while ``spot_nodes`` are reclaim-exposed."""
+    return CheckpointRestartModel(
+        checkpoint_seconds=request.checkpoint_seconds,
+        restart_seconds=request.restart_seconds,
+        failure_rate_per_hour=request.spot_spike_probability * spot_nodes,
     )
 
 
@@ -341,23 +336,20 @@ def _spot_mix_plan(request: BrokerRequest) -> AssemblyPlan:
     base = _base_plan(platform, request, SPOT_MIX, "spot-mix")
     if isinstance(base, AssemblyPlan):
         return base
-    compute_s, _queue_s, phases, launch, nodes = base
+    deployed, phases = base
+    compute_s, nodes = deployed.runtime_s, deployed.nodes
 
-    spot_nodes = min(nodes, int(round(request.spot_pool_mean)))
+    spot_nodes = _spot_nodes(request, nodes)
     ondemand_nodes = nodes - spot_nodes
-    failure_rate_per_hour = request.spot_spike_probability * spot_nodes
-
-    checkpoint_interval_s: float | None = None
+    model = _checkpoint_model(request, spot_nodes)
+    failure_rate_per_hour = model.failure_rate_per_hour
+    checkpoint_interval_s = checkpoint_interval(model, compute_s)
     overhead_s = 0.0
-    if spot_nodes and failure_rate_per_hour > 0 and request.checkpoint_seconds > 0:
-        model = CheckpointRestartModel(
-            checkpoint_seconds=request.checkpoint_seconds,
-            restart_seconds=request.restart_seconds,
-            failure_rate_per_hour=failure_rate_per_hour,
+    if checkpoint_interval_s is not None:
+        overhead_s = (
+            model.expected_wall_seconds(compute_s, checkpoint_interval_s)
+            - compute_s
         )
-        tau = min(model.optimal_interval_seconds(), max(compute_s, 1.0))
-        checkpoint_interval_s = tau
-        overhead_s = model.expected_wall_seconds(compute_s, tau) - compute_s
 
     wall_s = compute_s + overhead_s
     spot_rate = CC2_8XLARGE.core_hourly(spot=True)
@@ -405,7 +397,7 @@ def _spot_mix_plan(request: BrokerRequest) -> AssemblyPlan:
             nodes=nodes,
             spot_nodes=spot_nodes,
             phases=phases,
-            launch_command=launch,
+            launch_command=deployed.launch_command,
             feasible=True,
             interruption_probability=interruption_probability,
             expected_reclaims=expected_reclaims,
@@ -731,18 +723,16 @@ class ElasticBroker:
         """
         request = self.request
         platform = ec2_cc28xlarge
-        workload = workload_by_name(request.app)
-        limit = effective_max_ranks(platform)
-        if request.num_ranks > limit:
-            raise BrokerError(
-                f"{request.num_ranks} ranks exceed {platform.name}'s "
-                f"effective ceiling of {limit}"
+        try:
+            deployed = deploy_and_run(
+                platform, workload_by_name(request.app),
+                request.num_ranks, request.num_iterations,
             )
-        nodes = platform.nodes_for_ranks(request.num_ranks)
-        model = PhaseModel(workload, platform, time_scale=time_scale_for(workload))
-        compute_s = model.predict(request.num_ranks).total * request.num_iterations
+        except PlatformError as exc:
+            raise BrokerError(f"{platform.name}: {exc}") from None
+        nodes, compute_s = deployed.nodes, deployed.runtime_s
         od_hr = platform.cost_per_core_hour * platform.cores_per_node
-        spot_nodes = min(nodes, int(round(request.spot_pool_mean)))
+        spot_nodes = _spot_nodes(request, nodes)
 
         decisions, cost, elapsed, f_spot, f_od = self._simulate(
             None, nodes, compute_s, spot_nodes, emit=True
@@ -803,28 +793,21 @@ class ElasticBroker:
         cost = 0.0
         pause = 0.0  # transition stall charged at the next round's start
         decisions: list[ElasticDecision] = []
-        tau_cache: dict[int, float] = {}
+        tau_cache: dict[int, float | None] = {}
 
-        def tau_for(exposed: int) -> float:
-            """Checkpoint interval in use while ``exposed`` nodes are spot."""
+        def tau_for(exposed: int) -> float | None:
+            """Checkpoint interval while ``exposed`` nodes are spot (None:
+            no checkpoints) — the static mix plan's rule."""
             if exposed not in tau_cache:
-                m = CheckpointRestartModel(
-                    checkpoint_seconds=request.checkpoint_seconds,
-                    restart_seconds=request.restart_seconds,
-                    failure_rate_per_hour=(
-                        request.spot_spike_probability * exposed
-                    ),
-                )
-                tau_cache[exposed] = min(
-                    m.optimal_interval_seconds(), max(compute_s, 1.0)
+                tau_cache[exposed] = checkpoint_interval(
+                    _checkpoint_model(request, exposed), compute_s
                 )
             return tau_cache[exposed]
 
         def overhead_factor(exposed: int) -> float:
             """Young checkpoint overhead ``1 + c/tau`` while spot-exposed."""
-            if exposed <= 0 or request.checkpoint_seconds <= 0:
-                return 1.0
-            return 1.0 + request.checkpoint_seconds / tau_for(exposed)
+            tau = tau_for(exposed)
+            return 1.0 if tau is None else 1.0 + request.checkpoint_seconds / tau
 
         for _round in range(self._max_rounds):
             active = spot_nodes + ondemand_nodes
@@ -856,7 +839,8 @@ class ElasticBroker:
                 continue
             # Work since the last checkpoint is lost whatever we do next:
             # half the in-use interval, in expectation (Young's rework).
-            rework = 0.5 * tau_for(spot_nodes) if spot_nodes > 0 else 0.0
+            tau = tau_for(spot_nodes)
+            rework = 0.0 if tau is None else 0.5 * tau
             survivors = len(sampler.alive_slots)
             options = self._score_options(
                 remaining, elapsed, hosting, survivors, ondemand_nodes, nodes

@@ -3,7 +3,9 @@
 The ADAPT project's question — "how hard, slow, and expensive is it to
 run *this* application on *that* platform?" — becomes an executable
 pipeline: provision (porting effort), schedule (availability), execute
-(performance through the simulator/model), bill (cost), and compare.
+(performance through the simulator/model) and bill (cost).  Comparing
+platforms is the assembly broker's job (:mod:`repro.broker.assembly`),
+which prices each candidate through :func:`deploy_and_run`.
 """
 
 from repro.core.deployment import DeploymentReport, deploy_and_run
@@ -13,7 +15,6 @@ from repro.core.characterization import (
     platform_gaps,
 )
 from repro.core.reporting import ascii_table, ascii_chart, rows_to_csv
-from repro.core.api import compare_platforms, best_platform
 
 __all__ = [
     "DeploymentReport",
@@ -24,6 +25,4 @@ __all__ = [
     "ascii_table",
     "ascii_chart",
     "rows_to_csv",
-    "compare_platforms",
-    "best_platform",
 ]

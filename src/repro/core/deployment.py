@@ -4,6 +4,10 @@ One call answers the paper's practical question for a given application
 and rank count on a given platform, producing a
 :class:`DeploymentReport` with every attribute of the study: porting
 effort, queue wait, per-iteration phase times, run time, and dollars.
+It is the one "price this job on one platform" step: every candidate
+of the assembly broker (:mod:`repro.broker.assembly`) is built on it.
+The queue wait is the availability model's expectation, not a sampled
+draw, so the same job always prices the same.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from repro.apps.workload import AppWorkload
 from repro.costs.model import PlatformCostModel
 from repro.perfmodel.calibration import time_scale_for
 from repro.perfmodel.phases import PhaseModel, PhasePrediction
-from repro.platforms.limits import effective_max_ranks
+from repro.platforms.limits import rank_ceiling_reason
 from repro.platforms.provisioning import ProvisioningPlan, plan_provisioning
 from repro.platforms.schedulers import JobRequest, make_scheduler
 from repro.platforms.spec import PlatformSpec
@@ -59,20 +63,15 @@ def deploy_and_run(
     num_ranks: int,
     num_iterations: int = 100,
     elements_per_rank: int = 20**3,
-    core_hour_rate: float | None = None,
-    scheduler_seed: int = 0,
 ) -> DeploymentReport:
     """Run the full pipeline; raises :class:`PlatformError` when the
     platform cannot execute the request (capacity or §VII.A ceilings).
     """
     if num_ranks < 1 or num_iterations < 1:
         raise PlatformError("num_ranks and num_iterations must be >= 1")
-    limit = effective_max_ranks(platform)
-    if num_ranks > limit:
-        raise PlatformError(
-            f"{platform.name} cannot run {num_ranks} ranks "
-            f"(effective ceiling {limit}; paper §VII.A)"
-        )
+    reason = rank_ceiling_reason(platform, num_ranks)
+    if reason is not None:
+        raise PlatformError(reason)
     required = workload.memory_per_rank_bytes(elements_per_rank)
     available = platform.node.ram_per_core_gb * 1e9
     if required > available:
@@ -84,8 +83,6 @@ def deploy_and_run(
             f"with cc2.8xlarge's 3.8 GB)"
         )
 
-    provisioning = plan_provisioning(platform)
-
     model = PhaseModel(
         workload, platform,
         elements_per_rank=elements_per_rank,
@@ -93,26 +90,21 @@ def deploy_and_run(
     )
     phases = model.predict(num_ranks)
     runtime = phases.total * num_iterations
-
-    scheduler = make_scheduler(platform, seed=scheduler_seed)
-    outcome = scheduler.submit(JobRequest(num_ranks=num_ranks, walltime_s=runtime * 1.5))
-    if not outcome.accepted:
-        raise PlatformError(f"{platform.name} rejected the job: {outcome.reason}")
-
-    cost_model = PlatformCostModel.for_platform(platform)
-    if core_hour_rate is not None:
-        cost_model = cost_model.with_rate(core_hour_rate)
-    cost = cost_model.cost(num_ranks, runtime)
+    job = JobRequest(num_ranks=num_ranks, walltime_s=runtime * 1.5)
 
     return DeploymentReport(
         platform=platform.name,
         num_ranks=num_ranks,
         num_iterations=num_iterations,
-        provisioning=provisioning,
-        queue_wait_s=outcome.wait_s,
-        launch_command=outcome.launch_command,
+        provisioning=plan_provisioning(platform),
+        queue_wait_s=platform.availability.expected_wait(
+            num_ranks, platform.total_cores
+        ),
+        launch_command=make_scheduler(platform).launch_command(job),
         phases=phases,
         runtime_s=runtime,
-        run_cost_dollars=cost,
-        nodes=outcome.nodes_allocated,
+        run_cost_dollars=PlatformCostModel.for_platform(platform).cost(
+            num_ranks, runtime
+        ),
+        nodes=platform.nodes_for_ranks(num_ranks),
     )

@@ -1,10 +1,10 @@
-"""Cost accounting and the paper's broader 'expense factor' analysis.
+"""Cost accounting: the §VII.D dollar models.
 
 §VII.D's per-iteration cost curves (Figures 6-7) come from simple
 published rates times measured time — with the twist that EC2 charges
-whole nodes.  §VIII's qualitative comparison folds in deployment effort
-and queue wait; :mod:`repro.costs.analysis` makes that an explicit
-multi-attribute record.
+whole nodes.  §VIII's comparison that also weighs deployment effort and
+queue wait is the assembly broker's ranked portfolio
+(:func:`repro.broker.broker_assemblies`).
 """
 
 from repro.costs.model import (
@@ -12,17 +12,9 @@ from repro.costs.model import (
     cost_per_iteration,
     ec2_mix_estimated_cost,
 )
-from repro.costs.analysis import (
-    ExpenseReport,
-    expense_report,
-    rank_platforms,
-)
 
 __all__ = [
     "PlatformCostModel",
     "cost_per_iteration",
     "ec2_mix_estimated_cost",
-    "ExpenseReport",
-    "expense_report",
-    "rank_platforms",
 ]

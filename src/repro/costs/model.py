@@ -17,6 +17,10 @@ from repro.errors import CostModelError
 from repro.platforms.spec import PlatformSpec
 from repro.units import HOUR
 
+# The value of an experienced developer's hour, used to convert porting
+# effort (§VI man-hours) to dollars; a round 2012 figure.
+DEVELOPER_HOURLY_RATE = 50.0
+
 
 @dataclass(frozen=True)
 class PlatformCostModel:

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.workload import RD_WORKLOAD
+from repro.apps.workload import RD_WORKLOAD, workload_by_name
 from repro.cloud.ec2 import EC2Service
 from repro.cloud.instances import CC2_8XLARGE
-from repro.core.api import workload_by_name
 from repro.core.characterization import platform_gaps
 from repro.costs.model import cost_per_iteration
 from repro.harness.config import DEFAULT_SEED, ResilienceParams

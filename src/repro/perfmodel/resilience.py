@@ -116,6 +116,22 @@ class CheckpointRestartModel:
         return math.sqrt(2.0 * self.checkpoint_seconds / lam)
 
 
+def checkpoint_interval(
+    model: CheckpointRestartModel, work_seconds: float
+) -> float | None:
+    """The interval a run of ``work_seconds`` checkpoints at, or None.
+
+    Young's ``tau*``, capped at the run's own length; None — no
+    checkpoints at all — when failures never happen or checkpoints are
+    free.  The broker's static spot-mix plan, its elastic refinement and
+    :func:`expected_cost_to_go` all price checkpoints by this one rule,
+    so a run that is never reclaimed costs the same in each.
+    """
+    if model.failure_rate_per_hour <= 0 or model.checkpoint_seconds <= 0:
+        return None
+    return min(model.optimal_interval_seconds(), max(work_seconds, 1.0))
+
+
 def spot_run_cost(
     base_seconds: float,
     interval_seconds: float,
@@ -151,9 +167,9 @@ def expected_cost_to_go(
       ``progress_rate_nodes`` node-equivalents per wall second (the
       option's width, discounted for oversubscription imbalance);
     * while ``spot_nodes`` remain exposed, the wall inflates by Young's
-      checkpoint overhead and expected rework terms at the optimal
-      interval ``tau* = sqrt(2c/lambda)`` (``lambda`` = per-node spike
-      rate x exposed nodes);
+      checkpoint overhead and expected rework terms at the interval
+      :func:`checkpoint_interval` picks (``tau* = sqrt(2c/lambda)``,
+      ``lambda`` = per-node spike rate x exposed nodes);
     * ``switch_seconds`` is the option's one-off transition stall
       (restart, repartition, or migration), during which the target
       assembly is already billed.
@@ -173,16 +189,14 @@ def expected_cost_to_go(
             "feasible": False,
         }
     base_wall = remaining_work_node_seconds / progress_rate_nodes
-    tau: float | None = None
     wall = base_wall
-    failure_rate_per_hour = spike_probability_per_hour * spot_nodes
-    if spot_nodes > 0 and failure_rate_per_hour > 0 and checkpoint_seconds > 0:
-        model = CheckpointRestartModel(
-            checkpoint_seconds=checkpoint_seconds,
-            restart_seconds=restart_seconds,
-            failure_rate_per_hour=failure_rate_per_hour,
-        )
-        tau = min(model.optimal_interval_seconds(), max(base_wall, 1.0))
+    model = CheckpointRestartModel(
+        checkpoint_seconds=checkpoint_seconds,
+        restart_seconds=restart_seconds,
+        failure_rate_per_hour=spike_probability_per_hour * spot_nodes,
+    )
+    tau = checkpoint_interval(model, base_wall)
+    if tau is not None:
         try:
             wall = model.expected_wall_seconds(max(base_wall, 1e-9), tau)
         except CostModelError:

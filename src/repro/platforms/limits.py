@@ -77,3 +77,19 @@ def effective_max_ranks(platform: PlatformSpec) -> int:
     if platform.data_volume_cap_ranks is not None:
         bound = min(bound, platform.data_volume_cap_ranks)
     return bound
+
+
+def rank_ceiling_reason(platform: PlatformSpec, num_ranks: int) -> str | None:
+    """Why ``num_ranks`` cannot run on ``platform``; None when it can."""
+    limit = effective_max_ranks(platform)
+    if num_ranks <= limit:
+        return None
+    if num_ranks > platform.total_cores:
+        return (
+            f"{num_ranks} ranks exceed the machine's "
+            f"{platform.total_cores} cores"
+        )
+    return (
+        f"{num_ranks} ranks exceed the observed execution "
+        f"ceiling of {limit} (paper §VII.A)"
+    )

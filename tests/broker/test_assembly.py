@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.workload import NS_WORKLOAD
 from repro.broker.assembly import (
     SPOT_MIX,
     BrokerRequest,
@@ -9,8 +10,11 @@ from repro.broker.assembly import (
     render_broker_report,
     section_7d_request,
 )
+from repro.core.deployment import deploy_and_run
+from repro.costs.model import DEVELOPER_HOURLY_RATE
 from repro.errors import BrokerError
 from repro.harness.paper_data import PAPER_TABLE2
+from repro.platforms.catalog import all_platforms
 
 
 class TestSection7D:
@@ -111,6 +115,132 @@ class TestConstraints:
             BrokerRequest(cost_weight=-1.0)
         with pytest.raises(BrokerError):
             BrokerRequest(spot_spike_probability=1.5)
+        with pytest.raises(BrokerError):
+            BrokerRequest(checkpoint_seconds=-1.0)
+
+
+def _no_spot(**kwargs) -> BrokerRequest:
+    """A request whose risk cap of 0 sets the spot mix aside."""
+    return BrokerRequest(app="rd", max_interruption_probability=0.0, **kwargs)
+
+
+class TestAdvice:
+    """The ranked portfolio is the only platform scorer: the questions
+    the paper's 'selecting a utility provider' asks, answered by it."""
+
+    def test_cost_only_priority_prefers_puma(self):
+        # 2.3 cents per amortized core-hour wins on dollars alone.
+        report = broker_assemblies(_no_spot(
+            num_ranks=64, cost_weight=1.0, time_weight=0.0, risk_weight=0.0,
+        ))
+        assert report.best.name == "puma"
+        assert not report.plan(SPOT_MIX).within_risk
+
+    def test_time_only_priority_prefers_fast_access(self):
+        # EC2's minutes-not-hours wait beats every batch queue.
+        report = broker_assemblies(_no_spot(
+            num_ranks=64, cost_weight=0.0, time_weight=1.0, risk_weight=0.0,
+        ))
+        assert report.best.name == "ec2"
+        assert report.best.time_to_solution_s == min(
+            p.time_to_solution_s for p in report.plans if p.acceptable
+        )
+
+    def test_cost_only_winner_is_the_cheapest_plan(self):
+        report = broker_assemblies(_no_spot(
+            num_ranks=64, cost_weight=1.0, time_weight=0.0, risk_weight=0.0,
+        ))
+        cheapest = min(
+            (p for p in report.plans if p.acceptable),
+            key=lambda p: p.cost_dollars,
+        )
+        assert report.best.name == cheapest.name == "puma"
+
+    def test_every_platform_deploys_64_ranks(self):
+        report = broker_assemblies(BrokerRequest(
+            app="rd", num_ranks=64, num_iterations=10,
+        ))
+        for platform in all_platforms():
+            plan = report.plan(platform.name)
+            assert plan.feasible and plan.reason == ""
+            assert plan.launch_command
+            assert plan.phase("compute").time_s > 0
+
+    def test_only_the_cloud_hosts_1000_ranks(self):
+        """§VIII: only the cloud sustains the 1000-core task."""
+        report = broker_assemblies(_no_spot(num_ranks=1000))
+        assert [p.name for p in report.plans if p.feasible] == ["ec2", SPOT_MIX]
+        assert {p.name for p in report.plans if not p.feasible} == {
+            "puma", "ellipse", "lagrange",
+        }
+
+    def test_best_at_1000_ranks_is_ec2(self):
+        for weights in ((1.0, 0.25, 0.25), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+            cost, time, risk = weights
+            report = broker_assemblies(_no_spot(
+                num_ranks=1000, cost_weight=cost, time_weight=time,
+                risk_weight=risk,
+            ))
+            assert report.best.name == "ec2", weights
+
+    def test_every_on_premises_ceiling_binds_at_1000(self):
+        """§VIII: 'only Cloud providers could provide a large enough
+        offering to sustain the biggest, 1000-core task.'"""
+        report = broker_assemblies(BrokerRequest(app="rd", num_ranks=1000))
+        for name in ("puma", "ellipse", "lagrange"):
+            assert report.plan(name).reason.startswith("1000 ranks exceed")
+        assert report.plan("ec2").feasible
+
+    def test_infeasible_plans_rank_last(self):
+        report = broker_assemblies(BrokerRequest(app="rd", num_ranks=512))
+        assert report.plans[-1].name in ("puma", "lagrange")
+        assert not report.plans[-1].feasible
+        flags = [p.feasible for p in report.plans]
+        assert flags == sorted(flags, reverse=True)
+
+    def test_negative_weights_rejected(self):
+        for field in ("cost_weight", "time_weight", "risk_weight"):
+            with pytest.raises(BrokerError, match="non-negative"):
+                BrokerRequest(**{field: -1.0})
+
+    def test_ceiling_reasons(self):
+        report = broker_assemblies(BrokerRequest(app="rd", num_ranks=512))
+        assert report.plan("lagrange").reason == (
+            "512 ranks exceed the observed execution ceiling of 343 "
+            "(paper §VII.A)"
+        )
+        assert report.plan("puma").reason == (
+            "512 ranks exceed the machine's 128 cores"
+        )
+
+    def test_no_platform_fits_a_million_ranks(self):
+        report = broker_assemblies(BrokerRequest(app="rd", num_ranks=10**6))
+        assert not any(p.feasible for p in report.plans)
+        with pytest.raises(BrokerError, match="no assembly satisfies"):
+            report.best
+
+    def test_candidates_are_deployments(self):
+        """Each single-platform plan is :func:`deploy_and_run`'s answer,
+        porting effort shown as the (deadline-exempt) provision phase."""
+        request = BrokerRequest(app="ns", num_ranks=125, num_iterations=40)
+        report = broker_assemblies(request)
+        for platform in all_platforms():
+            deployed = deploy_and_run(
+                platform, NS_WORKLOAD, 125, num_iterations=40
+            )
+            plan = report.plan(platform.name)
+            assert plan.nodes == deployed.nodes
+            assert plan.launch_command == deployed.launch_command
+            assert plan.phase("queue").time_s == deployed.queue_wait_s
+            assert plan.phase("compute").time_s == deployed.runtime_s
+            assert plan.phase("compute").cost_dollars == (
+                deployed.run_cost_dollars
+            )
+            assert plan.phase("provision").cost_dollars == (
+                deployed.provisioning.total_hours * DEVELOPER_HOURLY_RATE
+            )
+        assert report.plan("puma").phase("provision").cost_dollars == 0.0
+        assert report.plan("ec2").phase("provision").cost_dollars > 0.0
 
 
 class TestRendering:

@@ -2,18 +2,25 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.broker.assembly import (
     ELASTIC_ACTIONS,
+    SPOT_MIX,
     BrokerRequest,
     ElasticBroker,
+    broker_assemblies,
     render_elastic_report,
     volatile_market_request,
 )
 from repro.errors import BrokerError, CostModelError
-from repro.perfmodel.resilience import expected_cost_to_go
+from repro.perfmodel.resilience import (
+    CheckpointRestartModel,
+    checkpoint_interval,
+    expected_cost_to_go,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +112,41 @@ class TestTotalReclaim:
         assert "never finishes" in render_elastic_report(report)
 
 
+class TestStaticAgreement:
+    """The elastic broker refines the static mix plan: with nothing to
+    react to, it must price exactly what the static plan prices."""
+
+    def test_no_reclaim_run_costs_the_static_mix_plan(self):
+        request = replace(volatile_market_request(), spot_spike_probability=0.0)
+        elastic = ElasticBroker(request).run()
+        static = broker_assemblies(request).plan(SPOT_MIX)
+        assert not elastic.decisions
+        assert static.checkpoint_interval_s is None
+        assert abs(elastic.cost_dollars - static.cost_dollars) < 0.005
+        assert elastic.wall_hours * 3600.0 == pytest.approx(
+            static.phase("compute").time_s
+        )
+
+    def test_checkpoint_interval_rule(self):
+        def model(rate, c=30.0):
+            return CheckpointRestartModel(
+                checkpoint_seconds=c, restart_seconds=120.0,
+                failure_rate_per_hour=rate,
+            )
+
+        assert checkpoint_interval(model(0.0), 3600.0) is None
+        assert checkpoint_interval(model(1.0, c=0.0), 3600.0) is None
+        tau_star = model(1.0).optimal_interval_seconds()
+        assert checkpoint_interval(model(1.0), 1e6) == tau_star
+        assert checkpoint_interval(model(1.0), 100.0) == 100.0  # run-length cap
+
+
 class TestBrokerValidation:
+    def test_rank_ceiling_is_a_broker_error(self):
+        request = replace(volatile_market_request(), num_ranks=2000)
+        with pytest.raises(BrokerError, match="exceed the machine's 1008 cores"):
+            ElasticBroker(request).run()
+
     def test_interval_must_be_positive(self):
         with pytest.raises(BrokerError, match="interval_hours"):
             ElasticBroker(volatile_market_request(), interval_hours=0.0)

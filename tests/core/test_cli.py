@@ -34,11 +34,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "ec2 mix" in out
 
-    def test_compare(self, capsys):
-        assert main(["compare", "--app", "rd", "--ranks", "1000"]) == 0
-        out = capsys.readouterr().out
-        assert "ec2" in out
-        assert "infeasible" in out  # the other three at 1000 ranks
+    def test_compare(self):
+        # `broker` is the one platform-advice verb; `compare` is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--app", "rd", "--ranks", "1000"])
+        assert excinfo.value.code == 2
 
     def test_script(self, capsys):
         assert main(["script", "--platform", "ec2"]) == 0

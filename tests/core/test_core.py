@@ -3,18 +3,15 @@
 import pytest
 
 from repro.errors import ExperimentError, PlatformError, ReproError
-from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD
+from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, workload_by_name
 from repro.core import (
     ascii_chart,
     ascii_table,
-    best_platform,
-    compare_platforms,
     deploy_and_run,
     platform_gaps,
     render_table1,
     rows_to_csv,
 )
-from repro.core.api import workload_by_name
 from repro.platforms import all_platforms, ec2_cc28xlarge, ellipse, lagrange, puma
 
 
@@ -74,31 +71,6 @@ class TestAPI:
         assert workload_by_name("ns") is NS_WORKLOAD
         with pytest.raises(ReproError):
             workload_by_name("lbm")
-
-    def test_compare_platforms_at_64(self):
-        deployments, expenses = compare_platforms("rd", 64, num_iterations=10)
-        assert {d.platform for d in deployments} == {"puma", "ellipse", "lagrange", "ec2"}
-        assert len(expenses) == 4
-
-    def test_compare_platforms_at_1000_only_cloud(self):
-        """§VIII: only the cloud sustains the 1000-core task."""
-        deployments, expenses = compare_platforms("rd", 1000, num_iterations=10)
-        assert [d.platform for d in deployments] == ["ec2"]
-        infeasible = [e.platform for e in expenses if not e.feasible]
-        assert set(infeasible) == {"puma", "ellipse", "lagrange"}
-
-    def test_best_platform_cost_priority(self):
-        best = best_platform("rd", 64, time_weight=0.0, cost_weight=1.0,
-                             effort_weight=0.0)
-        assert best.platform == "puma"  # 2.3 cents amortized wins on $ alone
-
-    def test_best_platform_at_scale_is_cloud(self):
-        best = best_platform("rd", 1000)
-        assert best.platform == "ec2"
-
-    def test_no_feasible_platform_raises(self):
-        with pytest.raises(ReproError):
-            best_platform("rd", 10**6)
 
 
 class TestCharacterization:

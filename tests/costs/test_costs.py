@@ -1,4 +1,4 @@
-"""Tests for cost models and the expense-factor analysis."""
+"""Tests for the per-platform cost models."""
 
 import pytest
 
@@ -7,10 +7,8 @@ from repro.costs import (
     PlatformCostModel,
     cost_per_iteration,
     ec2_mix_estimated_cost,
-    expense_report,
-    rank_platforms,
 )
-from repro.platforms import all_platforms, ec2_cc28xlarge, ellipse, lagrange, puma
+from repro.platforms import all_platforms, ec2_cc28xlarge, puma
 from repro.units import HOUR
 
 
@@ -77,79 +75,3 @@ class TestCostPerIteration:
         full = cost_per_iteration(ec2_cc28xlarge, 64, 100.0)
         spot = cost_per_iteration(ec2_cc28xlarge, 64, 100.0, core_hour_rate=0.03375)
         assert spot == pytest.approx(full * 0.03375 / 0.15)
-
-
-class TestExpenseReport:
-    def test_feasible_report(self):
-        report = expense_report(puma, 64, runtime_s=600.0)
-        assert report.feasible
-        assert report.run_cost_dollars > 0
-        assert report.provisioning_hours == 0.0
-        assert report.max_feasible_ranks == 128
-        assert report.time_to_solution_s > report.runtime_s
-
-    def test_infeasible_beyond_ceiling(self):
-        report = expense_report(lagrange, 512, runtime_s=600.0)
-        assert not report.feasible
-        assert "ceiling" in report.infeasibility_reason
-        report2 = expense_report(puma, 1000, runtime_s=600.0)
-        assert not report2.feasible
-        assert "cores" in report2.infeasibility_reason
-
-    def test_provisioning_amortization(self):
-        report = expense_report(ellipse, 64, runtime_s=600.0)
-        once = report.total_cost_dollars(1)
-        many = report.total_cost_dollars(100)
-        assert once > many > report.run_cost_dollars
-        with pytest.raises(CostModelError):
-            report.total_cost_dollars(0)
-
-    def test_validation(self):
-        with pytest.raises(CostModelError):
-            expense_report(puma, 0, 10.0)
-        with pytest.raises(CostModelError):
-            expense_report(puma, 4, -1.0)
-
-
-class TestRanking:
-    def _reports(self, num_ranks, runtimes):
-        return [
-            expense_report(p, num_ranks, runtimes[p.name])
-            for p in all_platforms()
-        ]
-
-    def test_only_cloud_feasible_at_1000(self):
-        """§VIII: 'only Cloud providers could provide a large enough
-        offering to sustain the biggest, 1000-core task.'"""
-        runtimes = {"puma": 1.0, "ellipse": 1.0, "lagrange": 1.0, "ec2": 150.0}
-        reports = self._reports(1000, runtimes)
-        feasible = [r for r in reports if r.feasible]
-        assert [r.platform for r in feasible] == ["ec2"]
-
-    def test_infeasible_sorted_last(self):
-        runtimes = {"puma": 100.0, "ellipse": 100.0, "lagrange": 100.0, "ec2": 100.0}
-        ranked = rank_platforms(self._reports(512, runtimes))
-        assert ranked[-1].platform in ("puma", "lagrange")
-        assert not ranked[-1].feasible
-
-    def test_cost_priority_prefers_puma(self):
-        runtimes = {"puma": 120.0, "ellipse": 110.0, "lagrange": 60.0, "ec2": 70.0}
-        ranked = rank_platforms(
-            self._reports(64, runtimes), time_weight=0.0, cost_weight=1.0,
-            effort_weight=0.0,
-        )
-        assert ranked[0].platform == "puma"
-
-    def test_time_priority_prefers_fast_access(self):
-        """With pure time priority, EC2's minutes-not-hours wait wins
-        even against lagrange's faster compute."""
-        runtimes = {"puma": 900.0, "ellipse": 800.0, "lagrange": 300.0, "ec2": 400.0}
-        ranked = rank_platforms(
-            self._reports(64, runtimes), time_weight=1.0, cost_weight=0.0,
-            effort_weight=0.0,
-        )
-        assert ranked[0].platform == "ec2"
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(CostModelError):
-            rank_platforms([], time_weight=-1.0)
