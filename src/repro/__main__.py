@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--discard", type=int, default=5,
                        help="warm-up steps dropped from phase statistics")
     trace.add_argument("--causal", action="store_true",
-                       help="piggyback vector clocks and print the "
+                       help="derive vector clocks and print the "
                             "happens-before check")
     trace.set_defaults(func=_cmd_trace)
     tail = sub.add_parser(

@@ -10,8 +10,8 @@ The package the rest of the library reports into:
   Prometheus text exposition;
 * :mod:`repro.obs.analysis` — paper-style phase statistics, the
   critical-path extractor, comm/compute overlap;
-* :mod:`repro.obs.causal` — Lamport/vector clocks piggybacked on every
-  message, with a happens-before checker over the event stream;
+* :mod:`repro.obs.causal` — Lamport/vector clocks derived from the
+  simmpi event log, with a happens-before checker over the event stream;
 * :mod:`repro.obs.health` — Scalasca-style wait-state classification
   (late-sender / late-receiver / wait-at-collective) plus
   load-imbalance and NIC-saturation indices;

@@ -213,34 +213,46 @@ class _SpanIndex:
         return self._lookup(self._step_starts, self._step_ivals, t)
 
 
+def _timelines(records) -> dict[int, list]:
+    """Each rank's non-phase trace records in ``(t_start, t_end)`` order:
+    the per-rank lists :func:`_match_events` hands out indices into."""
+    by_rank: dict[int, list] = defaultdict(list)
+    for r in records:
+        if r.kind != "phase":
+            by_rank[r.rank].append(r)
+    for rank_records in by_rank.values():
+        rank_records.sort(key=lambda r: (r.t_start, r.t_end))
+    return by_rank
+
+
 def _match_events(by_rank):
     """recv -> matching send, collective -> last-entrant record handles.
 
-    Handles are ``(rank, index_into_rank_list)``.  Point-to-point pairs
-    match FIFO per ``(src, dst, tag)`` — the mailbox transport's own
-    ordering.  Collective rounds match by per-label occurrence index
-    (round *i* of ``allreduce`` on every rank is the same round; the
-    receiver side of a collective records no "recv" events).
+    Handles are ``(rank, index_into_rank_list)``.  A receive pairs with
+    the send its ``(sender, seq)`` identity names
+    (:attr:`~repro.simmpi.tracing.TraceRecord.message`).  Collective
+    rounds match by per-label occurrence index (round *i* of
+    ``allreduce`` on every rank is the same round; the receiver side of
+    a collective records no "recv" events).
     """
-    sends: dict[tuple[int, int, int], list] = defaultdict(list)
-    recvs: dict[tuple[int, int, int], list] = defaultdict(list)
+    sends: dict[tuple[int, int], tuple[int, int]] = {}
+    recvs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     rounds: dict[tuple[str, int], list] = defaultdict(list)
     for rank, records in by_rank.items():
         counts: dict[str, int] = defaultdict(int)
         for i, r in enumerate(records):
             handle = (rank, i)
-            if r.kind == "send":
-                sends[(r.rank, r.peer, r.tag)].append(handle)
-            elif r.kind == "recv":
-                recvs[(r.peer, r.rank, r.tag)].append(handle)
-            elif r.kind == "collective":
+            if r.kind == "collective":
                 rounds[(r.label, counts[r.label])].append(handle)
                 counts[r.label] += 1
+            elif r.kind == "send":
+                sends[r.message] = handle
+            elif r.kind == "recv" and r.seq >= 0:  # unnumbered: no pair
+                recvs.append((handle, r.message))
 
-    recv_to_send = {}
-    for key, recv_handles in recvs.items():
-        for send_handle, recv_handle in zip(sends.get(key, []), recv_handles):
-            recv_to_send[recv_handle] = send_handle
+    recv_to_send = {
+        handle: sends[message] for handle, message in recvs if message in sends
+    }
 
     coll_to_last = {}
     for _round, handles in rounds.items():
@@ -263,17 +275,12 @@ def critical_path(
     answers is the critical path; time on it is attributed to the
     enclosing (rank, phase, step) from the span tree.
     """
-    records = [r for r in obs.tracer.snapshot() if r.kind != "phase"]
-    if not records:
+    by_rank = _timelines(obs.tracer.snapshot())
+    if not by_rank:
         # A zero-op or p=1 communication-free run has no path to walk;
         # an empty report (length 0.0, empty attribution) composes with
         # downstream formatting, where raising would not.
         return CriticalPathReport(segments=())
-    by_rank: dict[int, list] = defaultdict(list)
-    for r in records:
-        by_rank[r.rank].append(r)
-    for rank_records in by_rank.values():
-        rank_records.sort(key=lambda r: (r.t_start, r.t_end))
     recv_to_send, coll_to_last = _match_events(by_rank)
 
     indexes = {
@@ -288,7 +295,7 @@ def critical_path(
         key=lambda h: by_rank[h[0]][h[1]].t_end,
     )
     path = []
-    budget = len(records) + 1  # structural upper bound on path length
+    budget = sum(map(len, by_rank.values())) + 1  # upper bound on path length
     while current is not None and budget > 0:
         budget -= 1
         rank, i = current

@@ -1,34 +1,29 @@
-"""Causal tracing: Lamport + vector clocks piggybacked on simmpi messages.
+"""Causal tracing: Lamport + vector clocks derived from the event log.
 
 The simulator's virtual clocks order events in *time*; they cannot prove
 the event stream is consistent with the *happens-before* partial order
 (Lamport 1978).  This module adds that proof obligation:
 
-* a :class:`CausalTracker` maintains, per world rank, a Lamport clock
-  and a dense vector clock (the dynamic-vector-clock construction of
-  Mattern/Fidge).  :class:`~repro.simmpi.comm.Communicator` hooks call
-  it on every send, every message absorption, and every collective
-  round — under both the ``events`` and ``threads`` engines, and on the
-  replay path too, since replay reuses the same send/absorb primitives.
-* every in-flight :class:`~repro.simmpi.datatypes.Message` carries a
-  :class:`CausalStamp` in its out-of-band ``causal`` field.  The stamp
-  never touches ``payload_nbytes``, so enabling causal tracing cannot
-  perturb virtual time, byte accounting, or schedule recordings (the
-  bit-identity tests pin this).
-* :meth:`CausalTracker.check` validates the recorded event stream:
-  per-rank clock monotonicity, sender-dominance of every received
-  stamp, the synchronization property of fully-synchronizing
-  collectives, and — when given the run's tracer — a cross-check of
-  :func:`repro.obs.analysis._match_events`'s FIFO send/recv matching
-  against the exact origin each message carried.
+* a :class:`CausalTracker` derives, per world rank, a Lamport clock and
+  a dense vector clock (the dynamic-vector-clock construction of
+  Mattern/Fidge) in one pass over each launch's
+  :class:`~repro.simmpi.tracing.EventLog` window, when :meth:`check`,
+  :meth:`clock_state` or :meth:`events_for` first asks.  Sends,
+  receives (collective-internal ones included) and collective-round
+  entries and exits tick a rank's clocks; a receive first merges the
+  clocks of the send its ``(sender, seq)`` identity names.  A message
+  carries nothing but that integer, outside its payload, so causal
+  tracing cannot perturb virtual time, byte accounting, or schedule
+  recordings (the bit-identity tests pin this) -- under both engines
+  and on the replay path, which logs through the same sites.
+* :meth:`CausalTracker.check` validates the derived stream: per-rank
+  clock monotonicity, sender-dominance of every receive, the
+  synchronization property of fully-synchronizing collectives, and --
+  given the run's tracer -- that every traced receive's identity names
+  a traced send with the same endpoints, tag and size.
 * :func:`validate_order` checks an explicit *global* event order (e.g.
   a serialized trace) for happens-before consistency; an artificially
   reordered stream is flagged with (rank, op, clock) context.
-
-Concurrency discipline mirrors :class:`~repro.simmpi.tracing.Tracer`:
-all per-rank state is preallocated and each rank mutates only its own
-slot, so the tracker is lock-free under the thread-per-rank engine and
-trivially safe under the cooperative event engine.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.simmpi.comm import _COLL_TAG_BASE
+from repro.simmpi.tracing import COLLECTIVE, ENTER, RECV, SEND, LogWindow
 
 #: Collectives after which *every* participant causally depends on
 #: *every* participant's entry (all-to-all information flow).  ``scan``,
@@ -49,22 +44,8 @@ SYNCHRONIZING_COLLECTIVES = frozenset(
     {"barrier", "allreduce", "allgather", "alltoall", "reduce_scatter_block"}
 )
 
-
-@dataclass(frozen=True, eq=False)
-class CausalStamp:
-    """The causal metadata one message carries: who sent it, and when.
-
-    ``seq`` is the sender's per-rank send sequence number — together
-    with ``rank`` it names the message uniquely, which is what lets the
-    checker compare the tracer's FIFO matching against ground truth.
-    ``vector`` is a frozen (non-writable) numpy snapshot of the
-    sender's vector clock at send time.
-    """
-
-    rank: int
-    seq: int
-    lamport: int
-    vector: np.ndarray
+#: Log event kinds that tick a rank's clocks, and their event names.
+_TICKS = {SEND: "send", RECV: "recv", ENTER: "coll_enter", COLLECTIVE: "coll_exit"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +54,8 @@ class CausalEvent:
 
     ``kind`` is ``"send"`` / ``"recv"`` / ``"coll_enter"`` /
     ``"coll_exit"``.  For sends ``seq`` is the message's sequence
-    number; for recvs ``origin`` is the ``(sender_rank, seq)`` pair the
-    absorbed stamp carried (None when the message was unstamped).
+    number; for recvs ``origin`` is the ``(sender_rank, seq)`` identity
+    of the absorbed message (None when its send is not in the log).
     ``peer`` is a world rank (or -1), ``vector`` a frozen snapshot.
     """
 
@@ -137,21 +118,77 @@ class CausalReport:
         return "\n".join([head] + [v.format() for v in self.violations])
 
 
-def _frozen(vec: np.ndarray) -> np.ndarray:
-    snap = vec.copy()
-    snap.setflags(write=False)
-    return snap
+def _walk(window: LogWindow, lamport: list[int], vectors: np.ndarray,
+          kept: list[list[CausalEvent]], skip: list[int]) -> None:
+    """Tick one launch's clock events, each receive after its send.
+
+    Ranks run from their cursors until a receive names a send its
+    sender has not reached; the sender's reaching it re-queues the
+    receiver.  A rank's first ``skip[rank]`` events tick without being
+    kept (the retention bound).
+    """
+    starts, logs = window
+    cursor = [0] * len(logs)
+    stamps: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+    waiting: dict[tuple[int, int], int] = {}
+    ready = list(range(len(logs)))
+    while ready:
+        rank = ready.pop()
+        events = logs[rank]
+        vec = vectors[rank]
+        i = cursor[rank]
+        while i < len(events):
+            ev = events[i]
+            name = _TICKS.get(ev[0])
+            if name is None:
+                i += 1
+                continue
+            origin = None
+            if name == "recv":
+                sender, seq = ev[1], ev[6]
+                stamp = stamps.pop((sender, seq), None)
+                if stamp is not None:
+                    origin = (sender, seq)
+                    np.maximum(vec, stamp[1], out=vec)
+                    lamport[rank] = max(lamport[rank], stamp[0])
+                elif sender != rank and cursor[sender] <= seq - starts[sender] < len(logs[sender]):
+                    waiting[(sender, seq)] = rank
+                    break
+            vec[rank] += 1
+            lamport[rank] += 1
+            keep = skip[rank] == 0
+            if not keep:
+                skip[rank] -= 1
+            seq = starts[rank] + i if name == "send" else -1
+            if keep or seq >= 0:
+                snap = vec.copy()
+                snap.setflags(write=False)
+            if seq >= 0:
+                stamps[(rank, seq)] = (lamport[rank], snap)
+                if (rank, seq) in waiting:
+                    ready.append(waiting.pop((rank, seq)))
+            if keep:
+                p2p = name in ("send", "recv")
+                kept[rank].append(CausalEvent(
+                    rank, name, ev[1] if p2p else -1, ev[2] if p2p else -1,
+                    "" if p2p else ev[1], seq, origin, lamport[rank], snap))
+            i += 1
+        cursor[rank] = i
 
 
 class CausalTracker:
     """Per-world-rank Lamport + vector clocks for one SPMD run.
 
-    ``events_limit`` bounds per-rank event retention (a ring buffer):
-    the clocks themselves always stay exact, but checks that need the
-    full stream degrade gracefully (dropped sends make the matching
-    checks skip, never misfire).  ``None`` keeps everything — the right
-    setting for the p <= 16 runs the checker targets; large-p overhead
-    benchmarks pass a bound.
+    :func:`~repro.simmpi.launcher.run_spmd` hands it the launch's log
+    window (:meth:`attach`); the clocks are computed from it in one pass
+    on first use (a tracker reused by a later launch continues its
+    clocks).
+    ``events_limit`` bounds per-rank event retention: each rank keeps
+    its last ``events_limit`` events, the clocks themselves always stay
+    exact, and checks that need the full stream degrade gracefully
+    (dropped sends make the matching checks skip, never misfire).
+    ``None`` keeps everything — the right setting for the p <= 16 runs
+    the checker targets.
     """
 
     def __init__(self, num_ranks: int, events_limit: int | None = None):
@@ -159,116 +196,77 @@ class CausalTracker:
             raise ValueError(f"CausalTracker needs >= 1 rank, got {num_ranks}")
         self.num_ranks = num_ranks
         self.events_limit = events_limit
-        self._lamport = [0] * num_ranks
-        self._vectors = [np.zeros(num_ranks, dtype=np.int64)
-                         for _ in range(num_ranks)]
-        self._send_seq = [0] * num_ranks
-        self._events: list[list[CausalEvent]] = [[] for _ in range(num_ranks)]
-        self._dropped = [0] * num_ranks
+        self._windows: list[LogWindow] = []
+        self._clocks: tuple | None = None
 
-    # -- hot-path hooks (called from Communicator) --------------------------
+    def attach(self, window: LogWindow) -> None:
+        """Add one launch's log window (clocks recompute on next use)."""
+        self._windows.append(window)
+        self._clocks = None
 
-    def _append(self, rank: int, event: CausalEvent) -> None:
-        events = self._events[rank]
-        limit = self.events_limit
-        if limit is not None and len(events) >= limit:
-            del events[0: len(events) - limit + 1]
-            self._dropped[rank] += 1
-        events.append(event)
-
-    def on_send(self, rank: int, peer: int, tag: int, nbytes: int) -> CausalStamp:
-        """Tick the sender's clocks; returns the stamp to piggyback."""
-        vec = self._vectors[rank]
-        vec[rank] += 1
-        self._lamport[rank] += 1
-        self._send_seq[rank] += 1
-        snap = _frozen(vec)
-        stamp = CausalStamp(rank, self._send_seq[rank], self._lamport[rank], snap)
-        self._append(rank, CausalEvent(
-            rank=rank, kind="send", peer=peer, tag=tag, label="",
-            seq=stamp.seq, origin=None, lamport=stamp.lamport, vector=snap,
-        ))
-        return stamp
-
-    def on_recv(self, rank: int, stamp: CausalStamp | None,
-                peer: int, tag: int) -> None:
-        """Merge an absorbed message's stamp into the receiver's clocks."""
-        vec = self._vectors[rank]
-        if stamp is not None:
-            np.maximum(vec, stamp.vector, out=vec)
-            self._lamport[rank] = max(self._lamport[rank], stamp.lamport)
-        vec[rank] += 1
-        self._lamport[rank] += 1
-        self._append(rank, CausalEvent(
-            rank=rank, kind="recv", peer=peer, tag=tag, label="", seq=-1,
-            origin=None if stamp is None else (stamp.rank, stamp.seq),
-            lamport=self._lamport[rank], vector=_frozen(vec),
-        ))
-
-    def _on_collective(self, rank: int, label: str, kind: str) -> None:
-        vec = self._vectors[rank]
-        vec[rank] += 1
-        self._lamport[rank] += 1
-        self._append(rank, CausalEvent(
-            rank=rank, kind=kind, peer=-1, tag=-1, label=label, seq=-1,
-            origin=None, lamport=self._lamport[rank], vector=_frozen(vec),
-        ))
-
-    def on_collective_enter(self, rank: int, label: str) -> None:
-        """Mark a rank entering a collective round."""
-        self._on_collective(rank, label, "coll_enter")
-
-    def on_collective_exit(self, rank: int, label: str) -> None:
-        """Mark a rank leaving a collective round."""
-        self._on_collective(rank, label, "coll_exit")
+    def _computed(self) -> tuple[list[int], np.ndarray, list[list[CausalEvent]], int]:
+        """(lamport, vectors, kept events, dropped count), computed once."""
+        if self._clocks is None:
+            n = self.num_ranks
+            limit = self.events_limit
+            ticks = [0] * n
+            for window in self._windows:
+                for rank, events in enumerate(window.events):
+                    ticks[rank] += sum(1 for ev in events if ev[0] in _TICKS)
+            skip = [0 if limit is None else max(0, t - limit) for t in ticks]
+            dropped = sum(skip)
+            lamport = [0] * n
+            vectors = np.zeros((n, n), dtype=np.int64)
+            kept: list[list[CausalEvent]] = [[] for _ in range(n)]
+            for window in self._windows:
+                _walk(window, lamport, vectors, kept, skip)
+            self._clocks = (lamport, vectors, kept, dropped)
+        return self._clocks
 
     # -- introspection ------------------------------------------------------
 
     def clock_state(self, rank: int) -> tuple[int, np.ndarray]:
-        """(lamport, vector-copy) of one rank's current clocks."""
-        return self._lamport[rank], self._vectors[rank].copy()
+        """(lamport, vector-copy) of one rank's final clocks."""
+        lamport, vectors, _, _ = self._computed()
+        return lamport[rank], vectors[rank].copy()
 
     def events_for(self, rank: int) -> list[CausalEvent]:
         """One rank's retained events, in program order."""
-        return list(self._events[rank])
+        return list(self._computed()[2][rank])
 
     def all_events(self) -> list[CausalEvent]:
         """Every retained event, rank-major (rank order, program order)."""
-        out: list[CausalEvent] = []
-        for events in self._events:
-            out.extend(events)
-        return out
+        return [ev for events in self._computed()[2] for ev in events]
 
     @property
     def dropped_events(self) -> int:
-        """Events evicted by the ring buffer across all ranks."""
-        return sum(self._dropped)
+        """Events beyond the retention bound across all ranks."""
+        return self._computed()[3]
 
     # -- checking -----------------------------------------------------------
 
     def check(self, tracer=None) -> CausalReport:
-        """Validate happens-before consistency of the recorded stream.
+        """Validate happens-before consistency of the derived stream.
 
         Four passes: (1) per-rank Lamport and vector-clock monotonicity;
-        (2) every received stamp must be dominated by the receiving
-        event's clocks; (3) for fully-synchronizing collectives, every
-        rank's round-exit vector must dominate every rank's round-entry
-        vector; (4) with ``tracer`` (a :class:`~repro.simmpi.tracing.Tracer`
-        or an object exposing one via ``.tracer``), the FIFO send/recv
-        matching of :func:`repro.obs.analysis._match_events` — the
-        matching :func:`~repro.obs.analysis.critical_path` walks — is
-        cross-checked against the exact ``(sender, seq)`` origin each
-        message carried.  The cross-check assumes a world-communicator
-        run (local rank == world rank), which is also what the replay
-        and recording layers support.
+        (2) every receive must dominate the clocks of the send it
+        absorbed; (3) for fully-synchronizing collectives, every rank's
+        round-exit vector must dominate every rank's round-entry vector;
+        (4) with ``tracer`` (a :class:`~repro.simmpi.tracing.Tracer` or
+        an object exposing one via ``.tracer``), every traced receive of
+        this run must name, by identity, a traced send from its peer to
+        it with its tag and size — the pairing
+        :func:`~repro.obs.analysis.critical_path`, the health report and
+        the Chrome flow arrows use.
         """
+        _, _, kept, dropped = self._computed()
         violations: list[CausalViolation] = []
         events_checked = 0
 
         # Pass 1: per-rank monotonicity.
         for rank in range(self.num_ranks):
             prev: CausalEvent | None = None
-            for ev in self._events[rank]:
+            for ev in kept[rank]:
                 events_checked += 1
                 if prev is not None:
                     if ev.lamport <= prev.lamport:
@@ -286,13 +284,12 @@ class CausalTracker:
                             "own vector component did not advance"))
                 prev = ev
 
-        # Pass 2: sender dominance of every received stamp.
+        # Pass 2: sender dominance of every absorbed message.
         sends = {(ev.rank, ev.seq): ev
-                 for evs in self._events for ev in evs if ev.kind == "send"}
+                 for evs in kept for ev in evs if ev.kind == "send"}
         messages_checked = 0
-        dropped = self.dropped_events
         for rank in range(self.num_ranks):
-            for ev in self._events[rank]:
+            for ev in kept[rank]:
                 if ev.kind != "recv" or ev.origin is None:
                     continue
                 send = sends.get(ev.origin)
@@ -318,12 +315,12 @@ class CausalTracker:
         # entry of the same round.
         rounds_checked = 0
         if not dropped:
-            rounds_checked = self._check_sync_rounds(violations)
+            rounds_checked = self._check_sync_rounds(kept, violations)
 
-        # Pass 4: cross-check the analysis layer's event matching.
+        # Pass 4: the tracer's receives pair with their sends by identity.
         matches_checked = 0
         if tracer is not None and not dropped:
-            matches_checked = self._cross_check_matching(tracer, violations)
+            matches_checked = _check_pairs(tracer, kept, violations)
 
         return CausalReport(
             violations=tuple(violations),
@@ -334,12 +331,13 @@ class CausalTracker:
             dropped_events=dropped,
         )
 
-    def _check_sync_rounds(self, violations: list[CausalViolation]) -> int:
+    def _check_sync_rounds(self, kept: list[list[CausalEvent]],
+                           violations: list[CausalViolation]) -> int:
         """Entry/exit vector dominance for synchronizing collectives."""
         enters: dict[str, list[list[CausalEvent]]] = {}
         exits: dict[str, list[list[CausalEvent]]] = {}
         for rank in range(self.num_ranks):
-            for ev in self._events[rank]:
+            for ev in kept[rank]:
                 if ev.kind == "coll_enter" and ev.label in SYNCHRONIZING_COLLECTIVES:
                     enters.setdefault(ev.label, [[] for _ in range(self.num_ranks)]
                                       )[rank].append(ev)
@@ -372,64 +370,29 @@ class CausalTracker:
                         f"(not synchronizing)"))
         return rounds
 
-    def _cross_check_matching(self, tracer,
-                              violations: list[CausalViolation]) -> int:
-        """Compare ``_match_events`` FIFO matching with stamped origins."""
-        from collections import defaultdict
 
-        from repro.obs.analysis import _match_events
-
-        tracer = getattr(tracer, "tracer", tracer)
-        by_rank: dict[int, list] = defaultdict(list)
-        for r in tracer.snapshot():
-            if r.kind != "phase":
-                by_rank[r.rank].append(r)
-        for records in by_rank.values():
-            records.sort(key=lambda r: (r.t_start, r.t_end))
-        recv_to_send, _ = _match_events(by_rank)
-
-        # Per rank, the k-th traced send corresponds to the k-th causal
-        # send event, and the k-th traced recv (user recvs only: traced
-        # recv records exist only for user-level receives) to the k-th
-        # causal recv event below the reserved collective tag space.
-        send_ordinals: dict[tuple[int, int], int] = {}
-        recv_ordinals: dict[tuple[int, int], int] = {}
-        for rank, records in by_rank.items():
-            s = r_ = 0
-            for i, rec in enumerate(records):
-                if rec.kind == "send":
-                    send_ordinals[(rank, i)] = s
-                    s += 1
-                elif rec.kind == "recv":
-                    recv_ordinals[(rank, i)] = r_
-                    r_ += 1
-        causal_sends = {r: [ev for ev in self._events[r] if ev.kind == "send"]
-                        for r in range(self.num_ranks)}
-        causal_user_recvs = {
-            r: [ev for ev in self._events[r]
-                if ev.kind == "recv" and 0 <= ev.tag < _COLL_TAG_BASE]
-            for r in range(self.num_ranks)
-        }
-
-        checked = 0
-        for recv_handle, send_handle in recv_to_send.items():
-            rrank, ri = recv_handle
-            srank, si = send_handle
-            if rrank >= self.num_ranks or srank >= self.num_ranks:
-                continue
-            try:
-                recv_ev = causal_user_recvs[rrank][recv_ordinals[recv_handle]]
-                send_ev = causal_sends[srank][send_ordinals[send_handle]]
-            except (KeyError, IndexError):
-                continue  # run used absorb paths the tracer cannot see
-            checked += 1
-            if recv_ev.origin != (send_ev.rank, send_ev.seq):
-                violations.append(CausalViolation(
-                    rrank, "recv-match", recv_ev.clock,
-                    f"analysis matched traced recv {recv_handle} to send "
-                    f"{send_handle} (message {(send_ev.rank, send_ev.seq)}), "
-                    f"but the stamp says origin {recv_ev.origin}"))
-        return checked
+def _check_pairs(tracer, kept: list[list[CausalEvent]],
+                 violations: list[CausalViolation]) -> int:
+    """Each traced receive of this run names a traced send from its peer
+    to it with its tag and size; returns how many were checked.
+    Receives of other launches sharing the tracer are skipped."""
+    records = getattr(tracer, "tracer", tracer).snapshot()
+    sends = {r.message: r for r in records if r.kind == "send"}
+    absorbed = {ev.origin: ev for evs in kept for ev in evs
+                if ev.kind == "recv" and ev.origin is not None}
+    checked = 0
+    for r in records:
+        recv = absorbed.get(r.message) if r.kind == "recv" else None
+        if recv is None:
+            continue
+        checked += 1
+        send = sends.get(r.message)
+        if send is None or (send.peer, send.tag, send.nbytes) != (r.rank, r.tag, r.nbytes):
+            violations.append(CausalViolation(
+                r.rank, "recv-match", recv.clock,
+                f"traced recv of message {r.message} (tag {r.tag}, "
+                f"{r.nbytes} B) does not match its send {send}"))
+    return checked
 
 
 def validate_order(events: Iterable[CausalEvent] | Sequence[CausalEvent]) -> CausalReport:
@@ -481,7 +444,6 @@ def validate_order(events: Iterable[CausalEvent] | Sequence[CausalEvent]) -> Cau
 
 __all__ = [
     "SYNCHRONIZING_COLLECTIVES",
-    "CausalStamp",
     "CausalEvent",
     "CausalViolation",
     "CausalReport",

@@ -5,10 +5,12 @@ sequential solve, or a whole experiment).  It owns
 
 * a per-rank :class:`~repro.obs.spans.SpanStack` forest,
 * a :class:`~repro.obs.metrics.MetricsRegistry`,
-* a :class:`~repro.simmpi.tracing.Tracer` whose records feed the span
-  layer's exporters and analyses (the comm events are *not* duplicated
-  into spans — the tracer remains the single source of message truth,
-  and its sink updates communication metrics live).
+* a :class:`~repro.simmpi.tracing.Tracer` whose event log every
+  observed launch appends to, and whose records feed the span layer's
+  exporters and analyses (the comm events are *not* duplicated into
+  spans — the log remains the single source of message truth, and
+  :meth:`Observability.absorb_log` folds each launch's events into the
+  communication counters).
 
 Instrumented application code asks the hub for a :class:`RankObs` bound
 to a rank and a clock (``obs.rank_view(comm)`` inside an SPMD body,
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +40,7 @@ from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanStack
 from repro.simmpi.events import current_task
-from repro.simmpi.tracing import TraceRecord, Tracer
+from repro.simmpi.tracing import LogWindow, Tracer, trace_records
 from repro.store import write_atomic
 
 _tls = threading.local()
@@ -175,7 +178,7 @@ class Observability:
     def __init__(self, config: ObsConfig | None = None):
         self.config = config if config is not None else ObsConfig()
         self.metrics = MetricsRegistry(enabled=self.config.enabled)
-        self.tracer = Tracer(enabled=self.config.enabled, sink=self._on_trace_record)
+        self.tracer = Tracer(enabled=self.config.enabled)
         self._stacks: dict[int, SpanStack] = {}
         self._lock = threading.Lock()
         #: The run's :class:`~repro.obs.causal.CausalTracker`, attached
@@ -227,22 +230,26 @@ class Observability:
             return NULL_RANK_OBS
         return RankObs(self, rank, now if now is not None else time.perf_counter)
 
-    # -- tracer sink --------------------------------------------------------
+    # -- communication counters ---------------------------------------------
 
-    def _on_trace_record(self, record: TraceRecord) -> None:
-        """Live communication metrics from the tracer's event stream."""
-        metrics = self.metrics
-        metrics.counter("simmpi_events_total").inc(
-            1.0, rank=record.rank, labels={"kind": record.kind}
-        )
-        if record.kind == "send":
-            metrics.counter("simmpi_bytes_sent_total").inc(
-                float(record.nbytes), rank=record.rank
-            )
-        elif record.kind == "collective":
-            metrics.counter("simmpi_collectives_total").inc(
-                1.0, rank=record.rank, labels={"op": record.label}
-            )
+    def absorb_log(self, window: LogWindow) -> None:
+        """Fold one launch's log window into the communication counters.
+
+        ``simmpi_events_total`` (by record kind), ``simmpi_bytes_sent_total``
+        and ``simmpi_collectives_total`` (by op) count the launch's
+        tracer records; :func:`~repro.simmpi.launcher.run_spmd` calls
+        this once as an observed launch ends, failed ones included.
+        """
+        counter = self.metrics.counter
+        for rank, events in enumerate(window.events):
+            records = list(trace_records(rank, events))
+            for kind, n in Counter(r.kind for r in records).items():
+                counter("simmpi_events_total").inc(float(n), rank=rank, labels={"kind": kind})
+            sent = [r.nbytes for r in records if r.kind == "send"]
+            if sent:
+                counter("simmpi_bytes_sent_total").inc(float(sum(sent)), rank=rank)
+            for op, n in Counter(r.label for r in records if r.kind == "collective").items():
+                counter("simmpi_collectives_total").inc(float(n), rank=rank, labels={"op": op})
 
     # -- cross-process telemetry --------------------------------------------
 
@@ -251,11 +258,11 @@ class Observability:
 
         Spans are serialised as nested trees (fresh ids are minted on
         absorb), metrics via :meth:`MetricsRegistry.payload`.  Tracer
-        records are *not* included — the tracer is live-streamed into
-        metrics through the sink, so the communication totals survive
-        the hop even though individual message events do not; the
-        trace is reduced to a wait-state health dict before the hop for
-        the same reason.
+        records are *not* included — each launch's log is folded into
+        the communication counters (:meth:`absorb_log`), so the totals
+        survive the hop even though individual message events do not;
+        the trace is reduced to a wait-state health dict before the hop
+        for the same reason.
         """
 
         def nest(span: Span) -> dict:

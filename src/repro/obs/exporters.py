@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict, deque
 from pathlib import Path
 
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -53,11 +52,17 @@ def _span_events(obs) -> list[dict]:
 
 
 def _comm_events(obs) -> list[dict]:
-    """Tracer records as thin slices plus send→recv flow arrows."""
+    """Tracer records as thin slices plus send→recv flow arrows.
+
+    A receive's arrow starts at the send its ``(sender, seq)`` identity
+    names; collective-internal sends have no receive record and stay
+    unpaired.
+    """
     events: list[dict] = []
-    pending: dict[tuple[int, int, int], deque] = defaultdict(deque)
+    records = obs.tracer.snapshot()
+    sends = {r.message: r for r in records if r.kind == "send"}
     flow_id = 0
-    for r in obs.tracer.snapshot():
+    for r in records:
         if r.kind not in ("send", "recv", "collective"):
             continue
         name = r.label or r.kind
@@ -71,15 +76,9 @@ def _comm_events(obs) -> list[dict]:
             "tid": r.rank,
             "args": {"nbytes": r.nbytes, "peer": r.peer, "tag": r.tag},
         })
-        # Point-to-point matching is FIFO per (src, dst, tag) — the same
-        # ordering the mailbox transport guarantees.  Collective-internal
-        # sends have no matching recv record and stay unpaired.
-        if r.kind == "send":
-            pending[(r.rank, r.peer, r.tag)].append(r)
-        elif r.kind == "recv":
-            queue = pending.get((r.peer, r.rank, r.tag))
-            if queue:
-                send = queue.popleft()
+        if r.kind == "recv" and r.seq >= 0:
+            send = sends.get(r.message)
+            if send is not None:
                 flow_id += 1
                 common = {"cat": "msg", "name": "message", "pid": 0, "id": flow_id}
                 events.append({**common, "ph": "s", "ts": send.t_end * _US,

@@ -35,7 +35,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.obs.analysis import _match_events
+from repro.obs.analysis import _match_events, _timelines
 from repro.simmpi.comm import RECV_OVERHEAD, SEND_OVERHEAD
 
 #: Trace-record kinds that occupy a rank's communication timeline.
@@ -253,13 +253,7 @@ def run_health(tracer, num_ranks: int | None = None) -> RunHealthReport:
     :class:`~repro.simmpi.launcher.SPMDResult`).  Works on any traced
     run — live, replayed, or loaded — with no causal tracking required.
     """
-    tracer = getattr(tracer, "tracer", tracer)
-    by_rank: dict[int, list] = defaultdict(list)
-    for r in tracer.snapshot():
-        if r.kind != "phase":
-            by_rank[r.rank].append(r)
-    for records in by_rank.values():
-        records.sort(key=lambda r: (r.t_start, r.t_end))
+    by_rank = _timelines(getattr(tracer, "tracer", tracer).snapshot())
     recv_to_send, coll_to_last = _match_events(by_rank)
 
     accums: dict[int, _RankAccum] = defaultdict(_RankAccum)

@@ -32,10 +32,10 @@ from repro.simmpi.clock import VirtualClock
 from repro.simmpi.comm import Communicator, Request
 from repro.simmpi.events import EventEngine, current_task
 from repro.simmpi.launcher import SPMDResult, run_spmd
-from repro.simmpi.recording import ScheduleRecorder, ScheduleRecording
+from repro.simmpi.recording import ScheduleRecording
 from repro.simmpi.replay import replay_schedule
 from repro.simmpi.selector import CollectiveSelector, Selection
-from repro.simmpi.tracing import TraceRecord, Tracer
+from repro.simmpi.tracing import EventLog, TraceRecord, Tracer
 
 __all__ = [
     "ANY_SOURCE",
@@ -57,9 +57,9 @@ __all__ = [
     "current_task",
     "SPMDResult",
     "run_spmd",
-    "ScheduleRecorder",
     "ScheduleRecording",
     "replay_schedule",
+    "EventLog",
     "TraceRecord",
     "Tracer",
 ]

@@ -33,7 +33,16 @@ from repro.simmpi.datatypes import (
     SUM,
     payload_nbytes,
 )
-from repro.simmpi.tracing import TraceRecord, Tracer
+from repro.simmpi.tracing import (
+    ALGORITHM,
+    COLLECTIVE,
+    COMPUTE,
+    ENTER,
+    PHASE,
+    RECV,
+    SEND,
+    UNSUPPORTED,
+)
 from repro.simmpi.transport import Engine
 
 # Per-message CPU overhead on each side (LogP's "o" parameter).
@@ -59,7 +68,7 @@ def _ambient_obs():
 
 
 def _traced_collective(method):
-    """Record a "collective" trace event and bump the per-comm counter.
+    """Log the round's entry and exit and bump the per-comm counter.
 
     This is what makes communication-avoiding solver variants auditable:
     the fused-allreduce CG claims one round per iteration, and
@@ -70,21 +79,15 @@ def _traced_collective(method):
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        start = self.clock.time
-        if self.causal is not None:
-            self.causal.on_collective_enter(self.world_rank, name)
-        result = method(self, *args, **kwargs)
-        if self.causal is not None:
-            self.causal.on_collective_exit(self.world_rank, name)
+        log = self.log
+        if log is None:
+            result = method(self, *args, **kwargs)
+        else:
+            start = self.clock.time
+            log.append((ENTER, name))
+            result = method(self, *args, **kwargs)
+            log.append((COLLECTIVE, name, start, self.clock.time))
         self.collective_counts[name] += 1
-        if self.tracer.enabled:
-            self.tracer.record(
-                TraceRecord(
-                    self.world_rank, "collective", start, self.clock.time, label=name
-                )
-            )
-        if self.op_recorder is not None:
-            self.op_recorder.on_collective(self.rank, name)
         return result
 
     return wrapper
@@ -129,6 +132,9 @@ class Communicator:
     communicator has the identity group and context 0.  The engine must
     already hold the group's :class:`~repro.simmpi.selector.GroupPlan`
     under ``context`` (``run_spmd`` and :meth:`split` register it).
+    ``log`` is this physical rank's event list in the launch's
+    :class:`~repro.simmpi.tracing.EventLog`, or None when nothing
+    observes the launch.
     """
 
     def __init__(
@@ -138,13 +144,10 @@ class Communicator:
         size: int,
         topology: ClusterTopology,
         clock: VirtualClock | None = None,
-        tracer: Tracer | None = None,
         context: int = 0,
         group: list[int] | None = None,
         volume_limit_bytes: float | None = None,
-        nic_concurrency: float = 1.0,
-        op_recorder: Any = None,
-        causal: Any = None,
+        log: list[tuple] | None = None,
     ):
         if not (0 <= rank < size):
             raise CommunicatorError(f"rank {rank} outside communicator of size {size}")
@@ -153,7 +156,6 @@ class Communicator:
         self.size = size
         self.topology = topology
         self.clock = clock if clock is not None else VirtualClock()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.context = context
         #: ``range(size)`` for the identity (world) group: materializing a
         #: per-rank list and reverse dict made every communicator O(size),
@@ -172,22 +174,15 @@ class Communicator:
         self._node = self._plan.node_of[rank]
         self._links = self._plan.links[self._node]
         self.volume_limit_bytes = volume_limit_bytes
-        self.nic_concurrency = max(1.0, float(nic_concurrency))
         #: Per physical rank, like ``clock``: the world communicator and
         #: every split/dup of it count into (and are capped by) one tally.
         self._traffic = engine.counters[self.world_rank]
         self.collective_counts = self._traffic.collective_counts
         self.algorithm_counts = self._traffic.algorithm_counts
         self._coll_seq = 0
-        #: Schedule recorder (:class:`~repro.simmpi.recording.ScheduleRecorder`)
-        #: when the launch asked for ``record_schedule=True``; its hooks fire
-        #: at the same sites the tracer records, plus inside collectives.
-        self.op_recorder = op_recorder
-        #: Vector-clock tracker (:class:`~repro.obs.causal.CausalTracker`)
-        #: when the launch asked for causal tracing; stamps ride in
-        #: :attr:`Message.causal`, outside the payload, so the timing
-        #: model and byte accounting never see them.
-        self.causal = causal
+        #: The one observer: every tracer record, recording op, causal
+        #: clock and ``simmpi_*`` counter is derived from this list.
+        self.log = log
 
     # -- identity -------------------------------------------------------------
 
@@ -222,26 +217,16 @@ class Communicator:
             raise CommunicatorError(f"compute duration must be >= 0, got {seconds}")
         start = self.clock.time
         self.clock.advance(seconds)
-        if self.tracer.enabled:
-            self.tracer.record(
-                TraceRecord(
-                    self.world_rank, "compute", start, self.clock.time, label=label
-                )
-            )
-        if self.op_recorder is not None:
-            self.op_recorder.on_compute(self.rank, seconds, label)
+        if self.log is not None:
+            self.log.append((COMPUTE, seconds, label, start, self.clock.time))
 
     @contextmanager
     def phase(self, label: str):
         """Trace a phase: ``with comm.phase("assembly"): ...``"""
         start = self.clock.time
         yield
-        if self.tracer.enabled:
-            self.tracer.record(
-                TraceRecord(
-                    self.world_rank, "phase", start, self.clock.time, label=label
-                )
-            )
+        if self.log is not None:
+            self.log.append((PHASE, label, start, self.clock.time))
 
     # -- point-to-point -----------------------------------------------------------
 
@@ -279,40 +264,22 @@ class Communicator:
             link = self._links[dst_node] = self.topology.network.link_between(
                 self._node, dst_node
             )
-        if dst_node == self._node:
-            concurrency = 1
-        else:
+        if dst_node != self._node:
             traffic.offnode_bytes_sent += nbytes
-            concurrency = self.nic_concurrency
         # Store-and-forward injection: the sender's NIC serializes the
         # payload (LogGP's G*n charged at the sender), so back-to-back
         # sends cannot overlap on one adapter — this is what makes a
         # linear broadcast genuinely slower than a binomial tree.
-        inject = nbytes * concurrency / link.bandwidth
-        arrival = clock.advance(SEND_OVERHEAD + inject) + link.latency
-        stamp = (
-            None
-            if self.causal is None
-            else self.causal.on_send(world_rank, world_dest, tag, nbytes)
-        )
+        arrival = clock.advance(SEND_OVERHEAD + nbytes / link.bandwidth) + link.latency
+        seq = -1
+        log = self.log
+        if log is not None:
+            seq = len(log)
+            log.append((SEND, world_dest, tag, nbytes, start, clock.time))
         self.engine.post(
             world_dest,
-            Message(self.context, world_rank, tag, payload, nbytes, arrival, stamp),
+            Message(self.context, world_rank, tag, payload, nbytes, arrival, seq),
         )
-        if self.tracer.enabled:
-            self.tracer.record(
-                TraceRecord(
-                    world_rank,
-                    "send",
-                    start,
-                    clock.time,
-                    nbytes=nbytes,
-                    peer=world_dest,
-                    tag=tag,
-                )
-            )
-        if self.op_recorder is not None:
-            self.op_recorder.on_send(self.rank, dest, tag, nbytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -323,44 +290,40 @@ class Communicator:
         """Blocking receive; returns (payload, Status)."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        start = self.clock.time
-        return self._trace_recv(self._recv_impl(source, tag), start)
+        return self._status(self._recv_impl(source, tag, user=True))
 
-    def _recv_impl(self, source: int, tag: int) -> Message:
+    def _recv_impl(self, source: int, tag: int, user: bool = False) -> Message:
         """The one receive path (mirror of :meth:`_send_impl`): block for
         the match from local rank ``source`` and absorb it."""
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         msg = self.engine.wait_for_message(self.world_rank, self.context, world_source, tag)
-        self._absorb(msg)
+        self._absorb(msg, user)
         return msg
 
-    def _trace_recv(self, msg: Message, start: float) -> tuple[Any, Status]:
-        """Record an absorbed user-level receive; returns (payload, Status)."""
-        local_source = self._local_of(msg.source)
-        if self.tracer.enabled:
-            self.tracer.record(
-                TraceRecord(
-                    self.world_rank,
-                    "recv",
-                    start,
-                    self.clock.time,
-                    nbytes=msg.nbytes,
-                    peer=msg.source,
-                    tag=msg.tag,
-                )
-            )
-        return msg.payload, Status(source=local_source, tag=msg.tag, nbytes=msg.nbytes)
+    def _status(self, msg: Message) -> tuple[Any, Status]:
+        """(payload, Status) of an absorbed user-level receive."""
+        return msg.payload, Status(
+            source=self._local_of(msg.source), tag=msg.tag, nbytes=msg.nbytes
+        )
 
-    def _absorb(self, msg: Message) -> None:
-        """Merge the message's arrival time into this rank's clock."""
-        self.clock.merge(msg.arrival_time)
-        self.clock.advance(RECV_OVERHEAD)
-        if self.causal is not None:
-            self.causal.on_recv(self.world_rank, msg.causal, msg.source, msg.tag)
-        if self.op_recorder is not None:
-            self.op_recorder.on_recv(
-                self.rank, self._local_of(msg.source), msg.tag, msg.nbytes
-            )
+    def _absorb(self, msg: Message, user: bool) -> None:
+        """Merge the message's arrival time into this rank's clock.
+
+        ``user`` marks a receive the program asked for (a tracer
+        record); the ones inside collectives and replay are log-only.
+        """
+        clock = self.clock
+        start = clock.time
+        clock.merge(msg.arrival_time)
+        clock.advance(RECV_OVERHEAD)
+        if self.log is not None:
+            self.log.append((RECV, msg.source, msg.tag, msg.nbytes, start,
+                             clock.time, msg.seq, user))
+
+    def _unsupported(self, reason: str) -> None:
+        """Log a feature a schedule recording cannot represent."""
+        if self.log is not None:
+            self.log.append((UNSUPPORTED, reason))
 
     def _local_of(self, world: int) -> int:
         """Local rank of a world rank (identity for the world group)."""
@@ -370,20 +333,18 @@ class Communicator:
     def _try_recv(self, source: int, tag: int) -> tuple[Any, Status] | None:
         """Non-blocking receive for :meth:`Request.test`: None if no
         match is pending, else what :meth:`recv_status` returns."""
-        if self.op_recorder is not None:
-            # Request.test polling is timing-dependent control flow: the
-            # outcome (and hence the program's op sequence) can legally
-            # differ on another platform, so the schedule is not portable.
-            self.op_recorder.mark_unsupported("Request.test polling")
+        # Request.test polling is timing-dependent control flow: the
+        # outcome (and hence the program's op sequence) can legally
+        # differ on another platform, so the schedule is not portable.
+        self._unsupported("Request.test polling")
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         mailbox = self.engine.mailboxes[self.world_rank]
-        start = self.clock.time
         with mailbox.condition:
             msg = mailbox.try_collect(self.context, world_source, tag)
         if msg is None:
             return None
-        self._absorb(msg)
-        return self._trace_recv(msg, start)
+        self._absorb(msg, True)
+        return self._status(msg)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send (eager: completes immediately)."""
@@ -397,8 +358,7 @@ class Communicator:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe: Status of a matching pending message
         (without consuming it), or None.  Does not advance the clock."""
-        if self.op_recorder is not None:
-            self.op_recorder.mark_unsupported("iprobe")
+        self._unsupported("iprobe")
         if source != ANY_SOURCE:
             self._check_peer(source)
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
@@ -419,10 +379,9 @@ class Communicator:
         The message stays in the mailbox; the clock merges to its
         arrival time (you cannot know it exists before it arrives).
         """
-        if self.op_recorder is not None:
-            # probe merges the clock without absorbing the message, a
-            # timing effect the op stream cannot represent.
-            self.op_recorder.mark_unsupported("probe")
+        # probe merges the clock without absorbing the message, a
+        # timing effect the op stream cannot represent.
+        self._unsupported("probe")
         if source != ANY_SOURCE:
             self._check_peer(source)
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
@@ -467,10 +426,9 @@ class Communicator:
         nbytes: int = -1, auto: bool = False, segmentable: bool = False,
     ) -> None:
         self.algorithm_counts[f"{collective}.{algorithm}"] += 1
-        if self.op_recorder is not None:
-            self.op_recorder.on_algorithm(
-                self.rank, collective, algorithm, nbytes, auto, segmentable
-            )
+        if self.log is not None:
+            self.log.append((ALGORITHM, collective, algorithm, int(nbytes),
+                             bool(auto), bool(segmentable)))
         obs = _ambient_obs()
         if obs.enabled:
             obs.count(
@@ -982,10 +940,9 @@ class Communicator:
         All ranks must call it (collective).  Returns the new
         sub-communicator for this rank's color.
         """
-        if self.op_recorder is not None:
-            # Sub-communicator traffic would interleave with world traffic
-            # in ways the single-context replay walker does not model.
-            self.op_recorder.mark_unsupported("split/dup sub-communicators")
+        # Sub-communicator traffic would interleave with world traffic
+        # in ways the single-context replay walker does not model.
+        self._unsupported("split/dup sub-communicators")
         if key is None:
             key = self.rank
         triples = self.allgather((int(color), int(key), self.rank))
@@ -1011,12 +968,10 @@ class Communicator:
             size=len(plan.group),
             topology=self.topology,
             clock=self.clock,  # shared: same physical rank, same timeline
-            tracer=self.tracer,
             context=mapping[color],
             group=plan.group,
             volume_limit_bytes=self.volume_limit_bytes,
-            nic_concurrency=self.nic_concurrency,
-            causal=self.causal,
+            log=self.log,  # shared too: one log per physical rank
         )
 
     def dup(self) -> "Communicator":

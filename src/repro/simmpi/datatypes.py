@@ -23,12 +23,11 @@ class Message:
     payload: Any
     nbytes: int
     arrival_time: float
-    #: Out-of-band causal metadata (a :class:`repro.obs.causal.CausalStamp`)
-    #: when the run tracks vector clocks.  Deliberately *not* part of the
-    #: payload: ``nbytes`` above is computed from the payload alone, so
-    #: piggybacked clocks never enter the timing model, the byte
-    #: accounting, or a schedule recording.
-    causal: Any = None
+    #: With ``source``, the message's identity: the index of its send
+    #: event in the sender's :class:`~repro.simmpi.tracing.EventLog`
+    #: (-1 when nothing observes the launch).  Outside the payload, so
+    #: it never enters ``nbytes``, the timing model or a recording.
+    seq: int = -1
 
     def matches(self, source: int, tag: int) -> bool:
         """Whether this message satisfies a receive for (source, tag)."""

@@ -32,8 +32,9 @@ from repro.network.topology import ClusterTopology
 from repro.simmpi.clock import VirtualClock
 from repro.simmpi.comm import Communicator
 from repro.simmpi.events import EventEngine
+from repro.simmpi.recording import ScheduleRecording
 from repro.simmpi.selector import GroupPlan
-from repro.simmpi.tracing import Tracer
+from repro.simmpi.tracing import UNSUPPORTED, EventLog, Tracer
 from repro.simmpi.transport import Engine
 
 
@@ -86,7 +87,6 @@ def run_spmd(
     kwargs: dict | None = None,
     trace: bool = False,
     volume_limit_bytes: float | None = None,
-    nic_concurrency: float = 1.0,
     real_timeout: float = 120.0,
     launch_hook: Callable[[int], None] | None = None,
     fault_injector=None,
@@ -99,8 +99,7 @@ def run_spmd(
 
     Parameters mirror what a batch system controls: the ``topology``
     places ranks on nodes (block placement), ``volume_limit_bytes``
-    injects the lagrange IB cap, ``nic_concurrency`` applies the NIC
-    sharing factor for off-node messages, and ``launch_hook`` may raise
+    injects the lagrange IB cap, and ``launch_hook`` may raise
     :class:`~repro.errors.LaunchError` before any rank starts (ellipse's
     >512-rank failure).  A ``fault_injector``
     (:class:`~repro.resilience.FaultInjector`) hooks the transport to
@@ -108,28 +107,23 @@ def run_spmd(
     :class:`~repro.errors.RankFailedError` is re-raised here as the
     run's root cause.
 
-    An ``observability`` hub (:class:`repro.obs.Observability`) makes the
-    run record into the hub's tracer (so its metrics sink sees every
-    comm event); span instrumentation inside ``target`` still needs the
-    hub passed through ``args``/``kwargs`` to open rank views.
+    Every observer reads one :class:`~repro.simmpi.tracing.EventLog`,
+    built only when one is attached.  ``trace=True`` or an
+    ``observability`` hub (:class:`repro.obs.Observability`) appends to
+    the tracer's log and folds the launch into the hub's ``simmpi_*``
+    counters; span instrumentation inside ``target`` still needs the
+    hub passed through ``args``/``kwargs``.  ``record_schedule=True``
+    projects the launch onto ``result.recording`` (None if the program
+    used features replay cannot represent, fault injection included —
+    see ``docs/replay.md``).  ``causal=True`` builds a fresh
+    :class:`~repro.obs.causal.CausalTracker`, an existing tracker is
+    reused, and a hub with ``config.causal`` set gets one; it rides
+    back as ``result.causal`` (and on the hub).
 
     ``engine`` is ``"events"`` (the cooperative discrete-event
     scheduler) everywhere outside the test suite; ``"threads"`` runs the
     thread-per-rank reference engine the cross-engine tests compare
     against.  Results are bit-identical either way.
-
-    ``record_schedule=True`` attaches a
-    :class:`~repro.simmpi.recording.ScheduleRecorder` to every rank's
-    communicator and exposes the frozen schedule as ``result.recording``
-    (None if the program used features replay cannot represent — see
-    ``docs/replay.md``); fault injection always disables recording.
-
-    ``causal`` enables vector-clock tracing: pass ``True`` to build a
-    fresh :class:`~repro.obs.causal.CausalTracker`, or an existing
-    tracker to reuse one.  When an ``observability`` hub is attached
-    with ``config.causal`` set, a tracker is created automatically.
-    The tracker rides back as ``result.causal`` (and on the hub) for
-    :meth:`~repro.obs.causal.CausalTracker.check`.
 
     Raises the first rank exception after aborting the others.
     """
@@ -155,13 +149,6 @@ def run_spmd(
         tracer = observability.tracer
     else:
         tracer = Tracer(enabled=trace)
-    recorder = None
-    if record_schedule:
-        from repro.simmpi.recording import ScheduleRecorder
-
-        recorder = ScheduleRecorder(num_ranks)
-        if fault_injector is not None:
-            recorder.mark_unsupported("fault injection")
     tracker = causal if not isinstance(causal, bool) and causal is not None else None
     if tracker is None and (
         causal is True
@@ -173,6 +160,16 @@ def run_spmd(
         tracker = CausalTracker(num_ranks)
     if observability is not None and tracker is not None:
         observability.causal = tracker
+    if tracer.enabled:
+        log = tracer.log
+    elif record_schedule or tracker is not None:
+        log = EventLog()
+    else:
+        log = None
+    if log is not None:
+        marks = log.marks(num_ranks)
+        if fault_injector is not None:
+            log.rank(0).append((UNSUPPORTED, "fault injection"))
     runtime.plans[0] = GroupPlan(topology, range(num_ranks))
     comms = [
         Communicator(
@@ -181,19 +178,25 @@ def run_spmd(
             size=num_ranks,
             topology=topology,
             clock=VirtualClock(),
-            tracer=tracer,
             volume_limit_bytes=volume_limit_bytes,
-            nic_concurrency=nic_concurrency,
-            op_recorder=recorder,
-            causal=tracker,
+            log=None if log is None else log.rank(r),
         )
         for r in range(num_ranks)
     ]
 
-    if engine == "events":
-        returns = runtime.run(target, comms, args=args, kwargs=kwargs)
-    else:
-        returns = _run_threaded(runtime, target, comms, args, kwargs, real_timeout)
+    try:
+        if engine == "events":
+            returns = runtime.run(target, comms, args=args, kwargs=kwargs)
+        else:
+            returns = _run_threaded(runtime, target, comms, args, kwargs, real_timeout)
+    finally:
+        # A failed launch still reports what it did to its observers.
+        if log is not None:
+            window = log.since(marks)
+            if tracker is not None:
+                tracker.attach(window)
+            if observability is not None and tracer.enabled:
+                observability.absorb_log(window)
 
     algorithm_counts: dict[str, int] = {}
     for comm in comms:
@@ -209,7 +212,8 @@ def run_spmd(
         messages_sent=[c.messages_sent for c in comms],
         engine=engine,
         algorithm_counts=algorithm_counts,
-        recording=None if recorder is None else recorder.finish(),
+        recording=(ScheduleRecording.from_log(window.events)
+                   if record_schedule else None),
         causal=tracker,
     )
 

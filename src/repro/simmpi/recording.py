@@ -3,15 +3,15 @@
 The platform-comparison artifacts re-run identical numerics per
 platform when only the virtual clock differs — the FEM/CG work is
 invariant across the EC2/grid/on-premises models.  This module is the
-"semantics" half of the split ROADMAP item 5 calls for: a
-:class:`ScheduleRecorder` rides along inside every
-:class:`~repro.simmpi.comm.Communicator` of a ``record_schedule=True``
-launch and captures, per rank and in execution order,
+"semantics" half of the record/replay split: a ``record_schedule=True``
+launch projects its :class:`~repro.simmpi.tracing.EventLog` window
+(:meth:`ScheduleRecording.from_log`) onto, per rank and in execution
+order,
 
-* every **send** (local peer, tag, payload bytes),
+* every **send** (peer, tag, payload bytes),
 * every **receive** (the matched source, tag and bytes — including the
   receives *inside* collective schedules, which the
-  :class:`~repro.simmpi.tracing.Tracer` never sees),
+  :class:`~repro.simmpi.tracing.Tracer` never shows),
 * every **compute** charge (modeled seconds plus its label), and
 * collective boundaries and the algorithm the adaptive selector
   resolved at each call site (with the payload size and whether the
@@ -28,30 +28,29 @@ them in its content-addressed cache
 
 Recordings are only valid for deterministic, timing-independent rank
 programs on the world communicator: ``split``/``dup``, ``probe``/
-``iprobe``, ``Request.test`` polling, and fault injection all mark the
-recorder *unsupported* and the launch returns no recording (callers
-fall back to full simulation — see ``docs/replay.md``).
+``iprobe``, ``Request.test`` polling, and fault injection each log an
+*unsupported* mark and the launch returns no recording (callers fall
+back to full simulation — see ``docs/replay.md``).
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import RecordingError
 from repro.network.topology import ClusterTopology
 from repro.simmpi.selector import CollectiveSelector
+from repro.simmpi.tracing import ALGORITHM, COLLECTIVE, COMPUTE, RECV, SEND, UNSUPPORTED
 from repro.store import KIND_RECORDING, MAGIC, frame, unframe  # MAGIC: re-exported
 
 _PICKLE_PROTOCOL = 4
 
 #: Op-tuple kind codes: ("c", seconds, label), ("s", peer, tag, nbytes),
-#: ("r", peer, tag, nbytes), ("k", collective_name).
-OP_COMPUTE = "c"
-OP_SEND = "s"
-OP_RECV = "r"
-OP_COLLECTIVE = "k"
+#: ("r", peer, tag, nbytes), ("k", collective_name) -- each the leading
+#: fields of the log event of the same kind.
+OP_COMPUTE, OP_SEND, OP_RECV, OP_COLLECTIVE = COMPUTE, SEND, RECV, COLLECTIVE
 
 
 def selector_for(topology: ClusterTopology, num_ranks: int) -> CollectiveSelector:
@@ -69,64 +68,14 @@ def selector_for(topology: ClusterTopology, num_ranks: int) -> CollectiveSelecto
     return CollectiveSelector(topology, num_ranks, ranks_per_node=max(counts.values()))
 
 
-class ScheduleRecorder:
-    """Per-rank op capture hooked into every communicator of one launch.
-
-    The hooks are called from inside the rank's own execution context
-    (exactly where the tracer records), so per-rank buffers need no
-    locking under either engine — the same discipline
-    :class:`~repro.simmpi.tracing.Tracer` uses.
-    """
-
-    def __init__(self, num_ranks: int):
-        self.num_ranks = int(num_ranks)
-        self._ops: list[list[tuple]] = [[] for _ in range(self.num_ranks)]
-        self._algorithms: list[list[tuple]] = [[] for _ in range(self.num_ranks)]
-        #: First unsupported feature the run touched (None = recordable).
-        self.invalid_reason: str | None = None
-
-    # -- capture hooks (called by Communicator) -----------------------------
-
-    def on_compute(self, rank: int, seconds: float, label: str) -> None:
-        """One modeled compute charge, in the exact seconds requested."""
-        self._ops[rank].append((OP_COMPUTE, float(seconds), label))
-
-    def on_send(self, rank: int, peer: int, tag: int, nbytes: int) -> None:
-        """One eager send (user-level or collective-internal)."""
-        self._ops[rank].append((OP_SEND, peer, tag, nbytes))
-
-    def on_recv(self, rank: int, peer: int, tag: int, nbytes: int) -> None:
-        """One absorbed receive, with the *matched* source and tag."""
-        self._ops[rank].append((OP_RECV, peer, tag, nbytes))
-
-    def on_collective(self, rank: int, name: str) -> None:
-        """A collective completed on this rank (audit marker, not replayed)."""
-        self._ops[rank].append((OP_COLLECTIVE, name))
-
-    def on_algorithm(
-        self, rank: int, collective: str, algorithm: str,
-        nbytes: int, auto: bool, segmentable: bool,
-    ) -> None:
-        """The algorithm one collective call resolved to on this rank."""
-        self._algorithms[rank].append(
-            (collective, algorithm, int(nbytes), bool(auto), bool(segmentable))
-        )
-
-    def mark_unsupported(self, reason: str) -> None:
-        """Invalidate the recording (first reason wins)."""
-        if self.invalid_reason is None:
-            self.invalid_reason = reason
-
-    def finish(self, meta: dict | None = None) -> "ScheduleRecording | None":
-        """Freeze the capture; None if the run touched unsupported features."""
-        if self.invalid_reason is not None:
-            return None
-        return ScheduleRecording(
-            num_ranks=self.num_ranks,
-            meta=dict(meta) if meta else {},
-            ops=tuple(tuple(rank_ops) for rank_ops in self._ops),
-            algorithms=tuple(tuple(rank_alg) for rank_alg in self._algorithms),
-        )
+def unsupported_reason(events: Sequence[Sequence[tuple]]) -> str | None:
+    """The first unsupported-feature mark in per-rank log events
+    (rank-major), or None when the schedule is recordable."""
+    for rank_events in events:
+        for ev in rank_events:
+            if ev[0] == UNSUPPORTED:
+                return ev[1]
+    return None
 
 
 @dataclass(frozen=True, eq=True)
@@ -146,6 +95,39 @@ class ScheduleRecording:
     ops: tuple[tuple[tuple, ...], ...]
     algorithms: tuple[tuple[tuple, ...], ...] = ()
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_log(
+        cls, events: Sequence[Sequence[tuple]], meta: dict | None = None
+    ) -> "ScheduleRecording | None":
+        """Project one launch's per-rank log events (a
+        :class:`~repro.simmpi.tracing.LogWindow`'s ``events``) onto a
+        recording; None if any rank logged an unsupported feature.
+
+        Valid recordings come from world-communicator programs only, so
+        the log's world peers are the recording's local peers.
+        """
+        if unsupported_reason(events) is not None:
+            return None
+        ops = []
+        for rank_events in events:
+            rank_ops = []
+            for ev in rank_events:
+                kind = ev[0]
+                if kind == SEND or kind == RECV:
+                    rank_ops.append(ev[:4])
+                elif kind == COMPUTE:
+                    rank_ops.append((COMPUTE, float(ev[1]), ev[2]))
+                elif kind == COLLECTIVE:
+                    rank_ops.append(ev[:2])
+            ops.append(tuple(rank_ops))
+        return cls(
+            num_ranks=len(ops),
+            meta=dict(meta) if meta else {},
+            ops=tuple(ops),
+            algorithms=tuple(tuple(ev[1:] for ev in rank_events if ev[0] == ALGORITHM)
+                             for rank_events in events),
+        )
 
     def with_meta(self, **meta: Any) -> "ScheduleRecording":
         """A copy with ``meta`` entries merged in (recordings are frozen)."""

@@ -15,7 +15,7 @@ out **bit-identical** to a full simulation on the same topology:
   choice *is* the schedule), and the engine's per-(source, tag) FIFO
   delivery preserves multi-message order.
 * The clock arithmetic sees identical inputs.  Send cost depends only
-  on (nbytes, placement, link, nic_concurrency) and receive cost only
+  on (nbytes, placement, link) and receive cost only
   on the sender's arrival time — all reproduced exactly, so by
   induction over each rank's op stream every intermediate clock value
   matches to the last bit.
@@ -73,7 +73,6 @@ def replay_schedule(
     recording: ScheduleRecording,
     topology: ClusterTopology | None = None,
     compute_rate: float = 1.0,
-    nic_concurrency: float = 1.0,
     volume_limit_bytes: float | None = None,
     engine: str = "events",
     trace: bool = False,
@@ -88,11 +87,10 @@ def replay_schedule(
     cluster); ``compute_rate`` divides the recorded unit-rate compute
     charges (pass the platform's
     :meth:`~repro.platforms.specs.PlatformSpec.core_flops`);
-    ``nic_concurrency``/``volume_limit_bytes``/``engine``/``trace``/
-    ``observability``/``causal`` mirror
-    :func:`~repro.simmpi.launcher.run_spmd` — in particular a replayed
-    run re-stamps every message with fresh vector clocks, so replayed
-    schedules keep checkable causal metadata.
+    ``volume_limit_bytes``/``engine``/``trace``/``observability``/
+    ``causal`` mirror :func:`~repro.simmpi.launcher.run_spmd` — in
+    particular a replayed run logs every message afresh, so replayed
+    schedules keep checkable causal clocks.
 
     With ``check_compatibility`` (the default) the recording's frozen
     ``auto`` collective choices are validated against the target
@@ -116,7 +114,6 @@ def replay_schedule(
         args=(recording, float(compute_rate)),
         trace=trace,
         volume_limit_bytes=volume_limit_bytes,
-        nic_concurrency=nic_concurrency,
         real_timeout=real_timeout,
         observability=observability,
         engine=engine,

@@ -270,3 +270,89 @@ class TestRandomTraffic:
         for ev in res.causal.all_events():
             if ev.kind == "recv" and ev.origin in sends:
                 assert np.all(ev.vector >= sends[ev.origin].vector)
+
+
+def _dup_reordered(comm):
+    """Tag 0 on ``comm`` then on ``comm.dup()``; taken in the opposite order."""
+    dup = comm.dup()
+    if comm.rank == 0:
+        comm.send(np.zeros(10, dtype=np.uint8), dest=1, tag=0)
+        dup.send(np.zeros(1000, dtype=np.uint8), dest=1, tag=0)
+    elif comm.rank == 1:
+        dup.recv(source=0, tag=0)
+        comm.recv(source=0, tag=0)
+
+
+class TestMessageIdentity:
+    """Receives pair with the send their ``(sender, seq)`` names, not
+    with the first send that shares ``(src, dst, tag)``."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dup_reordered_receives_pair_by_identity(self, engine):
+        from repro.obs import Observability, ObsConfig, run_health
+        from repro.obs.analysis import _match_events, _timelines, critical_path
+        from repro.obs.exporters import chrome_trace_events
+
+        hub = Observability(ObsConfig(out_dir=None))
+        res = run_spmd(_dup_reordered, 2, observability=hub, causal=True,
+                       engine=engine)
+        report = res.causal.check(res.tracer)
+        assert report.ok, report.format()
+        assert report.matches_checked == 2
+
+        # Chrome: every flow arrow joins slices of equal size.
+        events = chrome_trace_events(hub)
+
+        def slice_ending(flow_end, name):
+            """The ``name`` slice on the arrow end's lane that ends there."""
+            return min((e for e in events if e["ph"] == "X"
+                        and e["name"] == name and e["tid"] == flow_end["tid"]),
+                       key=lambda e: abs(e["ts"] + e["dur"] - flow_end["ts"]))
+
+        starts = {e["id"]: e for e in events if e["ph"] == "s"}
+        finishes = {e["id"]: e for e in events if e["ph"] == "f"}
+        assert len(starts) == 2 and set(starts) == set(finishes)
+        for flow_id, start in starts.items():
+            send = slice_ending(start, "send")
+            recv = slice_ending(finishes[flow_id], "recv")
+            assert send["args"]["nbytes"] == recv["args"]["nbytes"]
+
+        # critical_path and run_health share _match_events: each receive
+        # pairs with the send its identity names...
+        by_rank = _timelines(res.tracer.snapshot())
+        recv_to_send, _ = _match_events(by_rank)
+        assert len(recv_to_send) == 2
+        for (rrank, ri), (srank, si) in recv_to_send.items():
+            recv, send = by_rank[rrank][ri], by_rank[srank][si]
+            assert send.message == recv.message
+            assert send.nbytes == recv.nbytes
+        # ...so the sender's late-receiver slack is measured per message.
+        expected = sum(
+            max(0.0, by_rank[r][i].t_start - by_rank[s][j].t_end)
+            for (r, i), (s, j) in recv_to_send.items())
+        assert run_health(hub).ranks[0].late_receiver == pytest.approx(expected)
+        # The dup receive waited for the 1000-byte send, so the critical
+        # path runs through that send into the receive it bound.
+        big = next(r for r in res.tracer.snapshot() if r.kind == "send" and r.nbytes == 1000)
+        path = [(s.rank, s.kind, s.t_end) for s in critical_path(hub).segments]
+        first_recv = path.index(next(s for s in path if s[:2] == (1, "recv")))
+        assert path[first_recv - 1] == (0, "send", big.t_end)
+
+    def test_identities_stay_unique_across_launches_sharing_a_hub(self):
+        """A resilient runner's attempts append to one hub tracer: the
+        second launch's messages must not reuse the first one's names."""
+        from repro.obs import Observability, ObsConfig
+        from repro.obs.analysis import _match_events, _timelines
+
+        hub = Observability(ObsConfig(out_dir=None, causal=True))
+        for _ in range(2):
+            run_spmd(_dup_reordered, 2, observability=hub)
+            assert hub.causal.check(hub.tracer).ok
+        records = hub.tracer.snapshot()
+        names = [r.message for r in records if r.kind == "send"]
+        assert len(names) == len(set(names))
+        by_rank = _timelines(records)
+        recv_to_send, _ = _match_events(by_rank)
+        assert len(recv_to_send) == 4
+        for (rrank, ri), (srank, si) in recv_to_send.items():
+            assert by_rank[rrank][ri].nbytes == by_rank[srank][si].nbytes

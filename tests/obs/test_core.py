@@ -1,4 +1,4 @@
-"""Hub plumbing: ambient context, views, tracer sink, export, tracing."""
+"""Hub plumbing: ambient context, views, comm counters, export, tracing."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.obs import (
     current,
     observed_run,
 )
+from repro.simmpi import run_spmd
 from repro.simmpi.tracing import TraceRecord, Tracer
 
 
@@ -82,25 +83,34 @@ class TestViewsAndConfig:
 
 
 class TestTracerIntegration:
-    def test_sink_feeds_live_comm_metrics(self):
+    def test_launch_log_feeds_comm_metrics(self):
+        """Each observed launch's log is folded into the simmpi_* counters,
+        which therefore count exactly the hub tracer's records."""
         obs = Observability()
-        obs.tracer.record(
-            TraceRecord(rank=1, kind="send", t_start=0.0, t_end=1.0, nbytes=64)
-        )
-        obs.tracer.record(
-            TraceRecord(
-                rank=1, kind="collective", t_start=1.0, t_end=2.0,
-                label="allreduce",
-            )
-        )
+
+        def main(comm):
+            if comm.rank == 0:
+                comm.send(b"x" * 64, dest=1)
+            elif comm.rank == 1:
+                comm.recv(source=0)
+            comm.allreduce(1.0)
+
+        run_spmd(main, 2, observability=obs)
+        run_spmd(main, 2, observability=obs)
+        records = obs.tracer.snapshot()
         m = obs.metrics
-        assert m.counter("simmpi_events_total").value(
-            rank=1, labels={"kind": "send"}
-        ) == 1.0
-        assert m.counter("simmpi_bytes_sent_total").value(rank=1) == 64.0
-        assert m.counter("simmpi_collectives_total").value(
-            rank=1, labels={"op": "allreduce"}
-        ) == 1.0
+        for rank in (0, 1):
+            for kind in {r.kind for r in records}:
+                expected = sum(1 for r in records if (r.rank, r.kind) == (rank, kind))
+                assert m.counter("simmpi_events_total").value(
+                    rank=rank, labels={"kind": kind}
+                ) == expected
+            assert m.counter("simmpi_bytes_sent_total").value(
+                rank=rank
+            ) == obs.tracer.total_bytes_sent(rank)
+            assert m.counter("simmpi_collectives_total").value(
+                rank=rank, labels={"op": "allreduce"}
+            ) == 2.0
 
     def test_snapshot_is_an_immutable_copy(self):
         tracer = Tracer()
@@ -111,9 +121,7 @@ class TestTracerIntegration:
         assert len(snap) == 1 and len(tracer.snapshot()) == 2
         assert isinstance(snap, tuple)
 
-    def test_disabled_tracer_drops_records_and_skips_sink(self):
-        seen = []
-        tracer = Tracer(enabled=False, sink=seen.append)
+    def test_disabled_tracer_drops_records(self):
+        tracer = Tracer(enabled=False)
         tracer.record(TraceRecord(rank=0, kind="send", t_start=0.0, t_end=1.0))
         assert tracer.snapshot() == ()
-        assert seen == []

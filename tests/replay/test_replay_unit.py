@@ -1,7 +1,8 @@
 """Unit semantics of the record/replay subsystem.
 
-Covers the recorder's invalidation contract (which features make a run
-unrecordable and force the full-simulation path), replay's argument
+Covers the recording's invalidation contract (which features make a run
+unrecordable and force the full-simulation path), its projection from
+the event log, replay's argument
 validation, the ``compatible_with`` portability check, and the
 deterministic :class:`ModeledCompute` charger the capture relies on.
 """
@@ -17,7 +18,15 @@ from repro.perfmodel.compute import (
 )
 from repro.resilience.faults import FaultInjector
 from repro.simmpi.launcher import default_topology, run_spmd
-from repro.simmpi.recording import ScheduleRecorder, ScheduleRecording
+from repro.simmpi.recording import ScheduleRecording, unsupported_reason
+from repro.simmpi.tracing import (
+    COLLECTIVE,
+    COMPUTE,
+    RECV,
+    SEND,
+    UNSUPPORTED,
+    EventLog,
+)
 from repro.simmpi.replay import replay_schedule
 
 
@@ -84,20 +93,26 @@ class TestUnrecordablePrograms:
 
 
 class TestRecorder:
+    """A recording is a projection of the launch's event log."""
+
     def test_first_invalid_reason_wins(self):
-        recorder = ScheduleRecorder(2)
-        recorder.mark_unsupported("probe")
-        recorder.mark_unsupported("split/dup sub-communicators")
-        assert recorder.invalid_reason == "probe"
-        assert recorder.finish() is None
+        log = EventLog()
+        log.rank(0).append((UNSUPPORTED, "probe"))
+        log.rank(0).append((UNSUPPORTED, "split/dup sub-communicators"))
+        log.rank(1).append((UNSUPPORTED, "iprobe"))
+        events = log.since((0, 0)).events
+        assert unsupported_reason(events) == "probe"
+        assert ScheduleRecording.from_log(events) is None
 
     def test_finish_freezes_per_rank_streams(self):
-        recorder = ScheduleRecorder(2)
-        recorder.on_compute(0, 2.5, "assembly")
-        recorder.on_send(0, 1, 7, 64)
-        recorder.on_recv(1, 0, 7, 64)
-        recorder.on_collective(1, "allreduce")
-        rec = recorder.finish(meta={"workload": "unit"})
+        log = EventLog()
+        log.rank(0).append((COMPUTE, 2.5, "assembly", 0.0, 2.5))
+        log.rank(0).append((SEND, 1, 7, 64, 2.5, 2.6))
+        log.rank(1).append((RECV, 0, 7, 64, 0.0, 2.7, 1, True))
+        log.rank(1).append((COLLECTIVE, "allreduce", 2.7, 3.0))
+        rec = ScheduleRecording.from_log(
+            log.since((0, 0)).events, meta={"workload": "unit"}
+        )
         assert rec.ops == ((("c", 2.5, "assembly"), ("s", 1, 7, 64)),
                            (("r", 0, 7, 64), ("k", "allreduce")))
         assert rec.meta == {"workload": "unit"}

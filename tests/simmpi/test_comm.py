@@ -291,18 +291,6 @@ class TestVirtualTime:
         )
         assert eth >= 2 * ib
 
-    def test_nic_concurrency_slows_offnode(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(125_000), dest=4)
-            elif comm.rank == 4:
-                comm.recv(source=0)
-                return comm.time
-
-        base = run(main, 5, topology=topo()).returns[4]
-        shared = run(main, 5, topology=topo(), nic_concurrency=4.0).returns[4]
-        assert shared > 2 * base
-
 
 class TestCollectives:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])

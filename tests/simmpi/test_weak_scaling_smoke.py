@@ -13,7 +13,7 @@ observers off.  Wall time is the benchmark's job (``benchmarks/perf``).
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.simmpi import run_spmd
-from repro.simmpi.tracing import TraceRecord
+from repro.simmpi.tracing import EventLog
 
 #: Placement lookups allowed per rank and per message.  Two per message
 #: (source and destination node) is what resolving nothing ahead costs;
@@ -34,13 +34,13 @@ class CountingTopology(ClusterTopology):
 def test_p1000_sweep_step_within_budget(monkeypatch):
     p = 1000
     topology = CountingTopology(32, 32, NetworkModel(GIGABIT_ETHERNET))
-    records = []
+    logs = []
 
-    def counted_record(*args, **kwargs):
-        records.append(args)
-        return TraceRecord(*args, **kwargs)
+    def counted_log():
+        logs.append(EventLog())
+        return logs[-1]
 
-    monkeypatch.setattr("repro.simmpi.comm.TraceRecord", counted_record)
+    monkeypatch.setattr("repro.simmpi.launcher.EventLog", counted_log)
 
     def main(comm):
         comm.compute(1e-6, label="tiny-mesh-step")
@@ -61,6 +61,6 @@ def test_p1000_sweep_step_within_budget(monkeypatch):
         f"{topology.lookups} node_of_rank calls for {p} ranks and "
         f"{messages} messages: something group-wide is rebuilt per rank"
     )
-    assert not records, (
-        f"{len(records)} TraceRecords built with trace=False"
+    assert not logs and not result.tracer.log.ranks(), (
+        "an event log was built or written with every observer off"
     )
