@@ -29,6 +29,7 @@ preconditioner setup, and communication-heavy iterative solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ from repro.errors import ReproError, SolverError
 from repro.apps.exact import EthierSteinmanSolution
 from repro.apps.phases import IterationPhases, PhaseClock, PhaseLog
 from repro.apps.shared import shared_discretization
+from repro.apps.stepping import DistributedStep
 from repro.fem.assembly import (
     CompositeOperator,
     assemble_advection,
@@ -55,13 +57,21 @@ from repro.fem.dofmap import DofMap
 from repro.fem.function import vector_l2_error
 from repro.fem.mesh import StructuredBoxMesh
 from repro.fem.quadrature import default_rule_for_order
-from repro.la.krylov import bicgstab, cg
+from repro.io.checkpoint import SolverState
+from repro.la.distributed import DistMatrix, dist_bicgstab, dist_cg_fused
+from repro.la.krylov import SolveResult, bicgstab, cg
 from repro.la.preconditioners import make_preconditioner
+from repro.obs.core import NULL_RANK_OBS
 
 
 @dataclass(frozen=True)
 class NSProblem:
     """Ethier-Steinman setup: cube [-1,1]^3, nu = 1, a = pi/4, d = pi/2."""
+
+    #: The application name a checkpoint of this problem carries.
+    APP: ClassVar[str] = "navier-stokes"
+    #: Velocity and pressure are both Q1.
+    order: ClassVar[int] = 1
 
     mesh_shape: tuple[int, int, int] = (8, 8, 8)
     dt: float = 0.002
@@ -79,6 +89,15 @@ class NSProblem:
     def mesh(self) -> StructuredBoxMesh:
         """The [-1, 1]^3 mesh of the Ethier-Steinman benchmark."""
         return StructuredBoxMesh(self.mesh_shape, lower=(-1, -1, -1), upper=(1, 1, 1))
+
+    def discretization(self) -> dict:
+        """The checkpoint-compatibility key (rank count deliberately absent)."""
+        return {
+            "mesh_shape": list(self.mesh_shape),
+            "bdf_order": self.bdf_order,
+            "dt": self.dt,
+            "nu": self.nu,
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +117,7 @@ class NSOperators:
     @classmethod
     def build(cls, problem: NSProblem) -> "NSOperators":
         """Assemble the bundle (setup, not the loop)."""
-        dm = DofMap(problem.mesh(), order=1).materialize()
+        dm = DofMap(problem.mesh(), order=problem.order).materialize()
         mass = assemble_mass(dm).tocsr()
         stiffness = assemble_stiffness(dm).tocsr()
         # D_i[a, b] = integral(phi_a * d(phi_b)/dx_i): pressure gradient /
@@ -262,79 +281,87 @@ class NSSolver:
 
     def step(self) -> IterationPhases:
         """Advance one projection step, timing the paper's three phases."""
-        problem = self.problem
-        dt = problem.dt
-        alpha0 = self.bdf[0].alpha0
-        t_new = self.t + dt
-
         # -- (ii) assembly: the time-dependent operator ---------------------
         with self.clock.phase("assembly"):
-            momentum_op, momentum_rhs, exact_velocity_new = self._assemble_momentum(
-                t_new
-            )
+            system = self._assemble_momentum(self.t + self.problem.dt)
 
         # -- (iiia) preconditioner -------------------------------------------
         with self.clock.phase("preconditioner"):
-            momentum_precond = self._refresh_momentum_preconditioner(momentum_op)
+            momentum_precond = self._refresh_momentum_preconditioner(system[0])
 
         # -- (iiib) solves ------------------------------------------------------
-        with self.clock.phase("solve"):
-            u_star = []
-            for i in range(3):
+        def solve(role, op, rhs, x0):
+            if role == "momentum":
                 result = bicgstab(
-                    momentum_op, momentum_rhs[i], x0=self.bdf[i].latest(),
-                    preconditioner=momentum_precond, tol=self.tol, maxiter=5000,
-                    strict=True,
+                    op, rhs, x0=x0, preconditioner=momentum_precond,
+                    tol=self.tol, maxiter=5000, strict=True,
                 )
-                self.momentum_iterations.append(result.iterations)
-                u_star.append(result.x)
+            elif role == "phi":
+                if self._pressure_precond is None:
+                    self._pressure_precond = make_preconditioner(
+                        self.preconditioner_name, op
+                    )
+                result = cg(
+                    op, rhs, preconditioner=self._pressure_precond,
+                    tol=self.tol, maxiter=5000, strict=True,
+                )
+            else:
+                result = cg(op, rhs, x0=x0, tol=self.tol, maxiter=2000, strict=True)
+            return result.x, result
 
-            divergence = sum(self.grad_ops[i] @ u_star[i] for i in range(3))
-            phi_op, phi_rhs = self._phi_system(divergence)
-            if self._pressure_precond is None:
-                self._pressure_precond = make_preconditioner(
-                    self.preconditioner_name, phi_op
-                )
-            phi_result = cg(
-                phi_op, phi_rhs, preconditioner=self._pressure_precond,
-                tol=self.tol, maxiter=5000, strict=True,
-            )
-            self.pressure_iterations.append(phi_result.iterations)
-            phi = phi_result.x
+        with self.clock.phase("solve"):
+            self._project(system, solve)
+        phases = self.clock.finish_iteration()
+        self.log.append(phases)
+        return phases
 
-            u_new = []
-            for i in range(3):
-                rhs = self.mass @ u_star[i] - (dt / alpha0) * (self.grad_ops[i] @ phi)
-                # Proper symmetric elimination: the boundary-column part of
-                # the mass matrix must be lifted into the RHS, or the
-                # projection pollutes the first interior layer.
-                op_i, rhs_i = self._projection_system(
-                    rhs, exact_velocity_new[self.boundary, i]
-                )
-                proj = cg(
-                    op_i, rhs_i, x0=u_star[i], tol=self.tol, maxiter=2000,
-                    strict=True,
-                )
-                u_new.append(proj.x)
+    def _project(self, system, solve) -> tuple[SolveResult, ...]:
+        """The step's seven linear solves, then the advance to ``t + dt``.
 
+        ``system`` is :meth:`_assemble_momentum`'s output; ``solve(role,
+        op, rhs, x0)`` returns ``(global solution, SolveResult)`` for
+        ``role`` ``"momentum"`` (three nonsymmetric solves), ``"phi"``
+        (the pressure increment) or ``"mass"`` (three projections).
+        Returns the results in that order.
+        """
+        momentum_op, momentum_rhs, exact_velocity_new = system
+        dt = self.problem.dt
+        alpha0 = self.bdf[0].alpha0
+        u_star, momentum = zip(*(
+            solve("momentum", momentum_op, momentum_rhs[i], self.bdf[i].latest())
+            for i in range(3)
+        ))
+        divergence = sum(self.grad_ops[i] @ u_star[i] for i in range(3))
+        phi, phi_result = solve("phi", *self._phi_system(divergence), None)
+        u_new, projections = [], []
         for i in range(3):
-            self.bdf[i].advance(u_new[i])
+            rhs = self.mass @ u_star[i] - (dt / alpha0) * (self.grad_ops[i] @ phi)
+            # Proper symmetric elimination: the boundary-column part of
+            # the mass matrix must be lifted into the RHS, or the
+            # projection pollutes the first interior layer.
+            op_i, rhs_i = self._projection_system(
+                rhs, exact_velocity_new[self.boundary, i]
+            )
+            u_i, result = solve("mass", op_i, rhs_i, u_star[i])
+            u_new.append(u_i)
+            projections.append(result)
+
+        pressure = self.pressure + phi
         if self.rotational:
             # Rotational form: subtract nu * div(u*) (as an L2-projected
             # nodal field) from the pressure update.
             div_result = cg(
                 self.mass, divergence, tol=self.tol, maxiter=2000, strict=True
             )
-            self.pressure = (
-                self.pressure + phi - self.problem.nu * div_result.x
-            )
-        else:
-            self.pressure = self.pressure + phi
-        self.t = t_new
+            pressure = pressure - self.problem.nu * div_result.x
+        self.momentum_iterations.extend(result.iterations for result in momentum)
+        self.pressure_iterations.append(phi_result.iterations)
+        for bdf, component in zip(self.bdf, u_new):
+            bdf.advance(component)
+        self.pressure = pressure
+        self.t = self.t + dt
         self.steps_taken += 1
-        phases = self.clock.finish_iteration()
-        self.log.append(phases)
-        return phases
+        return (*momentum, phi_result, *projections)
 
     def run(self) -> PhaseLog:
         """Run all steps; returns the phase log."""
@@ -342,12 +369,48 @@ class NSSolver:
             self.step()
         return self.log
 
+    # -- restart --------------------------------------------------------------
+
+    def state(self) -> SolverState:
+        """The restart state: the three velocity BDF histories, then the
+        pressure; clock and iteration counters."""
+        return SolverState(
+            fields=[*(s for bdf in self.bdf for s in bdf.history), self.pressure],
+            t=self.t,
+            step=self.steps_taken,
+            counters={
+                "momentum_iterations": list(self.momentum_iterations),
+                "pressure_iterations": list(self.pressure_iterations),
+            },
+        )
+
+    def restore(self, state: SolverState) -> None:
+        """Continue from ``state``; the inverse of :meth:`state`."""
+        order = self.problem.bdf_order
+        for comp, bdf in enumerate(self.bdf):
+            bdf.initialize(state.fields[comp * order : (comp + 1) * order][::-1])
+        self.pressure = state.fields[3 * order]
+        self.t = state.t
+        self.steps_taken = state.step
+        self.momentum_iterations = list(state.counters.get("momentum_iterations", []))
+        self.pressure_iterations = list(state.counters.get("pressure_iterations", []))
+
     # -- correctness --------------------------------------------------------
 
     @property
     def velocity(self) -> np.ndarray:
         """Current velocity field, shape (ndofs, 3)."""
         return np.column_stack([self.bdf[i].latest() for i in range(3)])
+
+    @property
+    def solution(self) -> np.ndarray:
+        """Velocity components and pressure as columns, shape (ndofs, 4)."""
+        return np.column_stack([self.velocity, self.pressure])
+
+    def nodal_error(self) -> float:
+        """Max nodal deviation of the velocity from Ethier-Steinman at time t."""
+        exact = self.exact.velocity(self.dofmap.dof_coords, self.t)
+        return float(np.max(np.abs(self.velocity - exact)))
 
     def velocity_error(self) -> float:
         """L2 error of the velocity against Ethier-Steinman at time t."""
@@ -385,6 +448,72 @@ class NSSolver:
 # ---------------------------------------------------------------------------
 
 
+class DistributedNSStep(DistributedStep):
+    """The one distributed NS time step, in the paper's three phases.
+
+    The :class:`NSSolver` owns the replicated state and the momentum
+    assembly, which every rank repeats (deterministic) and which is the
+    one charged phase.  All seven linear solves of
+    :meth:`NSSolver._project` run distributed, unpreconditioned — three
+    BiCGStab momentum solves, then the pressure-Poisson and three mass
+    projections through :func:`dist_cg_fused` — so their traffic
+    accrues through the network model.  The momentum operator's values
+    are refreshed in place each step; the other two operators are
+    constant, so each role's :class:`DistMatrix` is built once.
+    """
+
+    PROBLEM = NSProblem
+    TOL = 1e-10
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # One DistMatrix per operator role: "momentum" is refreshed in
+        # place each step; "phi" and "mass" are step-invariant.
+        self._dist: dict[str, DistMatrix] = {}
+        self._system = None
+
+    def make_solver(self, problem: NSProblem, tol: float) -> NSSolver:
+        """An :class:`NSSolver` (its own preconditioners stay unused)."""
+        return NSSolver(problem, tol=tol)
+
+    def assemble(self) -> None:
+        """Assemble the momentum system at ``t + dt``; refresh its
+        distributed values (data only, no communication)."""
+        solver = self.solver
+        self._system = solver._assemble_momentum(solver.t + solver.problem.dt)
+        if "momentum" in self._dist:
+            self._dist["momentum"].update_values(self._system[0])
+
+    def precondition(self) -> None:
+        """Nothing global to build (see the class docstring)."""
+
+    def solve(self) -> tuple[SolveResult, ...]:
+        """Momentum, pressure increment and projection; then advance."""
+        return self.solver._project(self._system, self._solve)
+
+    def _solve(self, role, op, rhs, x0):
+        dist = self._dist.get(role)
+        if dist is None:
+            # The collective structure exchange happens once per role.
+            dist = self._dist[role] = DistMatrix.from_global(
+                self.comm, op, ownership=self.ownership, numbering=self.numbering
+            )
+        symmetric = role != "momentum"
+        result = (dist_cg_fused if symmetric else dist_bicgstab)(
+            dist,
+            dist.vector_from_global(rhs),
+            x0=None if x0 is None else dist.vector_from_global(x0),
+            tol=self.tol,
+            maxiter=5000,
+        )
+        if not result.converged:
+            raise ReproError(
+                f"distributed {'CG' if symmetric else 'BiCGStab'} stalled at "
+                f"residual {result.residual_norm:.3e}"
+            )
+        return dist.allgather_global(result.x), result
+
+
 def run_ns_distributed(
     comm,
     problem: NSProblem,
@@ -396,134 +525,23 @@ def run_ns_distributed(
 ):
     """SPMD Navier-Stokes over simmpi: executed numerics, virtual phases.
 
+    The same time loop as :func:`repro.apps.reaction_diffusion.run_rd_distributed`
+    (:meth:`~repro.apps.stepping.DistributedStep.run`) around a
+    :class:`DistributedNSStep`, which charges its assembly phase only.
     ``compute_charger`` — optional ``(phase, measured_seconds) ->
     virtual_seconds`` callable replacing the wall-clock charge with a
     deterministic model (:class:`repro.perfmodel.ModeledCompute`), the
     prerequisite for bit-exact schedule replay (``docs/replay.md``);
-    ``cpu_speed_factor`` is ignored when set.
-
-    Mirrors :func:`repro.apps.reaction_diffusion.run_rd_distributed`:
-    the step-invariant operators are one read-only copy shared by the
-    launch's ranks (:class:`NSOperators`); the per-step momentum
-    assembly is replicated on every rank (deterministic) and charged to
-    the virtual clock; all seven linear solves per step run distributed
-    — three BiCGStab momentum solves, the pressure-Poisson CG, and three
-    mass projections — so their halo and allreduce traffic accrues
-    through the platform's network model.
-
-    The hot path is incremental: the momentum operator is combined into
-    a cached sparsity pattern and pushed to the ranks with
-    :meth:`DistMatrix.update_values` (data-only, no redistribution);
-    the pressure-Poisson and projection operators are constant, so
-    their distributed forms are built exactly once.  All SPD solves use
-    the communication-reduced :func:`dist_cg_fused` (one batched
-    allreduce round per iteration).
+    ``cpu_speed_factor`` is ignored when set.  An ``obs`` hub gets the
+    step / phase spans, ``phase_seconds`` and ``ns_steps_total``.
 
     Returns ``(velocity_error, pressure_error, PhaseLog)`` per rank.
     """
-    import time as _time
-
-    from repro.apps.phases import PhaseClock, PhaseLog
-    from repro.apps.reaction_diffusion import slab_ownership
-    from repro.errors import ReproError
-    from repro.la.distributed import DistMatrix, dist_bicgstab, dist_cg_fused
-
-    if cpu_speed_factor <= 0:
-        raise ReproError("cpu_speed_factor must be positive")
-
-    solver = NSSolver(problem, tol=tol, discard=discard)
-    dm = solver.dofmap
-    ownership = slab_ownership(dm, comm.size)
-    clock = PhaseClock(now=lambda: comm.time)
-    log = PhaseLog(discard=discard)
-    if obs is not None:
-        view = obs.rank_view(comm)
-    else:
-        from repro.obs.core import NULL_RANK_OBS
-
-        view = NULL_RANK_OBS
-
-    def charge(phase: str, real_seconds: float) -> None:
-        if compute_charger is not None:
-            comm.compute(compute_charger(phase, real_seconds), label=phase)
-        else:
-            comm.compute(real_seconds / cpu_speed_factor)
-
-    # One DistMatrix per operator role: "momentum" is refreshed in place
-    # each step; "phi" and "mass" are step-invariant.
-    dist_cache: dict[str, DistMatrix] = {}
-
-    def dist_solve(role, op, rhs, x0=None, symmetric=False, refresh=False):
-        dist = dist_cache.get(role)
-        if dist is None:
-            dist = DistMatrix.from_global(comm, op, ownership=ownership)
-            dist_cache[role] = dist
-        elif refresh:
-            dist.update_values(op)
-        rhs_d = dist.vector_from_global(rhs)
-        x0_d = dist.vector_from_global(x0) if x0 is not None else None
-        solve = dist_cg_fused if symmetric else dist_bicgstab
-        result = solve(dist, rhs_d, x0=x0_d, tol=tol, maxiter=5000)
-        if not result.converged:
-            raise ReproError(
-                f"distributed {'CG' if symmetric else 'BiCGStab'} stalled at "
-                f"residual {result.residual_norm:.3e}"
-            )
-        return dist.allgather_global(result.x)
-
-    dt = problem.dt
-    alpha0 = solver.bdf[0].alpha0
-
-    for step_idx in range(problem.num_steps):
-        with view.span("step", step=step_idx):
-            t_new = solver.t + dt
-
-            with clock.phase("assembly"), view.span("assembly"):
-                start = _time.perf_counter()
-                momentum_op, momentum_rhs, exact_velocity_new = (
-                    solver._assemble_momentum(t_new)
-                )
-                charge("assembly", _time.perf_counter() - start)
-
-            with clock.phase("preconditioner"), view.span("preconditioner"):
-                # Distributed preconditioning is block-local inside the
-                # solver setups; nothing global to build here.
-                pass
-
-            with clock.phase("solve"), view.span("solve"):
-                u_star = [
-                    dist_solve(
-                        "momentum", momentum_op, momentum_rhs[i],
-                        x0=solver.bdf[i].latest(), symmetric=False,
-                        refresh=(i == 0),
-                    )
-                    for i in range(3)
-                ]
-                divergence = sum(solver.grad_ops[i] @ u_star[i] for i in range(3))
-                phi_op, phi_rhs = solver._phi_system(divergence)
-                phi = dist_solve("phi", phi_op, phi_rhs, symmetric=True)
-                u_new = []
-                for i in range(3):
-                    rhs = solver.mass @ u_star[i] - (dt / alpha0) * (
-                        solver.grad_ops[i] @ phi
-                    )
-                    op_i, rhs_i = solver._projection_system(
-                        rhs, exact_velocity_new[solver.boundary, i]
-                    )
-                    u_new.append(
-                        dist_solve("mass", op_i, rhs_i, x0=u_star[i], symmetric=True)
-                    )
-
-            for i in range(3):
-                solver.bdf[i].advance(u_new[i])
-            solver.pressure = solver.pressure + phi
-            solver.t = t_new
-            log.append(clock.finish_iteration())
-
+    step = DistributedNSStep(comm, problem, tol)
+    view = NULL_RANK_OBS if obs is None else obs.rank_view(comm)
+    log = step.run(
+        problem.num_steps, cpu_speed_factor, compute_charger, discard, view
+    )
     if view.enabled:
-        for it in log.measured:
-            view.observe("phase_seconds", it.assembly, phase="assembly")
-            view.observe("phase_seconds", it.preconditioner, phase="preconditioner")
-            view.observe("phase_seconds", it.solve, phase="solve")
         view.count("ns_steps_total", float(problem.num_steps))
-    return solver.velocity_error(), solver.pressure_error(), log
+    return step.solver.velocity_error(), step.solver.pressure_error(), log

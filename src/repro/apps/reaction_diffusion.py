@@ -17,8 +17,8 @@ with Dirichlet data from the exact solution.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +27,7 @@ from repro.errors import ReproError, SolverError
 from repro.apps.exact import RDManufacturedSolution
 from repro.apps.phases import IterationPhases, PhaseClock, PhaseLog
 from repro.apps.shared import shared_discretization
+from repro.apps.stepping import DistributedStep
 from repro.fem.assembly import (
     CompositeOperator,
     assemble_load,
@@ -38,6 +39,7 @@ from repro.fem.boundary import DirichletPlan, apply_dirichlet
 from repro.fem.dofmap import DofMap
 from repro.fem.function import l2_error
 from repro.fem.mesh import StructuredBoxMesh
+from repro.io.checkpoint import SolverState
 from repro.la.distributed import (
     DistBlockJacobiPreconditioner,
     DistJacobiPreconditioner,
@@ -46,6 +48,7 @@ from repro.la.distributed import (
 )
 from repro.la.krylov import SolveResult, cg
 from repro.la.preconditioners import make_preconditioner
+from repro.obs.core import NULL_RANK_OBS
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,9 @@ class RDProblem:
     The paper's weak-scaling runs load each MPI process with a 20^3
     element mesh; ``mesh_shape`` is the *global* mesh.
     """
+
+    #: The application name a checkpoint of this problem carries.
+    APP: ClassVar[str] = "reaction-diffusion"
 
     mesh_shape: tuple[int, int, int] = (20, 20, 20)
     order: int = 2
@@ -79,6 +85,20 @@ class RDProblem:
     def mesh(self) -> StructuredBoxMesh:
         """The unit-cube mesh of the problem."""
         return StructuredBoxMesh(self.mesh_shape)
+
+    def discretization(self) -> dict:
+        """The checkpoint-compatibility key (rank count deliberately absent).
+
+        Every entry is validated on load: a BDF history restored onto a
+        different mesh, element order, scheme order or step size would
+        silently continue a different trajectory.
+        """
+        return {
+            "mesh_shape": list(self.mesh_shape),
+            "order": self.order,
+            "bdf_order": self.bdf_order,
+            "dt": self.dt,
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +256,28 @@ class RDSolver:
             self.step()
         return self.log
 
+    # -- restart ---------------------------------------------------------------
+
+    def state(self) -> SolverState:
+        """The restart state: BDF history, clock and solve diagnostics."""
+        return SolverState(
+            fields=list(self.bdf.history),
+            t=self.t,
+            step=self.steps_taken,
+            counters={
+                "solve_iterations": list(self.solve_iterations),
+                "residual_norms": list(self.residual_norms),
+            },
+        )
+
+    def restore(self, state: SolverState) -> None:
+        """Continue from ``state``; the inverse of :meth:`state`."""
+        self.bdf.initialize(state.fields[::-1])  # oldest first
+        self.t = state.t
+        self.steps_taken = state.step
+        self.solve_iterations = list(state.counters.get("solve_iterations", []))
+        self.residual_norms = list(state.counters.get("residual_norms", []))
+
     # -- correctness ---------------------------------------------------------
 
     @property
@@ -258,77 +300,37 @@ class RDSolver:
 # ---------------------------------------------------------------------------
 
 
-def slab_ownership(dofmap: DofMap, num_ranks: int) -> list[np.ndarray]:
-    """Geometric z-slab DOF ownership (contiguous in lattice numbering).
-
-    The lattice is numbered x-fastest, so splitting the flat index range
-    at z-plane boundaries gives each rank a contiguous slab whose halo
-    with the next rank is exactly one lattice plane — the same surface
-    structure a ParMETIS block partition produces.
-    """
-    mx, my, mz = dofmap.lattice_shape
-    if num_ranks > mz:
-        raise ReproError(
-            f"cannot slab-partition {mz} z-planes over {num_ranks} ranks"
-        )
-    plane = mx * my
-    bounds = np.linspace(0, mz, num_ranks + 1).round().astype(int)
-    return [
-        np.arange(bounds[r] * plane, bounds[r + 1] * plane, dtype=np.int64)
-        for r in range(num_ranks)
-    ]
-
-
-class DistributedRDStep:
+class DistributedRDStep(DistributedStep):
     """The one distributed RD time step, in the paper's three phases.
 
-    ``solver`` is an :class:`RDSolver` in ``"combine"`` mode: it holds the
+    The solver is an :class:`RDSolver` in ``"combine"`` mode: it holds the
     launch's shared step-invariant operators and owns the BDF history,
     ``t`` and the system assembly.  This class owns what the
     distribution adds — the :class:`~repro.la.distributed.DistMatrix`
     and preconditioner lifecycle, the fused CG, the global gather and
-    the history advance.
-    Drivers call :meth:`assemble`, :meth:`precondition` and :meth:`solve`
-    once per step, in that order, and put their own phase clocks, spans,
-    fault gates and compute charges between them.
-
-    ``ownership`` and ``numbering`` go to
-    :meth:`DistMatrix.from_global <repro.la.distributed.DistMatrix.from_global>`
-    unchanged.
+    the history advance.  :meth:`~repro.apps.stepping.DistributedStep.run`
+    is its time loop.
     """
 
+    PROBLEM = RDProblem
+    TOL = 1e-12
     PRECONDITIONERS = {
         "block-jacobi": DistBlockJacobiPreconditioner,
         "jacobi": DistJacobiPreconditioner,
         "none": None,
         "identity": None,
     }
+    DEFAULT_PRECONDITIONER = "block-jacobi"
+    INVARIANT_PRECONDITIONER = "jacobi"  # element-wise
+    CHARGED_PHASES = ("assembly", "preconditioner")
 
-    def __init__(
-        self,
-        comm,
-        solver: RDSolver,
-        ownership: list[np.ndarray],
-        preconditioner: str,
-        tol: float,
-        numbering: str = "owned-first",
-    ):
-        self.check_preconditioner(preconditioner)
-        self.comm = comm
-        self.solver = solver
-        self.ownership = ownership
-        self.preconditioner = preconditioner
-        self.tol = tol
-        self.numbering = numbering
-        self.dist: DistMatrix | None = None
-        self.precond = None
-        self._rhs: np.ndarray | None = None
+    dist: DistMatrix | None = None
+    precond = None
+    _rhs: np.ndarray | None = None
 
-    @classmethod
-    def check_preconditioner(cls, name: str) -> None:
-        """Raise :class:`ReproError` unless ``name`` is a distributed preconditioner."""
-        if name not in cls.PRECONDITIONERS:
-            raise ReproError(f"unknown distributed preconditioner {name!r}")
+    def make_solver(self, problem: RDProblem, tol: float) -> RDSolver:
+        """An :class:`RDSolver` in ``"combine"`` mode (the step rewrites data only)."""
+        return RDSolver(problem, tol=tol, assembly_mode="combine")
 
     def assemble(self) -> None:
         """Assemble the system at ``t + dt`` and push its values to the ranks."""
@@ -351,7 +353,7 @@ class DistributedRDStep:
         elif factory is not None:
             self.precond = factory(self.dist)
 
-    def solve(self) -> SolveResult:
+    def solve(self) -> tuple[SolveResult]:
         """Fused CG from the latest state, then advance the replicated history."""
         solver, dist = self.solver, self.dist
         result = dist_cg_fused(
@@ -363,7 +365,7 @@ class DistributedRDStep:
             maxiter=5000,
         )
         solver._advance(dist.allgather_global(result.x), result)
-        return result
+        return (result,)
 
 
 def run_rd_distributed(
@@ -378,74 +380,29 @@ def run_rd_distributed(
 ):
     """SPMD RD solve over simmpi: executed numerics, virtual-time phases.
 
-    Local computation is measured with the wall clock and charged to the
-    rank's virtual clock scaled by ``cpu_speed_factor`` (a platform with
-    2x faster cores charges half the time); communication costs accrue
-    through the platform's network model inside the distributed CG.
-
-    ``compute_charger`` — optional ``(phase, measured_seconds) ->
-    virtual_seconds`` callable replacing the wall-clock charge with a
-    deterministic model (:class:`repro.perfmodel.ModeledCompute`); this
-    is what makes schedule recordings replayable bit-for-bit
-    (``docs/replay.md``).  ``cpu_speed_factor`` is ignored when set.
+    :meth:`DistributedRDStep.run <repro.apps.stepping.DistributedStep.run>`
+    is the time loop: local computation is measured with the wall clock
+    and charged to the rank's virtual clock scaled by
+    ``cpu_speed_factor``, or by ``compute_charger`` when set (then
+    ``cpu_speed_factor`` is ignored); communication costs accrue through
+    the platform's network model inside the distributed CG.
 
     An optional ``obs`` hub (:class:`repro.obs.Observability`) records a
     ``step`` span per time step with the three paper phases as children
-    (virtual-clock timestamps), and observes the post-discard phase
-    durations into the ``phase_seconds`` histogram — in the same order
-    :meth:`~repro.apps.phases.PhaseLog.averages` accumulates them, so
-    the histogram mean reproduces the paper's reduction exactly.
+    (virtual-clock timestamps), the post-discard ``phase_seconds``
+    histogram, ``rd_steps_total`` and the ``rd_nodal_error`` gauge.
 
     Returns ``(owned_solution_values, PhaseLog, nodal_error)`` per rank;
     the phase log carries *virtual* durations.
     """
-    if cpu_speed_factor <= 0:
-        raise ReproError("cpu_speed_factor must be positive")
-
-    solver = RDSolver(problem, tol=tol, assembly_mode="combine", discard=discard)
-    ownership = slab_ownership(solver.dofmap, comm.size)
-    stepper = DistributedRDStep(comm, solver, ownership, preconditioner, tol)
-    clock = PhaseClock(now=lambda: comm.time)
-    log = PhaseLog(discard=discard)
-    if obs is not None:
-        view = obs.rank_view(comm)
-    else:
-        from repro.obs.core import NULL_RANK_OBS
-
-        view = NULL_RANK_OBS
-
-    def charge(phase: str, real_seconds: float) -> None:
-        if compute_charger is not None:
-            comm.compute(compute_charger(phase, real_seconds), label=phase)
-        else:
-            comm.compute(real_seconds / cpu_speed_factor)
-
-    for step_idx in range(problem.num_steps):
-        with view.span("step", step=step_idx):
-            with clock.phase("assembly"), view.span("assembly"):
-                start = time.perf_counter()
-                stepper.assemble()
-                charge("assembly", time.perf_counter() - start)
-
-            with clock.phase("preconditioner"), view.span("preconditioner"):
-                start = time.perf_counter()
-                stepper.precondition()
-                charge("preconditioner", time.perf_counter() - start)
-
-            with clock.phase("solve"), view.span("solve"):
-                stepper.solve()
-
-            log.append(clock.finish_iteration())
-
+    step = DistributedRDStep(comm, problem, tol, preconditioner)
+    view = NULL_RANK_OBS if obs is None else obs.rank_view(comm)
+    log = step.run(
+        problem.num_steps, cpu_speed_factor, compute_charger, discard, view
+    )
+    solver = step.solver
     nodal_error = solver.nodal_error()
     if view.enabled:
-        # Post-discard observations, in PhaseLog.averages() accumulation
-        # order: the histogram's (sum, count) then reproduce the paper's
-        # per-phase means bit for bit.
-        for it in log.measured:
-            view.observe("phase_seconds", it.assembly, phase="assembly")
-            view.observe("phase_seconds", it.preconditioner, phase="preconditioner")
-            view.observe("phase_seconds", it.solve, phase="solve")
         view.count("rd_steps_total", float(problem.num_steps))
         view.gauge("rd_nodal_error", nodal_error)
-    return solver.solution[ownership[comm.rank]], log, nodal_error
+    return solver.solution[step.ownership[comm.rank]], log, nodal_error

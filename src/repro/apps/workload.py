@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.errors import ExperimentError, ReproError
 
 BYTES_PER_DOF = 8  # double precision
@@ -159,11 +157,6 @@ class AppWorkload:
             * BYTES_PER_DOF
         )
 
-    def halo_exchanges_per_iteration(self, num_ranks: int) -> float:
-        """Halo updates per time step: one per Krylov matvec, plus the
-        assembly-phase ghost refresh."""
-        return self.solver_iterations(num_ranks) + self.fields
-
     def allreduce_count(self, num_ranks: int) -> float:
         """Latency-bound allreduces per time step (CG dots and norms)."""
         return self.allreduces_per_iteration * self.solver_iterations(num_ranks)
@@ -178,12 +171,6 @@ class AppWorkload:
         scalar — still deep inside the selector's small-message regime.
         """
         return replace(self, allreduces_per_iteration=1.0, allreduce_bytes=24.0)
-
-    def assembly_halo_bytes(self, elements_per_rank: int, num_ranks: int) -> float:
-        """Assembly-phase communication: ghost data for coefficients."""
-        return self.fields * self.halo_bytes_per_exchange(
-            elements_per_rank, num_ranks
-        ) / max(self.fields, 1)
 
     def solve_halo_bytes(self, elements_per_rank: int, num_ranks: int) -> float:
         """Solve-phase halo traffic per iteration (all matvecs)."""

@@ -43,11 +43,6 @@ class InstanceType:
         if self.on_demand_hourly <= 0 or self.typical_spot_hourly <= 0:
             raise CloudError(f"invalid pricing: {self}")
 
-    @property
-    def spot_discount(self) -> float:
-        """Typical spot price as a fraction of on-demand."""
-        return self.typical_spot_hourly / self.on_demand_hourly
-
     def core_hourly(self, spot: bool = False) -> float:
         """Per-core hourly price (the paper's 15 cents / 3.375 cents)."""
         price = self.typical_spot_hourly if spot else self.on_demand_hourly

@@ -357,10 +357,6 @@ class CompositeOperator:
         """Entries in the merged pattern."""
         return self._nnz
 
-    @property
-    def component_names(self) -> tuple[str, ...]:
-        return tuple(self._component_data)
-
     def update_component(self, name: str, matrix: sp.csr_matrix) -> None:
         """Replace one component's values (pattern must be unchanged).
 

@@ -60,6 +60,11 @@ class BDF:
         """True once enough history is present to take a step."""
         return len(self._history) >= self.order
 
+    @property
+    def history(self) -> tuple[np.ndarray, ...]:
+        """The stored states, newest first (what a restart checkpoints)."""
+        return tuple(self._history)
+
     def initialize(self, states_oldest_first: list[np.ndarray]) -> None:
         """Seed the scheme with ``order`` known states (oldest first)."""
         if len(states_oldest_first) != self.order:

@@ -53,13 +53,6 @@ class DofMap:
 
     # -- numbering ----------------------------------------------------------
 
-    def lattice_index(self, i: int, j: int, k: int) -> int:
-        """Linear DOF index from lattice coordinates (x fastest)."""
-        mx, my, mz = self.lattice_shape
-        if not (0 <= i < mx and 0 <= j < my and 0 <= k < mz):
-            raise ElementError(f"lattice point ({i},{j},{k}) outside {self.lattice_shape}")
-        return i + mx * (j + my * k)
-
     @cached_property
     def cell_dofs(self) -> np.ndarray:
         """Global DOFs per cell, shape ``(num_cells, (order+1)^3)``.

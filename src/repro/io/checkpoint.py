@@ -51,6 +51,21 @@ class CheckpointError(ReproError):
 
 
 @dataclass
+class SolverState:
+    """What a solver restarts from, bit-exactly (``state()`` / ``restore()``).
+
+    ``fields`` are global replicated vectors: each BDF history newest
+    first, then any further state (NS: the pressure).  ``counters`` are
+    the JSON-able per-step diagnostics a resumed run continues.
+    """
+
+    fields: list[np.ndarray]
+    t: float
+    step: int
+    counters: dict[str, list]
+
+
+@dataclass
 class CheckpointData:
     """In-memory checkpoint: named float64 fields plus JSON metadata."""
 
@@ -130,10 +145,15 @@ def read_checkpoint(path: str | Path) -> CheckpointData:
         header = json.loads(raw[offset : offset + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    sizes = header.get("fields", {}) if isinstance(header, dict) else None
+    if not isinstance(sizes, dict) or not all(
+        type(size) is int and size >= 0 for size in sizes.values()
+    ):
+        raise CheckpointError(f"{path}: corrupt header: bad field table")
     offset += hlen
 
     fields: dict[str, np.ndarray] = {}
-    for name, size in header.get("fields", {}).items():
+    for name, size in sizes.items():
         parts: list[np.ndarray] = []
         collected = 0
         while collected < size or (size == 0 and not parts):
@@ -181,77 +201,80 @@ def restore_rng(rng: np.random.Generator, state: dict) -> np.random.Generator:
     return rng
 
 
-def save_history_state(
-    path: str | Path,
-    app: str,
-    states: list[np.ndarray],
-    t: float,
-    step: int,
-    discretization: dict,
-    solver_state: dict | None = None,
-    rng_state: dict | None = None,
-    extra_metadata: dict | None = None,
-) -> int:
-    """Write a v2 restart checkpoint: time-stepper history + solver state.
+def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
+               rng_state: dict | None = None) -> int:
+    """Write a v2 restart checkpoint of ``solver`` (``solver.state()``).
 
-    ``states`` is the BDF history *newest first* (as the scheme stores
-    it); ``solver_state`` carries JSON-able per-step diagnostics —
-    iteration counts, residual histories, collective counters — so a
-    resumed run continues them seamlessly; ``rng_state`` (from
-    :func:`rng_state_to_json`) makes stochastic components resume on the
-    exact same draw sequence.
+    Works for any solver with ``problem`` / ``state()`` / ``restore()``
+    (:class:`~repro.apps.reaction_diffusion.RDSolver`,
+    :class:`~repro.apps.navier_stokes.NSSolver`): the state fields go in
+    as raw float64, the clock, step and counters (iteration counts,
+    residual histories) as metadata next to the problem's application
+    name and discretization, against which :func:`read_state`
+    validates.  ``rng_state`` (from :func:`rng_state_to_json`) makes
+    stochastic components resume on the exact same draw sequence.
     """
+    problem, state = solver.problem, solver.state()
     metadata = {
-        "app": app,
+        "app": problem.APP,
         "format": 2,
-        "t": float(t),
-        "step": int(step),
-        "num_states": len(states),
-        "discretization": dict(discretization),
-        "solver_state": dict(solver_state or {}),
+        "t": float(state.t),
+        "step": int(state.step),
+        "num_states": len(state.fields),
+        "discretization": problem.discretization(),
+        "solver_state": dict(state.counters),
     }
     if rng_state is not None:
         metadata["rng_state"] = rng_state
     if extra_metadata:
         metadata.update(extra_metadata)
     fields = {
-        f"state_{i}": np.asarray(state, dtype=np.float64).ravel()
-        for i, state in enumerate(states)
+        f"state_{i}": np.asarray(values, dtype=np.float64).ravel()
+        for i, values in enumerate(state.fields)
     }
     return write_checkpoint(path, CheckpointData(fields=fields, metadata=metadata))
 
 
-def load_history_state(
-    path: str | Path, app: str, discretization: dict | None = None
-) -> tuple[list[np.ndarray], float, int, dict]:
-    """Read a restart checkpoint back; returns (states, t, step, metadata).
+def read_state(path: str | Path, problem) -> tuple[SolverState, dict]:
+    """Read a restart checkpoint of ``problem``'s application back.
 
-    ``states`` come back newest first, exactly as saved.  When
-    ``discretization`` is given, every entry must match the checkpoint's
-    (mesh shape, element order, BDF order, ...) — resuming onto a
-    different discretization can never be bit-exact, so it is an error.
+    Returns the :class:`SolverState` (fields exactly
+    as saved) and the full metadata.  Every entry of
+    ``problem.discretization()`` must match the checkpoint's — resuming
+    onto a different discretization can never be bit-exact — and any
+    malformed metadata is a :class:`CheckpointError`.
     """
     data = read_checkpoint(path)
     meta = data.metadata
-    if meta.get("app") != app:
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: malformed metadata {meta!r}")
+    if meta.get("app") != problem.APP:
         raise CheckpointError(
-            f"{path}: app mismatch (checkpoint {meta.get('app')!r}, wanted {app!r})"
+            f"{path}: app mismatch (checkpoint {meta.get('app')!r}, "
+            f"wanted {problem.APP!r})"
         )
+    for section in ("discretization", "solver_state"):
+        if not isinstance(meta.get(section, {}), dict):
+            raise CheckpointError(f"{path}: malformed {section} {meta[section]!r}")
     saved_disc = meta.get("discretization", {})
-    if discretization is not None:
-        for key, wanted in discretization.items():
-            have = saved_disc.get(key)
-            if _normalize(have) != _normalize(wanted):
-                raise CheckpointError(
-                    f"{path}: discretization mismatch on {key!r} "
-                    f"(checkpoint {have!r}, solver {wanted!r})"
-                )
-    num_states = int(meta.get("num_states", 0))
+    for key, wanted in problem.discretization().items():
+        have = saved_disc.get(key)
+        if _normalize(have) != _normalize(wanted):
+            raise CheckpointError(
+                f"{path}: discretization mismatch on {key!r} "
+                f"(checkpoint {have!r}, solver {wanted!r})"
+            )
     try:
-        states = [data.fields[f"state_{i}"] for i in range(num_states)]
+        t = float(meta["t"])
+        step = int(meta.get("step", 0))
+        num_states = int(meta.get("num_states", 0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed restart metadata: {exc!r}") from exc
+    try:
+        fields = [data.fields[f"state_{i}"] for i in range(num_states)]
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing history field {exc}") from exc
-    return states, float(meta["t"]), int(meta.get("step", 0)), meta
+    return SolverState(fields, t, step, meta.get("solver_state", {})), meta
 
 
 def _normalize(value):
@@ -261,123 +284,22 @@ def _normalize(value):
     return value
 
 
-def rd_discretization(problem) -> dict:
-    """The RD checkpoint-compatibility key (rank count deliberately absent).
+def load_state(path: str | Path, solver) -> float:
+    """Restore ``solver`` from a :func:`save_state` checkpoint; returns its time.
 
-    Every entry is validated on load: a BDF history restored onto a
-    different mesh, element order, scheme order or step size would
-    silently continue a different trajectory.
+    The solver then continues *bit-exactly*, counters included
+    (asserted by the golden resume tests).
     """
-    return {
-        "mesh_shape": list(problem.mesh_shape),
-        "order": problem.order,
-        "bdf_order": problem.bdf_order,
-        "dt": problem.dt,
-    }
-
-
-def save_rd_state(path: str | Path, solver, extra_metadata: dict | None = None,
-                  rng_state: dict | None = None) -> int:
-    """Checkpoint an RD solver: BDF history, clock, and solver counters.
-
-    Restart with :func:`load_rd_state`, which reinitializes the BDF
-    history and the per-step diagnostics so the restarted trajectory
-    continues *bit-exactly* (asserted by the golden resume tests).
-    """
-    return save_history_state(
-        path,
-        app="reaction-diffusion",
-        states=solver.bdf._history,  # newest first
-        t=solver.t,
-        step=getattr(solver, "steps_taken", 0),
-        discretization=rd_discretization(solver.problem),
-        solver_state={
-            "solve_iterations": list(solver.solve_iterations),
-            "residual_norms": list(getattr(solver, "residual_norms", [])),
-        },
-        rng_state=rng_state,
-        extra_metadata=extra_metadata,
-    )
-
-
-def load_rd_state(path: str | Path, solver) -> float:
-    """Restore an RD solver from a checkpoint; returns the restored time.
-
-    The solver must be configured with the same problem discretization
-    (validated against the checkpoint metadata); iteration and residual
-    histories continue from the checkpointed values.
-    """
-    states, t, step, meta = load_history_state(
-        path,
-        app="reaction-diffusion",
-        discretization=rd_discretization(solver.problem),
-    )
-    if len(states) != solver.problem.bdf_order:
+    state, _ = read_state(path, solver.problem)
+    expected = len(solver.state().fields)
+    if len(state.fields) != expected:
         raise CheckpointError(
-            f"{path}: {len(states)} history states for "
-            f"BDF{solver.problem.bdf_order}"
+            f"{path}: {len(state.fields)} state fields, the solver restores {expected}"
         )
-    solver.bdf.initialize(list(reversed(states)))  # oldest first
-    solver.t = t
-    solver.steps_taken = step
-    solver_state = meta.get("solver_state", {})
-    solver.solve_iterations = list(solver_state.get("solve_iterations", []))
-    solver.residual_norms = list(solver_state.get("residual_norms", []))
+    solver.restore(state)
     return solver.t
 
 
-def save_ns_state(path: str | Path, solver, extra_metadata: dict | None = None) -> int:
-    """Checkpoint an NS solver: 3 velocity BDF histories + pressure + clock."""
-    order = solver.problem.bdf_order
-    states: list[np.ndarray] = []
-    for comp in range(3):
-        states.extend(solver.bdf[comp]._history)  # newest first per component
-    states.append(solver.pressure)
-    return save_history_state(
-        path,
-        app="navier-stokes",
-        states=states,
-        t=solver.t,
-        step=getattr(solver, "steps_taken", 0),
-        discretization={
-            "mesh_shape": list(solver.problem.mesh_shape),
-            "bdf_order": order,
-            "dt": solver.problem.dt,
-            "nu": solver.problem.nu,
-        },
-        solver_state={
-            "momentum_iterations": list(solver.momentum_iterations),
-            "pressure_iterations": list(solver.pressure_iterations),
-        },
-        extra_metadata=extra_metadata,
-    )
-
-
-def load_ns_state(path: str | Path, solver) -> float:
-    """Restore an NS solver from a checkpoint; returns the restored time."""
-    order = solver.problem.bdf_order
-    states, t, step, meta = load_history_state(
-        path,
-        app="navier-stokes",
-        discretization={
-            "mesh_shape": list(solver.problem.mesh_shape),
-            "bdf_order": order,
-            "dt": solver.problem.dt,
-            "nu": solver.problem.nu,
-        },
-    )
-    if len(states) != 3 * order + 1:
-        raise CheckpointError(
-            f"{path}: expected {3 * order + 1} states (3 velocity histories "
-            f"+ pressure), got {len(states)}"
-        )
-    for comp in range(3):
-        history = states[comp * order : (comp + 1) * order]  # newest first
-        solver.bdf[comp].initialize(list(reversed(history)))
-    solver.pressure = states[3 * order]
-    solver.t = t
-    solver.steps_taken = step
-    solver_state = meta.get("solver_state", {})
-    solver.momentum_iterations = list(solver_state.get("momentum_iterations", []))
-    solver.pressure_iterations = list(solver_state.get("pressure_iterations", []))
-    return solver.t
+#: The reaction-diffusion names of the one pair (``benchmarks/perf`` imports them).
+save_rd_state = save_state
+load_rd_state = load_state

@@ -26,7 +26,7 @@ from repro.errors import SolverError
 from repro.la.krylov import SolveResult
 from repro.obs.core import current as _obs_current
 from repro.simmpi.comm import Communicator
-from repro.simmpi.datatypes import SUM, MAX
+from repro.simmpi.datatypes import SUM
 
 
 def owned_ranges(num_dofs: int, num_ranks: int) -> list[np.ndarray]:
@@ -49,15 +49,6 @@ class ExchangePlan:
 
     send_to: dict[int, np.ndarray]
     recv_from: dict[int, np.ndarray]
-
-    @property
-    def neighbor_count(self) -> int:
-        """Number of distinct communication partners."""
-        return len(set(self.send_to) | set(self.recv_from))
-
-    def bytes_sent_per_update(self) -> int:
-        """Payload bytes this rank sends in one ghost update."""
-        return sum(idx.size * 8 for idx in self.send_to.values())
 
 
 class DistVector:

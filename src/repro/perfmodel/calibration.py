@@ -56,11 +56,6 @@ class HostCalibration:
         """Host seconds per modeled assembly flop."""
         return self.measured_assembly_s / self.model_assembly_flops
 
-    @property
-    def solve_seconds_per_model_flop(self) -> float:
-        """Host seconds per modeled solve flop."""
-        return self.measured_solve_s / self.model_solve_flops
-
     def implied_host_gflops(self) -> float:
         """The sustained GF/s this host achieved against the model counts."""
         total_flops = self.model_assembly_flops + self.model_solve_flops
@@ -115,7 +110,7 @@ def calibrate_iteration_growth(
                 DistMatrix,
                 dist_cg,
             )
-            from repro.apps.reaction_diffusion import slab_ownership
+            from repro.apps.stepping import slab_ownership
 
             dm = DofMap(problem.mesh(), problem.order)
             t = problem.t0 + problem.dt

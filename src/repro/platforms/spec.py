@@ -73,11 +73,6 @@ class NodeSpec:
         """Total RAM per node."""
         return self.ram_per_core_gb * self.cores
 
-    @property
-    def node_gflops(self) -> float:
-        """Sustained node flop rate with all cores busy."""
-        return self.cores * self.cpu.sustained_gflops
-
 
 @dataclass(frozen=True)
 class AvailabilityModel:

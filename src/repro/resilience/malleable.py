@@ -1,4 +1,4 @@
-"""Malleable (shrink/expand) execution of the distributed RD time loop.
+"""Malleable (shrink/expand) execution of either application's time loop.
 
 The paper's §VII placements are chosen once, up front; when a spot
 reclaim shrinks the machine mid-run the only 2012 answer was restart in
@@ -12,24 +12,24 @@ The lifecycle (``docs/elasticity.md``) is checkpoint → repartition →
 resume:
 
 1. a segment of the time loop runs at ``p_old`` ranks and persists a v2
-   restart checkpoint (:func:`repro.io.checkpoint.save_rd_state`);
+   restart checkpoint (:func:`repro.io.checkpoint.save_state`);
 2. :func:`repartition_state` loads the checkpoint, re-decomposes the
    mesh at ``p_new`` with the existing RCB partitioner
    (:func:`repro.partition.partition_rcb`), derives the new DOF
    ownership, and reports the redistribution (moved DOFs, edge cut,
    balance);
-3. the next segment resumes at ``p_new`` from the restored BDF history.
+3. the next segment resumes at ``p_new`` from the restored state.
 
-Every segment is a loop around the shared
-:class:`~repro.apps.reaction_diffusion.DistributedRDStep` — the step the
-plain SPMD driver and the resilient runner run.  Bit-consistency across
-the width change is guaranteed by the distributed linear algebra's
-deterministic numerics mode (``numbering="global"`` +
-rank-count-invariant dot products + the element-wise Jacobi
-preconditioner, ``docs/elasticity.md``): every segment computes exactly the
-scalars an uninterrupted fixed-``p`` run computes, so the per-step
-records and final solution are bit-identical for *any* schedule at
-matching discretization — the property the gate tests pin.
+Every segment runs the problem's distributed step
+(:meth:`~repro.apps.stepping.DistributedStep.for_problem`) through the
+one time loop the plain SPMD drivers and the resilient runner run.
+Bit-consistency across the width change is guaranteed by the distributed
+linear algebra's deterministic numerics mode (``numbering="global"`` +
+rank-count-invariant dot products + the step's
+``INVARIANT_PRECONDITIONER``, ``docs/elasticity.md``): every segment
+computes exactly the scalars an uninterrupted fixed-``p`` run computes,
+so the per-step records and final solution are bit-identical for *any*
+schedule at matching discretization — the property the gate tests pin.
 """
 
 from __future__ import annotations
@@ -41,20 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ResilienceError
-from repro.apps.reaction_diffusion import DistributedRDStep, RDProblem, RDSolver
+from repro.apps.stepping import DistributedStep, StepRecord
 from repro.fem.dofmap import DofMap
-from repro.io.checkpoint import (
-    load_history_state,
-    load_rd_state,
-    rd_discretization,
-    save_rd_state,
-)
+from repro.io.checkpoint import load_state, read_state, save_state
 from repro.partition import edge_cut, load_imbalance, partition_rcb
-from repro.resilience.runner import StepRecord
 from repro.simmpi.launcher import run_spmd
 
 #: File name of the malleable restart checkpoint inside checkpoint_dir.
-MALLEABLE_CHECKPOINT = "rd-malleable.ckpt"
+MALLEABLE_CHECKPOINT = "malleable.ckpt"
 
 
 def ownership_from_partition(
@@ -118,7 +112,7 @@ class RepartitionReport:
         }
 
 
-def decompose(problem: RDProblem, num_ranks: int) -> list[np.ndarray]:
+def decompose(problem, num_ranks: int) -> list[np.ndarray]:
     """RCB mesh decomposition at ``num_ranks``, as DOF ownership.
 
     Handles any ``1 <= num_ranks <= num_elements`` including
@@ -133,25 +127,22 @@ def decompose(problem: RDProblem, num_ranks: int) -> list[np.ndarray]:
 
 def repartition_state(
     checkpoint_path: str | Path,
-    problem: RDProblem,
+    problem,
     p_new: int,
 ) -> tuple[list[np.ndarray], float, int, list[np.ndarray], RepartitionReport]:
     """Load a v2 checkpoint written at ``p_old`` and re-decompose at ``p_new``.
 
-    The BDF history in a v2 checkpoint is stored as *global* replicated
+    The state in a v2 checkpoint is stored as *global* replicated
     vectors, so redistribution is a pure re-indexing: the new ownership
     map decides which slice each resuming rank extracts.  Returns
-    ``(states, t, step, ownership, report)`` where ``states`` is the
-    history newest-first, ``ownership`` the new per-rank DOF index
-    arrays, and ``report`` the :class:`RepartitionReport` (moved DOFs
-    counted against the decomposition recorded in the checkpoint).
+    ``(states, t, step, ownership, report)`` where ``states`` are the
+    checkpointed fields (BDF histories newest-first; NS then the
+    pressure), ``ownership`` the new per-rank DOF index arrays, and
+    ``report`` the :class:`RepartitionReport` (moved DOFs counted
+    against the decomposition recorded in the checkpoint).
     """
     start = time.perf_counter()
-    states, t, step, meta = load_history_state(
-        checkpoint_path,
-        app="reaction-diffusion",
-        discretization=rd_discretization(problem),
-    )
+    state, meta = read_state(checkpoint_path, problem)
     p_old = int(meta.get("num_ranks", 0))
     dofmap = DofMap(problem.mesh(), problem.order)
     assignment = partition_rcb(problem.mesh(), p_new)
@@ -171,15 +162,15 @@ def repartition_state(
     report = RepartitionReport(
         p_old=p_old,
         p_new=p_new,
-        step=int(step),
-        t=float(t),
+        step=state.step,
+        t=state.t,
         num_dofs=int(dofmap.num_dofs),
         moved_dofs=moved,
         edge_cut=edge_cut(problem.mesh(), assignment),
         load_imbalance=load_imbalance(problem.mesh(), assignment, p_new),
         seconds=time.perf_counter() - start,
     )
-    return states, float(t), int(step), ownership, report
+    return state.fields, state.t, state.step, ownership, report
 
 
 @dataclass(frozen=True)
@@ -194,14 +185,14 @@ class MalleableRunResult:
 
 
 def run_malleable(
-    problem: RDProblem,
+    problem,
     schedule: list[tuple[int, int]],
     checkpoint_dir: str | Path,
-    tol: float = 1e-12,
+    tol: float | None = None,
     real_timeout: float = 120.0,
     obs=None,
 ) -> MalleableRunResult:
-    """Run the RD time loop through a rank-count ``schedule``.
+    """Run the problem's time loop through a rank-count ``schedule``.
 
     ``schedule`` is a list of ``(num_ranks, num_steps)`` segments whose
     step counts must sum to ``problem.num_steps``.  Between segments the
@@ -210,10 +201,12 @@ def run_malleable(
     when consecutive segments share a width.
 
     Every segment runs the deterministic numerics mode (globally
-    numbered columns, rank-count-invariant dots, element-wise Jacobi),
-    so the returned records and solution are bit-identical to a
-    fixed-``p`` run of the same problem for *any* schedule.
+    numbered columns, rank-count-invariant dots, the step's
+    width-invariant preconditioner), so the returned records and
+    solution are bit-identical to a fixed-``p`` run of the same problem
+    for *any* schedule.  ``tol=None`` takes the step's ``TOL``.
     """
+    step_class = DistributedStep.for_problem(problem)
     if not schedule:
         raise ResilienceError("malleable schedule must have at least one segment")
     for width, steps in schedule:
@@ -244,12 +237,12 @@ def run_malleable(
         run_spmd(
             target=_segment_body,
             num_ranks=width,
-            args=(problem, ownership, resume_from, steps, tol, shared),
+            args=(step_class, problem, ownership, resume_from, steps, tol, shared),
             real_timeout=real_timeout,
             observability=obs,
         )
         if index < len(schedule) - 1:
-            save_rd_state(
+            save_state(
                 checkpoint_path, shared["solver"],
                 extra_metadata={"num_ranks": width},
             )
@@ -266,43 +259,34 @@ def run_malleable(
 
 def _segment_body(
     comm,
-    problem: RDProblem,
+    step_class: type[DistributedStep],
+    problem,
     ownership: list[np.ndarray],
     resume_from: Path | None,
     num_steps: int,
-    tol: float,
+    tol: float | None,
     shared: dict,
 ):
     """One fixed-width segment of the malleable time loop.
 
-    A loop around the shared
-    :class:`~repro.apps.reaction_diffusion.DistributedRDStep` with the
-    deterministic numerics mode switched on (RCB ownership, globally
-    numbered columns, element-wise Jacobi); rank 0 hands the solver —
-    and with it the replicated BDF history — back through ``shared`` so
-    the driver can checkpoint between segments.
+    The shared time loop with the deterministic numerics mode switched
+    on (RCB ownership, globally numbered columns, width-invariant
+    preconditioner); rank 0 hands the solver — and with it the
+    replicated state — back through ``shared`` so the driver can
+    checkpoint between segments.
     """
-    solver = RDSolver(problem, tol=tol, assembly_mode="combine")
-    if resume_from is not None:
-        load_rd_state(resume_from, solver)
-    stepper = DistributedRDStep(
-        comm, solver, ownership, "jacobi", tol, numbering="global"
+    step = step_class(
+        comm, problem, tol, step_class.INVARIANT_PRECONDITIONER, ownership,
+        numbering="global",
     )
+    if resume_from is not None:
+        load_state(resume_from, step.solver)
 
-    first = solver.steps_taken
-    for step in range(first, first + num_steps):
-        start = time.perf_counter()
-        stepper.assemble()
-        comm.compute(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        stepper.precondition()
-        comm.compute(time.perf_counter() - start)
-
-        result = stepper.solve()
+    def on_record(record: StepRecord) -> None:
         if comm.rank == 0:
-            shared["records"][step] = StepRecord.from_solve(step, solver.t, result)
+            shared["records"][record.step] = record
 
+    step.run(num_steps, on_record=on_record)
     if comm.rank == 0:
-        shared["solver"] = solver
-    return solver.solution[ownership[comm.rank]]
+        shared["solver"] = step.solver
+    return step.solver.solution[ownership[comm.rank]]

@@ -1,4 +1,4 @@
-"""Checkpoint/restart execution of the distributed RD time loop.
+"""Checkpoint/restart execution of either application's distributed time loop.
 
 The paper ran bulk-synchronous FEM time loops on spot instances that
 could vanish mid-run; the only recovery available in 2012 was the
@@ -7,14 +7,15 @@ re-assemble the machine and resume from the latest checkpoint.  The
 :class:`ResilientRunner` executes exactly that protocol against the
 simmpi runtime:
 
-1. run the distributed RD loop — the shared
-   :class:`~repro.apps.reaction_diffusion.DistributedRDStep`, the same
-   step the plain SPMD driver runs — with a
+1. run the problem's distributed step
+   (:meth:`~repro.apps.stepping.DistributedStep.for_problem`) through
+   the one time loop the plain SPMD drivers run
+   (:meth:`~repro.apps.stepping.DistributedStep.run`), with a
    :class:`~repro.resilience.FaultInjector` installed in the transport;
-2. rank 0 writes a v2 restart checkpoint (BDF history + clock + solver
-   counters, :func:`repro.io.checkpoint.save_rd_state`) every
-   ``checkpoint_every`` steps, *before* the step's kill gate — so a kill
-   at step ``s`` always finds the state at ``s`` persisted;
+2. rank 0 writes a v2 restart checkpoint (the solver's restart state:
+   BDF histories + clock + counters, :func:`repro.io.checkpoint.save_state`)
+   every ``checkpoint_every`` steps, *before* the step's kill gate — so
+   a kill at step ``s`` always finds the state at ``s`` persisted;
 3. a kill surfaces as :class:`~repro.errors.RankFailedError` out of
    ``run_spmd``; the runner "replaces the host" (revives the rank id),
    applies capped exponential backoff (modeled, not slept), restores
@@ -33,71 +34,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import RankFailedError, ReproError, RetriesExhaustedError
-from repro.apps.reaction_diffusion import (
-    DistributedRDStep,
-    RDProblem,
-    RDSolver,
-    slab_ownership,
-)
-from repro.io.checkpoint import load_rd_state, save_rd_state
+from repro.apps.stepping import DistributedStep, StepRecord
+from repro.io.checkpoint import load_state, save_state
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simmpi.launcher import run_spmd
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything one completed time step leaves behind.
-
-    The golden bit-exact-resume tests compare these between a straight
-    run and a killed-and-resumed run: for a truly transparent restart,
-    every field must match for every overlapping step — including the
-    full residual history and the per-step allreduce count.
-    """
-
-    step: int
-    t: float
-    iterations: int
-    residual_norm: float
-    allreduce_rounds: int
-    residuals: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "t": self.t,
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "allreduce_rounds": self.allreduce_rounds,
-            "residuals": list(self.residuals),
-        }
-
-    @classmethod
-    def from_solve(cls, step: int, t: float, result) -> "StepRecord":
-        """The record of step ``step``, which ``result`` advanced to time ``t``."""
-        return cls(
-            step=step,
-            t=t,
-            iterations=result.iterations,
-            residual_norm=result.residual_norm,
-            allreduce_rounds=result.allreduce_rounds,
-            residuals=tuple(result.residuals),
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepRecord":
-        return cls(
-            step=int(data["step"]),
-            t=float(data["t"]),
-            iterations=int(data["iterations"]),
-            residual_norm=float(data["residual_norm"]),
-            allreduce_rounds=int(data["allreduce_rounds"]),
-            residuals=tuple(float(r) for r in data["residuals"]),
-        )
 
 
 @dataclass
@@ -133,7 +79,7 @@ class RestartStats:
 
 @dataclass(frozen=True)
 class ResilientRunResult:
-    """Outcome of a resilient run: the physics plus the restart ledger."""
+    """Outcome of a resilient run: the solver's physics plus the restart ledger."""
 
     solution: np.ndarray
     t: float
@@ -143,15 +89,16 @@ class ResilientRunResult:
 
 
 class ResilientRunner:
-    """Run the distributed RD loop to completion despite injected faults.
+    """Run a distributed time loop to completion despite injected faults.
 
     Parameters
     ----------
     problem:
-        The :class:`~repro.apps.reaction_diffusion.RDProblem` to solve.
+        The problem to solve; its type picks the distributed step
+        (:meth:`~repro.apps.stepping.DistributedStep.for_problem`).
     num_ranks:
-        SPMD width (bounded by the mesh's z-plane count, as for
-        :func:`~repro.apps.reaction_diffusion.run_rd_distributed`).
+        SPMD width (bounded by the mesh's z-plane count, as for the
+        plain SPMD drivers).
     plan:
         The :class:`FaultPlan` to execute; ``None`` means a fault-free
         run (the protocol still checkpoints).
@@ -166,11 +113,14 @@ class ResilientRunner:
         Capped exponential backoff between restart attempts.  The delay
         is *modeled* (recorded in :class:`RestartStats`), never slept —
         virtual time is the only clock the experiments read.
+    preconditioner / tol:
+        ``None`` takes the step's defaults (``DEFAULT_PRECONDITIONER``,
+        ``TOL``).
     """
 
     def __init__(
         self,
-        problem: RDProblem,
+        problem,
         num_ranks: int,
         plan: FaultPlan | None = None,
         checkpoint_every: int = 2,
@@ -178,8 +128,8 @@ class ResilientRunner:
         max_retries: int = 5,
         backoff_base_s: float = 1.0,
         backoff_cap_s: float = 60.0,
-        preconditioner: str = "block-jacobi",
-        tol: float = 1e-12,
+        preconditioner: str | None = None,
+        tol: float | None = None,
         cpu_speed_factor: float = 1.0,
         topology=None,
         real_timeout: float = 120.0,
@@ -191,13 +141,14 @@ class ResilientRunner:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
         if checkpoint_dir is None:
             raise ReproError("ResilientRunner needs a checkpoint_dir")
-        DistributedRDStep.check_preconditioner(preconditioner)
+        self.step_class = DistributedStep.for_problem(problem)
+        self.step_class.check_preconditioner(preconditioner)
         self.problem = problem
         self.num_ranks = num_ranks
         self.plan = plan or FaultPlan()
         self.injector = FaultInjector(self.plan)
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = Path(checkpoint_dir) / "rd-restart.ckpt"
+        self.checkpoint_path = Path(checkpoint_dir) / "restart.ckpt"
         self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
@@ -234,7 +185,7 @@ class ResilientRunner:
                 metrics.counter("resilience_attempts_total").inc()
             try:
                 run_spmd(
-                    target=self._rd_body,
+                    target=self._attempt_body,
                     num_ranks=self.num_ranks,
                     topology=self.topology,
                     args=(shared, stats),
@@ -302,44 +253,35 @@ class ResilientRunner:
 
     # -- the SPMD body (one attempt) ----------------------------------------
 
-    def _rd_body(self, comm, shared: dict, stats: RestartStats):
-        """One attempt of the distributed RD loop with fault hooks.
+    def _attempt_body(self, comm, shared: dict, stats: RestartStats):
+        """One attempt of the distributed time loop with fault hooks.
 
-        A loop around the shared
-        :class:`~repro.apps.reaction_diffusion.DistributedRDStep` — the
-        step :func:`~repro.apps.reaction_diffusion.run_rd_distributed`
-        runs — adding the injector's step/phase gates, rank 0's
-        checkpoint writes and the per-step records.
+        The plain drivers' loop, plus the injector's step/phase gates,
+        rank 0's checkpoint writes and the per-step records.
         """
         injector = self.injector
         rank = comm.rank
         metrics = self._metrics()
 
-        solver = RDSolver(self.problem, tol=self.tol, assembly_mode="combine")
+        step = self.step_class(comm, self.problem, self.tol, self.preconditioner)
+        solver = step.solver
         # Resume point: every rank reads the (process-local) checkpoint
-        # file; BDF state is replicated, so no broadcast is needed and
+        # file; the state is replicated, so no broadcast is needed and
         # the restored trajectory is identical on all ranks.
         if self.checkpoint_path.exists():
             load_start = time.perf_counter()
-            load_rd_state(self.checkpoint_path, solver)
+            load_state(self.checkpoint_path, solver)
             if metrics is not None:
                 metrics.histogram("checkpoint_load_seconds").observe(
                     time.perf_counter() - load_start, rank=rank
                 )
-        ownership = slab_ownership(solver.dofmap, comm.size)
-        stepper = DistributedRDStep(
-            comm, solver, ownership, self.preconditioner, self.tol
-        )
 
-        def charge(real_seconds: float) -> None:
-            comm.compute(real_seconds / self.cpu_speed_factor)
-
-        for s in range(solver.steps_taken, self.problem.num_steps):
+        def before_step(s: int) -> None:
             if rank == 0 and s % self.checkpoint_every == 0:
                 # Persist BEFORE the kill gate: a reclaim at step s must
                 # still find the state entering step s on disk.
                 save_start = time.perf_counter()
-                save_rd_state(self.checkpoint_path, solver)
+                save_state(self.checkpoint_path, solver)
                 stats.checkpoints_written += 1
                 if metrics is not None:
                     metrics.histogram("checkpoint_save_seconds").observe(
@@ -348,22 +290,18 @@ class ResilientRunner:
                     metrics.counter("checkpoints_written_total").inc(rank=rank)
             injector.begin_step(s, rank)
 
-            injector.enter_phase(rank, "assembly")
-            start = time.perf_counter()
-            stepper.assemble()
-            charge(time.perf_counter() - start)
-
-            injector.enter_phase(rank, "preconditioner")
-            start = time.perf_counter()
-            stepper.precondition()
-            charge(time.perf_counter() - start)
-
-            injector.enter_phase(rank, "solve")
-            result = stepper.solve()
+        def on_record(record: StepRecord) -> None:
             if rank == 0:
-                shared["records"][s] = StepRecord.from_solve(s, solver.t, result)
+                shared["records"][record.step] = record
                 stats.executed_steps += 1
 
+        step.run(
+            self.problem.num_steps - solver.steps_taken,
+            cpu_speed_factor=self.cpu_speed_factor,
+            before_step=before_step,
+            gate=partial(injector.enter_phase, rank),
+            on_record=on_record,
+        )
         if rank == 0:
             shared["final"] = (solver.solution, solver.t, solver.nodal_error())
-        return solver.solution[ownership[rank]]
+        return solver.solution[step.ownership[rank]]

@@ -223,14 +223,6 @@ class Tracer:
                 out[r.label] += 1
         return dict(out)
 
-    def time_by_label(self) -> dict[str, float]:
-        """Total virtual duration per label, summed over ranks."""
-        out: dict[str, float] = defaultdict(float)
-        for r in self.snapshot():
-            if r.label:
-                out[r.label] += r.duration
-        return dict(out)
-
     def max_time_by_label(self) -> dict[str, float]:
         """Per label, the max over ranks of that rank's summed duration.
 

@@ -5,7 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import ReproError, SolverError
-from repro.apps.navier_stokes import NSProblem, NSSolver, run_ns_distributed
+from repro.apps.navier_stokes import (
+    DistributedNSStep,
+    NSProblem,
+    NSSolver,
+    run_ns_distributed,
+)
+from repro.io.checkpoint import read_state, save_state
 from repro.la.distributed import DistMatrix, dist_bicgstab
 from repro.la.krylov import bicgstab
 from repro.network.model import GIGABIT_ETHERNET, INFINIBAND_4X_DDR, NetworkModel
@@ -107,6 +113,26 @@ class TestDistributedNS:
         t_eth = max(run_spmd(main, 2, topology=eth, real_timeout=180.0).returns)
         t_ib = max(run_spmd(main, 2, topology=ib, real_timeout=180.0).returns)
         assert t_ib < t_eth
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_checkpoint_counts_every_step_and_solve(self, tmp_path, steps):
+        """The distributed step advances the solver's counters like the
+        sequential one, so a checkpoint of it resumes at the right step."""
+        path = tmp_path / "ns.rprc"
+
+        def main(comm):
+            step = DistributedNSStep(comm, self.PROBLEM)
+            step.run(steps)
+            if comm.rank == 0:
+                save_state(path, step.solver)
+
+        run_spmd(main, 2, real_timeout=180.0)
+        state, _ = read_state(path, self.PROBLEM)
+        assert state.step == steps
+        counters = state.counters
+        assert len(counters["momentum_iterations"]) == 3 * steps
+        assert len(counters["pressure_iterations"]) == steps
+        assert all(n > 0 for n in counters["momentum_iterations"])
 
     def test_bad_cpu_factor(self):
         def main(comm):

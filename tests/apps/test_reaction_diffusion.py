@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.apps.reaction_diffusion import (
-    RDProblem,
-    RDSolver,
-    run_rd_distributed,
-    slab_ownership,
-)
+from repro.apps.reaction_diffusion import RDProblem, RDSolver, run_rd_distributed
+from repro.apps.stepping import slab_ownership
 from repro.fem.assembly import assemble_load
 from repro.fem.dofmap import DofMap
 from repro.fem.mesh import StructuredBoxMesh

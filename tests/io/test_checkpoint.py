@@ -12,17 +12,35 @@ from repro.apps.reaction_diffusion import RDProblem, RDSolver
 from repro.io.checkpoint import (
     CheckpointData,
     CheckpointError,
-    load_history_state,
-    load_ns_state,
-    load_rd_state,
+    SolverState,
+    load_state,
     read_checkpoint,
+    read_state,
     restore_rng,
     rng_state_to_json,
-    save_history_state,
-    save_ns_state,
-    save_rd_state,
+    save_state,
     write_checkpoint,
 )
+
+
+class _Problem:
+    """The least a checkpointed problem carries: an app name and a key."""
+
+    APP = "test-app"
+
+    def discretization(self) -> dict:
+        return {"mesh_shape": [4, 4, 4], "order": 2}
+
+
+class _Solver:
+    """The least ``save_state`` needs: a problem and a restart state."""
+
+    def __init__(self, state: SolverState, problem=_Problem()):
+        self.problem = problem
+        self._state = state
+
+    def state(self) -> SolverState:
+        return self._state
 
 
 class TestRoundTrip:
@@ -132,6 +150,17 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"[]", b'{"fields": {"u": "3"}}', b'{"fields": [1]}'],
+        ids=["header-array", "field-size-word", "field-table-array"],
+    )
+    def test_malformed_header_is_a_checkpoint_error(self, tmp_path, header):
+        path = tmp_path / "h.rprc"
+        path.write_bytes(b"RPRC" + struct.pack("<II", 2, len(header)) + header)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            read_checkpoint(path)
+
     def test_corruption_detected_by_crc(self, tmp_path):
         data = CheckpointData(fields={"u": np.arange(1000.0)})
         path = tmp_path / "c.rprc"
@@ -156,10 +185,10 @@ class TestSolverRestart:
         for _ in range(3):
             first.step()
         path = tmp_path / "rd.rprc"
-        save_rd_state(path, first, extra_metadata={"run": "test"})
+        save_state(path, first, extra_metadata={"run": "test"})
 
         second = RDSolver(problem, assembly_mode="combine")
-        restored_t = load_rd_state(path, second)
+        restored_t = load_state(path, second)
         assert restored_t == pytest.approx(first.t)
         for _ in range(3):
             second.step()
@@ -170,28 +199,28 @@ class TestSolverRestart:
     def test_mesh_mismatch_rejected(self, tmp_path):
         a = RDSolver(RDProblem(mesh_shape=(4, 4, 4)), assembly_mode="combine")
         path = tmp_path / "rd.rprc"
-        save_rd_state(path, a)
+        save_state(path, a)
         b = RDSolver(RDProblem(mesh_shape=(5, 5, 5)), assembly_mode="combine")
         with pytest.raises(CheckpointError, match="mesh_shape"):
-            load_rd_state(path, b)
+            load_state(path, b)
 
     def test_discretization_mismatch_rejected(self, tmp_path):
         a = RDSolver(RDProblem(mesh_shape=(4, 4, 4), order=2), assembly_mode="combine")
         path = tmp_path / "rd.rprc"
-        save_rd_state(path, a)
+        save_state(path, a)
         b = RDSolver(RDProblem(mesh_shape=(4, 4, 4), order=1), assembly_mode="combine")
         with pytest.raises(CheckpointError, match="discretization"):
-            load_rd_state(path, b)
+            load_state(path, b)
         c = RDSolver(RDProblem(mesh_shape=(4, 4, 4), dt=0.1), assembly_mode="combine")
         with pytest.raises(CheckpointError, match="'dt'"):
-            load_rd_state(path, c)
+            load_state(path, c)
 
     def test_wrong_app_rejected(self, tmp_path):
         path = tmp_path / "x.rprc"
         write_checkpoint(path, CheckpointData(metadata={"app": "other"}))
         solver = RDSolver(RDProblem(mesh_shape=(3, 3, 3)), assembly_mode="combine")
         with pytest.raises(CheckpointError, match="app mismatch"):
-            load_rd_state(path, solver)
+            load_state(path, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +326,64 @@ class TestRoundTripProperties:
         rng = np.random.default_rng(seed)
         states = [rng.standard_normal(size) for _ in range(num_states)]
         t = float(rng.uniform(0.1, 10.0))
-        disc = {"mesh_shape": [4, 4, 4], "order": 2}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "h.rprc"
-            save_history_state(
-                path, app="test-app", states=states, t=t, step=step,
-                discretization=disc,
-                solver_state={"iters": [3, 4, 5]},
-            )
-            got_states, got_t, got_step, meta = load_history_state(
-                path, app="test-app", discretization=disc
-            )
-            assert got_t == t and got_step == step
-            assert len(got_states) == num_states
-            for a, b in zip(got_states, states):
+            save_state(path, _Solver(SolverState(states, t, step, {"iters": [3, 4, 5]})))
+            got, meta = read_state(path, _Problem())
+            assert got.t == t and got.step == step
+            assert len(got.fields) == num_states == meta["num_states"]
+            for a, b in zip(got.fields, states):
                 assert a.tobytes() == b.tobytes()
-            assert meta["solver_state"] == {"iters": [3, 4, 5]}
+            assert got.counters == {"iters": [3, 4, 5]}
+
+
+_VALID = {
+    "app": "test-app", "t": 1.0, "step": 2, "num_states": 0,
+    "discretization": {"mesh_shape": [4, 4, 4], "order": 2}, "solver_state": {},
+}
+_MALFORMED = {
+    "missing-t": lambda meta: {k: v for k, v in meta.items() if k != "t"},
+    "t-not-a-number": lambda meta: {**meta, "t": "soon"},
+    "num-states-not-a-number": lambda meta: {**meta, "num_states": "two"},
+    "step-not-a-number": lambda meta: {**meta, "step": [1]},
+    "discretization-not-an-object": lambda meta: {**meta, "discretization": [4, 4, 4]},
+    "solver-state-not-an-object": lambda meta: {**meta, "solver_state": "done"},
+    "metadata-not-an-object": lambda meta: [meta],
+}
+
+
+@pytest.mark.resilience
+class TestMalformedMetadata:
+    """Whatever the header says, a bad restart checkpoint is a CheckpointError."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_metadata_is_a_checkpoint_error(self, tmp_path, case):
+        path = tmp_path / "m.rprc"
+        write_checkpoint(path, CheckpointData(metadata=_MALFORMED[case](_VALID)))
+        with pytest.raises(CheckpointError):
+            read_state(path, _Problem())
+
+    def test_valid_metadata_loads(self, tmp_path):
+        path = tmp_path / "m.rprc"
+        write_checkpoint(path, CheckpointData(metadata=_VALID))
+        state, _ = read_state(path, _Problem())
+        assert (state.fields, state.t, state.step) == ([], 1.0, 2)
+
+    @pytest.mark.parametrize("change", [{"app": "other"}, {"num_states": 1}],
+                             ids=["wrong-app", "missing-field"])
+    def test_inconsistent_metadata_is_a_checkpoint_error(self, tmp_path, change):
+        path = tmp_path / "m.rprc"
+        write_checkpoint(path, CheckpointData(metadata={**_VALID, **change}))
+        with pytest.raises(CheckpointError, match="app mismatch|missing history field"):
+            read_state(path, _Problem())
+
+    def test_field_count_mismatch_is_a_checkpoint_error(self, tmp_path):
+        problem = RDProblem(mesh_shape=(3, 3, 3))
+        path = tmp_path / "short.rprc"
+        save_state(path, _Solver(SolverState([np.zeros(3)], 1.0, 0, {}), problem))
+        solver = RDSolver(problem, assembly_mode="combine")
+        with pytest.raises(CheckpointError, match="1 state fields"):
+            load_state(path, solver)
 
 
 @pytest.mark.resilience
@@ -324,11 +395,8 @@ class TestRngAndNSRestart:
         reference = rng.standard_normal(20)
 
         path = tmp_path / "r.rprc"
-        save_history_state(
-            path, app="rng", states=[np.zeros(1)], t=0.0, step=0,
-            discretization={}, rng_state=saved,
-        )
-        _, _, _, meta = load_history_state(path, app="rng")
+        save_state(path, _Solver(SolverState([np.zeros(1)], 0.0, 0, {})), rng_state=saved)
+        _, meta = read_state(path, _Problem())
         fresh = restore_rng(np.random.default_rng(0), meta["rng_state"])
         assert np.array_equal(fresh.standard_normal(20), reference)
 
@@ -343,10 +411,10 @@ class TestRngAndNSRestart:
         for _ in range(3):
             first.step()
         path = tmp_path / "ns.rprc"
-        save_ns_state(path, first)
+        save_state(path, first)
 
         second = NSSolver(problem)
-        restored_t = load_ns_state(path, second)
+        restored_t = load_state(path, second)
         assert restored_t == first.t
         assert second.steps_taken == 3
         for _ in range(3):
@@ -361,11 +429,11 @@ class TestRngAndNSRestart:
     def test_ns_discretization_mismatch_rejected(self, tmp_path):
         a = NSSolver(NSProblem(mesh_shape=(3, 3, 3)))
         path = tmp_path / "ns.rprc"
-        save_ns_state(path, a)
+        save_state(path, a)
         b = NSSolver(NSProblem(mesh_shape=(4, 4, 4)))
         with pytest.raises(CheckpointError, match="mesh_shape"):
-            load_ns_state(path, b)
+            load_state(path, b)
         default_dt = NSProblem().dt
         c = NSSolver(NSProblem(mesh_shape=(3, 3, 3), dt=default_dt / 2))
         with pytest.raises(CheckpointError, match="'dt'"):
-            load_ns_state(path, c)
+            load_state(path, c)

@@ -213,7 +213,8 @@ def dict_built_plan(comm, matrix, ownership):
 
 
 def _rd_operator_and_ownerships(num_ranks):
-    from repro.apps.reaction_diffusion import RDProblem, slab_ownership
+    from repro.apps.reaction_diffusion import RDProblem
+    from repro.apps.stepping import slab_ownership
     from repro.resilience.malleable import decompose
 
     problem = RDProblem(mesh_shape=(3, 3, 4), num_steps=1)

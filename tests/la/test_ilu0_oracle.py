@@ -12,7 +12,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps.reaction_diffusion import RDProblem, RDSolver, slab_ownership
+from repro.apps.reaction_diffusion import RDProblem, RDSolver
+from repro.apps.stepping import slab_ownership
 from repro.fem.assembly import assemble_mass, assemble_stiffness
 from repro.fem.dofmap import DofMap
 from repro.fem.mesh import StructuredBoxMesh

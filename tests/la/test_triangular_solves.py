@@ -28,7 +28,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 import repro
-from repro.apps.reaction_diffusion import RDProblem, RDSolver, slab_ownership
+from repro.apps.reaction_diffusion import RDProblem, RDSolver
+from repro.apps.stepping import slab_ownership
 from repro.errors import SolverError
 from repro.fem.assembly import assemble_mass, assemble_stiffness
 from repro.fem.boundary import constrain_operator

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
+from repro.apps.navier_stokes import NSProblem
+from repro.apps.reaction_diffusion import RDProblem
+from repro.apps.stepping import DistributedStep
 from repro.cloud.instances import CC2_8XLARGE
 from repro.cloud.spot import SpotMarket
 from repro.errors import DeadlockError, RankFailedError, ResilienceError
@@ -20,7 +22,7 @@ def _attempt(runner: ResilientRunner, real_timeout: float = 60.0):
     """Run one raw SPMD attempt of the runner's body (no restart loop)."""
     shared = {"records": {}, "final": None}
     return run_spmd(
-        target=runner._rd_body,
+        target=runner._attempt_body,
         num_ranks=runner.num_ranks,
         args=(shared, RestartStats()),
         fault_injector=runner.injector,
@@ -65,8 +67,17 @@ class TestFaultEventValidation:
         assert len(plan.kill_events()) == 2
 
 
+def _plain(comm, problem):
+    """The plain SPMD time loop of ``problem``'s application."""
+    step = DistributedStep.for_problem(problem)(comm, problem)
+    step.run(problem.num_steps)
+    return step.solver.solution[step.ownership[comm.rank]]
+
+
 class TestFaultMatrix:
     """Rank death in each phase surfaces RankFailedError — never a hang."""
+
+    PROBLEM = RDProblem(mesh_shape=(4, 4, 4), num_steps=3)
 
     @pytest.mark.parametrize("phase", ["assembly", "preconditioner", "solve"])
     def test_kill_at_phase_entry(self, tmp_path, phase):
@@ -74,7 +85,7 @@ class TestFaultMatrix:
             FaultEvent(kind="rank_kill", rank=1, at_phase=phase, occurrence=2)
         ])
         runner = ResilientRunner(
-            PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path
+            self.PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path
         )
         with pytest.raises(RankFailedError) as info:
             _attempt(runner)
@@ -89,7 +100,7 @@ class TestFaultMatrix:
             FaultEvent(kind="rank_kill", rank=0, after_ops=after_ops)
         ])
         runner = ResilientRunner(
-            PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path
+            self.PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path
         )
         with pytest.raises(RankFailedError) as info:
             _attempt(runner)
@@ -98,7 +109,7 @@ class TestFaultMatrix:
     def test_kill_at_step_boundary_is_deterministic(self, tmp_path):
         plan = FaultPlan([FaultEvent(kind="spot_reclaim", rank=1, at_step=2)])
         runner = ResilientRunner(
-            PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path
+            self.PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path
         )
         with pytest.raises(RankFailedError) as info:
             _attempt(runner)
@@ -108,27 +119,28 @@ class TestFaultMatrix:
     def test_dropped_message_becomes_deadlock_not_hang(self):
         plan = FaultPlan([FaultEvent(kind="message_drop")])
         injector = FaultInjector(plan)
-
-        def body(comm):
-            return run_rd_distributed(comm, PROBLEM, discard=1)
-
         with pytest.raises(DeadlockError):
-            run_spmd(body, num_ranks=2, fault_injector=injector, real_timeout=30.0)
+            run_spmd(_plain, num_ranks=2, args=(self.PROBLEM,),
+                     fault_injector=injector, real_timeout=30.0)
         assert injector.messages_dropped == 1
 
     def test_delayed_messages_same_answer_later_clock(self):
-        def body(comm):
-            return run_rd_distributed(comm, PROBLEM, discard=1)
-
-        clean = run_spmd(body, num_ranks=2)
+        clean = run_spmd(_plain, num_ranks=2, args=(self.PROBLEM,))
         injector = FaultInjector(FaultPlan([
             FaultEvent(kind="message_delay", delay_seconds=5.0, count=3)
         ]))
-        delayed = run_spmd(body, num_ranks=2, fault_injector=injector)
+        delayed = run_spmd(_plain, num_ranks=2, args=(self.PROBLEM,),
+                           fault_injector=injector)
         assert injector.messages_delayed == 3
         for clean_ret, delayed_ret in zip(clean.returns, delayed.returns):
-            assert np.array_equal(clean_ret[0], delayed_ret[0])
+            assert np.array_equal(clean_ret, delayed_ret)
         assert delayed.max_time >= clean.max_time
+
+
+class TestFaultMatrixNS(TestFaultMatrix):
+    """The same matrix on the distributed NS loop."""
+
+    PROBLEM = NSProblem(mesh_shape=(4, 4, 4), num_steps=3)
 
 
 class TestInjectorLifecycle:

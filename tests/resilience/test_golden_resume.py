@@ -4,20 +4,19 @@ The restart protocol's contract is *transparency*: a run that is
 killed at step k and resumed from the latest checkpoint must be
 indistinguishable — to the last ulp — from a run that never failed.
 These tests compare solution vectors, residual histories, and
-collective counters between straight and killed-and-resumed runs.
+collective counters between straight and killed-and-resumed runs, for
+both applications: the runner picks the distributed step from the
+problem's type.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.apps.navier_stokes import NSProblem, NSSolver
 from repro.apps.reaction_diffusion import RDProblem, RDSolver
-from repro.io.checkpoint import (
-    load_ns_state,
-    load_rd_state,
-    save_ns_state,
-    save_rd_state,
-)
+from repro.io.checkpoint import load_state, save_state
 from repro.resilience import FaultEvent, FaultPlan, ResilientRunner
 
 pytestmark = pytest.mark.resilience
@@ -26,9 +25,12 @@ pytestmark = pytest.mark.resilience
 class TestDistributedRDGolden:
     """Straight vs kill-at-k for the distributed RD loop."""
 
+    PROBLEM = RDProblem(mesh_shape=(4, 4, 4), num_steps=5)
+
+    # (3, 2) reclaims at step 3, between the checkpoints at 2 and 4.
     @pytest.mark.parametrize("kill_step, checkpoint_every", [(1, 1), (3, 2), (4, 2)])
     def test_bit_exact_resume(self, tmp_path, kill_step, checkpoint_every):
-        problem = RDProblem(mesh_shape=(4, 4, 4), num_steps=5)
+        problem = self.PROBLEM
         straight = ResilientRunner(
             problem, num_ranks=2, checkpoint_dir=tmp_path / "straight",
             checkpoint_every=checkpoint_every,
@@ -58,7 +60,7 @@ class TestDistributedRDGolden:
             assert a.allreduce_rounds == b.allreduce_rounds
 
     def test_three_rank_resume(self, tmp_path):
-        problem = RDProblem(mesh_shape=(4, 4, 4), num_steps=4)
+        problem = replace(self.PROBLEM, num_steps=4)
         straight = ResilientRunner(
             problem, num_ranks=3, checkpoint_dir=tmp_path / "s"
         ).run()
@@ -69,6 +71,13 @@ class TestDistributedRDGolden:
         assert killed.stats.restarts == 1
         assert straight.solution.tobytes() == killed.solution.tobytes()
         assert straight.records == killed.records
+
+
+class TestDistributedNSGolden(TestDistributedRDGolden):
+    """The same contract for the distributed NS loop: velocity, pressure
+    and the seven solves' records resume bit-exactly."""
+
+    PROBLEM = NSProblem(mesh_shape=(4, 4, 4), num_steps=5)
 
 
 class TestSequentialGolden:
@@ -84,10 +93,10 @@ class TestSequentialGolden:
         for _ in range(3):
             first.step()
         path = tmp_path / "rd.rprc"
-        save_rd_state(path, first)
+        save_state(path, first)
 
         resumed = RDSolver(problem, assembly_mode="combine")
-        load_rd_state(path, resumed)
+        load_state(path, resumed)
         assert resumed.steps_taken == 3
         assert resumed.solve_iterations == first.solve_iterations
         assert resumed.residual_norms == first.residual_norms
@@ -111,10 +120,10 @@ class TestSequentialGolden:
         for _ in range(2):
             first.step()
         path = tmp_path / "ns.rprc"
-        save_ns_state(path, first)
+        save_state(path, first)
 
         resumed = NSSolver(problem)
-        load_ns_state(path, resumed)
+        load_state(path, resumed)
         for _ in range(2):
             resumed.step()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps.navier_stokes import DistributedNSStep, NSProblem
 from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
 from repro.errors import ReproError, RetriesExhaustedError
 from repro.resilience import FaultEvent, FaultPlan, ResilientRunner
@@ -45,12 +46,31 @@ class TestRecovery:
         assert np.array_equal(out.solution, plain_full)
         assert out.nodal_error < 1e-9
 
-    def test_resilience_owns_no_numerics(self):
-        """Source census: the RD step has one owner, outside this package.
+    def test_fault_free_ns_run_matches_plain_distributed(self, tmp_path):
+        """The runner picks NS's step from the problem type and runs the
+        plain drivers' loop: the same velocity and pressure."""
+        problem = NSProblem(mesh_shape=(4, 4, 4), num_steps=3)
+        out = ResilientRunner(problem, num_ranks=2, checkpoint_dir=tmp_path).run()
+        assert out.stats.attempts == 1
+        assert len(out.records) == problem.num_steps
 
-        Both drivers loop around ``apps.reaction_diffusion.DistributedRDStep``
-        and checkpoint through ``save_rd_state``/``load_rd_state``; a copy
-        of the step or a reach into the BDF history would show up here.
+        def body(comm):
+            step = DistributedNSStep(comm, problem)
+            step.run(problem.num_steps)
+            return step.solver.solution[step.ownership[comm.rank]]
+
+        plain = np.concatenate(run_spmd(body, num_ranks=2).returns)
+        assert out.solution.shape[1] == 4  # velocity columns, then pressure
+        assert np.array_equal(out.solution, plain)
+        assert out.nodal_error < 0.5
+
+    def test_resilience_owns_no_numerics(self):
+        """Source census: each app's step has one owner, outside this package.
+
+        The runner and the malleable segments take the step from the
+        problem's type and checkpoint through ``save_state``/``load_state``;
+        a copy of a step, a reach into the BDF history or a name tying the
+        package to one application would show up here.
         """
         import repro.resilience
 
@@ -58,6 +78,8 @@ class TestRecovery:
             "repro.la", "repro.fem.assembly", "repro.fem.boundary",
             "repro.fem.bdf", "DirichletPlan(", "CompositeOperator(",
             "dist_cg_fused(", "DistMatrix.from_global(", "._history",
+            "RDSolver", "RDProblem", "DistributedRDStep", "save_rd_state",
+            "load_rd_state", "rd_discretization",
         )
         sources = sorted(Path(repro.resilience.__file__).parent.glob("*.py"))
         assert len(sources) >= 4
@@ -212,6 +234,8 @@ class TestRetryBudget:
             ResilientRunner(PROBLEM, 2)
         with pytest.raises(ReproError, match="unknown distributed preconditioner"):
             ResilientRunner(PROBLEM, 2, checkpoint_dir=tmp_path, preconditioner="ilu0")
+        with pytest.raises(ReproError, match="no distributed step for dict"):
+            ResilientRunner({}, 2, checkpoint_dir=tmp_path)
 
 
 class TestAccountingAndReporting:
@@ -225,6 +249,24 @@ class TestAccountingAndReporting:
         for record in out.records:
             clone = StepRecord.from_dict(json.loads(json.dumps(record.to_dict())))
             assert clone == record
+
+    def test_observed_ns_run_counts_restarts_and_checkpoints(self, tmp_path):
+        from repro.obs import Observability
+
+        hub = Observability()
+        plan = FaultPlan([FaultEvent(kind="spot_reclaim", rank=1, at_step=3)])
+        out = ResilientRunner(
+            NSProblem(mesh_shape=(4, 4, 4), num_steps=4), num_ranks=2, plan=plan,
+            checkpoint_dir=tmp_path, obs=hub,
+        ).run()
+        metrics = hub.metrics
+        assert metrics.counter("resilience_restarts_total").total() == 1
+        assert metrics.counter("resilience_attempts_total").total() == 2
+        assert (metrics.counter("checkpoints_written_total").total()
+                == out.stats.checkpoints_written == 3)
+        assert metrics.gauge("resilience_lost_steps").value() == out.stats.lost_steps == 1
+        # Both ranks of attempt 2 resume from the step-2 checkpoint.
+        assert metrics.histogram("checkpoint_load_seconds").stats()["count"] >= 2
 
     def test_characterization_reports_restarts(self, resilience_run):
         report = resilience_run.artifact("resilience")
