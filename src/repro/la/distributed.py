@@ -188,6 +188,9 @@ class DistMatrix:
             owned_col_positions if owned_col_positions is not None
             else np.arange(owned_indices.size, dtype=np.int64)
         )
+        # local_diagonal_block(): the block and its gather map from local_rows.
+        self._diagonal_block = None
+        self._diagonal_map = None
 
     @classmethod
     def from_global(
@@ -437,8 +440,27 @@ class DistMatrix:
         ).ravel()
 
     def local_diagonal_block(self) -> sp.csr_matrix:
-        """The owned-by-owned block (for block-Jacobi / additive Schwarz)."""
-        return self.local_rows[:, self._owned_col_positions].tocsr()
+        """The owned-by-owned block (for block-Jacobi / additive Schwarz).
+
+        Sliced once; every later call refreshes the same matrix's ``data``
+        in place from ``local_rows`` (as :meth:`update_values` refreshes
+        those) and returns it, so a preconditioner's pattern check sees
+        the index arrays it validated before.
+        """
+        if self._diagonal_block is None:
+            # Slice the CSR positions (1-based: none is a zero to prune)
+            # to get the block's pattern and its gather map in one go.
+            rows = self.local_rows
+            positions = sp.csr_matrix(
+                (np.arange(1, rows.nnz + 1, dtype=np.int64), rows.indices, rows.indptr),
+                shape=rows.shape,
+            )[:, self._owned_col_positions].tocsr()
+            self._diagonal_map = positions.data - 1
+            positions.data = rows.data[self._diagonal_map]
+            self._diagonal_block = positions
+        else:
+            self._diagonal_block.data[:] = self.local_rows.data[self._diagonal_map]
+        return self._diagonal_block
 
 
 class DistJacobiPreconditioner:

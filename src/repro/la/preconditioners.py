@@ -5,7 +5,9 @@ reports the preconditioner phase as its own curve in the weak-scaling
 figures.  All preconditioners expose:
 
 * ``setup_flops`` — estimated flops spent in construction,
-* ``apply(v)`` — apply M^{-1} to a vector,
+* ``apply(v)`` — apply M^{-1} to a vector ``(n,)`` or to every column
+  of a block ``(n, m)``, returned in that shape (any other shape is a
+  :class:`SolverError`),
 * ``apply_flops`` — estimated flops per application,
 * ``update(matrix)`` — refresh for new operator *values* on the same
   sparsity pattern, reusing every piece of symbolic structure
@@ -26,6 +28,9 @@ distinct rows and read only rows finished in earlier waves, and each
 row still takes its own steps in order, so one vectorised update per
 wave performs on every entry the subtractions of the row-by-row loop,
 in its order: the factors are bit-identical to it, not merely close.
+The schedule is built without searching: a target's position comes from
+a dense ``(row, column) -> position`` map over a window of rows, and
+every index array of it is ``intp``, so no replay casts one.
 
 ``apply()`` of ILU(0) and SSOR is two calls into SuperLU objects that
 ``update()`` refreshes and that hold the triangles themselves (the rule:
@@ -61,6 +66,20 @@ def _canonical_csr(matrix) -> sp.csr_matrix:
     return csr
 
 
+def _operand(v, n: int | None) -> np.ndarray:
+    """``v`` as an array of shape ``(n,)`` or ``(n, m)``; anything else is
+    a :class:`SolverError` (``n`` None: any length)."""
+    v = np.asarray(v)
+    if v.ndim not in (1, 2) or (n is not None and v.shape[0] != n):
+        raise SolverError(f"apply(): expected {n} rows, got shape {v.shape}")
+    return v
+
+
+def _scale_rows(scale: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row ``r`` of ``v`` times ``scale[r]``, for ``(n,)`` and ``(n, m)``."""
+    return scale * v if v.ndim == 1 else scale[:, None] * v
+
+
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``arange(s, s + c)`` for every (start, count) pair, concatenated."""
     offsets = np.cumsum(counts) - counts
@@ -70,6 +89,31 @@ def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # Elimination steps the ILU(0) symbolic phase expands at a time: bounds
 # its transient candidate arrays independently of the matrix size.
 _SYMBOLIC_CHUNK = 1024
+
+# Cells of the dense (row, column) -> CSR position map the ILU(0)
+# symbolic phase reads targets from: it holds as many whole rows as fit,
+# so the map is built once while n * n fits and a window at a time after.
+_LOOKUP_CELLS = 1 << 20
+
+
+def _waves(step_k: np.ndarray, num_steps: np.ndarray) -> np.ndarray:
+    """The wave of every ILU(0) elimination step, in CSR order: row ``i``
+    owns the next ``num_steps[i]`` steps, step ``t`` pivoting on row
+    ``step_k[t]``, and the recurrence of the module docstring runs step by
+    step on Python ints."""
+    k_of_step = step_k.tolist()
+    final = [0] * num_steps.size
+    wave = []
+    a = 0
+    for i, count in enumerate(num_steps.tolist()):
+        w = 0
+        for k in k_of_step[a : a + count]:
+            f = final[k]
+            w = (w if w > f else f) + 1  # 1 + max(previous step, final[k])
+            wave.append(w)
+        final[i] = w
+        a += count
+    return np.array(wave, dtype=np.intp)
 
 
 class _PatternGuard:
@@ -155,10 +199,7 @@ class _TriangularSolve:
         )
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        if np.shape(b)[:1] != self._matrix.shape[:1]:
-            raise SolverError(
-                f"apply(): expected {self._matrix.shape[0]} rows, got shape {np.shape(b)}"
-            )
+        """``T^{-1} b`` for a ``b`` the caller checked with :func:`_operand`."""
         return self._lu.solve(b, self._trans)
 
     def __getstate__(self) -> dict:  # a SuperLU object cannot be pickled
@@ -173,11 +214,13 @@ class IdentityPreconditioner:
     """No preconditioning; useful as a baseline in ablations."""
 
     def __init__(self, matrix=None):
+        self._n = None if matrix is None else matrix.shape[0]
         self.setup_flops = 0
         self.apply_flops = 0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return v
+        """``v`` unchanged, once its shape passed the check."""
+        return _operand(v, self._n)
 
     def update(self, matrix=None) -> "IdentityPreconditioner":
         """Nothing to refresh."""
@@ -206,7 +249,8 @@ class JacobiPreconditioner:
         return self
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._inv_diag * v
+        """``D^{-1} v``, row by row."""
+        return _scale_rows(self._inv_diag, _operand(v, self._inv_diag.size))
 
 
 class SSORPreconditioner:
@@ -240,7 +284,9 @@ class SSORPreconditioner:
         return self
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        y = self._diag_over_w * self._solve_lower(v)
+        """``M^{-1} v``: the two triangular solves and the scalings between."""
+        v = _operand(v, self._diag_over_w.size)
+        y = _scale_rows(self._diag_over_w, self._solve_lower(v))
         return self._scale * self._solve_upper(y)
 
 
@@ -258,61 +304,65 @@ class ILU0Preconditioner:
         indices = csr.indices
         indptr = csr.indptr
 
-        # Row-major (row, col) keys: ascending, the CSR being canonical.
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-        diag_keys = np.arange(n, dtype=np.int64) * np.int64(n + 1)
-        diag_pos = np.searchsorted(keys, diag_keys)
-        if keys.size < n or not np.array_equal(
-            keys[np.minimum(diag_pos, keys.size - 1)], diag_keys
-        ):
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        diag_pos = np.flatnonzero(indices == rows)  # ascending; one per row at most
+        if diag_pos.size < n:
             raise SolverError("ILU(0): structurally zero diagonal entry")
 
         # Symbolic phase.  An elimination step (i, k) is a strictly-lower
-        # entry; sorted rows hold those first, so in CSR order row i owns
-        # steps first[i]:first[i + 1].  Per row the wave recurrence (module
-        # docstring) closes to t + 1 + cummax(final[k_t] - t).
+        # entry; sorted rows hold those first, so in CSR order the steps
+        # run row by row.
         num_lower = diag_pos - indptr[:-1]
-        first = np.concatenate(([0], np.cumsum(num_lower))).tolist()
         step_pos = _expand_ranges(indptr[:-1], num_lower)
         step_k = indices[step_pos]
-        wave = np.empty(step_pos.size, dtype=np.int64)
-        final = np.zeros(n, dtype=np.int64)
-        ramp = np.arange(num_lower.max(initial=0))
-        for i in np.flatnonzero(num_lower).tolist():
-            a, b = first[i], first[i + 1]
-            t = ramp[: b - a]
-            wave[a:b] = t + 1 + np.maximum.accumulate(final[step_k[a:b]] - t)
-            final[i] = wave[b - 1]
+        wave = _waves(step_k, num_lower)
         order = np.argsort(wave, kind="stable")
         step_ends = np.cumsum(np.bincount(wave))[1:]
         ks = step_k[order]
-        row_keys = np.repeat(np.arange(n, dtype=np.int64) * n, num_lower)[order]
-        pos = step_pos[order].astype(indices.dtype)
-        dpos = diag_pos[ks].astype(indices.dtype)
+        step_rows = np.repeat(np.arange(n), num_lower)[order]
+        pos = step_pos[order]
+        dpos = diag_pos[ks]
 
         # Step (i, k) draws its sources from the tail of row k after the
         # diagonal; the ones whose column is in row i's pattern, and their
-        # targets there, come from one search of i*n + j in `keys`.
-        # Expanded in wave order, a bounded number of steps at a time.
-        found = [np.empty((3, 0), dtype=indices.dtype)]
-        for lo in range(0, ks.size, _SYMBOLIC_CHUNK):
-            k = ks[lo : lo + _SYMBOLIC_CHUNK]
-            count = indptr[k + 1] - diag_pos[k] - 1
-            src = _expand_ranges(diag_pos[k] + 1, count)
-            key = np.repeat(row_keys[lo : lo + _SYMBOLIC_CHUNK], count) + indices[src]
-            tgt = np.searchsorted(keys, key)
-            hit = np.flatnonzero(keys[np.minimum(tgt, keys.size - 1)] == key)
-            owner = np.repeat(np.arange(lo, lo + k.size), count)
-            found.append(np.stack([tgt[hit], src[hit], owner[hit]]).astype(indices.dtype))
-        tgts, srcs, muls = np.concatenate(found, axis=1)
-        tgt_ends = np.searchsorted(muls, step_ends)  # owning steps ascend
-        # A target's multiplier l_ik is read back from its step's position.
-        muls[:] = pos[muls]
+        # targets there, come from a dense map of CSR positions (-1: not
+        # in the pattern) over a window of rows.  Window by window, a
+        # bounded number of the window's steps at a time, in wave order.
+        window = max(1, _LOOKUP_CELLS // max(n, 1))
+        lookup = np.full(min(window, n) * n, -1, dtype=indptr.dtype)
+        counts = np.empty(pos.size, dtype=np.intp)  # targets per step
+        parts = []
+        for r0 in range(0, n, window):
+            span = slice(indptr[r0], indptr[min(r0 + window, n)])
+            cells = (rows[span] - r0) * n + indices[span]
+            lookup[cells] = np.arange(span.start, span.stop)
+            mine = np.flatnonzero((step_rows >= r0) & (step_rows < r0 + window))
+            for lo in range(0, mine.size, _SYMBOLIC_CHUNK):
+                s = mine[lo : lo + _SYMBOLIC_CHUNK]
+                count = indptr[ks[s] + 1] - dpos[s] - 1
+                src = _expand_ranges(dpos[s] + 1, count)
+                tgt = lookup[np.repeat((step_rows[s] - r0) * n, count) + indices[src]]
+                hit = np.flatnonzero(tgt >= 0)
+                counts[s] = np.diff(np.searchsorted(hit, np.cumsum(count)), prepend=0)
+                parts.append((s, tgt[hit], src[hit].astype(indptr.dtype)))
+            lookup[cells] = -1
+        del lookup
+        # Each step's targets go where the wave order puts them: one
+        # window's parts are in that order already.
+        hit_ends = np.cumsum(counts)
+        tgts = np.empty(hit_ends[-1] if hit_ends.size else 0, dtype=np.intp)
+        srcs = np.empty_like(tgts)
+        for s, tgt, src in parts:
+            start = hit_ends[s] - counts[s]
+            at = slice(start[0], start[0] + tgt.size) if n <= window else (
+                _expand_ranges(start, counts[s]))
+            tgts[at] = tgt
+            srcs[at] = src
 
-        self._schedule = []  # per wave: (pos, dpos, tgts, muls, srcs)
+        self._schedule = []  # per wave: (pos, dpos, counts, tgts, srcs)
         a = c = 0
-        for b, d in zip(step_ends.tolist(), tgt_ends.tolist()):
-            self._schedule.append((pos[a:b], dpos[a:b], tgts[c:d], muls[c:d], srcs[c:d]))
+        for b, d in zip(step_ends.tolist(), hit_ends[step_ends - 1].tolist()):
+            self._schedule.append((pos[a:b], dpos[a:b], counts[a:b], tgts[c:d], srcs[c:d]))
             a, c = b, d
         self._diag_pos = diag_pos
         self.setup_flops = pos.size + 2 * tgts.size
@@ -326,28 +376,34 @@ class ILU0Preconditioner:
         self._solve_upper = _TriangularSolve(csr, lower=False)
         self.update(csr)
 
-    def _numeric(self, data: np.ndarray) -> np.ndarray:
-        """Replay the elimination waves on a fresh data array."""
-        for pos, dpos, tgts, muls, srcs in self._schedule:
-            pivot = data[dpos]
-            if (pivot == 0.0).any():
-                raise SolverError("ILU(0): zero pivot during factorization")
-            data[pos] /= pivot
-            data[tgts] -= data[muls] * data[srcs]
-        # The diagonal of a row no step divides by is still a pivot of apply().
+    def _numeric(self, data: np.ndarray) -> None:
+        """Replay the elimination waves on ``data``, in place."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for pos, dpos, counts, tgts, srcs in self._schedule:
+                lik = data[pos] / data[dpos]
+                data[pos] = lik
+                data[tgts] -= lik.repeat(counts) * data[srcs]
+        # A pivot is read once its row is finished, so it is that row's
+        # final diagonal: one check after the replay covers every division
+        # (and the rows no step divides by, still pivots of apply()).
         if (data[self._diag_pos] == 0.0).any():
             raise SolverError("ILU(0): zero pivot during factorization")
-        return data
 
     def update(self, matrix) -> "ILU0Preconditioner":
-        """Re-run the numeric factorization on the cached symbolic schedule."""
+        """Re-run the numeric factorization on the cached symbolic schedule.
+
+        A refused update leaves ``apply()`` as it was."""
         csr = self._guard.check(matrix)
-        self._factors.data[:] = self._numeric(csr.data.astype(float))
-        self._solve_lower.refactor(self._factors.data)
-        self._solve_upper.refactor(self._factors.data)
+        data = self._factors.data
+        data[:] = csr.data
+        self._numeric(data)
+        self._solve_lower.refactor(data)
+        self._solve_upper.refactor(data)
         return self
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """``U^{-1} L^{-1} v``."""
+        v = _operand(v, self._factors.shape[0])
         return self._solve_upper(self._solve_lower(v))
 
 
@@ -372,6 +428,7 @@ class BlockJacobiPreconditioner:
         if local_factory is None:
             local_factory = ILU0Preconditioner
         self._local_factory = local_factory
+        self._n = n
         self._blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
         self._local = [None] * len(self._blocks)
         self.update(csr)
@@ -400,7 +457,9 @@ class BlockJacobiPreconditioner:
         return len(self._blocks)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
+        """Every block's local solve on its rows of ``v``."""
+        v = _operand(v, self._n)
+        out = np.empty(v.shape)  # the blocks cover every row
         for idx, solver in zip(self._blocks, self._local):
             out[idx] = solver.apply(v[idx])
         return out

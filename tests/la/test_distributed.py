@@ -265,6 +265,39 @@ class TestExchangePlan:
                     np.testing.assert_array_equal(got[peer], want[peer])
 
 
+class TestLocalDiagonalBlock:
+    @pytest.mark.parametrize("kind", ["slab", "rcb", "permuted"])
+    @pytest.mark.parametrize("numbering", ["owned-first", "global"])
+    def test_cached_block_is_the_sliced_block(self, kind, numbering):
+        """Sliced once, then refreshed in place: every call returns the same
+        matrix, whose ``indptr`` / ``indices`` / ``data`` equal slicing
+        ``local_rows`` anew, stored zeros included."""
+        matrix, ownerships = _rd_operator_and_ownerships(4)
+        first, second = matrix.copy(), matrix.copy()
+        first.data[::7] = 0.0
+        second.data = np.random.default_rng(2).standard_normal(matrix.nnz)
+        second.data[::5] = 0.0
+
+        def main(comm):
+            dist = DistMatrix.from_global(
+                comm, first, ownership=ownerships[kind], numbering=numbering
+            )
+            block = dist.local_diagonal_block()
+            checks = []
+            for values in (first, second):
+                dist.update_values(values)
+                got = dist.local_diagonal_block()
+                sliced = dist.local_rows[:, dist._owned_col_positions].tocsr()
+                checks.append(got is block and got.indices is block.indices and all(
+                    np.array_equal(getattr(got, name), getattr(sliced, name))
+                    and getattr(got, name).dtype == getattr(sliced, name).dtype
+                    for name in ("indptr", "indices", "data")
+                ))
+            return checks
+
+        assert run(main, 4).returns == [[True, True]] * 4
+
+
 class TestDistCG:
     @pytest.mark.parametrize("num_ranks", [1, 2, 4, 8])
     def test_matches_sequential_solution(self, poisson, num_ranks):

@@ -215,6 +215,40 @@ class TestBlockJacobi:
         assert v @ p.apply(w) == pytest.approx(w @ p.apply(v), rel=1e-9)
 
 
+SIX_BY_SIX = {
+    "identity": IdentityPreconditioner,
+    "jacobi": JacobiPreconditioner,
+    "ssor": SSORPreconditioner,
+    "ilu0": ILU0Preconditioner,
+    "block_jacobi": lambda a: BlockJacobiPreconditioner(a, np.array_split(np.arange(6), 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIX_BY_SIX))
+class TestApplyShapeContract:
+    """``(n,)`` and ``(n, m)`` come back in their shape; anything else is
+    a :class:`SolverError`.  (Jacobi and SSOR used to broadcast ``(n, 1)``
+    to ``(n, n)``; a wrong length was a bare ``ValueError``, an
+    ``IndexError`` or, through the identity, no error at all.)"""
+
+    def test_vectors_and_blocks_keep_their_shape(self, kind):
+        precond = SIX_BY_SIX[kind](laplacian_1d(6))
+        v = np.arange(1.0, 7.0)
+        block = np.column_stack([v, -2.0 * v, v**2])
+        assert precond.apply(v).shape == (6,)
+        for m in (1, 3):
+            got = precond.apply(block[:, :m])
+            assert got.shape == (6, m)
+            for j in range(m):
+                np.testing.assert_array_equal(got[:, j], precond.apply(block[:, j].copy()))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (), (5, 1), (6, 1, 1)])
+    def test_any_other_shape_is_a_solver_error(self, kind, shape):
+        precond = SIX_BY_SIX[kind](laplacian_1d(6))
+        with pytest.raises(SolverError, match=r"expected 6 rows, got shape"):
+            precond.apply(np.ones(shape))
+
+
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [
         ("none", IdentityPreconditioner),
