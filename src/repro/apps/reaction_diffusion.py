@@ -131,6 +131,37 @@ class RDOperators:
         return cls(dofmap, mass, load, composite)
 
 
+class RDRows:
+    """The rows of the ``"combine"``-mode RD system one solver assembles.
+
+    Cut once from the launch's shared operators: all rows for a
+    sequential solver, a rank's owned rows (``rows``, global indices)
+    for a :class:`DistributedRDStep`.  Each step combines, lifts and
+    constrains these rows only; every row is the same CSR row summed in
+    the same order as in the whole system, so a block is the whole
+    system's rows bit for bit.
+    """
+
+    def __init__(self, operators: RDOperators, rows: np.ndarray | None = None):
+        composite, mass, load = operators.composite, operators.mass, operators.load
+        if rows is not None:
+            composite, mass, load = composite.rows(rows), mass[rows], load[rows]
+        self.composite, self.mass, self.load = composite, mass, load
+        # The pattern, planned once; each step's combine() refills it.
+        self.matrix = composite.combine({})
+        self.plan = DirichletPlan(
+            self.matrix, operators.dofmap.boundary_dofs, symmetric=True, rows=rows
+        )
+
+    def assemble(
+        self, coefficients: dict[str, float], history: np.ndarray, values: np.ndarray
+    ) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The constrained rows of ``sum(coefficients * components)`` and
+        of ``load + M @ history``, boundary ``values`` imposed."""
+        self.matrix = self.composite.combine(coefficients, out=self.matrix)
+        return self.plan.apply(self.matrix, self.load + self.mass @ history, values)
+
+
 class RDSolver:
     """Sequential RD solver with per-iteration phase instrumentation.
 
@@ -185,35 +216,40 @@ class RDSolver:
         self.bdf.initialize([self.exact(coords, t) for t in times])
         self.t = times[-1]
 
-        self._combined: sp.csr_matrix | None = None
-        self._dirichlet_plan: DirichletPlan | None = None
+        self._rows: RDRows | None = None  # "combine" mode: built on the first step
         self._precond = None
 
     # -- single step ------------------------------------------------------
 
-    def _assemble_system(self, t_new: float) -> tuple[sp.csr_matrix, np.ndarray]:
-        alpha0 = self.bdf.alpha0
+    def row_block(self, rows: np.ndarray | None = None) -> RDRows:
+        """``"combine"`` mode's rows ``rows`` (default: all) of the system,
+        cut from the shared operators, for :meth:`_assemble_system`."""
+        return RDRows(self._operators, rows)
+
+    def _assemble_system(
+        self, t_new: float, block: RDRows | None = None
+    ) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The constrained system at ``t_new``: the whole of it, or in
+        ``"combine"`` mode only ``block``'s rows (a rank's owned rows)."""
         dt = self.problem.dt
-        mass_coeff = alpha0 / dt - 2.0 / t_new
-        coefficients = {"mass": mass_coeff, "stiffness": 1.0 / t_new**2}
+        mass_coeff = self.bdf.alpha0 / dt - 2.0 / t_new
+        history = self.bdf.history_rhs() / dt
+        boundary = self.dofmap.boundary_dofs
+        values = self.exact(self.dofmap.dof_coords[boundary], t_new)
         if self.assembly_mode == "full":
             matrix = (
                 assemble_mass(self.dofmap, coefficient=mass_coeff)
                 + assemble_stiffness(self.dofmap, coefficient=1.0 / t_new**2)
             ).tocsr()
-        else:
-            # Rewrite the cached structure's data in place — no pattern
-            # union, no COO->CSR round trip.
-            self._combined = self._composite.combine(coefficients, out=self._combined)
-            matrix = self._combined
-        rhs = self._load + self._mass @ (self.bdf.history_rhs() / dt)
-        boundary = self.dofmap.boundary_dofs
-        values = self.exact(self.dofmap.dof_coords[boundary], t_new)
-        if self.assembly_mode == "full":
+            rhs = self._load + self._mass @ history
             return apply_dirichlet(matrix, rhs, boundary, values, symmetric=True)
-        if self._dirichlet_plan is None:
-            self._dirichlet_plan = DirichletPlan(matrix, boundary, symmetric=True)
-        return self._dirichlet_plan.apply(matrix, rhs, values)
+        if block is None:
+            block = self._rows = self._rows or self.row_block()
+        # Rewrites the cached structure's data in place — no pattern
+        # union, no COO->CSR round trip.
+        return block.assemble(
+            {"mass": mass_coeff, "stiffness": 1.0 / t_new**2}, history, values
+        )
 
     def _refresh_preconditioner(self, matrix: sp.csr_matrix):
         """Reuse the preconditioner's symbolic structure when possible."""
@@ -306,10 +342,12 @@ class DistributedRDStep(DistributedStep):
     The solver is an :class:`RDSolver` in ``"combine"`` mode: it holds the
     launch's shared step-invariant operators and owns the BDF history,
     ``t`` and the system assembly.  This class owns what the
-    distribution adds — the :class:`~repro.la.distributed.DistMatrix`
-    and preconditioner lifecycle, the fused CG, the global gather and
-    the history advance.  :meth:`~repro.apps.stepping.DistributedStep.run`
-    is its time loop.
+    distribution adds — the rank's :class:`RDRows` (its owned rows, cut
+    once at construction: each step assembles, constrains and refreshes
+    only those), the :class:`~repro.la.distributed.DistMatrix` and
+    preconditioner lifecycle, the fused CG, the global gather and the
+    history advance, which stays replicated.
+    :meth:`~repro.apps.stepping.DistributedStep.run` is its time loop.
     """
 
     PROBLEM = RDProblem
@@ -328,22 +366,28 @@ class DistributedRDStep(DistributedStep):
     precond = None
     _rhs: np.ndarray | None = None
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.block = self.solver.row_block(self.ownership[self.comm.rank])
+
     def make_solver(self, problem: RDProblem, tol: float) -> RDSolver:
         """An :class:`RDSolver` in ``"combine"`` mode (the step rewrites data only)."""
         return RDSolver(problem, tol=tol, assembly_mode="combine")
 
     def assemble(self) -> None:
-        """Assemble the system at ``t + dt`` and push its values to the ranks."""
+        """Assemble this rank's rows of the system at ``t + dt``."""
         solver = self.solver
-        matrix, self._rhs = solver._assemble_system(solver.t + solver.problem.dt)
+        rows, self._rhs = solver._assemble_system(
+            solver.t + solver.problem.dt, self.block
+        )
         if self.dist is None:
             # First step: the collective structure exchange happens once.
-            self.dist = DistMatrix.from_global(
-                self.comm, matrix, ownership=self.ownership, numbering=self.numbering
+            self.dist = DistMatrix.from_rows(
+                self.comm, rows, ownership=self.ownership, numbering=self.numbering
             )
         else:
             # Later steps: communication-free in-place value refresh.
-            self.dist.update_values(matrix)
+            self.dist.update_rows(rows)
 
     def precondition(self) -> None:
         """Build the preconditioner on the first step, refresh it afterwards."""
@@ -358,7 +402,7 @@ class DistributedRDStep(DistributedStep):
         solver, dist = self.solver, self.dist
         result = dist_cg_fused(
             dist,
-            dist.vector_from_global(self._rhs),
+            dist.vector(self._rhs),
             x0=dist.vector_from_global(solver.bdf.latest()),
             preconditioner=self.precond,
             tol=self.tol,

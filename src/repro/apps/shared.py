@@ -8,7 +8,10 @@ registry is weak, so the entry dies with the launch's last solver.
 Only construction may go through here: the per-step phases are
 *charged* (measured seconds on the virtual clock without a compute
 charger), and one rank computing for the others would hand identical
-ranks different virtual times (``docs/architecture.md``).
+ranks different virtual times (``docs/architecture.md``).  What a rank
+assembles per step is its own: a distributed step cuts its owned rows
+from the shared operators once (copies, never views into the bundle)
+and each step writes only those.
 """
 
 from __future__ import annotations

@@ -94,8 +94,8 @@ class DistributedStep:
     :meth:`solve`; the solver owns the replicated state (BDF histories,
     ``t``, counters), the step owns what distribution adds.
     ``ownership`` (default: :func:`slab_ownership`) and ``numbering`` go
-    to :meth:`DistMatrix.from_global
-    <repro.la.distributed.DistMatrix.from_global>` unchanged; ``tol``
+    to :meth:`DistMatrix.from_rows
+    <repro.la.distributed.DistMatrix.from_rows>` unchanged; ``tol``
     and ``preconditioner`` default to the class's ``TOL`` and
     ``DEFAULT_PRECONDITIONER``.
     """

@@ -288,10 +288,12 @@ def _csr_entry_keys(matrix: sp.csr_matrix) -> np.ndarray:
 
 
 def _canonical_csr(matrix) -> sp.csr_matrix:
-    """CSR with summed duplicates and sorted indices (stable entry keys)."""
-    csr = matrix.tocsr().copy()
-    csr.sum_duplicates()
-    csr.sort_indices()
+    """CSR with summed duplicates and sorted indices (stable entry keys);
+    copied only if ``matrix`` was not in that form already."""
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
     return csr
 
 
@@ -324,6 +326,22 @@ class CompositeOperator:
         if len(shapes) != 1:
             raise AssemblyError(f"component shapes differ: {sorted(shapes)}")
         self.shape = shapes.pop()
+        self._component_data = {name: m.data.copy() for name, m in canonical.items()}
+        # Position maps into the merged data array; None marks a
+        # component whose pattern IS the merged pattern, where a plain
+        # vectorized axpy beats the gather/scatter by a wide margin.
+        self._component_positions: dict[str, np.ndarray | None] = dict.fromkeys(canonical)
+
+        first, *others = canonical.values()
+        if all(
+            np.array_equal(m.indptr, first.indptr) and np.array_equal(m.indices, first.indices)
+            for m in others
+        ):
+            # The common case (same-mesh operators): the pattern is
+            # every component's, with no union to compute.
+            self._indptr, self._indices = first.indptr, first.indices
+            self._nnz = first.nnz
+            return
 
         pattern = None
         for m in canonical.values():
@@ -338,24 +356,49 @@ class CompositeOperator:
         self._nnz = pattern.nnz
 
         merged_keys = _csr_entry_keys(pattern)
-        self._component_data: dict[str, np.ndarray] = {}
-        # Position maps into the merged data array; None marks a
-        # component whose pattern IS the merged pattern (the common case
-        # of same-mesh operators), where a plain vectorized axpy beats
-        # the gather/scatter by a wide margin.
-        self._component_positions: dict[str, np.ndarray | None] = {}
         identity = np.arange(self._nnz, dtype=np.int64)
         for name, m in canonical.items():
-            self._component_data[name] = m.data.copy()
             positions = np.searchsorted(merged_keys, _csr_entry_keys(m))
-            self._component_positions[name] = (
-                None if np.array_equal(positions, identity) else positions
-            )
+            if not np.array_equal(positions, identity):
+                self._component_positions[name] = positions
 
     @property
     def nnz(self) -> int:
         """Entries in the merged pattern."""
         return self._nnz
+
+    def rows(self, rows: np.ndarray) -> "CompositeOperator":
+        """The operator cut down to ``rows`` (global row indices, in the
+        order given; columns stay global).
+
+        A slice, not a rebuild: every kept entry is summed from the same
+        products in the same order, so ``rows(r).combine(c)`` equals
+        ``combine(c)[r]`` bit for bit.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self._indptr[rows]
+        lengths = self._indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=self._indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        # The merged data positions of the kept entries, row by row.
+        take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+
+        cut = object.__new__(CompositeOperator)
+        cut.shape = (rows.size, self.shape[1])
+        cut._indptr, cut._indices, cut._nnz = indptr, self._indices[take], take.size
+        cut._component_data, cut._component_positions = {}, {}
+        renumber = np.full(self._nnz, -1, dtype=np.int64)
+        renumber[take] = np.arange(take.size)
+        for name, data in self._component_data.items():
+            positions = self._component_positions[name]
+            if positions is None:
+                cut._component_data[name] = data[take]
+                cut._component_positions[name] = None
+            else:
+                kept = np.flatnonzero(renumber[positions] >= 0)
+                cut._component_data[name] = data[kept]
+                cut._component_positions[name] = renumber[positions[kept]]
+        return cut
 
     def update_component(self, name: str, matrix: sp.csr_matrix) -> None:
         """Replace one component's values (pattern must be unchanged).

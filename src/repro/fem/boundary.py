@@ -109,6 +109,11 @@ class DirichletPlan:
     With ``symmetric=True`` (default) columns are eliminated into the
     right-hand side before rows *and* columns are zeroed (SPD preserved);
     with ``symmetric=False`` only rows are replaced.
+
+    ``rows`` plans a row block instead (a distributed rank's owned
+    rows): ``matrix`` is ``(len(rows), n)``, its row ``i`` global row
+    ``rows[i]``, and every entry and RHS value comes out as in the
+    square plan's row.  The pattern is read as given, never sorted.
     """
 
     def __init__(
@@ -116,36 +121,44 @@ class DirichletPlan:
         matrix: sp.csr_matrix,
         dofs: np.ndarray,
         symmetric: bool = True,
+        rows: np.ndarray | None = None,
     ):
-        n = matrix.shape[0]
-        if matrix.shape != (n, n):
-            raise AssemblyError(f"matrix must be square, got {matrix.shape}")
+        if not sp.issparse(matrix):
+            raise AssemblyError(f"expected a sparse matrix, got {type(matrix).__name__}")
         csr = matrix.tocsr()
-        if csr.has_sorted_indices is False:
-            csr.sort_indices()
+        m, n = csr.shape
+        if rows is None:
+            if m != n:
+                raise AssemblyError(f"matrix must be square, got {csr.shape}")
+            rows = np.arange(n, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape != (m,) or (m and (rows.min() < 0 or rows.max() >= n)):
+            raise AssemblyError(f"rows must name the matrix's {m} rows within [0, {n})")
         dofs = np.asarray(dofs, dtype=np.int64)
         if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
             raise AssemblyError("Dirichlet dof index out of range")
         if np.unique(dofs).size != dofs.size:
             raise AssemblyError("duplicate Dirichlet dofs")
-        self.n = n
+        self.shape = csr.shape
         self.dofs = dofs
         self.symmetric = symmetric
         self._indptr = csr.indptr.copy()
         self._indices = csr.indices.copy()
 
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-        constrained = np.zeros(n, dtype=bool)
-        constrained[dofs] = True
-        if symmetric:
-            zero_mask = constrained[row_ids] | constrained[csr.indices]
-        else:
-            zero_mask = constrained[row_ids]
-        diag_mask = (row_ids == csr.indices) & constrained[row_ids]
-        if int(diag_mask.sum()) != dofs.size:
+        slot = np.full(n, -1, dtype=np.int64)  # dof -> its index in ``dofs``
+        slot[dofs] = np.arange(dofs.size)
+        row_slot = slot[rows]
+        row_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(csr.indptr))
+        pinned = (row_slot >= 0)[row_ids]  # entries of constrained rows
+        zero_mask = pinned | (slot[csr.indices] >= 0) if symmetric else pinned
+        diag_mask = pinned & (rows[row_ids] == csr.indices)
+        # The RHS entries the boundary values go to, and which value each.
+        self._rhs_rows = np.flatnonzero(row_slot >= 0)
+        self._rhs_values = row_slot[self._rhs_rows]
+        if int(diag_mask.sum()) != self._rhs_rows.size:
             raise AssemblyError(
-                "every constrained dof needs a structural diagonal entry "
-                "(pattern is missing some)"
+                "every constrained dof needs exactly one structural diagonal "
+                "entry (the pattern is missing some or repeats one)"
             )
         self._zero_positions = np.nonzero(zero_mask)[0]
         self._diag_positions = np.nonzero(diag_mask)[0]
@@ -155,26 +168,25 @@ class DirichletPlan:
         self._validated_indices = None
 
     def _check_pattern(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        csr = matrix.tocsr() if not sp.issparse(matrix) else matrix
-        if csr.shape != (self.n, self.n) or csr.nnz != self._indices.size:
+        if not (sp.issparse(matrix) and matrix.format == "csr"):
+            kind = matrix.format if sp.issparse(matrix) else type(matrix).__name__
+            raise AssemblyError(f"the plan edits a CSR matrix in place, got {kind}")
+        if matrix.shape != self.shape or matrix.nnz != self._indices.size:
             raise AssemblyError("matrix does not match the planned pattern")
-        if csr.indices is self._validated_indices:
-            return csr
-        if csr.indices is not self._indices and not (
-            np.array_equal(csr.indptr, self._indptr)
-            and np.array_equal(csr.indices, self._indices)
+        if matrix.indices is self._validated_indices:
+            return matrix
+        if matrix.indices is not self._indices and not (
+            np.array_equal(matrix.indptr, self._indptr)
+            and np.array_equal(matrix.indices, self._indices)
         ):
             raise AssemblyError("matrix sparsity pattern changed since planning")
-        self._validated_indices = csr.indices
-        return csr
+        self._validated_indices = matrix.indices
+        return matrix
 
     def lift(self, matrix: sp.csr_matrix, values: np.ndarray | float) -> np.ndarray:
         """RHS correction ``-A @ g`` (call *before* :meth:`constrain_matrix`)."""
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(self.dofs.shape, float(vals))
-        g = np.zeros(self.n)
-        g[self.dofs] = vals
+        g = np.zeros(self.shape[1])
+        g[self.dofs] = self._values(values)
         return -(matrix @ g)
 
     def constrain_matrix(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -189,6 +201,11 @@ class DirichletPlan:
 
     def set_rhs(self, rhs: np.ndarray, values: np.ndarray | float) -> np.ndarray:
         """Write the boundary values into the RHS (in place; returns it)."""
+        rhs[self._rhs_rows] = self._values(values)[self._rhs_values]
+        return rhs
+
+    def _values(self, values: np.ndarray | float) -> np.ndarray:
+        """One value per planned dof (a scalar is broadcast)."""
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 0:
             vals = np.full(self.dofs.shape, float(vals))
@@ -196,8 +213,7 @@ class DirichletPlan:
             raise AssemblyError(
                 f"values shape {vals.shape} != dofs shape {self.dofs.shape}"
             )
-        rhs[self.dofs] = vals
-        return rhs
+        return vals
 
     def apply(
         self,
@@ -207,12 +223,14 @@ class DirichletPlan:
     ) -> tuple[sp.csr_matrix, np.ndarray]:
         """Impose ``u[dofs] = values``, editing ``matrix.data`` in place.
 
-        Equivalent to :func:`apply_dirichlet` on the planned pattern, at
-        a fraction of the cost.  The RHS is returned as a new array.
+        Equivalent to :func:`apply_dirichlet` on the planned pattern (or
+        to the planned rows of it), at a fraction of the cost.  The RHS
+        is returned as a new array.
         """
+        self._check_pattern(matrix)
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.n,):
-            raise AssemblyError(f"rhs shape {rhs.shape} != ({self.n},)")
+        if rhs.shape != self.shape[:1]:
+            raise AssemblyError(f"rhs shape {rhs.shape} != ({self.shape[0]},)")
         new_rhs = rhs + self.lift(matrix, values) if self.symmetric else rhs.copy()
         self.constrain_matrix(matrix)
         self.set_rhs(new_rhs, values)

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from repro.errors import SolverError
 from repro.la.krylov import SolveResult
+from repro.la.preconditioners import ILU0Preconditioner, _canonical_csr, _PatternGuard
 from repro.obs.core import current as _obs_current
 from repro.simmpi.comm import Communicator
 from repro.simmpi.datatypes import SUM
@@ -36,6 +37,24 @@ def owned_ranges(num_dofs: int, num_ranks: int) -> list[np.ndarray]:
     if num_dofs < num_ranks:
         raise SolverError(f"cannot distribute {num_dofs} dofs over {num_ranks} ranks")
     return [np.asarray(chunk) for chunk in np.array_split(np.arange(num_dofs), num_ranks)]
+
+
+def _checked_ownership(
+    ownership: list[np.ndarray] | None, n: int, num_ranks: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``ownership`` (default :func:`owned_ranges`) as int64 arrays, and
+    the owner of every dof; each dof must be owned exactly once."""
+    if ownership is None:
+        ownership = owned_ranges(n, num_ranks)
+    if len(ownership) != num_ranks:
+        raise SolverError(f"ownership has {len(ownership)} entries for {num_ranks} ranks")
+    ownership = [np.asarray(idx, dtype=np.int64) for idx in ownership]
+    flat = np.concatenate(ownership)
+    if not np.array_equal(np.sort(flat), np.arange(n)):
+        raise SolverError("ownership arrays must cover every dof exactly once")
+    owner_of = np.empty(n, dtype=np.int64)
+    owner_of[flat] = np.repeat(np.arange(num_ranks), [idx.size for idx in ownership])
+    return ownership, owner_of
 
 
 @dataclass
@@ -146,12 +165,12 @@ class DistVector:
 class DistMatrix:
     """Row-distributed CSR matrix with ghost-column exchange.
 
-    Build with :meth:`from_global`: every rank passes a global matrix
-    with the same pattern and values (the simulation analogue of
-    parallel assembly producing consistent local rows) plus the
-    ownership map.  The ranks' matrices may be separate objects or one
-    shared read-only one; only this rank's rows are read, nothing is
-    written.
+    Build with :meth:`from_rows`: every rank passes only the rows it
+    owns, with global column indices (what parallel assembly produces),
+    plus the ownership map; :meth:`update_rows` refreshes their values in
+    place.  :meth:`from_global` / :meth:`update_values` take a global
+    matrix instead and hand its owned rows to those two.  Nothing passed
+    in is written, so the matrices may be shared read-only ones.
     """
 
     def __init__(
@@ -161,9 +180,8 @@ class DistMatrix:
         owned_indices: np.ndarray,
         ghost_indices: np.ndarray,
         plan: ExchangePlan,
-        data_map: np.ndarray | None = None,
-        global_shape: tuple[int, int] | None = None,
-        global_nnz: int | None = None,
+        data_map: np.ndarray,
+        rows_pattern: sp.csr_matrix,
         numbering: str = "owned-first",
         full_order: np.ndarray | None = None,
         owned_col_positions: np.ndarray | None = None,
@@ -173,12 +191,11 @@ class DistMatrix:
         self.owned_indices = owned_indices
         self.ghost_indices = ghost_indices
         self.plan = plan
-        # Permutation from global CSR data positions to local storage
-        # order; lets update_values() refresh in place with zero
+        # Permutation from the owned rows' CSR data positions to local
+        # storage order; lets update_rows() refresh in place with zero
         # communication (the structure and exchange plan are reused).
         self._data_map = data_map
-        self._global_shape = global_shape
-        self._global_nnz = global_nnz
+        self._guard = _PatternGuard(rows_pattern, "DistMatrix.update_rows")
         self.numbering = numbering
         # Under global column numbering, the permutation taking the
         # storage-ordered [owned | ghosts] concatenation to ascending
@@ -200,11 +217,30 @@ class DistMatrix:
         ownership: list[np.ndarray] | None = None,
         numbering: str = "owned-first",
     ) -> "DistMatrix":
-        """Distribute ``global_matrix`` by rows over the communicator.
+        """Distribute ``global_matrix`` by rows: :meth:`from_rows` of its
+        owned rows.  Collective: all ranks call with identical arguments."""
+        gcsr = _canonical_csr(global_matrix)
+        if gcsr.shape[0] != gcsr.shape[1]:
+            raise SolverError(f"global matrix must be square, got {gcsr.shape}")
+        ownership, _ = _checked_ownership(ownership, gcsr.shape[0], comm.size)
+        return cls.from_rows(comm, gcsr[ownership[comm.rank]], ownership, numbering)
 
-        ``ownership`` is one index array per rank (defaults to contiguous
-        balanced ranges).  Collective: all ranks must call with identical
-        arguments.
+    @classmethod
+    def from_rows(
+        cls,
+        comm: Communicator,
+        rows: sp.csr_matrix,
+        ownership: list[np.ndarray] | None = None,
+        numbering: str = "owned-first",
+    ) -> "DistMatrix":
+        """Distribute an ``n x n`` matrix of which this rank holds ``rows``.
+
+        ``rows`` is ``(len(owned), n)``: row ``i`` is global row
+        ``ownership[comm.rank][i]``, columns are global.  ``ownership``
+        is one index array per rank (defaults to contiguous balanced
+        ranges).  Collective: every rank calls with its own rows and the
+        same ``ownership`` and ``numbering``; the ghosts, the local column
+        numbering and the exchange plan follow from the rows' pattern.
 
         ``numbering`` picks the local column numbering.  The default
         ``"owned-first"`` packs owned columns before ghosts (the classic
@@ -217,34 +253,18 @@ class DistMatrix:
         :class:`DistVector`), which together makes whole Krylov
         trajectories rank-count invariant.
         """
-        n = global_matrix.shape[0]
-        if global_matrix.shape != (n, n):
-            raise SolverError(f"global matrix must be square, got {global_matrix.shape}")
-        if ownership is None:
-            ownership = owned_ranges(n, comm.size)
-        if len(ownership) != comm.size:
-            raise SolverError(
-                f"ownership has {len(ownership)} entries for {comm.size} ranks"
-            )
-        owned = np.asarray(ownership[comm.rank], dtype=np.int64)
-
-        # Owner lookup for every global dof; each must appear exactly once.
-        flat = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in ownership])
-        if not np.array_equal(np.sort(flat), np.arange(n)):
-            raise SolverError("ownership arrays must cover every dof exactly once")
-        owner_of = np.empty(n, dtype=np.int64)
-        owner_of[flat] = np.repeat(np.arange(comm.size), [len(idx) for idx in ownership])
-
         if numbering not in ("owned-first", "global"):
             raise SolverError(
                 f"numbering must be 'owned-first' or 'global', got {numbering!r}"
             )
-        gcsr = global_matrix.tocsr()
-        if not gcsr.has_sorted_indices:
-            gcsr = gcsr.copy()
-            gcsr.sum_duplicates()
-            gcsr.sort_indices()
-        rows = gcsr[owned]
+        rows = _canonical_csr(rows)
+        n = rows.shape[1]
+        ownership, owner_of = _checked_ownership(ownership, n, comm.size)
+        owned = ownership[comm.rank]
+        if rows.shape[0] != owned.size:
+            raise SolverError(
+                f"rank {comm.rank} owns {owned.size} rows, got {rows.shape[0]}"
+            )
         referenced = np.unique(rows.indices)
         ghost_mask = owner_of[referenced] != comm.rank
         ghosts = referenced[ghost_mask]
@@ -262,27 +282,16 @@ class DistMatrix:
             # Owned dofs -> [0, n_owned), ghosts -> following.
             col_map[owned] = np.arange(owned.size)
             col_map[ghosts] = owned.size + np.arange(ghosts.size)
-        local = rows.tocoo()
-        local_shape = (owned.size, owned.size + ghosts.size)
-        local_cols = col_map[local.col]
+        width = owned.size + ghosts.size
+        local_cols = col_map[rows.indices]
+        # Each local row sorted by local column; the sort is also the
+        # refresh permutation (the identity under global numbering).
+        row_ids = np.repeat(np.arange(owned.size, dtype=np.int64), np.diff(rows.indptr))
+        data_map = np.argsort(row_ids * width + local_cols, kind="stable")
         local_rows = sp.csr_matrix(
-            (local.data, (local.row, local_cols)), shape=local_shape
+            (rows.data[data_map], local_cols[data_map], rows.indptr.copy()),
+            shape=(owned.size, width),
         )
-        # Build the same structure again carrying *global data positions*
-        # as values; its (identically ordered) data array is then the
-        # permutation update_values() needs to refresh without any
-        # communication.
-        # (positions are stored 1-based so none of them is an explicit
-        # zero a sparse op could silently prune)
-        positions = sp.csr_matrix(
-            (np.arange(1, gcsr.nnz + 1, dtype=np.int64), gcsr.indices, gcsr.indptr),
-            shape=gcsr.shape,
-        )
-        pos_local = sp.csr_matrix(
-            (positions[owned].tocoo().data, (local.row, local_cols)),
-            shape=local_shape,
-        )
-        data_map = pos_local.data.astype(np.int64) - 1
 
         # Build the exchange plan: tell each owner which of its dofs we
         # need.  A stable sort by owner keeps each request in ascending
@@ -314,56 +323,50 @@ class DistMatrix:
             ghosts,
             plan,
             data_map=data_map,
-            global_shape=gcsr.shape,
-            global_nnz=gcsr.nnz,
+            rows_pattern=rows,
             numbering=numbering,
             full_order=full_order,
             owned_col_positions=col_map[owned],
         )
 
-    def update_values(self, global_matrix: sp.csr_matrix) -> "DistMatrix":
-        """Refresh local values from a same-pattern global matrix.
+    def update_rows(self, rows: sp.csr_matrix) -> "DistMatrix":
+        """Refresh local values from this rank's owned rows, same pattern.
 
         Communication-free: the ghost structure, exchange plan, and
-        column renumbering built by :meth:`from_global` are reused and
+        column renumbering built by :meth:`from_rows` are reused and
         only ``local_rows.data`` is rewritten.  This is the distributed
         half of the incremental time loop — each BDF step changes
         operator values, never the pattern, so the per-step alltoall of
-        a fresh :meth:`from_global` is pure waste.
+        a fresh :meth:`from_rows` is pure waste.  A different pattern
+        raises :class:`SolverError`, even one with the same nnz (checked
+        by identity for the index array last validated, as a
+        preconditioner's ``update`` checks it).
         """
-        if self._data_map is None:
-            raise SolverError(
-                "DistMatrix.update_values: no data map (matrix was not built "
-                "by from_global)"
-            )
-        gcsr = global_matrix.tocsr()
-        if not gcsr.has_sorted_indices:
-            gcsr = gcsr.copy()
-            gcsr.sum_duplicates()
-            gcsr.sort_indices()
-        if gcsr.shape != self._global_shape or gcsr.nnz != self._global_nnz:
-            raise SolverError(
-                "DistMatrix.update_values: sparsity pattern changed since "
-                "distribution; rebuild with from_global"
-            )
-        self.local_rows.data[:] = gcsr.data[self._data_map]
+        rows = self._guard.check(rows)
+        self.local_rows.data[:] = rows.data[self._data_map]
         return self
+
+    def update_values(self, global_matrix: sp.csr_matrix) -> "DistMatrix":
+        """:meth:`update_rows` from a same-pattern global matrix's owned rows."""
+        return self.update_rows(_canonical_csr(global_matrix)[self.owned_indices])
 
     # -- vectors -----------------------------------------------------------
 
-    def vector_from_global(self, global_values: np.ndarray) -> DistVector:
-        """Extract this rank's DistVector from a global vector.
+    def vector(self, owned_values: np.ndarray) -> DistVector:
+        """This rank's DistVector holding ``owned_values`` (its owned block).
 
         Vectors from a globally-numbered matrix carry the
         deterministic-dot flag so every reduction taken on them is
         rank-count invariant.
         """
         deterministic = self.numbering == "global"
-        v = DistVector(self.comm, np.asarray(global_values)[self.owned_indices],
-                       self.ghost_indices.size,
-                       owned_indices=self.owned_indices if deterministic else None,
-                       deterministic=deterministic)
-        return v
+        return DistVector(self.comm, owned_values, self.ghost_indices.size,
+                          owned_indices=self.owned_indices if deterministic else None,
+                          deterministic=deterministic)
+
+    def vector_from_global(self, global_values: np.ndarray) -> DistVector:
+        """Extract this rank's DistVector from a global vector (:meth:`vector`)."""
+        return self.vector(np.asarray(global_values)[self.owned_indices])
 
     def gather_global(self, vector: DistVector, root: int = 0) -> np.ndarray | None:
         """Reassemble the global vector on ``root`` (None elsewhere)."""
@@ -496,8 +499,6 @@ class DistBlockJacobiPreconditioner:
     """
 
     def __init__(self, matrix: DistMatrix, local_factory=None):
-        from repro.la.preconditioners import ILU0Preconditioner
-
         if local_factory is None:
             local_factory = ILU0Preconditioner
         self._local_factory = local_factory

@@ -46,20 +46,24 @@ import scipy.sparse as sp
 from repro.errors import SolverError
 
 
-def _require_square_csr(matrix) -> sp.csr_matrix:
+def _sparse_csr(matrix) -> sp.csr_matrix:
     if not sp.issparse(matrix):
         raise SolverError(f"expected a sparse matrix, got {type(matrix).__name__}")
-    csr = matrix.tocsr()
+    return matrix.tocsr()
+
+
+def _require_square_csr(matrix) -> sp.csr_matrix:
+    csr = _sparse_csr(matrix)
     if csr.shape[0] != csr.shape[1]:
         raise SolverError(f"matrix must be square, got {csr.shape}")
     return csr
 
 
 def _canonical_csr(matrix) -> sp.csr_matrix:
-    """``matrix`` as square CSR with sorted, duplicate-free indices — the
-    form a :class:`_PatternGuard` remembers and compares; copied only if
-    it was not in that form already."""
-    csr = _require_square_csr(matrix)
+    """``matrix`` as CSR with sorted, duplicate-free indices — the form a
+    :class:`_PatternGuard` remembers and compares; copied only if it was
+    not in that form already."""
+    csr = _sparse_csr(matrix)
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
@@ -148,8 +152,8 @@ class _PatternGuard:
         )
         if not same:
             raise SolverError(
-                f"{self.who}.update: sparsity pattern changed since setup; "
-                f"rebuild the preconditioner instead"
+                f"{self.who}: sparsity pattern changed since setup; "
+                f"rebuild instead"
             )
         self._validated_indices = csr.indices
         return csr
@@ -231,8 +235,8 @@ class JacobiPreconditioner:
     """Diagonal scaling: M = diag(A)."""
 
     def __init__(self, matrix):
-        csr = _canonical_csr(matrix)
-        self._guard = _PatternGuard(csr, "JacobiPreconditioner")
+        csr = _require_square_csr(_canonical_csr(matrix))
+        self._guard = _PatternGuard(csr, "JacobiPreconditioner.update")
         self.setup_flops = csr.shape[0]
         self.apply_flops = csr.shape[0]
         self._refresh(csr)
@@ -262,8 +266,8 @@ class SSORPreconditioner:
     def __init__(self, matrix, omega: float = 1.0):
         if not (0.0 < omega < 2.0):
             raise SolverError(f"SSOR relaxation must be in (0, 2), got {omega}")
-        csr = _canonical_csr(matrix)
-        self._guard = _PatternGuard(csr, "SSORPreconditioner")
+        csr = _require_square_csr(_canonical_csr(matrix))
+        self._guard = _PatternGuard(csr, "SSORPreconditioner.update")
         self.omega = float(omega)
         self._scale = omega / (2.0 - omega)
         self.setup_flops = 2 * csr.nnz
@@ -298,8 +302,8 @@ class ILU0Preconditioner:
     """
 
     def __init__(self, matrix):
-        csr = _canonical_csr(matrix)
-        self._guard = _PatternGuard(csr, "ILU0Preconditioner")
+        csr = _require_square_csr(_canonical_csr(matrix))
+        self._guard = _PatternGuard(csr, "ILU0Preconditioner.update")
         n = csr.shape[0]
         indices = csr.indices
         indptr = csr.indptr

@@ -121,7 +121,7 @@ class TestWhatIsShared:
         assert not np.array_equal(a.bdf.latest(), b.bdf.latest())
         a.run()
         b.run()
-        assert a._combined is not b._combined
+        assert a._rows.matrix is not b._rows.matrix
         assert a.nodal_error() < 1e-9 and b.nodal_error() < 1e-9
 
     @pytest.mark.parametrize(

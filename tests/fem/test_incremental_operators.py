@@ -97,6 +97,51 @@ class TestCompositeOperator:
         with pytest.raises(AssemblyError):
             comp.combine({"mass": 1.0}, out=operators["mass"].copy())
 
+    def test_same_pattern_skips_the_union_and_the_copy(self, operators, monkeypatch):
+        """Same-pattern components (M and K) need no union, no entry keys
+        and no copy of canonical inputs; the result is the union path's
+        byte for byte (the union path is forced by a shuffled copy)."""
+        mass, stiffness = operators["mass"], operators["stiffness"]
+        assert mass.has_canonical_format
+        coefficients = {"mass": 250.0, "stiffness": -0.04}
+        unsorted = stiffness.copy()
+        unsorted.indices = unsorted.indices.copy()
+        reverse = np.concatenate([
+            np.arange(start, stop)[::-1]
+            for start, stop in zip(unsorted.indptr[:-1], unsorted.indptr[1:])
+        ])
+        unsorted.indices, unsorted.data = unsorted.indices[reverse], unsorted.data[reverse]
+        unsorted.has_sorted_indices = False
+        union = CompositeOperator({"mass": mass, "stiffness": unsorted}).combine(coefficients)
+
+        from repro.fem import assembly
+
+        def no_keys(matrix):
+            raise AssertionError("entry keys computed for same-pattern components")
+
+        monkeypatch.setattr(assembly, "_csr_entry_keys", no_keys)
+        comp = CompositeOperator({"mass": mass, "stiffness": stiffness})
+        assert comp._indices is mass.indices and comp._indptr is mass.indptr
+        fast = comp.combine(coefficients)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(fast, name), getattr(union, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("names", [("mass", "stiffness"), ("mass", "advection")])
+    def test_rows_is_the_combined_rows_bitwise(self, operators, names):
+        """A cut of rows (any order) combines to the whole combine's rows,
+        for same-pattern and union-pattern components alike."""
+        comp = CompositeOperator({name: operators[name] for name in names})
+        coefficients = dict(zip(names, (1.5, -0.1)))
+        whole = comp.combine(coefficients)
+        rows = np.random.default_rng(4).permutation(whole.shape[0])[:17]
+        cut = comp.rows(rows).combine(coefficients)
+        expected = whole[rows]
+        assert cut.shape == (rows.size, whole.shape[1])
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(cut, name), getattr(expected, name))
+        assert cut.data.tobytes() == expected.data.tobytes()
+
 
 class TestDirichletPlan:
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -148,3 +193,64 @@ class TestDirichletPlan:
             DirichletPlan(operators["mass"], np.array([dm.num_dofs + 3]))
         with pytest.raises(AssemblyError):
             DirichletPlan(operators["mass"], np.array([1, 1]))
+
+    def test_row_block_validation(self, operators):
+        dm, block = operators["dm"], operators["mass"][:5]
+        with pytest.raises(AssemblyError, match="square"):
+            DirichletPlan(block, dm.boundary_dofs)
+        for rows in (np.arange(4), np.array([0, 1, 2, 3, dm.num_dofs])):
+            with pytest.raises(AssemblyError, match="rows"):
+                DirichletPlan(block, dm.boundary_dofs, rows=rows)
+
+    @pytest.mark.parametrize(
+        "convert", [sp.coo_matrix, lambda m: m.toarray()], ids=["coo", "dense"]
+    )
+    def test_non_csr_matrix_is_an_assembly_error(self, operators, convert):
+        dm = operators["dm"]
+        plan = DirichletPlan(operators["mass"], dm.boundary_dofs)
+        other = convert(operators["mass"].copy())
+        with pytest.raises(AssemblyError, match="CSR"):
+            plan.apply(other, np.ones(dm.num_dofs), 0.0)
+        with pytest.raises(AssemblyError, match="CSR"):
+            plan.constrain_matrix(other)
+
+    def test_unsorted_input_is_planned_as_given_not_sorted(self, operators):
+        """The plan neither sorts the caller's matrix nor needs it sorted."""
+        dm = operators["dm"]
+        matrix = (operators["mass"] + operators["stiffness"]).tocsr()
+        reverse = np.concatenate([
+            np.arange(start, stop)[::-1]
+            for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:])
+        ])
+        unsorted = sp.csr_matrix(
+            (matrix.data[reverse], matrix.indices[reverse], matrix.indptr),
+            shape=matrix.shape,
+        )
+        indices_before = unsorted.indices.copy()
+        plan = DirichletPlan(unsorted, dm.boundary_dofs)
+        assert np.array_equal(unsorted.indices, indices_before)
+        rhs = np.ones(dm.num_dofs)
+        got_op, got_rhs = plan.apply(unsorted, rhs, 0.5)
+        ref_op, ref_rhs = apply_dirichlet(matrix, rhs, dm.boundary_dofs, 0.5)
+        np.testing.assert_array_equal(got_op.toarray(), ref_op.toarray())
+        np.testing.assert_array_equal(got_rhs, ref_rhs)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_row_block_plan_is_the_square_plans_rows(self, operators, symmetric):
+        """A plan over rows ``r`` (any order) constrains ``A[r]`` and the
+        RHS block exactly as the square plan constrains ``A`` and the RHS."""
+        dm = operators["dm"]
+        matrix = (operators["mass"] + operators["stiffness"]).tocsr()
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal(dm.num_dofs)
+        values = rng.standard_normal(dm.boundary_dofs.size)
+        rows = rng.permutation(dm.num_dofs)[:23]
+        whole_op, whole_rhs = DirichletPlan(
+            matrix, dm.boundary_dofs, symmetric=symmetric
+        ).apply(matrix.copy(), rhs, values)
+        block = matrix[rows]
+        plan = DirichletPlan(block, dm.boundary_dofs, symmetric=symmetric, rows=rows)
+        block_op, block_rhs = plan.apply(block, rhs[rows], values)
+        assert block_op.shape == (rows.size, dm.num_dofs)
+        assert block_op.data.tobytes() == whole_op[rows].data.tobytes()
+        assert block_rhs.tobytes() == whole_rhs[rows].tobytes()

@@ -200,6 +200,48 @@ class TestUpdateValues:
         message = run(main, 2).returns[0]
         assert "pattern" in message
 
+    def test_same_nnz_different_pattern_raises(self):
+        """Shape and nnz agree, the columns do not: refused, not written
+        into the old pattern's slots."""
+        tridiagonal = sp.csr_matrix(
+            [[4, 1, 0, 0], [1, 4, 1, 0], [0, 1, 4, 1], [0, 0, 1, 4]], dtype=float
+        )
+        moved = sp.csr_matrix(
+            [[4, 0, 1, 0], [1, 4, 1, 0], [0, 1, 4, 1], [1, 0, 0, 4]], dtype=float
+        )
+        assert moved.nnz == tridiagonal.nnz
+
+        def main(comm):
+            dist = DistMatrix.from_global(comm, tridiagonal)
+            before = dist.local_rows.toarray()
+            try:
+                dist.update_values(moved)
+            except SolverError as err:
+                return "pattern" in str(err) and np.array_equal(
+                    dist.local_rows.toarray(), before
+                )
+            return False
+
+        assert run(main, 2).returns == [True, True]
+
+    def test_update_rows_takes_the_owned_rows(self, poisson):
+        """``update_rows`` of the owned rows is ``update_values`` of the
+        whole matrix; a pattern validated once is re-checked by identity."""
+        a, b = poisson
+        scaled = a.copy()
+        scaled.data *= 3.5
+
+        def main(comm):
+            by_rows = DistMatrix.from_global(comm, a)
+            by_global = DistMatrix.from_global(comm, a)
+            owned_rows = scaled[by_rows.owned_indices]
+            by_rows.update_rows(owned_rows)
+            assert by_rows._guard._validated_indices is owned_rows.indices
+            by_global.update_values(scaled)
+            return np.array_equal(by_rows.local_rows.data, by_global.local_rows.data)
+
+        assert all(run(main, 3).returns)
+
 
 class TestUpdateGhostsMany:
     def test_coalesced_matches_individual(self, poisson):

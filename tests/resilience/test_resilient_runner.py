@@ -77,7 +77,7 @@ class TestRecovery:
         forbidden = (
             "repro.la", "repro.fem.assembly", "repro.fem.boundary",
             "repro.fem.bdf", "DirichletPlan(", "CompositeOperator(",
-            "dist_cg_fused(", "DistMatrix.from_global(", "._history",
+            "dist_cg_fused(", "DistMatrix.from_global(", "from_rows(", "._history",
             "RDSolver", "RDProblem", "DistributedRDStep", "save_rd_state",
             "load_rd_state", "rd_discretization",
         )
