@@ -1,6 +1,6 @@
 """:class:`ServiceClient` — the tenant side of the HTTP endpoint.
 
-A thin, dependency-free (``urllib``) client for
+A thin, dependency-free (``http.client``) client for
 :mod:`repro.service.httpd`.  It speaks the same typed vocabulary as the
 in-process API: ``submit`` returns a
 :class:`~repro.service.jobs.SubmitReceipt`, ``result`` returns the
@@ -10,6 +10,10 @@ bodies are re-raised as the original exception classes
 ``retry_after_s`` intact, :class:`~repro.errors.JobNotFoundError`, …),
 so ``repro.run(request, via="http://127.0.0.1:8642")`` is
 indistinguishable from a local run apart from who did the computing.
+
+Every verb a thread calls travels over that thread's one persistent
+HTTP/1.1 connection, so a client is safe to share across threads and a
+closed loop of calls opens one TCP connection, not one per call.
 
 Only point a client at a service you trust — results cross the wire as
 pickle, which is a loopback convenience, not an internet protocol (see
@@ -21,8 +25,9 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+import threading
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from urllib.parse import urlsplit
 
 from repro.errors import (
     AdmissionDenied,
@@ -32,6 +37,11 @@ from repro.errors import (
 )
 from repro.service.httpd import API_PREFIX
 from repro.service.jobs import JobStatus, SubmitReceipt
+
+#: How a kept connection shows that the peer closed it before answering
+#: (an idle close, a restart; ``RemoteDisconnected`` is a reset): the one
+#: case a request is sent again.
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
 def _raise_typed(doc: dict) -> None:
@@ -59,38 +69,78 @@ class ServiceClient:
 
     ``base_url`` is the service's ``http://host:port``;
     ``request_timeout_s`` bounds each HTTP round trip (result waits add
-    their own ``timeout`` on top).
+    their own ``timeout`` on top).  Each calling thread keeps one
+    connection open; a kept connection the service closed before
+    answering is reopened and the request sent once more.
     """
 
     def __init__(self, base_url: str, request_timeout_s: float = 600.0):
         self.base_url = base_url.rstrip("/")
         self.request_timeout_s = request_timeout_s
+        url = urlsplit(self.base_url)
+        self._connection_class = (
+            HTTPSConnection if url.scheme == "https" else HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._root = url.path + API_PREFIX
+        self._local = threading.local()
 
     # -- transport ----------------------------------------------------------
 
     def _call(self, method: str, path: str, body: dict | None = None,
-              timeout: float | None = None):
-        url = f"{self.base_url}{API_PREFIX}{path}"
+              timeout: float | None = None, raw: bool = False):
+        """One exchange on this thread's connection: the JSON doc (the
+        body text with ``raw``), or the typed error the service sent."""
         data = None if body is None else json.dumps(body).encode()
-        req = Request(url, data=data, method=method,
-                      headers={"Content-Type": "application/json"})
         deadline = timeout if timeout is not None else self.request_timeout_s
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(self._netloc)
         try:
-            with urlopen(req, timeout=deadline) as resp:
-                payload = resp.read().decode()
-        except HTTPError as exc:
-            try:
-                doc = json.loads(exc.read().decode())
-            except (ValueError, OSError):
+            response = self._send(conn, method, self._root + path, data,
+                                  deadline)
+            payload = response.read()
+        except BaseException as exc:
+            # A half-read response must never meet the next request.
+            conn.close()
+            if (isinstance(exc, (OSError, HTTPException))
+                    and not isinstance(exc, TimeoutError)):
                 raise ServiceError(
-                    f"service returned HTTP {exc.code} for {path}"
+                    f"cannot reach service at {self.base_url}: {exc}"
                 ) from exc
+            raise
+        if response.status >= 400:
+            try:
+                doc = json.loads(payload.decode())
+            except ValueError:
+                raise ServiceError(
+                    f"service returned HTTP {response.status} for {path}"
+                ) from None
             _raise_typed(doc)
-        except URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc.reason}"
-            ) from exc
-        return json.loads(payload)
+        return payload.decode() if raw else json.loads(payload)
+
+    @staticmethod
+    def _send(conn, method, target, data, deadline):
+        """Send one request and read its response head.
+
+        A *kept* socket the peer closed before any response byte came
+        back is reopened and the request sent once more; a fresh one
+        gets no second try.
+        """
+        reused = conn.sock is not None
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        conn.timeout = deadline
+        if reused:
+            conn.sock.settimeout(deadline)
+        try:
+            conn.request(method, target, body=data, headers=headers)
+            return conn.getresponse()
+        except _STALE:
+            if not reused:
+                raise
+        conn.close()
+        conn.request(method, target, body=data, headers=headers)
+        return conn.getresponse()
 
     # -- verbs --------------------------------------------------------------
 
@@ -139,14 +189,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The service's Prometheus exposition, verbatim."""
-        url = f"{self.base_url}{API_PREFIX}/metrics"
-        try:
-            with urlopen(url, timeout=self.request_timeout_s) as resp:
-                return resp.read().decode()
-        except URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc}"
-            ) from exc
+        return self._call("GET", "/metrics", raw=True)
 
     def run(self, request, tenant: str = "default",
             timeout: float | None = None):

@@ -34,6 +34,11 @@ Typed errors map onto status codes (429 ``AdmissionDenied``, 404
 timeout, 400 other service misuse) with a JSON body carrying the error
 type and message so :class:`~repro.service.client.ServiceClient` can
 re-raise the original exception class.
+
+Connections are persistent (HTTP/1.1), one server thread each: every
+response path first reads exactly the body its request declared, and
+:meth:`ServiceHTTPServer.server_close` ends every kept connection
+(``docs/service.md``, "Persistent connections").
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from __future__ import annotations
 import base64
 import json
 import pickle
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -55,6 +62,9 @@ from repro.errors import (
 
 #: Route prefix for every endpoint this server exposes.
 API_PREFIX = "/api/v2"
+
+#: A client hanging up mid-exchange: the quiet end of its connection.
+_HANGUP = (BrokenPipeError, ConnectionResetError)
 
 
 def _error_doc(exc: BaseException) -> dict:
@@ -83,85 +93,96 @@ def _status_for(exc: BaseException) -> int:
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    """One request: route, call the service, serialise the answer."""
+    """One kept connection: route each request, call the service,
+    serialise the answer."""
 
     #: Set by :func:`serve_http` on the handler class.
     service = None
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out as two writes; with Nagle on, the body
+    #: waits for the client's delayed ACK of the headers (~40 ms a call).
+    disable_nagle_algorithm = True
+
+    #: ``(method, verb) -> (path arguments, handler name)``.
+    ROUTES = {
+        ("GET", "status"): (1, "_get_status"),
+        ("GET", "jobs"): (0, "_get_jobs"),
+        ("GET", "result"): (1, "_get_result"),
+        ("GET", "stats"): (0, "_get_stats"),
+        ("GET", "metrics"): (0, "_get_metrics"),
+        ("POST", "submit"): (0, "_post_submit"),
+        ("POST", "cancel"): (1, "_post_cancel"),
+    }
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence per-request stderr logging (telemetry streams instead)."""
 
     # -- plumbing -----------------------------------------------------------
 
-    def _send_json(self, doc: dict, status: int = 200) -> None:
-        body = json.dumps(doc).encode()
+    def _send(self, body: bytes, content_type: str, status: int) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, doc: dict, status: int = 200) -> None:
+        self._send(json.dumps(doc).encode(), "application/json", status)
 
     def _send_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(text.encode(), "text/plain; version=0.0.4", status)
+
+    def _read_body(self) -> bytes:
+        """Exactly the request's declared body, so the next request on
+        the connection starts where this one ends."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            raise ServiceError(
+                f"a request body needs a non-negative Content-Length, "
+                f"got {declared!r}"
+            )
+        return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        if not length:
+        if not self._body:
             return {}
-        doc = json.loads(self.rfile.read(length).decode())
+        doc = json.loads(self._body.decode())
         if not isinstance(doc, dict):
             raise ServiceError("request body must be a JSON object")
         return doc
 
-    def _dispatch(self, handler, *args) -> None:
+    def _serve(self) -> None:
+        """Read the body, then route ``/api/v2/<verb>/<args>``."""
         try:
-            handler(*args)
+            self._body = self._read_body()
+        except ServiceError as exc:
+            # The stream's framing is unknown now: answer, then hang up.
+            self.close_connection = True
+            self._send_json(_error_doc(exc), status=400)
+            return
+        url = urlparse(self.path)
+        self._query = parse_qs(url.query)
+        parts = [p for p in url.path.split("/") if p]
+        route = None
+        if len(parts) >= 3 and "/" + "/".join(parts[:2]) == API_PREFIX:
+            route = self.ROUTES.get((self.command, parts[2]))
+        if route is None or route[0] != len(parts) - 3:
+            self._send_json({"error": "NotFound", "message": self.path}, 404)
+            return
+        try:
+            getattr(self, route[1])(*parts[3:])
+        except _HANGUP:
+            raise
         except Exception as exc:  # typed errors become typed JSON
             self._send_json(_error_doc(exc), status=_status_for(exc))
 
-    # -- verbs --------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """Route ``status`` / ``jobs`` / ``result`` / ``stats`` / ``metrics``."""
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        if len(parts) < 3 or "/" + "/".join(parts[:2]) != API_PREFIX:
-            self._send_json({"error": "NotFound", "message": self.path}, 404)
-            return
-        verb, rest = parts[2], parts[3:]
-        if verb == "status" and len(rest) == 1:
-            self._dispatch(self._get_status, rest[0])
-        elif verb == "jobs" and not rest:
-            self._dispatch(self._get_jobs)
-        elif verb == "result" and len(rest) == 1:
-            self._dispatch(self._get_result, rest[0], parse_qs(url.query))
-        elif verb == "stats" and not rest:
-            self._dispatch(self._get_stats)
-        elif verb == "metrics" and not rest:
-            self._dispatch(self._get_metrics)
-        else:
-            self._send_json({"error": "NotFound", "message": self.path}, 404)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """Route ``submit`` and ``cancel``."""
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        if len(parts) < 3 or "/" + "/".join(parts[:2]) != API_PREFIX:
-            self._send_json({"error": "NotFound", "message": self.path}, 404)
-            return
-        verb, rest = parts[2], parts[3:]
-        if verb == "submit" and not rest:
-            self._dispatch(self._post_submit)
-        elif verb == "cancel" and len(rest) == 1:
-            self._dispatch(self._post_cancel, rest[0])
-        else:
-            self._send_json({"error": "NotFound", "message": self.path}, 404)
+    do_GET = do_POST = _serve
 
     # -- handlers -----------------------------------------------------------
 
@@ -194,10 +215,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _get_jobs(self) -> None:
         self._send_json({"jobs": [s.as_dict() for s in self.service.jobs()]})
 
-    def _get_result(self, job_id: str, query: dict) -> None:
+    def _get_result(self, job_id: str) -> None:
         timeout = None
-        if "timeout" in query:
-            timeout = float(query["timeout"][0])
+        if "timeout" in self._query:
+            timeout = float(self._query["timeout"][0])
         blob = self.service.result_blob(job_id, timeout=timeout)
         status = self.service.status(job_id)
         self._send_json({
@@ -218,27 +239,74 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_text(prometheus_text(self.service.hub.metrics))
 
 
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """A thread per kept connection, each tracked so :meth:`server_close`
+    can end them; a client hanging up is the quiet end of its thread."""
+
+    # The socketserver default listen backlog (5) resets connections the
+    # moment a coalesce storm of clients connects at once; the service's
+    # whole point is absorbing such bursts.
+    request_queue_size = 128
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs):
+        # Before binding: a failed bind calls server_close().
+        self._connections: dict = {}  # accepted socket -> its thread
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-service-conn", daemon=True,
+        )
+        with self._connections_lock:
+            self._connections = {
+                r: t for r, t in self._connections.items() if t.is_alive()
+            }
+            self._connections[request] = thread
+        thread.start()
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], _HANGUP):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Stop listening, and stop reading every kept connection.
+
+        An idle connection ends at once; one mid-request still sends its
+        answer, then ends.  Call after :meth:`shutdown`, so no connection
+        is added behind it.
+        """
+        super().server_close()
+        with self._connections_lock:
+            requests = list(self._connections)
+        for request in requests:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed
+                pass
+
+    def join_connections(self, timeout: float) -> None:
+        """Wait (up to ``timeout`` each) for the connection threads."""
+        with self._connections_lock:
+            threads = list(self._connections.values())
+        for thread in threads:
+            thread.join(timeout)
+
+
 def serve_http(service, host: str = "127.0.0.1", port: int = 0):
     """Bind the endpoint and serve it on a daemon thread.
 
     Returns ``(server, thread)``; the caller owns shutdown
-    (``server.shutdown(); server.server_close()``).  ``port`` 0 binds an
+    (``server.shutdown(); server.server_close()``, then
+    ``server.join_connections(timeout)``).  ``port`` 0 binds an
     ephemeral port — read the real one from ``server.server_address``.
     """
     handler = type("BoundServiceHandler", (ServiceHandler,),
                    {"service": service})
-    server = ThreadingHTTPServer((host, port), handler, bind_and_activate=False)
-    # The socketserver default listen backlog (5) resets connections the
-    # moment a coalesce storm of clients connects at once; the service's
-    # whole point is absorbing such bursts.
-    server.request_queue_size = 128
-    server.daemon_threads = True
-    try:
-        server.server_bind()
-        server.server_activate()
-    except BaseException:
-        server.server_close()
-        raise
+    server = ServiceHTTPServer((host, port), handler)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-service-http", daemon=True
     )
@@ -246,4 +314,4 @@ def serve_http(service, host: str = "127.0.0.1", port: int = 0):
     return server, thread
 
 
-__all__ = ["API_PREFIX", "ServiceHandler", "serve_http"]
+__all__ = ["API_PREFIX", "ServiceHTTPServer", "ServiceHandler", "serve_http"]

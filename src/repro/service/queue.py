@@ -230,8 +230,14 @@ class JobQueue:
         Raises :class:`~repro.errors.JobCancelledError` if the job was
         cancelled, the job's own exception if it failed, and
         ``TimeoutError`` if ``timeout`` elapses first (the job keeps
-        running — a result wait is an observer, not an owner).
+        running — a result wait is an observer, not an owner).  A NaN or
+        negative ``timeout`` is a :class:`~repro.errors.ServiceError`.
         """
+        if timeout is not None and not timeout >= 0:
+            raise ServiceError(
+                f"result timeout must be a non-negative number of seconds, "
+                f"got {timeout!r}"
+            )
         job = self._find(job_id)
         future = self._futures.get(job.job_id)
         if future is None:
@@ -239,7 +245,13 @@ class JobQueue:
         if timeout is None:
             packed = await asyncio.shield(future)
         else:
-            packed = await asyncio.wait_for(asyncio.shield(future), timeout)
+            try:
+                packed = await asyncio.wait_for(asyncio.shield(future), timeout)
+            except asyncio.TimeoutError:
+                raise TimeoutError(
+                    f"job {job.job_id[:12]} did not finish within "
+                    f"{timeout:g} s"
+                ) from None
         return zlib.decompress(packed)
 
     async def cancel(self, job_id: str) -> JobStatus:

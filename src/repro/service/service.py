@@ -128,21 +128,25 @@ class BrokerService:
     def stop(self, drain: bool = True) -> None:
         """Shut down: HTTP first, then the queue, then the loop.
 
-        With ``drain`` (what the ``serve`` CLI does on SIGTERM) running
-        jobs finish before the loop dies; queued-but-unstarted jobs are
+        The endpoint stops accepting and stops reading its kept
+        connections: idle ones close at once, a request already read
+        (a result wait) is answered once the queue has stopped.  With
+        ``drain`` (what the ``serve`` CLI does on SIGTERM) running jobs
+        finish before the loop dies; queued-but-unstarted jobs are
         cancelled either way.  Telemetry is exported to ``out_dir`` on
         the way out so post-mortem ``tail``/metrics keep working.
         """
         if not self.running:
             return
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._http_thread is not None:
-                self._http_thread.join(timeout=5.0)
-            self._httpd = None
+        httpd, self._httpd = self._httpd, None
+        if httpd is not None:
+            httpd.shutdown()
+            httpd.server_close()
+            self._http_thread.join(timeout=5.0)
             self._http_thread = None
         self._call(self.queue.stop(drain=drain))
+        if httpd is not None:
+            httpd.join_connections(timeout=5.0)
         loop, self._loop = self._loop, None
         loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
