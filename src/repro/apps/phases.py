@@ -110,10 +110,3 @@ class PhaseLog:
             solve=sum(it.solve for it in kept) / n,
             other=sum(it.other for it in kept) / n,
         )
-
-    def max_total(self) -> float:
-        """The largest single-iteration total among measured iterations."""
-        kept = self.measured
-        if not kept:
-            raise ExperimentError("no measured iterations")
-        return max(it.total for it in kept)

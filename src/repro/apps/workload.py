@@ -96,15 +96,6 @@ class AppWorkload:
         vector_bytes = 10.0 * dofs * BYTES_PER_DOF
         return 2.0 * (2.0 * matrix_bytes + vector_bytes)
 
-    def max_elements_for_memory(self, ram_bytes: float) -> int:
-        """Largest cubic per-rank element count fitting in ``ram_bytes``."""
-        if ram_bytes <= 0:
-            raise ReproError(f"ram_bytes must be positive, got {ram_bytes}")
-        n = 1
-        while self.memory_per_rank_bytes((n + 1) ** 3) <= ram_bytes:
-            n += 1
-        return n**3
-
     # -- iteration counts ----------------------------------------------------
 
     def solver_iterations(self, num_ranks: int) -> float:
@@ -149,14 +140,6 @@ class AppWorkload:
         per_dim = 2 if q > 2 else (1 if q > 1 else 0)
         return 3 * per_dim
 
-    def halo_bytes_per_exchange(self, elements_per_rank: int, num_ranks: int) -> float:
-        """Bytes a rank sends in one halo update (all neighbours)."""
-        return (
-            self.halo_neighbors(num_ranks)
-            * self.face_dofs(elements_per_rank)
-            * BYTES_PER_DOF
-        )
-
     def allreduce_count(self, num_ranks: int) -> float:
         """Latency-bound allreduces per time step (CG dots and norms)."""
         return self.allreduces_per_iteration * self.solver_iterations(num_ranks)
@@ -171,12 +154,6 @@ class AppWorkload:
         scalar — still deep inside the selector's small-message regime.
         """
         return replace(self, allreduces_per_iteration=1.0, allreduce_bytes=24.0)
-
-    def solve_halo_bytes(self, elements_per_rank: int, num_ranks: int) -> float:
-        """Solve-phase halo traffic per iteration (all matvecs)."""
-        return self.solver_iterations(num_ranks) * self.halo_bytes_per_exchange(
-            elements_per_rank, num_ranks
-        )
 
 
 # Constants derived from the implemented algorithms:

@@ -79,11 +79,8 @@ def recording_key(
 
     Keyed on **what the numerics compute** — ``(workload, p,
     discretization)`` plus the semantic config token and the code
-    fingerprint — and deliberately *not* on the platform or the replay
-    flag: the whole point is that one recording serves every platform
-    of a sweep, and the non-semantic ``RunConfig.replay`` knob is
-    already excluded by
-    :meth:`~repro.harness.config.RunConfig.cache_token`.
+    fingerprint — and deliberately *not* on the platform: the whole
+    point is that one recording serves every platform of a sweep.
     """
     fingerprint = fingerprint if fingerprint is not None else code_fingerprint()
     blob = json.dumps(

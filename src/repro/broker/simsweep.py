@@ -17,8 +17,7 @@ broker integration of the record/replay subsystem
    topology/network model at its own compute rate — bit-identical
    virtual clocks at a fraction of the cost — falling back to full
    simulation when the recording is incompatible (the target's
-   collective selector would resolve an ``auto`` choice differently)
-   or when ``RunConfig.replay`` is off.
+   collective selector would resolve an ``auto`` choice differently).
 
 Each point value records which path it took (``replayed`` /
 ``bypass_reason``), and the obs hub gets ``replay_capture`` /
@@ -145,29 +144,21 @@ def _eval_simsweep(key: str, config: RunConfig, hub) -> dict[str, Any]:
     topology = _platform_topology(spec, num_ranks)
     rate = spec.core_flops()
 
-    recording = None
-    bypass_reason = ""
-    if config.replay:
-        store = RecordingStore(config.cache_dir)
-        rec_key = recording_key(
-            RD_WORKLOAD.name,
-            num_ranks,
-            _discretization(problem, num_ranks),
-            config.cache_token(),
-        )
-        recording = store.get(rec_key)
-        if recording is None:
-            with view.span("replay_capture", platform=key):
-                recording = capture_recording(problem, num_ranks)
-            store.put(rec_key, recording)
-        ok, reason = recording.compatible_with(topology)
-        if not ok:
-            bypass_reason = reason
-            recording = None
-    else:
-        bypass_reason = "replay disabled by RunConfig.replay"
+    store = RecordingStore(config.cache_dir)
+    rec_key = recording_key(
+        RD_WORKLOAD.name,
+        num_ranks,
+        _discretization(problem, num_ranks),
+        config.cache_token(),
+    )
+    recording = store.get(rec_key)
+    if recording is None:
+        with view.span("replay_capture", platform=key):
+            recording = capture_recording(problem, num_ranks)
+        store.put(rec_key, recording)
+    replayed, bypass_reason = recording.compatible_with(topology)
 
-    if recording is not None:
+    if replayed:
         with view.span("replay_walk", platform=key):
             result = replay_schedule(
                 recording,
@@ -175,11 +166,9 @@ def _eval_simsweep(key: str, config: RunConfig, hub) -> dict[str, Any]:
                 compute_rate=rate,
                 check_compatibility=False,
             )
-        replayed = True
     else:
         with view.span("replay_full_sim", platform=key):
             result = _full_sim(problem, num_ranks, topology, rate)
-        replayed = False
 
     return {
         "platform": key,

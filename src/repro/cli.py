@@ -7,7 +7,7 @@ single source of truth the :mod:`repro.__main__` subparsers compose:
 
 * :func:`add_config_options` / :func:`config_from_args` — the
   :class:`~repro.harness.config.RunConfig` flags (``--seed``,
-  ``--cache-dir``, ``--obs-out``, ``--replay/--no-replay``),
+  ``--cache-dir``, ``--obs-out``),
   identical wherever a config is built (``run``, ``serve``, ``submit``);
 * :func:`add_json_flag` / :func:`render` — the ``--json`` output mode
   every read-only subcommand supports: same data, machine shape;
@@ -36,13 +36,6 @@ def add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="result cache directory (default .repro_cache)")
     parser.add_argument("--obs-out", default=None, metavar="DIR",
                         help="observe the run and export artifacts to DIR")
-    parser.add_argument("--replay", dest="replay", action="store_true",
-                        default=True,
-                        help="let executed platform sweeps record the schedule "
-                             "once and replay it per platform (default)")
-    parser.add_argument("--no-replay", dest="replay", action="store_false",
-                        help="force full per-platform simulation "
-                             "(bit-identical to replay, just slower)")
 
 
 def config_from_args(args: argparse.Namespace):
@@ -51,8 +44,7 @@ def config_from_args(args: argparse.Namespace):
     from repro.obs.core import ObsConfig
 
     obs = ObsConfig(out_dir=args.obs_out) if args.obs_out else None
-    return RunConfig(seed=args.seed, obs=obs, cache_dir=args.cache_dir,
-                     replay=args.replay)
+    return RunConfig(seed=args.seed, obs=obs, cache_dir=args.cache_dir)
 
 
 def add_json_flag(parser: argparse.ArgumentParser) -> None:

@@ -13,8 +13,6 @@ from repro.cloud.instances import (
     CC1_4XLARGE,
     CG1_4XLARGE,
     CC2_8XLARGE,
-    instance_type_by_name,
-    all_instance_types,
 )
 from repro.cloud.images import MachineImage, BASE_CENTOS_IMAGE, precondition_image
 from repro.cloud.placement import PlacementGroup, PlacementMap
@@ -29,8 +27,6 @@ __all__ = [
     "CC1_4XLARGE",
     "CG1_4XLARGE",
     "CC2_8XLARGE",
-    "instance_type_by_name",
-    "all_instance_types",
     "MachineImage",
     "BASE_CENTOS_IMAGE",
     "precondition_image",

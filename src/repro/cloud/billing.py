@@ -86,24 +86,3 @@ class BillingEngine:
     def live_count(self) -> int:
         """Number of still-running instances."""
         return sum(1 for b in self.bills.values() if not b.stopped)
-
-
-def run_cost(
-    instance_type: InstanceType,
-    num_instances: int,
-    duration_s: float,
-    hourly_price: float | None = None,
-    round_up_hours: bool = False,
-) -> float:
-    """One-shot cost of running a uniform assembly for a duration.
-
-    ``hourly_price`` defaults to the on-demand rate; pass the observed
-    spot price for spot assemblies or a blend for mixes.
-    """
-    if num_instances < 0 or duration_s < 0:
-        raise BillingError("instances and duration must be non-negative")
-    price = instance_type.on_demand_hourly if hourly_price is None else hourly_price
-    hours = duration_s / HOUR
-    if round_up_hours and hours > 0:
-        hours = float(math.ceil(hours))
-    return num_instances * price * hours

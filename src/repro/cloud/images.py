@@ -51,14 +51,6 @@ class MachineImage:
             return self.hvm
         return not self.hvm
 
-    def supports_meshes_of(self, mesh_gb: float) -> bool:
-        """Whether the boot volume can stage input meshes of a given size.
-
-        Leaves ~8 GB for OS + stack, matching the resize motivation in
-        §VI.D.
-        """
-        return self.boot_volume_gb - 8.0 >= mesh_gb
-
 
 BASE_CENTOS_IMAGE = MachineImage(
     image_id="ami-7ea24a17",

@@ -70,22 +70,3 @@ CC2_8XLARGE = InstanceType(
     name="cc2.8xlarge", cores=16, ram_gb=60.5, network=TEN_GIGABIT_ETHERNET,
     on_demand_hourly=2.40, typical_spot_hourly=0.54, placement_groups=True,
 )
-
-_CATALOG = {
-    t.name: t for t in (T1_MICRO, M1_SMALL, CC1_4XLARGE, CG1_4XLARGE, CC2_8XLARGE)
-}
-
-
-def all_instance_types() -> list[InstanceType]:
-    """Every catalogued instance type, smallest first."""
-    return sorted(_CATALOG.values(), key=lambda t: t.on_demand_hourly)
-
-
-def instance_type_by_name(name: str) -> InstanceType:
-    """Look an instance type up by API name."""
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise CloudError(
-            f"unknown instance type {name!r}; known: {sorted(_CATALOG)}"
-        ) from None

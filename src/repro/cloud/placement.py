@@ -73,10 +73,6 @@ class PlacementMap:
             raise CloudError(f"node {node} outside placement map of {len(self._groups)}")
         return self._groups[node]
 
-    def group_names(self) -> set[str]:
-        """Distinct group names in use."""
-        return {g.name for g in self._groups}
-
     def same_group(self, node_a: int, node_b: int) -> bool:
         """Whether two nodes share a placement group."""
         return self.group_of(node_a).name == self.group_of(node_b).name

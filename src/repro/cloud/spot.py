@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CloudError, SpotUnavailableError
+from repro.errors import CloudError
 from repro.cloud.instances import InstanceType
 
 
@@ -103,17 +103,6 @@ class SpotMarket:
             requested=count, fulfilled=fulfilled, price_hourly=price,
             bid_hourly=bid_hourly,
         )
-
-    def request_or_raise(self, count: int, bid_hourly: float) -> SpotRequestResult:
-        """Like :meth:`request` but raises when *nothing* was fulfilled."""
-        result = self.request(count, bid_hourly)
-        if result.fulfilled == 0:
-            raise SpotUnavailableError(
-                f"spot request for {count} x {self.instance_type.name} at "
-                f"${bid_hourly:.2f}/h filled 0 (market at "
-                f"${result.price_hourly:.2f}/h)"
-            )
-        return result
 
     def interruption_probability(self, horizon_hours: float) -> float:
         """Chance a running spot instance is reclaimed within a horizon.

@@ -14,7 +14,7 @@ from repro.core.characterization import (
     render_table1,
     platform_gaps,
 )
-from repro.core.reporting import ascii_table, ascii_chart, rows_to_csv
+from repro.core.reporting import ascii_table, ascii_chart
 
 __all__ = [
     "DeploymentReport",
@@ -24,5 +24,4 @@ __all__ = [
     "platform_gaps",
     "ascii_table",
     "ascii_chart",
-    "rows_to_csv",
 ]

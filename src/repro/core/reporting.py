@@ -1,4 +1,4 @@
-"""Plain-text tables, log-scale ASCII charts, and CSV output.
+"""Plain-text tables and log-scale ASCII charts.
 
 The benchmark harness prints the same rows and series the paper's
 tables and figures report; these helpers do the rendering without any
@@ -131,13 +131,3 @@ def render_resilience_table(report) -> str:
         + f"reclaim rounds: {list(report.reclaim_rounds)}  "
         + f"nodal error: {report.nodal_error:.3e}\n"
     )
-
-
-def rows_to_csv(headers: list[str], rows: list[list]) -> str:
-    """Minimal CSV rendering (no quoting needs in our data)."""
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(
-            ",".join("" if v is None else str(v) for v in row)
-        )
-    return "\n".join(lines) + "\n"

@@ -10,11 +10,9 @@ queue wait is the assembly broker's ranked portfolio
 from repro.costs.model import (
     PlatformCostModel,
     cost_per_iteration,
-    ec2_mix_estimated_cost,
 )
 
 __all__ = [
     "PlatformCostModel",
     "cost_per_iteration",
-    "ec2_mix_estimated_cost",
 ]

@@ -86,18 +86,3 @@ def cost_per_iteration(
     if core_hour_rate is not None:
         model = model.with_rate(core_hour_rate)
     return model.cost(num_ranks, iteration_time_s)
-
-
-def ec2_mix_estimated_cost(
-    platform: PlatformSpec, num_ranks: int, iteration_time_s: float,
-    spot_core_hour_rate: float,
-) -> float:
-    """Table II's 'est. cost' column: the whole assembly at the spot rate.
-
-    The paper prices the mix *as if* every node had been obtained via
-    spot requests — the cost-aware target the authors note is hard to
-    realize because full spot assemblies never materialized.
-    """
-    return cost_per_iteration(
-        platform, num_ranks, iteration_time_s, core_hour_rate=spot_core_hour_rate
-    )

@@ -134,10 +134,6 @@ class CloudError(ReproError):
     """EC2 simulation errors (bad instance type, exhausted capacity)."""
 
 
-class SpotUnavailableError(CloudError):
-    """A spot request could not be (fully) fulfilled."""
-
-
 class BillingError(CloudError):
     """Inconsistent billing operations (double-stop, negative usage)."""
 

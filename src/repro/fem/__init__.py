@@ -16,7 +16,6 @@ from repro.fem.assembly import (
     assemble_stiffness,
     assemble_advection,
     assemble_load,
-    assemble_vector_laplacian_operator,
 )
 from repro.fem.function import FEFunction, l2_error, h1_seminorm_error
 from repro.fem.bdf import BDF
@@ -33,7 +32,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_advection",
     "assemble_load",
-    "assemble_vector_laplacian_operator",
     "FEFunction",
     "l2_error",
     "h1_seminorm_error",

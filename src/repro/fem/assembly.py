@@ -253,33 +253,6 @@ def assemble_load(
     return out
 
 
-def assemble_weighted_gradient_load(
-    dofmap: DofMap,
-    weights_at_quad: np.ndarray,
-    component: int,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
-    """Assemble ``F_a = ∫ w ∂φ_a/∂x_component`` for per-quad weights ``w``.
-
-    Used by the Navier–Stokes projection scheme for the pressure-gradient
-    and divergence couplings when pressure and velocity share the Q1
-    space.
-    """
-    rule = _rule_for(dofmap, rule)
-    grads = dofmap.element.tabulate_gradients(rule.points)
-    mesh = dofmap.mesh
-    nc, nq = mesh.num_cells, rule.num_points
-    w = np.asarray(weights_at_quad, dtype=float)
-    if w.shape != (nc, nq):
-        raise AssemblyError(f"weights shape {w.shape} != {(nc, nq)}")
-    scale = mesh.cell_volumes / mesh.cell_spacings[:, component]  # (nc,)
-    local = np.einsum("q,eq,aq->ea", rule.weights, w, grads[:, :, component])
-    local *= scale[:, None]
-    out = np.zeros(dofmap.num_dofs)
-    np.add.at(out, dofmap.cell_dofs.ravel(), local.ravel())
-    return out
-
-
 def _csr_entry_keys(matrix: sp.csr_matrix) -> np.ndarray:
     """Row-major (row, col) keys of a canonical CSR matrix, sorted."""
     n_rows, n_cols = matrix.shape
@@ -466,19 +439,3 @@ class CompositeOperator:
         if not filled:
             data[:] = 0.0
         return out
-
-
-def assemble_vector_laplacian_operator(
-    dofmap: DofMap,
-    coefficient: Coefficient = None,
-    components: int = 3,
-    rule: QuadratureRule | None = None,
-) -> sp.csr_matrix:
-    """Block-diagonal stiffness operator for a ``components``-vector field.
-
-    Vector problems solved component-wise (as our NS scheme does) reuse
-    the same scalar stiffness per component; this helper materializes the
-    block operator for callers that want a single matrix.
-    """
-    k = assemble_stiffness(dofmap, coefficient=coefficient, rule=rule)
-    return sp.block_diag([k] * components, format="csr")

@@ -131,22 +131,3 @@ class DofMap:
     def interior_dofs(self) -> np.ndarray:
         """Indices of the interior (non-boundary) DOFs."""
         return np.nonzero(~self.boundary_dof_mask)[0]
-
-    # -- geometric queries used by halo construction --------------------------
-
-    def dofs_in_lattice_slab(self, axis: int, index: int) -> np.ndarray:
-        """All DOFs whose lattice coordinate along ``axis`` equals ``index``.
-
-        Used to build face halos for the distributed solver: the DOFs a
-        rank shares with its ``x+`` neighbour are the slab at the last x
-        lattice index, etc.
-        """
-        mx, my, mz = self.lattice_shape
-        sizes = (mx, my, mz)
-        if axis not in (0, 1, 2):
-            raise ElementError(f"axis must be 0, 1, or 2, got {axis}")
-        if not (0 <= index < sizes[axis]):
-            raise ElementError(f"slab index {index} outside axis {axis} of size {sizes[axis]}")
-        k, j, i = np.meshgrid(np.arange(mz), np.arange(my), np.arange(mx), indexing="ij")
-        coord = (i, j, k)[axis]
-        return np.nonzero((coord == index).ravel())[0]

@@ -4,32 +4,26 @@ The paper's test problems live on a cube discretized as an ``n^3``
 structured mesh (e.g. 20^3 elements per MPI process in the weak-scaling
 runs).  A structured mesh keeps geometry trivial — every cell is an
 axis-aligned box — which is exactly what makes fully vectorized assembly
-possible, while still exposing the connectivity (dual graph, boundary
-entities, face neighbours) that partitioners and halo exchange need.
+possible, while still exposing the connectivity (the dual graph) that
+the partitioners need.
 
 Index conventions (used consistently across fem/, partition/ and apps/):
 
-* vertices live on an ``(nx+1, ny+1, nz+1)`` lattice, linearized with the
-  x index varying fastest: ``v = i + (nx+1) * (j + (ny+1) * k)``;
-* cells live on an ``(nx, ny, nz)`` lattice linearized the same way;
-* local vertex order within a cell is the tensor order
-  ``(di, dj, dk)`` for ``dk`` outer, ``dj`` middle, ``di`` inner.
+* cells live on an ``(nx, ny, nz)`` lattice, linearized with the x index
+  varying fastest: ``c = i + nx * (j + ny * k)``;
+* DOFs live on a lattice linearized the same way (for Q1 it is the
+  ``(nx+1, ny+1, nz+1)`` vertex lattice), and the local DOF order within
+  a cell is the tensor order ``(di, dj, dk)`` for ``dk`` outer, ``dj``
+  middle, ``di`` inner (see :class:`~repro.fem.dofmap.DofMap`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 from repro.errors import MeshError
-
-# Face identifiers, matching the outward normal direction.
-FACE_XMIN, FACE_XMAX = "x-", "x+"
-FACE_YMIN, FACE_YMAX = "y-", "y+"
-FACE_ZMIN, FACE_ZMAX = "z-", "z+"
-ALL_FACES = (FACE_XMIN, FACE_XMAX, FACE_YMIN, FACE_YMAX, FACE_ZMIN, FACE_ZMAX)
 
 
 class StructuredBoxMesh:
@@ -99,12 +93,6 @@ class StructuredBoxMesh:
         return nx * ny * nz
 
     @property
-    def num_vertices(self) -> int:
-        """Total number of vertices."""
-        nx, ny, nz = self.shape
-        return (nx + 1) * (ny + 1) * (nz + 1)
-
-    @property
     def spacing(self) -> np.ndarray:
         """Per-direction cell size — uniform meshes only.
 
@@ -135,11 +123,6 @@ class StructuredBoxMesh:
         """Per-cell volume, shape ``(num_cells,)``."""
         return np.prod(self.cell_spacings, axis=1)
 
-    @property
-    def total_volume(self) -> float:
-        """Volume of the whole box."""
-        return float(np.prod(self.upper - self.lower))
-
     def dof_axis_coords(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-axis DOF lattice coordinates for a Q``order`` space.
 
@@ -166,13 +149,6 @@ class StructuredBoxMesh:
 
     # -- index helpers ----------------------------------------------------
 
-    def cell_index(self, i: int, j: int, k: int) -> int:
-        """Linear cell index from lattice coordinates."""
-        nx, ny, nz = self.shape
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            raise MeshError(f"cell ({i},{j},{k}) outside mesh of shape {self.shape}")
-        return i + nx * (j + ny * k)
-
     def cell_coords(self, cells: np.ndarray | int) -> np.ndarray:
         """Lattice coordinates ``(i, j, k)`` of linear cell indices."""
         nx, ny, _nz = self.shape
@@ -182,21 +158,7 @@ class StructuredBoxMesh:
         k = c // (nx * ny)
         return np.stack(np.broadcast_arrays(i, j, k), axis=-1)
 
-    def vertex_index(self, i: int, j: int, k: int) -> int:
-        """Linear vertex index from lattice coordinates."""
-        nx, ny, nz = self.shape
-        if not (0 <= i <= nx and 0 <= j <= ny and 0 <= k <= nz):
-            raise MeshError(f"vertex ({i},{j},{k}) outside mesh of shape {self.shape}")
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
     # -- geometry ---------------------------------------------------------
-
-    @cached_property
-    def vertex_coords(self) -> np.ndarray:
-        """Coordinates of every vertex, shape ``(num_vertices, 3)``."""
-        x, y, z = self.axis_coords
-        zz, yy, xx = np.meshgrid(z, y, x, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
@@ -211,46 +173,6 @@ class StructuredBoxMesh:
         )
 
     # -- connectivity -----------------------------------------------------
-
-    @cached_property
-    def cell_vertices(self) -> np.ndarray:
-        """Vertex connectivity, shape ``(num_cells, 8)``, tensor local order."""
-        nx, ny, nz = self.shape
-        ijk = self.cell_coords(np.arange(self.num_cells))
-        i, j, k = ijk[:, 0], ijk[:, 1], ijk[:, 2]
-        sx, sy = 1, nx + 1
-        sz = (nx + 1) * (ny + 1)
-        base = i * sx + j * sy + k * sz
-        offsets = np.array(
-            [di * sx + dj * sy + dk * sz for dk in (0, 1) for dj in (0, 1) for di in (0, 1)],
-            dtype=np.int64,
-        )
-        return base[:, None] + offsets[None, :]
-
-    def face_neighbor(self, cell: int, face: str) -> int | None:
-        """Linear index of the cell across ``face``, or None on the boundary."""
-        nx, ny, nz = self.shape
-        i, j, k = self.cell_coords(cell)
-        if face == FACE_XMIN:
-            return None if i == 0 else self.cell_index(i - 1, j, k)
-        if face == FACE_XMAX:
-            return None if i == nx - 1 else self.cell_index(i + 1, j, k)
-        if face == FACE_YMIN:
-            return None if j == 0 else self.cell_index(i, j - 1, k)
-        if face == FACE_YMAX:
-            return None if j == ny - 1 else self.cell_index(i, j + 1, k)
-        if face == FACE_ZMIN:
-            return None if k == 0 else self.cell_index(i, j, k - 1)
-        if face == FACE_ZMAX:
-            return None if k == nz - 1 else self.cell_index(i, j, k + 1)
-        raise MeshError(f"unknown face {face!r}")
-
-    def iter_cell_neighbors(self, cell: int) -> Iterator[int]:
-        """Yield all face-adjacent cells of ``cell``."""
-        for face in ALL_FACES:
-            nb = self.face_neighbor(cell, face)
-            if nb is not None:
-                yield nb
 
     @cached_property
     def dual_edges(self) -> np.ndarray:
@@ -278,40 +200,6 @@ class StructuredBoxMesh:
             return np.empty((0, 2), dtype=np.int64)
         edges = np.concatenate(pairs, axis=0)
         return np.sort(edges, axis=1)
-
-    # -- boundary ---------------------------------------------------------
-
-    @cached_property
-    def boundary_vertex_mask(self) -> np.ndarray:
-        """Boolean mask over vertices lying on the box boundary."""
-        coords = self.vertex_coords
-        tol = 1e-12 * float(np.max(self.upper - self.lower))
-        on_lo = np.abs(coords - self.lower) <= tol
-        on_hi = np.abs(coords - self.upper) <= tol
-        return np.any(on_lo | on_hi, axis=1)
-
-    @cached_property
-    def boundary_vertices(self) -> np.ndarray:
-        """Indices of vertices on the box boundary."""
-        return np.nonzero(self.boundary_vertex_mask)[0]
-
-    def boundary_cells(self, face: str) -> np.ndarray:
-        """Linear indices of the layer of cells touching boundary ``face``."""
-        nx, ny, nz = self.shape
-        cells = np.arange(self.num_cells).reshape(nz, ny, nx)
-        if face == FACE_XMIN:
-            return cells[:, :, 0].ravel()
-        if face == FACE_XMAX:
-            return cells[:, :, nx - 1].ravel()
-        if face == FACE_YMIN:
-            return cells[:, 0, :].ravel()
-        if face == FACE_YMAX:
-            return cells[:, ny - 1, :].ravel()
-        if face == FACE_ZMIN:
-            return cells[0, :, :].ravel()
-        if face == FACE_ZMAX:
-            return cells[nz - 1, :, :].ravel()
-        raise MeshError(f"unknown face {face!r}")
 
     # -- submesh extraction (for distributed runs) -------------------------
 

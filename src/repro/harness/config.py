@@ -17,7 +17,7 @@ two configs that would produce different numbers must never collide.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import ExperimentError
 from repro.obs.core import Observability, ObsConfig
@@ -63,29 +63,19 @@ class RunConfig:
       telemetry into it;
     * ``resilience`` — parameters of the resilience artifact;
     * ``cache_dir`` — where the content-addressed sweep cache lives
-      (None = the engine's default ``.repro_cache``);
-    * ``replay`` — whether multi-platform simulation sweeps may take
-      the record/replay fast path (``docs/replay.md``).  Replayed
-      virtual times are bit-identical to full simulation, so this is
-      a pure execution-strategy knob and excluded from
-      :meth:`cache_token`.
+      (None = the engine's default ``.repro_cache``).
     """
 
     seed: int = DEFAULT_SEED
     obs: ObsConfig | None = None
     resilience: ResilienceParams = field(default_factory=ResilienceParams)
     cache_dir: str | None = None
-    replay: bool = True
 
     def hub(self) -> Observability | None:
         """A fresh observability hub for this config (None when off)."""
         if self.obs is None or not self.obs.enabled:
             return None
         return Observability(self.obs)
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        """The same config under a different master seed."""
-        return replace(self, seed=seed)
 
     def cache_token(self) -> str:
         """Canonical string of every field that can change result *values*.

@@ -72,8 +72,3 @@ PAPER_PORTING_HOURS = {
 PAPER_ELEMENTS_PER_RANK = 20**3
 PAPER_DISCARDED_ITERATIONS = 5
 PAPER_RANK_SERIES = (1, 8, 27, 64, 125, 216, 343, 512, 729, 1000)
-
-
-def full_vs_mix_cost_ratio() -> float:
-    """The headline 'costing four times as much' ratio: 2.40 / 0.54."""
-    return PAPER_EC2_NODE_HOURLY / PAPER_EC2_SPOT_HOURLY

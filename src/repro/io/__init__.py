@@ -1,22 +1,15 @@
-"""I/O substrate: the HDF5 and ParaView roles of the paper's stack.
+"""I/O substrate: the HDF5 role of the paper's stack.
 
 The paper's solver stores large result data through HDF5 (built with
-the 1.6 interface) and delegates visualization — step (iv) of the
-pipeline — to ParaView.  This package provides the self-contained
-equivalents:
-
-* :mod:`repro.io.checkpoint` — a chunked, checksummed binary container
-  for solver state (fields + metadata), with corruption detection;
-* :mod:`repro.io.vtk` — a legacy-VTK structured-grid writer whose files
-  any ParaView can open.
+the 1.6 interface).  :mod:`repro.io.checkpoint` is the self-contained
+equivalent: a chunked, checksummed binary container for solver state
+(fields + metadata), with corruption detection.
 """
 
 from repro.io.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
-from repro.io.vtk import write_vtk
 
 __all__ = [
     "CheckpointData",
     "read_checkpoint",
     "write_checkpoint",
-    "write_vtk",
 ]

@@ -195,12 +195,6 @@ def rng_state_to_json(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
 
-def restore_rng(rng: np.random.Generator, state: dict) -> np.random.Generator:
-    """Restore a Generator from :func:`rng_state_to_json` output in place."""
-    rng.bit_generator.state = state
-    return rng
-
-
 def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
                rng_state: dict | None = None) -> int:
     """Write a v2 restart checkpoint of ``solver`` (``solver.state()``).

@@ -400,28 +400,6 @@ class DistMatrix:
             data = self.comm.recv(source=src, tag=tag)
             vector.ghosts[ghost_positions] = data
 
-    def update_ghosts_many(self, vectors: list[DistVector], tag: int = 102) -> None:
-        """Coalesced halo exchange: one message per neighbor for ALL vectors.
-
-        When several vectors need fresh ghosts at the same point of an
-        algorithm, shipping their boundary values stacked in one payload
-        per neighbor pays the per-message latency once instead of once
-        per vector — the same latency-avoidance lever as the fused
-        allreduce, applied to the halo.
-        """
-        if not vectors:
-            return
-        if len(vectors) == 1:
-            self.update_ghosts(vectors[0], tag=tag)
-            return
-        for dest, positions in self.plan.send_to.items():
-            stacked = np.stack([v.owned[positions] for v in vectors])
-            self.comm.send(stacked, dest=dest, tag=tag)
-        for src, ghost_positions in self.plan.recv_from.items():
-            stacked = self.comm.recv(source=src, tag=tag)
-            for v, row in zip(vectors, stacked):
-                v.ghosts[ghost_positions] = row
-
     def matvec(self, vector: DistVector) -> DistVector:
         """y = A x with a ghost update first."""
         self.update_ghosts(vector)
@@ -821,11 +799,3 @@ def dist_bicgstab(
     result.residual_norm = res_norm
     result.converged = res_norm <= threshold
     return result
-
-
-def dist_iteration_count(result: SolveResult, comm: Communicator) -> int:
-    """Sanity helper: all ranks must agree on the iteration count."""
-    counts = comm.allgather(result.iterations)
-    if len(set(counts)) != 1:
-        raise SolverError(f"ranks disagree on CG iteration count: {counts}")
-    return counts[0]

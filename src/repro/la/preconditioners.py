@@ -455,11 +455,6 @@ class BlockJacobiPreconditioner:
             self.apply_flops += solver.apply_flops
         return self
 
-    @property
-    def num_blocks(self) -> int:
-        """Number of subdomains."""
-        return len(self._blocks)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Every block's local solve on its rows of ``v``."""
         v = _operand(v, self._n)
@@ -467,23 +462,6 @@ class BlockJacobiPreconditioner:
         for idx, solver in zip(self._blocks, self._local):
             out[idx] = solver.apply(v[idx])
         return out
-
-
-def lump_mass(matrix) -> np.ndarray:
-    """Row-sum mass lumping: the diagonal approximation M_L of M.
-
-    A standard FEM device (explicit time stepping, cheap projections):
-    for Lagrange elements the row sums are positive and conserve the
-    total mass exactly (``sum(M_L) == 1^T M 1``).
-    """
-    csr = _require_square_csr(matrix)
-    lumped = np.asarray(csr.sum(axis=1)).ravel()
-    if np.any(lumped <= 0.0):
-        raise SolverError(
-            "mass lumping produced a non-positive entry (operator is not "
-            "a Lagrange mass matrix?)"
-        )
-    return lumped
 
 
 _PRECONDITIONERS = {

@@ -17,10 +17,9 @@ from repro.network.model import (
     GIGABIT_ETHERNET,
     TEN_GIGABIT_ETHERNET,
     INFINIBAND_4X_DDR,
-    link_by_name,
 )
 from repro.network.topology import ClusterTopology
-from repro.network.contention import effective_bandwidth, nic_sharing_factor
+from repro.network.contention import nic_sharing_factor
 
 __all__ = [
     "LinkModel",
@@ -29,8 +28,6 @@ __all__ = [
     "GIGABIT_ETHERNET",
     "TEN_GIGABIT_ETHERNET",
     "INFINIBAND_4X_DDR",
-    "link_by_name",
     "ClusterTopology",
-    "effective_bandwidth",
     "nic_sharing_factor",
 ]

@@ -60,11 +60,3 @@ def estimate_offnode_fraction(topology: ClusterTopology, num_ranks: int) -> floa
     if num_ranks <= topology.cores_per_node:
         return 0.0  # single-node run: everything is shared memory
     return min(1.0, ranks_per_node ** (-1.0 / 3.0))
-
-
-def effective_bandwidth(
-    topology: ClusterTopology, num_ranks: int, offnode_fraction: float | None = None
-) -> float:
-    """Per-flow off-node bandwidth after NIC sharing (bytes/s)."""
-    factor = nic_sharing_factor(topology, num_ranks, offnode_fraction)
-    return topology.network.internode.bandwidth / factor

@@ -71,21 +71,6 @@ INFINIBAND_4X_DDR = LinkModel(
     "IB-4X-DDR", latency=microseconds(2.5), bandwidth=gbit_per_s(15.2)
 )
 
-_LINKS = {
-    link.name: link
-    for link in (SHARED_MEMORY, GIGABIT_ETHERNET, TEN_GIGABIT_ETHERNET, INFINIBAND_4X_DDR)
-}
-
-
-def link_by_name(name: str) -> LinkModel:
-    """Look up a preset link model by its name."""
-    try:
-        return _LINKS[name]
-    except KeyError:
-        raise NetworkError(
-            f"unknown link {name!r}; known: {sorted(_LINKS)}"
-        ) from None
-
 
 class NetworkModel:
     """Pairwise transfer costs between ranks placed on a topology.

@@ -10,8 +10,6 @@ different at equal rank counts — 1000 ranks mean 250 puma nodes but only
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import NetworkError
 from repro.network.model import NetworkModel
 
@@ -59,14 +57,6 @@ class ClusterTopology:
             )
         return node
 
-    def ranks_on_node(self, node: int, num_ranks: int) -> np.ndarray:
-        """The ranks placed on ``node`` when running ``num_ranks`` total."""
-        if not (0 <= node < self.num_nodes):
-            raise NetworkError(f"node {node} outside machine of {self.num_nodes} nodes")
-        lo = node * self.cores_per_node
-        hi = min(lo + self.cores_per_node, num_ranks)
-        return np.arange(lo, hi) if hi > lo else np.empty(0, dtype=int)
-
     def supports(self, num_ranks: int) -> bool:
         """Whether the machine has enough cores for ``num_ranks``."""
         return 1 <= num_ranks <= self.total_cores
@@ -78,14 +68,6 @@ class ClusterTopology:
         return self.network.transfer_time(
             num_bytes, self.node_of_rank(rank_a), self.node_of_rank(rank_b), concurrency
         )
-
-    def offnode_peer_fraction(self, rank: int, peers: list[int]) -> float:
-        """Fraction of ``peers`` living on a different node than ``rank``."""
-        if not peers:
-            return 0.0
-        node = self.node_of_rank(rank)
-        off = sum(1 for p in peers if self.node_of_rank(p) != node)
-        return off / len(peers)
 
     def __repr__(self) -> str:
         return (

@@ -34,7 +34,6 @@ from repro.obs.core import (
     ObsConfig,
     RankObs,
     current,
-    observed_run,
 )
 from repro.obs.metrics import (
     Counter,
@@ -69,7 +68,6 @@ __all__ = [
     "ObsConfig",
     "RankObs",
     "current",
-    "observed_run",
     "Counter",
     "Gauge",
     "Histogram",

@@ -234,10 +234,6 @@ class CausalTracker:
         """One rank's retained events, in program order."""
         return list(self._computed()[2][rank])
 
-    def all_events(self) -> list[CausalEvent]:
-        """Every retained event, rank-major (rank order, program order)."""
-        return [ev for events in self._computed()[2] for ev in events]
-
     @property
     def dropped_events(self) -> int:
         """Events beyond the retention bound across all ranks."""

@@ -200,10 +200,6 @@ class Observability:
                 stack = self._stacks.setdefault(rank, SpanStack(rank))
         return stack
 
-    def span_roots(self, rank: int) -> list[Span]:
-        """Finished root spans of one rank."""
-        return list(self._stack_for(rank).roots)
-
     def all_roots(self) -> dict[int, list[Span]]:
         """rank -> root spans, for every rank that opened one."""
         with self._lock:
@@ -383,20 +379,3 @@ class Observability:
         if self.stream is not None:
             self.stream.flush()
         return tuple(written)
-
-
-@contextmanager
-def observed_run(config: ObsConfig | None = None, label: str = "run"):
-    """Run a block under a fresh hub with a wall-clock root span.
-
-    The script-facing convenience: wrap a block in
-    ``with observed_run(cfg, "fig4") as obs: ...`` and export
-    afterwards; inside, ambient :func:`current` carries the root view.
-    """
-    obs = Observability(config)
-    view = obs.wall_view(rank=0)
-    if view.enabled:
-        with view.span(label):
-            yield obs
-    else:
-        yield obs

@@ -10,29 +10,20 @@ Three partitioners of increasing sophistication are provided:
 * :func:`partition_graph` — greedy graph growing with Kernighan–Lin
   boundary refinement on the dual graph (the METIS family's approach).
 
-:mod:`repro.partition.quality` computes the metrics that drive the
-communication model: edge cut, load imbalance, and per-part halo sizes.
+:mod:`repro.partition.quality` computes the two metrics a repartition
+reports: edge cut and load imbalance.
 """
 
 from repro.partition.grid import ProcessGrid, partition_block
 from repro.partition.rcb import partition_rcb
 from repro.partition.graph import partition_graph
-from repro.partition.quality import (
-    PartitionQuality,
-    edge_cut,
-    load_imbalance,
-    partition_quality,
-    part_neighbor_counts,
-)
+from repro.partition.quality import edge_cut, load_imbalance
 
 __all__ = [
     "ProcessGrid",
     "partition_block",
     "partition_rcb",
     "partition_graph",
-    "PartitionQuality",
     "edge_cut",
     "load_imbalance",
-    "partition_quality",
-    "part_neighbor_counts",
 ]

@@ -116,11 +116,6 @@ class ProcessGrid:
             out["z+"] = self.coords_rank(i, j, k + 1)
         return out
 
-    def max_neighbor_count(self) -> int:
-        """Largest face-neighbour count over all ranks (<= 6)."""
-        px, py, pz = self.dims
-        return sum(2 if d > 2 else (1 if d > 1 else 0) for d in (px, py, pz))
-
 
 def partition_block(
     mesh: StructuredBoxMesh, grid: ProcessGrid | int

@@ -1,13 +1,11 @@
 """Partition quality metrics.
 
-Edge cut and per-part halo volume are the quantities that become
-communication cost in the network model: each cut dual edge means one
-cell-face worth of DOF data exchanged per halo update.
+Edge cut and load imbalance are what the malleable repartition reports
+for each new partition: each cut dual edge means one cell-face worth of
+DOF data exchanged per halo update.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,74 +47,3 @@ def load_imbalance(
     sizes = np.bincount(assignment, minlength=num_parts)
     mean = mesh.num_cells / num_parts
     return float(sizes.max() / mean)
-
-
-def part_neighbor_counts(mesh: StructuredBoxMesh, assignment: np.ndarray) -> np.ndarray:
-    """Number of distinct adjacent parts per part (communication degree)."""
-    assignment = _validate(mesh, assignment)
-    num_parts = int(assignment.max()) + 1
-    edges = mesh.dual_edges
-    pa = assignment[edges[:, 0]]
-    pb = assignment[edges[:, 1]]
-    cross = pa != pb
-    pairs = set(zip(pa[cross].tolist(), pb[cross].tolist()))
-    counts = np.zeros(num_parts, dtype=np.int64)
-    seen: set[tuple[int, int]] = set()
-    for a, b in pairs:
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        counts[a] += 1
-        counts[b] += 1
-    return counts
-
-
-def halo_faces_per_part(mesh: StructuredBoxMesh, assignment: np.ndarray) -> np.ndarray:
-    """Cut faces incident to each part — proportional to halo bytes sent."""
-    assignment = _validate(mesh, assignment)
-    num_parts = int(assignment.max()) + 1
-    edges = mesh.dual_edges
-    pa = assignment[edges[:, 0]]
-    pb = assignment[edges[:, 1]]
-    cross = pa != pb
-    counts = np.zeros(num_parts, dtype=np.int64)
-    np.add.at(counts, pa[cross], 1)
-    np.add.at(counts, pb[cross], 1)
-    return counts
-
-
-@dataclass(frozen=True)
-class PartitionQuality:
-    """Summary of a partition's quality."""
-
-    num_parts: int
-    edge_cut: int
-    imbalance: float
-    max_part_neighbors: int
-    max_halo_faces: int
-    mean_halo_faces: float
-
-    def __str__(self) -> str:
-        return (
-            f"parts={self.num_parts} cut={self.edge_cut} "
-            f"imbalance={self.imbalance:.3f} "
-            f"max_neighbors={self.max_part_neighbors} "
-            f"max_halo_faces={self.max_halo_faces}"
-        )
-
-
-def partition_quality(mesh: StructuredBoxMesh, assignment: np.ndarray) -> PartitionQuality:
-    """Compute the full quality summary for a partition."""
-    assignment = _validate(mesh, assignment)
-    num_parts = int(assignment.max()) + 1
-    halos = halo_faces_per_part(mesh, assignment)
-    neighbors = part_neighbor_counts(mesh, assignment)
-    return PartitionQuality(
-        num_parts=num_parts,
-        edge_cut=edge_cut(mesh, assignment),
-        imbalance=load_imbalance(mesh, assignment, num_parts),
-        max_part_neighbors=int(neighbors.max()) if neighbors.size else 0,
-        max_halo_faces=int(halos.max()) if halos.size else 0,
-        mean_halo_faces=float(halos.mean()) if halos.size else 0.0,
-    )

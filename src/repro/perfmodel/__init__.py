@@ -20,7 +20,6 @@ from repro.perfmodel.calibration import (
     RD_TIME_SCALE,
     NS_TIME_SCALE,
     calibrate_against_sequential_run,
-    host_seconds_per_model_flop,
 )
 from repro.perfmodel.weak_scaling import (
     WeakScalingPoint,
@@ -37,7 +36,6 @@ __all__ = [
     "RD_TIME_SCALE",
     "NS_TIME_SCALE",
     "calibrate_against_sequential_run",
-    "host_seconds_per_model_flop",
     "WeakScalingPoint",
     "weak_scaling_sweep",
     "platform_rank_limit",

@@ -51,24 +51,6 @@ class HostCalibration:
     model_assembly_flops: float
     model_solve_flops: float
 
-    @property
-    def assembly_seconds_per_model_flop(self) -> float:
-        """Host seconds per modeled assembly flop."""
-        return self.measured_assembly_s / self.model_assembly_flops
-
-    def implied_host_gflops(self) -> float:
-        """The sustained GF/s this host achieved against the model counts."""
-        total_flops = self.model_assembly_flops + self.model_solve_flops
-        total_s = self.measured_assembly_s + self.measured_solve_s
-        return total_flops / total_s / 1e9
-
-
-def host_seconds_per_model_flop(measured_s: float, model_flops: float) -> float:
-    """Trivial ratio helper with validation."""
-    if measured_s <= 0 or model_flops <= 0:
-        raise ExperimentError("measured time and model flops must be positive")
-    return measured_s / model_flops
-
 
 def calibrate_iteration_growth(
     mesh_per_dim: int = 6, rank_counts: tuple[int, ...] = (1, 8), seed: int = 0
@@ -95,9 +77,9 @@ def calibrate_iteration_growth(
 
     def measure(p: int) -> float:
         def main(comm):
-            # run_rd_distributed drives dist_cg; count its iterations via
-            # the solver's per-step residual history is not exposed, so
-            # re-run the final operator solve directly.
+            # run_rd_distributed drives dist_cg_fused and does not expose
+            # its per-step iteration counts, so solve the final step's
+            # operator directly with dist_cg, its mathematical equivalent.
             from repro.fem.assembly import (
                 assemble_load,
                 assemble_mass,

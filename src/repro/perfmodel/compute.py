@@ -18,7 +18,7 @@ modeled compute times match to the last bit (see ``docs/replay.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD
@@ -50,10 +50,6 @@ class ModeledCompute:
             f"no modeled work for phase {phase!r} "
             f"(known: {[label for label, _ in self.work]})"
         )
-
-    def at_rate(self, rate: float) -> "ModeledCompute":
-        """The same work model evaluated at another platform rate."""
-        return replace(self, rate=float(rate))
 
     def __call__(self, phase: str, measured_seconds: float = 0.0) -> float:
         """Virtual seconds to charge for one ``phase`` call.

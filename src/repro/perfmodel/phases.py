@@ -189,20 +189,6 @@ class PhaseModel:
             per_flow = max(per_flow, fabric_wide)
         return messages * alpha + per_flow
 
-    def collective_selection(self, num_ranks: int) -> Selection | None:
-        """The allreduce schedule the simulator would pick at this size.
-
-        The analytic model mirrors the adaptive collective layer: it
-        asks the same :class:`~repro.simmpi.selector.CollectiveSelector`
-        (same topology, same message bytes) which algorithm the
-        executed solver would run, so model and simulator agree on the
-        rounds and bytes of every reduction.  None at one rank (no
-        communication to model).
-        """
-        if num_ranks == 1:
-            return None
-        return self._priced(self._topology(num_ranks), num_ranks)[0]
-
     def _priced(
         self, topo: ClusterTopology, num_ranks: int
     ) -> tuple[Selection, float]:
@@ -265,7 +251,3 @@ class PhaseModel:
             solve=solve_comp + solve_comm,
             comm_fraction=comm / total if total > 0 else 0.0,
         )
-
-    def predict_series(self, rank_series: list[int]) -> list[PhasePrediction]:
-        """Predictions for a whole weak-scaling series."""
-        return [self.predict(p) for p in rank_series]

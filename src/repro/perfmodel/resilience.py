@@ -132,19 +132,6 @@ def checkpoint_interval(
     return min(model.optimal_interval_seconds(), max(work_seconds, 1.0))
 
 
-def spot_run_cost(
-    base_seconds: float,
-    interval_seconds: float,
-    model: CheckpointRestartModel,
-    hourly_price: float,
-) -> float:
-    """Expected dollars for a run under reclaim risk: price x expected wall."""
-    if hourly_price < 0:
-        raise CostModelError("hourly price must be >= 0")
-    wall = model.expected_wall_seconds(base_seconds, interval_seconds)
-    return hourly_price * wall / 3600.0
-
-
 def expected_cost_to_go(
     remaining_work_node_seconds: float,
     progress_rate_nodes: float,
@@ -214,19 +201,3 @@ def expected_cost_to_go(
         "tau_seconds": tau,
         "feasible": True,
     }
-
-
-def spot_break_even_discount(
-    base_seconds: float,
-    interval_seconds: float,
-    model: CheckpointRestartModel,
-) -> float:
-    """Spot discount needed to break even with failure-free on-demand.
-
-    On-demand pays ``base_seconds`` at full price; spot pays the
-    inflated expected wall at the discounted price.  Returns the
-    maximum spot/on-demand price ratio at which spot still wins —
-    the resilience analogue of the paper's 4.4x observation.
-    """
-    wall = model.expected_wall_seconds(base_seconds, interval_seconds)
-    return base_seconds / wall

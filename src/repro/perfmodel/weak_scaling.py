@@ -31,11 +31,6 @@ class WeakScalingPoint:
     nodes: int
     cost_per_iteration: float
 
-    @property
-    def total_time(self) -> float:
-        """Predicted max iteration time (inf when infeasible)."""
-        return self.prediction.total if self.prediction else float("inf")
-
 
 def platform_rank_limit(platform: PlatformSpec) -> tuple[int, str]:
     """The largest feasible rank count and why it stops there."""

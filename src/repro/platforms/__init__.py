@@ -40,7 +40,6 @@ from repro.platforms.provisioning import (
 )
 from repro.platforms.schedulers import (
     JobRequest,
-    JobOutcome,
     BatchScheduler,
     PBSScheduler,
     SGEScheduler,
@@ -71,7 +70,6 @@ __all__ = [
     "ProvisioningPlan",
     "plan_provisioning",
     "JobRequest",
-    "JobOutcome",
     "BatchScheduler",
     "PBSScheduler",
     "SGEScheduler",

@@ -1,22 +1,21 @@
-"""Batch scheduler simulation: PBS, serial-only SGE, and the bare shell.
+"""Batch scheduler front ends: PBS, serial-only SGE, and the bare shell.
 
-Execution modality is one of Table I's heterogeneity axes.  The
-simulators model what matters for the paper's comparison: queue wait as
-a function of requested size (availability), per-scheduler quirks
-(ellipse's SGE was configured for serial batches; Open MPI's SGE liaison
-made parallel runs possible anyway), and EC2's "scheduler" being nothing
-but instance boot latency followed by a hand-rolled ``mpiexec``.
+Execution modality is one of Table I's heterogeneity axes.  What differs
+between the paper's platforms at submission time is the command a user
+types: PBS's ``qsub`` with a node/ppn request, ellipse's SGE (configured
+for serial batches; Open MPI's SGE liaison makes parallel runs possible
+anyway), and EC2's "scheduler" being nothing but a hand-rolled
+``mpiexec`` over a hosts file.  How long a job waits is the platform's
+:class:`~repro.platforms.spec.AvailabilityModel`, and which rank counts
+cannot launch is :func:`repro.platforms.limits.rank_ceiling_reason`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SchedulerError
 from repro.platforms.spec import PlatformSpec
-from repro.units import minutes
 
 
 @dataclass(frozen=True)
@@ -33,62 +32,11 @@ class JobRequest:
             raise SchedulerError(f"walltime must be positive, got {self.walltime_s}")
 
 
-@dataclass(frozen=True)
-class JobOutcome:
-    """What happened to a submission."""
-
-    accepted: bool
-    wait_s: float
-    nodes_allocated: int
-    launch_command: str
-    reason: str = ""
-
-
 class BatchScheduler:
-    """Common queue-wait machinery; subclasses add per-system behaviour."""
+    """A platform's job front end; subclasses build its launch command."""
 
-    command = "qsub"
-
-    def __init__(self, platform: PlatformSpec, seed: int = 0):
+    def __init__(self, platform: PlatformSpec):
         self.platform = platform
-        self._rng = np.random.default_rng(seed)
-
-    def _queue_wait(self, num_ranks: int) -> float:
-        """Sampled wait: exponential around the availability model's mean."""
-        expected = self.platform.availability.expected_wait(
-            num_ranks, self.platform.total_cores
-        )
-        base = self.platform.availability.base_wait_s
-        queue_part = max(expected - base, 0.0)
-        if queue_part == 0.0:
-            return base
-        return base + float(self._rng.exponential(queue_part))
-
-    def validate(self, job: JobRequest) -> str | None:
-        """Reason the job cannot run, or None if it can."""
-        if job.num_ranks > self.platform.total_cores:
-            return (
-                f"requested {job.num_ranks} ranks exceed the machine's "
-                f"{self.platform.total_cores} cores"
-            )
-        return None
-
-    def submit(self, job: JobRequest) -> JobOutcome:
-        """Submit a job; returns the outcome with the sampled queue wait."""
-        reason = self.validate(job)
-        nodes = self.platform.nodes_for_ranks(job.num_ranks)
-        if reason is not None:
-            return JobOutcome(
-                accepted=False, wait_s=0.0, nodes_allocated=0,
-                launch_command="", reason=reason,
-            )
-        return JobOutcome(
-            accepted=True,
-            wait_s=self._queue_wait(job.num_ranks),
-            nodes_allocated=nodes,
-            launch_command=self.launch_command(job),
-            reason="",
-        )
 
     def launch_command(self, job: JobRequest) -> str:
         """The command line a user would type (documentation value only)."""
@@ -97,8 +45,6 @@ class BatchScheduler:
 
 class PBSScheduler(BatchScheduler):
     """PBS Torque (puma) / PBS Professional (lagrange)."""
-
-    command = "qsub"
 
     def launch_command(self, job: JobRequest) -> str:
         nodes = self.platform.nodes_for_ranks(job.num_ranks)
@@ -114,22 +60,9 @@ class SGEScheduler(BatchScheduler):
 
     Parallel jobs are not *scheduled* as such; Open MPI detects SGE and
     liaises with it to start tasks on the reserved nodes (§VI.B), so
-    submissions still go through — a quirk this class models with the
-    ``via_openmpi_liaison`` flag on the outcome command.
+    parallel submissions go through ``qsub -pe orte``, marked as the
+    liaison in the command.
     """
-
-    command = "qsub"
-
-    def validate(self, job: JobRequest) -> str | None:
-        reason = super().validate(job)
-        if reason is not None:
-            return reason
-        if job.num_ranks > 1 and not self.platform.parallel_jobs_supported:
-            # Not a rejection: the Open MPI liaison carries it — but only
-            # up to the platform's mpiexec ceiling, checked at launch time
-            # by repro.platforms.limits.
-            return None
-        return None
 
     def launch_command(self, job: JobRequest) -> str:
         if job.num_ranks == 1:
@@ -142,19 +75,11 @@ class SGEScheduler(BatchScheduler):
 
 
 class ShellLauncher(BatchScheduler):
-    """EC2: no scheduler.  Wait = instance boot; launch = raw mpiexec.
+    """EC2: no scheduler.  Launch = raw mpiexec over a hosts file.
 
     The user instantiates image copies, collects the assigned intranet
     IPs into a hosts file and runs ``mpiexec`` directly (§VI.D).
     """
-
-    command = "mpiexec"
-    BOOT_TIME_S = minutes(3)
-
-    def _queue_wait(self, num_ranks: int) -> float:
-        # Instances boot in parallel; the assembly is ready when the
-        # slowest instance is, modeled as boot time + small jitter.
-        return self.BOOT_TIME_S + float(self._rng.uniform(0.0, minutes(1)))
 
     def launch_command(self, job: JobRequest) -> str:
         nodes = self.platform.nodes_for_ranks(job.num_ranks)
@@ -164,7 +89,7 @@ class ShellLauncher(BatchScheduler):
         )
 
 
-def make_scheduler(platform: PlatformSpec, seed: int = 0) -> BatchScheduler:
+def make_scheduler(platform: PlatformSpec) -> BatchScheduler:
     """Instantiate the right scheduler simulator for a platform."""
     kinds = {"pbs": PBSScheduler, "sge": SGEScheduler, "shell": ShellLauncher}
     try:
@@ -173,4 +98,4 @@ def make_scheduler(platform: PlatformSpec, seed: int = 0) -> BatchScheduler:
         raise SchedulerError(
             f"unknown scheduler {platform.scheduler_name!r} on {platform.name}"
         ) from None
-    return cls(platform, seed=seed)
+    return cls(platform)

@@ -169,10 +169,6 @@ class PlatformSpec:
         """Nodes needed to host ``num_ranks`` (block placement)."""
         return -(-num_ranks // self.cores_per_node)
 
-    def supports_ranks(self, num_ranks: int) -> bool:
-        """Whether the machine has the cores (ignoring injected limits)."""
-        return 1 <= num_ranks <= self.total_cores
-
     def core_flops(self) -> float:
         """Sustained flop/s of one core."""
         return self.node.cpu.sustained_gflops * 1e9

@@ -93,16 +93,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def kill_events(self) -> list[FaultEvent]:
-        """The rank-kill / spot-reclaim subset of the plan."""
-        return [e for e in self.events if e.kind in KILL_KINDS]
-
-    def kill_steps(self) -> list[int]:
-        """Sorted step boundaries at which a kill is scheduled."""
-        return sorted(
-            e.at_step for e in self.kill_events() if e.at_step is not None
-        )
-
     @classmethod
     def from_spot_market(
         cls,
@@ -173,11 +163,6 @@ class FaultInjector:
         self.messages_delayed = 0
 
     # -- liveness -----------------------------------------------------------
-
-    def dead_ranks(self) -> set[int]:
-        """World ranks currently marked dead."""
-        with self._lock:
-            return set(self._dead)
 
     def reset_liveness(self) -> None:
         """Revive all ranks for a restart attempt (replacements joined)."""

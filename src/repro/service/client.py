@@ -88,9 +88,9 @@ class ServiceClient:
     # -- transport ----------------------------------------------------------
 
     def _call(self, method: str, path: str, body: dict | None = None,
-              timeout: float | None = None, raw: bool = False):
-        """One exchange on this thread's connection: the JSON doc (the
-        body text with ``raw``), or the typed error the service sent."""
+              timeout: float | None = None):
+        """One exchange on this thread's connection: the JSON doc, or the
+        typed error the service sent."""
         data = None if body is None else json.dumps(body).encode()
         deadline = timeout if timeout is not None else self.request_timeout_s
         conn = getattr(self._local, "conn", None)
@@ -117,7 +117,7 @@ class ServiceClient:
                     f"service returned HTTP {response.status} for {path}"
                 ) from None
             _raise_typed(doc)
-        return payload.decode() if raw else json.loads(payload)
+        return json.loads(payload)
 
     @staticmethod
     def _send(conn, method, target, data, deadline):
@@ -186,10 +186,6 @@ class ServiceClient:
     def stats(self) -> dict:
         """The service's accounting dict (submissions, coalesces, depth)."""
         return self._call("GET", "/stats")
-
-    def metrics_text(self) -> str:
-        """The service's Prometheus exposition, verbatim."""
-        return self._call("GET", "/metrics", raw=True)
 
     def run(self, request, tenant: str = "default",
             timeout: float | None = None):

@@ -129,19 +129,6 @@ def ring_neighbors(rank: int, size: int) -> tuple[int, int]:
     return (rank + 1) % size, (rank - 1) % size
 
 
-def tree_depth_of(rank: int, size: int, root: int = 0) -> int:
-    """Rounds until ``rank`` receives in a binomial bcast (popcount path).
-
-    Virtual rank ``v`` receives in round ``floor(log2(v))`` + 1; the root
-    has depth 0.  Used by the perf model to cost pipelined trees.
-    """
-    _check_rank(rank, size)
-    virtual = (rank - root) % size
-    if virtual == 0:
-        return 0
-    return virtual.bit_length()
-
-
 def _check_rank(rank: int, size: int) -> None:
     if size < 1:
         raise CommunicatorError(f"size must be >= 1, got {size}")
@@ -310,11 +297,6 @@ class ScheduleShape:
     def bytes_per_rank(self) -> float:
         """Payload bytes the critical rank sends across all rounds."""
         return float(sum(_payloads(self.rounds)))
-
-    @property
-    def internode_bytes(self) -> float:
-        """Bytes the critical rank pushes through the NIC."""
-        return float(sum(_payloads(r for r in self.rounds if r.internode)))
 
 
 FLAT_ALLREDUCE_ALGORITHMS = ("recursive_doubling", "ring", "rabenseifner")

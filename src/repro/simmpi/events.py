@@ -161,12 +161,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool_after_fork)
 
 
-def pool_stats() -> tuple[int, int]:
-    """(parked stacks, cap) -- introspection for tests and benchmarks."""
-    with _pool_lock:
-        return len(_pool), POOL_MAX
-
-
 def _pool_get() -> _PooledStack:
     """A parked stack (started with a :data:`STACK_BYTES` reservation if
     the pool is empty).

@@ -13,11 +13,13 @@ through configuration or the environment, and produces bit-identical
 results, virtual clocks, and per-rank trace sequences for deterministic
 rank programs.
 
-Failure injection hooks reproduce the launch pathologies the paper hit:
-ellipse's ``mpiexec`` could not initialize more than 512 remote daemons,
-and EC2 required ssh mutual authentication and open security-group
-ports before any launch worked (:mod:`repro.platforms` wires those
-hooks).
+Failure injection hooks (``launch_hook``, ``volume_limit_bytes``)
+reproduce the launch pathologies the paper hit: ellipse's ``mpiexec``
+could not initialize more than 512 remote daemons, and lagrange's IB
+adapters capped the data volume.  Nothing in the library passes them:
+the tests drive them with the per-platform hooks
+:mod:`repro.platforms.limits` builds, and the artifacts use its
+analytic :func:`~repro.platforms.limits.rank_ceiling_reason` instead.
 """
 
 from __future__ import annotations

@@ -137,14 +137,6 @@ class ScheduleRecording:
 
     # -- accounting ---------------------------------------------------------
 
-    def op_counts(self) -> dict[str, int]:
-        """Total ops per kind code across all ranks."""
-        counts: dict[str, int] = {}
-        for rank_ops in self.ops:
-            for op in rank_ops:
-                counts[op[0]] = counts.get(op[0], 0) + 1
-        return counts
-
     def collective_counts(self) -> dict[str, int]:
         """Collective executions per name, summed over ranks."""
         counts: dict[str, int] = {}
@@ -167,12 +159,6 @@ class ScheduleRecording:
                 key = f"{collective}.{algorithm}"
                 counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def total_compute_seconds(self) -> float:
-        """Sum of recorded compute charges (work units at unit rate)."""
-        return sum(
-            op[1] for rank_ops in self.ops for op in rank_ops if op[0] == OP_COMPUTE
-        )
 
     # -- portability --------------------------------------------------------
 

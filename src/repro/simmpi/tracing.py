@@ -187,18 +187,6 @@ class Tracer:
         """All records of one rank, in log order."""
         return [r for r in self.snapshot() if r.rank == rank]
 
-    def total_bytes_sent(self, rank: int | None = None) -> int:
-        """Bytes sent by one rank (or all ranks)."""
-        return sum(
-            r.nbytes
-            for r in self.snapshot()
-            if r.kind == "send" and (rank is None or r.rank == rank)
-        )
-
-    def message_count(self, kind: str = "send") -> int:
-        """Number of events of a given kind."""
-        return sum(1 for r in self.snapshot() if r.kind == kind)
-
     def collective_count(self, label: str | None = None, rank: int | None = None) -> int:
         """Number of collective rounds, optionally for one label / one rank.
 
@@ -214,14 +202,6 @@ class Tracer:
             and (label is None or r.label == label)
             and (rank is None or r.rank == rank)
         )
-
-    def collective_counts_by_label(self, rank: int | None = None) -> dict[str, int]:
-        """Collective round counts keyed by operation name."""
-        out: dict[str, int] = defaultdict(int)
-        for r in self.snapshot():
-            if r.kind == "collective" and (rank is None or r.rank == rank):
-                out[r.label] += 1
-        return dict(out)
 
     def max_time_by_label(self) -> dict[str, float]:
         """Per label, the max over ranks of that rank's summed duration.

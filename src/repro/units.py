@@ -42,11 +42,6 @@ def hours(value: float) -> float:
     return value * HOUR
 
 
-def to_hours(seconds_value: float) -> float:
-    """Convert seconds to hours."""
-    return seconds_value / HOUR
-
-
 # ---------------------------------------------------------------------------
 # data size / rate
 # ---------------------------------------------------------------------------
@@ -68,11 +63,6 @@ def gbit_per_s(value: float) -> float:
 def mbyte_per_s(value: float) -> float:
     """Convert a rate in megabytes/second to bytes/second."""
     return value * 1e6
-
-
-def to_mib(num_bytes: float) -> float:
-    """Convert bytes to binary megabytes."""
-    return num_bytes / MIB
 
 
 # ---------------------------------------------------------------------------
@@ -105,38 +95,3 @@ def eur_to_usd(value_eur: float, rate: float = 1.2793) -> float:
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
-
-
-def gflops(value: float) -> float:
-    """Convert gigaflop/s to flop/s."""
-    return value * 1e9
-
-
-def format_seconds(value: float) -> str:
-    """Human-readable time, matching the granularity used in the paper."""
-    if value < 1e-3:
-        return f"{value * 1e6:.1f}us"
-    if value < 1.0:
-        return f"{value * 1e3:.2f}ms"
-    if value < MINUTE:
-        return f"{value:.2f}s"
-    if value < HOUR:
-        return f"{value / MINUTE:.1f}min"
-    return f"{value / HOUR:.2f}h"
-
-
-def format_dollars(value: float) -> str:
-    """Render a dollar amount like the paper's tables (4 decimals under $1)."""
-    if abs(value) < 1.0:
-        return f"${value:.4f}"
-    return f"${value:,.2f}"
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Human-readable byte count."""
-    size = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(size) < 1024.0 or unit == "TiB":
-            return f"{size:.1f}{unit}" if unit != "B" else f"{int(size)}B"
-        size /= 1024.0
-    raise AssertionError("unreachable")

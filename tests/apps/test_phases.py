@@ -80,16 +80,10 @@ class TestPhaseLog:
         assert avg.assembly == pytest.approx(2.0)
         assert avg.solve == pytest.approx(4.0)
 
-    def test_max_total(self):
-        log = self._log_with([100.0, 100.0, 1.0, 5.0, 3.0], discard=2)
-        assert log.max_total() == pytest.approx(15.0)  # 5 + 2*5
-
     def test_no_measured_iterations_raises(self):
         log = self._log_with([1.0, 2.0], discard=5)
         with pytest.raises(ExperimentError):
             log.averages()
-        with pytest.raises(ExperimentError):
-            log.max_total()
 
     def test_measured_property(self):
         log = self._log_with([1, 2, 3, 4], discard=1)

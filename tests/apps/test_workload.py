@@ -71,13 +71,12 @@ class TestCommunication:
     def test_halo_bytes_scale_with_fields(self):
         """NS moves 4 fields: ~4x the halo bytes of RD at equal face size
         modulo the order-1 vs order-2 face dof difference."""
-        rd = RD_WORKLOAD.halo_bytes_per_exchange(8000, 27)
-        ns = NS_WORKLOAD.halo_bytes_per_exchange(8000, 27)
+        rd = RD_WORKLOAD.face_dofs(8000)
+        ns = NS_WORKLOAD.face_dofs(8000)
         assert ns > rd  # 4 * 21^2 > 41^2
 
     def test_no_halo_on_single_rank(self):
-        assert RD_WORKLOAD.halo_bytes_per_exchange(8000, 1) == 0.0
-        assert RD_WORKLOAD.solve_halo_bytes(8000, 1) == 0.0
+        assert RD_WORKLOAD.halo_neighbors(1) == 0
 
     def test_allreduce_count_scales_with_iterations(self):
         assert NS_WORKLOAD.allreduce_count(64) == pytest.approx(
@@ -88,7 +87,7 @@ class TestCommunication:
     @settings(max_examples=15, deadline=None)
     def test_solve_halo_grows_with_ranks(self, p):
         if p > 1:
-            assert NS_WORKLOAD.solve_halo_bytes(8000, p) > 0
+            assert NS_WORKLOAD.halo_neighbors(p) > 0
 
 
 class TestFlops:
@@ -138,12 +137,6 @@ class TestMemoryModel:
         assert need > 1e9
         assert need < 3.8e9
 
-    def test_max_elements_monotone_in_ram(self):
-        assert (
-            RD_WORKLOAD.max_elements_for_memory(3.8e9)
-            > RD_WORKLOAD.max_elements_for_memory(1e9)
-        )
-
     def test_memory_grows_with_elements(self):
         assert (
             RD_WORKLOAD.memory_per_rank_bytes(27_000)
@@ -156,10 +149,6 @@ class TestMemoryModel:
             RD_WORKLOAD.memory_per_rank_bytes(8000)
             > NS_WORKLOAD.memory_per_rank_bytes(8000)
         )
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            RD_WORKLOAD.max_elements_for_memory(0.0)
 
 
 class TestAgainstExecutedRuns:

@@ -80,7 +80,7 @@ class TestHubAbsorption:
 
         dst = Observability(ObsConfig())
         dst.absorb_telemetry(payload)
-        roots = dst.span_roots(0)
+        roots = dst.all_roots()[0]
         assert [r.name for r in roots] == ["outer"]
         assert [c.name for c in roots[0].children] == ["inner"]
         assert roots[0].attrs == {"kind": "test"}

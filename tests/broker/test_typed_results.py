@@ -76,9 +76,6 @@ class TestRunConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.seed = 1
 
-    def test_with_seed(self):
-        assert RunConfig().with_seed(3).seed == 3
-
     def test_cache_token_tracks_values_not_plumbing(self):
         base = RunConfig()
         assert RunConfig(seed=3).cache_token() != base.cache_token()
@@ -111,7 +108,7 @@ class TestDeprecatedKeywordsRemoved:
     def test_hub_keyword_shares_one_hub(self):
         hub = Observability(ObsConfig())
         run_sweep("fig4", config=RunConfig(), use_cache=False, hub=hub)
-        assert [root.name for root in hub.span_roots(0)] == ["sweep_point"] * 4
+        assert [root.name for root in hub.all_roots()[0]] == ["sweep_point"] * 4
 
     def test_hub_must_be_observability(self):
         with pytest.raises(ExperimentError, match="hub"):

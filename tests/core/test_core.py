@@ -10,7 +10,6 @@ from repro.core import (
     deploy_and_run,
     platform_gaps,
     render_table1,
-    rows_to_csv,
 )
 from repro.platforms import all_platforms, ec2_cc28xlarge, ellipse, lagrange, puma
 
@@ -112,7 +111,3 @@ class TestReporting:
             ascii_chart({"a": []})
         with pytest.raises(ExperimentError):
             ascii_chart({"a": [(1.0, -2.0)]}, logy=True)
-
-    def test_csv(self):
-        csv = rows_to_csv(["a", "b"], [[1, 2], [3, None]])
-        assert csv == "a,b\n1,2\n3,\n"

@@ -6,7 +6,6 @@ from repro.errors import CostModelError
 from repro.costs import (
     PlatformCostModel,
     cost_per_iteration,
-    ec2_mix_estimated_cost,
 )
 from repro.platforms import all_platforms, ec2_cc28xlarge, puma
 from repro.units import HOUR
@@ -37,8 +36,8 @@ class TestPlatformCostModel:
 
     def test_table2_mix_estimate(self):
         """Row 1000 'mix': 148.98 s at the spot rate -> $1.41."""
-        est = ec2_mix_estimated_cost(
-            ec2_cc28xlarge, 1000, 148.98, spot_core_hour_rate=0.03375
+        est = cost_per_iteration(
+            ec2_cc28xlarge, 1000, 148.98, core_hour_rate=0.03375
         )
         assert est == pytest.approx(1.4079, abs=5e-3)
 

@@ -10,8 +10,6 @@ from repro.fem.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_vector_laplacian_operator,
-    assemble_weighted_gradient_load,
     evaluate_at_quad,
     evaluate_gradient_at_quad,
     quad_points_physical,
@@ -152,19 +150,6 @@ class TestLoad:
         f = assemble_load(dm_q2, lambda p: p[:, 2])
         assert f.sum() == pytest.approx(0.5, rel=1e-12)
 
-    def test_weighted_gradient_load(self, dm_q1):
-        """F(w, d)·u = ∫ w ∂u/∂x_d; with w = 1, u = y, d = 1: integral 1."""
-        rule = hex_quadrature(2)
-        nc, nq = dm_q1.mesh.num_cells, rule.num_points
-        w = np.ones((nc, nq))
-        f = assemble_weighted_gradient_load(dm_q1, w, component=1, rule=rule)
-        u = dm_q1.dof_coords[:, 1]
-        assert f @ u == pytest.approx(1.0, rel=1e-12)
-
-    def test_weighted_gradient_load_shape_check(self, dm_q1):
-        with pytest.raises(AssemblyError):
-            assemble_weighted_gradient_load(dm_q1, np.ones((2, 2)), 0)
-
 
 class TestEvaluation:
     def test_evaluate_scalar_at_quad(self, dm_q1):
@@ -194,16 +179,6 @@ class TestEvaluation:
     def test_bad_shape_rejected(self, dm_q1):
         with pytest.raises(AssemblyError):
             evaluate_at_quad(dm_q1, np.zeros((2, 2, 2)))
-
-
-class TestVectorOperator:
-    def test_block_diagonal_structure(self, dm_q1):
-        k = assemble_stiffness(dm_q1)
-        op = assemble_vector_laplacian_operator(dm_q1, components=3)
-        n = dm_q1.num_dofs
-        assert op.shape == (3 * n, 3 * n)
-        assert abs(op[:n, :n] - k).max() < 1e-14
-        assert op[:n, n : 2 * n].nnz == 0
 
 
 class TestPoissonIntegration:

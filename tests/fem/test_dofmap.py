@@ -111,24 +111,3 @@ class TestBoundary:
         dm = DofMap(StructuredBoxMesh((3, 3, 3)), 2)
         # interior lattice is (2*3+1-2)^3 = 5^3
         assert len(dm.interior_dofs) == 125
-
-
-class TestSlabs:
-    def test_slab_sizes(self):
-        dm = DofMap(StructuredBoxMesh((2, 3, 4)), 1)
-        mx, my, mz = dm.lattice_shape
-        assert len(dm.dofs_in_lattice_slab(0, 0)) == my * mz
-        assert len(dm.dofs_in_lattice_slab(1, my - 1)) == mx * mz
-        assert len(dm.dofs_in_lattice_slab(2, 2)) == mx * my
-
-    def test_slab_geometry(self):
-        dm = DofMap(StructuredBoxMesh((2, 2, 2)), 1)
-        dofs = dm.dofs_in_lattice_slab(0, 2)
-        assert np.allclose(dm.dof_coords[dofs][:, 0], 1.0)
-
-    def test_slab_validation(self):
-        dm = DofMap(StructuredBoxMesh((2, 2, 2)), 1)
-        with pytest.raises(ElementError):
-            dm.dofs_in_lattice_slab(3, 0)
-        with pytest.raises(ElementError):
-            dm.dofs_in_lattice_slab(0, 99)

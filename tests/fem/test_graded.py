@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import MeshError
 from repro.fem.assembly import (
@@ -16,68 +14,28 @@ from repro.fem.assembly import (
 from repro.fem.boundary import apply_dirichlet
 from repro.fem.dofmap import DofMap
 from repro.fem.function import l2_error
-from repro.fem.grading import (
-    boundary_layer_axis,
-    geometric_axis,
-    grading_ratio,
-    uniform_axis,
-)
 from repro.fem.mesh import StructuredBoxMesh
 
+# Per cell count: a geometrically stretched axis (each cell 1.4x, for n = 3
+# 1.8x, the last), a symmetric tanh boundary layer and a uniform axis, as
+# a mesh generator hands them over.
+GRADED_AXES = {
+    4: (
+        np.array([0.0, 0.140766, 0.337838, 0.613739, 1.0]),
+        np.array([0.0, 0.149146, 0.5, 0.850854, 1.0]),
+        np.linspace(0.0, 1.0, 5),
+    ),
+    3: (
+        np.array([0.0, 0.165563, 0.463576, 1.0]),
+        np.array([0.0, 0.244728, 0.755272, 1.0]),
+        np.linspace(0.0, 1.0, 4),
+    ),
+}
 
-def graded_mesh(n=4, ratio=1.4):
-    return StructuredBoxMesh(
-        (n, n, n),
-        axis_coords=(
-            geometric_axis(n, ratio=ratio),
-            boundary_layer_axis(n, stretch=1.5),
-            uniform_axis(n),
-        ),
-    )
 
-
-class TestGradingGenerators:
-    @given(n=st.integers(min_value=1, max_value=30),
-           ratio=st.floats(min_value=0.5, max_value=2.0))
-    @settings(max_examples=30, deadline=None)
-    def test_geometric_axis_properties(self, n, ratio):
-        axis = geometric_axis(n, 2.0, 5.0, ratio)
-        assert axis.shape == (n + 1,)
-        assert axis[0] == pytest.approx(2.0)
-        assert axis[-1] == pytest.approx(5.0)
-        assert np.all(np.diff(axis) > 0)
-
-    def test_geometric_ratio_realized(self):
-        axis = geometric_axis(10, ratio=1.3)
-        widths = np.diff(axis)
-        assert np.allclose(widths[1:] / widths[:-1], 1.3)
-
-    def test_boundary_layer_clusters_both_ends(self):
-        axis = boundary_layer_axis(10, stretch=2.5)
-        widths = np.diff(axis)
-        assert widths[0] < widths[5] / 2
-        assert widths[-1] < widths[5] / 2
-        assert widths[0] == pytest.approx(widths[-1], rel=1e-10)
-
-    def test_zero_stretch_is_uniform(self):
-        axis = boundary_layer_axis(8, stretch=0.0)
-        assert np.allclose(np.diff(axis), 0.125)
-
-    def test_grading_ratio(self):
-        assert grading_ratio(uniform_axis(5)) == pytest.approx(1.0)
-        assert grading_ratio(geometric_axis(5, ratio=1.5)) == pytest.approx(1.5)
-
-    def test_validation(self):
-        with pytest.raises(MeshError):
-            geometric_axis(0)
-        with pytest.raises(MeshError):
-            geometric_axis(3, 1.0, 1.0)
-        with pytest.raises(MeshError):
-            geometric_axis(3, ratio=-1.0)
-        with pytest.raises(MeshError):
-            boundary_layer_axis(3, stretch=-0.1)
-        with pytest.raises(MeshError):
-            grading_ratio(np.array([0.0, 1.0, 0.5]))
+def graded_mesh(n=4):
+    """A graded mesh of the unit cube (total volume 1)."""
+    return StructuredBoxMesh((n, n, n), axis_coords=GRADED_AXES[n])
 
 
 class TestGradedMesh:
@@ -96,8 +54,8 @@ class TestGradedMesh:
                 (2, 2, 2),
                 axis_coords=(
                     np.array([0.0, 0.5, 0.4]),
-                    uniform_axis(2),
-                    uniform_axis(2),
+                    np.linspace(0.0, 1.0, 3),
+                    np.linspace(0.0, 1.0, 3),
                 ),
             )
 
@@ -110,7 +68,7 @@ class TestGradedMesh:
 
     def test_cell_volumes_sum_to_box(self):
         mesh = graded_mesh()
-        assert mesh.cell_volumes.sum() == pytest.approx(mesh.total_volume)
+        assert mesh.cell_volumes.sum() == pytest.approx(1.0)
 
     def test_uniform_cell_spacings_match_spacing(self):
         mesh = StructuredBoxMesh((3, 4, 5), upper=(1.0, 2.0, 2.5))
@@ -118,11 +76,12 @@ class TestGradedMesh:
         assert np.allclose(mesh.cell_volumes, mesh.cell_volume)
 
     def test_vertex_coords_follow_axes(self):
-        axis = geometric_axis(3, ratio=2.0)
+        axis = np.array([0.0, 1.0, 3.0, 7.0]) / 7.0
         mesh = StructuredBoxMesh(
-            (3, 3, 3), axis_coords=(axis, uniform_axis(3), uniform_axis(3))
+            (3, 3, 3),
+            axis_coords=(axis, np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4)),
         )
-        xs = np.unique(mesh.vertex_coords[:, 0])
+        xs = np.unique(DofMap(mesh, 1).dof_coords[:, 0])
         assert np.allclose(xs, axis)
 
     def test_cell_centers_inside_cells(self):
@@ -150,7 +109,7 @@ class TestGradedAssembly:
         dm = DofMap(mesh, 1)
         m = assemble_mass(dm)
         ones = np.ones(dm.num_dofs)
-        assert ones @ (m @ ones) == pytest.approx(mesh.total_volume, rel=1e-12)
+        assert ones @ (m @ ones) == pytest.approx(1.0, rel=1e-12)
 
     def test_stiffness_constants_in_nullspace(self):
         dm = DofMap(graded_mesh(), 2)
@@ -163,13 +122,13 @@ class TestGradedAssembly:
         dm = DofMap(mesh, 1)
         k = assemble_stiffness(dm)
         u = dm.dof_coords[:, 0]
-        assert u @ (k @ u) == pytest.approx(mesh.total_volume, rel=1e-12)
+        assert u @ (k @ u) == pytest.approx(1.0, rel=1e-12)
 
     def test_load_of_one_is_volume(self):
         mesh = graded_mesh()
         dm = DofMap(mesh, 2)
         f = assemble_load(dm, 1.0)
-        assert f.sum() == pytest.approx(mesh.total_volume, rel=1e-12)
+        assert f.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_advection_consistency(self):
         """1^T A u = ∫ β·∇u; β = e_x, u = x: the volume."""
@@ -178,14 +137,14 @@ class TestGradedAssembly:
         a = assemble_advection(dm, np.array([1.0, 0.0, 0.0]))
         u = dm.dof_coords[:, 0]
         ones = np.ones(dm.num_dofs)
-        assert ones @ (a @ u) == pytest.approx(mesh.total_volume, rel=1e-12)
+        assert ones @ (a @ u) == pytest.approx(1.0, rel=1e-12)
 
     def test_graded_matches_uniform_when_axes_uniform(self):
         """axis_coords=linspace must reproduce the uniform path exactly."""
         uniform = StructuredBoxMesh((3, 3, 3))
         explicit = StructuredBoxMesh(
             (3, 3, 3),
-            axis_coords=(uniform_axis(3), uniform_axis(3), uniform_axis(3)),
+            axis_coords=(np.linspace(0.0, 1.0, 4),) * 3,
         )
         k1 = assemble_stiffness(DofMap(uniform, 2))
         k2 = assemble_stiffness(DofMap(explicit, 2))
@@ -194,7 +153,7 @@ class TestGradedAssembly:
     def test_q2_poisson_exact_on_graded_mesh(self):
         """The quadratic manufactured solution is in the Q2 space on ANY
         tensor-product mesh: the graded solve is still exact."""
-        dm = DofMap(graded_mesh(n=3, ratio=1.8), 2)
+        dm = DofMap(graded_mesh(n=3), 2)
         exact = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 + p[:, 2] ** 2
         k = assemble_stiffness(dm)
         f = assemble_load(dm, -6.0)
@@ -216,9 +175,10 @@ class TestBoundaryLayerPayoff:
             StructuredBoxMesh(
                 (n, 2, 2),
                 axis_coords=(
-                    boundary_layer_axis(n, stretch=2.2),
-                    uniform_axis(2),
-                    uniform_axis(2),
+                    np.array([0.0, 0.017033, 0.055834, 0.13801, 0.288036, 0.5,
+                              0.711964, 0.86199, 0.944166, 0.982967, 1.0]),
+                    np.linspace(0.0, 1.0, 3),
+                    np.linspace(0.0, 1.0, 3),
                 ),
             ),
             1,
@@ -240,9 +200,9 @@ class TestGradedRD:
         mesh = StructuredBoxMesh(
             (4, 4, 4),
             axis_coords=(
-                geometric_axis(4, ratio=1.5),
-                uniform_axis(4),
-                boundary_layer_axis(4, stretch=1.2),
+                np.array([0.0, 0.123077, 0.307692, 0.584615, 1.0]),
+                np.linspace(0.0, 1.0, 5),
+                np.array([0.0, 0.177894, 0.5, 0.822106, 1.0]),
             ),
         )
         solver.dofmap = DofMap(mesh, problem.order)

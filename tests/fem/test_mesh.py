@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MeshError
-from repro.fem.mesh import (
-    ALL_FACES,
-    FACE_XMAX,
-    FACE_XMIN,
-    FACE_YMAX,
-    FACE_ZMAX,
-    StructuredBoxMesh,
-)
+from repro.fem.dofmap import DofMap
+from repro.fem.mesh import StructuredBoxMesh
 
 shapes = st.tuples(
     st.integers(min_value=1, max_value=6),
@@ -26,7 +20,7 @@ class TestConstruction:
     def test_counts(self):
         mesh = StructuredBoxMesh((3, 4, 5))
         assert mesh.num_cells == 60
-        assert mesh.num_vertices == 4 * 5 * 6
+        assert DofMap(mesh, 1).num_dofs == 4 * 5 * 6
 
     def test_spacing_and_volume(self):
         mesh = StructuredBoxMesh((2, 4, 5), lower=(0, 0, 0), upper=(2, 2, 10))
@@ -51,29 +45,20 @@ class TestIndexing:
         mesh = StructuredBoxMesh((3, 4, 5))
         for c in range(mesh.num_cells):
             i, j, k = mesh.cell_coords(c)
-            assert mesh.cell_index(i, j, k) == c
-
-    def test_cell_index_out_of_range(self):
-        mesh = StructuredBoxMesh((2, 2, 2))
-        with pytest.raises(MeshError):
-            mesh.cell_index(2, 0, 0)
+            assert i + 3 * (j + 4 * k) == c
 
     def test_vertex_index_x_fastest(self):
-        mesh = StructuredBoxMesh((2, 2, 2))
-        assert mesh.vertex_index(1, 0, 0) == 1
-        assert mesh.vertex_index(0, 1, 0) == 3
-        assert mesh.vertex_index(0, 0, 1) == 9
-
-    def test_vertex_out_of_range(self):
-        mesh = StructuredBoxMesh((2, 2, 2))
-        with pytest.raises(MeshError):
-            mesh.vertex_index(0, 0, 4)
+        """Q1 DOFs are the vertices, numbered with x varying fastest."""
+        coords = DofMap(StructuredBoxMesh((2, 2, 2)), 1).dof_coords
+        assert coords[1] == pytest.approx([0.5, 0, 0])
+        assert coords[3] == pytest.approx([0, 0.5, 0])
+        assert coords[9] == pytest.approx([0, 0, 0.5])
 
 
 class TestGeometry:
     def test_vertex_coords_corners(self):
         mesh = StructuredBoxMesh((2, 2, 2), lower=(0, 0, 0), upper=(1, 2, 3))
-        coords = mesh.vertex_coords
+        coords = DofMap(mesh, 1).dof_coords
         assert coords[0] == pytest.approx([0, 0, 0])
         assert coords[-1] == pytest.approx([1, 2, 3])
 
@@ -87,37 +72,30 @@ class TestGeometry:
     @settings(max_examples=20, deadline=None)
     def test_cell_centers_average_of_cell_vertices(self, shape):
         mesh = StructuredBoxMesh(shape)
-        verts = mesh.vertex_coords[mesh.cell_vertices]  # (nc, 8, 3)
+        q1 = DofMap(mesh, 1)
+        verts = q1.dof_coords[q1.cell_dofs]  # (nc, 8, 3)
         assert np.allclose(verts.mean(axis=1), mesh.cell_centers)
 
 
 class TestConnectivity:
     def test_cell_vertices_local_tensor_order(self):
-        mesh = StructuredBoxMesh((1, 1, 1))
-        cv = mesh.cell_vertices[0]
-        coords = mesh.vertex_coords[cv]
+        q1 = DofMap(StructuredBoxMesh((1, 1, 1)), 1)
+        coords = q1.dof_coords[q1.cell_dofs[0]]
         # x varies fastest: vertex 1 is +x of vertex 0, vertex 2 is +y.
         assert coords[1] - coords[0] == pytest.approx([1, 0, 0])
         assert coords[2] - coords[0] == pytest.approx([0, 1, 0])
         assert coords[4] - coords[0] == pytest.approx([0, 0, 1])
 
     def test_face_neighbors_interior(self):
-        mesh = StructuredBoxMesh((3, 3, 3))
-        center = mesh.cell_index(1, 1, 1)
-        neighbors = set(mesh.iter_cell_neighbors(center))
-        assert len(neighbors) == 6
+        edges = StructuredBoxMesh((3, 3, 3)).dual_edges
+        center = 1 + 3 * (1 + 3 * 1)
+        assert np.count_nonzero(edges == center) == 6
 
     def test_face_neighbors_corner(self):
-        mesh = StructuredBoxMesh((3, 3, 3))
-        corner = mesh.cell_index(0, 0, 0)
-        assert mesh.face_neighbor(corner, FACE_XMIN) is None
-        assert mesh.face_neighbor(corner, FACE_XMAX) == mesh.cell_index(1, 0, 0)
-        assert len(list(mesh.iter_cell_neighbors(corner))) == 3
-
-    def test_unknown_face_rejected(self):
-        mesh = StructuredBoxMesh((2, 2, 2))
-        with pytest.raises(MeshError):
-            mesh.face_neighbor(0, "w+")
+        edges = StructuredBoxMesh((3, 3, 3)).dual_edges
+        neighbors = edges[edges[:, 0] == 0, 1]
+        assert sorted(neighbors.tolist()) == [1, 3, 9]
+        assert np.count_nonzero(edges == 0) == 3
 
     @given(shape=shapes)
     @settings(max_examples=20, deadline=None)
@@ -137,11 +115,13 @@ class TestConnectivity:
             assert np.unique(edges, axis=0).shape[0] == edges.shape[0]
 
     def test_dual_edges_match_face_neighbors(self):
+        """Two cells share a face iff their lattice coordinates differ by
+        one step along exactly one axis."""
         mesh = StructuredBoxMesh((2, 3, 2))
-        edges = {tuple(e) for e in mesh.dual_edges}
-        for c in range(mesh.num_cells):
-            for nb in mesh.iter_cell_neighbors(c):
-                assert (min(c, nb), max(c, nb)) in edges
+        ijk = mesh.cell_coords(np.arange(mesh.num_cells))
+        steps = np.abs(ijk[:, None, :] - ijk[None, :, :]).sum(axis=2)
+        expected = {tuple(p) for p in np.argwhere(np.triu(steps == 1))}
+        assert {tuple(e) for e in mesh.dual_edges} == expected
 
 
 class TestBoundary:
@@ -152,25 +132,7 @@ class TestBoundary:
         mesh = StructuredBoxMesh(shape)
         total = (nx + 1) * (ny + 1) * (nz + 1)
         interior = max(nx - 1, 0) * max(ny - 1, 0) * max(nz - 1, 0)
-        assert len(mesh.boundary_vertices) == total - interior
-
-    def test_boundary_cells_per_face(self):
-        mesh = StructuredBoxMesh((3, 4, 5))
-        assert len(mesh.boundary_cells(FACE_XMAX)) == 4 * 5
-        assert len(mesh.boundary_cells(FACE_YMAX)) == 3 * 5
-        assert len(mesh.boundary_cells(FACE_ZMAX)) == 3 * 4
-
-    def test_boundary_cells_unknown_face(self):
-        with pytest.raises(MeshError):
-            StructuredBoxMesh((2, 2, 2)).boundary_cells("bogus")
-
-    def test_all_faces_cover_every_outer_cell(self):
-        mesh = StructuredBoxMesh((3, 3, 3))
-        covered = set()
-        for face in ALL_FACES:
-            covered.update(mesh.boundary_cells(face).tolist())
-        interior = {mesh.cell_index(1, 1, 1)}
-        assert covered == set(range(mesh.num_cells)) - interior
+        assert len(DofMap(mesh, 1).boundary_dofs) == total - interior
 
 
 class TestExtractBlock:

@@ -82,18 +82,18 @@ class TestFig4:
 
     def test_lagrange_wins_beyond_125(self, fig4):
         for p in (216, 343):
-            lag = fig4.point("lagrange", p).total_time
+            lag = fig4.point("lagrange", p).prediction.total
             for other in ("ellipse", "ec2"):
-                assert lag < fig4.point(other, p).total_time
+                assert lag < fig4.point(other, p).prediction.total
 
     def test_ec2_beats_gige_clusters_at_scale(self, fig4):
         assert (
-            fig4.point("ec2", 125).total_time
-            < fig4.point("puma", 125).total_time
+            fig4.point("ec2", 125).prediction.total
+            < fig4.point("puma", 125).prediction.total
         )
         assert (
-            fig4.point("ec2", 512).total_time
-            < fig4.point("ellipse", 512).total_time
+            fig4.point("ec2", 512).prediction.total
+            < fig4.point("ellipse", 512).prediction.total
         )
 
     def test_rows_and_series_extraction(self, fig4):
@@ -119,10 +119,10 @@ class TestFig5:
     def test_ns_worse_scaling_than_rd(self, fig4, fig5):
         for name in fig5.platforms():
             rd_growth = (
-                fig4.point(name, 125).total_time / fig4.point(name, 1).total_time
+                fig4.point(name, 125).prediction.total / fig4.point(name, 1).prediction.total
             )
             ns_growth = (
-                fig5.point(name, 125).total_time / fig5.point(name, 1).total_time
+                fig5.point(name, 125).prediction.total / fig5.point(name, 1).prediction.total
             )
             assert ns_growth > rd_growth, name
 
@@ -131,15 +131,15 @@ class TestFig5:
         already grows on every platform."""
         for name in fig5.platforms():
             assert (
-                fig5.point(name, 8).total_time
-                > 1.2 * fig5.point(name, 1).total_time
+                fig5.point(name, 8).prediction.total
+                > 1.2 * fig5.point(name, 1).prediction.total
             ), name
 
     def test_lagrange_most_efficient(self, fig5):
         for p in (125, 343):
-            lag = fig5.point("lagrange", p).total_time
+            lag = fig5.point("lagrange", p).prediction.total
             others = [
-                fig5.point(name, p).total_time
+                fig5.point(name, p).prediction.total
                 for name in ("puma", "ellipse", "ec2")
                 if fig5.point(name, p).feasible
             ]
@@ -147,7 +147,7 @@ class TestFig5:
 
     def test_ec2_improves_on_department_clusters_small_p(self, fig5):
         for p in (1, 8):
-            assert fig5.point("ec2", p).total_time < 0.6 * fig5.point("puma", p).total_time
+            assert fig5.point("ec2", p).prediction.total < 0.6 * fig5.point("puma", p).prediction.total
 
 
 class TestTable2:
@@ -223,8 +223,8 @@ class TestCostFigures:
         one = fig6.point("ec2", 1)
         eight = fig6.point("ec2", 8)
         # cost/rank-second at 1 rank is ~8x that at 8 ranks (same node).
-        rate_1 = one.cost_per_iteration / one.total_time
-        rate_8 = eight.cost_per_iteration / eight.total_time
+        rate_1 = one.cost_per_iteration / one.prediction.total
+        rate_8 = eight.cost_per_iteration / eight.prediction.total
         assert rate_1 == pytest.approx(rate_8, rel=0.01)  # same node total
         assert one.cost_per_iteration / 1 > eight.cost_per_iteration / 8
         # ... unlike a per-core platform, whose bill follows the ranks.
@@ -246,14 +246,14 @@ class TestCostFigures:
             mix = fig7.point("ec2 mix", p)
             puma_pt = fig7.point("puma", p)
             assert mix.cost_per_iteration < puma_pt.cost_per_iteration
-            assert mix.total_time < puma_pt.total_time
+            assert mix.prediction.total < puma_pt.prediction.total
         # At 125 ranks whole-node rounding (8 full instances for 125
         # ranks) erodes the cost edge to parity, but the speed advantage
         # persists — the convergence visible at the right edge of Fig. 7.
         mix = fig7.point("ec2 mix", 125)
         puma_pt = fig7.point("puma", 125)
         assert mix.cost_per_iteration < 1.15 * puma_pt.cost_per_iteration
-        assert mix.total_time < puma_pt.total_time
+        assert mix.prediction.total < puma_pt.prediction.total
 
     def test_lagrange_most_expensive_per_iteration_at_small_p(self, fig6):
         """19.19 cents/core-hour makes the grid the costliest fully

@@ -10,7 +10,6 @@ from repro.harness.paper_data import (
     PAPER_MAX_RANKS,
     PAPER_RANK_SERIES,
     PAPER_TABLE2,
-    full_vs_mix_cost_ratio,
 )
 from repro.apps.workload import paper_rank_series
 from repro.cloud.instances import CC2_8XLARGE
@@ -42,7 +41,8 @@ class TestInternalConsistency:
         assert list(PAPER_RANK_SERIES) == paper_rank_series(1000)
 
     def test_cost_ratio(self):
-        assert full_vs_mix_cost_ratio() == pytest.approx(4.444, abs=0.01)
+        ratio = PAPER_EC2_NODE_HOURLY / PAPER_EC2_SPOT_HOURLY
+        assert ratio == pytest.approx(4.444, abs=0.01)
 
 
 class TestModelsMatchPaperData:

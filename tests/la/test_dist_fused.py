@@ -241,48 +241,3 @@ class TestUpdateValues:
             return np.array_equal(by_rows.local_rows.data, by_global.local_rows.data)
 
         assert all(run(main, 3).returns)
-
-
-class TestUpdateGhostsMany:
-    def test_coalesced_matches_individual(self, poisson):
-        a, b = poisson
-
-        def main(comm):
-            dist = DistMatrix.from_global(comm, a)
-            v1 = dist.vector_from_global(b)
-            v2 = dist.vector_from_global(2.0 * b + 1.0)
-            r1 = dist.vector_from_global(b)
-            r2 = dist.vector_from_global(2.0 * b + 1.0)
-            dist.update_ghosts_many([v1, v2])
-            dist.update_ghosts(r1)
-            dist.update_ghosts(r2)
-            return (
-                np.array_equal(v1.ghosts, r1.ghosts)
-                and np.array_equal(v2.ghosts, r2.ghosts)
-            )
-
-        assert all(run(main, 4).returns)
-
-    def test_message_count_halved(self, poisson):
-        """Two vectors' halos ride in ONE message per neighbour."""
-        a, b = poisson
-
-        def main(comm):
-            dist = DistMatrix.from_global(comm, a)
-            v1 = dist.vector_from_global(b)
-            v2 = dist.vector_from_global(3.0 * b)
-
-            def sends_during(fn):
-                start = comm.messages_sent
-                fn()
-                return comm.messages_sent - start
-
-            coalesced = sends_during(lambda: dist.update_ghosts_many([v1, v2]))
-            individual = sends_during(
-                lambda: (dist.update_ghosts(v1), dist.update_ghosts(v2))
-            )
-            return coalesced, individual
-
-        for coalesced, individual in run(main, 4).returns:
-            if individual:
-                assert coalesced * 2 == individual

@@ -203,7 +203,6 @@ class TestBlockJacobi:
         p = BlockJacobiPreconditioner(
             fem_operator, np.array_split(np.arange(n), 4), local_factory=JacobiPreconditioner
         )
-        assert p.num_blocks == 4
         res = cg(fem_operator, np.ones(n), preconditioner=p, tol=1e-9, maxiter=2000)
         assert res.converged
 

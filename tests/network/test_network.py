@@ -13,8 +13,6 @@ from repro.network import (
     ClusterTopology,
     LinkModel,
     NetworkModel,
-    effective_bandwidth,
-    link_by_name,
     nic_sharing_factor,
 )
 from repro.network.contention import estimate_offnode_fraction
@@ -77,12 +75,6 @@ class TestPresets:
         assert TEN_GIGABIT_ETHERNET.transfer_time(10) > GIGABIT_ETHERNET.transfer_time(10)
         assert TEN_GIGABIT_ETHERNET.transfer_time(10**6) < GIGABIT_ETHERNET.transfer_time(10**6)
 
-    def test_lookup(self):
-        assert link_by_name("1GbE") is GIGABIT_ETHERNET
-        with pytest.raises(NetworkError):
-            link_by_name("carrier-pigeon")
-
-
 class TestNetworkModel:
     def test_same_node_uses_shared_memory(self):
         model = NetworkModel(GIGABIT_ETHERNET)
@@ -134,24 +126,11 @@ class TestClusterTopology:
         assert ec2.nodes_for_ranks(16) == 1
         assert ec2.nodes_for_ranks(17) == 2
 
-    def test_ranks_on_node(self):
-        topo = ClusterTopology(3, 4, NetworkModel(GIGABIT_ETHERNET))
-        assert topo.ranks_on_node(0, 10).tolist() == [0, 1, 2, 3]
-        assert topo.ranks_on_node(2, 10).tolist() == [8, 9]
-        assert topo.ranks_on_node(2, 8).size == 0
-
     def test_transfer_time_resolves_placement(self):
         topo = ClusterTopology(2, 2, NetworkModel(GIGABIT_ETHERNET))
         intra = topo.transfer_time(1000, 0, 1)
         inter = topo.transfer_time(1000, 0, 2)
         assert intra < inter
-
-    def test_offnode_peer_fraction(self):
-        topo = ClusterTopology(2, 4, NetworkModel(GIGABIT_ETHERNET))
-        assert topo.offnode_peer_fraction(0, [1, 2, 3]) == 0.0
-        assert topo.offnode_peer_fraction(0, [4, 5]) == 1.0
-        assert topo.offnode_peer_fraction(0, [1, 4]) == 0.5
-        assert topo.offnode_peer_fraction(0, []) == 0.0
 
     def test_validation(self):
         with pytest.raises(NetworkError):
@@ -161,8 +140,6 @@ class TestClusterTopology:
         topo = ClusterTopology(2, 2, NetworkModel(GIGABIT_ETHERNET))
         with pytest.raises(NetworkError):
             topo.nodes_for_ranks(0)
-        with pytest.raises(NetworkError):
-            topo.ranks_on_node(5, 4)
 
 
 class TestContention:
@@ -185,10 +162,6 @@ class TestContention:
         topo = self._topo(4)
         factor = nic_sharing_factor(topo, 64)
         assert 1.0 <= factor <= 4.0
-
-    def test_effective_bandwidth_divides(self):
-        topo = self._topo(4)
-        assert effective_bandwidth(topo, 64) <= GIGABIT_ETHERNET.bandwidth
 
     def test_explicit_fraction_override(self):
         topo = self._topo(8)

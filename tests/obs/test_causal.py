@@ -137,7 +137,8 @@ class TestCollectiveVariants:
 class TestReorderingDetection:
     def test_clean_global_order_validates(self):
         res = run_spmd(_mixed_traffic, 4, trace=True, causal=True)
-        events = sorted(res.causal.all_events(), key=lambda e: e.lamport)
+        events = sorted((e for r in range(4) for e in res.causal.events_for(r)),
+                        key=lambda e: e.lamport)
         report = validate_order(events)
         assert report.ok, report.format()
         assert report.messages_checked > 0
@@ -146,7 +147,8 @@ class TestReorderingDetection:
         """Acceptance: an artificially reordered trace must be caught,
         with (rank, op, clock) context on the violation."""
         res = run_spmd(_mixed_traffic, 4, trace=True, causal=True)
-        events = sorted(res.causal.all_events(), key=lambda e: e.lamport)
+        events = sorted((e for r in range(4) for e in res.causal.events_for(r)),
+                        key=lambda e: e.lamport)
         recv_i = next(i for i, e in enumerate(events)
                       if e.kind == "recv" and e.origin is not None)
         send_i = next(i for i, e in enumerate(events)
@@ -265,9 +267,9 @@ class TestRandomTraffic:
         assert report.messages_checked >= len(edges)
         assert report.matches_checked == len(edges)
         # Vector-clock dominance across every matched message.
-        sends = {(e.rank, e.seq): e for e in res.causal.all_events()
-                 if e.kind == "send"}
-        for ev in res.causal.all_events():
+        events = [e for r in range(num_ranks) for e in res.causal.events_for(r)]
+        sends = {(e.rank, e.seq): e for e in events if e.kind == "send"}
+        for ev in events:
             if ev.kind == "recv" and ev.origin in sends:
                 assert np.all(ev.vector >= sends[ev.origin].vector)
 

@@ -37,7 +37,7 @@ class TestExperimentObs:
         hub = Observability(ObsConfig())
         run_sweep("fig4", use_cache=False, hub=hub)
         run_sweep("fig6", use_cache=False, hub=hub)
-        artifacts = [root.attrs["artifact"] for root in hub.span_roots(0)]
+        artifacts = [root.attrs["artifact"] for root in hub.all_roots()[0]]
         assert artifacts == ["fig4"] * 4 + ["fig6"] * 5
         assert hub.metrics.counter("sweep_points_total").total(
             {"artifact": "fig6", "cached": "false"}

@@ -10,7 +10,6 @@ from repro.perfmodel.calibration import (
     NS_TIME_SCALE,
     RD_TIME_SCALE,
     calibrate_against_sequential_run,
-    host_seconds_per_model_flop,
     time_scale_for,
 )
 from repro.perfmodel.phases import PhaseModel
@@ -54,7 +53,7 @@ class TestPhaseModelBasics:
             PhaseModel(RD_WORKLOAD, puma).predict(0)
 
     def test_series(self, rd_model_ec2):
-        preds = rd_model_ec2.predict_series([1, 8, 27])
+        preds = [rd_model_ec2.predict(p) for p in (1, 8, 27)]
         assert [p.num_ranks for p in preds] == [1, 8, 27]
 
 
@@ -187,15 +186,12 @@ class TestCalibration:
         cal = calibrate_against_sequential_run(mesh_per_dim=4, num_steps=3)
         assert cal.elements == 64
         assert cal.measured_assembly_s > 0
-        assert cal.assembly_seconds_per_model_flop > 0
+        assert cal.model_assembly_flops > 0
         # The workload flop model should land within two orders of
         # magnitude of executed reality on any sane host.
-        assert 0.01 < cal.implied_host_gflops() < 100.0
-
-    def test_ratio_helper_validation(self):
-        with pytest.raises(ExperimentError):
-            host_seconds_per_model_flop(0.0, 1.0)
-        assert host_seconds_per_model_flop(2.0, 4.0) == 0.5
+        flops = cal.model_assembly_flops + cal.model_solve_flops
+        seconds = cal.measured_assembly_s + cal.measured_solve_s
+        assert 0.01 < flops / seconds / 1e9 < 100.0
 
     def test_calibration_validation(self):
         with pytest.raises(ExperimentError):

@@ -10,8 +10,6 @@ from repro.errors import CostModelError
 from repro.perfmodel.resilience import (
     CheckpointRestartModel,
     failure_rate_from_market,
-    spot_break_even_discount,
-    spot_run_cost,
 )
 
 pytestmark = pytest.mark.resilience
@@ -76,23 +74,6 @@ class TestMarketCoupling:
         with pytest.raises(CostModelError):
             failure_rate_from_market(market, -1)
 
-    def test_spot_wins_only_below_break_even_discount(self):
-        model = CheckpointRestartModel(
-            checkpoint_seconds=30.0, restart_seconds=120.0,
-            failure_rate_per_hour=0.8,
-        )
-        base, tau = 4 * 3600.0, 1800.0
-        ratio = spot_break_even_discount(base, tau, model)
-        assert 0.0 < ratio < 1.0
-        od_cost = CC2_8XLARGE.on_demand_hourly * base / 3600.0
-        cheap = spot_run_cost(
-            base, tau, model, CC2_8XLARGE.on_demand_hourly * ratio * 0.9
-        )
-        dear = spot_run_cost(
-            base, tau, model, CC2_8XLARGE.on_demand_hourly * ratio * 1.1
-        )
-        assert cheap < od_cost < dear
-
     def test_paper_discount_survives_moderate_volatility(self):
         """At the paper's 4.4x spot discount, reclaim overhead at the
         default market volatility does not erase the savings."""
@@ -103,6 +84,7 @@ class TestMarketCoupling:
         )
         base = 2 * 3600.0
         tau = min(model.optimal_interval_seconds(), 1800.0)
-        spot = spot_run_cost(base, tau, model, CC2_8XLARGE.typical_spot_hourly)
+        wall = model.expected_wall_seconds(base, tau)
+        spot = CC2_8XLARGE.typical_spot_hourly * wall / 3600.0
         on_demand = CC2_8XLARGE.on_demand_hourly * base / 3600.0
         assert spot < on_demand

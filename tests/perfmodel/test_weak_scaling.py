@@ -39,7 +39,7 @@ class TestSweep:
         beyond = [pt for pt in points if not pt.feasible]
         assert beyond
         assert all("data-volume" in pt.limit_reason for pt in beyond)
-        assert all(pt.total_time == float("inf") for pt in beyond)
+        assert all(pt.prediction is None for pt in beyond)
 
     def test_nodes_computed(self):
         points = weak_scaling_sweep(RD_WORKLOAD, ec2_cc28xlarge)
@@ -76,4 +76,4 @@ class TestSweep:
         ns = weak_scaling_sweep(NS_WORKLOAD, ec2_cc28xlarge)
         for r, n in zip(rd, ns):
             if r.feasible and n.feasible:
-                assert n.total_time > r.total_time
+                assert n.prediction.total > r.prediction.total

@@ -112,12 +112,10 @@ class TestCatalog:
 
     def test_puma_capacity_is_128_cores(self):
         assert puma.total_cores == 128
-        assert puma.supports_ranks(125)
-        assert not puma.supports_ranks(216)
 
     def test_ec2_63_instances_hold_1000_ranks(self):
         assert ec2_cc28xlarge.nodes_for_ranks(1000) == 63
-        assert ec2_cc28xlarge.supports_ranks(1000)
+        assert ec2_cc28xlarge.total_cores >= 1000
 
     def test_whole_node_charging_only_on_ec2(self):
         assert ec2_cc28xlarge.charges_whole_nodes

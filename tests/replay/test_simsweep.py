@@ -2,9 +2,9 @@
 
 The executed platform sweep must behave identically however it is
 driven: serial loop vs parallel fan-out produce the same rows *and*
-the same single cached recording (byte for byte), and disabling the
-replay fast path changes only the execution strategy — every virtual
-makespan and clock vector stays bit-identical.
+the same single cached recording (byte for byte), and the replay fast
+path is only an execution strategy — every virtual makespan and clock
+vector is bit-identical to a full simulation on that platform.
 """
 
 import pytest
@@ -13,9 +13,13 @@ import repro
 from repro.broker.simsweep import (
     SWEEP_NUM_RANKS,
     SimSweepTable,
+    _full_sim,
+    _platform_topology,
+    _sweep_problem,
     capture_recording,
 )
 from repro.harness.config import RunConfig
+from repro.platforms.catalog import platform_by_name
 
 
 def _sweep(tmp_path, name, **kwargs):
@@ -72,28 +76,19 @@ class TestSerialParallelIdentity:
 
 class TestReplayOffIsPureStrategy:
     def test_no_replay_full_sim_matches_bit_for_bit(self, tmp_path):
+        """Each replayed row equals a full simulation on its platform."""
         replayed, _ = _sweep(tmp_path, "on")
-        full, full_text = _sweep_no_replay(tmp_path)
-        for a, b in zip(replayed.rows, full.rows):
-            assert a["platform"] == b["platform"]
-            assert not b["replayed"]
-            assert b["bypass_reason"] == "replay disabled by RunConfig.replay"
-            assert a["makespan_s"] == b["makespan_s"]
-            assert a["clocks"] == b["clocks"]
-            assert a["total_bytes"] == b["total_bytes"]
-        assert "full-sim" in full_text
-
-    def test_no_replay_writes_no_recording(self, tmp_path):
-        _sweep_no_replay(tmp_path)
-        assert _rec_files(tmp_path, "off") == []
-
-
-def _sweep_no_replay(tmp_path):
-    config = RunConfig(cache_dir=str(tmp_path / "off"), replay=False)
-    result = repro.run(repro.RunRequest(
-        artifacts=("simsweep",), config=config, use_cache=False,
-    ))
-    return result.artifact("simsweep"), result.render("simsweep")
+        problem = _sweep_problem()
+        for row in replayed.rows:
+            assert row["replayed"]
+            spec = platform_by_name(row["platform"])
+            full = _full_sim(
+                problem, SWEEP_NUM_RANKS,
+                _platform_topology(spec, SWEEP_NUM_RANKS), spec.core_flops(),
+            )
+            assert row["makespan_s"] == full.max_time
+            assert row["clocks"] == list(full.clocks)
+            assert row["total_bytes"] == full.total_bytes
 
 
 class TestCapturedRecordingMeta:

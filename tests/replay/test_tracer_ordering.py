@@ -65,7 +65,7 @@ def test_results_agree_with_recording(runs):
     assert rec.collective_counts() == {
         "allreduce": P * ROUNDS, "barrier": P * ROUNDS,
     }
-    assert rec.op_counts()["c"] >= P * ROUNDS
+    assert sum(op[0] == "c" for ops in rec.ops for op in ops) >= P * ROUNDS
 
 
 def test_per_rank_op_streams_start_with_the_compute(runs):

@@ -77,7 +77,7 @@ class TestOneConnectionPerThread:
                 echo_run(request)
             assert client.status(receipt.job_id).state == "done"
             assert client.stats()["submitted"] == i + 1
-            assert "service_submissions_total" in client.metrics_text()
+            assert client.result(receipt.job_id) == echo_run(request)
         assert len(accepted) == 1
 
     def test_shared_client_across_threads(self, service):

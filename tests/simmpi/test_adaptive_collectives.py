@@ -172,7 +172,9 @@ class TestExecutionMatchesShapes:
         for messages, nbytes, offnode in result.returns:
             assert messages == shape.round_count
             assert nbytes == int(shape.bytes_per_rank)
-            assert offnode == int(shape.internode_bytes)
+            assert offnode == sum(
+                r.nbytes * r.count for r in shape.rounds if r.internode
+            )
 
     @given(blocks=st.integers(1, 6))
     @spmd_settings
@@ -185,7 +187,9 @@ class TestExecutionMatchesShapes:
         shape = coll.allreduce_shape(
             "hier_rabenseifner", size, n_doubles * 8, ranks_per_node=cores
         )
-        inter_bytes = int(shape.internode_bytes)
+        inter_bytes = sum(
+            r.nbytes * r.count for r in shape.rounds if r.internode
+        )
 
         def main(comm):
             o0 = comm.offnode_bytes_sent

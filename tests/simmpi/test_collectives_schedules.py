@@ -12,7 +12,6 @@ from repro.simmpi.collectives import (
     dissemination_rounds,
     recursive_doubling_plan,
     ring_neighbors,
-    tree_depth_of,
 )
 
 sizes = st.integers(min_value=1, max_value=64)
@@ -61,7 +60,10 @@ class TestBinomialTree:
     def test_depth_bounded_by_rounds(self):
         for size in (1, 5, 8, 13, 32):
             for rank in range(size):
-                assert tree_depth_of(rank, size) <= binomial_rounds(size)
+                depth, node = 0, rank
+                while (node := binomial_parent(node, size)) is not None:
+                    depth += 1
+                assert depth <= binomial_rounds(size)
 
     def test_validation(self):
         with pytest.raises(CommunicatorError):

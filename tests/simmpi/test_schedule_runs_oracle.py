@@ -160,12 +160,11 @@ def oracle_rounds(algorithm, size, nbytes, ranks_per_node):
 
 
 def oracle_properties(rounds):
-    """(round_count, internode_round_count, bytes_per_rank, internode_bytes)."""
+    """(round_count, internode_round_count, bytes_per_rank)."""
     return (
         len(rounds),
         sum(1 for r in rounds if r.internode),
         float(sum(r.nbytes for r in rounds)),
-        float(sum(r.nbytes for r in rounds if r.internode)),
     )
 
 
@@ -183,7 +182,7 @@ class OracleSelector(CollectiveSelector):
 
     def _costed(self, collective, algorithm, nbytes):
         rounds = oracle_rounds(algorithm, self.size, nbytes, self.ranks_per_node)
-        count, internode_count, bytes_per_rank, _ = oracle_properties(rounds)
+        count, internode_count, bytes_per_rank = oracle_properties(rounds)
         return Selection(
             collective=collective,
             algorithm=algorithm,
@@ -259,7 +258,6 @@ def test_runs_expand_to_the_oracle_rounds(algorithm, size, ranks_per_node, nbyte
         shape.round_count,
         shape.internode_round_count,
         shape.bytes_per_rank,
-        shape.internode_bytes,
     ) == oracle_properties(rounds)
     topology = ClusterTopology(
         -(-size // ranks_per_node), ranks_per_node, NetworkModel(TEN_GIGABIT_ETHERNET)
@@ -319,7 +317,8 @@ def test_every_catalog_prediction_equals_the_oracle(workload, fused_solver):
         nbytes = int(runs.workload.allreduce_bytes)
         for p in series[1:]:
             oracle = OracleSelector(runs._topology(p), p).select_allreduce(nbytes)
-            assert runs.collective_selection(p) == oracle, (platform.name, p)
+            assert runs._priced(runs._topology(p), p)[0] == oracle, (
+                platform.name, p)
 
 
 # -- counts, not stopwatches ------------------------------------------------------

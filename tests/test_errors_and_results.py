@@ -34,12 +34,11 @@ class TestErrorHierarchy:
         assert issubclass(errors.LaunchError, errors.SimMPIError)
         assert issubclass(errors.ProvisioningError, errors.PlatformError)
         assert issubclass(errors.SchedulerError, errors.PlatformError)
-        assert issubclass(errors.SpotUnavailableError, errors.CloudError)
         assert issubclass(errors.BillingError, errors.CloudError)
 
     def test_one_except_clause_catches_all(self):
         with pytest.raises(errors.ReproError):
-            raise errors.SpotUnavailableError("x")
+            raise errors.BillingError("x")
 
 
 class TestWeakScalingTableEdges:
@@ -71,6 +70,3 @@ class TestWeakScalingTableEdges:
         )
         _headers, rows = weak_scaling_rows(table, "total")
         assert rows == [[1, None]]
-
-    def test_infeasible_point_total_time_inf(self):
-        assert self._point("p", 8, feasible=False).total_time == float("inf")
