@@ -18,7 +18,7 @@ subpackages remain importable directly for everything else:
   behind :func:`repro.run`;
 * ``repro.service`` — the broker as a persistent multi-tenant service
   (job queue, request coalescing, admission control) behind
-  ``repro.run(request, via=...)``.
+  ``BrokerService.run`` and ``ServiceClient(url).run``.
 """
 
 from repro.errors import ReproError

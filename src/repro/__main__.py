@@ -78,24 +78,23 @@ def _cmd_broker(args) -> str:
         volatile_market_request,
     )
 
+    flags = {
+        name: value
+        for name, value in (
+            ("num_ranks", args.ranks),
+            ("num_iterations", args.iterations),
+            ("spike_probability", args.spike_probability),
+        )
+        if value is not None
+    }
     if args.elastic:
-        # The volatile-market scenario of docs/elasticity.md; explicit
-        # flags override its defaults (flags left at the static broker's
-        # defaults keep the scenario's values).
-        request = volatile_market_request(seed=args.seed)
-        overrides = {}
-        if args.app != "rd":
-            overrides["app"] = args.app
-        if args.ranks != 64:
-            overrides["num_ranks"] = args.ranks
-        if args.iterations != 100:
-            overrides["num_iterations"] = args.iterations
-        if args.spike_probability != 0.06:
-            overrides["spot_spike_probability"] = args.spike_probability
+        # The volatile-market scenario of docs/elasticity.md; every flag
+        # given overrides its value, whatever the static defaults are.
         if args.deadline_h is not None:
-            overrides["deadline_s"] = args.deadline_h * 3600.0
-        if overrides:
-            request = dataclasses.replace(request, **overrides)
+            flags["deadline_hours"] = args.deadline_h
+        request = dataclasses.replace(
+            volatile_market_request(seed=args.seed, **flags), app=args.app
+        )
         report = ElasticBroker(request).run()
         return cli.render(
             args,
@@ -108,12 +107,12 @@ def _cmd_broker(args) -> str:
 
     request = BrokerRequest(
         app=args.app,
-        num_ranks=args.ranks,
-        num_iterations=args.iterations,
+        num_ranks=flags.get("num_ranks", 64),
+        num_iterations=flags.get("num_iterations", 100),
         deadline_s=None if args.deadline_h is None else args.deadline_h * 3600.0,
         budget_dollars=args.budget,
         max_interruption_probability=args.max_risk,
-        spot_spike_probability=args.spike_probability,
+        spot_spike_probability=flags.get("spike_probability", 0.06),
         seed=args.seed,
     )
     report = broker_assemblies(request)
@@ -554,16 +553,20 @@ def build_parser() -> argparse.ArgumentParser:
         "broker", help="rank candidate platform placements for one job"
     )
     brokerp.add_argument("--app", choices=("rd", "ns"), default="rd")
-    brokerp.add_argument("--ranks", type=int, default=64)
-    brokerp.add_argument("--iterations", type=int, default=100)
+    brokerp.add_argument("--ranks", type=int, default=None,
+                         help="MPI ranks (default 64; 128 with --elastic)")
+    brokerp.add_argument("--iterations", type=int, default=None,
+                         help="solver iterations (default 100; 1000 with "
+                              "--elastic)")
     brokerp.add_argument("--deadline-h", type=float, default=None,
                          help="time-to-solution deadline in hours")
     brokerp.add_argument("--budget", type=float, default=None,
                          help="run budget in dollars")
     brokerp.add_argument("--max-risk", type=float, default=None,
                          help="maximum acceptable interruption probability")
-    brokerp.add_argument("--spike-probability", type=float, default=0.06,
-                         help="per-spot-node hourly reclaim probability")
+    brokerp.add_argument("--spike-probability", type=float, default=None,
+                         help="per-spot-node hourly reclaim probability "
+                              "(default 0.06; 0.12 with --elastic)")
     brokerp.add_argument("--top", type=int, default=None,
                          help="show only the best N plans")
     brokerp.add_argument("--elastic", action="store_true",

@@ -55,9 +55,9 @@ class RDManufacturedSolution:
             - self.SOURCE_VALUE
         )
 
-    def isosurface_levels(self, count: int = 25, spacing: float = 0.5) -> np.ndarray:
+    def isosurface_levels(self) -> np.ndarray:
         """The level set values of Figure 1: 25 values, 0.5 apart."""
-        return np.arange(count) * spacing
+        return np.arange(25) * 0.5
 
 
 class EthierSteinmanSolution:
@@ -79,11 +79,12 @@ class EthierSteinmanSolution:
     at t = 0.003 s.
     """
 
-    def __init__(self, a: float = np.pi / 4, d: float = np.pi / 2, nu: float = 1.0):
+    a = np.pi / 4
+    d = np.pi / 2
+
+    def __init__(self, nu: float = 1.0):
         if nu <= 0:
             raise ReproError(f"viscosity must be positive, got {nu}")
-        self.a = float(a)
-        self.d = float(d)
         self.nu = float(nu)
 
     def _decay(self, t: float) -> float:
@@ -120,8 +121,9 @@ class EthierSteinmanSolution:
             * g2
         )
 
-    def divergence(self, points: np.ndarray, t: float, h: float = 1e-6) -> np.ndarray:
+    def divergence(self, points: np.ndarray, t: float) -> np.ndarray:
         """Numerical divergence of the velocity (≈ 0 everywhere)."""
+        h = 1e-6  # central-difference step
         points = np.atleast_2d(points)
         div = np.zeros(points.shape[0])
         for i in range(3):
@@ -132,14 +134,13 @@ class EthierSteinmanSolution:
             div += (self.velocity(plus, t)[:, i] - self.velocity(minus, t)[:, i]) / (2 * h)
         return div
 
-    def momentum_residual(
-        self, points: np.ndarray, t: float, h: float = 1e-5
-    ) -> np.ndarray:
+    def momentum_residual(self, points: np.ndarray, t: float) -> np.ndarray:
         """Numerical NSE momentum residual (≈ 0): u_t + (u.grad)u + grad p - nu lap u.
 
         Finite-difference verification that the implemented formulas do
         satisfy the equations — guards against transcription typos.
         """
+        h = 1e-5  # central-difference step
         points = np.atleast_2d(points)
         n = points.shape[0]
         u = self.velocity(points, t)

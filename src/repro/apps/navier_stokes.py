@@ -61,7 +61,6 @@ from repro.io.checkpoint import SolverState
 from repro.la.distributed import DistMatrix, dist_bicgstab, dist_cg_fused
 from repro.la.krylov import SolveResult, bicgstab, cg
 from repro.la.preconditioners import make_preconditioner
-from repro.obs.core import NULL_RANK_OBS
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,14 @@ class NSProblem:
     #: Velocity and pressure are both Q1.
     order: ClassVar[int] = 1
 
+    #: Start time and BDF order of every run.
+    t0: ClassVar[float] = 0.0
+    bdf_order: ClassVar[int] = 2
+
     mesh_shape: tuple[int, int, int] = (8, 8, 8)
     dt: float = 0.002
-    t0: float = 0.0
     num_steps: int = 10
     nu: float = 1.0
-    bdf_order: int = 2
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or self.num_steps < 1:
@@ -135,7 +136,6 @@ class NSSolver:
     def __init__(
         self,
         problem: NSProblem,
-        preconditioner: str = "jacobi",
         tol: float = 1e-10,
         discard: int = 5,
         rotational: bool = False,
@@ -155,7 +155,7 @@ class NSSolver:
             lambda: NSOperators.build(problem),
         )
         self.dofmap = dm = ops.dofmap
-        self.preconditioner_name = preconditioner
+        self.preconditioner_name = "jacobi"
         self.tol = tol
         self.clock = PhaseClock()
         self.log = PhaseLog(discard=discard)
@@ -520,7 +520,6 @@ def run_ns_distributed(
     tol: float = 1e-10,
     cpu_speed_factor: float = 1.0,
     discard: int = 2,
-    obs=None,
     compute_charger=None,
 ):
     """SPMD Navier-Stokes over simmpi: executed numerics, virtual phases.
@@ -532,16 +531,10 @@ def run_ns_distributed(
     virtual_seconds`` callable replacing the wall-clock charge with a
     deterministic model (:class:`repro.perfmodel.ModeledCompute`), the
     prerequisite for bit-exact schedule replay (``docs/replay.md``);
-    ``cpu_speed_factor`` is ignored when set.  An ``obs`` hub gets the
-    step / phase spans, ``phase_seconds`` and ``ns_steps_total``.
+    ``cpu_speed_factor`` is ignored when set.
 
     Returns ``(velocity_error, pressure_error, PhaseLog)`` per rank.
     """
     step = DistributedNSStep(comm, problem, tol)
-    view = NULL_RANK_OBS if obs is None else obs.rank_view(comm)
-    log = step.run(
-        problem.num_steps, cpu_speed_factor, compute_charger, discard, view
-    )
-    if view.enabled:
-        view.count("ns_steps_total", float(problem.num_steps))
+    log = step.run(problem.num_steps, cpu_speed_factor, compute_charger, discard)
     return step.solver.velocity_error(), step.solver.pressure_error(), log

@@ -82,22 +82,17 @@ class RunResult:
         return tuple(self.report.results)
 
 
-def run(request: RunRequest | str | None = None, *, via=None,
-        tenant: str = "default", **kwargs) -> RunResult:
+def run(request: RunRequest | str | None = None, **kwargs) -> RunResult:
     """Regenerate paper artifacts through the sweep engine.
 
     Accepts a full :class:`RunRequest`, a bare artifact name
     (``repro.run("fig4")``), or keyword arguments forwarded to
     :class:`RunRequest` (``repro.run(artifacts=("fig6",), parallel=4)``).
 
-    ``via`` is the v2 service path: pass a running
-    :class:`~repro.service.service.BrokerService`, a
-    :class:`~repro.service.client.ServiceClient`, or a bare
-    ``http://host:port`` URL and the request is submitted there as
-    ``tenant`` instead of executing in-process — identical concurrent
-    submissions coalesce onto one computation, and the same typed
-    :class:`RunResult` comes back.  May raise the service's typed
-    :class:`~repro.errors.AdmissionDenied`.
+    To run the same request on a service instead, call
+    ``BrokerService.run(request, tenant=...)`` or
+    ``ServiceClient(url).run(request, tenant=...)``: the same typed
+    :class:`RunResult` comes back.
     """
     if request is None:
         request = RunRequest(**kwargs)
@@ -109,10 +104,6 @@ def run(request: RunRequest | str | None = None, *, via=None,
         )
     # Validate names before any worker spins up.
     resolve_artifacts(request.artifacts)
-    if via is not None:
-        from repro.service.service import resolve_endpoint
-
-        return resolve_endpoint(via).run(request, tenant=tenant)
     report = run_sweep(
         request.artifacts,
         config=request.config,

@@ -438,23 +438,17 @@ def broker_assemblies(request: BrokerRequest) -> BrokerReport:
     return BrokerReport(request=request, plans=tuple(_score(plans, request)))
 
 
-def section_7d_request(
-    num_ranks: int = 1000,
-    num_iterations: int = 100,
-    deadline_hours: float = 12.0,
-) -> BrokerRequest:
+def section_7d_request() -> BrokerRequest:
     """The paper's §VII.D scenario as a brokering request.
 
-    RD at the largest assembly the authors instantiated: the on-premise
+    RD at the largest assembly the authors instantiated (1000 ranks,
+    100 iterations, a 12-hour deadline): the on-premise
     and grid machines cannot host it, so the choice is EC2 on demand
     versus the spot/on-demand mix — which wins on cost at ~the spot
     discount while meeting any reasonable deadline (Table II).
     """
     return BrokerRequest(
-        app="rd",
-        num_ranks=num_ranks,
-        num_iterations=num_iterations,
-        deadline_s=deadline_hours * 3600.0,
+        app="rd", num_ranks=1000, num_iterations=100, deadline_s=12 * 3600.0
     )
 
 

@@ -11,7 +11,6 @@ from repro.cloud.instances import (
     T1_MICRO,
     M1_SMALL,
     CC1_4XLARGE,
-    CG1_4XLARGE,
     CC2_8XLARGE,
 )
 from repro.cloud.images import MachineImage, BASE_CENTOS_IMAGE, precondition_image
@@ -25,7 +24,6 @@ __all__ = [
     "T1_MICRO",
     "M1_SMALL",
     "CC1_4XLARGE",
-    "CG1_4XLARGE",
     "CC2_8XLARGE",
     "MachineImage",
     "BASE_CENTOS_IMAGE",

@@ -79,9 +79,9 @@ class BillingEngine:
             if not bill.stopped:
                 bill.stop()
 
-    def total_cost(self, round_up_hours: bool = False) -> float:
-        """Total dollars across all instances."""
-        return sum(b.cost(round_up_hours) for b in self.bills.values())
+    def total_cost(self) -> float:
+        """Total dollars across all instances, billed per second."""
+        return sum(b.cost() for b in self.bills.values())
 
     def live_count(self) -> int:
         """Number of still-running instances."""

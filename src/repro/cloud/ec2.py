@@ -228,7 +228,7 @@ class EC2Service:
         self._launched += count
         return out
 
-    def assemble_on_demand(self, num_nodes: int, group_name: str = "pg0") -> CloudCluster:
+    def assemble_on_demand(self, num_nodes: int) -> CloudCluster:
         """Table II's 'full' column: paid instances, single placement group."""
         if num_nodes < 1:
             raise CloudError(f"need >= 1 node, got {num_nodes}")
@@ -237,7 +237,7 @@ class EC2Service:
                 f"requested {num_nodes} on-demand instances; capacity is "
                 f"{self.on_demand_capacity}"
             )
-        placement = PlacementMap.single_group(num_nodes, group_name)
+        placement = PlacementMap.single_group(num_nodes)
         group = placement.group_of(0)
         instances = self._launch(
             num_nodes, "on_demand", self.instance_type.on_demand_hourly, group
@@ -247,22 +247,21 @@ class EC2Service:
     def assemble_mix(
         self,
         num_nodes: int,
-        bid_hourly: float | None = None,
         num_groups: int = 4,
         seed: int = 0,
     ) -> CloudCluster:
         """Table II's 'mix': spot instances (as many as the market gives,
         spread over ``num_groups`` placement groups) topped up with paid
-        on-demand instances.
+        on-demand instances.  Spot requests bid the on-demand price.
 
         The paper: "we were compelled to add regularly-priced hosts to
         spot-request hosts to obtain the size configuration needed."
         """
         if num_nodes < 1:
             raise CloudError(f"need >= 1 node, got {num_nodes}")
-        if bid_hourly is None:
-            bid_hourly = self.instance_type.on_demand_hourly  # bid at on-demand
-        spot_result = self.spot_market.request(num_nodes, bid_hourly)
+        spot_result = self.spot_market.request(
+            num_nodes, self.instance_type.on_demand_hourly
+        )
         spot_count = spot_result.fulfilled
         paid_count = num_nodes - spot_count
         if paid_count > self.on_demand_capacity:

@@ -10,16 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CloudError
-from repro.network.model import (
-    GIGABIT_ETHERNET,
-    LinkModel,
-    TEN_GIGABIT_ETHERNET,
-)
+from repro.network.model import LinkModel, TEN_GIGABIT_ETHERNET
 
 # The "slow network interconnections" of the small instances: shared,
 # sub-gigabit, high-jitter virtual NICs.
 _LOW_NET = LinkModel("low-ec2", latency=250e-6, bandwidth=60e6)
-_MODERATE_NET = GIGABIT_ETHERNET.scaled(latency_factor=3.0, bandwidth_factor=0.6)
 
 
 @dataclass(frozen=True)
@@ -32,7 +27,6 @@ class InstanceType:
     network: LinkModel
     on_demand_hourly: float  # dollars per instance-hour
     typical_spot_hourly: float
-    gpus: int = 0
     bits: int = 64
     hvm: bool = True  # cluster instances require HVM virtualization
     placement_groups: bool = False  # network-aware allocation support
@@ -60,11 +54,6 @@ M1_SMALL = InstanceType(
 CC1_4XLARGE = InstanceType(
     name="cc1.4xlarge", cores=8, ram_gb=23.0, network=TEN_GIGABIT_ETHERNET,
     on_demand_hourly=1.30, typical_spot_hourly=0.52, placement_groups=True,
-)
-CG1_4XLARGE = InstanceType(
-    name="cg1.4xlarge", cores=16, ram_gb=22.5, network=TEN_GIGABIT_ETHERNET,
-    on_demand_hourly=2.10, typical_spot_hourly=0.65, gpus=2,
-    placement_groups=True,
 )
 CC2_8XLARGE = InstanceType(
     name="cc2.8xlarge", cores=16, ram_gb=60.5, network=TEN_GIGABIT_ETHERNET,

@@ -28,7 +28,6 @@ class PlacementGroup:
     """A named placement group in one availability zone."""
 
     name: str
-    availability_zone: str = "us-east-1a"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -44,9 +43,9 @@ class PlacementMap:
         self._groups = list(assignments)
 
     @classmethod
-    def single_group(cls, num_nodes: int, name: str = "pg0") -> "PlacementMap":
+    def single_group(cls, num_nodes: int) -> "PlacementMap":
         """All nodes in one group — the paper's 'full' configuration."""
-        group = PlacementGroup(name)
+        group = PlacementGroup("pg0")
         return cls([group] * num_nodes)
 
     @classmethod

@@ -23,6 +23,8 @@ import numpy as np
 from repro.errors import CloudError
 from repro.cloud.instances import InstanceType
 
+#: Standard deviation of one period's log-price step.
+_PRICE_VOLATILITY = 0.18
 
 @dataclass(frozen=True)
 class SpotRequestResult:
@@ -46,7 +48,6 @@ class SpotMarket:
         self,
         instance_type: InstanceType,
         spare_capacity_mean: float = 40.0,
-        price_volatility: float = 0.18,
         spike_probability: float = 0.06,
         seed: int = 0,
     ):
@@ -54,7 +55,6 @@ class SpotMarket:
             raise CloudError("spare capacity must be positive")
         self.instance_type = instance_type
         self.spare_capacity_mean = spare_capacity_mean
-        self.price_volatility = price_volatility
         self.spike_probability = spike_probability
         self._rng = np.random.default_rng(seed)
         self._log_price = np.log(instance_type.typical_spot_hourly)
@@ -72,7 +72,7 @@ class SpotMarket:
         """Advance the price one period (mean-reverting walk + spikes)."""
         target = np.log(self.base_price)
         reversion = 0.5 * (target - self._log_price)
-        noise = self._rng.normal(0.0, self.price_volatility)
+        noise = self._rng.normal(0.0, _PRICE_VOLATILITY)
         self._log_price += reversion + noise
         if self._rng.random() < self.spike_probability:
             # A demand spike: prices can briefly exceed on-demand.

@@ -31,8 +31,8 @@ def platform_gaps(platforms: list[PlatformSpec] | None = None) -> dict[str, dict
     return out
 
 
-def render_table1(width: int = 14, rows: dict[str, dict[str, str]] | None = None) -> str:
-    """Render Table I as fixed-width text.
+def render_table1(rows: dict[str, dict[str, str]] | None = None) -> str:
+    """Render Table I as fixed-width text, 14 characters a column.
 
     ``rows`` defaults to a freshly generated matrix; the artifact
     registry passes a precomputed (possibly cache-served) one instead.
@@ -40,6 +40,7 @@ def render_table1(width: int = 14, rows: dict[str, dict[str, str]] | None = None
     if rows is None:
         rows = table1_rows()
     platforms = [p.name for p in all_platforms()]
+    width = 14
     lines = []
     header = f"{'':<{width}}" + "".join(f"{name:<{width}}" for name in platforms)
     lines.append(header)

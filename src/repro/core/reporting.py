@@ -13,13 +13,12 @@ import math
 from repro.errors import ExperimentError
 
 
-def ascii_table(
-    headers: list[str], rows: list[list], fmt: str = "{:.4g}", min_width: int = 8
-) -> str:
-    """Render rows as a fixed-width text table.
+def ascii_table(headers: list[str], rows: list[list], fmt: str = "{:.4g}") -> str:
+    """Render rows as a fixed-width text table, columns at least 8 wide.
 
     Numeric cells go through ``fmt``; None renders as '-'.
     """
+    min_width = 8
     if not headers:
         raise ExperimentError("table needs headers")
 
@@ -45,16 +44,15 @@ def ascii_table(
 
 def ascii_chart(
     series: dict[str, list[tuple[float, float]]],
-    width: int = 60,
-    height: int = 16,
     logy: bool = True,
     title: str = "",
 ) -> str:
-    """A crude multi-series scatter chart in text, log-y by default.
+    """A crude 60 x 16 multi-series scatter chart in text, log-y by default.
 
     Each series is a list of (x, y); y values must be positive for the
     log scale.  Missing/infeasible points should simply be absent.
     """
+    width, height = 60, 16
     points = [(x, y) for pts in series.values() for x, y in pts if math.isfinite(y)]
     if not points:
         raise ExperimentError("no finite points to chart")

@@ -102,20 +102,7 @@ class ReplayIncompatibleError(RecordingError):
 
 
 class NetworkError(ReproError):
-    """Network model misuse or injected fabric failure.
-
-    The InfiniBand data-volume cap on *lagrange* surfaces as a subclass.
-    """
-
-
-class DataVolumeExceededError(NetworkError):
-    """Injected failure: a rank exceeded the fabric's data-volume budget."""
-
-    def __init__(self, message: str, rank: int, volume_bytes: int, limit_bytes: int):
-        super().__init__(message)
-        self.rank = rank
-        self.volume_bytes = volume_bytes
-        self.limit_bytes = limit_bytes
+    """Network model misuse: a bad latency, bandwidth, size or placement."""
 
 
 class PlatformError(ReproError):

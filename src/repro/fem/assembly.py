@@ -137,14 +137,13 @@ def _scatter(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
 def assemble_mass(
     dofmap: DofMap,
     coefficient: Coefficient = None,
-    rule: QuadratureRule | None = None,
 ) -> sp.csr_matrix:
     """Assemble the mass matrix ``M_ab = ∫ c φ_a φ_b``.
 
     ``coefficient`` may be None (1), a scalar, or a callable evaluated at
     physical quadrature points.
     """
-    rule = _rule_for(dofmap, rule)
+    rule = default_rule_for_order(dofmap.order)
     basis = dofmap.element.tabulate(rule.points)  # (nb, nq)
     volumes = dofmap.mesh.cell_volumes  # (nc,)
     c = _coefficient_at_quad(dofmap, rule, coefficient)
@@ -161,14 +160,13 @@ def assemble_mass(
 def assemble_stiffness(
     dofmap: DofMap,
     coefficient: Coefficient = None,
-    rule: QuadratureRule | None = None,
 ) -> sp.csr_matrix:
     """Assemble the stiffness matrix ``K_ab = ∫ c ∇φ_a · ∇φ_b``.
 
     Axis-aligned cells make the Jacobian diagonal, so the contraction
     splits into three per-direction terms scaled by ``vol_e / h_{e,d}^2``.
     """
-    rule = _rule_for(dofmap, rule)
+    rule = default_rule_for_order(dofmap.order)
     grads = dofmap.element.tabulate_gradients(rule.points)  # (nb, nq, 3)
     mesh = dofmap.mesh
     scale = mesh.cell_volumes[:, None] / mesh.cell_spacings**2  # (nc, 3)
@@ -234,10 +232,9 @@ def assemble_advection(
 def assemble_load(
     dofmap: DofMap,
     source: Callable[[np.ndarray], np.ndarray] | float,
-    rule: QuadratureRule | None = None,
 ) -> np.ndarray:
     """Assemble the load vector ``F_a = ∫ f φ_a``."""
-    rule = _rule_for(dofmap, rule)
+    rule = default_rule_for_order(dofmap.order)
     basis = dofmap.element.tabulate(rule.points)
     mesh = dofmap.mesh
     nc, nq = mesh.num_cells, rule.num_points

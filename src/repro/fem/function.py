@@ -59,25 +59,24 @@ class FEFunction:
 
     __rmul__ = __mul__
 
-    def l2_norm(self, rule: QuadratureRule | None = None) -> float:
+    def l2_norm(self) -> float:
         """The L2 norm of the function."""
-        return l2_error(self.dofmap, self.values, lambda pts: np.zeros(pts.shape[0]), rule)
+        return l2_error(self.dofmap, self.values, lambda pts: np.zeros(pts.shape[0]))
 
 
-def _error_rule(dofmap: DofMap, rule: QuadratureRule | None) -> QuadratureRule:
+def _error_rule(dofmap: DofMap) -> QuadratureRule:
     # One extra point per direction over the mass-exact rule, so errors of
     # non-polynomial exact solutions are integrated accurately.
-    return rule if rule is not None else hex_quadrature(dofmap.order + 2)
+    return hex_quadrature(dofmap.order + 2)
 
 
 def l2_error(
     dofmap: DofMap,
     values: np.ndarray,
     exact: Callable[[np.ndarray], np.ndarray],
-    rule: QuadratureRule | None = None,
 ) -> float:
     """``||u_h - u_exact||_{L2}`` over the mesh."""
-    rule = _error_rule(dofmap, rule)
+    rule = _error_rule(dofmap)
     uh = evaluate_at_quad(dofmap, values, rule)  # (nc, nq)
     pts = quad_points_physical(dofmap, rule)
     ue = np.asarray(exact(pts.reshape(-1, 3)), dtype=float).reshape(uh.shape)
@@ -90,13 +89,12 @@ def h1_seminorm_error(
     dofmap: DofMap,
     values: np.ndarray,
     exact_grad: Callable[[np.ndarray], np.ndarray],
-    rule: QuadratureRule | None = None,
 ) -> float:
     """``|u_h - u_exact|_{H1}`` — the L2 norm of the gradient error.
 
     ``exact_grad`` maps points ``(n, 3) -> (n, 3)``.
     """
-    rule = _error_rule(dofmap, rule)
+    rule = _error_rule(dofmap)
     gh = evaluate_gradient_at_quad(dofmap, values, rule)  # (nc, nq, 3)
     pts = quad_points_physical(dofmap, rule)
     ge = np.asarray(exact_grad(pts.reshape(-1, 3)), dtype=float).reshape(gh.shape)
@@ -109,13 +107,12 @@ def vector_l2_error(
     dofmap: DofMap,
     components: list[np.ndarray],
     exact: Callable[[np.ndarray], np.ndarray],
-    rule: QuadratureRule | None = None,
 ) -> float:
     """L2 error of a vector field stored as per-component DOF vectors.
 
     ``exact`` maps points ``(n, 3) -> (n, len(components))``.
     """
-    rule = _error_rule(dofmap, rule)
+    rule = _error_rule(dofmap)
     pts = quad_points_physical(dofmap, rule)
     flat = pts.reshape(-1, 3)
     ue = np.asarray(exact(flat), dtype=float)

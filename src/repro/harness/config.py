@@ -31,16 +31,14 @@ class ResilienceParams:
     """Parameters of the resilience artifact (the §VII.B nightmare run).
 
     Defaults: a 2-rank mostly-spot assembly on a market spiking every
-    other hour, one time step per billing interval.
+    other hour.  The market seed, step length and checkpoint / restart
+    costs are the evaluator's constants
+    (:func:`~repro.harness.experiments.resilience_report`).
     """
 
     num_ranks: int = 2
     num_steps: int = 8
-    seed: int = 5
     spike_probability: float = 0.5
-    step_hours: float = 1.0
-    checkpoint_seconds: float = 30.0
-    restart_seconds: float = 120.0
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:

@@ -215,7 +215,8 @@ def resilience_report(
 
     The defaults model the §VII.B nightmare scenario: a market spiking
     every other hour, a mostly-spot assembly, one time step per billing
-    interval.  One seeded market drives three views of the same run:
+    interval (one hour), 30 s per checkpoint and 120 s per restart.  One
+    market, seeded 5, drives three views of the same run:
 
     1. the :class:`~repro.resilience.ResilientRunner` executes the RD
        loop with reclaim-derived rank kills and restarts from
@@ -233,7 +234,7 @@ def resilience_report(
     )
     from repro.resilience import FaultPlan, ResilientRunner
 
-    seed = params.seed
+    seed, step_hours = 5, 1.0
     market = SpotMarket(
         CC2_8XLARGE, spike_probability=params.spike_probability, seed=seed
     )
@@ -244,7 +245,7 @@ def resilience_report(
     )
 
     plan = FaultPlan.from_spot_market(
-        market, params.num_steps, params.step_hours, list(spot_ranks), seed=seed
+        market, params.num_steps, step_hours, list(spot_ranks), seed=seed
     )
     problem = RDProblem(mesh_shape=(4, 4, 4), num_steps=params.num_steps)
     checkpoint_dir = params.checkpoint_dir
@@ -262,10 +263,10 @@ def resilience_report(
     )
     result = runner.run()
 
-    run_seconds = params.num_steps * params.step_hours * 3600.0
+    run_seconds = params.num_steps * step_hours * 3600.0
     outcome = cluster.run_with_interruptions(
         run_seconds, market, seed=seed,
-        checkpoint_interval_s=params.step_hours * 3600.0,
+        checkpoint_interval_s=step_hours * 3600.0,
     )
     cluster.terminate()
     on_demand_cost = (
@@ -273,11 +274,11 @@ def resilience_report(
     )
 
     model = CheckpointRestartModel(
-        checkpoint_seconds=params.checkpoint_seconds,
-        restart_seconds=params.restart_seconds,
+        checkpoint_seconds=30.0,
+        restart_seconds=120.0,
         failure_rate_per_hour=failure_rate_from_market(market, len(spot_ranks)),
     )
-    interval_s = params.step_hours * 3600.0
+    interval_s = step_hours * 3600.0
 
     return ResilienceReport(
         num_ranks=params.num_ranks,

@@ -392,8 +392,9 @@ class DistMatrix:
 
     # -- operations --------------------------------------------------------
 
-    def update_ghosts(self, vector: DistVector, tag: int = 101) -> None:
+    def update_ghosts(self, vector: DistVector) -> None:
         """Halo exchange: refresh ``vector.ghosts`` from owner ranks."""
+        tag = 101
         for dest, positions in self.plan.send_to.items():
             self.comm.send(vector.owned[positions], dest=dest, tag=tag)
         for src, ghost_positions in self.plan.recv_from.items():
@@ -476,22 +477,15 @@ class DistBlockJacobiPreconditioner:
     the solve phase (halo exchanges + allreduce latency) does not.
     """
 
-    def __init__(self, matrix: DistMatrix, local_factory=None):
-        if local_factory is None:
-            local_factory = ILU0Preconditioner
-        self._local_factory = local_factory
-        self._local = local_factory(matrix.local_diagonal_block())
+    def __init__(self, matrix: DistMatrix):
+        self._local = ILU0Preconditioner(matrix.local_diagonal_block())
         self._comm = matrix.comm
         self._num_ghosts = matrix.ghost_indices.size
         self.setup_flops = self._local.setup_flops
 
     def update(self, matrix: DistMatrix) -> "DistBlockJacobiPreconditioner":
         """Refresh the local block factorization (communication-free)."""
-        block = matrix.local_diagonal_block()
-        if hasattr(self._local, "update"):
-            self._local.update(block)
-        else:
-            self._local = self._local_factory(block)
+        self._local.update(matrix.local_diagonal_block())
         self.setup_flops = self._local.setup_flops
         return self
 
@@ -503,19 +497,18 @@ class DistBlockJacobiPreconditioner:
 def dist_cg(
     matrix: DistMatrix,
     b: DistVector,
-    x0: DistVector | None = None,
     preconditioner=None,
     tol: float = 1e-10,
     maxiter: int = 1000,
 ) -> SolveResult:
     """Distributed preconditioned CG — the same algorithm as
-    :func:`repro.la.krylov.cg` with distributed primitives.
+    :func:`repro.la.krylov.cg` with distributed primitives, from a zero
+    initial guess.
 
     Returns a :class:`SolveResult` whose ``x`` is this rank's owned block.
     """
     comm = matrix.comm
-    x = x0.copy() if x0 is not None else DistVector(comm, np.zeros_like(b.owned),
-                                                    matrix.ghost_indices.size)
+    x = DistVector(comm, np.zeros_like(b.owned), matrix.ghost_indices.size)
     result = SolveResult(x=x.owned, converged=False, iterations=0, residual_norm=np.inf)
 
     b_norm = b.norm()
@@ -695,13 +688,12 @@ def dist_bicgstab(
     matrix: DistMatrix,
     b: DistVector,
     x0: DistVector | None = None,
-    preconditioner=None,
     tol: float = 1e-10,
     maxiter: int = 1000,
 ) -> SolveResult:
-    """Distributed preconditioned BiCGStab — the nonsymmetric companion
-    of :func:`dist_cg`, used by the distributed Navier-Stokes momentum
-    solves.  Same van der Vorst recurrence as
+    """Distributed BiCGStab — the nonsymmetric companion of
+    :func:`dist_cg`, used unpreconditioned by the distributed
+    Navier-Stokes momentum solves.  Same van der Vorst recurrence as
     :func:`repro.la.krylov.bicgstab` with distributed primitives.
     """
     comm = matrix.comm
@@ -749,7 +741,7 @@ def dist_bicgstab(
             p.axpy(1.0, r)
             result.axpys += 2
         rho = rho_new
-        p_hat = preconditioner.apply(p) if preconditioner else p.copy()
+        p_hat = p.copy()
         result.precond_applies += 1
         v = matrix.matvec(p_hat)
         result.matvecs += 1
@@ -770,7 +762,7 @@ def dist_bicgstab(
             result.iterations = it
             result.residuals.append(res_norm)
             break
-        s_hat = preconditioner.apply(s) if preconditioner else s.copy()
+        s_hat = s.copy()
         result.precond_applies += 1
         t = matrix.matvec(s_hat)
         result.matvecs += 1

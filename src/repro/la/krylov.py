@@ -283,7 +283,6 @@ def bicgstab(
 def gmres(
     operator,
     b: np.ndarray,
-    x0: np.ndarray | None = None,
     preconditioner=None,
     tol: float = 1e-10,
     maxiter: int = 1000,
@@ -293,13 +292,13 @@ def gmres(
     """Restarted GMRES(m) with right preconditioning.
 
     Arnoldi with modified Gram–Schmidt and Givens-rotation least squares,
-    as in Saad's reference formulation.
+    as in Saad's reference formulation, from a zero initial guess.
     """
     if restart < 1:
         raise SolverError(f"restart must be >= 1, got {restart}")
     matvec = _as_matvec(operator)
     precond = _as_precond(preconditioner)
-    b, x = _check_inputs(b, x0)
+    b, x = _check_inputs(b, None)
 
     result = SolveResult(x=x, converged=False, iterations=0, residual_norm=np.inf)
     b_norm = float(np.linalg.norm(b))

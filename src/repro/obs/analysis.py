@@ -43,27 +43,26 @@ class PhaseStats:
     max: float
 
 
-def _phase_series(roots: list[Span], phases: tuple[str, ...],
-                  step_span: str) -> dict[str, list[float]]:
+def _phase_series(roots: list[Span]) -> dict[str, list[float]]:
     """Per phase, one duration per step (children summed within a step)."""
-    series: dict[str, list[float]] = {p: [] for p in phases}
-    for step in spans_named(roots, step_span):
-        per_phase = {p: 0.0 for p in phases}
+    series: dict[str, list[float]] = {p: [] for p in PHASE_NAMES}
+    for step in spans_named(roots, "step"):
+        per_phase = {p: 0.0 for p in PHASE_NAMES}
         for child in step.children:
             if child.name in per_phase and child.closed:
                 per_phase[child.name] += child.duration
-        for p in phases:
+        for p in PHASE_NAMES:
             series[p].append(per_phase[p])
     return series
 
 
 def phase_statistics(
-    obs,
-    phases: tuple[str, ...] = PHASE_NAMES,
-    step_span: str = "step",
-    discard: int | None = None,
+    obs, discard: int | None = None
 ) -> dict[int | None, dict[str, PhaseStats]]:
     """Per-rank (and merged) phase statistics with the paper's reduction.
+
+    Each ``step`` span's children named in ``PHASE_NAMES`` make one
+    iteration's phase durations.
 
     The merged row (key ``None``) takes, per iteration, the *maximum*
     over ranks — the slowest rank bounds the iteration — before the
@@ -74,7 +73,7 @@ def phase_statistics(
     out: dict[int | None, dict[str, PhaseStats]] = {}
     all_series: dict[int, dict[str, list[float]]] = {}
     for rank, roots in obs.all_roots().items():
-        series = _phase_series(roots, phases, step_span)
+        series = _phase_series(roots)
         if not any(series.values()):
             continue
         all_series[rank] = series
@@ -83,7 +82,7 @@ def phase_statistics(
         }
     if all_series:
         merged: dict[str, PhaseStats] = {}
-        for p in phases:
+        for p in PHASE_NAMES:
             columns = [s[p] for s in all_series.values()]
             n = min(len(c) for c in columns)
             per_iter = [max(c[i] for c in columns) for i in range(n)]
@@ -176,17 +175,16 @@ class CriticalPathReport:
 class _SpanIndex:
     """Per-rank interval lookup: time -> (innermost phase, step index)."""
 
-    def __init__(self, roots: list[Span], phases: tuple[str, ...],
-                 step_span: str):
+    def __init__(self, roots: list[Span]):
         self._phase_ivals: list[tuple[float, float, str]] = []
         self._step_ivals: list[tuple[float, float, int]] = []
         step_idx = 0
         for span in iter_spans(roots):
             if not span.closed:
                 continue
-            if span.name in phases:
+            if span.name in PHASE_NAMES:
                 self._phase_ivals.append((span.t_start, span.t_end, span.name))
-            elif span.name == step_span:
+            elif span.name == "step":
                 idx = span.attrs.get("step", step_idx)
                 self._step_ivals.append((span.t_start, span.t_end, int(idx)))
                 step_idx += 1
@@ -262,18 +260,15 @@ def _match_events(by_rank):
     return recv_to_send, coll_to_last
 
 
-def critical_path(
-    obs,
-    phases: tuple[str, ...] = PHASE_NAMES,
-    step_span: str = "step",
-) -> CriticalPathReport:
+def critical_path(obs) -> CriticalPathReport:
     """Walk the happens-before graph backward from the run's last event.
 
     At every event the walk asks what completed it last: the preceding
     event on the same rank, the matching send (a recv that sat waiting),
     or the last rank to enter a collective round.  The chain of those
     answers is the critical path; time on it is attributed to the
-    enclosing (rank, phase, step) from the span tree.
+    enclosing (rank, ``PHASE_NAMES`` phase, ``step`` span) from the span
+    tree.
     """
     by_rank = _timelines(obs.tracer.snapshot())
     if not by_rank:
@@ -284,10 +279,10 @@ def critical_path(
     recv_to_send, coll_to_last = _match_events(by_rank)
 
     indexes = {
-        rank: _SpanIndex(roots, phases, step_span)
+        rank: _SpanIndex(roots)
         for rank, roots in obs.all_roots().items()
     }
-    empty = _SpanIndex([], phases, step_span)
+    empty = _SpanIndex([])
 
     # Start at the globally last-finishing event.
     current = max(

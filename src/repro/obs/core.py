@@ -89,11 +89,6 @@ class ObsConfig:
     out_dir: str | Path | None = None
     prefix: str = "obs"
     discard: int = 5  # warm-up iterations the phase statistics drop
-    #: Piggyback Lamport/vector clocks on every message so the run can
-    #: be happens-before checked (:mod:`repro.obs.causal`).  Off by
-    #: default: clocks never perturb virtual time, but they do cost
-    #: real time at large p.
-    causal: bool = False
 
     def resolved_dir(self) -> Path | None:
         """The output directory as a Path (created lazily by export)."""
@@ -182,8 +177,8 @@ class Observability:
         self._stacks: dict[int, SpanStack] = {}
         self._lock = threading.Lock()
         #: The run's :class:`~repro.obs.causal.CausalTracker`, attached
-        #: by :func:`~repro.simmpi.launcher.run_spmd` when causal
-        #: tracing is on (None otherwise).
+        #: by :func:`~repro.simmpi.launcher.run_spmd` when launched with
+        #: ``causal=`` (None otherwise).
         self.causal = None
         #: A :class:`~repro.obs.streaming.StreamingSink` when a live
         #: telemetry stream is attached (the sweep engine does this).

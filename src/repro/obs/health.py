@@ -244,7 +244,7 @@ def _top_level(records: list) -> list[int]:
     return top
 
 
-def run_health(tracer, num_ranks: int | None = None) -> RunHealthReport:
+def run_health(tracer) -> RunHealthReport:
     """Classify a traced run's communication time into wait states.
 
     ``tracer`` is a :class:`~repro.simmpi.tracing.Tracer` (or an object
@@ -257,10 +257,6 @@ def run_health(tracer, num_ranks: int | None = None) -> RunHealthReport:
     recv_to_send, coll_to_last = _match_events(by_rank)
 
     accums: dict[int, _RankAccum] = defaultdict(_RankAccum)
-    if num_ranks is not None:
-        for rank in range(num_ranks):
-            accums[rank]
-
     for rank, records in by_rank.items():
         acc = accums[rank]
         for rec in records:

@@ -170,34 +170,35 @@ def tail_rows(path: str | os.PathLike, last: int = 20,
         yield format_row(row)
 
 
-def follow_rows(path: str | os.PathLike, poll_interval: float = 0.5,
-                kinds: tuple[str, ...] | None = None,
-                stop=None) -> Iterator[dict]:
+#: Seconds ``follow_rows`` waits before reading the stream again.
+_POLL_SECONDS = 0.5
+
+
+def follow_rows(path: str | os.PathLike,
+                kinds: tuple[str, ...] | None = None) -> Iterator[dict]:
     """Yield stream rows as they are appended (``tail -f`` semantics).
 
     Tolerates the file not existing yet — a service may be booting when
-    ``tail --follow`` starts — by polling until it appears, and skips
-    half-written or malformed lines exactly like :func:`read_rows`.
-    ``stop`` is an optional zero-argument callable checked between
-    polls so tests (and the CLI's signal handling) can end the follow;
-    without it the generator runs until the consumer stops iterating.
+    ``tail --follow`` starts — by polling every :data:`_POLL_SECONDS`
+    until it appears, and skips half-written or malformed lines exactly
+    like :func:`read_rows`.  The generator never ends by itself: the
+    consumer stops iterating (``repro tail --follow`` on Ctrl-C) or
+    closes it.
     """
     target = os.fspath(path)
     offset = 0
     buffer = ""
     while True:
-        if stop is not None and stop():
-            return
         try:
             with open(target, "r", encoding="utf-8") as fh:
                 fh.seek(offset)
                 chunk = fh.read()
                 offset = fh.tell()
         except FileNotFoundError:
-            time.sleep(poll_interval)
+            time.sleep(_POLL_SECONDS)
             continue
         if not chunk:
-            time.sleep(poll_interval)
+            time.sleep(_POLL_SECONDS)
             continue
         buffer += chunk
         # Only complete lines are parsed; a trailing partial line waits

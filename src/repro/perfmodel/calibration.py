@@ -53,7 +53,7 @@ class HostCalibration:
 
 
 def calibrate_iteration_growth(
-    mesh_per_dim: int = 6, rank_counts: tuple[int, ...] = (1, 8), seed: int = 0
+    mesh_per_dim: int = 6, rank_counts: tuple[int, ...] = (1, 8)
 ) -> float:
     """Measure the Krylov iteration-growth rate from executed runs.
 

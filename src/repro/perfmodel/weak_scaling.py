@@ -51,10 +51,9 @@ def weak_scaling_sweep(
     workload: AppWorkload,
     platform: PlatformSpec,
     rank_series: list[int] | None = None,
-    elements_per_rank: int = 20**3,
     core_hour_rate: float | None = None,
 ) -> list[WeakScalingPoint]:
-    """One platform's weak-scaling column for a figure.
+    """One platform's weak-scaling column for a figure, 20^3 elements a rank.
 
     Infeasible points (beyond the platform's ceiling) are included with
     ``feasible=False`` so the figure generators can report *why* a curve
@@ -69,7 +68,6 @@ def weak_scaling_sweep(
     model = PhaseModel(
         workload,
         platform,
-        elements_per_rank=elements_per_rank,
         time_scale=time_scale_for(workload),
     )
     points = []

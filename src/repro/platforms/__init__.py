@@ -6,8 +6,8 @@ dependencies, MPI availability and scheduler — becomes
 :class:`~repro.platforms.spec.PlatformSpec` instances in
 :mod:`~repro.platforms.catalog`.  The porting narrative of §VI becomes
 the provisioning planner; the execution pathologies of §VII (ellipse's
-mpiexec ceiling, lagrange's InfiniBand data-volume cap) become failure
-injection hooks.
+mpiexec ceiling, lagrange's InfiniBand data-volume cap) become the rank
+ceiling :func:`~repro.platforms.limits.rank_ceiling_reason` reports.
 """
 
 from repro.platforms.spec import (
@@ -46,7 +46,6 @@ from repro.platforms.schedulers import (
     ShellLauncher,
     make_scheduler,
 )
-from repro.platforms.limits import launch_hook_for, volume_limit_for
 
 __all__ = [
     "AccessMode",
@@ -75,6 +74,4 @@ __all__ = [
     "SGEScheduler",
     "ShellLauncher",
     "make_scheduler",
-    "launch_hook_for",
-    "volume_limit_for",
 ]

@@ -1,66 +1,23 @@
-"""Failure injection: the execution pathologies of §VII.A.
+"""The execution ceilings of §VII.A, as one analytic fact.
 
 Two platforms could not run the full weak-scaling series:
 
 * **ellipse** — "our tasks spanning above 512 processes could not be
   launched (mpiexec was unable to initialize a huge number of remote
-  MPI daemons)": modeled as a :class:`~repro.errors.LaunchError` raised
-  by the launch hook before any rank starts;
+  MPI daemons)": ``PlatformSpec.max_launch_ranks``;
 * **lagrange** — "our simulation codes reached the configured limit of
   data volume sent by the IB network adapters.  As a result, we could
-  not execute tasks bigger than 343 processes": modeled as a per-rank
-  send-volume budget that the 512-rank halo traffic exceeds but the
-  343-rank traffic does not.
+  not execute tasks bigger than 343 processes":
+  ``PlatformSpec.data_volume_cap_ranks``.
+
+Nothing executes these failures: every artifact asks
+:func:`rank_ceiling_reason` whether a rank count fits, and reports its
+message for the cells the paper could not run.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.errors import LaunchError
 from repro.platforms.spec import PlatformSpec
-
-# Calibrated per-rank send budget for lagrange, in bytes.  The RD halo
-# traffic per rank is roughly constant in a weak-scaling sweep, but the
-# *aggregate* per-adapter volume grows with ranks per node and with the
-# collective fan-in at higher process counts; the operators' configured
-# cap sat between the 343- and 512-rank runs.  We encode the operative
-# consequence directly: the cap admits <= data_volume_cap_ranks ranks.
-_LAGRANGE_BUDGET_BYTES_PER_RANK = 2.0e9
-
-
-def launch_hook_for(platform: PlatformSpec) -> Callable[[int], None] | None:
-    """The pre-launch failure hook for a platform (None if benign)."""
-    if platform.max_launch_ranks is None:
-        return None
-    ceiling = platform.max_launch_ranks
-
-    def hook(num_ranks: int) -> None:
-        if num_ranks > ceiling:
-            raise LaunchError(
-                f"{platform.name}: mpiexec was unable to initialize "
-                f"{num_ranks} remote MPI daemons (observed ceiling "
-                f"{ceiling}, paper §VII.A)"
-            )
-
-    return hook
-
-
-def volume_limit_for(platform: PlatformSpec, num_ranks: int) -> float | None:
-    """Per-rank data-volume budget in bytes, or None when unlimited.
-
-    Only lagrange carries a budget; it is sized so runs at or below the
-    paper's observed 343-rank ceiling fit and larger runs trip
-    :class:`~repro.errors.DataVolumeExceededError` mid-flight.
-    """
-    if platform.data_volume_cap_ranks is None:
-        return None
-    cap = platform.data_volume_cap_ranks
-    if num_ranks <= cap:
-        return _LAGRANGE_BUDGET_BYTES_PER_RANK
-    # Above the observed ceiling the same budget is spread over more
-    # adapter traffic; scale it down proportionally so the run fails.
-    return _LAGRANGE_BUDGET_BYTES_PER_RANK * (cap / num_ranks) ** 3
 
 
 def effective_max_ranks(platform: PlatformSpec) -> int:

@@ -148,13 +148,13 @@ def plan_provisioning(
     return plan
 
 
-def deployment_gap(platform: PlatformSpec, registry: PackageRegistry | None = None,
-                   target: str = LIFEV_TARGET) -> list[str]:
-    """The packages missing on the platform (Table I's colored cells)."""
+def deployment_gap(platform: PlatformSpec,
+                   registry: PackageRegistry | None = None) -> list[str]:
+    """The LifeV-stack packages missing on the platform (Table I's colored cells)."""
     if registry is None:
         registry = lifev_stack_registry()
     return [
         name
-        for name in registry.closure([target])
+        for name in registry.closure([LIFEV_TARGET])
         if name not in platform.preinstalled
     ]

@@ -14,7 +14,7 @@ import shlex
 
 from repro.errors import ProvisioningError
 from repro.platforms.provisioning import ProvisioningPlan
-from repro.platforms.software import PackageRegistry, lifev_stack_registry
+from repro.platforms.software import lifev_stack_registry
 from repro.platforms.spec import PlatformSpec
 
 # Source tarballs as §VI names them (versions from the paper).
@@ -101,7 +101,6 @@ _CONFIG_RECIPES: dict[str, list[str]] = {
 def provisioning_script(
     plan: ProvisioningPlan,
     platform: PlatformSpec,
-    registry: PackageRegistry | None = None,
     prefix: str = "$HOME/sw",
 ) -> str:
     """Render an executable shell script for a provisioning plan.
@@ -110,8 +109,7 @@ def provisioning_script(
     use yum where the plan says so.  Raises if the plan and platform
     disagree (a yum step on a user-space machine).
     """
-    if registry is None:
-        registry = lifev_stack_registry()
+    registry = lifev_stack_registry()
     lines = [
         "#!/bin/bash",
         "# Auto-generated provisioning script: "

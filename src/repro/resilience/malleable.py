@@ -188,9 +188,6 @@ def run_malleable(
     problem,
     schedule: list[tuple[int, int]],
     checkpoint_dir: str | Path,
-    tol: float | None = None,
-    real_timeout: float = 120.0,
-    obs=None,
 ) -> MalleableRunResult:
     """Run the problem's time loop through a rank-count ``schedule``.
 
@@ -204,7 +201,7 @@ def run_malleable(
     numbered columns, rank-count-invariant dots, the step's
     width-invariant preconditioner), so the returned records and
     solution are bit-identical to a fixed-``p`` run of the same problem
-    for *any* schedule.  ``tol=None`` takes the step's ``TOL``.
+    for *any* schedule, solved to the step's ``TOL``.
     """
     step_class = DistributedStep.for_problem(problem)
     if not schedule:
@@ -237,9 +234,7 @@ def run_malleable(
         run_spmd(
             target=_segment_body,
             num_ranks=width,
-            args=(step_class, problem, ownership, resume_from, steps, tol, shared),
-            real_timeout=real_timeout,
-            observability=obs,
+            args=(step_class, problem, ownership, resume_from, steps, shared),
         )
         if index < len(schedule) - 1:
             save_state(
@@ -264,7 +259,6 @@ def _segment_body(
     ownership: list[np.ndarray],
     resume_from: Path | None,
     num_steps: int,
-    tol: float | None,
     shared: dict,
 ):
     """One fixed-width segment of the malleable time loop.
@@ -276,8 +270,8 @@ def _segment_body(
     checkpoint between segments.
     """
     step = step_class(
-        comm, problem, tol, step_class.INVARIANT_PRECONDITIONER, ownership,
-        numbering="global",
+        comm, problem, preconditioner=step_class.INVARIANT_PRECONDITIONER,
+        ownership=ownership, numbering="global",
     )
     if resume_from is not None:
         load_state(resume_from, step.solver)

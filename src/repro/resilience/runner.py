@@ -113,9 +113,9 @@ class ResilientRunner:
         Capped exponential backoff between restart attempts.  The delay
         is *modeled* (recorded in :class:`RestartStats`), never slept —
         virtual time is the only clock the experiments read.
-    preconditioner / tol:
-        ``None`` takes the step's defaults (``DEFAULT_PRECONDITIONER``,
-        ``TOL``).
+    preconditioner:
+        ``None`` takes the step's ``DEFAULT_PRECONDITIONER``; the solver
+        tolerance is always the step's ``TOL``.
     """
 
     def __init__(
@@ -129,9 +129,6 @@ class ResilientRunner:
         backoff_base_s: float = 1.0,
         backoff_cap_s: float = 60.0,
         preconditioner: str | None = None,
-        tol: float | None = None,
-        cpu_speed_factor: float = 1.0,
-        topology=None,
         real_timeout: float = 120.0,
         obs=None,
     ):
@@ -154,9 +151,6 @@ class ResilientRunner:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.preconditioner = preconditioner
-        self.tol = tol
-        self.cpu_speed_factor = cpu_speed_factor
-        self.topology = topology
         self.real_timeout = real_timeout
         self.obs = obs
 
@@ -187,7 +181,6 @@ class ResilientRunner:
                 run_spmd(
                     target=self._attempt_body,
                     num_ranks=self.num_ranks,
-                    topology=self.topology,
                     args=(shared, stats),
                     fault_injector=self.injector,
                     real_timeout=self.real_timeout,
@@ -263,7 +256,7 @@ class ResilientRunner:
         rank = comm.rank
         metrics = self._metrics()
 
-        step = self.step_class(comm, self.problem, self.tol, self.preconditioner)
+        step = self.step_class(comm, self.problem, preconditioner=self.preconditioner)
         solver = step.solver
         # Resume point: every rank reads the (process-local) checkpoint
         # file; the state is replicated, so no broadcast is needed and
@@ -297,7 +290,6 @@ class ResilientRunner:
 
         step.run(
             self.problem.num_steps - solver.steps_taken,
-            cpu_speed_factor=self.cpu_speed_factor,
             before_step=before_step,
             gate=partial(injector.enter_phase, rank),
             on_record=on_record,

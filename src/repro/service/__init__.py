@@ -22,9 +22,10 @@ This package provides it, stdlib-only:
   that endpoint and returns the same typed
   :class:`~repro.broker.api.RunResult` an in-process run would.
 
-``repro.run(request, via=service_or_url)`` is the v2 entry point: the
-same call as always, routed through a service so identical requests
-from different tenants share one computation.
+``BrokerService.run(request, tenant=...)`` and
+``ServiceClient(url).run(request, tenant=...)`` are ``repro.run(request)``
+routed through a service, so identical requests from different tenants
+share one computation.
 """
 
 from repro.service.admission import (
@@ -36,7 +37,7 @@ from repro.service.admission import (
 from repro.service.client import ServiceClient
 from repro.service.jobs import JOB_STATES, JobStatus, SubmitReceipt, job_key
 from repro.service.queue import JobQueue
-from repro.service.service import BrokerService, ServiceConfig, resolve_endpoint
+from repro.service.service import BrokerService, ServiceConfig
 
 __all__ = [
     "AdmissionController",
@@ -51,5 +52,4 @@ __all__ = [
     "JobQueue",
     "BrokerService",
     "ServiceConfig",
-    "resolve_endpoint",
 ]

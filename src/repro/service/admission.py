@@ -98,19 +98,18 @@ class TokenBucket:
         self._stamp = now
         self._tokens = min(float(self.burst), self._tokens + elapsed * self.rate_per_s)
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; False (taking nothing) otherwise."""
+    def try_acquire(self) -> bool:
+        """Take one token if available; False (taking nothing) otherwise."""
         self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
-    def seconds_until(self, tokens: float = 1.0) -> float:
-        """How long until ``tokens`` will be available (0 when they are)."""
+    def seconds_until(self) -> float:
+        """How long until one token will be available (0 when it is)."""
         self._refill()
-        deficit = tokens - self._tokens
-        return max(0.0, deficit / self.rate_per_s)
+        return max(0.0, (1.0 - self._tokens) / self.rate_per_s)
 
 
 class AdmissionController:

@@ -8,8 +8,9 @@ pickled-through typed :class:`~repro.broker.api.RunResult`, and error
 bodies are re-raised as the original exception classes
 (:class:`~repro.errors.AdmissionDenied` with its ``reason`` and
 ``retry_after_s`` intact, :class:`~repro.errors.JobNotFoundError`, …),
-so ``repro.run(request, via="http://127.0.0.1:8642")`` is
-indistinguishable from a local run apart from who did the computing.
+so ``ServiceClient("http://127.0.0.1:8642").run(request)`` is
+indistinguishable from ``repro.run(request)`` apart from who did the
+computing.
 
 Every verb a thread calls travels over that thread's one persistent
 HTTP/1.1 connection, so a client is safe to share across threads and a
@@ -189,7 +190,7 @@ class ServiceClient:
 
     def run(self, request, tenant: str = "default",
             timeout: float | None = None):
-        """Submit and wait — the client side of ``repro.run(via=url)``."""
+        """Submit and wait: ``repro.run(request)``, run on the service."""
         receipt = self.submit(request, tenant=tenant)
         return self.result(receipt.job_id, timeout=timeout)
 

@@ -131,9 +131,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _send_json(self, doc: dict, status: int = 200) -> None:
         self._send(json.dumps(doc).encode(), "application/json", status)
 
-    def _send_text(self, text: str, status: int = 200) -> None:
-        self._send(text.encode(), "text/plain; version=0.0.4", status)
-
     def _read_body(self) -> bytes:
         """Exactly the request's declared body, so the next request on
         the connection starts where this one ends."""
@@ -236,7 +233,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _get_metrics(self) -> None:
         from repro.obs.exporters import prometheus_text
 
-        self._send_text(prometheus_text(self.service.hub.metrics))
+        text = prometheus_text(self.service.hub.metrics)
+        self._send(text.encode(), "text/plain; version=0.0.4", 200)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

@@ -14,9 +14,9 @@ the "persistent front end" ROADMAP item 2 asks for.
 HTTP to out-of-process tenants (``python -m repro submit``, curl, or a
 :class:`~repro.service.client.ServiceClient`).
 
-:func:`resolve_endpoint` is the glue behind the v2 API:
-``repro.run(request, via=...)`` accepts a :class:`BrokerService`, a
-client, or a bare URL and routes the run through whichever it got.
+:meth:`BrokerService.run` and :meth:`ServiceClient.run
+<repro.service.client.ServiceClient.run>` are the service's forms of
+``repro.run(request)``: submit, wait, and return the same typed result.
 """
 
 from __future__ import annotations
@@ -204,32 +204,9 @@ class BrokerService:
 
     def run(self, request, tenant: str = "default",
             timeout: float | None = None):
-        """Submit and wait: the service-side half of ``repro.run(via=)``."""
+        """Submit and wait: ``repro.run(request)``, run on this service."""
         receipt = self.submit(request, tenant=tenant)
         return self.result(receipt.job_id, timeout=timeout)
 
 
-def resolve_endpoint(via):
-    """Normalise ``repro.run``'s ``via=`` into something with ``.run()``.
-
-    Accepts a running :class:`BrokerService`, a
-    :class:`~repro.service.client.ServiceClient`, or a bare
-    ``http://host:port`` URL string (wrapped in a fresh client).
-    """
-    if isinstance(via, str):
-        if not via.startswith("http://") and not via.startswith("https://"):
-            raise ServiceError(
-                f"via= URL must start with http:// or https://, got {via!r}"
-            )
-        from repro.service.client import ServiceClient
-
-        return ServiceClient(via)
-    if hasattr(via, "run"):
-        return via
-    raise ServiceError(
-        f"via= must be a BrokerService, ServiceClient, or URL, "
-        f"got {type(via).__name__}"
-    )
-
-
-__all__ = ["ServiceConfig", "BrokerService", "resolve_endpoint"]
+__all__ = ["ServiceConfig", "BrokerService"]

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicatorError, DataVolumeExceededError
+from repro.errors import CommunicatorError
 from repro.network.topology import ClusterTopology
 from repro.simmpi import collectives as coll
 from repro.simmpi.selector import CollectiveSelector, GroupPlan
@@ -146,7 +146,6 @@ class Communicator:
         clock: VirtualClock | None = None,
         context: int = 0,
         group: list[int] | None = None,
-        volume_limit_bytes: float | None = None,
         log: list[tuple] | None = None,
     ):
         if not (0 <= rank < size):
@@ -173,9 +172,8 @@ class Communicator:
         self._plan: GroupPlan = engine.plans[context]
         self._node = self._plan.node_of[rank]
         self._links = self._plan.links[self._node]
-        self.volume_limit_bytes = volume_limit_bytes
         #: Per physical rank, like ``clock``: the world communicator and
-        #: every split/dup of it count into (and are capped by) one tally.
+        #: every split/dup of it count into one tally.
         self._traffic = engine.counters[self.world_rank]
         self.collective_counts = self._traffic.collective_counts
         self.algorithm_counts = self._traffic.algorithm_counts
@@ -243,18 +241,6 @@ class Communicator:
         traffic = self._traffic
         traffic.bytes_sent += nbytes
         traffic.messages_sent += 1
-        if (
-            self.volume_limit_bytes is not None
-            and traffic.bytes_sent > self.volume_limit_bytes
-        ):
-            raise DataVolumeExceededError(
-                f"rank {self.rank} exceeded the fabric data-volume budget "
-                f"({traffic.bytes_sent} > {self.volume_limit_bytes:.0f} bytes) — "
-                f"the lagrange IB limitation (paper §VII.A)",
-                rank=self.rank,
-                volume_bytes=traffic.bytes_sent,
-                limit_bytes=int(self.volume_limit_bytes),
-            )
         clock = self.clock
         start = clock.time
         world_dest = self.group[dest]
@@ -456,7 +442,6 @@ class Communicator:
         root: int = 0,
         algorithm: str = "binomial",
         nbytes: int | None = None,
-        site: str = "",
     ) -> Any:
         """Broadcast; every rank returns the payload.
 
@@ -472,8 +457,7 @@ class Communicator:
         ``"auto"`` consults the :meth:`selector` — but only when
         ``nbytes`` (a payload-size hint every rank knows; non-roots do
         not hold the payload) is given; without the hint it degrades to
-        the binomial tree on every rank.  ``site`` labels the chosen
-        algorithm in the obs metrics.
+        the binomial tree on every rank.
         """
         self._check_peer(root)
         tag = self._next_coll_tag()
@@ -484,7 +468,7 @@ class Communicator:
             else:
                 algorithm = self.selector().select_bcast(int(nbytes)).algorithm
         self._record_algorithm(
-            "bcast", algorithm, site,
+            "bcast", algorithm, "",
             nbytes=-1 if nbytes is None else int(nbytes), auto=was_auto,
         )
         if algorithm == "binomial":
@@ -970,7 +954,6 @@ class Communicator:
             clock=self.clock,  # shared: same physical rank, same timeline
             context=mapping[color],
             group=plan.group,
-            volume_limit_bytes=self.volume_limit_bytes,
             log=self.log,  # shared too: one log per physical rank
         )
 

@@ -13,13 +13,11 @@ through configuration or the environment, and produces bit-identical
 results, virtual clocks, and per-rank trace sequences for deterministic
 rank programs.
 
-Failure injection hooks (``launch_hook``, ``volume_limit_bytes``)
-reproduce the launch pathologies the paper hit: ellipse's ``mpiexec``
-could not initialize more than 512 remote daemons, and lagrange's IB
-adapters capped the data volume.  Nothing in the library passes them:
-the tests drive them with the per-platform hooks
-:mod:`repro.platforms.limits` builds, and the artifacts use its
-analytic :func:`~repro.platforms.limits.rank_ceiling_reason` instead.
+The launch pathologies the paper hit (ellipse's ``mpiexec`` could not
+initialize more than 512 remote daemons, lagrange's IB adapters capped
+the data volume at 343 ranks) are not executed here: they are one
+analytic fact, :func:`~repro.platforms.limits.rank_ceiling_reason`, that
+every artifact reads.
 """
 
 from __future__ import annotations
@@ -88,9 +86,7 @@ def run_spmd(
     args: tuple = (),
     kwargs: dict | None = None,
     trace: bool = False,
-    volume_limit_bytes: float | None = None,
     real_timeout: float = 120.0,
-    launch_hook: Callable[[int], None] | None = None,
     fault_injector=None,
     observability=None,
     engine: str = "events",
@@ -100,10 +96,7 @@ def run_spmd(
     """Run ``target(comm, *args, **kwargs)`` on ``num_ranks`` ranks.
 
     Parameters mirror what a batch system controls: the ``topology``
-    places ranks on nodes (block placement), ``volume_limit_bytes``
-    injects the lagrange IB cap, and ``launch_hook`` may raise
-    :class:`~repro.errors.LaunchError` before any rank starts (ellipse's
-    >512-rank failure).  A ``fault_injector``
+    places ranks on nodes (block placement).  A ``fault_injector``
     (:class:`~repro.resilience.FaultInjector`) hooks the transport to
     kill ranks and drop/delay messages mid-run — a killed rank's
     :class:`~repro.errors.RankFailedError` is re-raised here as the
@@ -119,8 +112,7 @@ def run_spmd(
     used features replay cannot represent, fault injection included —
     see ``docs/replay.md``).  ``causal=True`` builds a fresh
     :class:`~repro.obs.causal.CausalTracker`, an existing tracker is
-    reused, and a hub with ``config.causal`` set gets one; it rides
-    back as ``result.causal`` (and on the hub).
+    reused; it rides back as ``result.causal`` (and on the hub).
 
     ``engine`` is ``"events"`` (the cooperative discrete-event
     scheduler) everywhere outside the test suite; ``"threads"`` runs the
@@ -141,8 +133,6 @@ def run_spmd(
         raise LaunchError(
             f"{num_ranks} ranks exceed the machine's {topology.total_cores} cores"
         )
-    if launch_hook is not None:
-        launch_hook(num_ranks)
 
     engine_cls = EventEngine if engine == "events" else Engine
     runtime = engine_cls(num_ranks, real_timeout=real_timeout,
@@ -152,11 +142,7 @@ def run_spmd(
     else:
         tracer = Tracer(enabled=trace)
     tracker = causal if not isinstance(causal, bool) and causal is not None else None
-    if tracker is None and (
-        causal is True
-        or (observability is not None
-            and getattr(observability.config, "causal", False))
-    ):
+    if causal is True:
         from repro.obs.causal import CausalTracker
 
         tracker = CausalTracker(num_ranks)
@@ -180,7 +166,6 @@ def run_spmd(
             size=num_ranks,
             topology=topology,
             clock=VirtualClock(),
-            volume_limit_bytes=volume_limit_bytes,
             log=None if log is None else log.rank(r),
         )
         for r in range(num_ranks)
@@ -255,8 +240,7 @@ def _run_threaded(
     if errors:
         # Re-raise the root cause (the exception that triggered the abort),
         # not the secondary SimMPIError other ranks saw while unwinding, so
-        # callers can discriminate injected platform failures
-        # (DataVolumeExceededError etc.).
+        # callers can discriminate injected failures (RankFailedError etc.).
         root = runtime.abort_exception
         if root is None:
             errors.sort(key=lambda pair: pair[0])

@@ -73,11 +73,8 @@ def replay_schedule(
     recording: ScheduleRecording,
     topology: ClusterTopology | None = None,
     compute_rate: float = 1.0,
-    volume_limit_bytes: float | None = None,
     engine: str = "events",
     trace: bool = False,
-    observability=None,
-    real_timeout: float = 120.0,
     check_compatibility: bool = True,
     causal=None,
 ) -> SPMDResult:
@@ -87,8 +84,8 @@ def replay_schedule(
     cluster); ``compute_rate`` divides the recorded unit-rate compute
     charges (pass the platform's
     :meth:`~repro.platforms.specs.PlatformSpec.core_flops`);
-    ``volume_limit_bytes``/``engine``/``trace``/``observability``/
-    ``causal`` mirror :func:`~repro.simmpi.launcher.run_spmd` — in
+    ``engine``/``trace``/``causal`` mirror
+    :func:`~repro.simmpi.launcher.run_spmd` — in
     particular a replayed run logs every message afresh, so replayed
     schedules keep checkable causal clocks.
 
@@ -113,9 +110,6 @@ def replay_schedule(
         topology=topology,
         args=(recording, float(compute_rate)),
         trace=trace,
-        volume_limit_bytes=volume_limit_bytes,
-        real_timeout=real_timeout,
-        observability=observability,
         engine=engine,
         causal=causal,
     )

@@ -195,12 +195,10 @@ class CollectiveSelector:
             self._cache[key] = hit
         return hit
 
-    def selection_table(
-        self, sizes: tuple[int, ...] = (8, 1024, 65536, 1 << 20)
-    ) -> list[dict]:
+    def selection_table(self) -> list[dict]:
         """Chosen algorithm per message size — the ``docs/collectives.md`` tables."""
         rows = []
-        for nbytes in sizes:
+        for nbytes in (8, 1024, 65536, 1 << 20):
             chosen = self.select_allreduce(nbytes)
             rows.append(
                 {

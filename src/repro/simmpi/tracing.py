@@ -220,29 +220,28 @@ class Tracer:
         self.log.clear()
         self._view = (0, ())
 
-    def timeline(self, width: int = 64, kinds: tuple[str, ...] = ("compute", "send", "recv")) -> str:
+    def timeline(self, width: int = 64) -> str:
         """Render a per-rank text timeline (a poor man's Gantt chart).
 
         Each rank gets one lane of ``width`` characters spanning the
-        run's virtual time; events paint their interval with a kind
-        marker (``#`` compute, ``>`` send, ``<`` recv, ``=`` overlap).
-        Instantaneous events paint a single cell.
+        run's virtual time; compute, send and recv events paint their
+        interval with a kind marker (``#`` compute, ``>`` send, ``<``
+        recv, ``=`` overlap).  Instantaneous events paint a single cell.
         """
-        records = [r for r in self.snapshot() if r.kind in kinds]
+        marks = {"compute": "#", "send": ">", "recv": "<"}
+        records = [r for r in self.snapshot() if r.kind in marks]
         if not records:
             return "(no trace records)\n"
         t_end = max(r.t_end for r in records)
         t_start = min(r.t_start for r in records)
         span = (t_end - t_start) or 1.0
         ranks = sorted({r.rank for r in records})
-        marks = {"compute": "#", "send": ">", "recv": "<", "phase": "~", "collective": "+"}
-
         lanes: dict[int, list[str]] = {rank: [" "] * width for rank in ranks}
         for r in records:
             lo = int((r.t_start - t_start) / span * (width - 1))
             hi = max(lo, int((r.t_end - t_start) / span * (width - 1)))
             lane = lanes[r.rank]
-            mark = marks.get(r.kind, "?")
+            mark = marks[r.kind]
             for col in range(lo, hi + 1):
                 lane[col] = "=" if lane[col] not in (" ", mark) else mark
         lines = [

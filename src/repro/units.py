@@ -13,13 +13,8 @@ from __future__ import annotations
 
 MICROSECOND = 1e-6
 MILLISECOND = 1e-3
-SECOND = 1.0
 MINUTE = 60.0
 HOUR = 3600.0
-DAY = 24 * HOUR
-
-# A standard working day for porting-effort accounting (man-hours).
-WORKDAY_HOURS = 8.0
 
 
 def microseconds(value: float) -> float:
@@ -48,7 +43,6 @@ def hours(value: float) -> float:
 
 KIB = 1024
 MIB = 1024 * KIB
-GIB = 1024 * MIB
 
 KB = 1000
 MB = 1000 * KB

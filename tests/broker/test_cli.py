@@ -1,5 +1,6 @@
 """The unified CLI: ``repro run`` and ``repro broker``."""
 
+import json
 import re
 
 import pytest
@@ -91,3 +92,24 @@ class TestBrokerCommand:
         main(["broker", "--ranks", "1000", "--max-risk", "0.01"])
         out = capsys.readouterr().out
         assert "best: ec2 (on-demand)" in out
+
+    def test_elastic_honours_flags_equal_to_the_static_defaults(self, capsys):
+        """An explicit flag wins in elastic mode even when it repeats the
+        static broker's default (64 ranks, 100 iterations, spike 0.06)."""
+        assert main([
+            "broker", "--elastic", "--ranks", "64", "--iterations", "100",
+            "--spike-probability", "0.06", "--json",
+        ]) == 0
+        request = json.loads(capsys.readouterr().out)["request"]
+        assert (request["num_ranks"], request["num_iterations"]) == (64, 100)
+        assert request["spot_spike_probability"] == 0.06
+
+    def test_each_mode_fills_in_its_own_defaults(self, capsys):
+        main(["broker", "--json"])
+        static = json.loads(capsys.readouterr().out)["request"]
+        main(["broker", "--elastic", "--json"])
+        elastic = json.loads(capsys.readouterr().out)["request"]
+        assert (static["num_ranks"], static["num_iterations"]) == (64, 100)
+        assert static["spot_spike_probability"] == 0.06
+        assert (elastic["num_ranks"], elastic["num_iterations"]) == (128, 1000)
+        assert elastic["spot_spike_probability"] == 0.12

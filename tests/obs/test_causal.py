@@ -346,9 +346,9 @@ class TestMessageIdentity:
         from repro.obs import Observability, ObsConfig
         from repro.obs.analysis import _match_events, _timelines
 
-        hub = Observability(ObsConfig(out_dir=None, causal=True))
+        hub = Observability(ObsConfig(out_dir=None))
         for _ in range(2):
-            run_spmd(_dup_reordered, 2, observability=hub)
+            run_spmd(_dup_reordered, 2, observability=hub, causal=True)
             assert hub.causal.check(hub.tracer).ok
         records = hub.tracer.snapshot()
         names = [r.message for r in records if r.kind == "send"]

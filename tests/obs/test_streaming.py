@@ -1,17 +1,46 @@
 """Streaming telemetry: ring bounds, tolerant readers, live sweeps."""
 
 import json
+import time
 
 import pytest
 
+from repro.obs import streaming
 from repro.obs.streaming import (
     STREAM_FILENAME,
     StreamingSink,
+    follow_rows,
     format_row,
     read_rows,
     stream_path,
     tail_rows,
 )
+
+
+class _ScriptedPolls:
+    """Stands in for ``time`` in ``repro.obs.streaming``: each poll's
+    sleep runs the next scripted write instead of waiting."""
+
+    def __init__(self, *steps):
+        self.steps = list(steps)
+        self.polls = 0
+
+    def sleep(self, seconds):
+        assert seconds == streaming._POLL_SECONDS
+        self.polls += 1
+        assert self.steps, "follow_rows polled past the end of the script"
+        self.steps.pop(0)()
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+def _append(path, text):
+    def write():
+        with path.open("a") as fh:
+            fh.write(text)
+
+    return write
 
 
 class TestSink:
@@ -113,6 +142,50 @@ class TestReaders:
         ticks = list(tail_rows(path, last=100, kinds=("tick",)))
         assert len(ticks) == 30
         assert not any("end" in line for line in ticks)
+
+
+class TestFollowRows:
+    def test_file_that_appears_after_the_first_poll(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        polls = _ScriptedPolls(_append(path, '{"kind": "a", "i": 1}\n'))
+        monkeypatch.setattr(streaming, "time", polls)
+        rows = follow_rows(path)
+        assert next(rows) == {"kind": "a", "i": 1}
+        assert polls.polls == 1
+        rows.close()
+
+    def test_partial_line_waits_for_its_newline(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"kind": "a", "i": 1}\n{"kind": "b", ')
+        polls = _ScriptedPolls(_append(path, '"i": 2}\n'))
+        monkeypatch.setattr(streaming, "time", polls)
+        rows = follow_rows(path)
+        assert next(rows) == {"kind": "a", "i": 1}
+        assert polls.polls == 0
+        assert next(rows) == {"kind": "b", "i": 2}
+        assert polls.polls == 1
+        rows.close()
+
+    def test_malformed_line_is_skipped(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"kind": "a"\n[1, 2]\n\n{"kind": "b"}\n')
+        monkeypatch.setattr(streaming, "time", _ScriptedPolls())
+        rows = follow_rows(path)
+        assert next(rows) == {"kind": "b"}
+        rows.close()
+
+    def test_kinds_filter(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(
+            json.dumps({"kind": kind, "i": i}) + "\n"
+            for i, kind in enumerate(["job", "point", "job", "sweep_end"])
+        ))
+        polls = _ScriptedPolls(_append(path, '{"kind": "job", "i": 4}\n'))
+        monkeypatch.setattr(streaming, "time", polls)
+        rows = follow_rows(path, kinds=("job",))
+        assert [next(rows)["i"] for _ in range(3)] == [0, 2, 4]
+        assert polls.polls == 1
+        rows.close()
 
 
 class TestSweepIntegration:

@@ -1,8 +1,8 @@
-"""Tests for scheduler simulation and failure injection."""
+"""Tests for scheduler simulation and the §VII.A rank ceilings."""
 
 import pytest
 
-from repro.errors import DataVolumeExceededError, LaunchError, SchedulerError
+from repro.errors import SchedulerError
 from repro.platforms import (
     JobRequest,
     PBSScheduler,
@@ -11,12 +11,10 @@ from repro.platforms import (
     ec2_cc28xlarge,
     ellipse,
     lagrange,
-    launch_hook_for,
     make_scheduler,
     puma,
-    volume_limit_for,
 )
-from repro.platforms.limits import effective_max_ranks
+from repro.platforms.limits import effective_max_ranks, rank_ceiling_reason
 from repro.units import hours
 
 
@@ -73,63 +71,42 @@ class TestSubmission:
         assert big > small
 
 
-class TestLaunchHooks:
-    def test_ellipse_hook_trips_above_512(self):
-        hook = launch_hook_for(ellipse)
-        assert hook is not None
-        hook(512)  # fine
-        with pytest.raises(LaunchError, match="remote MPI daemons"):
-            hook(729)
+class TestRankCeilingReason:
+    def test_ellipse_refuses_above_512(self):
+        """mpiexec could not start more than 512 remote daemons (§VII.A)."""
+        assert rank_ceiling_reason(ellipse, 512) is None
+        reason = rank_ceiling_reason(ellipse, 729)
+        assert "observed execution ceiling of 512" in reason
+        assert "§VII.A" in reason
 
-    def test_other_platforms_have_no_hook(self):
-        for p in (puma, lagrange, ec2_cc28xlarge):
-            assert launch_hook_for(p) is None
+    def test_lagrange_refuses_above_343(self):
+        """The IB data-volume cap stopped lagrange past 343 ranks (§VII.A)."""
+        assert rank_ceiling_reason(lagrange, 343) is None
+        assert "ceiling of 343" in rank_ceiling_reason(lagrange, 512)
 
-    def test_hook_integrates_with_launcher(self):
-        from repro.simmpi import run_spmd
-
-        with pytest.raises(LaunchError):
-            run_spmd(
-                lambda comm: None,
-                8,
-                topology=ellipse.topology(),
-                launch_hook=lambda n: launch_hook_for(ellipse)(n * 100),
-            )
+    def test_capacity_bound_names_the_cores(self):
+        assert rank_ceiling_reason(puma, 125) is None
+        assert rank_ceiling_reason(puma, 216) == (
+            f"216 ranks exceed the machine's {puma.total_cores} cores"
+        )
 
 
 class TestVolumeLimits:
-    def test_lagrange_budget_shrinks_past_cap(self):
-        at_cap = volume_limit_for(lagrange, 343)
-        beyond = volume_limit_for(lagrange, 512)
-        assert at_cap is not None and beyond is not None
-        assert beyond < at_cap
-
     def test_unlimited_platforms(self):
+        """Only lagrange carries a data-volume ceiling."""
+        assert lagrange.data_volume_cap_ranks == 343
         for p in (puma, ellipse, ec2_cc28xlarge):
-            assert volume_limit_for(p, 1000) is None
+            assert p.data_volume_cap_ranks is None
 
     def test_volume_cap_trips_in_simulation(self):
-        """A communication-heavy run on 'lagrange beyond the cap' dies with
-        DataVolumeExceededError, as in §VII.A."""
-        import numpy as np
+        """lagrange's simulated weak-scaling series stops at the IB cap."""
+        from repro.apps.workload import RD_WORKLOAD
+        from repro.perfmodel.weak_scaling import weak_scaling_sweep
 
-        from repro.simmpi import run_spmd
-
-        def chatty(comm):
-            peer = (comm.rank + 1) % comm.size
-            for _ in range(200):
-                comm.send(np.zeros(1000), dest=peer)
-                comm.recv()
-
-        # Emulate the >cap regime with a proportionally scaled budget.
-        tiny_budget = volume_limit_for(lagrange, 512) * (8 / 512) ** 3 * 1e-3
-        with pytest.raises(DataVolumeExceededError):
-            run_spmd(
-                chatty, 4,
-                topology=lagrange.topology(num_nodes=1),
-                volume_limit_bytes=tiny_budget,
-                real_timeout=20.0,
-            )
+        points = {p.num_ranks: p for p in weak_scaling_sweep(RD_WORKLOAD, lagrange)}
+        assert points[343].feasible
+        assert not points[512].feasible
+        assert "data-volume cap" in points[512].limit_reason
 
 
 class TestEffectiveMaxRanks:

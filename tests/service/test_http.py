@@ -12,7 +12,6 @@ from urllib.request import Request, urlopen
 
 import pytest
 
-import repro
 from repro.broker.api import RunRequest
 from repro.errors import (
     AdmissionDenied,
@@ -28,7 +27,6 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     TenantQuota,
-    resolve_endpoint,
 )
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=11))
@@ -206,18 +204,11 @@ class TestCurlShape:
 
 
 class TestRunViaV2:
-    def test_repro_run_via_url(self, service):
-        result = repro.run(REQ, via=service.url, tenant="alice")
-        assert result == echo_run(REQ)
+    def test_repro_run_via_url(self, client):
+        assert client.run(REQ, tenant="alice") == echo_run(REQ)
 
     def test_repro_run_via_service_object(self, service):
-        assert repro.run(REQ, via=service) == echo_run(REQ)
-
-    def test_resolve_endpoint_rejects_garbage(self):
-        with pytest.raises(ServiceError, match="http://"):
-            resolve_endpoint("ftp://example.invalid")
-        with pytest.raises(ServiceError, match="must be a"):
-            resolve_endpoint(42)
+        assert service.run(REQ, tenant="alice") == echo_run(REQ)
 
 
 class TestTelemetry:

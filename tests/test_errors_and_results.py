@@ -20,15 +20,6 @@ class TestErrorHierarchy:
         assert exc.residual == 1e-3
         assert isinstance(exc, errors.SolverError)
 
-    def test_data_volume_error_fields(self):
-        exc = errors.DataVolumeExceededError(
-            "cap", rank=3, volume_bytes=100, limit_bytes=50
-        )
-        assert exc.rank == 3
-        assert exc.volume_bytes == 100
-        assert exc.limit_bytes == 50
-        assert isinstance(exc, errors.NetworkError)
-
     def test_subsystem_families(self):
         assert issubclass(errors.DeadlockError, errors.SimMPIError)
         assert issubclass(errors.LaunchError, errors.SimMPIError)

@@ -23,9 +23,12 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+from tests.source_tree import text, tree
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -36,10 +39,6 @@ _FEM_CHECK = "a correctness measurement the FEM tests verify with"
 _PAPER_SUBSTITUTE = "numerics PAPER.md's substitution table promises"
 _P2P = "MPI surface the p2p conformance workload drives (ROADMAP 6)"
 _NS_SPMD = "ROADMAP 8's ns_spmd workload runs it"
-_LAUNCH_FAILURE = (
-    "executed form of the paper's §VII.A launch failures; tests/platforms "
-    "drive it through run_spmd, the artifacts use rank_ceiling_reason"
-)
 
 #: Public names that only tests reach, each with the reason it stays.
 #: Keys are dotted paths below ``repro``: ``module.Name`` or
@@ -67,8 +66,6 @@ KEEP: dict[str, str] = {
     "simmpi.comm.Communicator.sendrecv": _P2P,
     "simmpi.comm.Communicator.exscan": _P2P,
     "perfmodel.compute.ns_modeled_compute": _NS_SPMD,
-    "platforms.limits.launch_hook_for": _LAUNCH_FAILURE,
-    "platforms.limits.volume_limit_for": _LAUNCH_FAILURE,
     "perfmodel.calibration.calibrate_iteration_growth": (
         "the host cross-check of the iteration-growth law"
     ),
@@ -93,7 +90,7 @@ def public_definitions() -> dict[str, tuple[Path, str, range]]:
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
-        for node in ast.parse(path.read_text()).body:
+        for node in tree(path).body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ) or node.name.startswith("_"):
@@ -119,7 +116,7 @@ def public_definitions() -> dict[str, tuple[Path, str, range]]:
 def _reexport_lines(path: Path) -> set[int]:
     """Lines of an ``__init__.py``'s imports and ``__all__``."""
     lines = set()
-    for node in ast.parse(path.read_text()).body:
+    for node in tree(path).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)) or (
             isinstance(node, ast.Assign)
             and any(getattr(t, "id", None) == "__all__" for t in node.targets)
@@ -128,41 +125,40 @@ def _reexport_lines(path: Path) -> set[int]:
     return lines
 
 
-def _word_lines() -> tuple[dict[Path, list[str]], str]:
-    """Source lines by file (re-exports blanked), and the callers' text."""
-    source = {}
+def _word_index() -> tuple[dict[str, set[tuple[Path, int]]], set[str]]:
+    """Where each word occurs in ``src/repro``, and the callers' words.
+
+    ``{word: {(file, line)}}`` over the source with re-exports blanked.
+    An identifier occurs as a whole word (``\\b...\\b``) exactly where it
+    equals one maximal ``\\w+`` run, so one split of each line indexes
+    every name at once.
+    """
+    index: dict[str, set[tuple[Path, int]]] = defaultdict(set)
     for path in sorted(SRC.rglob("*.py")):
-        lines = path.read_text().splitlines()
-        if path.name == "__init__.py":
-            for number in _reexport_lines(path):
-                lines[number - 1] = ""
-        source[path] = lines
-    callers = []
+        blank = _reexport_lines(path) if path.name == "__init__.py" else ()
+        for number, line in enumerate(text(path).splitlines(), start=1):
+            if number not in blank:
+                for word in re.findall(r"\w+", line):
+                    index[word].add((path, number))
+    callers: set[str] = set()
     for name in CALLER_DIRS:
         for path in sorted((ROOT / name).rglob("*")):
-            if path.is_file():
-                try:
-                    callers.append(path.read_text())
-                except UnicodeDecodeError:
-                    continue
-    return source, "\n".join(callers)
+            if path.is_file() and text(path) is not None:
+                callers.update(re.findall(r"\w+", text(path)))
+    return index, callers
 
 
 def unused_public_names() -> set[str]:
     """Dotted names of public definitions nothing outside tests mentions."""
-    source, callers = _word_lines()
+    index, callers = _word_index()
     unused = set()
     for dotted, (home, ident, span) in public_definitions().items():
-        word = re.compile(rf"\b{re.escape(ident)}\b")
-        if word.search(callers):
+        if ident in callers:
             continue
-        used = any(
-            word.search(line)
-            for path, lines in source.items()
-            for number, line in enumerate(lines, start=1)
-            if not (path == home and number in span)
-        )
-        if not used:
+        if all(
+            path == home and number in span
+            for path, number in index.get(ident, ())
+        ):
             unused.add(dotted)
     return unused
 
