@@ -2,9 +2,8 @@
 
 Both papers' problems prescribe their exact solution on the boundary and
 use it "for checking the mathematical correctness of the code
-execution"; these classes provide evaluation of the solution, its
-gradient and the data the solvers need (boundary values, initial
-states, forcing terms).
+execution"; these classes provide evaluation of the solution and the
+data the solvers need (boundary values, initial states, forcing terms).
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ class RDManufacturedSolution:
         """u at ``points`` (n, 3) and time ``t``."""
         points = np.atleast_2d(points)
         return t**2 * np.sum(points**2, axis=1)
-
-    def gradient(self, points: np.ndarray, t: float) -> np.ndarray:
-        """Spatial gradient, shape (n, 3)."""
-        points = np.atleast_2d(points)
-        return 2.0 * t**2 * points
 
     def time_derivative(self, points: np.ndarray, t: float) -> np.ndarray:
         """du/dt at ``points``."""

@@ -23,10 +23,11 @@ compute               PhaseModel iteration time x iteration count
 checkpoint+rework     spot only: Young-interval overhead + expected rework
 ====================  =====================================================
 
-Plans are ranked by a weighted, best-normalized score over total cost,
-time-to-solution, and interruption risk; infeasible or
-constraint-violating plans sort last with the reason attached.  This
-ranked portfolio is the repository's only platform scorer.
+Plans are ranked by a weighted score over total cost, time-to-solution
+and interruption risk, cost and time normalized by the best feasible
+plan's; infeasible or constraint-violating plans sort last with the
+reason attached.  This ranked portfolio is the repository's only
+platform scorer.
 """
 
 from __future__ import annotations
@@ -409,25 +410,33 @@ def _spot_mix_plan(request: BrokerRequest) -> AssemblyPlan:
 
 
 def _score(plans: list[AssemblyPlan], request: BrokerRequest) -> list[AssemblyPlan]:
-    """Weighted best-normalized score; acceptable plans first, then score."""
-    acceptable = [p for p in plans if p.acceptable]
-    if acceptable:
-        best_cost = max(min(p.cost_dollars for p in acceptable), 1e-9)
-        best_time = max(min(p.time_to_solution_s for p in acceptable), 1e-9)
-    scored: list[AssemblyPlan] = []
-    for plan in plans:
-        if not plan.feasible:
-            scored.append(plan)
-            continue
-        score = (
+    """Weighted best-normalized score; acceptable plans first, then score.
+
+    Cost and time are normalized by the best *feasible* plan's.
+    Feasibility reads neither the budget, the deadline nor the risk cap,
+    so relaxing a constraint changes which plans are acceptable but no
+    plan's score, and cannot reorder two plans it already accepted.
+    Equal scores go to the cheaper plan, then the faster, then the
+    earlier in the portfolio (the platforms' order, then the spot mix).
+    """
+    feasible = [p for p in plans if p.feasible]
+    if feasible:
+        best_cost = max(min(p.cost_dollars for p in feasible), 1e-9)
+        best_time = max(min(p.time_to_solution_s for p in feasible), 1e-9)
+    scored = [
+        replace(plan, score=(
             request.cost_weight * plan.cost_dollars / best_cost
             + request.time_weight * plan.time_to_solution_s / best_time
             + request.risk_weight * plan.interruption_probability
-        ) if acceptable else math.inf
-        scored.append(replace(plan, score=score))
+        )) if plan.feasible else plan
+        for plan in plans
+    ]
     return sorted(
         scored,
-        key=lambda p: (not p.acceptable, not p.feasible, p.score, p.name),
+        key=lambda p: (
+            not p.acceptable, not p.feasible, p.score, p.cost_dollars,
+            p.time_to_solution_s,
+        ),
     )
 
 

@@ -100,13 +100,6 @@ class CloudCluster:
         )
         return ClusterTopology(self.num_nodes, itype.cores, network)
 
-    def hostfile(self) -> str:
-        """The mpiexec hosts list built from intranet IPs (§VI.D)."""
-        return "\n".join(
-            f"{inst.intranet_ip} slots={inst.instance_type.cores}"
-            for inst in self.instances
-        )
-
     def run_for(self, seconds: float) -> float:
         """Accrue a run of ``seconds`` on every instance; returns the cost."""
         from repro.errors import BillingError

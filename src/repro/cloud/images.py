@@ -34,10 +34,6 @@ class MachineImage:
         if self.boot_volume_gb <= 0:
             raise CloudError(f"boot volume must be positive, got {self.boot_volume_gb}")
 
-    def has(self, package: str) -> bool:
-        """Whether a package is baked into the image."""
-        return package in self.packages
-
     def compatible_with(self, instance_type) -> bool:
         """Whether this image boots on an instance type.
 

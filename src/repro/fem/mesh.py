@@ -92,24 +92,6 @@ class StructuredBoxMesh:
         nx, ny, nz = self.shape
         return nx * ny * nz
 
-    @property
-    def spacing(self) -> np.ndarray:
-        """Per-direction cell size — uniform meshes only.
-
-        Graded meshes have per-cell sizes: use :attr:`cell_spacings`.
-        """
-        if not self.is_uniform:
-            raise MeshError(
-                "mesh is graded: use cell_spacings/cell_volumes instead of "
-                "the uniform spacing/cell_volume"
-            )
-        return np.array([h[0] for h in self._axis_steps])
-
-    @property
-    def cell_volume(self) -> float:
-        """Volume of one cell — uniform meshes only (all congruent)."""
-        return float(np.prod(self.spacing))
-
     @cached_property
     def cell_spacings(self) -> np.ndarray:
         """Per-cell ``(hx, hy, hz)``, shape ``(num_cells, 3)``."""

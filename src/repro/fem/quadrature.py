@@ -43,11 +43,6 @@ class QuadratureRule:
         """Number of quadrature points."""
         return self.weights.shape[0]
 
-    @property
-    def dim(self) -> int:
-        """Spatial dimension of the rule."""
-        return self.points.shape[1]
-
 
 def gauss_legendre_1d(num_points: int) -> QuadratureRule:
     """Gauss–Legendre rule on ``[0, 1]`` with ``num_points`` points.

@@ -70,6 +70,4 @@ PAPER_PORTING_HOURS = {
 
 # Weak-scaling setup (§VII.A).
 PAPER_ELEMENTS_PER_RANK = 20**3
-# Stated in §VII.A; the solvers' and ObsConfig's ``discard=5`` restate it.
-PAPER_DISCARDED_ITERATIONS = 5
 PAPER_RANK_SERIES = (1, 8, 27, 64, 125, 216, 343, 512, 729, 1000)

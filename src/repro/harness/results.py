@@ -20,10 +20,6 @@ class Table1Matrix:
 
     rows: dict[str, dict[str, str]]
 
-    def attributes(self) -> list[str]:
-        """Attribute names (Table I's row labels) in table order."""
-        return list(self.rows)
-
     def platforms(self) -> list[str]:
         """Platform names (Table I's columns) in the paper's order."""
         first = next(iter(self.rows.values()))

@@ -190,11 +190,6 @@ def read_checkpoint(path: str | Path) -> CheckpointData:
 # ---------------------------------------------------------------------------
 
 
-def rng_state_to_json(rng: np.random.Generator) -> dict:
-    """A numpy Generator's bit-generator state as JSON-able data."""
-    return rng.bit_generator.state
-
-
 def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
                rng_state: dict | None = None) -> int:
     """Write a v2 restart checkpoint of ``solver`` (``solver.state()``).
@@ -205,8 +200,9 @@ def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
     as raw float64, the clock, step and counters (iteration counts,
     residual histories) as metadata next to the problem's application
     name and discretization, against which :func:`read_state`
-    validates.  ``rng_state`` (from :func:`rng_state_to_json`) makes
-    stochastic components resume on the exact same draw sequence.
+    validates.  ``rng_state`` (a numpy Generator's
+    ``bit_generator.state``) makes stochastic components resume on the
+    exact same draw sequence.
     """
     problem, state = solver.problem, solver.state()
     metadata = {

@@ -22,12 +22,7 @@ Nothing here times the library itself: performance is measured from
 outside the package by ``benchmarks/perf`` (``BENCHMARK.json``).
 """
 
-from repro.obs.causal import (
-    CausalReport,
-    CausalTracker,
-    CausalViolation,
-    validate_order,
-)
+from repro.obs.causal import CausalReport, CausalTracker, CausalViolation
 from repro.obs.core import (
     NULL_RANK_OBS,
     Observability,
@@ -49,20 +44,18 @@ from repro.obs.health import (
     run_health,
 )
 from repro.obs.spans import Span, SpanStack, iter_spans, spans_named
-from repro.obs.streaming import StreamingSink, read_rows, tail_rows
+from repro.obs.streaming import StreamingSink, read_rows
 
 __all__ = [
     "CausalReport",
     "CausalTracker",
     "CausalViolation",
-    "validate_order",
     "RankHealth",
     "RunHealthReport",
     "merge_reports",
     "run_health",
     "StreamingSink",
     "read_rows",
-    "tail_rows",
     "NULL_RANK_OBS",
     "Observability",
     "ObsConfig",

@@ -21,15 +21,11 @@ the event stream is consistent with the *happens-before* partial order
   synchronization property of fully-synchronizing collectives, and --
   given the run's tracer -- that every traced receive's identity names
   a traced send with the same endpoints, tag and size.
-* :func:`validate_order` checks an explicit *global* event order (e.g.
-  a serialized trace) for happens-before consistency; an artificially
-  reordered stream is flagged with (rank, op, clock) context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -391,58 +387,10 @@ def _check_pairs(tracer, kept: list[list[CausalEvent]],
     return checked
 
 
-def validate_order(events: Iterable[CausalEvent] | Sequence[CausalEvent]) -> CausalReport:
-    """Check an explicit *global* event order for causal consistency.
-
-    The sequence claims "this is an order consistent with happens-
-    before".  Three obligations: per-rank subsequences keep strictly
-    increasing Lamport clocks and monotone vectors, and every recv
-    appears *after* the send it absorbed.  A shuffled or artificially
-    reordered trace fails with (rank, op, clock) context — this is the
-    detector the reordering regression tests drive.
-    """
-    violations: list[CausalViolation] = []
-    last_by_rank: dict[int, CausalEvent] = {}
-    seen_sends: set[tuple[int, int]] = set()
-    all_sends: set[tuple[int, int]] = set()
-    events = list(events)
-    for ev in events:
-        if ev.kind == "send":
-            all_sends.add((ev.rank, ev.seq))
-    messages = 0
-    for ev in events:
-        prev = last_by_rank.get(ev.rank)
-        if prev is not None:
-            if ev.lamport <= prev.lamport:
-                violations.append(CausalViolation(
-                    ev.rank, ev.kind, ev.clock,
-                    f"rank order broken: lamport {prev.lamport} -> {ev.lamport}"))
-            if not np.all(ev.vector >= prev.vector):
-                violations.append(CausalViolation(
-                    ev.rank, ev.kind, ev.clock,
-                    "rank order broken: vector clock regressed"))
-        last_by_rank[ev.rank] = ev
-        if ev.kind == "send":
-            seen_sends.add((ev.rank, ev.seq))
-        elif ev.kind == "recv" and ev.origin is not None:
-            if ev.origin in all_sends:
-                messages += 1
-                if ev.origin not in seen_sends:
-                    violations.append(CausalViolation(
-                        ev.rank, "recv", ev.clock,
-                        f"recv ordered before its send {ev.origin}"))
-    return CausalReport(
-        violations=tuple(violations),
-        events_checked=len(events),
-        messages_checked=messages,
-    )
-
-
 __all__ = [
     "SYNCHRONIZING_COLLECTIVES",
     "CausalEvent",
     "CausalViolation",
     "CausalReport",
     "CausalTracker",
-    "validate_order",
 ]

@@ -333,7 +333,7 @@ class Observability:
         """Create (or return) the hub's live telemetry sink.
 
         It appends to ``stream.jsonl`` under the config's ``out_dir``;
-        without one the sink is memory-only (ring buffer, nothing on disk).
+        without one the sink writes nothing.
         """
         if self.stream is None:
             from repro.obs.streaming import StreamingSink, stream_path

@@ -90,11 +90,6 @@ class SpanStack:
         self.roots: list[Span] = []
         self._open: list[Span] = []
 
-    @property
-    def depth(self) -> int:
-        """Number of currently open spans."""
-        return len(self._open)
-
     def open(self, name: str, now: float, attrs: dict | None = None) -> Span:
         """Open a span nested under the current innermost one."""
         parent = self._open[-1] if self._open else None

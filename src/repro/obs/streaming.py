@@ -1,4 +1,4 @@
-"""Bounded-memory streaming telemetry: ring buffer + incremental JSONL.
+"""Streaming telemetry: incremental JSONL.
 
 The paper ran week-long sweeps across clouds, grids and on-premises
 machines with no way to ask "where is my run?" mid-flight — Netto et
@@ -6,11 +6,9 @@ al. name exactly this monitoring gap between HPC batch and cloud
 service expectations.  This module is the groundwork for the streaming
 status API (ROADMAP item 2):
 
-* :class:`StreamingSink` keeps the last *N* telemetry rows in memory (a
-  ring, so a million-point sweep cannot grow without bound) and
-  append-flushes every row to a JSONL file in small batches, so an
-  external ``python -m repro tail <dir>`` sees progress while the sweep
-  is still running;
+* :class:`StreamingSink` append-flushes every telemetry row to a JSONL
+  file in small batches, so an external ``python -m repro tail <dir>``
+  sees progress while the sweep is still running;
 * :func:`read_rows` reads such a file back tolerantly — a row half
   written by a live sweep is skipped, not fatal;
 * :func:`format_row` renders one row as the single human line the
@@ -25,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from typing import Any, Iterator
 
 #: Default telemetry file name inside an observability out_dir.
@@ -33,33 +30,25 @@ STREAM_FILENAME = "stream.jsonl"
 
 
 class StreamingSink:
-    """Ring-buffered telemetry rows, batch-flushed to an append-only file.
+    """Telemetry rows, batch-flushed to an append-only file.
 
-    ``capacity`` bounds in-memory retention; ``flush_interval`` is how
-    many rows may accumulate before an automatic file flush (1 = write
-    through).  The sink never *re*writes the file, so concurrent readers
-    only ever race the last partial line — which :func:`read_rows`
-    tolerates.
+    ``flush_interval`` is how many rows may accumulate before an
+    automatic file flush (1 = write through).  A sink without a path
+    writes nothing.  The sink never *re*writes the file, so concurrent
+    readers only ever race the last partial line — which
+    :func:`read_rows` tolerates.
     """
 
-    def __init__(self, path: str | os.PathLike | None,
-                 capacity: int = 2048, flush_interval: int = 32):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, path: str | os.PathLike | None, flush_interval: int = 32):
         self.path = None if path is None else os.fspath(path)
-        self.capacity = capacity
         self.flush_interval = max(1, int(flush_interval))
-        self._ring: deque[dict] = deque(maxlen=capacity)
         self._pending: list[dict] = []
         self._seq = 0
-        self._emitted = 0
 
     def emit(self, kind: str, **fields: Any) -> dict:
         """Append one telemetry row; returns the completed row."""
         row = {"seq": self._seq, "kind": kind, "wall": time.time(), **fields}
         self._seq += 1
-        self._emitted += 1
-        self._ring.append(row)
         self._pending.append(row)
         if len(self._pending) >= self.flush_interval:
             self.flush()
@@ -82,16 +71,6 @@ class StreamingSink:
     def close(self) -> None:
         """Flush whatever is pending; the sink stays usable after."""
         self.flush()
-
-    def recent(self, last: int | None = None) -> list[dict]:
-        """The most recent rows still held in memory (newest last)."""
-        rows = list(self._ring)
-        return rows if last is None else rows[-last:]
-
-    @property
-    def emitted(self) -> int:
-        """Total rows emitted over the sink's lifetime."""
-        return self._emitted
 
     def __enter__(self) -> "StreamingSink":
         return self
@@ -160,16 +139,6 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-def tail_rows(path: str | os.PathLike, last: int = 20,
-              kinds: tuple[str, ...] | None = None) -> Iterator[str]:
-    """Yield formatted lines for the last ``last`` rows of a stream file."""
-    rows = read_rows(path)
-    if kinds:
-        rows = [r for r in rows if r.get("kind") in kinds]
-    for row in rows[-last:]:
-        yield format_row(row)
-
-
 #: Seconds ``follow_rows`` waits before reading the stream again.
 _POLL_SECONDS = 0.5
 
@@ -226,6 +195,5 @@ __all__ = [
     "read_rows",
     "stream_path",
     "format_row",
-    "tail_rows",
     "follow_rows",
 ]

@@ -4,8 +4,9 @@ Step (i) of the paper's solver pipeline splits the global mesh so each
 MPI process owns a subset of elements, load-balanced by element count.
 Three partitioners of increasing sophistication are provided:
 
-* :func:`partition_block` — structured process-grid blocks (the layout
-  the weak-scaling experiments use: ``q^3`` ranks, each a cube);
+* :func:`partition_block` — structured process-grid blocks (the paper's
+  weak-scaling layout: ``q^3`` ranks, each a cube; the distributed steps
+  here own slabs instead, :func:`repro.apps.stepping.slab_ownership`);
 * :func:`partition_rcb` — recursive coordinate bisection;
 * :func:`partition_graph` — greedy graph growing with Kernighan–Lin
   boundary refinement on the dual graph (the METIS family's approach).

@@ -47,17 +47,6 @@ class ProcessGrid:
         return px * py * pz
 
     @classmethod
-    def cubic(cls, num_ranks: int) -> "ProcessGrid":
-        """The ``q^3`` grid for a perfect-cube rank count (paper layout)."""
-        q = round(num_ranks ** (1.0 / 3.0))
-        if q**3 != num_ranks:
-            raise PartitionError(
-                f"{num_ranks} is not a perfect cube; the paper's weak-scaling "
-                f"series uses 1, 8, 27, ..., 1000"
-            )
-        return cls((q, q, q))
-
-    @classmethod
     def for_ranks(cls, num_ranks: int) -> "ProcessGrid":
         """A near-cubic grid for an arbitrary rank count.
 

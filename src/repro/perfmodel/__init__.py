@@ -24,7 +24,6 @@ from repro.perfmodel.calibration import (
 from repro.perfmodel.weak_scaling import (
     WeakScalingPoint,
     weak_scaling_sweep,
-    platform_rank_limit,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "calibrate_against_sequential_run",
     "WeakScalingPoint",
     "weak_scaling_sweep",
-    "platform_rank_limit",
 ]

@@ -15,7 +15,7 @@ from repro.apps.workload import AppWorkload, paper_rank_series
 from repro.costs.model import cost_per_iteration
 from repro.perfmodel.calibration import time_scale_for
 from repro.perfmodel.phases import PhaseModel, PhasePrediction
-from repro.platforms.limits import effective_max_ranks
+from repro.platforms.limits import rank_ceiling_reason
 from repro.platforms.spec import PlatformSpec
 
 
@@ -30,21 +30,6 @@ class WeakScalingPoint:
     prediction: PhasePrediction | None
     nodes: int
     cost_per_iteration: float
-
-
-def platform_rank_limit(platform: PlatformSpec) -> tuple[int, str]:
-    """The largest feasible rank count and why it stops there."""
-    limit = effective_max_ranks(platform)
-    if platform.max_launch_ranks is not None and limit == platform.max_launch_ranks:
-        reason = f"mpiexec cannot initialize more than {limit} remote daemons"
-    elif (
-        platform.data_volume_cap_ranks is not None
-        and limit == platform.data_volume_cap_ranks
-    ):
-        reason = f"IB adapter data-volume cap above {limit} processes"
-    else:
-        reason = f"machine capacity of {platform.total_cores} cores"
-    return limit, reason
 
 
 def weak_scaling_sweep(
@@ -64,7 +49,6 @@ def weak_scaling_sweep(
         rank_series = paper_rank_series(1000)
     if not rank_series:
         raise ExperimentError("rank series is empty")
-    limit, reason = platform_rank_limit(platform)
     model = PhaseModel(
         workload,
         platform,
@@ -72,7 +56,8 @@ def weak_scaling_sweep(
     )
     points = []
     for p in rank_series:
-        if p > limit:
+        reason = rank_ceiling_reason(platform, p)
+        if reason is not None:
             points.append(
                 WeakScalingPoint(
                     platform=platform.name,

@@ -37,16 +37,25 @@ def effective_max_ranks(platform: PlatformSpec) -> int:
 
 
 def rank_ceiling_reason(platform: PlatformSpec, num_ranks: int) -> str | None:
-    """Why ``num_ranks`` cannot run on ``platform``; None when it can."""
+    """Why ``num_ranks`` cannot run on ``platform``; None when it can.
+
+    The message names the mechanism behind the lowest bound: mpiexec's
+    remote daemons, the IB adapters' data volume, or the cores.
+    """
     limit = effective_max_ranks(platform)
     if num_ranks <= limit:
         return None
-    if num_ranks > platform.total_cores:
+    if limit == platform.max_launch_ranks:
         return (
-            f"{num_ranks} ranks exceed the machine's "
-            f"{platform.total_cores} cores"
+            f"{num_ranks} ranks exceed the {limit} remote daemons mpiexec "
+            f"can initialize (paper §VII.A)"
+        )
+    if limit == platform.data_volume_cap_ranks:
+        return (
+            f"{num_ranks} ranks exceed the IB adapters' data-volume cap of "
+            f"{limit} processes (paper §VII.A)"
         )
     return (
-        f"{num_ranks} ranks exceed the observed execution "
-        f"ceiling of {limit} (paper §VII.A)"
+        f"{num_ranks} ranks exceed the machine's "
+        f"{platform.total_cores} cores"
     )

@@ -65,11 +65,6 @@ class RestartStats:
         return self.executed_steps - self.completed_steps
 
     @property
-    def replacements(self) -> int:
-        """Replacement hosts brought in (one per failed rank)."""
-        return len(self.failed_ranks)
-
-    @property
     def overhead_fraction(self) -> float:
         """Extra step-executions per useful step (0.0 = failure-free)."""
         if self.completed_steps == 0:

@@ -35,7 +35,7 @@ from repro.service.admission import (
     TokenBucket,
 )
 from repro.service.client import ServiceClient
-from repro.service.jobs import JOB_STATES, JobStatus, SubmitReceipt, job_key
+from repro.service.jobs import JobStatus, SubmitReceipt, job_key
 from repro.service.queue import JobQueue
 from repro.service.service import BrokerService, ServiceConfig
 
@@ -45,7 +45,6 @@ __all__ = [
     "TenantQuota",
     "TokenBucket",
     "ServiceClient",
-    "JOB_STATES",
     "JobStatus",
     "SubmitReceipt",
     "job_key",

@@ -46,6 +46,7 @@ from __future__ import annotations
 import base64
 import json
 import pickle
+import selectors
 import socket
 import sys
 import threading
@@ -251,7 +252,36 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         # Before binding: a failed bind calls server_close().
         self._connections: dict = {}  # accepted socket -> its thread
         self._connections_lock = threading.Lock()
+        # shutdown() writes a byte to wake serve_forever's wait.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._stopping = threading.Event()
+        self._stopped = threading.Event()
         super().__init__(*args, **kwargs)
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown`, which wakes it at once.
+
+        The base loop only notices a shutdown at its next 0.5 s poll;
+        this one also waits on a socket that :meth:`shutdown` writes to.
+        """
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_r, selectors.EVENT_READ)
+                while not self._stopping.is_set():
+                    ready = selector.select()
+                    if not self._stopping.is_set() and any(
+                        key.fileobj is self for key, _ in ready
+                    ):
+                        self._handle_request_noblock()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stopping.set()
+        self._wake_w.send(b"\0")
+        self._stopped.wait()
 
     def process_request(self, request, client_address) -> None:
         thread = threading.Thread(
@@ -278,6 +308,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         is added behind it.
         """
         super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
         with self._connections_lock:
             requests = list(self._connections)
         for request in requests:

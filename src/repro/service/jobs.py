@@ -32,13 +32,6 @@ from repro.broker.cache import code_fingerprint
 from repro.broker.registry import resolve_artifacts
 from repro.errors import ServiceError
 
-#: Every state a job can be in, in lifecycle order.
-JOB_STATES = ("queued", "admitted", "running", "done", "failed", "cancelled")
-
-#: States in which a new identical submission attaches to the job
-#: instead of creating a new one.
-INFLIGHT_STATES = ("queued", "admitted", "running")
-
 #: Legal transitions of the lifecycle machine.
 _TRANSITIONS = {
     "queued": ("admitted", "cancelled"),
@@ -217,8 +210,6 @@ class Job:
 
 
 __all__ = [
-    "JOB_STATES",
-    "INFLIGHT_STATES",
     "job_key",
     "SubmitReceipt",
     "JobStatus",

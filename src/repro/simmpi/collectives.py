@@ -145,7 +145,7 @@ def ring_reduce_scatter_steps(rank: int, size: int) -> list[tuple[int, int]]:
     The vector is split into ``size`` blocks.  At every step each rank
     ships its current block to ``rank + 1`` and folds the block arriving
     from ``rank - 1`` into its local data.  After ``size - 1`` steps rank
-    ``r`` holds the complete reduction of block :func:`ring_owned_block`.
+    ``r`` holds the complete reduction of block ``(r + 1) % size``.
     Every block is accumulated in the same fixed ring order, so the
     result is bit-identical on all ranks once allgathered.
     """
@@ -157,12 +157,6 @@ def ring_allgather_steps(rank: int, size: int) -> list[tuple[int, int]]:
     """Per-step ``(send_block, recv_block)`` of the ring allgather phase."""
     _check_rank(rank, size)
     return [((rank + 1 - s) % size, (rank - s) % size) for s in range(size - 1)]
-
-
-def ring_owned_block(rank: int, size: int) -> int:
-    """Block fully reduced on ``rank`` after the ring reduce-scatter."""
-    _check_rank(rank, size)
-    return (rank + 1) % size
 
 
 def recursive_halving_blocks(
@@ -299,14 +293,11 @@ class ScheduleShape:
         return float(sum(_payloads(self.rounds)))
 
 
-FLAT_ALLREDUCE_ALGORITHMS = ("recursive_doubling", "ring", "rabenseifner")
 HIER_ALLREDUCE_ALGORITHMS = (
     "hier_recursive_doubling",
     "hier_ring",
     "hier_rabenseifner",
 )
-ALLREDUCE_ALGORITHMS = FLAT_ALLREDUCE_ALGORITHMS + HIER_ALLREDUCE_ALGORITHMS
-BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical")
 
 
 def effective_ranks_per_node(size: int, cores_per_node: int) -> int:

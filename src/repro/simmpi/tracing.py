@@ -22,7 +22,6 @@ and engine-independent.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterator, NamedTuple, Sequence
 
 #: Event kinds: the first element of every log tuple.  Layouts --
@@ -187,68 +186,7 @@ class Tracer:
         """All records of one rank, in log order."""
         return [r for r in self.snapshot() if r.rank == rank]
 
-    def collective_count(self, label: str | None = None, rank: int | None = None) -> int:
-        """Number of collective rounds, optionally for one label / one rank.
-
-        Each rank records one "collective" event per round it joins, so
-        ``collective_count(label="allreduce", rank=0)`` is the number of
-        allreduce rounds rank 0 participated in — the counter the
-        communication-reduced CG variant is measured against.
-        """
-        return sum(
-            1
-            for r in self.snapshot()
-            if r.kind == "collective"
-            and (label is None or r.label == label)
-            and (rank is None or r.rank == rank)
-        )
-
-    def max_time_by_label(self) -> dict[str, float]:
-        """Per label, the max over ranks of that rank's summed duration.
-
-        This is the paper's reduction for per-phase numbers: the slowest
-        rank determines the iteration's phase time.
-        """
-        per_rank: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-        for r in self.snapshot():
-            if r.label:
-                per_rank[r.label][r.rank] += r.duration
-        return {label: max(ranks.values()) for label, ranks in per_rank.items()}
-
     def clear(self) -> None:
         """Drop all records."""
         self.log.clear()
         self._view = (0, ())
-
-    def timeline(self, width: int = 64) -> str:
-        """Render a per-rank text timeline (a poor man's Gantt chart).
-
-        Each rank gets one lane of ``width`` characters spanning the
-        run's virtual time; compute, send and recv events paint their
-        interval with a kind marker (``#`` compute, ``>`` send, ``<``
-        recv, ``=`` overlap).  Instantaneous events paint a single cell.
-        """
-        marks = {"compute": "#", "send": ">", "recv": "<"}
-        records = [r for r in self.snapshot() if r.kind in marks]
-        if not records:
-            return "(no trace records)\n"
-        t_end = max(r.t_end for r in records)
-        t_start = min(r.t_start for r in records)
-        span = (t_end - t_start) or 1.0
-        ranks = sorted({r.rank for r in records})
-        lanes: dict[int, list[str]] = {rank: [" "] * width for rank in ranks}
-        for r in records:
-            lo = int((r.t_start - t_start) / span * (width - 1))
-            hi = max(lo, int((r.t_end - t_start) / span * (width - 1)))
-            lane = lanes[r.rank]
-            mark = marks[r.kind]
-            for col in range(lo, hi + 1):
-                lane[col] = "=" if lane[col] not in (" ", mark) else mark
-        lines = [
-            f"rank {rank:>3} |{''.join(lane)}|" for rank, lane in lanes.items()
-        ]
-        lines.append(
-            f"time: {t_start:.6f}s .. {t_end:.6f}s   "
-            f"(# compute, > send, < recv, = overlap)"
-        )
-        return "\n".join(lines) + "\n"

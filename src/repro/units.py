@@ -12,7 +12,6 @@ from __future__ import annotations
 # ---------------------------------------------------------------------------
 
 MICROSECOND = 1e-6
-MILLISECOND = 1e-3
 MINUTE = 60.0
 HOUR = 3600.0
 
@@ -20,11 +19,6 @@ HOUR = 3600.0
 def microseconds(value: float) -> float:
     """Convert microseconds to seconds."""
     return value * MICROSECOND
-
-
-def milliseconds(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * MILLISECOND
 
 
 def minutes(value: float) -> float:
@@ -40,9 +34,6 @@ def hours(value: float) -> float:
 # ---------------------------------------------------------------------------
 # data size / rate
 # ---------------------------------------------------------------------------
-
-KIB = 1024
-MIB = 1024 * KIB
 
 KB = 1000
 MB = 1000 * KB

@@ -36,18 +36,6 @@ class TestRDManufactured:
         residual = self.sol.residual(points, t)
         assert np.max(np.abs(residual)) < 1e-10
 
-    def test_gradient_matches_finite_differences(self):
-        pts = np.array([[0.3, 0.5, 0.7]])
-        t = 1.5
-        h = 1e-7
-        grad = self.sol.gradient(pts, t)[0]
-        for i in range(3):
-            plus, minus = pts.copy(), pts.copy()
-            plus[0, i] += h
-            minus[0, i] -= h
-            fd = (self.sol(plus, t)[0] - self.sol(minus, t)[0]) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-5)
-
     def test_singularity_guard(self):
         with pytest.raises(ReproError):
             self.sol.residual(np.array([[0.5, 0.5, 0.5]]), 0.0)

@@ -9,7 +9,7 @@ the spot mix agrees with the static plan when nothing is reclaimed.
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.broker.assembly import (
@@ -64,6 +64,14 @@ def _assert_relaxation_only_admits(before, after) -> None:
 class TestLooserConstraints:
     @settings(max_examples=120, deadline=None)
     @given(request=requests(), factor=st.none() | st.floats(1.0, 20.0))
+    @example(  # lifting the budget once moved the winner puma -> ec2-mix
+        request=BrokerRequest(
+            app="ns", num_ranks=33, num_iterations=401, budget_dollars=6.0,
+            spot_spike_probability=0.125, spot_pool_mean=8.0,
+            cost_weight=0.25, time_weight=0.25, risk_weight=0.25, seed=0,
+        ),
+        factor=None,
+    )
     def test_raising_the_budget(self, request, factor):
         budget = request.budget_dollars
         looser = replace(
@@ -77,6 +85,14 @@ class TestLooserConstraints:
 
     @settings(max_examples=120, deadline=None)
     @given(request=requests(), factor=st.none() | st.floats(1.0, 20.0))
+    @example(  # lifting the deadline once moved the winner ec2 -> lagrange
+        request=BrokerRequest(
+            app="ns", num_ranks=33, num_iterations=29, deadline_s=3949.0,
+            spot_spike_probability=0.0, spot_pool_mean=0.0,
+            cost_weight=0.25, time_weight=0.25, risk_weight=0.0, seed=0,
+        ),
+        factor=None,
+    )
     def test_raising_the_deadline(self, request, factor):
         deadline = request.deadline_s
         looser = replace(

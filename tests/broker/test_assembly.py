@@ -206,8 +206,8 @@ class TestAdvice:
     def test_ceiling_reasons(self):
         report = broker_assemblies(BrokerRequest(app="rd", num_ranks=512))
         assert report.plan("lagrange").reason == (
-            "512 ranks exceed the observed execution ceiling of 343 "
-            "(paper §VII.A)"
+            "512 ranks exceed the IB adapters' data-volume cap of 343 "
+            "processes (paper §VII.A)"
         )
         assert report.plan("puma").reason == (
             "512 ranks exceed the machine's 128 cores"

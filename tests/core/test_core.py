@@ -36,9 +36,9 @@ class TestDeployment:
         )
 
     def test_ceiling_enforced(self):
-        with pytest.raises(PlatformError, match="ceiling"):
+        with pytest.raises(PlatformError, match="data-volume cap"):
             deploy_and_run(lagrange, RD_WORKLOAD, 512)
-        with pytest.raises(PlatformError, match="ceiling"):
+        with pytest.raises(PlatformError, match="mpiexec"):
             deploy_and_run(ellipse, RD_WORKLOAD, 729)
         with pytest.raises(PlatformError):
             deploy_and_run(puma, RD_WORKLOAD, 216)

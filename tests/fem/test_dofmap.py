@@ -72,7 +72,7 @@ class TestCellDofs:
             ref = dm.element.reference_nodes
             for cell in (0, 3, 7):
                 origin = mesh.cell_origin(np.array([cell]))[0]
-                expected = origin + ref * mesh.spacing
+                expected = origin + ref * mesh.cell_spacings[cell]
                 got = dm.dof_coords[dm.cell_dofs[cell]]
                 assert np.allclose(got, expected)
 

@@ -59,21 +59,14 @@ class TestGradedMesh:
                 ),
             )
 
-    def test_spacing_raises_on_graded(self):
-        mesh = graded_mesh()
-        with pytest.raises(MeshError, match="graded"):
-            _ = mesh.spacing
-        with pytest.raises(MeshError, match="graded"):
-            _ = mesh.cell_volume
-
     def test_cell_volumes_sum_to_box(self):
         mesh = graded_mesh()
         assert mesh.cell_volumes.sum() == pytest.approx(1.0)
 
     def test_uniform_cell_spacings_match_spacing(self):
         mesh = StructuredBoxMesh((3, 4, 5), upper=(1.0, 2.0, 2.5))
-        assert np.allclose(mesh.cell_spacings, mesh.spacing[None, :])
-        assert np.allclose(mesh.cell_volumes, mesh.cell_volume)
+        assert np.allclose(mesh.cell_spacings, [1.0 / 3.0, 0.5, 0.5])
+        assert np.allclose(mesh.cell_volumes, 0.5 / 6.0)
 
     def test_vertex_coords_follow_axes(self):
         axis = np.array([0.0, 1.0, 3.0, 7.0]) / 7.0

@@ -24,8 +24,8 @@ class TestConstruction:
 
     def test_spacing_and_volume(self):
         mesh = StructuredBoxMesh((2, 4, 5), lower=(0, 0, 0), upper=(2, 2, 10))
-        assert mesh.spacing == pytest.approx([1.0, 0.5, 2.0])
-        assert mesh.cell_volume == pytest.approx(1.0)
+        assert np.allclose(mesh.cell_spacings, [1.0, 0.5, 2.0])
+        assert mesh.cell_volumes == pytest.approx(np.ones(mesh.num_cells))
 
     @pytest.mark.parametrize("shape", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
     def test_rejects_nonpositive_shape(self, shape):
@@ -146,7 +146,7 @@ class TestExtractBlock:
     def test_block_spacing_preserved(self):
         mesh = StructuredBoxMesh((4, 4, 4))
         block = mesh.extract_block((1, 3), (0, 1), (0, 2))
-        assert np.allclose(block.spacing, mesh.spacing)
+        assert np.allclose(block.cell_spacings, mesh.cell_spacings[0])
 
     def test_invalid_block_rejected(self):
         mesh = StructuredBoxMesh((4, 4, 4))
@@ -162,8 +162,8 @@ class TestExtractBlock:
         mesh = StructuredBoxMesh(shape)
         split = data.draw(st.integers(min_value=1, max_value=nx), label="split")
         left = mesh.extract_block((0, split), (0, ny), (0, nz))
-        volume = left.num_cells * left.cell_volume
+        volume = left.cell_volumes.sum()
         if split < nx:
             right = mesh.extract_block((split, nx), (0, ny), (0, nz))
-            volume += right.num_cells * right.cell_volume
-        assert volume == pytest.approx(mesh.num_cells * mesh.cell_volume)
+            volume += right.cell_volumes.sum()
+        assert volume == pytest.approx(mesh.cell_volumes.sum())

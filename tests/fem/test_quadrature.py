@@ -55,7 +55,7 @@ class TestHexQuadrature:
             rule = hex_quadrature(n)
             assert rule.weights.sum() == pytest.approx(1.0)
             assert rule.num_points == n**3
-            assert rule.dim == 3
+            assert rule.points.shape[1] == 3
 
     def test_separable_monomial_exactness(self):
         rule = hex_quadrature(3)
@@ -94,4 +94,3 @@ class TestQuadratureRuleValidation:
     def test_1d_points_promoted_to_column(self):
         rule = QuadratureRule(points=np.array([0.5]), weights=np.array([1.0]))
         assert rule.points.shape == (1, 1)
-        assert rule.dim == 1

@@ -13,7 +13,7 @@ from repro.harness.paper_data import (
 )
 from repro.apps.workload import paper_rank_series
 from repro.cloud.instances import CC2_8XLARGE
-from repro.perfmodel.weak_scaling import platform_rank_limit
+from repro.platforms.limits import effective_max_ranks
 from repro.platforms import all_platforms
 
 
@@ -61,7 +61,7 @@ class TestModelsMatchPaperData:
 
     def test_rank_limits(self):
         for platform in all_platforms():
-            limit, _ = platform_rank_limit(platform)
+            limit = effective_max_ranks(platform)
             feasible = [p for p in PAPER_RANK_SERIES if p <= limit]
             assert max(feasible) == PAPER_MAX_RANKS[platform.name]
 

@@ -16,7 +16,6 @@ from repro.io.checkpoint import (
     load_state,
     read_checkpoint,
     read_state,
-    rng_state_to_json,
     save_state,
     write_checkpoint,
 )
@@ -390,7 +389,7 @@ class TestRngAndNSRestart:
     def test_rng_state_roundtrip_resumes_draw_sequence(self, tmp_path):
         rng = np.random.default_rng(42)
         rng.standard_normal(10)  # advance past the seed state
-        saved = rng_state_to_json(rng)
+        saved = rng.bit_generator.state
         reference = rng.standard_normal(20)
 
         path = tmp_path / "r.rprc"

@@ -112,7 +112,11 @@ class TestFusedCG:
         rounds = result.returns[0]
         # from_global itself performs no allreduces, so the trace count
         # per rank is exactly the solver's.
-        assert result.tracer.collective_count("allreduce", rank=0) == rounds
+        traced = [
+            r for r in result.tracer.by_rank(0)
+            if r.kind == "collective" and r.label == "allreduce"
+        ]
+        assert len(traced) == rounds
 
     def test_classic_cg_needs_three_rounds_per_iteration(self, poisson):
         """Baseline for the 3x message-count reduction claim."""

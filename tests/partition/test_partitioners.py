@@ -34,13 +34,9 @@ def check_valid_partition(mesh, assignment, num_parts):
 
 class TestProcessGrid:
     def test_cubic(self):
-        g = ProcessGrid.cubic(27)
+        g = ProcessGrid.for_ranks(27)
         assert g.dims == (3, 3, 3)
         assert g.size == 27
-
-    def test_cubic_rejects_noncube(self):
-        with pytest.raises(PartitionError):
-            ProcessGrid.cubic(10)
 
     @pytest.mark.parametrize("n,expected", [(1, (1, 1, 1)), (8, (2, 2, 2)),
                                             (12, (2, 2, 3)), (63, (3, 3, 7))])
@@ -85,7 +81,7 @@ class TestBlockPartition:
     def test_perfect_cube_weak_scaling_layout(self):
         """The paper's layout: 40^3 mesh over 8 ranks = 20^3 each."""
         mesh = StructuredBoxMesh((40, 40, 40))
-        assignment = partition_block(mesh, ProcessGrid.cubic(8))
+        assignment = partition_block(mesh, ProcessGrid((2, 2, 2)))
         sizes = np.bincount(assignment)
         assert np.all(sizes == 20**3)
 
@@ -214,7 +210,7 @@ class TestGraphPartition:
     def test_competitive_with_block_on_cubes(self):
         """Graph partitioner should stay within 2.5x of the optimal block cut."""
         mesh = StructuredBoxMesh((8, 8, 8))
-        block_cut = edge_cut(mesh, partition_block(mesh, ProcessGrid.cubic(8)))
+        block_cut = edge_cut(mesh, partition_block(mesh, ProcessGrid((2, 2, 2))))
         graph_cut = edge_cut(mesh, partition_graph(mesh, 8, seed=2))
         assert graph_cut <= 2.5 * block_cut
 

@@ -4,20 +4,21 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD
-from repro.perfmodel.weak_scaling import platform_rank_limit, weak_scaling_sweep
+from repro.perfmodel.weak_scaling import weak_scaling_sweep
 from repro.platforms import all_platforms, ec2_cc28xlarge, ellipse, lagrange, puma
+from repro.platforms.limits import effective_max_ranks, rank_ceiling_reason
 
 
 class TestRankLimits:
     def test_paper_limits_and_reasons(self):
-        limit, reason = platform_rank_limit(puma)
-        assert limit == 128 and "capacity" in reason
-        limit, reason = platform_rank_limit(ellipse)
-        assert limit == 512 and "mpiexec" in reason
-        limit, reason = platform_rank_limit(lagrange)
-        assert limit == 343 and "data-volume" in reason
-        limit, _ = platform_rank_limit(ec2_cc28xlarge)
-        assert limit >= 1000
+        for platform, limit, mechanism in (
+            (puma, 128, "cores"),
+            (ellipse, 512, "mpiexec"),
+            (lagrange, 343, "data-volume"),
+        ):
+            assert effective_max_ranks(platform) == limit
+            assert mechanism in rank_ceiling_reason(platform, limit + 1)
+        assert effective_max_ranks(ec2_cc28xlarge) >= 1000
 
 
 class TestSweep:

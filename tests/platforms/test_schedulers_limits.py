@@ -76,13 +76,13 @@ class TestRankCeilingReason:
         """mpiexec could not start more than 512 remote daemons (§VII.A)."""
         assert rank_ceiling_reason(ellipse, 512) is None
         reason = rank_ceiling_reason(ellipse, 729)
-        assert "observed execution ceiling of 512" in reason
+        assert "512 remote daemons mpiexec" in reason
         assert "§VII.A" in reason
 
     def test_lagrange_refuses_above_343(self):
         """The IB data-volume cap stopped lagrange past 343 ranks (§VII.A)."""
         assert rank_ceiling_reason(lagrange, 343) is None
-        assert "ceiling of 343" in rank_ceiling_reason(lagrange, 512)
+        assert "data-volume cap of 343" in rank_ceiling_reason(lagrange, 512)
 
     def test_capacity_bound_names_the_cores(self):
         assert rank_ceiling_reason(puma, 125) is None

@@ -98,7 +98,6 @@ class TestRecovery:
         assert out.stats.attempts == 2
         assert out.stats.restarts == 1
         assert out.stats.failed_ranks == [1]
-        assert out.stats.replacements == 1
         # Kill at step 3, checkpoint at step 2: step 2 was completed in
         # attempt 1 and redone in attempt 2 — exactly one lost execution.
         assert out.stats.lost_steps == 1

@@ -174,6 +174,14 @@ class TestReconnect:
 
 
 class TestStop:
+    def test_an_idle_service_stops_at_once(self):
+        """stop() wakes the accept loop; it does not wait out a poll."""
+        svc = BrokerService(ServiceConfig(http=True), run_fn=echo_run).start()
+        start = time.perf_counter()
+        svc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert not svc.running
+
     def test_stop_ends_an_idle_kept_connection(self):
         svc = BrokerService(ServiceConfig(http=True), run_fn=echo_run).start()
         client = ServiceClient(svc.url)

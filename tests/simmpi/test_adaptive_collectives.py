@@ -27,8 +27,10 @@ from repro.platforms import platform_by_name
 from repro.simmpi import MAX, SUM, CollectiveSelector, run_spmd
 from repro.simmpi import collectives as coll
 
-ALLREDUCE_ALGORITHMS = coll.ALLREDUCE_ALGORITHMS + ("auto",)
-BCAST_ALGORITHMS = coll.BCAST_ALGORITHMS + ("auto",)
+#: Every schedule name ``allreduce`` / ``bcast`` accept.
+FLAT_ALLREDUCE = ("recursive_doubling", "ring", "rabenseifner")
+ALLREDUCE_ALGORITHMS = FLAT_ALLREDUCE + coll.HIER_ALLREDUCE_ALGORITHMS + ("auto",)
+BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical", "auto")
 
 sizes = st.integers(min_value=1, max_value=9)
 bases = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=24)
@@ -150,7 +152,7 @@ class TestExecutionMatchesShapes:
     """Executed per-rank messages and bytes equal the analytic
     ScheduleShape — the contract the performance model builds on."""
 
-    @pytest.mark.parametrize("algorithm", coll.FLAT_ALLREDUCE_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", FLAT_ALLREDUCE)
     @given(size=st.sampled_from([2, 4, 8]), blocks=st.integers(1, 6))
     @spmd_settings
     def test_flat_allreduce_traffic(self, algorithm, size, blocks):

@@ -21,9 +21,14 @@ import pytest
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.simmpi import MAX, SUM, run_spmd
-from repro.simmpi.collectives import ALLREDUCE_ALGORITHMS, BCAST_ALGORITHMS
+from repro.simmpi.collectives import HIER_ALLREDUCE_ALGORITHMS
 
 RANK_COUNTS = (2, 4, 8, 9)
+#: Every schedule name ``allreduce`` / ``bcast`` accept, "auto" aside.
+ALLREDUCE_ALGORITHMS = (
+    "recursive_doubling", "ring", "rabenseifner", *HIER_ALLREDUCE_ALGORITHMS
+)
+BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical")
 
 
 def run_both(program, num_ranks, **kwargs):

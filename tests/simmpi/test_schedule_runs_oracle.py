@@ -31,6 +31,13 @@ from repro.simmpi.collectives import (
 )
 from repro.simmpi.selector import PER_ROUND_OVERHEAD, CollectiveSelector, Selection
 
+#: Every schedule name ``allreduce_shape`` / ``bcast_shape`` accept, in the
+#: order ``allreduce_candidates`` lists them.
+ALLREDUCE_ALGORITHMS = (
+    "recursive_doubling", "ring", "rabenseifner", *coll.HIER_ALLREDUCE_ALGORITHMS
+)
+BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical")
+
 # -- the oracle: one CollRound per round ----------------------------------------
 
 
@@ -153,7 +160,7 @@ def oracle_bcast_rounds(algorithm, size, nbytes, ranks_per_node=1):
 def oracle_rounds(algorithm, size, nbytes, ranks_per_node):
     build = (
         oracle_allreduce_rounds
-        if algorithm in coll.ALLREDUCE_ALGORITHMS
+        if algorithm in ALLREDUCE_ALGORITHMS
         else oracle_bcast_rounds
     )
     return build(algorithm, size, nbytes, ranks_per_node)
@@ -219,7 +226,7 @@ class OraclePhaseModel(PhaseModel):
 
 # -- shapes -----------------------------------------------------------------------
 
-ALGORITHMS = coll.ALLREDUCE_ALGORITHMS + coll.BCAST_ALGORITHMS
+ALGORITHMS = ALLREDUCE_ALGORITHMS + BCAST_ALGORITHMS
 ODD_SIZES = (1, 2, 3, 5, 7, 12, 13, 24, 31, 33, 97, 100, 127, 129, 360, 997, 1000, 1200)
 PAYLOADS = (0, 8, 24, 24.5, 1e6 / 3, 1 << 20)
 
@@ -227,7 +234,7 @@ PAYLOADS = (0, 8, 24, 24.5, 1e6 / 3, 1 << 20)
 def shape_of(algorithm, size, nbytes, ranks_per_node):
     build = (
         coll.allreduce_shape
-        if algorithm in coll.ALLREDUCE_ALGORITHMS
+        if algorithm in ALLREDUCE_ALGORITHMS
         else coll.bcast_shape
     )
     return build(algorithm, size, nbytes, ranks_per_node)
@@ -342,7 +349,7 @@ def test_pricing_a_million_ranks_builds_a_handful_of_rounds(rounds_built):
     size = 10**6
     topology = ClusterTopology(size // 16, 16, NetworkModel(TEN_GIGABIT_ETHERNET))
     candidates = CollectiveSelector(topology, size).allreduce_candidates(1 << 20)
-    assert [c.algorithm for c in candidates] == list(coll.ALLREDUCE_ALGORITHMS)
+    assert [c.algorithm for c in candidates] == list(ALLREDUCE_ALGORITHMS)
     ring = candidates[1]
     assert ring.rounds == 2 * (size - 1)
     assert len(rounds_built) < 200

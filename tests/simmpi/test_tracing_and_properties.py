@@ -1,49 +1,15 @@
-"""Tracing timeline tests + property-based tests of the runtime."""
+"""Property-based tests of the runtime."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import MAX, MIN, PROD, SUM, TraceRecord, Tracer, run_spmd
+from repro.simmpi import MAX, MIN, SUM, run_spmd
 
 
 def run(fn, n, **kw):
     kw.setdefault("real_timeout", 25.0)
     return run_spmd(fn, n, **kw)
-
-
-class TestTimeline:
-    def test_empty(self):
-        assert "no trace records" in Tracer().timeline()
-
-    def test_lanes_and_markers(self):
-        tracer = Tracer()
-        tracer.record(TraceRecord(0, "compute", 0.0, 0.5))
-        tracer.record(TraceRecord(0, "send", 0.5, 0.5, nbytes=8, peer=1))
-        tracer.record(TraceRecord(1, "recv", 0.0, 0.6, nbytes=8, peer=0))
-        text = tracer.timeline(width=20)
-        assert "rank   0" in text and "rank   1" in text
-        assert "#" in text and ">" in text and "<" in text
-
-    def test_from_real_run(self):
-        def main(comm):
-            comm.compute(1.0)
-            if comm.rank == 0:
-                comm.send(np.zeros(100), dest=1)
-            elif comm.rank == 1:
-                comm.recv(source=0)
-
-        result = run(main, 2, trace=True)
-        text = result.tracer.timeline()
-        assert "rank   0" in text
-        assert "time:" in text
-
-    def test_overlap_marker(self):
-        tracer = Tracer()
-        tracer.record(TraceRecord(0, "compute", 0.0, 1.0))
-        tracer.record(TraceRecord(0, "send", 0.0, 1.0))
-        assert "=" in tracer.timeline(width=10)
 
 
 class TestCollectiveProperties:

@@ -1,16 +1,28 @@
 """Every public name under ``src/repro`` has a non-test caller or a reason.
 
-A *public name* is a top-level function or class of a module under
-``src/repro`` whose name has no leading underscore, and each public method
-of such a class.  Dunders, and methods that override one inherited from a
-base class (``ServiceHTTPServer.process_request``,
-``ServiceHandler.log_message``), are not counted: the base names them.
+A *public name* is, in a module under ``src/repro``, a name without a
+leading underscore that is
 
-A name is *used* when its identifier appears as a whole word
+* a top-level function or class, or a method of such a class,
+* or, outside ``__init__.py``, a module-level constant: ``NAME = ...`` or
+  ``NAME: T = ...``.
 
-* in ``src/repro``, outside the lines of its own definition and outside
-  the imports and ``__all__`` of the package ``__init__.py`` files, or
-* anywhere under ``benchmarks/``, ``examples/`` or ``tools/``.
+Dunders, and methods that override one of a base class from outside
+``repro`` (``ServiceHTTPServer.process_request``,
+``ServiceHandler.log_message``), are not counted: the base calls them.
+
+The census counts code references, not prose.  Each file is parsed once
+(``tests/source_tree.py``), and a *reference* is an ``ast.Name`` id, an
+``ast.Attribute`` attr, or a string constant that is exactly one
+identifier and is not a docstring (the ``getattr`` tables).  Comments,
+docstrings and messages are therefore no use, and neither are import
+statements, any module's ``__all__``, nor the lines of the name's own
+definition.  ``ast`` reads the expressions inside f-strings the same way
+on every supported Python, where ``tokenize`` sees one string token before
+3.12.  A name is *used* when it is referred to
+
+* in ``src/repro``, or
+* in a ``*.py`` file under ``benchmarks/``, ``examples/`` or ``tools/``.
 
 A public name that nothing but tests reaches is library surface without a
 caller: delete it, or give it a ``KEEP`` entry saying why it stays.  An
@@ -22,13 +34,12 @@ from __future__ import annotations
 
 import ast
 import importlib
-import re
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from tests.source_tree import text, tree
+from tests.source_tree import tree
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -37,8 +48,16 @@ CALLER_DIRS = ("benchmarks", "examples", "tools")
 _REFERENCE = "a reference implementation tests compare against"
 _FEM_CHECK = "a correctness measurement the FEM tests verify with"
 _PAPER_SUBSTITUTE = "numerics PAPER.md's substitution table promises"
-_P2P = "MPI surface the p2p conformance workload drives (ROADMAP 6)"
-_NS_SPMD = "ROADMAP 8's ns_spmd workload runs it"
+_P2P = "MPI surface the p2p conformance workload drives (ROADMAP 7)"
+_NS_SPMD = "ROADMAP 9's ns_spmd workload runs it"
+_MPI_OPS = "MPI's predefined reductions, which the runtime mirrors beside SUM"
+_PAPER_DATA = "the paper's published numbers, which tests compare the model against"
+_CLOCKS = "the clock introspection ROADMAP 7's acceptance reads"
+_COLLECTIVE = "an MPI collective the causal acceptance matrix checks on both engines"
+_UNRECORDABLE = (
+    "a timing-dependent MPI call whose capture ROADMAP 7 turns into a "
+    "recorded op or a typed error"
+)
 
 #: Public names that only tests reach, each with the reason it stays.
 #: Keys are dotted paths below ``repro``: ``module.Name`` or
@@ -61,14 +80,39 @@ KEEP: dict[str, str] = {
     ),
     "la.krylov.gmres": _PAPER_SUBSTITUTE + " (the Trilinos GMRES role)",
     "partition.grid.block_ranges": _PAPER_SUBSTITUTE + " (block partitioner)",
+    "partition.grid.partition_block": _PAPER_SUBSTITUTE + " (block partitioner)",
+    "fem.mesh.StructuredBoxMesh.extract_block": (
+        _PAPER_SUBSTITUTE + " (a rank's box of the block partition)"
+    ),
     "simmpi.comm.Communicator.isend": _P2P,
+    "simmpi.comm.Communicator.irecv": _P2P,
     "simmpi.comm.Communicator.waitall": _P2P,
     "simmpi.comm.Communicator.sendrecv": _P2P,
     "simmpi.comm.Communicator.exscan": _P2P,
+    "simmpi.comm.Communicator.probe": _P2P,
+    "simmpi.comm.Communicator.dup": _P2P,
+    "simmpi.comm.Communicator.scan": _COLLECTIVE,
+    "simmpi.comm.Communicator.scatter": _COLLECTIVE,
+    "simmpi.comm.Communicator.iprobe": _UNRECORDABLE,
+    "simmpi.comm.Request.test": _UNRECORDABLE,
+    "simmpi.datatypes.MIN": _MPI_OPS,
+    "simmpi.datatypes.MAX": _MPI_OPS,
+    "simmpi.datatypes.PROD": _MPI_OPS,
+    "obs.causal.CausalTracker.clock_state": _CLOCKS,
+    "obs.causal.CausalTracker.events_for": _CLOCKS,
+    "apps.navier_stokes.run_ns_distributed": _NS_SPMD,
     "perfmodel.compute.ns_modeled_compute": _NS_SPMD,
     "perfmodel.calibration.calibrate_iteration_growth": (
         "the host cross-check of the iteration-growth law"
     ),
+    "perfmodel.calibration.calibrate_against_sequential_run": (
+        "the host cross-check of the workload flop model"
+    ),
+    "harness.paper_data.PAPER_COST_RATES": _PAPER_DATA,
+    "harness.paper_data.PAPER_EC2_NODE_HOURLY": _PAPER_DATA,
+    "harness.paper_data.PAPER_EC2_SPOT_HOURLY": _PAPER_DATA,
+    "harness.paper_data.PAPER_ELEMENTS_PER_RANK": _PAPER_DATA,
+    "harness.paper_data.PAPER_RANK_SERIES": _PAPER_DATA,
 }
 
 
@@ -79,10 +123,49 @@ def _module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def _is_override(module: str, cls: str, method: str) -> bool:
-    """True when ``cls.method`` overrides a method a base class defines."""
-    klass = getattr(importlib.import_module(f"repro.{module}"), cls)
-    return any(method in vars(base) for base in klass.__mro__[1:])
+def _is_override(path: Path, klass: ast.ClassDef, method: str) -> bool:
+    """True when ``klass.method`` overrides a method of a base class from
+    outside ``repro``, which calls it from code the census cannot see.
+
+    A base defined under ``src/repro`` needs no check: the code calling
+    its methods is under ``src/repro`` too, so it is a reference.
+    """
+    imported = {}  # local name -> (module, attribute)
+    for node in tree(path).body:
+        if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (alias.name, None)
+    for base in klass.bases:
+        if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+            module, name = imported.get(base.value.id, ("repro", None))[0], base.attr
+        elif isinstance(base, ast.Name):
+            # Not imported: a builtin (``Exception``) or, when getattr
+            # finds no such builtin, a class of this module.
+            module, name = imported.get(base.id, ("builtins", base.id))
+        else:
+            continue
+        if module.split(".")[0] == "repro":
+            continue
+        cls = getattr(importlib.import_module(module), name, None)
+        if isinstance(cls, type) and any(method in vars(b) for b in cls.__mro__):
+            return True
+    return False
+
+
+def _span(node: ast.AST) -> range:
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def _constant_names(node: ast.stmt) -> list[str]:
+    """The names a module-level ``NAME = ...`` / ``NAME: T = ...`` binds."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and node.value is not None:
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    return []
 
 
 def public_definitions() -> dict[str, tuple[Path, str, range]]:
@@ -91,66 +174,91 @@ def public_definitions() -> dict[str, tuple[Path, str, range]]:
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
         for node in tree(path).body:
+            if path.name != "__init__.py":
+                for name in _constant_names(node):
+                    if not name.startswith("_"):
+                        found[f"{module}.{name}"] = (path, name, _span(node))
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ) or node.name.startswith("_"):
                 continue
-            span = range(node.lineno, node.end_lineno + 1)
-            found[f"{module}.{node.name}"] = (path, node.name, span)
+            found[f"{module}.{node.name}"] = (path, node.name, _span(node))
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
                 if (
                     isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not item.name.startswith("_")
-                    and not _is_override(module, node.name, item.name)
+                    and not _is_override(path, node, item.name)
                 ):
                     found[f"{module}.{node.name}.{item.name}"] = (
                         path,
                         item.name,
-                        range(item.lineno, item.end_lineno + 1),
+                        _span(item),
                     )
     return found
 
 
-def _reexport_lines(path: Path) -> set[int]:
-    """Lines of an ``__init__.py``'s imports and ``__all__``."""
-    lines = set()
-    for node in tree(path).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-            isinstance(node, ast.Assign)
-            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        ):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _word_index() -> tuple[dict[str, set[tuple[Path, int]]], set[str]]:
-    """Where each word occurs in ``src/repro``, and the callers' words.
+def _is_all(node: ast.AST) -> bool:
+    """True for an assignment to ``__all__``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(getattr(t, "id", None) == "__all__" for t in targets)
 
-    ``{word: {(file, line)}}`` over the source with re-exports blanked.
-    An identifier occurs as a whole word (``\\b...\\b``) exactly where it
-    equals one maximal ``\\w+`` run, so one split of each line indexes
-    every name at once.
+
+def references(module: ast.Module):
+    """Yield ``(identifier, line)`` for each code reference in ``module``.
+
+    Import statements, ``__all__`` assignments and docstrings are skipped.
+    """
+    stack: list[ast.AST] = [module]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant):
+            if isinstance(node.value, str) and node.value.isidentifier():
+                yield node.value, node.lineno
+            continue
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+            continue
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, _SCOPES) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                children.remove(first)
+        stack.extend(children)
+
+
+def _reference_index() -> tuple[dict[str, set[tuple[Path, int]]], set[str]]:
+    """Where each identifier is referred to in ``src/repro``, and by callers.
+
+    ``{identifier: {(file, line)}}`` over ``src/repro``, and the set of
+    identifiers the callers' ``*.py`` files refer to.
     """
     index: dict[str, set[tuple[Path, int]]] = defaultdict(set)
     for path in sorted(SRC.rglob("*.py")):
-        blank = _reexport_lines(path) if path.name == "__init__.py" else ()
-        for number, line in enumerate(text(path).splitlines(), start=1):
-            if number not in blank:
-                for word in re.findall(r"\w+", line):
-                    index[word].add((path, number))
+        for ident, line in references(tree(path)):
+            index[ident].add((path, line))
     callers: set[str] = set()
     for name in CALLER_DIRS:
-        for path in sorted((ROOT / name).rglob("*")):
-            if path.is_file() and text(path) is not None:
-                callers.update(re.findall(r"\w+", text(path)))
+        for path in sorted((ROOT / name).rglob("*.py")):
+            callers.update(ident for ident, _ in references(tree(path)))
     return index, callers
 
 
 def unused_public_names() -> set[str]:
-    """Dotted names of public definitions nothing outside tests mentions."""
-    index, callers = _word_index()
+    """Dotted names of public definitions no code outside tests refers to."""
+    index, callers = _reference_index()
     unused = set()
     for dotted, (home, ident, span) in public_definitions().items():
         if ident in callers:
@@ -188,22 +296,98 @@ def test_every_keep_entry_gives_a_reason():
     assert all(reason.strip() for reason in KEEP.values())
 
 
-def test_the_census_sees_a_name_only_tests_reach(tmp_path, monkeypatch):
-    """The census counts a definition's own lines and re-exports as no use."""
-    pkg = tmp_path / "src" / "repro"
-    (pkg / "sub").mkdir(parents=True)
-    (pkg / "sub" / "__init__.py").write_text(
-        "from repro.sub.mod import helper, Shape\n__all__ = ['helper', 'Shape']\n"
-    )
-    (pkg / "sub" / "mod.py").write_text(
-        "def helper():\n    return helper\n\n"
-        "class Shape:\n    def area(self):\n        return 1\n\n"
-        "def caller():\n    return Shape().area()\n"
-    )
-    for name in CALLER_DIRS:
-        (tmp_path / name).mkdir()
-    (tmp_path / "tools" / "tool.py").write_text("from repro.sub.mod import caller\n")
-    monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
-    monkeypatch.setattr(f"{__name__}.SRC", pkg)
-    monkeypatch.setattr(f"{__name__}._is_override", lambda *_: False)
-    assert unused_public_names() == {"sub.mod.helper"}
+@pytest.fixture
+def census_of(tmp_path, monkeypatch):
+    """Run the census over a scratch tree: ``{relative path: source}``."""
+
+    def run(files: dict[str, str]) -> set[str]:
+        for relative, source in files.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        for name in CALLER_DIRS:
+            (tmp_path / name).mkdir(exist_ok=True)
+        monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
+        monkeypatch.setattr(f"{__name__}.SRC", tmp_path / "src" / "repro")
+        return unused_public_names()
+
+    return run
+
+
+def test_the_census_sees_a_name_only_tests_reach(census_of):
+    """A definition's own lines and re-exports are no use."""
+    assert census_of({
+        "src/repro/sub/__init__.py": (
+            "from repro.sub.mod import helper, Shape\n"
+            "__all__ = ['helper', 'Shape']\n"
+        ),
+        "src/repro/sub/mod.py": (
+            "def helper():\n    return helper\n\n"
+            "class Shape:\n    def area(self):\n        return 1\n\n"
+            "def caller():\n    return Shape().area()\n"
+        ),
+        "tools/tool.py": "from repro.sub.mod import caller\ncaller()\n",
+    }) == {"sub.mod.helper"}
+
+
+def test_prose_is_no_use(census_of):
+    """A docstring, a comment or an error message does not keep a name."""
+    assert census_of({
+        "src/repro/mod.py": (
+            '"""See helper."""\n\n'
+            "def helper():\n    pass\n\n"
+            "def caller():\n"
+            '    """helper"""\n'
+            "    # helper is not called here\n"
+            '    raise ValueError("call helper first")\n'
+        ),
+        "tools/tool.py": "from repro.mod import caller\ncaller()\n",
+        "tools/README.md": "helper\n",
+    }) == {"mod.helper"}
+
+
+def test_a_name_inside_an_f_string_expression_is_used(census_of):
+    assert census_of({
+        "src/repro/mod.py": (
+            "class Stats:\n"
+            "    def hit_rate(self):\n        return 1.0\n\n"
+            "def caller(stats):\n"
+            '    return f"{stats.hit_rate():.1f}%"\n'
+        ),
+        "tools/tool.py": "from repro.mod import caller, Stats\ncaller(Stats())\n",
+    }) == set()
+
+
+def test_a_module_s_own_all_is_no_use(census_of):
+    assert census_of({
+        "src/repro/mod.py": (
+            "__all__ = ['helper', 'caller']\n\n"
+            "def helper():\n    pass\n\n"
+            "def caller():\n    pass\n"
+        ),
+        "tools/tool.py": "from repro.mod import caller\ncaller()\n",
+    }) == {"mod.helper"}
+
+
+def test_a_getattr_string_table_is_a_use(census_of):
+    assert census_of({
+        "src/repro/mod.py": (
+            "class Mesh:\n"
+            "    def interior(self):\n        return 1\n\n"
+            "def caller(mesh, kind):\n"
+            '    return getattr(mesh, {"in": "interior"}[kind])()\n'
+        ),
+        "tools/tool.py": "from repro.mod import caller, Mesh\ncaller(Mesh(), 'in')\n",
+    }) == set()
+
+
+def test_module_constants_are_censused(census_of):
+    """``NAME = ...`` and ``NAME: T = ...``; not in ``__init__``, not private."""
+    assert census_of({
+        "src/repro/sub/__init__.py": "VERSION = 1\n",
+        "src/repro/sub/mod.py": (
+            "LIMIT = 4\nUNUSED = 8\nTYPED: int = 2\n_PRIVATE = 16\n\n"
+            "def caller():\n    return LIMIT\n"
+        ),
+        "tools/tool.py": "from repro.sub.mod import caller\ncaller()\n",
+    }) == {"sub.mod.UNUSED", "sub.mod.TYPED"}

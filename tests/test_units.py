@@ -10,7 +10,6 @@ from repro import units
 class TestTime:
     def test_conversions(self):
         assert units.microseconds(50) == pytest.approx(5e-5)
-        assert units.milliseconds(2) == pytest.approx(0.002)
         assert units.minutes(3) == 180
         assert units.hours(2) == 7200
 
