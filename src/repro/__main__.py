@@ -410,7 +410,7 @@ def _cmd_serve(args) -> int:
         while not stop.is_set():
             stop.wait(0.5)
     finally:
-        service.stop(drain=True)
+        service.stop()
         print("[serve] drained and stopped", flush=True)
     return 0
 
@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     cli.add_json_flag(health)
     health.set_defaults(func=_cmd_health)
     serve = sub.add_parser(
-        "serve", help="broker-as-a-service: async job queue over localhost"
+        "serve", help="broker-as-a-service: a shared job queue over localhost"
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")

@@ -24,7 +24,8 @@ class RunRequest:
 
     ``artifacts`` accepts registered names (``fig4`` … ``resilience``)
     or the ``"all"`` alias.  ``parallel`` <= 1 runs in-process; higher
-    values fan points out across that many worker processes.
+    values fan points out across that many worker processes, never more
+    than there are points to evaluate.
     """
 
     artifacts: tuple[str, ...] = ("all",)
@@ -33,12 +34,20 @@ class RunRequest:
     use_cache: bool = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.artifacts, str):
-            object.__setattr__(self, "artifacts", (self.artifacts,))
-        else:
-            object.__setattr__(self, "artifacts", tuple(self.artifacts))
-        if not self.artifacts:
+        artifacts = self.artifacts
+        if isinstance(artifacts, str):
+            artifacts = (artifacts,)
+        try:
+            artifacts = tuple(artifacts)
+        except TypeError:  # a number, None: reported below
+            artifacts = (artifacts,)
+        if not all(isinstance(name, str) for name in artifacts):
+            raise ExperimentError(
+                f"RunRequest artifacts must be names (str), got {self.artifacts!r}"
+            )
+        if not artifacts:
             raise ExperimentError("RunRequest needs at least one artifact")
+        object.__setattr__(self, "artifacts", artifacts)
 
 
 @dataclass(frozen=True)

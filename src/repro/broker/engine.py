@@ -133,7 +133,9 @@ def run_sweep(
 
     workers = max(1, int(parallel)) if parallel else 1
     if workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # ``parallel`` is a tenant's to pick (over HTTP too), and the
+        # first submit forks every worker: no more than there are points.
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
             futures = [
                 (spec, key, ckey,
                  pool.submit(_worker_evaluate, spec.name, key, config, observed))

@@ -1,4 +1,4 @@
-"""Broker-as-a-service: a persistent asynchronous job layer.
+"""Broker-as-a-service: a persistent, multi-tenant job layer.
 
 The paper brokered one computation at a time onto heterogeneous
 platforms; ROADMAP item 2 asks for the "heavy traffic from millions of
@@ -10,12 +10,12 @@ This package provides it, stdlib-only:
 * :mod:`repro.service.admission` — per-tenant token buckets,
   concurrent-point quotas and queue-depth backpressure behind a typed
   :class:`~repro.errors.AdmissionDenied`;
-* :mod:`repro.service.queue` — the asyncio :class:`JobQueue` that
+* :mod:`repro.service.service` — :class:`BrokerService`, which
   **coalesces** identical in-flight submissions onto one computation
-  (cache-key reuse from :mod:`repro.broker.cache`) and streams state
-  transitions through :mod:`repro.obs.streaming`;
-* :mod:`repro.service.service` — :class:`BrokerService`, the
-  thread-hosted synchronous facade the CLI and HTTP layers share;
+  (cache-key reuse from :mod:`repro.broker.cache`), runs fresh ones on
+  a worker pool behind one lock, and streams state transitions through
+  :mod:`repro.obs.streaming` — the service the CLI and HTTP layers
+  share;
 * :mod:`repro.service.httpd` — the localhost ``http.server`` endpoint
   (``submit`` / ``status`` / ``result`` / ``cancel`` / ``metrics``);
 * :mod:`repro.service.client` — :class:`ServiceClient`, which talks to
@@ -36,7 +36,6 @@ from repro.service.admission import (
 )
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobStatus, SubmitReceipt, job_key
-from repro.service.queue import JobQueue
 from repro.service.service import BrokerService, ServiceConfig
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "JobStatus",
     "SubmitReceipt",
     "job_key",
-    "JobQueue",
     "BrokerService",
     "ServiceConfig",
 ]

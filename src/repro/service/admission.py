@@ -115,8 +115,9 @@ class TokenBucket:
 class AdmissionController:
     """Stateful admission gate: buckets and point ledgers per tenant.
 
-    Not thread-safe by itself — the :class:`~repro.service.queue.JobQueue`
-    calls it from its single event loop, which is the only writer.
+    Not thread-safe by itself — the
+    :class:`~repro.service.service.BrokerService` calls it only with its
+    lock held.
     """
 
     def __init__(self, policy: AdmissionPolicy | None = None, clock=time.monotonic):
@@ -149,7 +150,7 @@ class AdmissionController:
     def admit(self, tenant: str, points: int, queue_depth: int) -> None:
         """Admit one submission of ``points`` sweep points, or deny typed.
 
-        On success the tenant's point ledger is charged; the queue must
+        On success the tenant's point ledger is charged; the service must
         call :meth:`release` when the job leaves the in-flight set.
         """
         if points < 1:

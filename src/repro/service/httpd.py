@@ -192,10 +192,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if "request_pickle" in doc:
             request = pickle.loads(base64.b64decode(doc["request_pickle"]))
         else:
-            artifacts = doc.get("artifacts", ("all",))
             request = RunRequest(
-                artifacts=tuple(artifacts) if not isinstance(artifacts, str)
-                else (artifacts,),
+                artifacts=doc.get("artifacts", ("all",)),
                 parallel=int(doc.get("parallel", 0)),
                 use_cache=bool(doc.get("use_cache", True)),
             )

@@ -6,11 +6,11 @@ sets, the value-relevant slice of the
 :class:`~repro.harness.config.RunConfig`
 (:meth:`~repro.harness.config.RunConfig.cache_token`) and the repo
 code fingerprint.  Two tenants submitting the same computation thus
-produce the *same* job id, which is what lets the queue coalesce them
-onto one execution — and why execution-strategy knobs (``parallel``,
-``use_cache``, ``replay``) are deliberately excluded: they
-never change result values (pinned by the broker's bit-identity
-tests), so sharing across them is safe.
+produce the *same* job id, which is what lets the service coalesce them
+onto one execution — and why the execution-strategy knobs
+(``parallel``, ``use_cache``) are deliberately excluded: they never
+change result values (pinned by the broker's bit-identity tests), so
+sharing across them is safe.
 
 The lifecycle is a small linear machine::
 
@@ -64,6 +64,12 @@ def job_key(request) -> str:
         digest.update(part.encode())
         digest.update(b"\0")
     return digest.hexdigest()
+
+
+def count_points(request) -> int:
+    """Sweep points a request will evaluate — admission's unit of cost."""
+    specs = resolve_artifacts(request.artifacts)
+    return sum(len(spec.points(request.config)) for spec in specs)
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,9 @@ class JobStatus:
 class Job:
     """One queued computation: request, waiters, and the state machine.
 
-    Mutable and loop-confined — only the
-    :class:`~repro.service.queue.JobQueue`'s event loop touches it;
-    everyone else sees immutable :class:`JobStatus` snapshots.
+    Mutable, and touched only with its
+    :class:`~repro.service.service.BrokerService`'s lock held; everyone
+    else sees immutable :class:`JobStatus` snapshots.
     """
 
     def __init__(self, job_id: str, request, tenant: str, points: int,
@@ -154,6 +160,10 @@ class Job:
         self.tenants: list[str] = [tenant]
         self.state = "queued"
         self.error: str | None = None
+        #: Set once the job is finished: a ``done`` job's compressed
+        #: pickled result, or the exception a waiter raises (a failed
+        #: job's own, a cancelled job's JobCancelledError).
+        self.outcome: bytes | BaseException | None = None
         self._clock = clock
         now = clock()
         self.submitted_wall = now
@@ -211,6 +221,7 @@ class Job:
 
 __all__ = [
     "job_key",
+    "count_points",
     "SubmitReceipt",
     "JobStatus",
     "Job",

@@ -141,3 +141,37 @@ class TestObservedValuesCarryNoPaths:
         _root, observed, _warm, fresh, pooled = runs
         assert pooled.workers == 2
         assert observed.results == pooled.results == fresh.results
+
+
+class TestPoolSize:
+    def test_pool_is_sized_by_its_points(self, monkeypatch):
+        """A tenant picks ``parallel`` over HTTP; the pool starts no more
+        workers than the sweep has points to evaluate."""
+        from concurrent.futures import Future
+
+        import repro.broker.engine as engine
+
+        sizes = []
+
+        class StubPool:
+            """Records its size, starts no process, runs each call inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
+        fanned = run_sweep("fig4", parallel=100_000, use_cache=False)
+        assert sizes == [4]  # fig4's four platforms
+        serial = run_sweep("fig4", use_cache=False)
+        assert fanned.results["fig4"] == serial.results["fig4"]

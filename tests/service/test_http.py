@@ -195,6 +195,22 @@ class TestCurlShape:
         status = ServiceClient(service.url).status(doc["job_id"])
         assert status.artifacts == ("fig4",)
 
+    @pytest.mark.parametrize("artifacts", [5, None])
+    def test_malformed_artifacts_are_a_typed_400(self, service, artifacts):
+        from urllib.error import HTTPError
+
+        body = json.dumps({"artifacts": artifacts}).encode()
+        req = Request(f"{service.url}/api/v2/submit", data=body,
+                      method="POST",
+                      headers={"Content-Type": "application/json"})
+        with pytest.raises(HTTPError) as exc:
+            urlopen(req, timeout=30.0)
+        assert exc.value.code == 400
+        doc = json.loads(exc.value.read().decode())
+        assert doc["error"] == "ExperimentError"
+        assert "must be names" in doc["message"]
+        assert service.stats()["submitted"] == 0
+
     def test_unknown_route_is_404(self, service):
         from urllib.error import HTTPError
 

@@ -1,7 +1,9 @@
-"""The asyncio JobQueue: coalescing, lifecycle, cancel, stats."""
+"""The service's job queue: coalescing, lifecycle, cancel, stop, stats."""
 
-import asyncio
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,13 +14,8 @@ from repro.errors import (
     ServiceError,
 )
 from repro.harness.config import RunConfig
-from repro.service.jobs import job_key
-from repro.service.queue import JobQueue, count_points
-
-
-def run_async(coro):
-    """No pytest-asyncio in the toolchain: drive each test coroutine."""
-    return asyncio.run(coro)
+from repro.service import BrokerService, ServiceConfig
+from repro.service.jobs import count_points, job_key
 
 
 def echo_run(request):
@@ -27,13 +24,29 @@ def echo_run(request):
             request.config.cache_token())
 
 
-async def started(run_fn=echo_run, **kwargs) -> JobQueue:
-    queue = JobQueue(run_fn=run_fn, **kwargs)
-    await queue.start()
-    return queue
+def started(run_fn=echo_run, max_workers=2) -> BrokerService:
+    return BrokerService(ServiceConfig(max_workers=max_workers),
+                         run_fn=run_fn).start()
+
+
+def gated(release):
+    def run_fn(request):
+        release.wait(timeout=30.0)
+        return echo_run(request)
+
+    return run_fn
+
+
+def wait_running(svc, job_id):
+    """Let the single worker pick the job up before acting."""
+    deadline = time.monotonic() + 10.0
+    while svc.status(job_id).state != "running":
+        assert time.monotonic() < deadline, "the job never started"
+        time.sleep(0.005)
 
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=3))
+OTHER = RunRequest(artifacts=("fig5",), config=RunConfig(seed=3))
 
 
 class TestIdentity:
@@ -68,16 +81,11 @@ class TestIdentity:
 
 class TestLifecycle:
     def test_submit_runs_and_settles(self):
-        async def scenario():
-            queue = await started()
-            receipt = await queue.submit(REQ, tenant="alice")
+        with started() as svc:
+            receipt = svc.submit(REQ, tenant="alice")
             assert not receipt.coalesced
-            result = await queue.result(receipt.job_id)
-            status = await queue.status(receipt.job_id)
-            await queue.stop()
-            return receipt, result, status
-
-        receipt, result, status = run_async(scenario())
+            result = svc.result(receipt.job_id)
+            status = svc.status(receipt.job_id)
         assert result == echo_run(REQ)
         assert status.state == "done"
         assert [s for s, _ in status.transitions] == [
@@ -86,20 +94,12 @@ class TestLifecycle:
         assert status.tenants == ("alice",)
 
     def test_identical_submissions_coalesce(self):
-        async def scenario():
-            queue = await started()
-            first = await queue.submit(REQ, tenant="alice")
-            second = await queue.submit(REQ, tenant="bob")
-            results = (
-                await queue.result(first.job_id),
-                await queue.result(second.job_id),
-            )
-            status = await queue.status(first.job_id)
-            stats = queue.stats()
-            await queue.stop()
-            return first, second, results, status, stats
-
-        first, second, results, status, stats = run_async(scenario())
+        with started() as svc:
+            first = svc.submit(REQ, tenant="alice")
+            second = svc.submit(REQ, tenant="bob")
+            results = (svc.result(first.job_id), svc.result(second.job_id))
+            status = svc.status(first.job_id)
+            stats = svc.stats()
         assert first.job_id == second.job_id
         assert not first.coalesced and second.coalesced
         assert results[0] == results[1]
@@ -109,33 +109,24 @@ class TestLifecycle:
         assert stats["dedup_hit_rate"] == pytest.approx(0.5)
 
     def test_parallel_knob_still_coalesces(self):
-        async def scenario():
-            queue = await started()
-            first = await queue.submit(REQ, tenant="alice")
-            second = await queue.submit(
+        with started() as svc:
+            first = svc.submit(REQ, tenant="alice")
+            second = svc.submit(
                 RunRequest(artifacts=("fig4",), config=RunConfig(seed=3),
                            parallel=8),
                 tenant="bob",
             )
-            await queue.result(first.job_id)
-            await queue.stop()
-            return first, second
-
-        first, second = run_async(scenario())
+            svc.result(first.job_id)
         assert first.job_id == second.job_id and second.coalesced
 
     def test_coalesce_onto_done_job(self):
         """A submission identical to finished work collects immediately."""
-        async def scenario():
-            queue = await started()
-            first = await queue.submit(REQ, tenant="alice")
-            await queue.result(first.job_id)
-            late = await queue.submit(REQ, tenant="carol")
-            result = await queue.result(late.job_id)
-            await queue.stop()
-            return late, result, queue.stats()
-
-        late, result, stats = run_async(scenario())
+        with started() as svc:
+            first = svc.submit(REQ, tenant="alice")
+            svc.result(first.job_id)
+            late = svc.submit(REQ, tenant="carol")
+            result = svc.result(late.job_id)
+            stats = svc.stats()
         assert late.coalesced and late.state == "done"
         assert result == echo_run(REQ)
         assert stats["computations"] == 1
@@ -149,22 +140,17 @@ class TestLifecycle:
                 raise RuntimeError("transient platform failure")
             return echo_run(request)
 
-        async def scenario():
-            queue = await started(run_fn=flaky)
-            first = await queue.submit(REQ, tenant="alice")
+        with started(run_fn=flaky) as svc:
+            first = svc.submit(REQ, tenant="alice")
             with pytest.raises(RuntimeError, match="transient"):
-                await queue.result(first.job_id)
-            status = await queue.status(first.job_id)
+                svc.result(first.job_id)
+            status = svc.status(first.job_id)
             assert status.state == "failed"
             assert "transient" in status.error
             # Same content again: a failed record does NOT coalesce —
             # the resubmission supersedes it with a fresh run.
-            retry = await queue.submit(REQ, tenant="alice")
-            result = await queue.result(retry.job_id)
-            await queue.stop()
-            return retry, result
-
-        retry, result = run_async(scenario())
+            retry = svc.submit(REQ, tenant="alice")
+            result = svc.result(retry.job_id)
         assert not retry.coalesced
         assert result == echo_run(REQ)
         assert len(calls) == 2
@@ -173,134 +159,127 @@ class TestLifecycle:
 class TestCancel:
     def test_cancel_waiting_job(self):
         release = threading.Event()
-
-        def gated(request):
-            release.wait(timeout=30.0)
-            return echo_run(request)
-
-        other = RunRequest(artifacts=("fig5",), config=RunConfig(seed=3))
-
-        async def scenario():
-            queue = await started(run_fn=gated, max_workers=1)
-            running = await queue.submit(REQ, tenant="alice")
-            waiting = await queue.submit(other, tenant="bob")
-            # Let the single worker pick up the first job before acting.
-            while (await queue.status(running.job_id)).state != "running":
-                await asyncio.sleep(0.005)
-            cancelled = await queue.cancel(waiting.job_id)
+        with started(run_fn=gated(release), max_workers=1) as svc:
+            running = svc.submit(REQ, tenant="alice")
+            waiting = svc.submit(OTHER, tenant="bob")
+            wait_running(svc, running.job_id)
+            cancelled = svc.cancel(waiting.job_id)
             assert cancelled.state == "cancelled"
             with pytest.raises(JobCancelledError):
-                await queue.result(waiting.job_id)
+                svc.result(waiting.job_id)
             release.set()
-            await queue.result(running.job_id)
-            stats = queue.stats()
-            await queue.stop()
-            return stats
-
-        stats = run_async(scenario())
+            svc.result(running.job_id)
+            stats = svc.stats()
         assert stats["cancelled"] == 1
         assert stats["done"] == 1
         assert stats["computations"] == 1  # the cancelled job never ran
 
     def test_cancel_running_job_is_refused(self):
         release = threading.Event()
-
-        def gated(request):
-            release.wait(timeout=30.0)
-            return echo_run(request)
-
-        async def scenario():
-            queue = await started(run_fn=gated, max_workers=1)
-            receipt = await queue.submit(REQ, tenant="alice")
-            while (await queue.status(receipt.job_id)).state != "running":
-                await asyncio.sleep(0.005)
+        with started(run_fn=gated(release), max_workers=1) as svc:
+            receipt = svc.submit(REQ, tenant="alice")
+            wait_running(svc, receipt.job_id)
             with pytest.raises(ServiceError, match="cannot be cancelled"):
-                await queue.cancel(receipt.job_id)
+                svc.cancel(receipt.job_id)
             release.set()
-            await queue.result(receipt.job_id)
-            await queue.stop()
-
-        run_async(scenario())
+            svc.result(receipt.job_id)
 
     def test_cancel_terminal_job_is_a_noop(self):
-        async def scenario():
-            queue = await started()
-            receipt = await queue.submit(REQ, tenant="alice")
-            await queue.result(receipt.job_id)
-            status = await queue.cancel(receipt.job_id)
-            await queue.stop()
-            return status
-
-        assert run_async(scenario()).state == "done"
+        with started() as svc:
+            receipt = svc.submit(REQ, tenant="alice")
+            svc.result(receipt.job_id)
+            status = svc.cancel(receipt.job_id)
+        assert status.state == "done"
 
 
 class TestLookupsAndMisuse:
     def test_prefix_lookup(self):
-        async def scenario():
-            queue = await started()
-            receipt = await queue.submit(REQ, tenant="alice")
-            await queue.result(receipt.job_id)
-            status = await queue.status(receipt.job_id[:10])
-            await queue.stop()
-            return receipt, status
-
-        receipt, status = run_async(scenario())
+        with started() as svc:
+            receipt = svc.submit(REQ, tenant="alice")
+            svc.result(receipt.job_id)
+            status = svc.status(receipt.job_id[:10])
         assert status.job_id == receipt.job_id
 
     def test_unknown_job_raises(self):
-        async def scenario():
-            queue = await started()
+        with started() as svc:
             with pytest.raises(JobNotFoundError, match="no job"):
-                await queue.status("feedface")
-            await queue.stop()
-
-        run_async(scenario())
+                svc.status("feedface")
 
     def test_submit_before_start_raises(self):
-        async def scenario():
-            queue = JobQueue(run_fn=echo_run)
-            with pytest.raises(ServiceError, match="before start"):
-                await queue.submit(REQ)
-
-        run_async(scenario())
+        svc = BrokerService(run_fn=echo_run)
+        with pytest.raises(ServiceError, match="not running"):
+            svc.submit(REQ)
 
     def test_result_timeout_is_an_observer_not_an_owner(self):
         release = threading.Event()
-
-        def gated(request):
-            release.wait(timeout=30.0)
-            return echo_run(request)
-
-        async def scenario():
-            queue = await started(run_fn=gated, max_workers=1)
-            receipt = await queue.submit(REQ, tenant="alice")
+        with started(run_fn=gated(release), max_workers=1) as svc:
+            receipt = svc.submit(REQ, tenant="alice")
             with pytest.raises(TimeoutError):
-                await queue.result(receipt.job_id, timeout=0.05)
+                svc.result(receipt.job_id, timeout=0.05)
             # The timed-out wait must not have killed the job.
             release.set()
-            result = await queue.result(receipt.job_id)
-            await queue.stop()
-            return result
+            result = svc.result(receipt.job_id)
+        assert result == echo_run(REQ)
 
-        assert run_async(scenario()) == echo_run(REQ)
 
-    def test_stop_without_drain_cancels_waiting_jobs(self):
+class TestStop:
+    def test_stop_cancels_waiting_jobs(self):
         release = threading.Event()
+        svc = started(run_fn=gated(release), max_workers=1)
+        running = svc.submit(REQ, tenant="alice")
+        waiting = svc.submit(OTHER, tenant="bob")
+        wait_running(svc, running.job_id)
+        release.set()
+        svc.stop()
+        assert svc.status(waiting.job_id).state == "cancelled"
+        assert svc.status(running.job_id).state == "done"
 
-        def gated(request):
-            release.wait(timeout=30.0)
-            return echo_run(request)
+    def test_a_waiter_at_stop_gets_its_result(self):
+        """A thread blocked in result() when stop() is called gets the
+        running job's result, and one on a waiting job its typed error."""
+        release = threading.Event()
+        svc = started(run_fn=gated(release), max_workers=1)
+        running = svc.submit(REQ, tenant="alice")
+        waiting = svc.submit(OTHER, tenant="bob")
+        wait_running(svc, running.job_id)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = pool.submit(svc.result, running.job_id, 30.0)
+            refused = pool.submit(svc.result, waiting.job_id, 30.0)
+            time.sleep(0.05)  # both waits are blocked before stop()
+            threading.Timer(0.1, release.set).start()
+            svc.stop()
+            assert got.result(timeout=5.0) == echo_run(REQ)
+            with pytest.raises(JobCancelledError):
+                refused.result(timeout=5.0)
+        stats = svc.stats()
+        assert not svc.running
+        assert stats["inflight"] == 0 and stats["computations"] == 1
 
-        other = RunRequest(artifacts=("fig5",), config=RunConfig(seed=3))
 
-        async def scenario():
-            queue = await started(run_fn=gated, max_workers=1)
-            running = await queue.submit(REQ, tenant="alice")
-            waiting = await queue.submit(other, tenant="bob")
-            while (await queue.status(running.job_id)).state != "running":
-                await asyncio.sleep(0.005)
-            release.set()
-            await queue.stop(drain=False)
-            return await queue.status(waiting.job_id)
+class TestConcurrency:
+    def test_concurrent_submits_lose_no_update(self):
+        """Eight submitting threads, four workers, a thread switch every
+        microsecond: every submission is counted once, each distinct
+        request is computed once, and every waiter gets its value."""
+        requests = [RunRequest(artifacts=("fig4",), config=RunConfig(seed=s))
+                    for s in range(6)]
 
-        assert run_async(scenario()).state == "cancelled"
+        def submit_and_wait(svc, i):
+            request = requests[i % len(requests)]
+            return request, svc.run(request, tenant=f"t{i % 3}", timeout=30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with started(max_workers=4) as svc, \
+                    ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(lambda i: submit_and_wait(svc, i),
+                                         range(96)))
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == echo_run(request) for request, result in outcomes)
+        assert stats["submitted"] == 96
+        assert stats["computations"] == stats["done"] == len(requests)
+        assert stats["coalesced"] == 96 - len(requests)
+        assert stats["inflight"] == 0 and stats["queue_depth"] == 0

@@ -5,12 +5,12 @@ failed one.
 Counts and identities, not stopwatches: the job table lives as long as
 the service does, so what each entry pins is the service's memory."""
 
-import asyncio
 import gc
 import pathlib
 import pickle
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from urllib.request import urlopen
 
 import pytest
@@ -26,7 +26,6 @@ from repro.service import (
     ServiceConfig,
     TenantQuota,
 )
-from repro.service.queue import JobQueue
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=5))
 
@@ -37,19 +36,13 @@ def table_run(request):
 
 class TestDoneJob:
     def test_each_result_call_gets_its_own_copy(self):
-        async def scenario():
-            queue = JobQueue(run_fn=table_run)
-            await queue.start()
-            first = await queue.submit(REQ, tenant="alice")
-            second = await queue.submit(REQ, tenant="bob")
-            results = await asyncio.gather(
-                queue.result(first.job_id), queue.result(second.job_id)
-            )
-            blob = await queue.result_blob(first.job_id)
-            await queue.stop()
-            return results, blob
-
-        (mine, yours), blob = asyncio.run(scenario())
+        with BrokerService(run_fn=table_run) as svc:
+            first = svc.submit(REQ, tenant="alice")
+            second = svc.submit(REQ, tenant="bob")
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                mine, yours = pool.map(svc.result,
+                                       (first.job_id, second.job_id))
+            blob = svc.result_blob(first.job_id)
         assert mine == yours == table_run(REQ)
         assert mine is not yours and mine["rows"] is not yours["rows"]
         mine["rows"].append("scribble")  # one waiter's edit stays its own
@@ -60,24 +53,14 @@ class TestDoneJob:
         request = RunRequest(artifacts=("fig4",), config=RunConfig(seed=6))
         alive = weakref.ref(request)
 
-        async def scenario(queue):
-            await queue.start()
-            receipt = await queue.submit(request)
-            await queue.result(receipt.job_id)
-            return receipt.job_id
-
-        queue = JobQueue(run_fn=table_run)
-        loop = asyncio.new_event_loop()
-        try:
-            job_id = loop.run_until_complete(scenario(queue))
+        with BrokerService(run_fn=table_run) as svc:
+            job_id = svc.submit(request).job_id
+            svc.result(job_id)
             del request
             gc.collect()
             assert alive() is None
-            status = loop.run_until_complete(queue.status(job_id))
+            status = svc.status(job_id)
             assert status.state == "done" and status.artifacts == ("fig4",)
-            loop.run_until_complete(queue.stop())
-        finally:
-            loop.close()
 
     def test_two_http_fetches_return_identical_bytes(self):
         with BrokerService(ServiceConfig(http=True), run_fn=table_run) as svc:

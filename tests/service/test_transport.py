@@ -210,7 +210,7 @@ class TestStop:
                 time.sleep(0.01)
             time.sleep(0.2)  # the wait's request reaches its handler
             threading.Timer(0.2, release.set).start()
-            svc.stop(drain=True)
+            svc.stop()
             assert waiting.result(timeout=30.0) == echo_run(REQ)
         assert not any(t.is_alive() for t in set(connection_threads()) - before)
 
