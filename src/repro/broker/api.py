@@ -15,15 +15,15 @@ from repro.broker.cache import CacheStats
 from repro.broker.engine import SweepReport, run_sweep
 from repro.broker.registry import get_artifact, resolve_artifacts
 from repro.errors import ExperimentError
-from repro.harness.config import RunConfig
+from repro.harness.config import RunConfig, from_json, to_json
 
 
 @dataclass(frozen=True)
 class RunRequest:
     """What to regenerate and how hard to try.
 
-    ``artifacts`` accepts registered names (``fig4`` … ``resilience``)
-    or the ``"all"`` alias.  ``parallel`` <= 1 runs in-process; higher
+    ``artifacts`` accepts a registered name (``fig4`` … ``resilience``)
+    or the ``"all"`` alias, or a tuple or list of them.  ``parallel`` <= 1 runs in-process; higher
     values fan points out across that many worker processes, never more
     than there are points to evaluate.
     """
@@ -37,17 +37,27 @@ class RunRequest:
         artifacts = self.artifacts
         if isinstance(artifacts, str):
             artifacts = (artifacts,)
-        try:
-            artifacts = tuple(artifacts)
-        except TypeError:  # a number, None: reported below
-            artifacts = (artifacts,)
-        if not all(isinstance(name, str) for name in artifacts):
+        if not isinstance(artifacts, (tuple, list)) or not all(
+                isinstance(name, str) for name in artifacts):
             raise ExperimentError(
                 f"RunRequest artifacts must be names (str), got {self.artifacts!r}"
             )
+        artifacts = tuple(artifacts)
         if not artifacts:
             raise ExperimentError("RunRequest needs at least one artifact")
         object.__setattr__(self, "artifacts", artifacts)
+
+    def to_json(self) -> dict:
+        """The request as the JSON object the service's submit route
+        reads (:meth:`from_json`)."""
+        return to_json(self)
+
+    @classmethod
+    def from_json(cls, doc) -> "RunRequest":
+        """The request a :meth:`to_json` object names; a field left out
+        keeps its default, an unknown or mistyped one is an
+        :class:`~repro.errors.ExperimentError`."""
+        return from_json(cls, doc, "request")
 
 
 @dataclass(frozen=True)

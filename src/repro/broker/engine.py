@@ -90,7 +90,6 @@ def run_sweep(
     cache = SweepCache(config.cache_dir) if use_cache else None
     token = config.cache_token()
     fingerprint = code_fingerprint() if use_cache else ""
-    stats = CacheStats()
     t0 = time.perf_counter()
 
     stream = None
@@ -104,38 +103,37 @@ def run_sweep(
             points.append(
                 (spec, key, point_key(spec.name, key, token, fingerprint))
             )
+    values: dict[tuple[str, str], object] = {}
+    hits: list[tuple[ArtifactSpec, str]] = []
+    pending: list[tuple[ArtifactSpec, str, str]] = []
+    for spec, key, ckey in points:
+        hit, value = cache.get(ckey) if cache is not None else (False, None)
+        if hit:
+            values[(spec.name, key)] = value
+            hits.append((spec, key))
+        else:
+            pending.append((spec, key, ckey))
+    stats = CacheStats(hits=len(hits), misses=len(pending))
+
+    # ``parallel`` is a tenant's to pick (over HTTP too), and the first
+    # submit forks every worker: no more than there are points.
+    fork = int(parallel) > 1 and bool(pending)
+    workers = min(int(parallel), len(pending)) if fork else 1
     if stream is not None:
         stream.emit(
             "sweep_start",
             artifacts=[s.name for s in specs],
             points=len(points),
-            workers=max(1, int(parallel)) if parallel else 1,
+            workers=workers,
         )
+    for spec, key in hits:
+        with view.span("sweep_point", artifact=spec.name, point=key, cached=True):
+            view.count("sweep_points_total", artifact=spec.name, cached="true")
+        if stream is not None:
+            stream.emit("point", artifact=spec.name, point=key, cached=True)
 
-    values: dict[tuple[str, str], object] = {}
-    pending: list[tuple[ArtifactSpec, str, str]] = []
-    for spec, key, ckey in points:
-        if cache is not None:
-            hit, value = cache.get(ckey)
-            if hit:
-                stats.hits += 1
-                values[(spec.name, key)] = value
-                with view.span(
-                    "sweep_point", artifact=spec.name, point=key, cached=True
-                ):
-                    view.count("sweep_points_total", artifact=spec.name, cached="true")
-                if stream is not None:
-                    stream.emit("point", artifact=spec.name, point=key,
-                                cached=True)
-                continue
-        stats.misses += 1
-        pending.append((spec, key, ckey))
-
-    workers = max(1, int(parallel)) if parallel else 1
-    if workers > 1 and pending:
-        # ``parallel`` is a tenant's to pick (over HTTP too), and the
-        # first submit forks every worker: no more than there are points.
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+    if fork:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 (spec, key, ckey,
                  pool.submit(_worker_evaluate, spec.name, key, config, observed))

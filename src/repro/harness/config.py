@@ -17,13 +17,79 @@ two configs that would produce different numbers must never collide.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import dataclass, field, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from repro.errors import ExperimentError
+from repro.harness.paper_data import PAPER_MAX_RANKS
 from repro.obs.core import Observability, ObsConfig
 
 #: Default master seed (the value every generator used before the redesign).
 DEFAULT_SEED = 7
+
+#: Ceilings on a resilience run: the paper's largest assembly (63 EC2
+#: instances, 1000 ranks) and a week of hourly billing intervals.
+MAX_RESILIENCE_RANKS = PAPER_MAX_RANKS["ec2"]
+MAX_RESILIENCE_STEPS = 7 * 24
+
+
+def to_json(obj):
+    """A frozen dataclass (nested ones too) as JSON values: tuples as
+    lists, paths as strings."""
+    if is_dataclass(obj):
+        return {key: to_json(value) for key, value in vars(obj).items()}
+    if isinstance(obj, tuple):
+        return [to_json(item) for item in obj]
+    return os.fspath(obj) if isinstance(obj, os.PathLike) else obj
+
+
+def from_json(cls, doc, what: str):
+    """The ``cls`` a :func:`to_json` object names, read against the
+    dataclass's own field types: a field left out keeps its default, an
+    unknown or mistyped one (a bool is no number) is an
+    :class:`~repro.errors.ExperimentError` naming ``what``."""
+    if type(doc) is not dict:
+        raise ExperimentError(f"{what} must be a JSON object, got {doc!r}")
+    hints = _field_types(cls)
+    unknown = sorted(doc.keys() - hints)
+    if unknown:
+        raise ExperimentError(
+            f"{what} has no field {unknown[0]!r}; it has {sorted(hints)}")
+    return cls(**{key: _from_json(hints[key], value, f"{what}.{key}")
+                  for key, value in doc.items()})
+
+
+@cache
+def _field_types(cls) -> dict:
+    """A dataclass's field types, its string annotations evaluated."""
+    return get_type_hints(cls)
+
+
+def _from_json(hint, value, what: str):
+    """One JSON value as the type ``hint`` names."""
+    if type(value) is hint:
+        return value
+    if is_dataclass(hint):
+        return from_json(hint, value, what)
+    options = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[T, ...] from a list; any other
+        if type(value) is not list:  # value is the constructor's to judge
+            return value
+        return tuple(_from_json(options[0], item, what) for item in value)
+    if get_origin(hint) is UnionType:  # the first option that fits
+        errors = []
+        for option in options:
+            try:
+                return _from_json(option, value, what)
+            except ExperimentError as exc:
+                errors.append(exc)
+        raise errors[0]
+    if hint is float and type(value) is int and abs(value) <= 2 ** 53:
+        return float(value)
+    raise ExperimentError(f"{what} cannot be {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +108,12 @@ class ResilienceParams:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.num_ranks < 1 or self.num_steps < 1:
-            raise ExperimentError("resilience run needs >= 1 rank and >= 1 step")
+        if not (1 <= self.num_ranks <= MAX_RESILIENCE_RANKS
+                and 1 <= self.num_steps <= MAX_RESILIENCE_STEPS):
+            raise ExperimentError(
+                f"resilience run needs 1..{MAX_RESILIENCE_RANKS} ranks and "
+                f"1..{MAX_RESILIENCE_STEPS} steps, got {self.num_ranks} "
+                f"and {self.num_steps}")
         if not 0.0 <= self.spike_probability <= 1.0:
             raise ExperimentError(
                 f"spike_probability must be in [0, 1], got {self.spike_probability}"
@@ -82,10 +152,8 @@ class RunConfig:
         spans and metrics never feed back into the numbers, and the
         cache's own location must not invalidate its contents.
         """
-        payload = {
-            "seed": self.seed,
-            "resilience": asdict(self.resilience),
-        }
+        payload = to_json(self)
+        del payload["obs"], payload["cache_dir"]
         # The checkpoint directory is scratch space, not an input.
-        payload["resilience"].pop("checkpoint_dir", None)
+        del payload["resilience"]["checkpoint_dir"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))

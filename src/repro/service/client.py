@@ -148,15 +148,13 @@ class ServiceClient:
     def submit(self, request, tenant: str = "default") -> SubmitReceipt:
         """Submit a typed request; returns the service's receipt.
 
-        The request crosses as pickle so every field (config, seeds,
-        resilience knobs) survives exactly; the JSON-only form of the
-        endpoint remains available to curl (see ``docs/api.md``).
+        The request crosses as its JSON form
+        (:meth:`~repro.broker.api.RunRequest.to_json`), the same body
+        curl sends (see ``docs/api.md``), so every field (config, seeds,
+        resilience knobs) survives exactly.
         """
-        doc = self._call("POST", "/submit", body={
-            "tenant": tenant,
-            "request_pickle":
-                base64.b64encode(pickle.dumps(request)).decode(),
-        })
+        doc = self._call("POST", "/submit",
+                         body={"tenant": tenant, **request.to_json()})
         return SubmitReceipt(
             job_id=doc["job_id"], state=doc["state"],
             coalesced=bool(doc["coalesced"]), tenant=doc["tenant"],
@@ -178,7 +176,7 @@ class ServiceClient:
             path += f"?timeout={timeout:g}"
         wire = timeout + 30.0 if timeout is not None else None
         doc = self._call("GET", path, timeout=wire)
-        return pickle.loads(base64.b64decode(doc["result_pickle"]))
+        return pickle.loads(base64.b64decode(doc["result_blob"]))
 
     def cancel(self, job_id: str) -> JobStatus:
         """Cancel a not-yet-running job."""

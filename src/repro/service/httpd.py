@@ -7,27 +7,35 @@ curl, CI) can share one service:
 ========  ==========================  =======================================
 method    path                        body / response
 ========  ==========================  =======================================
-POST      ``/api/v2/submit``          JSON ``{"artifacts": [...], "tenant",
-                                      "parallel", "use_cache"}`` (or a
-                                      ``request_pickle`` for a full typed
-                                      :class:`~repro.broker.api.RunRequest`)
+POST      ``/api/v2/submit``          ``{"tenant", **RunRequest.to_json()}``
+                                      (every field optional; an unknown or
+                                      mistyped one, or a path a peer may
+                                      not name, is a 400)
                                       → submit-receipt JSON
 GET       ``/api/v2/status/<id>``     job-status JSON (id prefixes work)
 GET       ``/api/v2/jobs``            every job's status JSON
-GET       ``/api/v2/result/<id>``     ``{"state", "result_pickle"}`` — the
-                                      pickled typed ``RunResult``;
+GET       ``/api/v2/result/<id>``     ``{"state", "result_blob"}`` — the
+                                      typed ``RunResult`` as the service
+                                      stored it, base64;
                                       ``?timeout=S`` bounds the wait
 POST      ``/api/v2/cancel/<id>``     final job-status JSON
 GET       ``/api/v2/stats``           queue accounting JSON
 GET       ``/api/v2/metrics``         Prometheus text exposition
 ========  ==========================  =======================================
 
-Typed results cross the wire as base64 pickle inside JSON: every tenant
-receives the *same* bytes for a coalesced job, preserving the library's
-bit-identity guarantee over HTTP.  Pickle is only safe between a client
-and a service it trusts, which is why the endpoint binds localhost by
-default and this module is documented as a loopback transport, not an
-internet face.
+Requests cross as JSON (:meth:`~repro.broker.api.RunRequest.from_json`)
+and may name no directory for the service to write, and a cache
+directory only where nobody but the service's user can put a file
+(:func:`_peer_request`): no byte a peer sends is loaded as an object.
+A request coalesces onto a job of equal values, whose cache directory
+is its first submitter's.  A typed result crosses back
+as :meth:`~repro.service.service.BrokerService.result_blob`, base64
+inside JSON: every tenant receives the *same* bytes for a coalesced
+job, preserving the library's bit-identity guarantee over HTTP.
+Loading that blob runs code for the client, so it is only safe from a
+service the client trusts, which is why the endpoint binds localhost
+by default and this module is documented as a loopback transport, not
+an internet face.
 
 Typed errors map onto status codes (429 ``AdmissionDenied``, 404
 ``JobNotFoundError``, 409 ``JobCancelledError``, 408 result-wait
@@ -45,16 +53,19 @@ from __future__ import annotations
 
 import base64
 import json
-import pickle
+import os
 import selectors
 import socket
+import stat
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
     AdmissionDenied,
+    ExperimentError,
     JobCancelledError,
     JobNotFoundError,
     ReproError,
@@ -76,6 +87,47 @@ def _error_doc(exc: BaseException) -> dict:
         doc["reason"] = exc.reason
         doc["retry_after_s"] = exc.retry_after_s
     return doc
+
+
+def _peer_request(doc: dict):
+    """The :class:`~repro.broker.api.RunRequest` a submit body names,
+    held to what a peer may ask of the service's user: no directory for
+    it to write (``obs.out_dir``, ``resilience.checkpoint_dir``), and a
+    ``cache_dir``, whose entries it loads as objects, only where nobody
+    else can put a file (:func:`_private_dir`)."""
+    from repro.broker.api import RunRequest
+
+    request = RunRequest.from_json(doc)
+    config = request.config
+    if config.resilience.checkpoint_dir is not None or (
+            config.obs is not None and config.obs.out_dir is not None):
+        raise ExperimentError(
+            "a request over HTTP names no obs.out_dir or "
+            "resilience.checkpoint_dir; the service writes only its own")
+    if config.cache_dir is not None and not _private_dir(config.cache_dir):
+        raise ExperimentError(
+            f"cache_dir {config.cache_dir!r} must be an absolute path "
+            "without symlinks that only the service's user or root can "
+            "write to")
+    return request
+
+
+def _private_dir(path: str) -> bool:
+    """Whether only this process's user or root can add a file under
+    ``path``: it is absolute and free of symlinks, and its deepest
+    existing directory and every one above it belong to those users and
+    let nobody else write, but for a sticky ancestor (``/tmp``) of a
+    directory that exists."""
+    if os.path.realpath(path) != path:
+        return False
+    existing = [d for d in (Path(path), *Path(path).parents) if d.exists()]
+    for depth, directory in enumerate(existing):
+        info = directory.stat()
+        shared = info.st_mode & 0o022 and not (
+            depth and info.st_mode & stat.S_ISVTX)
+        if shared or info.st_uid not in (0, os.geteuid()):
+            return False
+    return True
 
 
 def _status_for(exc: BaseException) -> int:
@@ -150,7 +202,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _read_json(self) -> dict:
         if not self._body:
             return {}
-        doc = json.loads(self._body.decode())
+        try:
+            doc = json.loads(self._body.decode())
+        except RecursionError:
+            raise ServiceError("request body nests too deep") from None
         if not isinstance(doc, dict):
             raise ServiceError("request body must be a JSON object")
         return doc
@@ -185,19 +240,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- handlers -----------------------------------------------------------
 
     def _post_submit(self) -> None:
-        from repro.broker.api import RunRequest
-
         doc = self._read_json()
-        tenant = str(doc.get("tenant", "default"))
-        if "request_pickle" in doc:
-            request = pickle.loads(base64.b64decode(doc["request_pickle"]))
-        else:
-            request = RunRequest(
-                artifacts=doc.get("artifacts", ("all",)),
-                parallel=int(doc.get("parallel", 0)),
-                use_cache=bool(doc.get("use_cache", True)),
-            )
-        receipt = self.service.submit(request, tenant=tenant)
+        tenant = doc.pop("tenant", "default")
+        if not isinstance(tenant, str):
+            raise ServiceError(f"tenant must be a string, got {tenant!r}")
+        receipt = self.service.submit(_peer_request(doc), tenant=tenant)
         self._send_json({
             "job_id": receipt.job_id,
             "state": receipt.state,
@@ -220,7 +267,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json({
             "job_id": status.job_id,
             "state": status.state,
-            "result_pickle": base64.b64encode(blob).decode(),
+            "result_blob": base64.b64encode(blob).decode(),
         })
 
     def _post_cancel(self, job_id: str) -> None:

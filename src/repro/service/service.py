@@ -73,6 +73,20 @@ def _drop_tracebacks(exc: BaseException) -> BaseException:
     return exc
 
 
+def _waiter_copy(exc: BaseException) -> BaseException:
+    """A copy of a failed job's stored exception for one waiter to raise.
+
+    Raising the stored one would hang that waiter's traceback, and so
+    every local of its frames, on the job table.  The copy skips
+    ``__init__`` (an exception's may not take its own ``args``).
+    """
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(vars(exc))
+    copy.__cause__, copy.__context__ = exc.__cause__, exc.__context__
+    copy.__suppress_context__ = exc.__suppress_context__
+    return copy
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """How one :class:`BrokerService` is provisioned.
@@ -312,7 +326,7 @@ class BrokerService:
                 )
             outcome = job.outcome
         if isinstance(outcome, BaseException):
-            raise outcome
+            raise _waiter_copy(outcome)
         return zlib.decompress(outcome)
 
     def cancel(self, job_id: str):
@@ -407,12 +421,13 @@ class BrokerService:
         job.outcome = outcome
         job.transition(state)
         self._counts[state] += 1
-        self._count(f"service_jobs_{state}_total", tenant=job.owner)
         del self._inflight[job.job_id]
         self._admission.release(job.owner, job.points)
+        self._lock.notify_all()
+        # Telemetry last: if it raises, the job is settled all the same.
+        self._count(f"service_jobs_{state}_total", tenant=job.owner)
         self._gauge_depth()
         self._emit_job(job, event="state")
-        self._lock.notify_all()
 
     def _work(self, job: Job) -> None:
         """One pool thread: run an admitted job, then settle it."""
@@ -420,10 +435,14 @@ class BrokerService:
             if job.state != "admitted":
                 return  # cancelled while it waited
             job.transition("running")
+            try:
+                self._count("service_computations_total", tenant=job.owner)
+                self._gauge_depth()
+                self._emit_job(job, event="state")
+            except Exception as exc:  # never leave a job running unrun
+                self._settle(job, "failed", _drop_tracebacks(exc))
+                return
             self._counts["computations"] += 1
-            self._count("service_computations_total", tenant=job.owner)
-            self._gauge_depth()
-            self._emit_job(job, event="state")
             request = job.request
         try:
             blob = pickle.dumps(self._run_fn(request), protocol=_PICKLE_PROTOCOL)

@@ -173,5 +173,25 @@ class TestPoolSize:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
         fanned = run_sweep("fig4", parallel=100_000, use_cache=False)
         assert sizes == [4]  # fig4's four platforms
+        assert fanned.workers == 4
         serial = run_sweep("fig4", use_cache=False)
+        assert serial.workers == 1
         assert fanned.results["fig4"] == serial.results["fig4"]
+
+    def test_a_warm_sweep_reports_no_pool(self, monkeypatch, tmp_path):
+        """Every point cached: nothing forks, and the report, the
+        ``sweep_start`` row and the run agree on one worker."""
+        import repro.broker.engine as engine
+        from repro.obs.streaming import read_rows, stream_path
+
+        config = RunConfig(cache_dir=str(tmp_path / "cache"))
+        run_sweep("fig4", config=config)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", None)  # must not fork
+        observed = RunConfig(cache_dir=config.cache_dir,
+                             obs=ObsConfig(out_dir=str(tmp_path / "obs")))
+        warm = run_sweep("fig4", config=observed, parallel=8)
+        assert warm.workers == 1 and warm.stats.misses == 0
+        kinds = [(r["kind"], r.get("workers"))
+                 for r in read_rows(stream_path(tmp_path / "obs"))]
+        assert kinds[0] == ("sweep_start", 1)
+        assert [k for k, _ in kinds[1:5]] == ["point"] * 4

@@ -155,6 +155,25 @@ class TestLifecycle:
         assert result == echo_run(REQ)
         assert len(calls) == 2
 
+    def test_a_failing_start_settles_the_job(self, monkeypatch):
+        """Bookkeeping that raises as a job starts fails the job: it
+        never stays running with its points held."""
+        with started() as svc:
+            count = svc._count
+
+            def broken(name, **labels):
+                if name == "service_computations_total":
+                    raise RuntimeError("metrics are down")
+                count(name, **labels)
+
+            monkeypatch.setattr(svc, "_count", broken)
+            receipt = svc.submit(REQ, tenant="alice")
+            with pytest.raises(RuntimeError, match="metrics are down"):
+                svc.result(receipt.job_id, timeout=10.0)
+            assert svc.status(receipt.job_id).state == "failed"
+            assert svc._admission.inflight_points("alice") == 0
+            assert svc.stats()["computations"] == 0
+
 
 class TestCancel:
     def test_cancel_waiting_job(self):

@@ -154,6 +154,26 @@ class TestFailedJob:
             assert status.state == "failed"
             assert status.error.startswith("ValueError: boom")
 
+    def test_a_waiter_leaves_none_of_its_frames_on_the_job(self):
+        """Each waiter raises its own copy of the stored exception, so
+        the job table never holds a waiter's traceback."""
+        def run_fn(request):
+            raise ValueError("boom")
+
+        with BrokerService(ServiceConfig(), run_fn=run_fn) as svc:
+            job_id = svc.submit(REQ).job_id
+
+            def waiter():
+                ballast = Ballast()
+                with pytest.raises(ValueError, match="boom"):
+                    svc.result(job_id, timeout=30.0)
+                return weakref.ref(ballast)
+
+            alive = waiter()
+            gc.collect()
+            assert alive() is None
+            assert svc.status(job_id).state == "failed"
+
     def test_http_failure_releases_the_run_frames(self, failing):
         run_fn, alive = failing
         with BrokerService(ServiceConfig(http=True), run_fn=run_fn) as svc:

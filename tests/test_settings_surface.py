@@ -45,10 +45,6 @@ _MPI = "MPI_Sendrecv's signature, which the p2p conformance workload mirrors"
 #: dotted paths below ``repro``: ``module.function.param``,
 #: ``module.Class.method.param`` or ``module.Class.field``.
 KEEP: dict[str, str] = {
-    "harness.config.ResilienceParams.checkpoint_dir": (
-        "a deployment path: where the operator wants restart files kept "
-        "(None: a temporary directory)"
-    ),
     "service.jobs.Job.__init__.clock": _SEAM + " (a fake clock)",
     "service.service.BrokerService.__init__.hub": (
         _SEAM + " (an observability hub it can read back)"
