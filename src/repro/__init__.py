@@ -1,8 +1,10 @@
 """repro: reproduction of "Experiences with Target-Platform Heterogeneity
 in Clouds, Grids, and On-Premises Resources" (Emory TR-2012-004).
 
-The public API re-exports the objects a downstream user needs most; the
-subpackages remain importable directly for everything else:
+The public API re-exports the objects a downstream user needs most, each
+imported from its defining module on first use (so ``import repro`` loads
+no FEM stack); the subpackages remain importable directly for everything
+else:
 
 * ``repro.fem`` / ``repro.la`` / ``repro.partition`` — the numerical
   substrate (LifeV / Trilinos / ParMETIS work-alikes);
@@ -21,68 +23,37 @@ subpackages remain importable directly for everything else:
   ``BrokerService.run`` and ``ServiceClient(url).run``.
 """
 
-from repro.errors import ReproError
-from repro.apps.navier_stokes import NSProblem, NSSolver
-from repro.apps.reaction_diffusion import RDProblem, RDSolver
-from repro.core.deployment import deploy_and_run
-from repro.platforms.catalog import (
-    all_platforms,
-    ec2_cc28xlarge,
-    ellipse,
-    lagrange,
-    platform_by_name,
-    puma,
-)
-from repro.harness.config import ResilienceParams, RunConfig
-from repro.broker import (
-    AssemblyPlan,
-    BrokerReport,
-    BrokerRequest,
-    RunRequest,
-    RunResult,
-    artifact_names,
-    broker_assemblies,
-    run,
-    section_7d_request,
-)
-from repro.service import (
-    AdmissionPolicy,
-    BrokerService,
-    ServiceClient,
-    ServiceConfig,
-    TenantQuota,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ReproError",
-    "RDProblem",
-    "RDSolver",
-    "NSProblem",
-    "NSSolver",
-    "deploy_and_run",
-    "all_platforms",
-    "platform_by_name",
-    "puma",
-    "ellipse",
-    "lagrange",
-    "ec2_cc28xlarge",
-    "RunConfig",
-    "ResilienceParams",
-    "RunRequest",
-    "RunResult",
-    "run",
-    "artifact_names",
-    "AssemblyPlan",
-    "BrokerReport",
-    "BrokerRequest",
-    "broker_assemblies",
-    "section_7d_request",
-    "AdmissionPolicy",
-    "BrokerService",
-    "ServiceClient",
-    "ServiceConfig",
-    "TenantQuota",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.errors": ("ReproError",),
+    "repro.apps.reaction_diffusion": ("RDProblem", "RDSolver"),
+    "repro.apps.navier_stokes": ("NSProblem", "NSSolver"),
+    "repro.core.deployment": ("deploy_and_run",),
+    "repro.platforms.catalog": (
+        "all_platforms",
+        "platform_by_name",
+        "puma",
+        "ellipse",
+        "lagrange",
+        "ec2_cc28xlarge",
+    ),
+    "repro.harness.config": ("RunConfig", "ResilienceParams"),
+    "repro.broker.api": ("RunRequest", "RunResult", "run"),
+    "repro.broker.registry": ("artifact_names",),
+    "repro.broker.assembly": (
+        "AssemblyPlan",
+        "BrokerReport",
+        "BrokerRequest",
+        "broker_assemblies",
+        "section_7d_request",
+    ),
+    "repro.service.admission": ("AdmissionPolicy", "TenantQuota"),
+    "repro.service.service": ("BrokerService", "ServiceConfig"),
+    "repro.service.client": ("ServiceClient",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]

@@ -21,7 +21,7 @@ one path to a platform recommendation: the ranked portfolio of
 :func:`repro.broker.broker_assemblies` (``--elastic``: its refinement
 along a reclaim trajectory).
 
-Shared flag vocabulary (``--seed``/``--cache-dir``/``--obs-out``/...) and
+Shared flag vocabulary (``--seed``/``--cache-dir``/``--url``/...) and
 the ``--json`` output mode on read-only subcommands come from
 :mod:`repro.cli`.
 """
@@ -429,27 +429,27 @@ def _cmd_submit(args) -> int:
         parallel=args.parallel,
         use_cache=not args.no_cache,
     )
-    client = ServiceClient(args.url)
-    try:
-        receipt = client.submit(request, tenant=args.tenant)
-        if not args.wait:
-            print(cli.render(
-                args,
-                text=lambda: (
-                    f"job {receipt.job_id[:12]} {receipt.state}"
-                    + (" (coalesced)" if receipt.coalesced else "")
-                ),
-                payload=lambda: {
-                    "job_id": receipt.job_id,
-                    "state": receipt.state,
-                    "coalesced": receipt.coalesced,
-                    "tenant": receipt.tenant,
-                },
-            ))
-            return 0
-        result = client.result(receipt.job_id, timeout=args.timeout)
-    except (ReproError, TimeoutError, OSError) as exc:
-        return cli.fail(str(exc))
+    with ServiceClient(args.url) as client:
+        try:
+            receipt = client.submit(request, tenant=args.tenant)
+            if not args.wait:
+                print(cli.render(
+                    args,
+                    text=lambda: (
+                        f"job {receipt.job_id[:12]} {receipt.state}"
+                        + (" (coalesced)" if receipt.coalesced else "")
+                    ),
+                    payload=lambda: {
+                        "job_id": receipt.job_id,
+                        "state": receipt.state,
+                        "coalesced": receipt.coalesced,
+                        "tenant": receipt.tenant,
+                    },
+                ))
+                return 0
+            result = client.result(receipt.job_id, timeout=args.timeout)
+        except (ReproError, TimeoutError, OSError) as exc:
+            return cli.fail(str(exc))
     if args.json:
         print(json.dumps({
             "job_id": receipt.job_id,
@@ -472,16 +472,16 @@ def _cmd_status(args) -> int:
     from repro.errors import ReproError
     from repro.service import ServiceClient
 
-    client = ServiceClient(args.url)
-    try:
-        if args.job_id:
-            statuses = [client.status(args.job_id)]
-            stats = None
-        else:
-            statuses = client.jobs()
-            stats = client.stats()
-    except (ReproError, TimeoutError, OSError) as exc:
-        return cli.fail(str(exc))
+    with ServiceClient(args.url) as client:
+        try:
+            if args.job_id:
+                statuses = [client.status(args.job_id)]
+                stats = None
+            else:
+                statuses = client.jobs()
+                stats = client.stats()
+        except (ReproError, TimeoutError, OSError) as exc:
+            return cli.fail(str(exc))
 
     def text() -> str:
         if not statuses:
@@ -547,6 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--no-cache", action="store_true",
                       help="recompute every point, bypassing the result cache")
     cli.add_config_options(runp)
+    runp.add_argument("--obs-out", default=None, metavar="DIR",
+                      help="observe the run and export artifacts to DIR")
     runp.set_defaults(func=_cmd_run)
 
     brokerp = sub.add_parser(

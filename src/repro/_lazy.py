@@ -1,0 +1,29 @@
+"""PEP 562 lazy exports for the re-exporting package ``__init__``s.
+
+``import repro`` binds no export: each name is imported from its defining
+module the first time it is read, then cached in the package's globals,
+so the FEM stack (and scipy) loads only where an FEM point runs.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+
+def lazy_exports(namespace: dict, modules: dict[str, tuple[str, ...]]):
+    """The ``__getattr__`` and ``__dir__`` of a package exporting
+    ``{defining module: names}``."""
+    home = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = namespace[name] = getattr(importlib.import_module(home[name]), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *home})
+
+    return __getattr__, __dir__

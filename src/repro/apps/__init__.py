@@ -10,27 +10,18 @@
 
 Both expose the paper's phase structure (fig. 3): assembly (ii),
 preconditioner (iiia), solve (iiib), instrumented per iteration by
-:mod:`repro.apps.phases`.
+:mod:`repro.apps.phases`.  The names below load on first use, so
+:mod:`repro.apps.workload` alone brings in no FEM stack.
 """
 
-from repro.apps.exact import RDManufacturedSolution, EthierSteinmanSolution
-from repro.apps.phases import PhaseClock, IterationPhases, PhaseLog
-from repro.apps.reaction_diffusion import RDProblem, RDSolver, run_rd_distributed
-from repro.apps.navier_stokes import NSProblem, NSSolver
-from repro.apps.workload import AppWorkload, RD_WORKLOAD, NS_WORKLOAD
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RDManufacturedSolution",
-    "EthierSteinmanSolution",
-    "PhaseClock",
-    "IterationPhases",
-    "PhaseLog",
-    "RDProblem",
-    "RDSolver",
-    "run_rd_distributed",
-    "NSProblem",
-    "NSSolver",
-    "AppWorkload",
-    "RD_WORKLOAD",
-    "NS_WORKLOAD",
-]
+_EXPORTS = {
+    "repro.apps.exact": ("RDManufacturedSolution", "EthierSteinmanSolution"),
+    "repro.apps.phases": ("PhaseClock", "IterationPhases", "PhaseLog"),
+    "repro.apps.reaction_diffusion": ("RDProblem", "RDSolver", "run_rd_distributed"),
+    "repro.apps.navier_stokes": ("NSProblem", "NSSolver"),
+    "repro.apps.workload": ("AppWorkload", "RD_WORKLOAD", "NS_WORKLOAD"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

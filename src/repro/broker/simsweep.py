@@ -27,9 +27,8 @@ Each point value records which path it took (``replayed`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
 from repro.apps.workload import RD_WORKLOAD
 from repro.broker.cache import RecordingStore, recording_key
 from repro.core.reporting import ascii_table
@@ -38,6 +37,9 @@ from repro.perfmodel.compute import ModeledCompute, rd_modeled_compute
 from repro.platforms.catalog import platform_by_name
 from repro.simmpi.launcher import default_topology, run_spmd
 from repro.simmpi.replay import replay_schedule
+
+if TYPE_CHECKING:
+    from repro.apps.reaction_diffusion import RDProblem
 
 #: The executed sweep's fixed workload: a small RD solve that exercises
 #: every phase (assembly, preconditioner, fused CG) at p = 8.
@@ -50,6 +52,8 @@ SWEEP_TOL = 1e-10
 
 def _sweep_problem() -> RDProblem:
     """The fixed RD problem every simsweep point solves."""
+    from repro.apps.reaction_diffusion import RDProblem
+
     return RDProblem(mesh_shape=SWEEP_MESH, num_steps=SWEEP_STEPS)
 
 
@@ -74,6 +78,8 @@ def _discretization(problem: RDProblem, num_ranks: int) -> dict:
 
 def _rank_main(comm, problem: RDProblem, charger: ModeledCompute) -> None:
     """One rank of the sweep workload (module-level: picklable)."""
+    from repro.apps.reaction_diffusion import run_rd_distributed
+
     run_rd_distributed(
         comm,
         problem,

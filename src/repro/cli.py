@@ -7,8 +7,8 @@ single source of truth the :mod:`repro.__main__` subparsers compose:
 
 * :func:`add_config_options` / :func:`config_from_args` — the
   :class:`~repro.harness.config.RunConfig` flags (``--seed``,
-  ``--cache-dir``, ``--obs-out``),
-  identical wherever a config is built (``run``, ``serve``, ``submit``);
+  ``--cache-dir``), identical wherever a config is built (``run``,
+  ``submit``); only ``run`` adds ``--obs-out``, which a service refuses;
 * :func:`add_json_flag` / :func:`render` — the ``--json`` output mode
   every read-only subcommand supports: same data, machine shape;
 * :func:`add_service_endpoint` — the ``--url`` flag the service-facing
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable
 
@@ -34,17 +35,21 @@ def add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="master experiment seed (default 7)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default .repro_cache)")
-    parser.add_argument("--obs-out", default=None, metavar="DIR",
-                        help="observe the run and export artifacts to DIR")
 
 
 def config_from_args(args: argparse.Namespace):
-    """Build the :class:`~repro.harness.config.RunConfig` the flags name."""
+    """Build the :class:`~repro.harness.config.RunConfig` the flags name.
+
+    ``--cache-dir`` is made absolute here, where the working directory
+    is the user's: a service resolves nothing relative to its own.
+    """
     from repro.harness.config import RunConfig
     from repro.obs.core import ObsConfig
 
-    obs = ObsConfig(out_dir=args.obs_out) if args.obs_out else None
-    return RunConfig(seed=args.seed, obs=obs, cache_dir=args.cache_dir)
+    obs_out = getattr(args, "obs_out", None)
+    obs = ObsConfig(out_dir=obs_out) if obs_out else None
+    cache_dir = os.path.abspath(args.cache_dir) if args.cache_dir else None
+    return RunConfig(seed=args.seed, obs=obs, cache_dir=cache_dir)
 
 
 def add_json_flag(parser: argparse.ArgumentParser) -> None:

@@ -24,15 +24,16 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from repro.errors import ExperimentError
-from repro.harness.paper_data import PAPER_MAX_RANKS
 from repro.obs.core import Observability, ObsConfig
 
 #: Default master seed (the value every generator used before the redesign).
 DEFAULT_SEED = 7
 
-#: Ceilings on a resilience run: the paper's largest assembly (63 EC2
-#: instances, 1000 ranks) and a week of hourly billing intervals.
-MAX_RESILIENCE_RANKS = PAPER_MAX_RANKS["ec2"]
+#: The resilience artifact's RD mesh (cells per axis).  Each rank runs one
+#: z-slab of its Q2 lattice, two planes per cell plus one, so the lattice
+#: caps the ranks; a week of hourly billing intervals caps the steps.
+RESILIENCE_MESH = (4, 4, 4)
+MAX_RESILIENCE_RANKS = 2 * RESILIENCE_MESH[2] + 1
 MAX_RESILIENCE_STEPS = 7 * 24
 
 

@@ -34,7 +34,7 @@ from repro.cloud.ec2 import EC2Service
 from repro.cloud.instances import CC2_8XLARGE
 from repro.core.characterization import platform_gaps
 from repro.costs.model import cost_per_iteration
-from repro.harness.config import DEFAULT_SEED, ResilienceParams
+from repro.harness.config import DEFAULT_SEED, RESILIENCE_MESH, ResilienceParams
 from repro.harness.results import PortingEffort
 from repro.network.model import NetworkModel
 from repro.network.topology import ClusterTopology
@@ -247,7 +247,7 @@ def resilience_report(
     plan = FaultPlan.from_spot_market(
         market, params.num_steps, step_hours, list(spot_ranks), seed=seed
     )
-    problem = RDProblem(mesh_shape=(4, 4, 4), num_steps=params.num_steps)
+    problem = RDProblem(mesh_shape=RESILIENCE_MESH, num_steps=params.num_steps)
     checkpoint_dir = params.checkpoint_dir
     if checkpoint_dir is None:
         tmp = tempfile.TemporaryDirectory()

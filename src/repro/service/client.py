@@ -15,6 +15,7 @@ computing.
 Every verb a thread calls travels over that thread's one persistent
 HTTP/1.1 connection, so a client is safe to share across threads and a
 closed loop of calls opens one TCP connection, not one per call.
+:meth:`ServiceClient.close` (or leaving a ``with`` block) closes them all.
 
 Only point a client at a service you trust — results cross the wire as
 pickle, which is a loopback convenience, not an internet protocol (see
@@ -71,8 +72,8 @@ class ServiceClient:
     ``base_url`` is the service's ``http://host:port``;
     ``request_timeout_s`` bounds each HTTP round trip (result waits add
     their own ``timeout`` on top).  Each calling thread keeps one
-    connection open; a kept connection the service closed before
-    answering is reopened and the request sent once more.
+    connection open until :meth:`close`; a kept connection the service
+    closed before answering is reopened and the request sent once more.
     """
 
     def __init__(self, base_url: str, request_timeout_s: float = 600.0):
@@ -85,6 +86,22 @@ class ServiceClient:
         self._netloc = url.netloc
         self._root = url.path + API_PREFIX
         self._local = threading.local()
+        self._conns_lock = threading.Lock()
+        self._conns: list = []  # every thread's, for close()
+
+    def close(self) -> None:
+        """Close every connection this client opened, whichever thread
+        opened it.  Call it with no request in flight; a later call
+        reconnects (and a later ``close`` closes that too)."""
+        with self._conns_lock:
+            for conn in self._conns:
+                conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ----------------------------------------------------------
 
@@ -97,6 +114,8 @@ class ServiceClient:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connection_class(self._netloc)
+            with self._conns_lock:
+                self._conns.append(conn)
         try:
             response = self._send(conn, method, self._root + path, data,
                                   deadline)

@@ -496,10 +496,20 @@ class EventEngine:
             )
             self.abort(exc)
             raise exc
+        # The run is over.  Its comms and every frame in the errors'
+        # tracebacks hold this engine, so let go of them (and of ``root``
+        # below: this frame joins its traceback) and a finished run is
+        # freed by reference counting, not left to the cyclic gc.
+        self._bind = None
         if self._errors:
             root = self._abort_exception
             if root is None:
                 self._errors.sort(key=lambda pair: pair[0])
                 root = self._errors[0][1]
-            raise root
+            self._errors.clear()
+            self._abort_exception = None
+            try:
+                raise root
+            finally:
+                del root
         return [task.result for task in self._tasks]

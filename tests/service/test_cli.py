@@ -94,6 +94,22 @@ class TestSubmitStatusCLI:
         assert len(doc["jobs"]) == 1
         assert doc["stats"]["done"] == 1
 
+    def test_submit_offers_no_obs_out(self, capsys):
+        """A service refuses every ``obs.out_dir``; submit does not ask."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "table1", "--url", "http://127.0.0.1:1",
+                  "--obs-out", "o"])
+        assert excinfo.value.code == 2
+        assert "--obs-out" in capsys.readouterr().err
+
+    def test_submit_sends_a_relative_cache_dir_resolved(
+            self, url, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["submit", "table1", "--url", url, "--cache-dir",
+                     "cache", "--wait"]) == 0
+        assert "computed" in capsys.readouterr().out
+        assert (tmp_path / "cache").is_dir()
+
     def test_submit_unreachable_service_fails_cleanly(self, capsys):
         assert main([
             "submit", "table1", "--url", "http://127.0.0.1:1",

@@ -2,6 +2,7 @@
 framing that survives a kept connection, the one-time reconnect, and a
 stop() that ends every connection it served."""
 
+import gc
 import http.client
 import json
 import math
@@ -9,6 +10,7 @@ import socket
 import struct
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -113,6 +115,22 @@ class TestOneConnectionPerThread:
         for _ in range(200):
             client.stats()
         assert time.perf_counter() - start < 2.0
+
+
+class TestClose:
+    def test_close_closes_every_threads_connection(self, service):
+        """No socket is left for the garbage collector to find open."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with ServiceClient(service.url) as client:
+                worker = threading.Thread(target=client.stats)
+                worker.start()
+                worker.join()
+                client.stats()
+            del client, worker
+            gc.collect()
+        assert [w.message for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestFraming:

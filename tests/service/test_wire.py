@@ -26,6 +26,7 @@ from repro.errors import ExperimentError
 from repro.harness.config import (
     MAX_RESILIENCE_RANKS,
     MAX_RESILIENCE_STEPS,
+    RESILIENCE_MESH,
     ResilienceParams,
     RunConfig,
     from_json,
@@ -66,7 +67,7 @@ obs_configs = st.none() | st.builds(
     discard=st.integers(0, 50),
 )
 resilience_params = st.builds(
-    ResilienceParams, num_ranks=st.integers(1, 64),
+    ResilienceParams, num_ranks=st.integers(1, MAX_RESILIENCE_RANKS),
     num_steps=st.integers(1, 64), spike_probability=st.floats(0.0, 1.0),
     checkpoint_dir=paths,
 )
@@ -211,6 +212,29 @@ def test_a_resilience_run_has_a_ceiling():
         with pytest.raises(ExperimentError, match="resilience run needs"):
             RunRequest.from_json({"config": {"resilience": fields}})
     assert ResilienceParams(MAX_RESILIENCE_RANKS, MAX_RESILIENCE_STEPS)
+
+
+@pytest.mark.parametrize("num_ranks", [10, 16, 1000])
+def test_no_more_resilience_ranks_than_slabs(service, num_ranks):
+    """Each rank needs a z-slab of the artifact's lattice: a larger run is
+    refused as it is read, over HTTP before the service counts it."""
+    resilience = {"num_ranks": num_ranks}
+    with pytest.raises(ExperimentError, match="resilience run needs"):
+        RunRequest.from_json({"config": {"resilience": resilience}})
+    before = service.stats()["submitted"]
+    status, doc = post(service, {"artifacts": ["resilience"],
+                                 "config": {"resilience": resilience}})
+    assert (status, doc["error"]) == (400, "ExperimentError")
+    assert service.stats()["submitted"] == before
+
+
+def test_the_rank_ceiling_is_the_resilience_lattices_z_planes():
+    from repro.apps.reaction_diffusion import RDProblem
+    from repro.fem.dofmap import DofMap
+
+    problem = RDProblem(mesh_shape=RESILIENCE_MESH)
+    lattice = DofMap(problem.mesh(), problem.order).lattice_shape
+    assert lattice[2] == MAX_RESILIENCE_RANKS
 
 
 @pytest.mark.parametrize("config, token, key", PINNED)

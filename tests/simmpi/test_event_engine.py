@@ -9,9 +9,11 @@ exact deadlock detection, fault kills as scheduler-level cancellation,
 task-local observability context, and the process-wide context pool.
 """
 
+import gc
 import pickle
 import re
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -161,6 +163,22 @@ class TestFailurePaths:
 
         with pytest.raises(RankFailedError):
             run(main, 4, fault_injector=FaultInjector(plan))
+
+    def test_failed_attempts_leave_nothing_for_the_cyclic_gc(self):
+        """A failed launch's traceback holds frames whose ``self`` is the
+        engine; the engine lets go of it, so the resilience artifact's
+        failed attempts are freed as they end, not by a later gc pass."""
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            repro.run(artifacts=("resilience",), use_cache=False)
+            gc.collect()
+            kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert (kinds["EventEngine"], kinds["frame"]) == (0, 0)
 
 
 class TestTaskLocalObservability:
