@@ -77,6 +77,7 @@ def _cmd_broker(args) -> str:
         render_elastic_report,
         volatile_market_request,
     )
+    from repro.harness.config import to_json
 
     flags = {
         name: value
@@ -100,7 +101,7 @@ def _cmd_broker(args) -> str:
             args,
             text=lambda: render_elastic_report(report),
             payload=lambda: {
-                "request": dataclasses.asdict(request),
+                "request": to_json(request),
                 **report.to_dict(),
             },
         )
@@ -120,9 +121,9 @@ def _cmd_broker(args) -> str:
         args,
         text=lambda: render_broker_report(report, top=args.top),
         payload=lambda: {
-            "request": dataclasses.asdict(request),
+            "request": to_json(request),
             "plans": [
-                dataclasses.asdict(plan)
+                to_json(plan)
                 for plan in (report.plans[:args.top] if args.top else report.plans)
             ],
         },
@@ -343,6 +344,7 @@ def _cmd_health(args) -> int:
     import json
     from pathlib import Path
 
+    from repro.errors import ReproError
     from repro.obs.health import RunHealthReport
 
     target = Path(args.dir)
@@ -354,10 +356,13 @@ def _cmd_health(args) -> int:
             f"no *-health.json under {target} — run an observed sweep "
             f"(repro run --obs-out) or repro trace first"
         )
-    reports = [
-        (path, RunHealthReport.from_dict(json.loads(path.read_text())))
-        for path in candidates
-    ]
+    reports = []
+    for path in candidates:
+        try:
+            doc = json.loads(path.read_text())
+            reports.append((path, RunHealthReport.from_dict(doc)))
+        except (ValueError, ReproError) as exc:
+            return cli.fail(f"{path} is no health report: {exc}")
     print(cli.render(
         args,
         text=lambda: "\n".join(
@@ -421,6 +426,7 @@ def _cmd_submit(args) -> int:
 
     from repro.broker.api import RunRequest
     from repro.errors import ReproError
+    from repro.harness.config import to_json
     from repro.service import ServiceClient
 
     request = RunRequest(
@@ -439,12 +445,7 @@ def _cmd_submit(args) -> int:
                         f"job {receipt.job_id[:12]} {receipt.state}"
                         + (" (coalesced)" if receipt.coalesced else "")
                     ),
-                    payload=lambda: {
-                        "job_id": receipt.job_id,
-                        "state": receipt.state,
-                        "coalesced": receipt.coalesced,
-                        "tenant": receipt.tenant,
-                    },
+                    payload=lambda: to_json(receipt),
                 ))
                 return 0
             result = client.result(receipt.job_id, timeout=args.timeout)
@@ -470,6 +471,7 @@ def _cmd_submit(args) -> int:
 def _cmd_status(args) -> int:
     """Job table (or one job's status) of a running service."""
     from repro.errors import ReproError
+    from repro.harness.config import to_json
     from repro.service import ServiceClient
 
     with ServiceClient(args.url) as client:
@@ -509,7 +511,7 @@ def _cmd_status(args) -> int:
         args,
         text=text,
         payload=lambda: {
-            "jobs": [s.as_dict() for s in statuses],
+            "jobs": [to_json(s) for s in statuses],
             **({"stats": stats} if stats is not None else {}),
         },
     ))

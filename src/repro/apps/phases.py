@@ -37,16 +37,6 @@ class IterationPhases:
         """Full iteration time."""
         return self.assembly + self.preconditioner + self.solve + self.other
 
-    def as_dict(self) -> dict[str, float]:
-        """Phase name -> seconds (including the derived total)."""
-        return {
-            "assembly": self.assembly,
-            "preconditioner": self.preconditioner,
-            "solve": self.solve,
-            "other": self.other,
-            "total": self.total,
-        }
-
 
 class PhaseClock:
     """Accumulates phase durations for the current iteration.

@@ -13,7 +13,7 @@ is ``state()`` / ``restore()``
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -43,10 +43,6 @@ class StepRecord:
     allreduce_rounds: int
     residuals: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        """JSON-able fields (the inverse of :meth:`from_dict`)."""
-        return {**asdict(self), "residuals": list(self.residuals)}
-
     @classmethod
     def from_solves(cls, step: int, t: float, results) -> "StepRecord":
         """The record of step ``step``, whose linear solves advanced to time ``t``."""
@@ -58,11 +54,6 @@ class StepRecord:
             allreduce_rounds=sum(r.allreduce_rounds for r in results),
             residuals=tuple(chain.from_iterable(r.residuals for r in results)),
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepRecord":
-        """The record :meth:`to_dict` wrote."""
-        return cls(**{**data, "residuals": tuple(data["residuals"])})
 
 
 def slab_ownership(dofmap, num_ranks: int) -> list[np.ndarray]:

@@ -134,15 +134,6 @@ class AssemblyPlan:
         return sum(p.cost_dollars for p in self.phases if p.name != "provision")
 
     @property
-    def cost_per_iteration(self) -> float:
-        """Compute-phase dollars per solver iteration (Figures 6-7 units)."""
-        compute = sum(
-            p.cost_dollars for p in self.phases
-            if p.name in ("compute", "checkpoint+rework")
-        )
-        return compute / max(1, self.num_iterations)
-
-    @property
     def acceptable(self) -> bool:
         """Feasible and inside every stated constraint."""
         return (
@@ -197,13 +188,6 @@ class BrokerReport:
             "no assembly satisfies the request "
             f"({self.request.num_ranks} ranks of {self.request.app!r})"
         )
-
-    def plan(self, name: str) -> AssemblyPlan:
-        """Look a candidate up by name."""
-        for plan in self.plans:
-            if plan.name == name:
-                return plan
-        raise BrokerError(f"no candidate plan named {name!r}")
 
 
 def _infeasible(name: str, platform: PlatformSpec, strategy: str,

@@ -162,7 +162,7 @@ def _weak_scaling_text(table, value: str, title: str) -> str:
 
 
 def _render_table1(matrix: Table1Matrix) -> str:
-    return render_table1(rows=matrix.as_dict())
+    return render_table1(rows=matrix.rows)
 
 
 def _render_porting(report: PortingEffortReport) -> str:

@@ -194,10 +194,6 @@ class SimSweepTable:
     num_ranks: int
     rows: tuple[dict, ...]
 
-    def as_dict(self) -> dict[str, dict]:
-        """Rows keyed by platform name."""
-        return {row["platform"]: row for row in self.rows}
-
 
 def _assemble_simsweep(values: dict[str, dict], config: RunConfig) -> SimSweepTable:
     from repro.broker.registry import _platform_names

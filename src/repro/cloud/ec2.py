@@ -21,8 +21,6 @@ from repro.cloud.images import BASE_CENTOS_IMAGE, MachineImage
 from repro.cloud.instances import CC2_8XLARGE, InstanceType
 from repro.cloud.placement import PlacementGroup, PlacementMap
 from repro.cloud.spot import SpotMarket
-from repro.network.model import NetworkModel
-from repro.network.topology import ClusterTopology
 
 _instance_ids = itertools.count(1)
 
@@ -36,11 +34,6 @@ class InterruptedRunOutcome:
     interruptions: int
     cost: float
     reclaim_rounds: tuple = ()  # 0-based wall-clock interval indices with a reclaim
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Wall-clock inflation caused by reclaims."""
-        return self.wall_seconds / self.useful_seconds - 1.0
 
 
 @dataclass(frozen=True)
@@ -78,11 +71,6 @@ class CloudCluster:
         return len(self.instances)
 
     @property
-    def total_cores(self) -> int:
-        """Core capacity of the assembly."""
-        return sum(i.instance_type.cores for i in self.instances)
-
-    @property
     def hourly_price(self) -> float:
         """Total dollars per hour while the assembly runs."""
         return sum(i.hourly_price for i in self.instances)
@@ -91,14 +79,6 @@ class CloudCluster:
         """Fraction of instances obtained from the spot market."""
         spot = sum(1 for i in self.instances if i.pricing == "spot")
         return spot / len(self.instances)
-
-    def topology(self) -> ClusterTopology:
-        """A simmpi/perfmodel topology with placement-group distances."""
-        itype = self.instances[0].instance_type
-        network = NetworkModel(
-            itype.network, distance_factor=self.placement.distance_factor
-        )
-        return ClusterTopology(self.num_nodes, itype.cores, network)
 
     def run_for(self, seconds: float) -> float:
         """Accrue a run of ``seconds`` on every instance; returns the cost."""

@@ -34,19 +34,6 @@ class MachineImage:
         if self.boot_volume_gb <= 0:
             raise CloudError(f"boot volume must be positive, got {self.boot_volume_gb}")
 
-    def compatible_with(self, instance_type) -> bool:
-        """Whether this image boots on an instance type.
-
-        Cluster Compute types require HVM virtualization; the small
-        paravirtual 32-bit types cannot boot HVM images.  This encodes
-        the §VI.D experience: the image preconditioned on cc1.4xlarge
-        "was fully compatible" with the later cc2.8xlarge — both are HVM
-        x86-64, so binaries and the image carry over unchanged.
-        """
-        if instance_type.hvm:
-            return self.hvm
-        return not self.hvm
-
 
 BASE_CENTOS_IMAGE = MachineImage(
     image_id="ami-7ea24a17",

@@ -23,7 +23,6 @@ class InstanceType:
     network: LinkModel
     on_demand_hourly: float  # dollars per instance-hour
     typical_spot_hourly: float
-    hvm: bool = True  # cluster instances require HVM virtualization
     placement_groups: bool = False  # network-aware allocation support
 
     def __post_init__(self) -> None:

@@ -40,11 +40,6 @@ class DeploymentReport:
     run_cost_dollars: float
     nodes: int
 
-    @property
-    def time_to_solution_s(self) -> float:
-        """Queue wait plus runtime (provisioning is a one-off)."""
-        return self.queue_wait_s + self.runtime_s
-
     def summary(self) -> str:
         """A one-paragraph human-readable report."""
         return (

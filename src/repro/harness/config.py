@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -49,8 +49,8 @@ def to_json(obj):
 
 def from_json(cls, doc, what: str):
     """The ``cls`` a :func:`to_json` object names, read against the
-    dataclass's own field types: a field left out keeps its default, an
-    unknown or mistyped one (a bool is no number) is an
+    dataclass's own field types: a field left out keeps its default; an
+    unknown, mistyped (a bool is no number) or missing one is an
     :class:`~repro.errors.ExperimentError` naming ``what``."""
     if type(doc) is not dict:
         raise ExperimentError(f"{what} must be a JSON object, got {doc!r}")
@@ -59,6 +59,9 @@ def from_json(cls, doc, what: str):
     if unknown:
         raise ExperimentError(
             f"{what} has no field {unknown[0]!r}; it has {sorted(hints)}")
+    missing = sorted(_required_fields(cls) - doc.keys())
+    if missing:
+        raise ExperimentError(f"{what} needs the field {missing[0]!r}")
     return cls(**{key: _from_json(hints[key], value, f"{what}.{key}")
                   for key, value in doc.items()})
 
@@ -69,6 +72,13 @@ def _field_types(cls) -> dict:
     return get_type_hints(cls)
 
 
+@cache
+def _required_fields(cls) -> frozenset:
+    """The fields a dataclass has no default for."""
+    return frozenset(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+
+
 def _from_json(hint, value, what: str):
     """One JSON value as the type ``hint`` names."""
     if type(value) is hint:
@@ -76,10 +86,17 @@ def _from_json(hint, value, what: str):
     if is_dataclass(hint):
         return from_json(hint, value, what)
     options = get_args(hint)
-    if get_origin(hint) is tuple:  # tuple[T, ...] from a list; any other
-        if type(value) is not list:  # value is the constructor's to judge
+    if get_origin(hint) is tuple:
+        # From a list: tuple[T, ...] of any length, tuple[T1, T2] of two;
+        # any other value is the constructor's to judge.
+        if type(value) is not list:
             return value
-        return tuple(_from_json(options[0], item, what) for item in value)
+        if options[-1] is Ellipsis:
+            options = options[:1] * len(value)
+        elif len(value) != len(options):
+            raise ExperimentError(f"{what} cannot be {value!r}")
+        return tuple(_from_json(option, item, what)
+                     for option, item in zip(options, value))
     if get_origin(hint) is UnionType:  # the first option that fits
         errors = []
         for option in options:

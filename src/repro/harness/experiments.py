@@ -243,6 +243,18 @@ def resilience_report(
     spot_ranks = tuple(
         i for i, inst in enumerate(cluster.instances) if inst.pricing == "spot"
     )
+    # Priced before the run: a failure rate the model cannot price (a
+    # reclaim more often than once per interval) fails the point before
+    # any rank starts.
+    run_seconds = params.num_steps * step_hours * 3600.0
+    interval_s = step_hours * 3600.0
+    model = CheckpointRestartModel(
+        checkpoint_seconds=30.0,
+        restart_seconds=120.0,
+        failure_rate_per_hour=failure_rate_from_market(market, len(spot_ranks)),
+    )
+    model_overhead_fraction = model.expected_overhead_fraction(
+        run_seconds, interval_s)
 
     plan = FaultPlan.from_spot_market(
         market, params.num_steps, step_hours, list(spot_ranks), seed=seed
@@ -263,22 +275,13 @@ def resilience_report(
     )
     result = runner.run()
 
-    run_seconds = params.num_steps * step_hours * 3600.0
     outcome = cluster.run_with_interruptions(
-        run_seconds, market, seed=seed,
-        checkpoint_interval_s=step_hours * 3600.0,
+        run_seconds, market, seed=seed, checkpoint_interval_s=interval_s,
     )
     cluster.terminate()
     on_demand_cost = (
         params.num_ranks * CC2_8XLARGE.on_demand_hourly * run_seconds / 3600.0
     )
-
-    model = CheckpointRestartModel(
-        checkpoint_seconds=30.0,
-        restart_seconds=120.0,
-        failure_rate_per_hour=failure_rate_from_market(market, len(spot_ranks)),
-    )
-    interval_s = step_hours * 3600.0
 
     return ResilienceReport(
         num_ranks=params.num_ranks,
@@ -294,9 +297,7 @@ def resilience_report(
         reclaim_rounds=outcome.reclaim_rounds,
         mix_cost=outcome.cost,
         on_demand_cost=on_demand_cost,
-        model_overhead_fraction=model.expected_overhead_fraction(
-            run_seconds, interval_s
-        ),
+        model_overhead_fraction=model_overhead_fraction,
         optimal_interval_s=model.optimal_interval_seconds(),
     )
 

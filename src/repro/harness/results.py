@@ -13,7 +13,7 @@ class Table1Matrix:
     """Table I as a typed result: attribute -> platform -> cell text.
 
     Access cells through :meth:`cell` (typed, raising on absent keys)
-    or :meth:`as_dict` for the historical nested-dict shape; the
+    or ``rows``, the nested ``attribute -> platform -> text`` dict; the
     transitional mapping shims (``matrix[attr]``, ``.items()``) were
     removed after their deprecation release — see ``docs/api.md``.
     """
@@ -34,10 +34,6 @@ class Table1Matrix:
                 f"Table I has no cell ({attribute!r}, {platform!r})"
             ) from None
 
-    def as_dict(self) -> dict[str, dict[str, str]]:
-        """The historical ``dict[str, dict[str, str]]`` shape."""
-        return {attr: dict(cells) for attr, cells in self.rows.items()}
-
 
 @dataclass(frozen=True)
 class PortingEffort:
@@ -48,15 +44,6 @@ class PortingEffort:
     by_method: dict[str, tuple[str, ...]]
     missing_packages: tuple[str, ...]
     actions: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        """The historical per-platform dict shape."""
-        return {
-            "total_hours": self.total_hours,
-            "by_method": {k: list(v) for k, v in self.by_method.items()},
-            "missing_packages": list(self.missing_packages),
-            "actions": list(self.actions),
-        }
 
 
 @dataclass(frozen=True)
@@ -78,10 +65,6 @@ class PortingEffortReport:
                 f"no porting-effort record for {platform!r}"
             ) from None
 
-    def as_dict(self) -> dict[str, dict]:
-        """The historical ``platform -> fields`` nested-dict shape."""
-        return {name: e.as_dict() for name, e in self.entries.items()}
-
 
 @dataclass(frozen=True)
 class WeakScalingTable:
@@ -93,13 +76,6 @@ class WeakScalingTable:
     def platforms(self) -> list[str]:
         """Platform names in insertion order."""
         return list(self.columns)
-
-    def point(self, platform: str, num_ranks: int) -> WeakScalingPoint:
-        """Look up one cell."""
-        for pt in self.columns[platform]:
-            if pt.num_ranks == num_ranks:
-                return pt
-        raise ExperimentError(f"no point ({platform}, {num_ranks})")
 
     def feasible_max(self, platform: str) -> int:
         """The largest feasible rank count of a platform's column."""
@@ -131,7 +107,7 @@ def weak_scaling_rows(
             elif value == "cost":
                 row.append(pt.cost_per_iteration)
             else:
-                row.append(pt.prediction.as_dict()[value])
+                row.append(getattr(pt.prediction, value))
         rows.append(row)
     return headers, rows
 
@@ -150,7 +126,7 @@ def weak_scaling_series(
                 series.append((float(pt.num_ranks), pt.cost_per_iteration))
             else:
                 series.append(
-                    (float(pt.num_ranks), pt.prediction.as_dict()[value])
+                    (float(pt.num_ranks), getattr(pt.prediction, value))
                 )
         out[name] = series
     return out

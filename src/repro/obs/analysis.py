@@ -65,8 +65,9 @@ def phase_statistics(
     iteration's phase durations.
 
     The merged row (key ``None``) takes, per iteration, the *maximum*
-    over ranks — the slowest rank bounds the iteration — before the
-    discard-and-average step, mirroring ``Tracer.max_time_by_label``.
+    over ranks — the slowest rank bounds the iteration, §VII.A's "total
+    maximal iteration time" — before the discard-and-average step of
+    :meth:`~repro.apps.phases.PhaseLog.averages`.
     """
     if discard is None:
         discard = getattr(obs.config, "discard", DEFAULT_DISCARD)
@@ -212,12 +213,11 @@ class _SpanIndex:
 
 
 def _timelines(records) -> dict[int, list]:
-    """Each rank's non-phase trace records in ``(t_start, t_end)`` order:
-    the per-rank lists :func:`_match_events` hands out indices into."""
+    """Each rank's trace records in ``(t_start, t_end)`` order: the
+    per-rank lists :func:`_match_events` hands out indices into."""
     by_rank: dict[int, list] = defaultdict(list)
     for r in records:
-        if r.kind != "phase":
-            by_rank[r.rank].append(r)
+        by_rank[r.rank].append(r)
     for rank_records in by_rank.values():
         rank_records.sort(key=lambda r: (r.t_start, r.t_end))
     return by_rank
@@ -368,8 +368,6 @@ def overlap_report(obs) -> dict:
     compute: dict[int, list[tuple[float, float]]] = defaultdict(list)
     t_lo, t_hi = math.inf, -math.inf
     for r in obs.tracer.snapshot():
-        if r.kind == "phase":
-            continue
         t_lo = min(t_lo, r.t_start)
         t_hi = max(t_hi, r.t_end)
         if r.kind in comm_kinds and r.duration > 0:

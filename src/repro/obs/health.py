@@ -68,26 +68,6 @@ class RankHealth:
         """Total diagnosed waiting: late-sender + collective wait."""
         return self.late_sender + self.collective_wait
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (JSON-ready)."""
-        return {
-            "rank": self.rank,
-            "compute_time": self.compute_time,
-            "comm_time": self.comm_time,
-            "send_time": self.send_time,
-            "recv_overhead": self.recv_overhead,
-            "late_sender": self.late_sender,
-            "late_receiver": self.late_receiver,
-            "collective_wait": self.collective_wait,
-            "collective_work": self.collective_work,
-            "nic_busy": self.nic_busy,
-            "nic_saturation": self.nic_saturation,
-            "wall_time": self.wall_time,
-            "sends": self.sends,
-            "recvs": self.recvs,
-            "collectives": self.collectives,
-        }
-
 
 @dataclass(frozen=True)
 class RunHealthReport:
@@ -135,7 +115,10 @@ class RunHealthReport:
         return max((r.nic_saturation for r in self.ranks), default=0.0)
 
     def as_dict(self) -> dict:
-        """Plain-dict form (JSON-ready) mirroring :meth:`from_dict`."""
+        """Plain-dict form (JSON-ready): the fields, each rank's row as
+        ``to_json`` writes it, and the summary derived from them."""
+        from repro.harness.config import to_json  # it imports repro.obs
+
         return {
             "num_ranks": self.num_ranks,
             "makespan": self.makespan,
@@ -151,22 +134,19 @@ class RunHealthReport:
                              "late_sender", "late_receiver",
                              "collective_wait", "collective_work", "nic_busy")
             },
-            "ranks": [r.as_dict() for r in self.ranks],
+            "ranks": to_json(self.ranks),
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "RunHealthReport":
-        """Rebuild a report from :meth:`as_dict` output (telemetry)."""
-        ranks = tuple(
-            RankHealth(**{k: row[k] for k in RankHealth.__dataclass_fields__
-                          if k in row})
-            for row in doc.get("ranks", [])
-        )
-        return RunHealthReport(
-            ranks=ranks,
-            load_imbalance=float(doc.get("load_imbalance", 0.0)),
-            makespan=float(doc.get("makespan", 0.0)),
-        )
+        """The report :meth:`as_dict` wrote (a health file, worker
+        telemetry): its own fields, not the summary derived from them."""
+        from repro.harness.config import from_json
+
+        if type(doc) is dict:
+            own = RunHealthReport.__dataclass_fields__
+            doc = {key: value for key, value in doc.items() if key in own}
+        return from_json(RunHealthReport, doc, "health report")
 
     def format(self) -> str:
         """Human-readable summary: indices, totals, worst offenders."""

@@ -118,11 +118,6 @@ class Counter(Instrument):
         key = _label_key(labels)
         return sum(s.value for (r, lk), s in self.slots().items() if lk == key)
 
-    def per_rank(self, labels: dict | None = None) -> dict[int, float]:
-        """rank -> value for one label set."""
-        key = _label_key(labels)
-        return {r: s.value for (r, lk), s in sorted(self.slots().items()) if lk == key}
-
 
 class _GaugeSlot:
     __slots__ = ("value",)

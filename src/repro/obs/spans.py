@@ -47,13 +47,6 @@ class Span:
         """Whether the span has ended."""
         return self.t_end is not None
 
-    def child(self, name: str) -> "Span":
-        """First direct child with ``name`` (convenience for tests/analysis)."""
-        for c in self.children:
-            if c.name == name:
-                return c
-        raise ObservabilityError(f"span {self.name!r} has no child {name!r}")
-
     def walk(self):
         """Yield this span and all descendants, depth-first, pre-order."""
         yield self

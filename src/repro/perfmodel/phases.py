@@ -89,15 +89,6 @@ class PhasePrediction:
         """Predicted max iteration time."""
         return self.assembly + self.preconditioner + self.solve
 
-    def as_dict(self) -> dict[str, float]:
-        """Phase name -> seconds."""
-        return {
-            "assembly": self.assembly,
-            "preconditioner": self.preconditioner,
-            "solve": self.solve,
-            "total": self.total,
-        }
-
 
 class PhaseModel:
     """Predicts phase times for one application on one platform."""

@@ -65,10 +65,6 @@ class PackageRegistry:
         except KeyError:
             raise ProvisioningError(f"unknown package {name!r}") from None
 
-    def names(self) -> list[str]:
-        """All registered package names."""
-        return sorted(self._packages)
-
     def closure(self, targets: list[str]) -> list[str]:
         """Topologically ordered dependency closure of ``targets``.
 

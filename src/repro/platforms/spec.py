@@ -68,11 +68,6 @@ class NodeSpec:
         """Total cores per node."""
         return self.sockets * self.cpu.cores
 
-    @property
-    def ram_gb(self) -> float:
-        """Total RAM per node."""
-        return self.ram_per_core_gb * self.cores
-
 
 @dataclass(frozen=True)
 class AvailabilityModel:

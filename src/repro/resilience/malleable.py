@@ -97,20 +97,6 @@ class RepartitionReport:
         """Fraction of the global DOF set that changed owner."""
         return self.moved_dofs / self.num_dofs if self.num_dofs else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "p_old": self.p_old,
-            "p_new": self.p_new,
-            "step": self.step,
-            "t": self.t,
-            "num_dofs": self.num_dofs,
-            "moved_dofs": self.moved_dofs,
-            "moved_fraction": self.moved_fraction,
-            "edge_cut": self.edge_cut,
-            "load_imbalance": self.load_imbalance,
-            "seconds": self.seconds,
-        }
-
 
 def decompose(problem, num_ranks: int) -> list[np.ndarray]:
     """RCB mesh decomposition at ``num_ranks``, as DOF ownership.

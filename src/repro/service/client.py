@@ -37,6 +37,7 @@ from repro.errors import (
     JobNotFoundError,
     ServiceError,
 )
+from repro.harness.config import from_json
 from repro.service.httpd import API_PREFIX
 from repro.service.jobs import JobStatus, SubmitReceipt
 
@@ -174,19 +175,17 @@ class ServiceClient:
         """
         doc = self._call("POST", "/submit",
                          body={"tenant": tenant, **request.to_json()})
-        return SubmitReceipt(
-            job_id=doc["job_id"], state=doc["state"],
-            coalesced=bool(doc["coalesced"]), tenant=doc["tenant"],
-        )
+        return from_json(SubmitReceipt, doc, "submit receipt")
 
     def status(self, job_id: str) -> JobStatus:
         """One job's snapshot."""
-        return JobStatus.from_dict(self._call("GET", f"/status/{job_id}"))
+        return from_json(JobStatus, self._call("GET", f"/status/{job_id}"),
+                         "job status")
 
     def jobs(self) -> list[JobStatus]:
         """Every job the service has seen."""
         doc = self._call("GET", "/jobs")
-        return [JobStatus.from_dict(d) for d in doc["jobs"]]
+        return [from_json(JobStatus, d, "job status") for d in doc["jobs"]]
 
     def result(self, job_id: str, timeout: float | None = None):
         """Block for one job's typed :class:`~repro.broker.api.RunResult`."""
@@ -199,7 +198,8 @@ class ServiceClient:
 
     def cancel(self, job_id: str) -> JobStatus:
         """Cancel a not-yet-running job."""
-        return JobStatus.from_dict(self._call("POST", f"/cancel/{job_id}"))
+        return from_json(JobStatus, self._call("POST", f"/cancel/{job_id}"),
+                         "job status")
 
     def stats(self) -> dict:
         """The service's accounting dict (submissions, coalesces, depth)."""

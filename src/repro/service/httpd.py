@@ -11,14 +11,14 @@ POST      ``/api/v2/submit``          ``{"tenant", **RunRequest.to_json()}``
                                       (every field optional; an unknown or
                                       mistyped one, or a path a peer may
                                       not name, is a 400)
-                                      → submit-receipt JSON
-GET       ``/api/v2/status/<id>``     job-status JSON (id prefixes work)
-GET       ``/api/v2/jobs``            every job's status JSON
+                                      → ``SubmitReceipt`` JSON
+GET       ``/api/v2/status/<id>``     ``JobStatus`` JSON (id prefixes work)
+GET       ``/api/v2/jobs``            ``{"jobs": [JobStatus JSON, ...]}``
 GET       ``/api/v2/result/<id>``     ``{"state", "result_blob"}`` — the
                                       typed ``RunResult`` as the service
                                       stored it, base64;
                                       ``?timeout=S`` bounds the wait
-POST      ``/api/v2/cancel/<id>``     final job-status JSON
+POST      ``/api/v2/cancel/<id>``     the final ``JobStatus`` JSON
 GET       ``/api/v2/stats``           queue accounting JSON
 GET       ``/api/v2/metrics``         Prometheus text exposition
 ========  ==========================  =======================================
@@ -71,6 +71,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
+from repro.harness.config import to_json
 
 #: Route prefix for every endpoint this server exposes.
 API_PREFIX = "/api/v2"
@@ -245,18 +246,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(tenant, str):
             raise ServiceError(f"tenant must be a string, got {tenant!r}")
         receipt = self.service.submit(_peer_request(doc), tenant=tenant)
-        self._send_json({
-            "job_id": receipt.job_id,
-            "state": receipt.state,
-            "coalesced": receipt.coalesced,
-            "tenant": receipt.tenant,
-        }, status=202)
+        self._send_json(to_json(receipt), status=202)
 
     def _get_status(self, job_id: str) -> None:
-        self._send_json(self.service.status(job_id).as_dict())
+        self._send_json(to_json(self.service.status(job_id)))
 
     def _get_jobs(self) -> None:
-        self._send_json({"jobs": [s.as_dict() for s in self.service.jobs()]})
+        self._send_json({"jobs": [to_json(s) for s in self.service.jobs()]})
 
     def _get_result(self, job_id: str) -> None:
         timeout = None
@@ -271,7 +267,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def _post_cancel(self, job_id: str) -> None:
-        self._send_json(self.service.cancel(job_id).as_dict())
+        self._send_json(to_json(self.service.cancel(job_id)))
 
     def _get_stats(self) -> None:
         self._send_json(self.service.stats())

@@ -85,7 +85,8 @@ class SubmitReceipt:
 
 @dataclass(frozen=True)
 class JobStatus:
-    """A picklable, JSON-able snapshot of one job's public state."""
+    """A picklable snapshot of one job's public state; its JSON form
+    (``to_json``) is the HTTP body and the ``--json`` CLI row."""
 
     job_id: str
     state: str
@@ -99,46 +100,6 @@ class JobStatus:
     finished_wall: float | None
     error: str | None
     transitions: tuple[tuple[str, float], ...]
-
-    @property
-    def finished(self) -> bool:
-        """True once the job reached a terminal state."""
-        return self.state in ("done", "failed", "cancelled")
-
-    def as_dict(self) -> dict:
-        """The JSON shape the HTTP endpoint and ``--json`` CLIs emit."""
-        return {
-            "job_id": self.job_id,
-            "state": self.state,
-            "artifacts": list(self.artifacts),
-            "points": self.points,
-            "tenants": list(self.tenants),
-            "coalesced": self.coalesced,
-            "submitted_wall": self.submitted_wall,
-            "started_wall": self.started_wall,
-            "finished_wall": self.finished_wall,
-            "error": self.error,
-            "transitions": [[state, wall] for state, wall in self.transitions],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "JobStatus":
-        """Rebuild a snapshot from :meth:`as_dict` output."""
-        return cls(
-            job_id=doc["job_id"],
-            state=doc["state"],
-            artifacts=tuple(doc["artifacts"]),
-            points=int(doc["points"]),
-            tenants=tuple(doc["tenants"]),
-            coalesced=int(doc["coalesced"]),
-            submitted_wall=float(doc["submitted_wall"]),
-            started_wall=doc["started_wall"],
-            finished_wall=doc["finished_wall"],
-            error=doc["error"],
-            transitions=tuple(
-                (state, float(wall)) for state, wall in doc["transitions"]
-            ),
-        )
 
 
 class Job:

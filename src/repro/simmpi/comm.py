@@ -14,7 +14,6 @@ its log2(p) hops is.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from typing import Any, Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ from repro.simmpi.tracing import (
     COLLECTIVE,
     COMPUTE,
     ENTER,
-    PHASE,
     RECV,
     SEND,
     UNSUPPORTED,
@@ -71,8 +69,9 @@ def _traced_collective(method):
     """Log the round's entry and exit and bump the per-comm counter.
 
     This is what makes communication-avoiding solver variants auditable:
-    the fused-allreduce CG claims one round per iteration, and
-    ``Tracer.collective_count(label="allreduce")`` proves it.
+    the fused-allreduce CG claims one round per iteration, and the
+    difference in ``comm.collective_counts["allreduce"]`` around an
+    iteration proves it.
     """
 
     name = method.__name__
@@ -217,14 +216,6 @@ class Communicator:
         self.clock.advance(seconds)
         if self.log is not None:
             self.log.append((COMPUTE, seconds, label, start, self.clock.time))
-
-    @contextmanager
-    def phase(self, label: str):
-        """Trace a phase: ``with comm.phase("assembly"): ...``"""
-        start = self.clock.time
-        yield
-        if self.log is not None:
-            self.log.append((PHASE, label, start, self.clock.time))
 
     # -- point-to-point -----------------------------------------------------------
 

@@ -241,9 +241,17 @@ def _run_threaded(
         # Re-raise the root cause (the exception that triggered the abort),
         # not the secondary SimMPIError other ranks saw while unwinding, so
         # callers can discriminate injected failures (RankFailedError etc.).
+        # The rank frames in its traceback hold ``errors`` and the runtime,
+        # so let go of both (and of ``root``: this frame joins its
+        # traceback) and a failed launch is freed by reference counting.
         root = runtime.abort_exception
         if root is None:
             errors.sort(key=lambda pair: pair[0])
             root = errors[0][1]
-        raise root
+        errors.clear()
+        runtime._abort_exception = None
+        try:
+            raise root
+        finally:
+            del root
     return returns

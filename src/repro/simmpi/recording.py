@@ -137,15 +137,6 @@ class ScheduleRecording:
 
     # -- accounting ---------------------------------------------------------
 
-    def collective_counts(self) -> dict[str, int]:
-        """Collective executions per name, summed over ranks."""
-        counts: dict[str, int] = {}
-        for rank_ops in self.ops:
-            for op in rank_ops:
-                if op[0] == OP_COLLECTIVE:
-                    counts[op[1]] = counts.get(op[1], 0) + 1
-        return counts
-
     def algorithm_counts(self) -> dict[str, int]:
         """Resolved-algorithm executions keyed ``"collective.algorithm"``.
 

@@ -56,18 +56,6 @@ class Selection:
     internode_rounds: int
     bytes_per_rank: float
 
-    def as_dict(self) -> dict:
-        """JSON-friendly view of the costed candidate."""
-        return {
-            "collective": self.collective,
-            "algorithm": self.algorithm,
-            "nbytes": self.nbytes,
-            "predicted_seconds": self.predicted_seconds,
-            "rounds": self.rounds,
-            "internode_rounds": self.internode_rounds,
-            "bytes_per_rank": self.bytes_per_rank,
-        }
-
 
 class CollectiveSelector:
     """Costs candidate schedules for one communicator on one topology.

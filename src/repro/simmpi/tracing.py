@@ -2,7 +2,7 @@
 
 An observed launch appends to one per-rank :class:`EventLog`: the
 :class:`~repro.simmpi.comm.Communicator` writes one tuple per send,
-absorbed receive, compute charge, phase, collective entry / exit,
+absorbed receive, compute charge, collective entry / exit,
 resolved algorithm and unrecordable feature.  Nothing else observes a
 message, so the log is the single source of communication truth and
 every observer is a view of it: :class:`Tracer` records, a
@@ -31,10 +31,8 @@ RECV = "r"  # (RECV, peer, tag, nbytes, t_start, t_end, seq, user)
 COMPUTE = "c"  # (COMPUTE, seconds, label, t_start, t_end)
 COLLECTIVE = "k"  # (COLLECTIVE, name, t_start, t_end), at the round's exit
 ENTER = "e"  # (ENTER, name), at the round's entry
-PHASE = "p"  # (PHASE, label, t_start, t_end)
 ALGORITHM = "a"  # (ALGORITHM, collective, algorithm, nbytes, auto, segmentable)
 UNSUPPORTED = "u"  # (UNSUPPORTED, reason): not representable in a recording
-RECORD = "t"  # (RECORD, TraceRecord): written through Tracer.record
 
 
 class TraceRecord(NamedTuple):
@@ -47,7 +45,7 @@ class TraceRecord(NamedTuple):
     """
 
     rank: int
-    kind: str  # "send" | "recv" | "compute" | "collective" | "phase"
+    kind: str  # "send" | "recv" | "compute" | "collective"
     t_start: float
     t_end: float
     nbytes: int = 0
@@ -109,10 +107,6 @@ class EventLog:
             tuple(self.rank(r)[start:] for r, start in enumerate(marks)),
         )
 
-    def clear(self) -> None:
-        """Drop every event."""
-        self._ranks.clear()
-
 
 def trace_records(rank: int, events: Sequence[tuple]) -> Iterator[TraceRecord]:
     """The user-visible records among one rank's events, in log order.
@@ -133,11 +127,8 @@ def trace_records(rank: int, events: Sequence[tuple]) -> Iterator[TraceRecord]:
                           (rank, "recv", ev[4], ev[5], ev[3], ev[1], ev[2], "", ev[6]))
         elif kind == COMPUTE:
             yield new(TraceRecord, (rank, "compute", ev[3], ev[4], 0, -1, 0, ev[2], -1))
-        elif kind == COLLECTIVE or kind == PHASE:
-            name = "collective" if kind == COLLECTIVE else "phase"
-            yield new(TraceRecord, (rank, name, ev[2], ev[3], 0, -1, 0, ev[1], -1))
-        elif kind == RECORD:
-            yield ev[1]
+        elif kind == COLLECTIVE:
+            yield new(TraceRecord, (rank, "collective", ev[2], ev[3], 0, -1, 0, ev[1], -1))
 
 
 class Tracer:
@@ -145,7 +136,7 @@ class Tracer:
 
     An enabled tracer owns the :class:`EventLog` its launches append to
     (``run_spmd(trace=True)`` or an observability hub); its records are
-    a view of that log.  A disabled tracer drops what is written to it.
+    a view of that log.  A launch appends nothing to a disabled tracer.
     """
 
     __slots__ = ("enabled", "log", "_view")
@@ -158,11 +149,6 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer(enabled={self.enabled}, records={len(self.records)})"
-
-    def record(self, record: TraceRecord) -> None:
-        """Append a hand-made record to its rank's log (no-op when disabled)."""
-        if self.enabled:
-            self.log.rank(record.rank).append((RECORD, record))
 
     @property
     def records(self) -> list[TraceRecord]:
@@ -179,14 +165,3 @@ class Tracer:
                 record for rank in log.ranks() for record in trace_records(rank, log.rank(rank))
             ))
         return self._view[1]
-
-    # -- reductions ------------------------------------------------------------
-
-    def by_rank(self, rank: int) -> list[TraceRecord]:
-        """All records of one rank, in log order."""
-        return [r for r in self.snapshot() if r.rank == rank]
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self.log.clear()
-        self._view = (0, ())

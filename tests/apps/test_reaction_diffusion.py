@@ -185,7 +185,8 @@ class TestRDDistributed:
 
         tracer = run_spmd(main, 2, trace=True, real_timeout=60.0).tracer
         assert Counter(
-            r.label for r in tracer.by_rank(0) if r.kind == "collective"
+            r.label for r in tracer.snapshot()
+            if (r.rank, r.kind) == (0, "collective")
         ) == {
             "alltoall": 1, "allreduce": 159, "gather": 8, "bcast": 8,
         }

@@ -159,6 +159,7 @@ class TestElasticRefinesTheStaticPlan:
             spot_spike_probability=0.0, seed=seed,
         )
         elastic = ElasticBroker(request).run()
-        static = broker_assemblies(request).plan(SPOT_MIX)
+        (static,) = [p for p in broker_assemblies(request).plans
+                     if p.name == SPOT_MIX]
         assert not elastic.decisions
         assert abs(elastic.cost_dollars - static.cost_dollars) < 0.005

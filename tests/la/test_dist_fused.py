@@ -113,8 +113,8 @@ class TestFusedCG:
         # from_global itself performs no allreduces, so the trace count
         # per rank is exactly the solver's.
         traced = [
-            r for r in result.tracer.by_rank(0)
-            if r.kind == "collective" and r.label == "allreduce"
+            r for r in result.tracer.snapshot()
+            if (r.rank, r.kind, r.label) == (0, "collective", "allreduce")
         ]
         assert len(traced) == rounds
 

@@ -84,8 +84,7 @@ class TestCriticalPath:
         assert len(segments) > 1
         assert all(seg.duration >= 0.0 for seg in segments)
         # the path terminates at the run's final event
-        times = [rec.t_end for rec in obs.tracer.snapshot()
-                 if rec.kind != "phase"]
+        times = [rec.t_end for rec in obs.tracer.snapshot()]
         assert segments[-1].t_end == pytest.approx(max(times))
 
     def test_time_attribution_is_positive_and_well_keyed(self, rd_run):

@@ -10,7 +10,7 @@ from repro.obs import (
     current,
 )
 from repro.simmpi import run_spmd
-from repro.simmpi.tracing import TraceRecord, Tracer
+from repro.simmpi.tracing import COMPUTE, TraceRecord, Tracer
 
 
 class TestAmbientContext:
@@ -108,14 +108,16 @@ class TestTracerIntegration:
 
     def test_snapshot_is_an_immutable_copy(self):
         tracer = Tracer()
-        rec = TraceRecord(rank=0, kind="compute", t_start=0.0, t_end=1.0)
-        tracer.record(rec)
+        event = (COMPUTE, 1.0, "compute", 0.0, 1.0)
+        tracer.log.rank(0).append(event)
         snap = tracer.snapshot()
-        tracer.record(rec)
+        tracer.log.rank(0).append(event)
         assert len(snap) == 1 and len(tracer.snapshot()) == 2
         assert isinstance(snap, tuple)
+        assert snap[0] == TraceRecord(rank=0, kind="compute", t_start=0.0,
+                                      t_end=1.0, label="compute")
 
     def test_disabled_tracer_drops_records(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(TraceRecord(rank=0, kind="send", t_start=0.0, t_end=1.0))
-        assert tracer.snapshot() == ()
+        obs = Observability(ObsConfig(enabled=False))
+        run_spmd(lambda comm: comm.compute(1.0), 2, observability=obs)
+        assert obs.tracer.snapshot() == ()

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.harness.config import to_json
 from repro.obs.analysis import overlap_report
 from repro.obs.health import (
     RankHealth,
@@ -135,7 +136,7 @@ class TestRoundtripAndMerge:
     def test_rank_health_wait_time(self):
         row = RankHealth(rank=0, late_sender=1.0, collective_wait=2.5)
         assert row.wait_time == 3.5
-        assert math.isclose(row.as_dict()["late_sender"], 1.0)
+        assert math.isclose(to_json(row)["late_sender"], 1.0)
 
 
 class TestHubIntegration:
@@ -177,3 +178,90 @@ class TestHubIntegration:
         assert health_files
         doc = json.loads(health_files[0].read_text())
         assert doc["num_ranks"] == result.health.num_ranks
+
+
+class TestExportedBytes:
+    """One ``*-health.json`` as the hand-written row codec wrote it."""
+
+    def run(self, tmp_path, name):
+        from repro.obs import Observability, ObsConfig
+
+        obs = Observability(ObsConfig(out_dir=str(tmp_path / name)))
+        run_spmd(_imbalanced_program, 2, observability=obs)
+        return obs
+
+    def test_health_file_bytes(self, tmp_path):
+        self.run(tmp_path, "direct").export()
+        assert (tmp_path / "direct" / "obs-health.json").read_text() == HEALTH_JSON
+
+    def test_health_absorbed_from_worker_telemetry_has_the_same_bytes(
+            self, tmp_path):
+        """The parent hub rebuilds the report from the worker's rows
+        (``RunHealthReport.from_dict``) and writes the same file."""
+        from repro.obs import Observability, ObsConfig
+
+        payload = self.run(tmp_path, "worker").telemetry_payload()
+        parent = Observability(ObsConfig(out_dir=str(tmp_path / "parent")))
+        parent.absorb_telemetry(payload)
+        parent.export()
+        assert (tmp_path / "parent" / "obs-health.json").read_text() == HEALTH_JSON
+
+
+HEALTH_JSON = """\
+{
+  "num_ranks": 2,
+  "makespan": 2.68768e-05,
+  "load_imbalance": 0.2941176470588234,
+  "comm_time": 1.9153599999999992e-05,
+  "wait_time": 1.1800000000000002e-05,
+  "wait_fraction": 0.6160721744215191,
+  "nic_saturation": 0.002922730317238006,
+  "worst_rank": 0,
+  "totals": {
+    "compute_time": 3.4000000000000007e-05,
+    "send_time": 1.1023999999999981e-06,
+    "recv_overhead": 9.999999999999985e-07,
+    "late_sender": 1.2000000000000008e-06,
+    "late_receiver": 6.00000000000001e-07,
+    "collective_wait": 1.0600000000000002e-05,
+    "collective_work": 5.251199999999995e-06,
+    "nic_busy": 1.5359999999999926e-07
+  },
+  "ranks": [
+    {
+      "rank": 0,
+      "compute_time": 1.2000000000000002e-05,
+      "comm_time": 1.4876799999999998e-05,
+      "send_time": 5.511999999999991e-07,
+      "recv_overhead": 4.999999999999986e-07,
+      "late_sender": 0.0,
+      "late_receiver": 0.0,
+      "collective_wait": 1.0600000000000002e-05,
+      "collective_work": 3.2255999999999984e-06,
+      "nic_busy": 7.679999999999963e-08,
+      "nic_saturation": 0.0028574830336944735,
+      "wall_time": 2.68768e-05,
+      "sends": 3,
+      "recvs": 1,
+      "collectives": 2
+    },
+    {
+      "rank": 1,
+      "compute_time": 2.2000000000000003e-05,
+      "comm_time": 4.276799999999996e-06,
+      "send_time": 5.511999999999991e-07,
+      "recv_overhead": 4.999999999999999e-07,
+      "late_sender": 1.2000000000000008e-06,
+      "late_receiver": 6.00000000000001e-07,
+      "collective_wait": 0.0,
+      "collective_work": 2.0255999999999963e-06,
+      "nic_busy": 7.679999999999963e-08,
+      "nic_saturation": 0.002922730317238006,
+      "wall_time": 2.62768e-05,
+      "sends": 3,
+      "recvs": 1,
+      "collectives": 2
+    }
+  ]
+}
+"""

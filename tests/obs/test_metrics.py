@@ -17,7 +17,7 @@ class TestCounter:
         c.inc(rank=1, labels={"kind": "b"})
         assert c.value(rank=0, labels={"kind": "a"}) == 1.0
         assert c.total(labels={"kind": "a"}) == 3.0
-        assert c.per_rank(labels={"kind": "a"}) == {0: 1.0, 1: 2.0}
+        assert c.value(rank=1, labels={"kind": "a"}) == 2.0
         assert c.value(rank=5, labels={"kind": "a"}) == 0.0
 
     def test_negative_increment_raises(self):

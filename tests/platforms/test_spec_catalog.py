@@ -46,8 +46,9 @@ class TestCPUAndNode:
             NodeSpec(cpu=cpu, sockets=0, ram_per_core_gb=1.0, scratch_gb=1.0)
 
     def test_ram_per_node(self):
-        assert lagrange.node.ram_gb == pytest.approx(24.0)
-        assert ec2_cc28xlarge.node.ram_gb == pytest.approx(60.8)
+        for platform, ram_gb in ((lagrange, 24.0), (ec2_cc28xlarge, 60.8)):
+            node = platform.node
+            assert node.ram_per_core_gb * node.cores == pytest.approx(ram_gb)
 
 
 class TestAvailability:

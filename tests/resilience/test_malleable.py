@@ -13,6 +13,7 @@ from repro.apps.navier_stokes import NSProblem
 from repro.apps.reaction_diffusion import RDProblem
 from repro.errors import ResilienceError
 from repro.fem.dofmap import DofMap
+from repro.harness.config import from_json, to_json
 from repro.resilience import (
     MalleableRunResult,
     RepartitionReport,
@@ -183,10 +184,10 @@ class TestRepartitionState:
         assert 0 <= report.moved_dofs <= report.num_dofs
         assert 0.0 <= report.moved_fraction <= 1.0
         assert report.seconds >= 0.0
-        clone = json.loads(json.dumps(report.to_dict()))
+        clone = json.loads(json.dumps(to_json(report)))
         assert clone["p_old"] == 2
         assert clone["p_new"] == 4
-        assert clone["moved_fraction"] == report.moved_fraction
+        assert from_json(RepartitionReport, clone, "report") == report
 
 
 class TestValidation:

@@ -241,13 +241,14 @@ class TestAccountingAndReporting:
     def test_step_records_json_roundtrip(self, tmp_path):
         import json
 
+        from repro.harness.config import from_json, to_json
         from repro.resilience import StepRecord
 
         runner = ResilientRunner(PROBLEM, num_ranks=2, checkpoint_dir=tmp_path)
         out = runner.run()
         for record in out.records:
-            clone = StepRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-            assert clone == record
+            doc = json.loads(json.dumps(to_json(record)))
+            assert from_json(StepRecord, doc, "step record") == record
 
     def test_observed_ns_run_counts_restarts_and_checkpoints(self, tmp_path):
         from repro.obs import Observability
@@ -281,9 +282,37 @@ class TestAccountingAndReporting:
         assert "restarts" in text
         assert "mix cost" in text
 
+    def test_the_default_run_renders_the_same_bytes(self, resilience_run):
+        assert resilience_run.render("resilience") == RESILIENCE_TEXT
+
+    def test_the_run_is_priced_before_any_rank_starts(self, monkeypatch):
+        """Four spot ranks spiking every other hour are reclaimed more
+        often than once an interval, which the checkpoint model cannot
+        price: the point fails before a rank starts, not after the run."""
+        from repro.errors import CostModelError
+        from repro.harness.config import ResilienceParams
+        from repro.harness.experiments import resilience_report
+
+        def started(_runner):
+            raise AssertionError("the runner started a rank")
+
+        monkeypatch.setattr(ResilientRunner, "run", started)
+        with pytest.raises(CostModelError, match="failure rate too high"):
+            resilience_report(ResilienceParams(num_ranks=4,
+                                               spike_probability=0.5))
+
     def test_render_resilience_table_columns(self, resilience_run):
         from repro.core.reporting import render_resilience_table
 
         table = render_resilience_table(resilience_run.artifact("resilience"))
         for column in ("restarts", "lost steps", "overhead", "mix cost"):
             assert column in table
+
+
+RESILIENCE_TEXT = """\
+mix assembly under spot reclaims (spot ranks [0, 1]):
+   ranks     steps  restarts  lost steps  overhead  interrupts  mix cost $  on-dem $  model ovh  opt ckpt s
+--------  --------  --------  ----------  --------  ----------  ----------  --------  ---------  ----------
+       2         8         2           1     0.125           2        38.7      38.4      1.161       464.8
+spot ranks: [0, 1]  reclaim rounds: [1, 2]  nodal error: 3.724e-11
+"""

@@ -52,6 +52,15 @@ class TestTailHealthExitCodes:
         parsed = json.loads(capsys.readouterr().out)
         assert [r["kind"] for r in parsed] == ["job"]
 
+    @pytest.mark.parametrize("text", ["{}", "not json", "[1]"])
+    def test_health_of_a_file_that_is_no_report_fails_cleanly(
+            self, tmp_path, capsys, text):
+        path = tmp_path / "obs-health.json"
+        path.write_text(text)
+        assert main(["health", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is no health report" in err
+
     def test_health_missing_directory_fails_cleanly(self, tmp_path, capsys):
         assert main(["health", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -56,7 +56,8 @@ class TestTracerCollectives:
         # Every rank participates in every collective.
         assert sum(n for (label, _), n in rounds.items() if label == "allreduce") == 2 * 4
         by_label = Counter(
-            r.label for r in tracer.by_rank(1) if r.kind == "collective"
+            r.label for r in tracer.snapshot()
+            if (r.rank, r.kind) == (1, "collective")
         )
         assert by_label == {"allreduce": 2, "bcast": 1}
 

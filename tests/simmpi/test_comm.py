@@ -181,7 +181,8 @@ class TestPointToPoint:
         result = run(main, 2, trace=True)
         assert result.returns[1] == "x"
         assert [r.kind for r in result.tracer.snapshot()].count("send") == 1
-        (recv,) = [r for r in result.tracer.by_rank(1) if r.kind == "recv"]
+        (recv,) = [r for r in result.tracer.snapshot()
+                   if (r.rank, r.kind) == (1, "recv")]
         assert (recv.peer, recv.tag, recv.nbytes) == (0, 3, payload_nbytes("x"))
 
     def test_sendrecv(self):
@@ -504,9 +505,7 @@ class TestSplit:
             sub.barrier()
 
         tracer = run(main, 4, trace=True).tracer
-        for rank in range(4):
-            records = tracer.by_rank(rank)
-            assert records and {r.rank for r in records} == {rank}
+        assert {r.rank for r in tracer.snapshot()} == set(range(4))
         p2p = [(r.kind, r.rank, r.peer) for r in tracer.snapshot() if r.tag == 5]
         assert p2p == [
             ("send", 0, 2), ("send", 1, 3), ("recv", 2, 0), ("recv", 3, 1),
@@ -579,21 +578,6 @@ class TestTracing:
         assert [r.kind for r in records].count("recv") == 1
         sends = [(r.rank, r.nbytes) for r in records if r.kind == "send"]
         assert sends == [(0, 80)]
-
-    def test_phase_labels(self):
-        def main(comm):
-            with comm.phase("assembly"):
-                comm.compute(1.0)
-            with comm.phase("solve"):
-                comm.compute(2.0)
-
-        result = run(main, 3, trace=True)
-        times = {
-            label: max(r.duration for r in result.tracer.snapshot() if r.label == label)
-            for label in ("assembly", "solve")
-        }
-        assert times["assembly"] == pytest.approx(1.0)
-        assert times["solve"] == pytest.approx(2.0)
 
     def test_bytes_accounting_in_result(self):
         def main(comm):

@@ -47,8 +47,7 @@ def assert_identical(events, threads, clocks=True):
         assert events.clocks == threads.clocks
     assert events.bytes_sent == threads.bytes_sent
     assert events.messages_sent == threads.messages_sent
-    for rank in range(events.num_ranks):
-        assert events.tracer.by_rank(rank) == threads.tracer.by_rank(rank)
+    assert events.tracer.snapshot() == threads.tracer.snapshot()
 
 
 def collective_tour(comm):

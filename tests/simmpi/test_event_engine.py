@@ -180,6 +180,26 @@ class TestFailurePaths:
             gc.garbage.clear()
         assert (kinds["EventEngine"], kinds["frame"]) == (0, 0)
 
+    def test_a_failed_threads_launch_leaves_nothing_for_the_cyclic_gc(self):
+        """The threaded engine lets go of its errors the same way."""
+        def main(comm):
+            if comm.rank == 1:
+                raise ValueError("rank 1 fails")
+            comm.barrier()
+
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with pytest.raises(ValueError, match="rank 1 fails"):
+                run_spmd(main, 4, engine="threads")
+            gc.collect()
+            kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert (kinds["Engine"], kinds["frame"]) == (0, 0)
+
 
 class TestTaskLocalObservability:
     def test_ambient_view_is_per_rank(self):
