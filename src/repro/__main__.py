@@ -18,7 +18,7 @@ Usage::
 ``run`` is the one path to every artifact (Table I … ``elasticity``):
 through the artifact registry and the sweep engine.  ``broker`` is the
 one path to a platform recommendation: the ranked portfolio of
-:func:`repro.broker.broker_assemblies` (``--elastic``: its refinement
+:func:`repro.broker.assembly.broker_assemblies` (``--elastic``: its refinement
 along a reclaim trajectory).
 
 Shared flag vocabulary (``--seed``/``--cache-dir``/``--url``/...) and
@@ -137,7 +137,7 @@ def _cmd_validate(_args) -> str:
 
     from repro.apps.navier_stokes import NSProblem, NSSolver
     from repro.apps.reaction_diffusion import RDProblem, RDSolver, run_rd_distributed
-    from repro.simmpi import run_spmd
+    from repro.simmpi.launcher import run_spmd
 
     lines = []
 
@@ -246,9 +246,9 @@ def _cmd_experiments(args) -> str:
 def _cmd_trace(args) -> str:
     """Run distributed RD under full observability and export artifacts."""
     from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
-    from repro.obs import Observability, ObsConfig
+    from repro.obs.core import Observability, ObsConfig
     from repro.obs.analysis import critical_path, overlap_report, phase_statistics
-    from repro.simmpi import run_spmd
+    from repro.simmpi.launcher import run_spmd
 
     discard = min(args.discard, args.steps - 1)
     obs = Observability(
@@ -379,12 +379,8 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.service import (
-        AdmissionPolicy,
-        BrokerService,
-        ServiceConfig,
-        TenantQuota,
-    )
+    from repro.service.admission import AdmissionPolicy, TenantQuota
+    from repro.service.service import BrokerService, ServiceConfig
 
     policy = AdmissionPolicy(
         default_quota=TenantQuota(
@@ -427,7 +423,7 @@ def _cmd_submit(args) -> int:
     from repro.broker.api import RunRequest
     from repro.errors import ReproError
     from repro.harness.config import to_json
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     request = RunRequest(
         artifacts=tuple(args.artifacts) or ("all",),
@@ -472,7 +468,7 @@ def _cmd_status(args) -> int:
     """Job table (or one job's status) of a running service."""
     from repro.errors import ReproError
     from repro.harness.config import to_json
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     with ServiceClient(args.url) as client:
         try:

@@ -1,8 +1,12 @@
-"""PEP 562 lazy exports for the re-exporting package ``__init__``s.
+"""PEP 562 lazy exports: the one way a package ``__init__`` re-exports.
 
-``import repro`` binds no export: each name is imported from its defining
-module the first time it is read, then cached in the package's globals,
-so the FEM stack (and scipy) loads only where an FEM point runs.
+``repro`` and the subpackages whose names benchmarks, examples or tools
+import through the package keep a ``{defining module: names}`` table;
+every other name is imported from its defining module.  Importing a
+package binds no export: each name is imported from its defining module
+the first time it is read, then cached in the package's globals, so
+``import repro`` (or any leaf module) loads only its own dependencies,
+and the FEM stack (and scipy) only where an FEM point runs.
 """
 
 from __future__ import annotations

@@ -10,18 +10,7 @@
 
 Both expose the paper's phase structure (fig. 3): assembly (ii),
 preconditioner (iiia), solve (iiib), instrumented per iteration by
-:mod:`repro.apps.phases`.  The names below load on first use, so
-:mod:`repro.apps.workload` alone brings in no FEM stack.
+:mod:`repro.apps.phases`.  The package re-exports nothing: each name is
+imported from its module, so :mod:`repro.apps.workload` alone brings in
+no FEM stack.
 """
-
-from repro._lazy import lazy_exports
-
-_EXPORTS = {
-    "repro.apps.exact": ("RDManufacturedSolution", "EthierSteinmanSolution"),
-    "repro.apps.phases": ("PhaseClock", "IterationPhases", "PhaseLog"),
-    "repro.apps.reaction_diffusion": ("RDProblem", "RDSolver", "run_rd_distributed"),
-    "repro.apps.navier_stokes": ("NSProblem", "NSSolver"),
-    "repro.apps.workload": ("AppWorkload", "RD_WORKLOAD", "NS_WORKLOAD"),
-}
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-__all__ = [name for names in _EXPORTS.values() for name in names]

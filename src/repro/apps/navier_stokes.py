@@ -529,7 +529,7 @@ def run_ns_distributed(
     :class:`DistributedNSStep`, which charges its assembly phase only.
     ``compute_charger`` — optional ``(phase, measured_seconds) ->
     virtual_seconds`` callable replacing the wall-clock charge with a
-    deterministic model (:class:`repro.perfmodel.ModeledCompute`), the
+    deterministic model (:class:`repro.perfmodel.compute.ModeledCompute`), the
     prerequisite for bit-exact schedule replay (``docs/replay.md``);
     ``cpu_speed_factor`` is ignored when set.
 

@@ -431,7 +431,7 @@ def run_rd_distributed(
     ``cpu_speed_factor`` is ignored); communication costs accrue through
     the platform's network model inside the distributed CG.
 
-    An optional ``obs`` hub (:class:`repro.obs.Observability`) records a
+    An optional ``obs`` hub (:class:`repro.obs.core.Observability`) records a
     ``step`` span per time step with the three paper phases as children
     (virtual-clock timestamps), the post-discard ``phase_seconds``
     histogram, ``rd_steps_total`` and the ``rd_nodal_error`` gauge.

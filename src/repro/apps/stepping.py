@@ -169,7 +169,7 @@ class DistributedStep:
         The local work of each of ``CHARGED_PHASES`` is measured and put
         on the virtual clock scaled by ``cpu_speed_factor``, or priced by
         ``compute_charger`` (``(phase, measured_seconds) -> seconds``,
-        e.g. :class:`repro.perfmodel.ModeledCompute`, which makes
+        e.g. :class:`repro.perfmodel.compute.ModeledCompute`, which makes
         recordings replayable bit-for-bit).  ``view`` gets a ``step``
         span per step with the phases as children, and the post-discard
         ``phase_seconds`` in :meth:`~repro.apps.phases.PhaseLog.averages`

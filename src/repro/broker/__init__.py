@@ -9,53 +9,16 @@ Two halves of one question — *run what, where, how*:
   sweep, behind :func:`repro.run`.
 """
 
-from repro.broker.api import RunRequest, RunResult, run
-from repro.broker.assembly import (
-    ELASTIC_ACTIONS,
-    SPOT_MIX,
-    AssemblyPlan,
-    BrokerReport,
-    BrokerRequest,
-    ElasticBroker,
-    ElasticDecision,
-    ElasticOption,
-    ElasticReport,
-    PlanPhase,
-    broker_assemblies,
-    render_broker_report,
-    render_elastic_report,
-    section_7d_request,
-    volatile_market_request,
-)
-from repro.broker.cache import CacheStats, SweepCache, code_fingerprint
-from repro.broker.engine import SweepReport, run_sweep
-from repro.broker.registry import ArtifactSpec, artifact_names, get_artifact
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactSpec",
-    "AssemblyPlan",
-    "BrokerReport",
-    "BrokerRequest",
-    "CacheStats",
-    "ELASTIC_ACTIONS",
-    "ElasticBroker",
-    "ElasticDecision",
-    "ElasticOption",
-    "ElasticReport",
-    "PlanPhase",
-    "RunRequest",
-    "RunResult",
-    "SPOT_MIX",
-    "SweepCache",
-    "SweepReport",
-    "artifact_names",
-    "broker_assemblies",
-    "code_fingerprint",
-    "get_artifact",
-    "render_broker_report",
-    "render_elastic_report",
-    "run",
-    "run_sweep",
-    "section_7d_request",
-    "volatile_market_request",
-]
+_EXPORTS = {
+    "repro.broker.assembly": (
+        "BrokerRequest",
+        "ElasticBroker",
+        "broker_assemblies",
+        "render_broker_report",
+        "volatile_market_request",
+    ),
+    "repro.broker.cache": ("SweepCache", "code_fingerprint"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

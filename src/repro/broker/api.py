@@ -57,6 +57,9 @@ class RunRequest:
         """The request a :meth:`to_json` object names; a field left out
         keeps its default, an unknown or mistyped one is an
         :class:`~repro.errors.ExperimentError`."""
+        if type(doc) is dict and type(doc.get("artifacts", [])) is not list:
+            # A lone name is a list of one; the constructor refuses the rest.
+            doc = {**doc, "artifacts": list(cls(doc["artifacts"]).artifacts)}
         return from_json(cls, doc, "request")
 
 

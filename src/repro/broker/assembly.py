@@ -582,7 +582,7 @@ class ElasticBroker:
       oversubscribe the survivors, so progress drops by the imbalance
       factor);
     * **shrink** — malleable repartition onto the survivors
-      (:func:`repro.resilience.run_malleable` lifecycle: pay the
+      (:func:`repro.resilience.malleable.run_malleable` lifecycle: pay the
       repartition stall, then run balanced at the smaller width);
     * **migrate-and-expand** — checkpoint, abandon the spot assembly,
       and resume at full width on on-demand instances (pay the

@@ -9,7 +9,7 @@ broker integration of the record/replay subsystem
 
 1. the first point to run captures a :class:`ScheduleRecording` of the
    RD solve (deterministic compute via
-   :class:`~repro.perfmodel.ModeledCompute` at unit rate) and stores it
+   :class:`~repro.perfmodel.compute.ModeledCompute` at unit rate) and stores it
    in the content-addressed :class:`~repro.broker.cache.RecordingStore`
    keyed on ``(workload, p, discretization)`` — note: *not* the
    platform;

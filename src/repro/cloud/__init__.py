@@ -6,26 +6,12 @@ spot market (including the observed impossibility of filling a 63-node
 spot-only assembly), and a billing engine with whole-node hourly charging.
 """
 
-from repro.cloud.instances import InstanceType, CC2_8XLARGE
-from repro.cloud.images import MachineImage, BASE_CENTOS_IMAGE, precondition_image
-from repro.cloud.placement import PlacementGroup, PlacementMap
-from repro.cloud.spot import SpotMarket, SpotRequestResult
-from repro.cloud.billing import BillingEngine, InstanceBill
-from repro.cloud.ec2 import EC2Service, Instance, CloudCluster
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InstanceType",
-    "CC2_8XLARGE",
-    "MachineImage",
-    "BASE_CENTOS_IMAGE",
-    "precondition_image",
-    "PlacementGroup",
-    "PlacementMap",
-    "SpotMarket",
-    "SpotRequestResult",
-    "BillingEngine",
-    "InstanceBill",
-    "EC2Service",
-    "Instance",
-    "CloudCluster",
-]
+_EXPORTS = {
+    "repro.cloud.instances": ("CC2_8XLARGE",),
+    "repro.cloud.images": ("BASE_CENTOS_IMAGE", "precondition_image"),
+    "repro.cloud.spot": ("SpotMarket",),
+    "repro.cloud.ec2": ("EC2Service",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -126,9 +126,10 @@ class SpotMarket:
 
         This is the single source of truth for *which* spot slots die
         *when*: :meth:`CloudCluster.run_with_interruptions` draws billing
-        outcomes from it, and :meth:`repro.resilience.FaultPlan.from_spot_market`
-        derives the matching rank-kill events from an identically-seeded
-        sampler — so the dollars and the dead ranks always agree.
+        outcomes from it, and
+        :meth:`repro.resilience.faults.FaultPlan.from_spot_market` derives
+        the matching rank-kill events from an identically-seeded sampler —
+        so the dollars and the dead ranks always agree.
         """
         return ReclaimSampler(
             num_slots=num_slots,

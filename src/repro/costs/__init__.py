@@ -4,15 +4,5 @@
 published rates times measured time — with the twist that EC2 charges
 whole nodes.  §VIII's comparison that also weighs deployment effort and
 queue wait is the assembly broker's ranked portfolio
-(:func:`repro.broker.broker_assemblies`).
+(:func:`repro.broker.assembly.broker_assemblies`).
 """
-
-from repro.costs.model import (
-    PlatformCostModel,
-    cost_per_iteration,
-)
-
-__all__ = [
-    "PlatformCostModel",
-    "cost_per_iteration",
-]

@@ -87,13 +87,10 @@ def _from_json(hint, value, what: str):
         return from_json(hint, value, what)
     options = get_args(hint)
     if get_origin(hint) is tuple:
-        # From a list: tuple[T, ...] of any length, tuple[T1, T2] of two;
-        # any other value is the constructor's to judge.
-        if type(value) is not list:
-            return value
-        if options[-1] is Ellipsis:
+        # From a list: tuple[T, ...] of any length, tuple[T1, T2] of two.
+        if options[-1] is Ellipsis and type(value) is list:
             options = options[:1] * len(value)
-        elif len(value) != len(options):
+        elif type(value) is not list or len(value) != len(options):
             raise ExperimentError(f"{what} cannot be {value!r}")
         return tuple(_from_json(option, item, what)
                      for option, item in zip(options, value))
@@ -144,7 +141,7 @@ class RunConfig:
 
     * ``seed`` — master seed; per-point seeds are derived from it
       deterministically (so serial and parallel execution agree);
-    * ``obs`` — an :class:`~repro.obs.ObsConfig`, or None for zero
+    * ``obs`` — an :class:`~repro.obs.core.ObsConfig`, or None for zero
       overhead; the engine creates one hub per run and absorbs worker
       telemetry into it;
     * ``resilience`` — parameters of the resilience artifact;

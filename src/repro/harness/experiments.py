@@ -218,7 +218,7 @@ def resilience_report(
     interval (one hour), 30 s per checkpoint and 120 s per restart.  One
     market, seeded 5, drives three views of the same run:
 
-    1. the :class:`~repro.resilience.ResilientRunner` executes the RD
+    1. the :class:`~repro.resilience.runner.ResilientRunner` executes the RD
        loop with reclaim-derived rank kills and restarts from
        checkpoints (restart statistics, verified physics);
     2. the cluster's interruption-aware billing accrues the dollars,
@@ -232,7 +232,8 @@ def resilience_report(
         CheckpointRestartModel,
         failure_rate_from_market,
     )
-    from repro.resilience import FaultPlan, ResilientRunner
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.runner import ResilientRunner
 
     seed, step_hours = 5, 1.0
     market = SpotMarket(
@@ -318,7 +319,7 @@ class ElasticityReport:
     could have given (a rigid all-spot run replayed on the same reclaim
     trajectory, and failure-free on-demand).  The second half is the
     mechanism that makes the elastic answers *legal*: a malleable RD run
-    shrunk mid-flight via :func:`repro.resilience.repartition_state`,
+    shrunk mid-flight via :func:`repro.resilience.malleable.repartition_state`,
     byte-compared against the fixed-width run it must reproduce.
     """
 
@@ -366,7 +367,7 @@ def elasticity_report(
     """
     from repro.apps.reaction_diffusion import RDProblem
     from repro.broker.assembly import ElasticBroker, volatile_market_request
-    from repro.resilience import run_malleable
+    from repro.resilience.malleable import run_malleable
 
     view = NULL_RANK_OBS if hub is None else hub.wall_view()
     with view.span("elasticity", seed=seed):

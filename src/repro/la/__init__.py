@@ -10,25 +10,10 @@ The paper's *step (iiia)* is preconditioner construction and *step
 executable kernels.
 """
 
-from repro.la.krylov import SolveResult, cg, bicgstab, gmres
-from repro.la.preconditioners import (
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-    SSORPreconditioner,
-    ILU0Preconditioner,
-    BlockJacobiPreconditioner,
-    make_preconditioner,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SolveResult",
-    "cg",
-    "bicgstab",
-    "gmres",
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "SSORPreconditioner",
-    "ILU0Preconditioner",
-    "BlockJacobiPreconditioner",
-    "make_preconditioner",
-]
+_EXPORTS = {
+    "repro.la.krylov": ("cg",),
+    "repro.la.preconditioners": ("BlockJacobiPreconditioner", "ILU0Preconditioner"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -4,8 +4,9 @@ The package the rest of the library reports into:
 
 * :mod:`repro.obs.spans` — per-rank hierarchical span trees;
 * :mod:`repro.obs.metrics` — typed Counter/Gauge/Histogram registry;
-* :mod:`repro.obs.core` — the :class:`Observability` hub, rank views,
-  and the thread-local ambient :func:`current`;
+* :mod:`repro.obs.core` — the :class:`~repro.obs.core.Observability`
+  hub, rank views, and the thread-local ambient
+  :func:`~repro.obs.core.current`;
 * :mod:`repro.obs.exporters` — Chrome ``trace_event`` JSON, JSONL dumps,
   Prometheus text exposition;
 * :mod:`repro.obs.analysis` — paper-style phase statistics, the
@@ -22,52 +23,11 @@ Nothing here times the library itself: performance is measured from
 outside the package by ``benchmarks/perf`` (``BENCHMARK.json``).
 """
 
-from repro.obs.causal import CausalReport, CausalTracker, CausalViolation
-from repro.obs.core import (
-    NULL_RANK_OBS,
-    Observability,
-    ObsConfig,
-    RankObs,
-    current,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    exponential_buckets,
-)
-from repro.obs.health import (
-    RankHealth,
-    RunHealthReport,
-    merge_reports,
-    run_health,
-)
-from repro.obs.spans import Span, SpanStack, iter_spans, spans_named
-from repro.obs.streaming import StreamingSink, read_rows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CausalReport",
-    "CausalTracker",
-    "CausalViolation",
-    "RankHealth",
-    "RunHealthReport",
-    "merge_reports",
-    "run_health",
-    "StreamingSink",
-    "read_rows",
-    "NULL_RANK_OBS",
-    "Observability",
-    "ObsConfig",
-    "RankObs",
-    "current",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "exponential_buckets",
-    "Span",
-    "SpanStack",
-    "iter_spans",
-    "spans_named",
-]
+_EXPORTS = {
+    "repro.obs.causal": ("CausalTracker",),
+    "repro.obs.core": ("Observability", "ObsConfig"),
+    "repro.obs.health": ("run_health",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

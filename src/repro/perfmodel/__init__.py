@@ -10,31 +10,9 @@ measured single-rank iteration time and the tests cross-validate the
 model against executed simmpi runs at small scale.
 """
 
-from repro.perfmodel.phases import PhasePrediction, PhaseModel
-from repro.perfmodel.compute import (
-    ModeledCompute,
-    ns_modeled_compute,
-    rd_modeled_compute,
-)
-from repro.perfmodel.calibration import (
-    RD_TIME_SCALE,
-    NS_TIME_SCALE,
-    calibrate_against_sequential_run,
-)
-from repro.perfmodel.weak_scaling import (
-    WeakScalingPoint,
-    weak_scaling_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PhasePrediction",
-    "PhaseModel",
-    "ModeledCompute",
-    "rd_modeled_compute",
-    "ns_modeled_compute",
-    "RD_TIME_SCALE",
-    "NS_TIME_SCALE",
-    "calibrate_against_sequential_run",
-    "WeakScalingPoint",
-    "weak_scaling_sweep",
-]
+_EXPORTS = {
+    "repro.perfmodel.phases": ("PhaseModel",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -69,7 +69,7 @@ def calibrate_iteration_growth(
     import numpy as np
 
     from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
-    from repro.simmpi import run_spmd
+    from repro.simmpi.launcher import run_spmd
 
     if len(rank_counts) < 2 or min(rank_counts) != 1:
         raise ExperimentError("rank_counts must start at 1 and have >= 2 entries")

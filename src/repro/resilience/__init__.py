@@ -2,45 +2,16 @@
 
 The paper's spot-instance experience — partial fulfillment, reclaims
 mid-run, on-demand replacements — becomes executable here: seeded
-:class:`FaultPlan` trajectories kill simmpi ranks and perturb messages,
-and the :class:`ResilientRunner` survives them by checkpointing at step
-boundaries and resuming bit-exactly.  See ``docs/resilience.md``.
+:class:`~repro.resilience.faults.FaultPlan` trajectories kill simmpi
+ranks and perturb messages, and the
+:class:`~repro.resilience.runner.ResilientRunner` survives them by
+checkpointing at step boundaries and resuming bit-exactly.  See
+``docs/resilience.md``.
 """
 
-from repro.resilience.faults import (
-    KILL_KINDS,
-    MESSAGE_KINDS,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-)
-from repro.resilience.malleable import (
-    MalleableRunResult,
-    RepartitionReport,
-    decompose,
-    repartition_state,
-    run_malleable,
-)
-from repro.resilience.runner import (
-    ResilientRunner,
-    ResilientRunResult,
-    RestartStats,
-    StepRecord,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KILL_KINDS",
-    "MESSAGE_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "MalleableRunResult",
-    "RepartitionReport",
-    "ResilientRunner",
-    "ResilientRunResult",
-    "RestartStats",
-    "StepRecord",
-    "decompose",
-    "repartition_state",
-    "run_malleable",
-]
+_EXPORTS = {
+    "repro.resilience.malleable": ("repartition_state",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

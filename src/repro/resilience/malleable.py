@@ -15,7 +15,7 @@ resume:
    restart checkpoint (:func:`repro.io.checkpoint.save_state`);
 2. :func:`repartition_state` loads the checkpoint, re-decomposes the
    mesh at ``p_new`` with the existing RCB partitioner
-   (:func:`repro.partition.partition_rcb`), derives the new DOF
+   (:func:`repro.partition.rcb.partition_rcb`), derives the new DOF
    ownership, and reports the redistribution (moved DOFs, edge cut,
    balance);
 3. the next segment resumes at ``p_new`` from the restored state.
@@ -44,7 +44,8 @@ from repro.errors import ResilienceError
 from repro.apps.stepping import DistributedStep, StepRecord
 from repro.fem.dofmap import DofMap
 from repro.io.checkpoint import load_state, read_state, save_state
-from repro.partition import edge_cut, load_imbalance, partition_rcb
+from repro.partition.quality import edge_cut, load_imbalance
+from repro.partition.rcb import partition_rcb
 from repro.simmpi.launcher import run_spmd
 
 #: File name of the malleable restart checkpoint inside checkpoint_dir.

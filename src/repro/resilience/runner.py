@@ -11,7 +11,7 @@ simmpi runtime:
    (:meth:`~repro.apps.stepping.DistributedStep.for_problem`) through
    the one time loop the plain SPMD drivers run
    (:meth:`~repro.apps.stepping.DistributedStep.run`), with a
-   :class:`~repro.resilience.FaultInjector` installed in the transport;
+   :class:`~repro.resilience.faults.FaultInjector` installed in the transport;
 2. rank 0 writes a v2 restart checkpoint (the solver's restart state:
    BDF histories + clock + counters, :func:`repro.io.checkpoint.save_state`)
    every ``checkpoint_every`` steps, *before* the step's kill gate — so

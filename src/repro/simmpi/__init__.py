@@ -16,50 +16,10 @@ The mpi4py-style API is intentional (see the mpi4py tutorial): lowercase
 a fast size path.
 """
 
-from repro.simmpi.datatypes import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Message,
-    Status,
-    ReduceOp,
-    SUM,
-    MAX,
-    MIN,
-    PROD,
-    payload_nbytes,
-)
-from repro.simmpi.clock import VirtualClock
-from repro.simmpi.comm import Communicator, Request
-from repro.simmpi.events import EventEngine, current_task
-from repro.simmpi.launcher import SPMDResult, run_spmd
-from repro.simmpi.recording import ScheduleRecording
-from repro.simmpi.replay import replay_schedule
-from repro.simmpi.selector import CollectiveSelector, Selection
-from repro.simmpi.tracing import EventLog, TraceRecord, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Message",
-    "Status",
-    "ReduceOp",
-    "SUM",
-    "MAX",
-    "MIN",
-    "PROD",
-    "payload_nbytes",
-    "VirtualClock",
-    "CollectiveSelector",
-    "Selection",
-    "Communicator",
-    "Request",
-    "EventEngine",
-    "current_task",
-    "SPMDResult",
-    "run_spmd",
-    "ScheduleRecording",
-    "replay_schedule",
-    "EventLog",
-    "TraceRecord",
-    "Tracer",
-]
+_EXPORTS = {
+    "repro.simmpi.launcher": ("run_spmd",),
+    "repro.simmpi.replay": ("replay_schedule",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -97,14 +97,14 @@ def run_spmd(
 
     Parameters mirror what a batch system controls: the ``topology``
     places ranks on nodes (block placement).  A ``fault_injector``
-    (:class:`~repro.resilience.FaultInjector`) hooks the transport to
+    (:class:`~repro.resilience.faults.FaultInjector`) hooks the transport to
     kill ranks and drop/delay messages mid-run — a killed rank's
     :class:`~repro.errors.RankFailedError` is re-raised here as the
     run's root cause.
 
     Every observer reads one :class:`~repro.simmpi.tracing.EventLog`,
     built only when one is attached.  ``trace=True`` or an
-    ``observability`` hub (:class:`repro.obs.Observability`) appends to
+    ``observability`` hub (:class:`repro.obs.core.Observability`) appends to
     the tracer's log and folds the launch into the hub's ``simmpi_*``
     counters; span instrumentation inside ``target`` still needs the
     hub passed through ``args``/``kwargs``.  ``record_schedule=True``

@@ -83,7 +83,7 @@ def replay_schedule(
     ``topology`` is the target platform (None = the generic test
     cluster); ``compute_rate`` divides the recorded unit-rate compute
     charges (pass the platform's
-    :meth:`~repro.platforms.specs.PlatformSpec.core_flops`);
+    :meth:`~repro.platforms.spec.PlatformSpec.core_flops`);
     ``engine``/``trace``/``causal`` mirror
     :func:`~repro.simmpi.launcher.run_spmd` — in
     particular a replayed run logs every message afresh, so replayed

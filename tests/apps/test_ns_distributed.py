@@ -16,7 +16,7 @@ from repro.la.distributed import DistMatrix, dist_bicgstab
 from repro.la.krylov import bicgstab
 from repro.network.model import GIGABIT_ETHERNET, INFINIBAND_4X_DDR, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 
 def nonsym_system(n=60, seed=3):

@@ -17,7 +17,7 @@ from repro.fem.boundary import DirichletPlan
 from repro.fem.dofmap import DofMap
 from repro.la.distributed import DistMatrix
 from repro.resilience.malleable import decompose
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 PROBLEM = RDProblem(mesh_shape=(2, 2, 4), num_steps=3)
 NUM_DOFS = DofMap(PROBLEM.mesh(), PROBLEM.order).num_dofs

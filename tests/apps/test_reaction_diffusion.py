@@ -11,7 +11,7 @@ from repro.apps.stepping import slab_ownership
 from repro.fem.assembly import assemble_load
 from repro.fem.dofmap import DofMap
 from repro.fem.mesh import StructuredBoxMesh
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 
 class TestRDProblem:

@@ -17,7 +17,7 @@ from repro.apps import navier_stokes, reaction_diffusion, shared
 from repro.apps.navier_stokes import NSProblem, NSSolver, run_ns_distributed
 from repro.apps.reaction_diffusion import RDProblem, RDSolver, run_rd_distributed
 from repro.fem.assembly import CompositeOperator
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 ENGINES = ["events", "threads"]
 NUM_RANKS = 8

@@ -7,7 +7,7 @@ import pytest
 
 from repro.broker.engine import run_sweep
 from repro.harness.config import RunConfig
-from repro.obs import Observability, ObsConfig
+from repro.obs.core import Observability, ObsConfig
 
 
 class TestRunSweep:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro
-from repro.broker import run_sweep
+from repro.broker.engine import run_sweep
 from repro.errors import ExperimentError
 from repro.harness.config import ResilienceParams, RunConfig, to_json
 from repro.harness.results import (
@@ -14,7 +14,7 @@ from repro.harness.results import (
     PortingEffortReport,
     Table1Matrix,
 )
-from repro.obs import Observability, ObsConfig
+from repro.obs.core import Observability, ObsConfig
 
 
 @pytest.fixture(scope="module")

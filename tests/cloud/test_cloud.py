@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import BillingError, CloudError
-from repro.cloud import (
-    BASE_CENTOS_IMAGE,
-    CC2_8XLARGE,
-    BillingEngine,
-    EC2Service,
-    PlacementMap,
-    SpotMarket,
-    precondition_image,
-)
+from repro.cloud.images import BASE_CENTOS_IMAGE, precondition_image
+from repro.cloud.instances import CC2_8XLARGE
+from repro.cloud.billing import BillingEngine
+from repro.cloud.ec2 import EC2Service
+from repro.cloud.spot import SpotMarket
 from repro.cloud.placement import (
     CROSS_GROUP_BANDWIDTH_FACTOR,
     CROSS_GROUP_LATENCY_FACTOR,
     PlacementGroup,
+    PlacementMap,
 )
 from repro.network.model import NetworkModel
 from repro.units import HOUR

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import CloudError
-from repro.cloud import CC2_8XLARGE, EC2Service, SpotMarket
+from repro.cloud.instances import CC2_8XLARGE
+from repro.cloud.ec2 import EC2Service
+from repro.cloud.spot import SpotMarket
 from repro.units import HOUR
 
 

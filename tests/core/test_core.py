@@ -4,14 +4,16 @@ import pytest
 
 from repro.errors import ExperimentError, PlatformError, ReproError
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, workload_by_name
-from repro.core import (
-    ascii_chart,
-    ascii_table,
-    deploy_and_run,
-    platform_gaps,
-    render_table1,
+from repro.core.reporting import ascii_chart, ascii_table
+from repro.core.deployment import deploy_and_run
+from repro.core.characterization import platform_gaps, render_table1
+from repro.platforms.catalog import (
+    all_platforms,
+    ec2_cc28xlarge,
+    ellipse,
+    lagrange,
+    puma,
 )
-from repro.platforms import all_platforms, ec2_cc28xlarge, ellipse, lagrange, puma
 
 
 class TestDeployment:

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.errors import CostModelError
-from repro.costs import (
-    PlatformCostModel,
-    cost_per_iteration,
-)
-from repro.platforms import all_platforms, ec2_cc28xlarge, puma
+from repro.costs.model import PlatformCostModel, cost_per_iteration
+from repro.platforms.catalog import all_platforms, ec2_cc28xlarge, puma
 from repro.units import HOUR
 
 

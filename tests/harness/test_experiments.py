@@ -12,12 +12,13 @@ import pytest
 
 import repro
 from repro.apps.workload import RD_WORKLOAD
-from repro.harness import RunConfig, weak_scaling_rows, weak_scaling_series
+from repro.harness.config import RunConfig
+from repro.harness.results import weak_scaling_rows, weak_scaling_series
 from repro.harness.experiments import _mix_topology
 from repro.harness.paper_data import PAPER_TABLE2
 from repro.perfmodel.calibration import RD_TIME_SCALE
 from repro.perfmodel.phases import PhaseModel
-from repro.platforms import ec2_cc28xlarge
+from repro.platforms.catalog import ec2_cc28xlarge
 
 
 def point(table, platform, num_ranks):

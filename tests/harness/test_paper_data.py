@@ -14,7 +14,7 @@ from repro.harness.paper_data import (
 from repro.apps.workload import paper_rank_series
 from repro.cloud.instances import CC2_8XLARGE
 from repro.platforms.limits import effective_max_ranks
-from repro.platforms import all_platforms
+from repro.platforms.catalog import all_platforms
 
 
 class TestInternalConsistency:

@@ -24,7 +24,7 @@ from repro.la.distributed import (
 def _as_dist_vector(dist, owned):
     return DistVector(dist.comm, owned, dist.ghost_indices.size)
 from repro.la.krylov import cg
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from repro.la.distributed import (
 )
 from repro.la.krylov import cg
 from repro.la.preconditioners import JacobiPreconditioner
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 
 @pytest.fixture(scope="module")

@@ -5,17 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.network import (
+from repro.network.model import (
     GIGABIT_ETHERNET,
     INFINIBAND_4X_DDR,
     SHARED_MEMORY,
     TEN_GIGABIT_ETHERNET,
-    ClusterTopology,
     LinkModel,
     NetworkModel,
-    nic_sharing_factor,
 )
-from repro.network.contention import estimate_offnode_fraction
+from repro.network.topology import ClusterTopology
+from repro.network.contention import estimate_offnode_fraction, nic_sharing_factor
 
 
 class TestLinkModel:

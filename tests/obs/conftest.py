@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
-from repro.obs import Observability, ObsConfig
-from repro.simmpi import run_spmd
+from repro.obs.core import Observability, ObsConfig
+from repro.simmpi.launcher import run_spmd
 
 NUM_RANKS = 2
 NUM_STEPS = 6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Observability
+from repro.obs.core import Observability
 from repro.obs.analysis import critical_path, overlap_report, phase_statistics
 
 from .conftest import DISCARD, NUM_RANKS, NUM_STEPS

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
 from repro.obs.causal import SYNCHRONIZING_COLLECTIVES, CausalTracker
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 ENGINES = ("events", "threads")
 
@@ -246,7 +246,8 @@ class TestMessageIdentity:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_dup_reordered_receives_pair_by_identity(self, engine):
-        from repro.obs import Observability, ObsConfig, run_health
+        from repro.obs.core import Observability, ObsConfig
+        from repro.obs.health import run_health
         from repro.obs.analysis import _match_events, _timelines, critical_path
         from repro.obs.exporters import chrome_trace_events
 
@@ -298,7 +299,7 @@ class TestMessageIdentity:
     def test_identities_stay_unique_across_launches_sharing_a_hub(self):
         """A resilient runner's attempts append to one hub tracer: the
         second launch's messages must not reuse the first one's names."""
-        from repro.obs import Observability, ObsConfig
+        from repro.obs.core import Observability, ObsConfig
         from repro.obs.analysis import _match_events, _timelines
 
         hub = Observability(ObsConfig(out_dir=None))

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import (
-    NULL_RANK_OBS,
-    Observability,
-    ObsConfig,
-    current,
-)
-from repro.simmpi import run_spmd
+from repro.obs.core import NULL_RANK_OBS, Observability, ObsConfig, current
+from repro.simmpi.launcher import run_spmd
 from repro.simmpi.tracing import COMPUTE, TraceRecord, Tracer
 
 

@@ -248,7 +248,7 @@ class TestAtomicExport:
         must find whole files: every one is published by rename."""
         import pytest
 
-        from repro.obs import Observability, ObsConfig
+        from repro.obs.core import Observability, ObsConfig
         from repro.obs.spans import Span
 
         obs = Observability(ObsConfig(out_dir=tmp_path, prefix="run"))

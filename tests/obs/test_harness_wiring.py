@@ -3,9 +3,9 @@
 import json
 
 import repro
-from repro.broker import run_sweep
+from repro.broker.engine import run_sweep
 from repro.harness.config import RunConfig
-from repro.obs import Observability, ObsConfig
+from repro.obs.core import Observability, ObsConfig
 
 
 class TestExperimentObs:

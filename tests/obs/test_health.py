@@ -13,7 +13,7 @@ from repro.obs.health import (
     merge_reports,
     run_health,
 )
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 
 from .conftest import NUM_RANKS
 
@@ -141,7 +141,7 @@ class TestRoundtripAndMerge:
 
 class TestHubIntegration:
     def test_hub_run_health_from_own_trace(self):
-        from repro.obs import Observability, ObsConfig
+        from repro.obs.core import Observability, ObsConfig
 
         obs = Observability(ObsConfig())
         run_spmd(_imbalanced_program, 4, observability=obs)
@@ -150,7 +150,7 @@ class TestHubIntegration:
         assert report.num_ranks == 4
 
     def test_telemetry_payload_carries_health(self):
-        from repro.obs import Observability, ObsConfig
+        from repro.obs.core import Observability, ObsConfig
 
         obs = Observability(ObsConfig())
         run_spmd(_imbalanced_program, 2, observability=obs)
@@ -165,7 +165,7 @@ class TestHubIntegration:
     def test_run_result_health_property(self, tmp_path):
         import repro
         from repro.harness.config import RunConfig
-        from repro.obs import ObsConfig
+        from repro.obs.core import ObsConfig
 
         config = RunConfig(obs=ObsConfig(out_dir=str(tmp_path / "obs")),
                            cache_dir=str(tmp_path / "cache"))
@@ -184,7 +184,7 @@ class TestExportedBytes:
     """One ``*-health.json`` as the hand-written row codec wrote it."""
 
     def run(self, tmp_path, name):
-        from repro.obs import Observability, ObsConfig
+        from repro.obs.core import Observability, ObsConfig
 
         obs = Observability(ObsConfig(out_dir=str(tmp_path / name)))
         run_spmd(_imbalanced_program, 2, observability=obs)
@@ -198,7 +198,7 @@ class TestExportedBytes:
             self, tmp_path):
         """The parent hub rebuilds the report from the worker's rows
         (``RunHealthReport.from_dict``) and writes the same file."""
-        from repro.obs import Observability, ObsConfig
+        from repro.obs.core import Observability, ObsConfig
 
         payload = self.run(tmp_path, "worker").telemetry_payload()
         parent = Observability(ObsConfig(out_dir=str(tmp_path / "parent")))

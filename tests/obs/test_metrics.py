@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry, exponential_buckets
+from repro.obs.metrics import MetricsRegistry, exponential_buckets
 
 
 class TestCounter:

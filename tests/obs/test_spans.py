@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
-from repro.obs import Observability, ObsConfig, SpanStack, iter_spans, spans_named
-from repro.simmpi import run_spmd
+from repro.obs.core import Observability, ObsConfig
+from repro.obs.spans import SpanStack, iter_spans, spans_named
+from repro.simmpi.launcher import run_spmd
 
 
 class TestSpanStack:

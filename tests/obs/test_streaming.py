@@ -159,7 +159,7 @@ class TestSweepIntegration:
     def test_observed_sweep_streams_rows(self, tmp_path):
         import repro
         from repro.harness.config import RunConfig
-        from repro.obs import ObsConfig
+        from repro.obs.core import ObsConfig
 
         out = tmp_path / "obs"
         config = RunConfig(obs=ObsConfig(out_dir=str(out)),
@@ -195,7 +195,7 @@ class TestCLI:
         import repro
         from repro.__main__ import main as cli_main
         from repro.harness.config import RunConfig
-        from repro.obs import ObsConfig
+        from repro.obs.core import ObsConfig
 
         out = tmp_path / "obs"
         config = RunConfig(obs=ObsConfig(out_dir=str(out)),

@@ -7,15 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.fem.mesh import StructuredBoxMesh
-from repro.partition import (
-    ProcessGrid,
-    edge_cut,
-    load_imbalance,
-    partition_block,
-    partition_graph,
-    partition_rcb,
-)
-from repro.partition.grid import block_ranges
+from repro.partition.quality import edge_cut, load_imbalance
+from repro.partition.graph import partition_graph
+from repro.partition.rcb import partition_rcb
+from repro.partition.grid import ProcessGrid, block_ranges, partition_block
 
 PARTITIONERS = {
     "block": partition_block,

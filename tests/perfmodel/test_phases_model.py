@@ -13,7 +13,7 @@ from repro.perfmodel.calibration import (
     time_scale_for,
 )
 from repro.perfmodel.phases import PhaseModel
-from repro.platforms import all_platforms, ec2_cc28xlarge, lagrange, puma
+from repro.platforms.catalog import all_platforms, ec2_cc28xlarge, lagrange, puma
 
 from repro.harness.paper_data import PAPER_TABLE2
 
@@ -223,7 +223,7 @@ class TestCrossValidationAgainstSimulator:
 
     def _simulated_time(self, platform, num_ranks=4):
         from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
-        from repro.simmpi import run_spmd
+        from repro.simmpi.launcher import run_spmd
 
         problem = RDProblem(mesh_shape=(4, 4, 4), num_steps=3)
         # One rank per node isolates the interconnect difference.

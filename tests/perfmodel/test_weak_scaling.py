@@ -5,7 +5,13 @@ import pytest
 from repro.errors import ExperimentError
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD
 from repro.perfmodel.weak_scaling import weak_scaling_sweep
-from repro.platforms import all_platforms, ec2_cc28xlarge, ellipse, lagrange, puma
+from repro.platforms.catalog import (
+    all_platforms,
+    ec2_cc28xlarge,
+    ellipse,
+    lagrange,
+    puma,
+)
 from repro.platforms.limits import effective_max_ranks, rank_ceiling_reason
 
 

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.errors import ProvisioningError
-from repro.platforms import (
+from repro.platforms.software import (
     LIFEV_TARGET,
     Package,
     PackageRegistry,
-    ec2_cc28xlarge,
-    ellipse,
-    lagrange,
     lifev_stack_registry,
-    plan_provisioning,
-    puma,
 )
-from repro.platforms.provisioning import channel_available, deployment_gap
+from repro.platforms.catalog import ec2_cc28xlarge, ellipse, lagrange, puma
+from repro.platforms.provisioning import (
+    channel_available,
+    deployment_gap,
+    plan_provisioning,
+)
 
 
 @pytest.fixture(scope="module")

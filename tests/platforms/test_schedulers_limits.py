@@ -3,17 +3,14 @@
 import pytest
 
 from repro.errors import SchedulerError
-from repro.platforms import (
+from repro.platforms.schedulers import (
     JobRequest,
     PBSScheduler,
     SGEScheduler,
     ShellLauncher,
-    ec2_cc28xlarge,
-    ellipse,
-    lagrange,
     make_scheduler,
-    puma,
 )
+from repro.platforms.catalog import ec2_cc28xlarge, ellipse, lagrange, puma
 from repro.platforms.limits import effective_max_ranks, rank_ceiling_reason
 from repro.units import hours
 

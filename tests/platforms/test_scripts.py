@@ -3,13 +3,8 @@
 import pytest
 
 from repro.errors import ProvisioningError
-from repro.platforms import (
-    ec2_cc28xlarge,
-    ellipse,
-    lagrange,
-    plan_provisioning,
-    puma,
-)
+from repro.platforms.catalog import ec2_cc28xlarge, ellipse, lagrange, puma
+from repro.platforms.provisioning import plan_provisioning
 from repro.platforms.scripts import provisioning_script
 
 

@@ -8,12 +8,14 @@ from repro.network.model import (
     INFINIBAND_4X_DDR,
     TEN_GIGABIT_ETHERNET,
 )
-from repro.platforms import (
+from repro.platforms.spec import (
     AccessMode,
     AvailabilityModel,
     CPUModel,
     NodeSpec,
     SupportLevel,
+)
+from repro.platforms.catalog import (
     all_platforms,
     ec2_cc28xlarge,
     ellipse,

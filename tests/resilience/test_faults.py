@@ -9,7 +9,7 @@ from repro.apps.stepping import DistributedStep
 from repro.cloud.instances import CC2_8XLARGE
 from repro.cloud.spot import SpotMarket
 from repro.errors import DeadlockError, RankFailedError, ResilienceError
-from repro.resilience import FaultEvent, FaultInjector, FaultPlan
+from repro.resilience.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.resilience.runner import ResilientRunner, RestartStats
 from repro.simmpi.launcher import run_spmd
 

@@ -17,7 +17,8 @@ import pytest
 from repro.apps.navier_stokes import NSProblem, NSSolver
 from repro.apps.reaction_diffusion import RDProblem, RDSolver
 from repro.io.checkpoint import load_state, save_state
-from repro.resilience import FaultEvent, FaultPlan, ResilientRunner
+from repro.resilience.faults import FaultEvent, FaultPlan
+from repro.resilience.runner import ResilientRunner
 
 pytestmark = pytest.mark.resilience
 

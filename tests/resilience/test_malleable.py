@@ -14,14 +14,15 @@ from repro.apps.reaction_diffusion import RDProblem
 from repro.errors import ResilienceError
 from repro.fem.dofmap import DofMap
 from repro.harness.config import from_json, to_json
-from repro.resilience import (
+from repro.resilience.malleable import (
+    MALLEABLE_CHECKPOINT,
     MalleableRunResult,
     RepartitionReport,
     decompose,
+    ownership_from_partition,
     repartition_state,
     run_malleable,
 )
-from repro.resilience.malleable import MALLEABLE_CHECKPOINT, ownership_from_partition
 
 pytestmark = pytest.mark.resilience
 

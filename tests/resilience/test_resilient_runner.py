@@ -9,7 +9,8 @@ import repro
 from repro.apps.navier_stokes import DistributedNSStep, NSProblem
 from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
 from repro.errors import ReproError, RetriesExhaustedError
-from repro.resilience import FaultEvent, FaultPlan, ResilientRunner
+from repro.resilience.faults import FaultEvent, FaultPlan
+from repro.resilience.runner import ResilientRunner
 from repro.simmpi.launcher import run_spmd
 
 pytestmark = pytest.mark.resilience
@@ -242,7 +243,7 @@ class TestAccountingAndReporting:
         import json
 
         from repro.harness.config import from_json, to_json
-        from repro.resilience import StepRecord
+        from repro.resilience.runner import StepRecord
 
         runner = ResilientRunner(PROBLEM, num_ranks=2, checkpoint_dir=tmp_path)
         out = runner.run()
@@ -251,7 +252,7 @@ class TestAccountingAndReporting:
             assert from_json(StepRecord, doc, "step record") == record
 
     def test_observed_ns_run_counts_restarts_and_checkpoints(self, tmp_path):
-        from repro.obs import Observability
+        from repro.obs.core import Observability
 
         hub = Observability()
         plan = FaultPlan([FaultEvent(kind="spot_reclaim", rank=1, at_step=3)])

@@ -14,7 +14,8 @@ import pytest
 
 from repro import RunRequest
 from repro.__main__ import main
-from repro.service import BrokerService, ServiceClient, ServiceConfig
+from repro.service.service import BrokerService, ServiceConfig
+from repro.service.client import ServiceClient
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 

@@ -21,13 +21,9 @@ from repro.errors import (
 )
 from repro.harness.config import RunConfig
 from repro.obs.streaming import read_rows, stream_path
-from repro.service import (
-    AdmissionPolicy,
-    BrokerService,
-    ServiceClient,
-    ServiceConfig,
-    TenantQuota,
-)
+from repro.service.admission import AdmissionPolicy, TenantQuota
+from repro.service.service import BrokerService, ServiceConfig
+from repro.service.client import ServiceClient
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=11))
 

@@ -14,7 +14,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.harness.config import RunConfig
-from repro.service import BrokerService, ServiceConfig
+from repro.service.service import BrokerService, ServiceConfig
 from repro.service.jobs import count_points, job_key
 
 

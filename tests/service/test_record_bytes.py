@@ -17,7 +17,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.__main__ import main
-from repro.service import ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.httpd import serve_http
 from repro.service.jobs import JobStatus, SubmitReceipt
 

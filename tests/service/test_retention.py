@@ -19,13 +19,9 @@ from repro.broker.api import RunRequest
 from repro.broker.cache import _PICKLE_PROTOCOL
 from repro.errors import ServiceError
 from repro.harness.config import RunConfig
-from repro.service import (
-    AdmissionPolicy,
-    BrokerService,
-    ServiceClient,
-    ServiceConfig,
-    TenantQuota,
-)
+from repro.service.admission import AdmissionPolicy, TenantQuota
+from repro.service.service import BrokerService, ServiceConfig
+from repro.service.client import ServiceClient
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=5))
 

@@ -19,7 +19,8 @@ from repro.__main__ import main
 from repro.broker.api import RunRequest
 from repro.errors import ServiceError
 from repro.harness.config import RunConfig
-from repro.service import BrokerService, ServiceClient, ServiceConfig
+from repro.service.service import BrokerService, ServiceConfig
+from repro.service.client import ServiceClient
 
 REQ = RunRequest(artifacts=("fig4",), config=RunConfig(seed=11))
 

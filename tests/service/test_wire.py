@@ -32,7 +32,8 @@ from repro.harness.config import (
     from_json,
 )
 from repro.obs.core import ObsConfig
-from repro.service import BrokerService, ServiceClient, ServiceConfig
+from repro.service.service import BrokerService, ServiceConfig
+from repro.service.client import ServiceClient
 
 
 def echo_run(request):

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.platforms import platform_by_name
-from repro.simmpi import MAX, SUM, CollectiveSelector, run_spmd
+from repro.platforms.catalog import platform_by_name
+from repro.simmpi.datatypes import MAX, SUM
+from repro.simmpi.selector import CollectiveSelector
+from repro.simmpi.launcher import run_spmd
 from repro.simmpi import collectives as coll
 
 #: Every schedule name ``allreduce`` / ``bcast`` accept.

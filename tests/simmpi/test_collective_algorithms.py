@@ -6,7 +6,8 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.simmpi import SUM, run_spmd
+from repro.simmpi.datatypes import SUM
+from repro.simmpi.launcher import run_spmd
 
 
 def run(fn, n, **kw):

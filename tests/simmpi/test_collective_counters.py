@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 
-from repro.simmpi import SUM, run_spmd
+from repro.simmpi.datatypes import SUM
+from repro.simmpi.launcher import run_spmd
 
 
 def run(fn, n, **kw):

@@ -10,9 +10,18 @@ from hypothesis import strategies as st
 from repro.errors import CommunicatorError, DeadlockError, LaunchError
 from repro.network.model import GIGABIT_ETHERNET, INFINIBAND_4X_DDR, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.simmpi import ANY_SOURCE, MAX, MIN, PROD, SUM, payload_nbytes, run_spmd
+from repro.simmpi.launcher import run_spmd
 from repro.simmpi.clock import VirtualClock
-from repro.simmpi.datatypes import Message, Status
+from repro.simmpi.datatypes import (
+    ANY_SOURCE,
+    MAX,
+    MIN,
+    PROD,
+    SUM,
+    Message,
+    Status,
+    payload_nbytes,
+)
 
 
 def topo(nodes=4, cores=4, link=GIGABIT_ETHERNET):

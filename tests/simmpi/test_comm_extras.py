@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.simmpi import SUM, MAX, run_spmd
+from repro.simmpi.datatypes import SUM, MAX
+from repro.simmpi.launcher import run_spmd
 
 
 def run(fn, n, **kw):

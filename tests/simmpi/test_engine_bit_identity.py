@@ -20,7 +20,8 @@ import pytest
 
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.simmpi import MAX, SUM, run_spmd
+from repro.simmpi.datatypes import MAX, SUM
+from repro.simmpi.launcher import run_spmd
 from repro.simmpi.collectives import HIER_ALLREDUCE_ALGORITHMS
 
 RANK_COUNTS = (2, 4, 8, 9)

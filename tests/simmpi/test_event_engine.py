@@ -22,8 +22,10 @@ import repro
 from repro import RunConfig, RunRequest
 from repro.errors import DeadlockError, LaunchError, RankFailedError
 from repro.obs.core import Observability, current
-from repro.resilience import FaultEvent, FaultInjector, FaultPlan
-from repro.simmpi import ANY_SOURCE, events, run_spmd
+from repro.resilience.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.simmpi.datatypes import ANY_SOURCE
+from repro.simmpi import events
+from repro.simmpi.launcher import run_spmd
 
 
 def run(fn, n, **kw):

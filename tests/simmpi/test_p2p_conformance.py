@@ -27,8 +27,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import ANY_SOURCE, Communicator, replay_schedule, run_spmd
-from repro.simmpi.launcher import default_topology
+from repro.simmpi.datatypes import ANY_SOURCE
+from repro.simmpi.comm import Communicator
+from repro.simmpi.replay import replay_schedule
+from repro.simmpi.launcher import default_topology, run_spmd
 from repro.simmpi.tracing import RECV, SEND
 
 #: Agents per aggregated message; a bigger bucket is split into chunks.

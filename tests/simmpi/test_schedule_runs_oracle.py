@@ -19,8 +19,7 @@ from repro.harness.experiments import weak_scaling_column
 from repro.network.model import TEN_GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.perfmodel.phases import PhaseModel, priced_allreduce
-from repro.platforms import all_platforms
-from repro.platforms.catalog import ec2_cc28xlarge
+from repro.platforms.catalog import all_platforms, ec2_cc28xlarge
 from repro.simmpi import collectives as coll
 from repro.simmpi.collectives import (
     CollRound,

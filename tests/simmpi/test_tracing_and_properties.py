@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import MAX, MIN, SUM, run_spmd
+from repro.simmpi.datatypes import MAX, MIN, SUM
+from repro.simmpi.launcher import run_spmd
 
 
 def run(fn, n, **kw):

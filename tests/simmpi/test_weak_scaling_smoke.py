@@ -12,7 +12,7 @@ observers off.  Wall time is the benchmark's job (``benchmarks/perf``).
 
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
-from repro.simmpi import run_spmd
+from repro.simmpi.launcher import run_spmd
 from repro.simmpi.tracing import EventLog
 
 #: Placement lookups allowed per rank and per message.  Two per message

@@ -28,6 +28,14 @@ A public name that nothing but tests reaches is library surface without a
 caller: delete it, or give it a ``KEEP`` entry saying why it stays.  An
 entry whose name has gained a caller must leave ``KEEP``, so the table
 lists exactly the names that stay for a written reason.
+
+Each name has one import path, its defining module.  A subpackage
+``__init__.py`` is its docstring plus, at most, one ``_EXPORTS =
+{defining module: names}`` table handed to ``repro._lazy.lazy_exports``,
+and the table lists exactly the names a ``*.py`` file under
+``benchmarks/``, ``examples/`` or ``tools/`` imports through that
+package (``from repro.<package> import name``).  Files under ``src/``
+and ``tests/`` import nothing but submodules through a package.
 """
 
 from __future__ import annotations
@@ -391,3 +399,104 @@ def test_module_constants_are_censused(census_of):
         ),
         "tools/tool.py": "from repro.sub.mod import caller\ncaller()\n",
     }) == {"sub.mod.UNUSED", "sub.mod.TYPED"}
+
+
+# -- one import path per name -------------------------------------------------
+
+#: The statements a subpackage ``__init__`` may hold besides its docstring.
+_LAZY_INIT = (
+    "from repro._lazy import lazy_exports",
+    "_EXPORTS = ",
+    "__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)",
+)
+
+
+def _subpackages() -> list[Path]:
+    return sorted(init.parent for init in SRC.glob("*/__init__.py"))
+
+
+def eager_statements() -> list[str]:
+    """``package:line`` of each statement a subpackage ``__init__`` holds
+    beyond its docstring and its lazy table."""
+    found = []
+    for package in _subpackages():
+        module = tree(package / "__init__.py")
+        body = module.body[1:] if ast.get_docstring(module) is not None else module.body
+        for node in body:
+            if not ast.unparse(node).startswith(_LAZY_INIT):
+                found.append(f"{package.name}:{node.lineno}")
+    return found
+
+
+def export_tables() -> dict[str, set[str]]:
+    """``{subpackage: the names its _EXPORTS table lists}``."""
+    tables = {}
+    for package in _subpackages():
+        for node in tree(package / "__init__.py").body:
+            if ast.unparse(node).startswith("_EXPORTS = "):
+                tables[package.name] = {
+                    item.value for names in node.value.values for item in names.elts
+                }
+    return tables
+
+
+def through_packages(dirs) -> dict[str, set[str]]:
+    """``{subpackage: names}`` that the ``*.py`` files under ``dirs``
+    import through the package rather than from a submodule of it."""
+    packages = {package.name: package for package in _subpackages()}
+    found = defaultdict(set)
+    for name in dirs:
+        for path in sorted((ROOT / name).rglob("*.py")):
+            for node in ast.walk(tree(path)):
+                if not isinstance(node, ast.ImportFrom) or node.level:
+                    continue
+                root, _, package = (node.module or "").partition(".")
+                if root != "repro" or package not in packages:
+                    continue
+                home = packages[package]
+                found[package].update(
+                    alias.name for alias in node.names
+                    if not (home / f"{alias.name}.py").exists()
+                    and not (home / alias.name / "__init__.py").exists()
+                )
+    return {package: names for package, names in found.items() if names}
+
+
+def test_subpackage_inits_import_nothing_eagerly():
+    assert not eager_statements(), (
+        "a subpackage __init__ holds more than its docstring and a lazy "
+        "_EXPORTS table:\n  " + "\n  ".join(eager_statements())
+    )
+
+
+def test_each_table_lists_what_callers_import_through_its_package():
+    assert export_tables() == through_packages(CALLER_DIRS)
+
+
+def test_src_and_tests_import_names_from_their_defining_modules():
+    assert through_packages(("src", "tests")) == {}
+
+
+def test_the_import_census_sees_each_second_path(tmp_path, monkeypatch):
+    files = {
+        "src/repro/sub/__init__.py": (
+            '"""Sub."""\n\nfrom repro._lazy import lazy_exports\n\n'
+            '_EXPORTS = {"repro.sub.mod": ("Used", "Spare")}\n'
+            "__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)\n"
+        ),
+        "src/repro/sub/mod.py": "class Used: ...\nclass Spare: ...\n",
+        "src/repro/eager/__init__.py": (
+            '"""Eager."""\n\nfrom repro.sub.mod import Used\n'
+        ),
+        "src/repro/user.py": "from repro.sub import Used, mod\n",
+        "examples/demo.py": "from repro.sub import Used\n",
+    }
+    for relative, source in files.items():
+        (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / relative).write_text(source)
+    monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
+    monkeypatch.setattr(f"{__name__}.SRC", tmp_path / "src" / "repro")
+    assert eager_statements() == ["eager:3"]
+    assert export_tables() == {"sub": {"Used", "Spare"}}
+    assert through_packages(CALLER_DIRS) == {"sub": {"Used"}}
+    assert through_packages(("src", "tests")) == {"sub": {"Used"}}

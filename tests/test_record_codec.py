@@ -90,6 +90,17 @@ def test_a_pair_of_another_arity_is_refused(pair):
         from_json(JobStatus, doc, "status")
 
 
+@pytest.mark.parametrize("field", ["artifacts", "tenants", "transitions"])
+def test_a_tuple_field_is_read_from_a_json_list_only(field):
+    doc = through_json(JobStatus(
+        job_id="j", state="queued", artifacts=("fig4",), points=1,
+        tenants=("t",), coalesced=0, submitted_wall=0.0, started_wall=None,
+        finished_wall=None, error=None, transitions=(("queued", 0.0),)))
+    doc[field] = "queued"
+    with pytest.raises(ExperimentError, match=f"status.{field} cannot be 'queued'"):
+        from_json(JobStatus, doc, "status")
+
+
 def test_a_missing_field_is_refused_by_name():
     doc = through_json(SubmitReceipt(job_id="j", state="queued",
                                      coalesced=False, tenant="t"))
