@@ -5,7 +5,7 @@ The package the rest of the library reports into:
 * :mod:`repro.obs.spans` — per-rank hierarchical span trees;
 * :mod:`repro.obs.metrics` — typed Counter/Gauge/Histogram registry;
 * :mod:`repro.obs.core` — the :class:`~repro.obs.core.Observability`
-  hub, rank views, and the thread-local ambient
+  hub, rank views, and the context-local ambient
   :func:`~repro.obs.core.current`;
 * :mod:`repro.obs.exporters` — Chrome ``trace_event`` JSON, JSONL dumps,
   Prometheus text exposition;

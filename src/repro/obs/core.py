@@ -18,12 +18,10 @@ to a rank and a clock (``obs.rank_view(comm)`` inside an SPMD body,
 the view in the ambient slot, so library layers (assembly kernels,
 Krylov loops, preconditioners) can attach child spans through the
 ambient :func:`current` without threading an argument through every
-signature.  The slot is *task-local*: under the event-driven engine
-every rank is a cooperative task on one OS thread, so the active view
-lives in the current :class:`~repro.simmpi.events.Task`'s ``locals``
-dict; outside a task (the threaded engine, sequential code) it falls
-back to a plain thread-local.  Either way the ambient context is
-per-rank by construction.
+signature.  The slot is one :class:`contextvars.ContextVar`: the event
+engine runs each rank task in a fresh :class:`contextvars.Context`, and
+each rank thread of the threads engine starts with an empty one, so the
+ambient context is per-rank by construction on both engines.
 """
 
 from __future__ import annotations
@@ -33,47 +31,24 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanStack
-from repro.simmpi.events import current_task
 from repro.simmpi.tracing import LogWindow, Tracer, trace_records
 from repro.store import write_atomic
 
-_tls = threading.local()
-
-_AMBIENT_KEY = "obs_active"
-
-
-def _get_ambient():
-    """The raw ambient slot: task-local when a rank task is running."""
-    task = current_task()
-    if task is not None:
-        return task.locals.get(_AMBIENT_KEY)
-    return getattr(_tls, "active", None)
-
-
-def _set_ambient(view) -> None:
-    """Store (or with None, clear) the ambient slot for this task/thread."""
-    task = current_task()
-    if task is not None:
-        if view is None:
-            task.locals.pop(_AMBIENT_KEY, None)
-        else:
-            task.locals[_AMBIENT_KEY] = view
-    elif view is None:
-        if hasattr(_tls, "active"):
-            del _tls.active
-    else:
-        _tls.active = view
+#: The rank view whose span is open in this context, if any.
+_ambient: ContextVar["RankObs | None"] = ContextVar("repro_obs_ambient",
+                                                    default=None)
 
 
 def current() -> "RankObs":
-    """The rank view active on this task/thread (a no-op view when none is)."""
-    view = _get_ambient()
+    """The rank view active in this context (a no-op view when none is)."""
+    view = _ambient.get()
     return view if view is not None else NULL_RANK_OBS
 
 
@@ -114,14 +89,13 @@ class RankObs:
     @contextmanager
     def span(self, name: str, **attrs):
         """Open a nested span; activates this view in the ambient slot."""
-        prev = _get_ambient()
-        _set_ambient(self)
+        token = _ambient.set(self)
         span = self._stack.open(name, self.now(), attrs)
         try:
             yield span
         finally:
             self._stack.close(self.now())
-            _set_ambient(prev)
+            _ambient.reset(token)
 
     # -- metrics shortcuts (rank-stamped) ---------------------------------
 

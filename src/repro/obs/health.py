@@ -35,6 +35,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro.harness.config import from_json, to_json
 from repro.obs.analysis import _match_events, _timelines
 from repro.simmpi.comm import RECV_OVERHEAD, SEND_OVERHEAD
 
@@ -117,8 +118,6 @@ class RunHealthReport:
     def as_dict(self) -> dict:
         """Plain-dict form (JSON-ready): the fields, each rank's row as
         ``to_json`` writes it, and the summary derived from them."""
-        from repro.harness.config import to_json  # it imports repro.obs
-
         return {
             "num_ranks": self.num_ranks,
             "makespan": self.makespan,
@@ -141,8 +140,6 @@ class RunHealthReport:
     def from_dict(doc: dict) -> "RunHealthReport":
         """The report :meth:`as_dict` wrote (a health file, worker
         telemetry): its own fields, not the summary derived from them."""
-        from repro.harness.config import from_json
-
         if type(doc) is dict:
             own = RunHealthReport.__dataclass_fields__
             doc = {key: value for key, value in doc.items() if key in own}

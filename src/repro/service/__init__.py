@@ -5,15 +5,16 @@ platforms; ROADMAP item 2 asks for the "heavy traffic from millions of
 users" story — the same broker behind a *shared, persistent* front end.
 This package provides it, stdlib-only:
 
-* :mod:`repro.service.jobs` — content-derived job identity and the
-  ``queued -> admitted -> running -> done/failed/cancelled`` record;
+* :mod:`repro.service.jobs` — the job records and their
+  ``queued -> admitted -> running -> done/failed/cancelled`` machine;
 * :mod:`repro.service.admission` — per-tenant token buckets,
   concurrent-point quotas and queue-depth backpressure behind a typed
   :class:`~repro.errors.AdmissionDenied`;
 * :mod:`repro.service.service` —
-  :class:`~repro.service.service.BrokerService`, which **coalesces**
-  identical in-flight submissions onto one computation (cache-key reuse
-  from :mod:`repro.broker.cache`), runs fresh ones on a worker pool
+  :class:`~repro.service.service.BrokerService`, which derives each
+  job's content address and **coalesces** identical in-flight
+  submissions onto one computation (cache-key reuse from
+  :mod:`repro.broker.cache`), runs fresh ones on a worker pool
   behind one lock, and streams state transitions through
   :mod:`repro.obs.streaming` — the service the CLI and HTTP layers
   share;

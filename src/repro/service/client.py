@@ -17,6 +17,12 @@ HTTP/1.1 connection, so a client is safe to share across threads and a
 closed loop of calls opens one TCP connection, not one per call.
 :meth:`ServiceClient.close` (or leaving a ``with`` block) closes them all.
 
+A tenant pays for HTTP, not for the simulator: ``import
+repro.service.client`` loads 16 ``repro`` modules (the record codec,
+the records it decodes and the observability config they carry), 182
+modules in all on CPython 3.11, and no numpy, broker or simmpi engine
+(``tests/test_import_boundary.py`` holds the 16).
+
 Only point a client at a service you trust — results cross the wire as
 pickle, which is a loopback convenience, not an internet protocol (see
 ``docs/service.md``).
@@ -45,6 +51,19 @@ from repro.service.jobs import JobStatus, SubmitReceipt
 #: (an idle close, a restart; ``RemoteDisconnected`` is a reset): the one
 #: case a request is sent again.
 _STALE = (ConnectionResetError, BrokenPipeError)
+
+#: The field a route's success body wraps its answer in (every other
+#: route's body is a record ``from_json`` checks).
+_ENVELOPES = (("/jobs", "jobs"), ("/result/", "result_blob"))
+
+
+def _json_object(payload: bytes) -> dict | None:
+    """The JSON object a body holds, or None for anything else."""
+    try:
+        doc = json.loads(payload)
+    except ValueError:  # not JSON, or not UTF-8
+        return None
+    return doc if isinstance(doc, dict) else None
 
 
 def _raise_typed(doc: dict) -> None:
@@ -108,8 +127,9 @@ class ServiceClient:
 
     def _call(self, method: str, path: str, body: dict | None = None,
               timeout: float | None = None):
-        """One exchange on this thread's connection: the JSON doc, or the
-        typed error the service sent."""
+        """One exchange on this thread's connection: the JSON object the
+        service sent, or the typed error it names.  Any other answer is a
+        :class:`~repro.errors.ServiceError` naming the path and status."""
         data = None if body is None else json.dumps(body).encode()
         deadline = timeout if timeout is not None else self.request_timeout_s
         conn = getattr(self._local, "conn", None)
@@ -130,15 +150,17 @@ class ServiceClient:
                     f"cannot reach service at {self.base_url}: {exc}"
                 ) from exc
             raise
+        doc = _json_object(payload)
+        if doc is None:
+            raise ServiceError(f"service returned HTTP {response.status} for "
+                               f"{path} with no JSON object")
         if response.status >= 400:
-            try:
-                doc = json.loads(payload.decode())
-            except ValueError:
-                raise ServiceError(
-                    f"service returned HTTP {response.status} for {path}"
-                ) from None
             _raise_typed(doc)
-        return json.loads(payload)
+        for prefix, key in _ENVELOPES:
+            if path.startswith(prefix) and key not in doc:
+                raise ServiceError(f"service returned HTTP {response.status} "
+                                   f"for {path} without {key!r}")
+        return doc
 
     @staticmethod
     def _send(conn, method, target, data, deadline):

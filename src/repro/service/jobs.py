@@ -1,16 +1,8 @@
-"""Job identity and lifecycle records for the broker service.
+"""Job lifecycle records for the broker service.
 
-A job's identity is *content-derived*, exactly like the sweep cache's
-point keys: the sha256 of the resolved artifact names, their point
-sets, the value-relevant slice of the
-:class:`~repro.harness.config.RunConfig`
-(:meth:`~repro.harness.config.RunConfig.cache_token`) and the repo
-code fingerprint.  Two tenants submitting the same computation thus
-produce the *same* job id, which is what lets the service coalesce them
-onto one execution — and why the execution-strategy knobs
-(``parallel``, ``use_cache``) are deliberately excluded: they never
-change result values (pinned by the broker's bit-identity tests), so
-sharing across them is safe.
+A job is named by its content address
+(:func:`~repro.service.service.job_key`), so every tenant that submits
+the same computation holds the same :class:`Job`.
 
 The lifecycle is a small linear machine::
 
@@ -23,13 +15,9 @@ mirrored as a ``job`` row on the service's telemetry stream.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 
-from repro.broker.cache import code_fingerprint
-from repro.broker.registry import resolve_artifacts
 from repro.errors import ServiceError
 
 #: Legal transitions of the lifecycle machine.
@@ -41,35 +29,6 @@ _TRANSITIONS = {
     "failed": (),
     "cancelled": (),
 }
-
-
-def job_key(request) -> str:
-    """The content address of one :class:`~repro.broker.api.RunRequest`.
-
-    Derived from what the computation *is* — (artifact, point-set,
-    config token, code fingerprint) — not how it runs, so identical
-    submissions from different tenants (or with different ``parallel``
-    fan-outs) coalesce onto one job.
-    """
-    specs = resolve_artifacts(request.artifacts)
-    point_sets = {
-        spec.name: list(spec.points(request.config)) for spec in specs
-    }
-    blob = json.dumps(
-        {"points": point_sets, "token": request.config.cache_token()},
-        sort_keys=True,
-    )
-    digest = hashlib.sha256()
-    for part in ("job", blob, code_fingerprint()):
-        digest.update(part.encode())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def count_points(request) -> int:
-    """Sweep points a request will evaluate — admission's unit of cost."""
-    specs = resolve_artifacts(request.artifacts)
-    return sum(len(spec.points(request.config)) for spec in specs)
 
 
 @dataclass(frozen=True)
@@ -180,10 +139,4 @@ class Job:
         )
 
 
-__all__ = [
-    "job_key",
-    "count_points",
-    "SubmitReceipt",
-    "JobStatus",
-    "Job",
-]
+__all__ = ["SubmitReceipt", "JobStatus", "Job"]

@@ -2,7 +2,7 @@
 
 A service accepts :class:`~repro.broker.api.RunRequest` submissions from
 many tenants, derives each one's content address
-(:func:`~repro.service.jobs.job_key`) and — when an identical computation
+(:func:`job_key`) and — when an identical computation
 is already in flight or done — *coalesces* the new submission onto it:
 the tenant becomes one more waiter on the same job, no admission charge,
 no second computation.  This is the sweep cache's content addressing
@@ -35,6 +35,8 @@ HTTP to out-of-process tenants (``python -m repro submit``, curl, or a
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import threading
 import zlib
@@ -42,14 +44,48 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.broker.cache import _PICKLE_PROTOCOL
+from repro.broker.cache import _PICKLE_PROTOCOL, code_fingerprint
+from repro.broker.registry import resolve_artifacts
 from repro.errors import JobCancelledError, JobNotFoundError, ServiceError
 from repro.obs.core import Observability, ObsConfig
 from repro.service.admission import AdmissionController, AdmissionPolicy
-from repro.service.jobs import Job, SubmitReceipt, count_points, job_key
+from repro.service.jobs import Job, SubmitReceipt
 
 #: States of a job still waiting for a worker.
 _WAITING = ("queued", "admitted")
+
+
+def job_key(request) -> str:
+    """The content address of one :class:`~repro.broker.api.RunRequest`.
+
+    Derived from what the computation *is* — the sha256 of the resolved
+    artifacts' point sets, the config's
+    :meth:`~repro.harness.config.RunConfig.cache_token` and the code
+    fingerprint, like the sweep cache's point keys — not how it runs, so
+    identical submissions from different tenants coalesce onto one job.
+    The execution-strategy knobs (``parallel``, ``use_cache``) are left
+    out on purpose: they never change result values (pinned by the
+    broker's bit-identity tests), so sharing across them is safe.
+    """
+    specs = resolve_artifacts(request.artifacts)
+    point_sets = {
+        spec.name: list(spec.points(request.config)) for spec in specs
+    }
+    blob = json.dumps(
+        {"points": point_sets, "token": request.config.cache_token()},
+        sort_keys=True,
+    )
+    digest = hashlib.sha256()
+    for part in ("job", blob, code_fingerprint()):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def count_points(request) -> int:
+    """Sweep points a request will evaluate — admission's unit of cost."""
+    specs = resolve_artifacts(request.artifacts)
+    return sum(len(spec.points(request.config)) for spec in specs)
 
 
 def _default_run(request):

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.network.topology import ClusterTopology
+from repro.obs.core import current as _obs_current
 from repro.simmpi import collectives as coll
 from repro.simmpi.selector import CollectiveSelector, GroupPlan
 from repro.simmpi.clock import VirtualClock
@@ -50,19 +51,6 @@ RECV_OVERHEAD = 0.5e-6
 # Collective operations use a reserved tag space above user tags.
 _COLL_TAG_BASE = 1 << 20
 _MAX_USER_TAG = _COLL_TAG_BASE - 1
-
-
-_obs_current = None
-
-
-def _ambient_obs():
-    """The rank view of :func:`repro.obs.core.current`.  ``repro.obs``
-    imports this module, so the lookup is bound on first use, not at
-    import -- and not once per collective either."""
-    global _obs_current
-    if _obs_current is None:
-        from repro.obs.core import current as _obs_current
-    return _obs_current()
 
 
 def _traced_collective(method):
@@ -406,7 +394,7 @@ class Communicator:
         if self.log is not None:
             self.log.append((ALGORITHM, collective, algorithm, int(nbytes),
                              bool(auto), bool(segmentable)))
-        obs = _ambient_obs()
+        obs = _obs_current()
         if obs.enabled:
             obs.count(
                 "collective_algorithm_total",

@@ -54,6 +54,7 @@ import atexit
 import heapq
 import os
 import threading
+from contextvars import Context
 from typing import Any, Callable
 
 from repro.errors import DeadlockError, SimMPIError
@@ -64,21 +65,6 @@ from repro.simmpi.transport import Mailbox, RankCounters
 #: executing" -- the scheduler's single-runnable invariant makes the
 #: distinction unobservable.
 RUNNABLE, BLOCKED, DONE = "runnable", "blocked", "done"
-
-_task_tls = threading.local()
-
-
-def current_task() -> "Task | None":
-    """The event-engine task executing on this context, or None.
-
-    This is the task-local anchor the observability layer hangs its
-    ambient span context on (:func:`repro.obs.core.current`): pooled
-    stacks outlive tasks, so ambient state stored *on the task* (not on
-    the thread that happens to carry it) is what keeps per-rank span
-    trees from bleeding into each other across runs.
-    """
-    return getattr(_task_tls, "task", None)
-
 
 #: Per-task stack reservation: 1 MiB (vs the 8 MiB OS default) keeps a
 #: p = 4096 run at a few GiB of *virtual* reservation.
@@ -211,7 +197,7 @@ class Task:
     """One rank program's cooperative execution context."""
 
     __slots__ = (
-        "rank", "clock", "state", "waiting", "result", "locals",
+        "rank", "clock", "state", "waiting", "result",
         "deliver_exception", "_stack",
     )
 
@@ -222,9 +208,6 @@ class Task:
         #: (context, source, tag) while blocked in a receive, else None.
         self.waiting: tuple[int, int, int] | None = None
         self.result: Any = None
-        #: Task-local storage (the obs ambient view lives under
-        #: ``"obs_active"``; see :func:`current_task`).
-        self.locals: dict[str, Any] = {}
         #: Exception to raise at the blocking boundary on next resume
         #: (how the deadlock detector addresses the detecting rank).
         self.deliver_exception: BaseException | None = None
@@ -450,12 +433,17 @@ class EventEngine:
 
         Mirrors the threaded launcher's per-rank wrapper: any exception
         is recorded, aborts the run (cancelling blocked peers), and the
-        root cause is re-raised by :meth:`run`.
+        root cause is re-raised by :meth:`run`.  The body runs in a fresh
+        :class:`contextvars.Context`: pooled stacks outlive tasks, so
+        context variables (the ambient view of
+        :func:`repro.obs.core.current`) set by one rank never reach
+        another rank or a later run on the same stack.
         """
         target, comms, args, kwargs = self._bind
-        _task_tls.task = task
         try:
-            task.result = target(comms[task.rank], *args, **kwargs)
+            task.result = Context().run(
+                target, comms[task.rank], *args, **kwargs
+            )
         except BaseException as exc:  # noqa: BLE001 - must propagate everything
             self._errors.append((task.rank, exc))
             self.abort(exc)
@@ -463,7 +451,6 @@ class EventEngine:
             task.state = DONE
             self._finished += 1
             self._yield_current(task, park=False)
-            _task_tls.task = None
 
     # -- entry point -----------------------------------------------------------
 

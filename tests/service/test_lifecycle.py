@@ -30,8 +30,8 @@ from repro.errors import (
 )
 from repro.harness.config import RunConfig
 from repro.service.admission import AdmissionPolicy, TenantQuota
-from repro.service.service import BrokerService, ServiceConfig
-from repro.service.jobs import _TRANSITIONS, job_key
+from repro.service.jobs import _TRANSITIONS
+from repro.service.service import BrokerService, ServiceConfig, job_key
 
 SEEDS = st.integers(min_value=0, max_value=2)
 TENANTS = st.sampled_from(("alice", "bob"))

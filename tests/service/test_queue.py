@@ -14,8 +14,12 @@ from repro.errors import (
     ServiceError,
 )
 from repro.harness.config import RunConfig
-from repro.service.service import BrokerService, ServiceConfig
-from repro.service.jobs import count_points, job_key
+from repro.service.service import (
+    BrokerService,
+    ServiceConfig,
+    count_points,
+    job_key,
+)
 
 
 def echo_run(request):

@@ -4,6 +4,7 @@ stop() that ends every connection it served."""
 
 import gc
 import http.client
+import http.server
 import json
 import math
 import socket
@@ -17,7 +18,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.broker.api import RunRequest
-from repro.errors import ServiceError
+from repro.errors import JobNotFoundError, ServiceError
 from repro.harness.config import RunConfig
 from repro.service.service import BrokerService, ServiceConfig
 from repro.service.client import ServiceClient
@@ -314,3 +315,66 @@ class TestResultTimeouts:
             receipt = svc.submit(REQ)
             with pytest.raises(ServiceError, match="non-negative"):
                 svc.result(receipt.job_id, timeout=timeout)
+
+
+class _CannedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every request with the server's one canned reply."""
+
+    def do_GET(self):
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def canned():
+    """A stub server and a client of it: set ``server.reply``."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _CannedHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    with ServiceClient(f"http://{host}:{port}") as client:
+        yield server, client
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+class TestMalformedBodies:
+    """A body the service would never send is a ServiceError naming the
+    route and the status, not a decoder's or a lookup's exception."""
+
+    @pytest.mark.parametrize("status, body, call, where", [
+        pytest.param(200, b"<html>proxy says hi</html>",
+                     lambda c: c.status("j1"), "HTTP 200 for /status/j1",
+                     id="html"),
+        pytest.param(404, b"[1, 2]", lambda c: c.status("j1"),
+                     "HTTP 404 for /status/j1", id="error-list"),
+        pytest.param(503, b"\xff\xfe", lambda c: c.stats(),
+                     "HTTP 503 for /stats", id="error-not-utf8"),
+        pytest.param(200, b'{"job_id": "j1"}', lambda c: c.result("j1"),
+                     "HTTP 200 for /result/j1 without 'result_blob'",
+                     id="no-result-blob"),
+        pytest.param(200, b"{}", lambda c: c.jobs(),
+                     "HTTP 200 for /jobs without 'jobs'", id="no-jobs"),
+    ])
+    def test_is_a_service_error(self, canned, status, body, call, where):
+        server, client = canned
+        server.reply = (status, body)
+        with pytest.raises(ServiceError) as info:
+            call(client)
+        assert type(info.value) is ServiceError
+        assert where in str(info.value)
+
+    def test_a_typed_error_body_is_still_raised_as_its_class(self, canned):
+        server, client = canned
+        server.reply = (404, json.dumps({"error": "JobNotFoundError",
+                                         "message": "no job j1"}).encode())
+        with pytest.raises(JobNotFoundError, match="no job j1"):
+            client.status("j1")

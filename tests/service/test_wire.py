@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.service.jobs as jobs
+import repro.service.service as service_module
 from repro.broker.api import RunRequest
 from repro.broker.registry import artifact_names
 from repro.errors import ExperimentError
@@ -240,9 +240,9 @@ def test_the_rank_ceiling_is_the_resilience_lattices_z_planes():
 
 @pytest.mark.parametrize("config, token, key", PINNED)
 def test_cache_token_and_job_key_do_not_move(monkeypatch, config, token, key):
-    monkeypatch.setattr(jobs, "code_fingerprint", lambda: "fp")
+    monkeypatch.setattr(service_module, "code_fingerprint", lambda: "fp")
     assert config.cache_token() == token
-    assert jobs.job_key(RunRequest(("table2", "resilience"), config)) == key
+    assert service_module.job_key(RunRequest(("table2", "resilience"), config)) == key
 
 
 # -- the route ----------------------------------------------------------------

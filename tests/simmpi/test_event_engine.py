@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro import RunConfig, RunRequest
 from repro.errors import DeadlockError, LaunchError, RankFailedError
-from repro.obs.core import Observability, current
+from repro.obs.core import NULL_RANK_OBS, Observability, _ambient, current
 from repro.resilience.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.simmpi.datatypes import ANY_SOURCE
 from repro.simmpi import events
@@ -240,6 +240,33 @@ class TestTaskLocalObservability:
             assert [s.name for s in roots] == ["outer"]
             assert [s.name for s in roots[0].children] == ["inner"]
             assert all(s.rank == rank for s in roots + roots[0].children)
+
+    @pytest.mark.parametrize("engine", ["events", "threads"])
+    def test_each_launch_sees_only_its_own_views(self, engine):
+        """The launcher's active view reaches no rank, and a view a rank
+        leaves set does not survive into the next launch on the same
+        (warm, pooled) stacks."""
+
+        def launch(obs, leak):
+            def main(comm):
+                before = current()
+                view = obs.rank_view(comm)
+                with view.span("step"):
+                    comm.barrier()
+                    inside = current()
+                if leak:
+                    _ambient.set(view)  # never reset: dies with the rank
+                return before is NULL_RANK_OBS, inside is view
+
+            return run(main, 4, engine=engine, observability=obs).returns
+
+        launcher = Observability().wall_view()
+        with launcher.span("launch"):
+            first = launch(Observability(), leak=True)
+            assert current() is launcher
+        second = launch(Observability(), leak=False)
+        assert first == second == [(True, True)] * 4
+        assert current() is NULL_RANK_OBS
 
 
 class TestContextPool:

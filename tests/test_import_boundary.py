@@ -2,10 +2,10 @@
 
 ``repro`` and the subpackages with an ``_EXPORTS`` table export their
 names lazily (PEP 562), so ``import repro``, the simulator, the broker,
-the service client and the CLI bring in no ``scipy``, and ``--help`` no
-``numpy``; the names themselves are the very objects their defining
-modules hold, and ``from repro import *`` binds the same names it always
-did.
+the service client and the CLI bring in no ``scipy``, ``--help`` no
+``numpy``, and an HTTP tenant none of the simulator; the names
+themselves are the very objects their defining modules hold, and
+``from repro import *`` binds the same names it always did.
 """
 
 import importlib
@@ -72,6 +72,31 @@ def test_the_cli_help_loads_no_numpy(tmp_path):
                 if line.startswith("import time:")}
     assert "repro.cli" in imported
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+#: The ``repro`` modules ``import repro.service.client`` loads: the
+#: package, ``_lazy``, ``errors``, ``store``, the ``harness``, ``obs``,
+#: ``service`` and ``simmpi`` packages, ``harness.config``, ``obs.core``
+#: / ``metrics`` / ``spans``, ``simmpi.tracing``, and the service's
+#: ``client``, ``httpd`` and ``jobs``.
+CLIENT_MODULES = 16
+
+
+def test_an_http_tenant_loads_no_simulator(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.service.client; print(*sorted(sys.modules))"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    ours = [name for name in loaded if name.split(".")[0] == "repro"]
+    assert "repro.service.client" in ours
+    assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+    assert "repro.simmpi.events" not in ours
+    assert not [name for name in ours if name.startswith("repro.broker")]
+    assert len(ours) <= CLIENT_MODULES, ours
 
 
 @pytest.mark.parametrize("package, names", [(repro, TOP_LEVEL)] + [
