@@ -11,9 +11,9 @@ Three instrument kinds, mirroring the Prometheus data model:
 
 Every instrument keeps one slot per ``(rank, labels)`` pair.  Slots are
 created under the registry lock, but *updates* are lock-free: a slot is
-only ever written by its own rank's thread (the simmpi threading model),
-which keeps the enabled path cheap and the disabled path (a single
-boolean test) nearly free.
+only ever written by its own rank's program, which never runs on two
+threads at once under either simmpi engine.  That keeps the enabled
+path cheap and the disabled path (a single boolean test) nearly free.
 
 ``merged()`` reduces across ranks: counters sum, gauges keep the
 maximum, histograms add bucket counts — the reduction an mpi4py program

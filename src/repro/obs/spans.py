@@ -2,10 +2,10 @@
 
 A :class:`Span` is one named interval on one rank, carrying structured
 attributes and child spans.  Each rank owns a :class:`SpanStack`; because
-simmpi executes ranks as threads and every span is opened and closed on
-its own rank's thread, a stack needs no locking — disjointness across
-ranks is structural (one stack per rank), and nesting is enforced by the
-stack discipline itself.
+every span is opened and closed by its own rank's program, which never
+runs on two threads at once under either simmpi engine, a stack needs no
+locking — disjointness across ranks is structural (one stack per rank),
+and nesting is enforced by the stack discipline itself.
 
 Time comes from whatever callable the owner binds (a simmpi rank's
 virtual clock, or ``time.perf_counter`` for sequential runs), so the

@@ -11,8 +11,8 @@ failures inside the simmpi runtime:
   *same* seeded :class:`~repro.cloud.spot.SpotMarket` reclaim sampler
   that drives the billing-level interruption accounting, keeping one
   source of truth between dollars and dead ranks;
-* a :class:`FaultInjector` is installed into the simmpi
-  :class:`~repro.simmpi.transport.Engine` and fires the events: a killed
+* a :class:`FaultInjector` is installed into the simmpi engine (a
+  :class:`~repro.simmpi.events.Runtime`) and fires the events: a killed
   rank raises :class:`~repro.errors.RankFailedError` out of its next
   communication operation (or at the time-step boundary), dropped
   messages vanish before delivery, delayed messages arrive late in

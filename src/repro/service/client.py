@@ -52,9 +52,15 @@ from repro.service.jobs import JobStatus, SubmitReceipt
 #: case a request is sent again.
 _STALE = (ConnectionResetError, BrokenPipeError)
 
-#: The field a route's success body wraps its answer in (every other
-#: route's body is a record ``from_json`` checks).
-_ENVELOPES = (("/jobs", "jobs"), ("/result/", "result_blob"))
+def _unpickle_blob(blob) -> object:
+    """A result body's ``result_blob``: base64 of the pickled result."""
+    return pickle.loads(base64.b64decode(blob, validate=True))
+
+
+#: The field a route's success body wraps its answer in, and how the
+#: client decodes it (every other route's body is a record ``from_json``
+#: checks).
+_ENVELOPES = (("/jobs", "jobs", None), ("/result/", "result_blob", _unpickle_blob))
 
 
 def _json_object(payload: bytes) -> dict | None:
@@ -156,10 +162,21 @@ class ServiceClient:
                                f"{path} with no JSON object")
         if response.status >= 400:
             _raise_typed(doc)
-        for prefix, key in _ENVELOPES:
-            if path.startswith(prefix) and key not in doc:
+        for prefix, key, decode in _ENVELOPES:
+            if not path.startswith(prefix):
+                continue
+            if key not in doc:
                 raise ServiceError(f"service returned HTTP {response.status} "
                                    f"for {path} without {key!r}")
+            if decode is not None:
+                try:
+                    doc[key] = decode(doc[key])
+                except (TypeError, ValueError, EOFError,
+                        pickle.UnpicklingError) as exc:
+                    raise ServiceError(
+                        f"service returned HTTP {response.status} for {path} "
+                        f"with a malformed {key!r}: {exc}"
+                    ) from exc
         return doc
 
     @staticmethod
@@ -215,8 +232,7 @@ class ServiceClient:
         if timeout is not None:
             path += f"?timeout={timeout:g}"
         wire = timeout + 30.0 if timeout is not None else None
-        doc = self._call("GET", path, timeout=wire)
-        return pickle.loads(base64.b64decode(doc["result_blob"]))
+        return self._call("GET", path, timeout=wire)["result_blob"]
 
     def cancel(self, job_id: str) -> JobStatus:
         """Cancel a not-yet-running job."""

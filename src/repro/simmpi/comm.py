@@ -14,7 +14,7 @@ its log2(p) hops is.
 from __future__ import annotations
 
 import functools
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -42,7 +42,9 @@ from repro.simmpi.tracing import (
     SEND,
     UNSUPPORTED,
 )
-from repro.simmpi.transport import Engine
+
+if TYPE_CHECKING:
+    from repro.simmpi.events import Runtime
 
 # Per-message CPU overhead on each side (LogP's "o" parameter).
 SEND_OVERHEAD = 0.5e-6
@@ -126,7 +128,7 @@ class Communicator:
 
     def __init__(
         self,
-        engine: Engine,
+        engine: Runtime,
         rank: int,
         size: int,
         topology: ClusterTopology,
@@ -255,19 +257,22 @@ class Communicator:
         """Blocking receive; returns (payload, Status)."""
         if source != ANY_SOURCE:
             self._check_peer(source)
-        return self._status(self._recv_impl(source, tag, user=True))
+        msg = self._recv_impl(source, tag, user=True)
+        return msg.payload, self._status(msg)
 
     def _recv_impl(self, source: int, tag: int, user: bool = False) -> Message:
         """The one receive path (mirror of :meth:`_send_impl`): block for
         the match from local rank ``source`` and absorb it."""
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        msg = self.engine.wait_for_message(self.world_rank, self.context, world_source, tag)
+        msg = self.engine.wait_for_message(
+            self.world_rank, self.context, world_source, tag, consume=True
+        )
         self._absorb(msg, user)
         return msg
 
-    def _status(self, msg: Message) -> tuple[Any, Status]:
-        """(payload, Status) of an absorbed user-level receive."""
-        return msg.payload, Status(
+    def _status(self, msg: Message) -> Status:
+        """The Status of a matched message, in this group's ranks."""
+        return Status(
             source=self._local_of(msg.source), tag=msg.tag, nbytes=msg.nbytes
         )
 
@@ -303,13 +308,13 @@ class Communicator:
         # differ on another platform, so the schedule is not portable.
         self._unsupported("Request.test polling")
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        mailbox = self.engine.mailboxes[self.world_rank]
-        with mailbox.condition:
-            msg = mailbox.try_collect(self.context, world_source, tag)
+        msg = self.engine.poll(
+            self.world_rank, self.context, world_source, tag, consume=True
+        )
         if msg is None:
             return None
         self._absorb(msg, True)
-        return self._status(msg)
+        return msg.payload, self._status(msg)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send (eager: completes immediately)."""
@@ -327,16 +332,10 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_peer(source)
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        mailbox = self.engine.mailboxes[self.world_rank]
-        with mailbox.condition:
-            for msg in mailbox._messages:
-                if msg.context == self.context and msg.matches(world_source, tag):
-                    return Status(
-                        source=self._local_of(msg.source),
-                        tag=msg.tag,
-                        nbytes=msg.nbytes,
-                    )
-        return None
+        msg = self.engine.poll(
+            self.world_rank, self.context, world_source, tag, consume=False
+        )
+        return None if msg is None else self._status(msg)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Blocking probe: wait until a matching message is pending.
@@ -350,16 +349,11 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_peer(source)
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
-        msg = self.engine.wait_for_message(self.world_rank, self.context, world_source, tag)
-        # Put it back at the front so the next recv matches it first.
-        mailbox = self.engine.mailboxes[self.world_rank]
-        with mailbox.condition:
-            mailbox._messages.insert(0, msg)
-            mailbox.condition.notify_all()
-        self.clock.merge(msg.arrival_time)
-        return Status(
-            source=self._local_of(msg.source), tag=msg.tag, nbytes=msg.nbytes
+        msg = self.engine.wait_for_message(
+            self.world_rank, self.context, world_source, tag, consume=False
         )
+        self.clock.merge(msg.arrival_time)
+        return self._status(msg)
 
     @staticmethod
     def waitall(requests: list["Request"]) -> list[Any]:

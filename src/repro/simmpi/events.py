@@ -1,18 +1,13 @@
 """Event-driven simmpi engine: rank tasks on a discrete-event scheduler.
 
-The threaded engine (:mod:`repro.simmpi.transport`) gives every rank a
-free-running OS thread; receives poll a condition variable, the deadlock
-detector ticks on a wall-clock interval, and the OS preempts ranks at
-points the virtual clock never sees.  That caps practical sweeps far
-below the paper's weak-scaling axis (p = 1, 8, 27, ... 1000).  This
-module replaces it with *cooperative* execution: rank programs run as
-tasks under one scheduler that is the only thing deciding who runs,
-switching contexts exactly at blocking boundaries -- unmatched receives
-(point-to-point, collective rounds, barrier, probe), fault-injection
-kill gates, and abort cancellation.  At most one task is ever runnable;
-there is no polling, no lock contention, and no preemption, which is
-what lets one process execute p = 1000+ rank programs and a p = 4096
-collective micro-run in seconds.
+Every launch runs its rank programs as *cooperative* tasks under one
+scheduler that is the only thing deciding who runs, switching contexts
+exactly at blocking boundaries -- unmatched receives (point-to-point,
+collective rounds, barrier, probe), fault-injection kill gates, and
+abort cancellation.  At most one task is ever runnable; there is no
+lock contention and no preemption, which is what lets one process
+execute the paper's weak-scaling axis (p = 1, 8, 27, ... 1000) and a
+p = 4096 collective micro-run in seconds.
 
 Scheduling policy (a documented, stable contract -- regression-tested):
 
@@ -28,9 +23,11 @@ Scheduling policy (a documented, stable contract -- regression-tested):
 Because every rank's op sequence and every message's virtual arrival
 time are independent of *when* the scheduler runs things, results,
 virtual clocks, and per-rank trace sequences are bit-identical to the
-threaded engine -- and, unlike the threaded engine, wildcard
-(``ANY_SOURCE``/``ANY_TAG``) matching is deterministic run-to-run, since
-mailbox arrival order is fixed by the policy instead of an OS race.
+thread-per-rank reference engine of :mod:`repro.simmpi.transport`,
+which speaks the same launch protocol (:class:`Runtime`) -- and,
+unlike the reference, wildcard (``ANY_SOURCE``/``ANY_TAG``) matching
+is deterministic run-to-run, since mailbox arrival order is fixed by
+the policy instead of an OS race.
 
 Contexts: CPython's standard library has no user-level stack
 switching, so each task parks one OS thread as a coroutine stack -- the
@@ -39,7 +36,7 @@ single lock handoff.  Stack size (:data:`STACK_BYTES`) and the pool cap
 (:data:`POOL_MAX`) are constants: nothing in the ambient environment
 changes how a run executes.
 
-Failure semantics mirror the threaded engine: the first exception
+Failure semantics are the reference engine's: the first exception
 aborts the run (:meth:`EventEngine.abort` is the scheduler-level
 cancellation channel -- every blocked task is woken and raises), a
 structural deadlock raises :class:`~repro.errors.DeadlockError` in the
@@ -52,14 +49,15 @@ from __future__ import annotations
 
 import atexit
 import heapq
+import itertools
 import os
 import threading
+from collections import defaultdict
 from contextvars import Context
 from typing import Any, Callable
 
 from repro.errors import DeadlockError, SimMPIError
 from repro.simmpi.datatypes import Message
-from repro.simmpi.transport import Mailbox, RankCounters
 
 #: Task lifecycle states.  RUNNABLE covers both "queued" and "currently
 #: executing" -- the scheduler's single-runnable invariant makes the
@@ -72,6 +70,135 @@ STACK_BYTES = 1024 * 1024
 
 #: Cap on parked stacks retained process-wide between runs.
 POOL_MAX = 4096
+
+
+class Mailbox(list):
+    """One rank's undelivered messages in arrival order: a plain FIFO
+    (``deliver`` appends), serialized by the engine that owns it."""
+
+    __slots__ = ()
+    deliver = list.append
+
+    def match(self, context: int, source: int, tag: int,
+              consume: bool) -> Message | None:
+        """The first message ``(context, source, tag)`` matches, FIFO
+        order, removed when ``consume``; None if absent."""
+        for i, msg in enumerate(self):
+            if msg.context == context and msg.matches(source, tag):
+                return self.pop(i) if consume else msg
+        return None
+
+
+class RankCounters:
+    """Traffic of one physical rank, over every communicator it holds
+    (the world one and each ``split`` / ``dup`` of it)."""
+
+    __slots__ = ("bytes_sent", "offnode_bytes_sent", "messages_sent",
+                 "collective_counts", "algorithm_counts")
+
+    def __init__(self) -> None:
+        self.bytes_sent = 0
+        #: Bytes pushed through the NIC (destination on another node) --
+        #: the fabric-load share of ``bytes_sent``, and the quantity the
+        #: adaptive collective layer is designed to shrink.
+        self.offnode_bytes_sent = 0
+        self.messages_sent = 0
+        self.collective_counts: dict[str, int] = defaultdict(int)
+        #: Executions per resolved algorithm, keyed "collective.algorithm"
+        #: (what the adaptive layer actually chose, including explicit picks).
+        self.algorithm_counts: dict[str, int] = defaultdict(int)
+
+
+class Runtime:
+    """The launch protocol both engines speak.
+
+    A :class:`~repro.simmpi.comm.Communicator` reaches its engine only
+    through ``post``, ``wait_for_message`` (blocking), ``poll``
+    (non-blocking) -- both consuming the match or leaving it queued --
+    ``fault_op``, ``check_abort``, ``allocate_context``, ``plans`` and
+    ``counters``; the launcher builds an engine and calls ``run``.  Each
+    engine defines ``abort``, ``post``, ``poll``, ``wait_for_message``
+    and ``run``: the event engine serializes its ranks and takes no
+    lock, the thread-per-rank reference takes its one.
+    """
+
+    def __init__(self, num_ranks: int, real_timeout: float, fault_injector):
+        if num_ranks < 1:
+            raise SimMPIError(f"need at least one rank, got {num_ranks}")
+        self.num_ranks = num_ranks
+        self.real_timeout = real_timeout
+        self.fault_injector = fault_injector
+        self.mailboxes = [Mailbox() for _ in range(num_ranks)]
+        self.counters = [RankCounters() for _ in range(num_ranks)]
+        #: Context id -> the group's shared :class:`~repro.simmpi.selector.GroupPlan`.
+        self.plans: dict = {}
+        #: Context ids for split communicators; context 0 is the world
+        #: communicator.  ``next`` on a count is atomic under the GIL.
+        self._contexts = itertools.count(1)
+        self._abort_exception: BaseException | None = None
+        #: (rank, exception) of every rank program that raised.
+        self._errors: list[tuple[int, BaseException]] = []
+
+    def allocate_context(self) -> int:
+        """A fresh context id (collective callers coordinate externally)."""
+        return next(self._contexts)
+
+    def check_abort(self) -> None:
+        """Raise the stored abort exception in the calling rank, if any."""
+        exc = self._abort_exception
+        if exc is not None:
+            raise SimMPIError(f"run aborted: {exc!r}") from exc
+
+    def fault_op(self, world_rank: int) -> None:
+        """Fault hook for one communication operation by ``world_rank``.
+
+        May raise :class:`~repro.errors.RankFailedError` when an
+        injected kill fires -- out of a send or receive, so in-flight
+        collectives abort instead of hanging.
+        """
+        if self.fault_injector is not None:
+            self.fault_injector.on_comm_op(world_rank)
+
+    def _deadlock(self, detail: str) -> DeadlockError:
+        """Abort the run: every live rank waits and no message is in
+        flight.  ``detail`` names the rank that blocked last, which
+        raises the returned error itself."""
+        exc = DeadlockError("all live ranks blocked in receive and no "
+                            f"message in flight ({detail})")
+        self.abort(exc)
+        return exc
+
+    def _filter(self, dest: int, message: Message) -> Message | None:
+        """``message`` as it reaches ``dest``; None if a fault drops it
+        (exact deadlock detection backstops a receiver left waiting)."""
+        if not (0 <= dest < self.num_ranks):
+            raise SimMPIError(
+                f"destination rank {dest} outside 0..{self.num_ranks - 1}"
+            )
+        if self.fault_injector is not None:
+            return self.fault_injector.filter_message(dest, message)
+        return message
+
+    def _raise_root_cause(self) -> None:
+        """Raise a failed run's root cause: the exception that aborted
+        it, not the secondary :class:`~repro.errors.SimMPIError` other
+        ranks unwound with.  Its traceback's rank frames hold this
+        engine, so the engine lets go of every stored exception (and of
+        ``root``: this frame joins the traceback) and a failed run is
+        freed by reference counting, not left to the cyclic gc.
+        """
+        if not self._errors:
+            return
+        root = self._abort_exception
+        if root is None:
+            self._errors.sort(key=lambda pair: pair[0])
+            root = self._errors[0][1]
+        self._errors.clear()
+        self._abort_exception = None
+        try:
+            raise root
+        finally:
+            del root
 
 
 class _PooledStack:
@@ -184,22 +311,10 @@ def _pool_put(stack: _PooledStack) -> bool:
     return True
 
 
-class _TaskMailbox(Mailbox):
-    """Mailbox of a cooperative task: the sender is the only thing
-    running and the scheduler, not a condition variable, wakes the
-    receiver, so delivery is the bare FIFO append."""
-
-    def deliver(self, message: Message) -> None:
-        self._messages.append(message)
-
-
 class Task:
     """One rank program's cooperative execution context."""
 
-    __slots__ = (
-        "rank", "clock", "state", "waiting", "result",
-        "deliver_exception", "_stack",
-    )
+    __slots__ = ("rank", "clock", "state", "waiting", "result", "_stack")
 
     def __init__(self, rank: int, clock):
         self.rank = rank
@@ -208,53 +323,23 @@ class Task:
         #: (context, source, tag) while blocked in a receive, else None.
         self.waiting: tuple[int, int, int] | None = None
         self.result: Any = None
-        #: Exception to raise at the blocking boundary on next resume
-        #: (how the deadlock detector addresses the detecting rank).
-        self.deliver_exception: BaseException | None = None
         self._stack: _PooledStack | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task(rank={self.rank}, state={self.state})"
 
 
-class EventEngine:
-    """Shared state for one event-driven SPMD run.
+class EventEngine(Runtime):
+    """One event-driven SPMD run: the :class:`Runtime` protocol on the
+    cooperative scheduler."""
 
-    Exposes the same runtime surface the threaded
-    :class:`~repro.simmpi.transport.Engine` gives the
-    :class:`~repro.simmpi.comm.Communicator` -- ``mailboxes``, ``post``,
-    ``wait_for_message``, ``fault_op``, ``check_abort``,
-    ``allocate_context``, ``abort`` -- so the communicator (and with it
-    every collective schedule and trace record) is engine-agnostic.
-    """
-
-    def __init__(self, num_ranks: int, real_timeout: float = 120.0,
-                 fault_injector=None):
-        if num_ranks < 1:
-            raise SimMPIError(f"need at least one rank, got {num_ranks}")
-        self.num_ranks = num_ranks
-        self.real_timeout = real_timeout
-        self.fault_injector = fault_injector
-        self.mailboxes = [_TaskMailbox() for _ in range(num_ranks)]
-        self.counters = [RankCounters() for _ in range(num_ranks)]
-        #: Context id -> the group's shared :class:`~repro.simmpi.selector.GroupPlan`.
-        self.plans: dict = {}
-        self._abort_exception: BaseException | None = None
-        self._next_context = 1  # context 0 is the world communicator
+    def __init__(self, num_ranks: int, real_timeout: float, fault_injector):
+        super().__init__(num_ranks, real_timeout, fault_injector)
         self._tasks: list[Task] | None = None
         self._runq: list[tuple[float, int]] = []
         self._finished = 0
-        self._errors: list[tuple[int, BaseException]] = []
         self._main_park = threading.Lock()
         self._bind: tuple | None = None
-
-    # -- context ids for split communicators --------------------------------
-
-    def allocate_context(self) -> int:
-        """A fresh context id (collective callers coordinate externally)."""
-        ctx = self._next_context
-        self._next_context += 1
-        return ctx
 
     # -- abort / cancellation -------------------------------------------------
 
@@ -274,42 +359,13 @@ class EventEngine:
                 if task.state == BLOCKED:
                     self._ready(task)
 
-    @property
-    def abort_exception(self) -> BaseException | None:
-        """The root-cause exception that aborted the run, if any."""
-        return self._abort_exception
-
-    def check_abort(self) -> None:
-        """Raise the stored abort exception in the calling rank, if any."""
-        exc = self._abort_exception
-        if exc is not None:
-            raise SimMPIError(f"run aborted: {exc!r}") from exc
-
-    # -- fault injection -------------------------------------------------------
-
-    def fault_op(self, world_rank: int) -> None:
-        """Fault hook for one communication operation by ``world_rank``.
-
-        May raise :class:`~repro.errors.RankFailedError` when an
-        injected kill fires -- out of a send or receive, so in-flight
-        collectives abort (via scheduler cancellation) instead of
-        hanging.
-        """
-        if self.fault_injector is not None:
-            self.fault_injector.on_comm_op(world_rank)
-
     # -- delivery -------------------------------------------------------------
 
     def post(self, dest: int, message: Message) -> None:
         """Deliver a message and wake a matching blocked receiver."""
-        if not (0 <= dest < self.num_ranks):
-            raise SimMPIError(
-                f"destination rank {dest} outside 0..{self.num_ranks - 1}"
-            )
-        if self.fault_injector is not None:
-            message = self.fault_injector.filter_message(dest, message)
-            if message is None:
-                return  # dropped in flight; exact deadlock detection backstops
+        message = self._filter(dest, message)
+        if message is None:
+            return
         self.mailboxes[dest].deliver(message)
         task = self._tasks[dest] if self._tasks is not None else None
         if task is not None and task.state == BLOCKED and task.waiting is not None:
@@ -317,9 +373,14 @@ class EventEngine:
             if message.context == context and message.matches(source, tag):
                 self._ready(task)
 
-    def wait_for_message(
-        self, rank: int, context: int, source: int, tag: int
-    ) -> Message:
+    def poll(self, rank: int, context: int, source: int, tag: int,
+             consume: bool) -> Message | None:
+        """The matching message if one is queued, else None; never
+        blocks.  No lock: the calling task is the only thing running."""
+        return self.mailboxes[rank].match(context, source, tag, consume)
+
+    def wait_for_message(self, rank: int, context: int, source: int, tag: int,
+                         consume: bool) -> Message:
         """Return a matching message, yielding to the scheduler if absent.
 
         This is *the* blocking boundary: every receive-shaped operation
@@ -331,19 +392,16 @@ class EventEngine:
         mailbox = self.mailboxes[rank]
         while True:
             self.check_abort()
-            # No lock: this task is the only thing running.
-            msg = mailbox.try_collect(context, source, tag)
+            msg = mailbox.match(context, source, tag, consume)
             if msg is not None:
                 return msg
+            if not self._runq:  # every other live task is blocked too
+                raise self._deadlock(f"rank {rank} blocked last, waiting "
+                                     f"for {(context, source, tag)}")
             task.waiting = (context, source, tag)
             task.state = BLOCKED
             self._yield_current(task)
             task.waiting = None
-            exc = task.deliver_exception
-            if exc is not None:
-                task.deliver_exception = None
-                self.abort(exc)
-                raise exc
 
     # -- scheduler core --------------------------------------------------------
 
@@ -352,14 +410,14 @@ class EventEngine:
         task.state = RUNNABLE
         heapq.heappush(self._runq, (task.clock.time, task.rank))
 
-    def _pick_next(self, leaving: Task) -> Task | None:
+    def _pick_next(self) -> Task | None:
         """The next task under the (time, rank) policy; None = run over.
 
-        Detects deadlock exactly: no runnable task, unfinished ranks,
-        no abort in flight.  The *detecting* rank (the last to block)
-        gets the bare :class:`~repro.errors.DeadlockError`; every other
-        blocked task is woken to observe the abort -- mirroring the
-        threaded engine's prober-raises, others-unwind shape.
+        A task that is about to block with nothing runnable raises
+        :class:`~repro.errors.DeadlockError` itself
+        (:meth:`wait_for_message`); finding nothing runnable here means
+        the last running task finished and left every other one blocked,
+        so they are all aborted with it.
         """
         while True:
             while self._runq:
@@ -369,22 +427,12 @@ class EventEngine:
                     return task
             if self._finished >= self.num_ranks:
                 return None
-            blocked = [t for t in self._tasks if t.state == BLOCKED]
-            if not blocked:  # pragma: no cover - scheduler invariant
+            if not any(t.state == BLOCKED for t in self._tasks):  # pragma: no cover
                 raise SimMPIError(
                     "scheduler invariant violated: no runnable or blocked "
                     "task yet ranks are unfinished"
                 )
-            if self._abort_exception is None:
-                exc = DeadlockError(
-                    "all live ranks blocked in receive and no message "
-                    f"in flight (rank {leaving.rank} blocked last, waiting "
-                    f"for {leaving.waiting})"
-                )
-                self._abort_exception = exc
-                leaving.deliver_exception = exc
-            for task in blocked:
-                self._ready(task)
+            self._deadlock("the last running rank returned")
 
     def _yield_current(self, leaving: Task, park: bool = True) -> None:
         """Hand control to the next task (or back to the launcher).
@@ -392,10 +440,7 @@ class EventEngine:
         ``park`` is False only when ``leaving`` just finished: its stack
         unwinds instead of suspending.
         """
-        nxt = self._pick_next(leaving)
-        if nxt is leaving:
-            return  # rescheduled immediately (abort/deadlock delivery)
-        self._switch(leaving, nxt, park)
+        self._switch(leaving, self._pick_next(), park)
 
     def _switch(self, leaving: Task, nxt: Task | None, park: bool) -> None:
         """Context transfer; returns when ``leaving`` is resumed.
@@ -431,9 +476,8 @@ class EventEngine:
     def _run_task(self, task: Task) -> None:
         """Run one rank program to completion, then dispatch onward.
 
-        Mirrors the threaded launcher's per-rank wrapper: any exception
-        is recorded, aborts the run (cancelling blocked peers), and the
-        root cause is re-raised by :meth:`run`.  The body runs in a fresh
+        Any exception is recorded and aborts the run (cancelling blocked
+        peers); :meth:`run` re-raises the root cause.  The body runs in a fresh
         :class:`contextvars.Context`: pooled stacks outlive tasks, so
         context variables (the ambient view of
         :func:`repro.obs.core.current`) set by one rank never reach
@@ -454,14 +498,13 @@ class EventEngine:
 
     # -- entry point -----------------------------------------------------------
 
-    def run(self, target: Callable[..., Any], comms,
-            args: tuple = (), kwargs: dict | None = None) -> list[Any]:
+    def run(self, target: Callable[..., Any], comms, args: tuple,
+            kwargs: dict) -> list[Any]:
         """Execute ``target(comms[r], *args, **kwargs)`` for every rank.
 
         Returns per-rank results in rank order, or raises the run's
-        root-cause exception (first error / deadlock / injected fault),
-        exactly as the threaded launcher does.  One engine instance
-        drives one run.
+        root-cause exception (first error / deadlock / injected fault).
+        One engine instance drives one run.
         """
         if self._tasks is not None:
             raise SimMPIError("an EventEngine instance drives exactly one run")
@@ -469,11 +512,11 @@ class EventEngine:
             raise SimMPIError(
                 f"expected {self.num_ranks} communicators, got {len(comms)}"
             )
-        self._bind = (target, comms, args, kwargs if kwargs is not None else {})
+        self._bind = (target, comms, args, kwargs)
         self._tasks = [Task(r, comms[r].clock) for r in range(self.num_ranks)]
         for task in self._tasks:
             self._ready(task)
-        first = self._pick_next(self._tasks[0])
+        first = self._pick_next()
         self._main_park.acquire()  # parked state for the launcher
         self._wake_thread(first)
         if not self._main_park.acquire(timeout=self.real_timeout + 10.0):
@@ -483,20 +526,7 @@ class EventEngine:
             )
             self.abort(exc)
             raise exc
-        # The run is over.  Its comms and every frame in the errors'
-        # tracebacks hold this engine, so let go of them (and of ``root``
-        # below: this frame joins its traceback) and a finished run is
-        # freed by reference counting, not left to the cyclic gc.
+        # The run is over; its comms hold this engine.
         self._bind = None
-        if self._errors:
-            root = self._abort_exception
-            if root is None:
-                self._errors.sort(key=lambda pair: pair[0])
-                root = self._errors[0][1]
-            self._errors.clear()
-            self._abort_exception = None
-            try:
-                raise root
-            finally:
-                del root
+        self._raise_root_cause()
         return [task.result for task in self._tasks]

@@ -7,9 +7,10 @@ deadlock detection, and the scale headroom for the paper's p = 1000
 axis and beyond -- and collects return values, clocks and traces.
 
 The free-running thread-per-rank engine of :mod:`repro.simmpi.transport`
-is kept as the tests' reference implementation: it is reachable only
-through the explicit ``run_spmd(engine="threads")`` keyword, never
-through configuration or the environment, and produces bit-identical
+is kept as the tests' reference implementation: it is reachable (and
+imported) only through the explicit ``run_spmd(engine="threads")``
+keyword, never through configuration or the environment, and produces
+bit-identical
 results, virtual clocks, and per-rank trace sequences for deterministic
 rank programs.
 
@@ -22,11 +23,10 @@ every artifact reads.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import LaunchError, SimMPIError
+from repro.errors import LaunchError
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.simmpi.clock import VirtualClock
@@ -35,7 +35,6 @@ from repro.simmpi.events import EventEngine
 from repro.simmpi.recording import ScheduleRecording
 from repro.simmpi.selector import GroupPlan
 from repro.simmpi.tracing import UNSUPPORTED, EventLog, Tracer
-from repro.simmpi.transport import Engine
 
 
 @dataclass
@@ -134,9 +133,13 @@ def run_spmd(
             f"{num_ranks} ranks exceed the machine's {topology.total_cores} cores"
         )
 
-    engine_cls = EventEngine if engine == "events" else Engine
-    runtime = engine_cls(num_ranks, real_timeout=real_timeout,
-                         fault_injector=fault_injector)
+    if engine == "events":
+        engine_cls = EventEngine
+    else:  # the reference is loaded only when asked for
+        from repro.simmpi import transport
+
+        engine_cls = transport.Engine
+    runtime = engine_cls(num_ranks, real_timeout, fault_injector)
     if observability is not None:
         tracer = observability.tracer
     else:
@@ -172,10 +175,7 @@ def run_spmd(
     ]
 
     try:
-        if engine == "events":
-            returns = runtime.run(target, comms, args=args, kwargs=kwargs)
-        else:
-            returns = _run_threaded(runtime, target, comms, args, kwargs, real_timeout)
+        returns = runtime.run(target, comms, args, kwargs)
     finally:
         # A failed launch still reports what it did to its observers.
         if log is not None:
@@ -204,54 +204,3 @@ def run_spmd(
         causal=tracker,
     )
 
-
-def _run_threaded(
-    runtime: Engine, target, comms, args, kwargs, real_timeout: float
-) -> list[Any]:
-    """The legacy engine: one free-running OS thread per rank."""
-    num_ranks = runtime.num_ranks
-    returns: list[Any] = [None] * num_ranks
-    errors: list[tuple[int, BaseException]] = []
-    errors_lock = threading.Lock()
-
-    def _rank_main(rank: int) -> None:
-        try:
-            returns[rank] = target(comms[rank], *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - must propagate everything
-            with errors_lock:
-                errors.append((rank, exc))
-            runtime.abort(exc)
-        finally:
-            runtime.rank_finished()
-
-    threads = [
-        threading.Thread(target=_rank_main, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
-        for r in range(num_ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=real_timeout + 10.0)
-        if t.is_alive():
-            exc = SimMPIError(f"thread {t.name} failed to finish (runaway rank)")
-            runtime.abort(exc)
-            raise exc
-
-    if errors:
-        # Re-raise the root cause (the exception that triggered the abort),
-        # not the secondary SimMPIError other ranks saw while unwinding, so
-        # callers can discriminate injected failures (RankFailedError etc.).
-        # The rank frames in its traceback hold ``errors`` and the runtime,
-        # so let go of both (and of ``root``: this frame joins its
-        # traceback) and a failed launch is freed by reference counting.
-        root = runtime.abort_exception
-        if root is None:
-            errors.sort(key=lambda pair: pair[0])
-            root = errors[0][1]
-        errors.clear()
-        runtime._abort_exception = None
-        try:
-            raise root
-        finally:
-            del root
-    return returns

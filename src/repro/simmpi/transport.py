@@ -1,205 +1,131 @@
-"""Thread-safe mailbox transport and the shared runtime engine.
+"""The thread-per-rank reference engine.
 
-Each rank owns a :class:`Mailbox`; ``send`` delivers synchronously under
-the mailbox lock (so there is no window where a message is neither at
-the sender nor the receiver — a property the deadlock detector relies
-on), and ``recv`` blocks on a condition variable until a matching
-message exists.
-
-Deadlock detection: when every live rank is blocked in a receive and no
-delivery has happened between two consecutive poll ticks, the engine
-aborts all ranks with :class:`~repro.errors.DeadlockError`.
+One free-running OS thread per rank: the implementation the
+cross-engine tests compare the event scheduler of
+:mod:`repro.simmpi.events` against, built only by
+``run_spmd(engine="threads")``.  One :class:`threading.Condition`
+guards the whole run.  A rank that finds no match records its
+``(context, source, tag)`` and waits; the ``post`` that delivers the
+match clears the record under the same lock.  When every live rank
+waits, no message can arrive any more: the last one to block raises
+:class:`~repro.errors.DeadlockError` at once and the others unwind --
+the event engine's exact rule.  ``real_timeout`` bounds each wait.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
+import time
+from typing import Any, Callable
 
-from repro.errors import DeadlockError, SimMPIError
+from repro.errors import SimMPIError
 from repro.simmpi.datatypes import Message
-
-_POLL_INTERVAL = 0.05
-
-
-class Mailbox:
-    """Matching message store for one rank."""
-
-    def __init__(self) -> None:
-        self._messages: list[Message] = []
-        self.condition = threading.Condition()
-
-    def deliver(self, message: Message) -> None:
-        """Append a message and wake any waiting receiver."""
-        with self.condition:
-            self._messages.append(message)
-            self.condition.notify_all()
-
-    def try_collect(self, context: int, source: int, tag: int) -> Message | None:
-        """Pop the first matching message, FIFO order; None if absent.
-
-        Caller must hold ``condition`` (or be the event engine's one
-        running task, which nothing can interleave with).
-        """
-        for i, msg in enumerate(self._messages):
-            if msg.context == context and msg.matches(source, tag):
-                return self._messages.pop(i)
-        return None
+from repro.simmpi.events import Runtime
 
 
-class RankCounters:
-    """Traffic of one physical rank, over every communicator it holds
-    (the world one and each ``split`` / ``dup`` of it)."""
+class Engine(Runtime):
+    """One thread-per-rank SPMD run: the launch protocol under one lock."""
 
-    __slots__ = ("bytes_sent", "offnode_bytes_sent", "messages_sent",
-                 "collective_counts", "algorithm_counts")
-
-    def __init__(self) -> None:
-        self.bytes_sent = 0
-        #: Bytes pushed through the NIC (destination on another node) --
-        #: the fabric-load share of ``bytes_sent``, and the quantity the
-        #: adaptive collective layer is designed to shrink.
-        self.offnode_bytes_sent = 0
-        self.messages_sent = 0
-        self.collective_counts: dict[str, int] = defaultdict(int)
-        #: Executions per resolved algorithm, keyed "collective.algorithm"
-        #: (what the adaptive layer actually chose, including explicit picks).
-        self.algorithm_counts: dict[str, int] = defaultdict(int)
-
-
-class Engine:
-    """Shared state for one SPMD run: mailboxes, abort channel, detectors."""
-
-    def __init__(self, num_ranks: int, real_timeout: float = 120.0,
-                 fault_injector=None):
-        if num_ranks < 1:
-            raise SimMPIError(f"need at least one rank, got {num_ranks}")
-        self.num_ranks = num_ranks
-        self.real_timeout = real_timeout
-        self.fault_injector = fault_injector
-        self.mailboxes = [Mailbox() for _ in range(num_ranks)]
-        self.counters = [RankCounters() for _ in range(num_ranks)]
-        #: Context id -> the group's shared :class:`~repro.simmpi.selector.GroupPlan`.
-        self.plans: dict = {}
-        self._lock = threading.Lock()
-        self._blocked: set[int] = set()
+    def __init__(self, num_ranks: int, real_timeout: float, fault_injector):
+        super().__init__(num_ranks, real_timeout, fault_injector)
+        self._cond = threading.Condition()
+        #: Per rank, ``(context, source, tag)`` while it waits, else None.
+        self._waiting: list[tuple[int, int, int] | None] = [None] * num_ranks
+        self._idle = 0  # ranks with a waiting record
         self._alive = num_ranks
-        self._delivery_epoch = 0
-        self._abort_exception: BaseException | None = None
-        self._next_context = 1  # context 0 is the world communicator
-
-    # -- context ids for split communicators --------------------------------
-
-    def allocate_context(self) -> int:
-        """A fresh context id (collective callers coordinate externally)."""
-        with self._lock:
-            ctx = self._next_context
-            self._next_context += 1
-            return ctx
-
-    # -- abort handling -------------------------------------------------------
 
     def abort(self, exc: BaseException) -> None:
-        """Propagate a fatal error to every rank."""
-        with self._lock:
+        """Propagate a fatal error to every rank; the first one wins."""
+        with self._cond:
             if self._abort_exception is None:
                 self._abort_exception = exc
-        for mailbox in self.mailboxes:
-            with mailbox.condition:
-                mailbox.condition.notify_all()
-
-    @property
-    def abort_exception(self) -> BaseException | None:
-        """The root-cause exception that aborted the run, if any."""
-        return self._abort_exception
-
-    def check_abort(self) -> None:
-        """Raise the stored abort exception in the calling rank, if any."""
-        exc = self._abort_exception
-        if exc is not None:
-            raise SimMPIError(f"run aborted: {exc!r}") from exc
-
-    def rank_finished(self) -> None:
-        """A rank's main function returned; shrink the liveness count."""
-        with self._lock:
-            self._alive -= 1
-
-    # -- fault injection -------------------------------------------------------
-
-    def fault_op(self, world_rank: int) -> None:
-        """Fault hook for one communication operation by ``world_rank``.
-
-        May raise :class:`~repro.errors.RankFailedError` when an injected
-        kill fires — out of a send or receive, so in-flight collectives
-        abort instead of hanging.
-        """
-        if self.fault_injector is not None:
-            self.fault_injector.on_comm_op(world_rank)
-
-    # -- delivery -------------------------------------------------------------
+            self._cond.notify_all()
 
     def post(self, dest: int, message: Message) -> None:
-        """Deliver a message to ``dest``'s mailbox (unless a fault eats it)."""
-        if not (0 <= dest < self.num_ranks):
-            raise SimMPIError(f"destination rank {dest} outside 0..{self.num_ranks - 1}")
-        if self.fault_injector is not None:
-            message = self.fault_injector.filter_message(dest, message)
-            if message is None:
-                return  # dropped in flight; the deadlock detector backstops
-        with self._lock:
-            self._delivery_epoch += 1
-        self.mailboxes[dest].deliver(message)
+        """Deliver a message and wake ``dest`` if it waits for it."""
+        message = self._filter(dest, message)
+        if message is None:
+            return
+        with self._cond:
+            self.mailboxes[dest].deliver(message)
+            want = self._waiting[dest]
+            if (want is not None and message.context == want[0]
+                    and message.matches(want[1], want[2])):
+                self._waiting[dest] = None
+                self._idle -= 1
+                self._cond.notify_all()
 
-    def wait_for_message(
-        self, rank: int, context: int, source: int, tag: int
-    ) -> Message:
-        """Block until a matching message is available for ``rank``."""
+    def poll(self, rank: int, context: int, source: int, tag: int,
+             consume: bool) -> Message | None:
+        """The matching message if one is queued, else None; never blocks."""
+        with self._cond:
+            return self.mailboxes[rank].match(context, source, tag, consume)
+
+    def wait_for_message(self, rank: int, context: int, source: int, tag: int,
+                         consume: bool) -> Message:
+        """Block until a matching message is queued for ``rank``."""
         self.fault_op(rank)
         mailbox = self.mailboxes[rank]
-        waited = 0.0
-        last_epoch = -1
-        with self._lock:
-            self._blocked.add(rank)
-        try:
-            with mailbox.condition:
-                while True:
-                    self.check_abort()
-                    msg = mailbox.try_collect(context, source, tag)
-                    if msg is not None:
-                        return msg
-                    mailbox.condition.wait(_POLL_INTERVAL)
-                    waited += _POLL_INTERVAL
-                    if waited >= self.real_timeout:
-                        exc = SimMPIError(
-                            f"rank {rank} timed out after {self.real_timeout}s real time "
-                            f"waiting for (source={source}, tag={tag})"
-                        )
-                        self.abort(exc)
-                        raise exc
-                    epoch = self._deadlock_probe(rank)
-                    if epoch is not None:
-                        if epoch == last_epoch:
-                            exc = DeadlockError(
-                                f"all live ranks blocked in receive and no message "
-                                f"delivered between polls (rank {rank} waiting for "
-                                f"source={source}, tag={tag})"
-                            )
-                            self.abort(exc)
-                            raise exc
-                        last_epoch = epoch
-                    else:
-                        last_epoch = -1
-        finally:
-            with self._lock:
-                self._blocked.discard(rank)
+        waiting = self._waiting
+        deadline = time.monotonic() + self.real_timeout
+        with self._cond:
+            while True:
+                self.check_abort()
+                msg = mailbox.match(context, source, tag, consume)
+                if msg is not None:
+                    return msg
+                if self._idle + 1 == self._alive:
+                    raise self._deadlock(f"rank {rank} blocked last, waiting "
+                                         f"for {(context, source, tag)}")
+                waiting[rank] = (context, source, tag)
+                self._idle += 1
+                woken = self._cond.wait_for(
+                    lambda: waiting[rank] is None
+                    or self._abort_exception is not None,
+                    deadline - time.monotonic(),
+                )
+                if waiting[rank] is not None:
+                    waiting[rank] = None
+                    self._idle -= 1
+                if not woken:
+                    exc = SimMPIError(
+                        f"rank {rank} timed out after {self.real_timeout}s "
+                        f"real time waiting for (source={source}, tag={tag})"
+                    )
+                    self.abort(exc)
+                    raise exc
 
-    def _deadlock_probe(self, rank: int) -> int | None:
-        """If every live rank is blocked, return the delivery epoch.
+    def run(self, target: Callable[..., Any], comms, args: tuple,
+            kwargs: dict) -> list[Any]:
+        """Execute ``target(comms[r], *args, **kwargs)`` on one thread per
+        rank; per-rank results in rank order, or the root cause."""
+        returns: list[Any] = [None] * self.num_ranks
 
-        The caller compares epochs across two consecutive polls: a stable
-        epoch with everyone blocked means no progress is possible.
-        """
-        with self._lock:
-            if len(self._blocked) >= self._alive and self._alive > 0:
-                return self._delivery_epoch
-            return None
+        def rank_main(rank: int) -> None:
+            try:
+                returns[rank] = target(comms[rank], *args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - must propagate everything
+                self._errors.append((rank, exc))
+                self.abort(exc)
+            finally:
+                with self._cond:
+                    self._alive -= 1
+                    # Every rank left waits, and none is last to block.
+                    if 0 < self._alive == self._idle:
+                        self._deadlock("the last running rank returned")
+
+        threads = [
+            threading.Thread(target=rank_main, args=(r,),
+                             name=f"simmpi-rank-{r}", daemon=True)
+            for r in range(self.num_ranks)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=self.real_timeout + 10.0)
+            if t.is_alive():
+                exc = SimMPIError(f"thread {t.name} failed to finish (runaway rank)")
+                self.abort(exc)
+                raise exc
+        self._raise_root_cause()
+        return returns

@@ -361,6 +361,17 @@ class TestMalformedBodies:
         pytest.param(200, b'{"job_id": "j1"}', lambda c: c.result("j1"),
                      "HTTP 200 for /result/j1 without 'result_blob'",
                      id="no-result-blob"),
+        pytest.param(200, b'{"result_blob": 5}', lambda c: c.result("j1"),
+                     "HTTP 200 for /result/j1 with a malformed 'result_blob'",
+                     id="result-blob-number"),
+        pytest.param(200, b'{"result_blob": "not base64!"}',
+                     lambda c: c.result("j1"),
+                     "HTTP 200 for /result/j1 with a malformed 'result_blob'",
+                     id="result-blob-not-base64"),
+        pytest.param(200, b'{"result_blob": "aGVsbG8="}',
+                     lambda c: c.result("j1"),
+                     "HTTP 200 for /result/j1 with a malformed 'result_blob'",
+                     id="result-blob-not-a-pickle"),
         pytest.param(200, b"{}", lambda c: c.jobs(),
                      "HTTP 200 for /jobs without 'jobs'", id="no-jobs"),
     ])

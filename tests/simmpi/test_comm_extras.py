@@ -68,6 +68,20 @@ class TestProbes:
 
         assert run(main, 2).returns[1] == {"x": 1}
 
+    @pytest.mark.parametrize("engine", ["events", "threads"])
+    def test_probe_leaves_the_message_where_it_was(self, engine):
+        """A probe consumes nothing, so a later wildcard receive still
+        takes one sender's messages in the order they were sent."""
+        def main(comm):
+            if comm.rank == 0:
+                comm.send("first", dest=1, tag=1)
+                comm.send("second", dest=1, tag=2)
+                return None
+            assert comm.probe(source=0, tag=2).tag == 2
+            return [comm.recv(source=0), comm.recv(source=0)]
+
+        assert run(main, 2, engine=engine).returns[1] == ["first", "second"]
+
     def test_probe_merges_clock(self):
         def main(comm):
             if comm.rank == 0:

@@ -99,6 +99,31 @@ def test_an_http_tenant_loads_no_simulator(tmp_path):
     assert len(ours) <= CLIENT_MODULES, ours
 
 
+#: The ``repro`` modules ``import repro.simmpi.launcher`` loads: the
+#: package, ``_lazy``, ``errors``, ``store``, ``units``, the ``network``
+#: package with ``contention`` / ``model`` / ``topology``, the ``obs``
+#: package with ``core`` / ``metrics`` / ``spans``, and the ``simmpi``
+#: package with ``clock``, ``collectives``, ``comm``, ``datatypes``,
+#: ``events``, ``launcher``, ``recording``, ``selector`` and ``tracing``.
+LAUNCHER_MODULES = 23
+
+
+def test_a_launch_loads_no_reference_engine(tmp_path):
+    """The thread-per-rank reference is imported only by
+    ``run_spmd(engine="threads")``, never by the launch path itself."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.simmpi.launcher; print(*sorted(sys.modules))"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ours = [name for name in proc.stdout.split() if name.split(".")[0] == "repro"]
+    assert "repro.simmpi.launcher" in ours
+    assert "repro.simmpi.transport" not in ours
+    assert len(ours) <= LAUNCHER_MODULES, ours
+
+
 @pytest.mark.parametrize("package, names", [(repro, TOP_LEVEL)] + [
     pytest.param(package, None, id=package.__name__) for package in TABLES])
 def test_every_export_is_its_defining_modules_object(package, names):
