@@ -22,6 +22,10 @@ from repro.cloud.instances import CC2_8XLARGE, InstanceType
 from repro.cloud.placement import PlacementGroup, PlacementMap
 from repro.cloud.spot import SpotMarket
 
+#: Placement groups a mix assembly's nodes spread over: Table II's spot
+#: requests landed in four.
+MIX_PLACEMENT_GROUPS = 4
+
 _instance_ids = itertools.count(1)
 
 
@@ -217,15 +221,11 @@ class EC2Service:
         )
         return CloudCluster(instances=instances, placement=placement)
 
-    def assemble_mix(
-        self,
-        num_nodes: int,
-        num_groups: int = 4,
-        seed: int = 0,
-    ) -> CloudCluster:
+    def assemble_mix(self, num_nodes: int, seed: int = 0) -> CloudCluster:
         """Table II's 'mix': spot instances (as many as the market gives,
-        spread over ``num_groups`` placement groups) topped up with paid
-        on-demand instances.  Spot requests bid the on-demand price.
+        spread over ``MIX_PLACEMENT_GROUPS`` placement groups) topped up
+        with paid on-demand instances.  Spot requests bid the on-demand
+        price.
 
         The paper: "we were compelled to add regularly-priced hosts to
         spot-request hosts to obtain the size configuration needed."
@@ -240,7 +240,7 @@ class EC2Service:
         if paid_count > self.on_demand_capacity:
             raise CloudError("cannot top up the mix: on-demand capacity exhausted")
 
-        placement = PlacementMap.spread(num_nodes, num_groups, seed=seed)
+        placement = PlacementMap.spread(num_nodes, MIX_PLACEMENT_GROUPS, seed=seed)
         instances: list[Instance] = []
         for node in range(spot_count):
             instances.extend(

@@ -6,7 +6,7 @@ zone) see somewhat higher latency and slightly lower bandwidth.  The
 penalty is deliberately mild: the paper's Table II measured that a fully
 paid single-group 63-node assembly showed *no* significant performance
 benefit over a spot-mix spread across four groups — so the model's
-cross-group factors must (and do) keep the two configurations within a
+cross-group penalties must (and do) keep the two configurations within a
 few percent of each other.
 """
 
@@ -18,9 +18,14 @@ import numpy as np
 
 from repro.errors import CloudError
 
-# Cross-group fabric penalty (latency multiplier, bandwidth multiplier).
-CROSS_GROUP_LATENCY_FACTOR = 1.35
-CROSS_GROUP_BANDWIDTH_FACTOR = 0.93
+#: Cross-group fabric penalty of an assembly whose node pairs all straddle
+#: groups: the internode latency grows, and the internode bandwidth and the
+#: fabric's aggregate backplane shrink, by these fractions.  An assembly
+#: pays them weighted by its :meth:`PlacementMap.cross_group_pair_fraction`
+#: (``harness.experiments._mix_topology``).
+CROSS_GROUP_LATENCY_PENALTY = 0.35
+CROSS_GROUP_BANDWIDTH_PENALTY = 0.07
+CROSS_GROUP_BACKPLANE_PENALTY = 0.05
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class PlacementGroup:
 
 
 class PlacementMap:
-    """node index -> placement group, plus the network distance hook."""
+    """node index -> placement group."""
 
     def __init__(self, assignments: list[PlacementGroup]):
         if not assignments:
@@ -76,14 +81,9 @@ class PlacementMap:
         """Whether two nodes share a placement group."""
         return self.group_of(node_a).name == self.group_of(node_b).name
 
-    def distance_factor(self, node_a: int, node_b: int) -> tuple[float, float]:
-        """(latency factor, bandwidth factor) for the NetworkModel hook."""
-        if self.same_group(node_a, node_b):
-            return (1.0, 1.0)
-        return (CROSS_GROUP_LATENCY_FACTOR, CROSS_GROUP_BANDWIDTH_FACTOR)
-
     def cross_group_pair_fraction(self) -> float:
-        """Fraction of node pairs that straddle groups (diagnostics)."""
+        """Fraction of node pairs that straddle groups: the weight of the
+        cross-group penalty."""
         n = self.num_nodes
         if n < 2:
             return 0.0

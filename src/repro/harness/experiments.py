@@ -32,6 +32,11 @@ import numpy as np
 from repro.apps.workload import RD_WORKLOAD, workload_by_name
 from repro.cloud.ec2 import EC2Service
 from repro.cloud.instances import CC2_8XLARGE
+from repro.cloud.placement import (
+    CROSS_GROUP_BACKPLANE_PENALTY,
+    CROSS_GROUP_BANDWIDTH_PENALTY,
+    CROSS_GROUP_LATENCY_PENALTY,
+)
 from repro.core.characterization import platform_gaps
 from repro.costs.model import cost_per_iteration
 from repro.harness.config import DEFAULT_SEED, RESILIENCE_MESH, ResilienceParams
@@ -111,13 +116,16 @@ def _mix_topology(num_nodes: int, seed: int) -> ClusterTopology:
     frac = cluster.placement.cross_group_pair_fraction()
     base = ec2_cc28xlarge.interconnect
     effective = base.scaled(
-        latency_factor=1.0 + 0.35 * frac,
-        bandwidth_factor=1.0 - 0.07 * frac,
+        latency_factor=1.0 + CROSS_GROUP_LATENCY_PENALTY * frac,
+        bandwidth_factor=1.0 - CROSS_GROUP_BANDWIDTH_PENALTY * frac,
     )
     backplane = ec2_cc28xlarge.backplane_bandwidth
     network = NetworkModel(
         effective,
-        aggregate_backplane=None if backplane is None else backplane * (1.0 - 0.05 * frac),
+        aggregate_backplane=(
+            None if backplane is None
+            else backplane * (1.0 - CROSS_GROUP_BACKPLANE_PENALTY * frac)
+        ),
     )
     return ClusterTopology(num_nodes, ec2_cc28xlarge.cores_per_node, network)
 

@@ -75,9 +75,7 @@ INFINIBAND_4X_DDR = LinkModel(
 class NetworkModel:
     """Pairwise transfer costs between ranks placed on a topology.
 
-    Combines an intra-node link, an inter-node link and an optional
-    ``distance_factor(node_a, node_b) -> (latency_factor,
-    bandwidth_factor)`` hook used by the EC2 placement-group model.
+    Combines an intra-node link and an inter-node link.
 
     ``aggregate_backplane`` (bytes/s, optional) is the *effective*
     fabric-wide capacity under bulk-synchronous many-to-many load: the
@@ -92,7 +90,6 @@ class NetworkModel:
         self,
         internode: LinkModel,
         intranode: LinkModel = SHARED_MEMORY,
-        distance_factor=None,
         aggregate_backplane: float | None = None,
     ):
         if aggregate_backplane is not None and aggregate_backplane <= 0:
@@ -102,18 +99,12 @@ class NetworkModel:
         self.internode = internode
         self.intranode = intranode
         self.aggregate_backplane = aggregate_backplane
-        self._distance_factor = distance_factor
 
     def link_between(self, node_a: int, node_b: int) -> LinkModel:
         """The link model connecting two nodes (same node -> shared memory)."""
         if node_a == node_b:
             return self.intranode
-        if self._distance_factor is None:
-            return self.internode
-        lat_f, bw_f = self._distance_factor(node_a, node_b)
-        if lat_f == 1.0 and bw_f == 1.0:
-            return self.internode
-        return self.internode.scaled(lat_f, bw_f)
+        return self.internode
 
     def transfer_time(
         self, num_bytes: float, node_a: int, node_b: int, concurrency: int = 1

@@ -9,11 +9,10 @@ same rounds without executing them.
 Algorithms are the textbook ones Open MPI/MPICH use at these scales:
 binomial trees for bcast/reduce, recursive doubling (with a pre/post
 fold for non-powers-of-two) for allreduce, dissemination for barrier,
-ring for allgather — plus the large-message family: segmented-ring and
-Rabenseifner (reduce-scatter + allgather) allreduce, scatter-allgather
-(van de Geijn) broadcast, and hierarchical node-aware variants that
-fold intra-node over shared memory before a leaders-only inter-node
-exchange.
+ring for allgather — plus the allreduce's large-message family:
+segmented ring and Rabenseifner (reduce-scatter + allgather), and
+hierarchical node-aware variants that fold intra-node over shared
+memory before a leaders-only inter-node exchange.
 
 Two layers live here:
 
@@ -24,7 +23,7 @@ Two layers live here:
   under block rank placement, and the number of concurrent off-node
   flows per NIC) that both the :mod:`~repro.simmpi.selector` and
   :mod:`repro.perfmodel` cost without executing, so the simulator and
-  the analytic model agree on rounds and bytes per collective (see
+  the analytic model agree on rounds and bytes per allreduce (see
   ``docs/collectives.md``).
 """
 
@@ -191,35 +190,6 @@ def recursive_halving_blocks(
     return plan
 
 
-def binomial_subtree(virtual: int, size: int) -> list[int]:
-    """Virtual ranks in the binomial-tree subtree rooted at ``virtual``.
-
-    Sorted, inclusive of ``virtual`` itself.  The scatter half of the
-    van de Geijn broadcast ships a child exactly its subtree's segments.
-    """
-    _check_rank(virtual, size)
-    out = [virtual]
-    k = 0 if virtual == 0 else virtual.bit_length()
-    while (1 << k) < size:
-        child = virtual + (1 << k)
-        if child < size:
-            out.extend(binomial_subtree(child, size))
-        k += 1
-    return sorted(out)
-
-
-def binomial_scatter_rounds(size: int) -> list[int]:
-    """Distances per round of the scatter half of a van de Geijn bcast.
-
-    The root owns all ``pof2`` segments (pof2 = largest power of two <=
-    size); in the round at distance ``d`` every holder of a ``2d``-wide
-    segment range passes the upper half to its partner ``d`` away.
-    Largest distance first — the mirror image of recursive halving.
-    """
-    pof2, masks = recursive_doubling_plan(size)
-    return list(reversed(masks))
-
-
 # -- schedule shapes (shared with the selector and the perf model) -----------
 
 
@@ -357,26 +327,6 @@ def allreduce_shape(
     raise CommunicatorError(f"unknown allreduce algorithm {algorithm!r}")
 
 
-def bcast_shape(
-    algorithm: str, size: int, nbytes: float, ranks_per_node: int = 1
-) -> ScheduleShape:
-    """The :class:`ScheduleShape` of one broadcast algorithm."""
-    if size < 1:
-        raise CommunicatorError(f"size must be >= 1, got {size}")
-    if nbytes < 0:
-        raise CommunicatorError(f"nbytes must be >= 0, got {nbytes}")
-    c = effective_ranks_per_node(size, ranks_per_node)
-    if algorithm == "binomial":
-        return _shape(algorithm, _binomial_bcast_runs(size, nbytes, c))
-    if algorithm == "linear":
-        return _shape(algorithm, [CollRound(nbytes, size > c, count=size - 1)])
-    if algorithm == "scatter_allgather":
-        return _shape(algorithm, _scatter_allgather_runs(size, nbytes, c))
-    if algorithm == "hierarchical":
-        return _shape(algorithm, _hier_bcast_runs(size, nbytes, c))
-    raise CommunicatorError(f"unknown bcast algorithm {algorithm!r}")
-
-
 def _rd_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
     pof2, masks = recursive_doubling_plan(size)
     fold = CollRound(nbytes, size > c, flows=float(c), count=int(size != pof2))
@@ -415,35 +365,3 @@ def _hier_allreduce_runs(
     # collapse to 1 — the whole point of the node-aware variants.
     inter = allreduce_shape(inter_algorithm, leaders, nbytes, ranks_per_node=1)
     return [intra, *inter.rounds, intra]
-
-
-def _binomial_bcast_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
-    _, masks = recursive_doubling_plan(size)
-    runs = []
-    for mask in masks:
-        intra = mask_is_intranode(mask, size, c)
-        runs.append(CollRound(nbytes, not intra, flows=1.0))
-    # Non-power-of-two tail round reaching the last ranks.
-    runs.append(CollRound(nbytes, size > c, count=int((1 << len(masks)) < size)))
-    return runs
-
-
-def _scatter_allgather_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
-    pof2, _ = recursive_doubling_plan(size)
-    runs = []
-    for dist in binomial_scatter_rounds(size):
-        intra = mask_is_intranode(dist, size, c)
-        # The busiest holder forwards half of its current range.
-        runs.append(CollRound(nbytes * dist / pof2, not intra, flows=1.0))
-    runs.append(_ring_run(size, nbytes, c, size - 1))
-    return runs
-
-
-def _hier_bcast_runs(size: int, nbytes: float, c: int) -> list[CollRound]:
-    leaders = -(-size // c)
-    inter = bcast_shape("binomial", leaders, nbytes, ranks_per_node=1)
-    return [
-        CollRound(nbytes, internode=False),  # root hands off to its leader
-        *inter.rounds,
-        CollRound(nbytes, internode=False, count=binomial_rounds(c)),
-    ]

@@ -235,8 +235,8 @@ class Communicator:
             traffic.offnode_bytes_sent += nbytes
         # Store-and-forward injection: the sender's NIC serializes the
         # payload (LogGP's G*n charged at the sender), so back-to-back
-        # sends cannot overlap on one adapter — this is what makes a
-        # linear broadcast genuinely slower than a binomial tree.
+        # sends cannot overlap on one adapter: a tree node's children
+        # are served one after another.
         arrival = clock.advance(SEND_OVERHEAD + nbytes / link.bandwidth) + link.latency
         seq = -1
         log = self.log
@@ -409,64 +409,18 @@ class Communicator:
             self._recv_impl(recv_from, tag)
 
     @_traced_collective
-    def bcast(
-        self,
-        payload: Any,
-        root: int = 0,
-        algorithm: str = "binomial",
-        nbytes: int | None = None,
-    ) -> Any:
-        """Broadcast; every rank returns the payload.
-
-        ``algorithm``: ``"binomial"`` (log2(p) rounds, the Open MPI
-        default at these scales), ``"linear"`` (root sends p-1 messages
-        — the naive baseline the ablation benchmarks compare against),
-        ``"scatter_allgather"`` (van de Geijn: binomial segment scatter
-        + ring allgather, the large-message schedule; requires an
-        ndarray payload at the root), ``"hierarchical"`` (node leaders
-        relay over the fabric, shared memory fans out on-node), or
-        ``"auto"``.
-
-        ``"auto"`` consults the :meth:`selector` — but only when
-        ``nbytes`` (a payload-size hint every rank knows; non-roots do
-        not hold the payload) is given; without the hint it degrades to
-        the binomial tree on every rank.
-        """
+    def bcast(self, payload: Any, root: int = 0) -> Any:
+        """Binomial-tree broadcast (log2(p) rounds); every rank returns the payload."""
         self._check_peer(root)
         tag = self._next_coll_tag()
-        was_auto = algorithm == "auto"
-        if was_auto:
-            if nbytes is None:
-                algorithm = "binomial"
-            else:
-                algorithm = self.selector().select_bcast(int(nbytes)).algorithm
-        self._record_algorithm(
-            "bcast", algorithm, "",
-            nbytes=-1 if nbytes is None else int(nbytes), auto=was_auto,
-        )
-        if algorithm == "binomial":
-            return self._bcast_members(
-                payload, tag, range(self.size), self.rank, root_pos=root
-            )
-        if algorithm == "linear":
-            if self.rank == root:
-                for dest in range(self.size):
-                    if dest != root:
-                        self._send_impl(payload, dest, tag)
-                return payload
-            msg = self._recv_impl(root, tag)
-            return msg.payload
-        if algorithm == "scatter_allgather":
-            return self._bcast_scatter_allgather(payload, root, tag)
-        if algorithm == "hierarchical":
-            return self._bcast_hierarchical(payload, root, tag)
-        raise CommunicatorError(f"unknown bcast algorithm {algorithm!r}")
+        self._record_algorithm("bcast", "binomial", "")
+        return self._bcast_members(payload, tag, range(self.size), self.rank, root)
 
     def _bcast_members(
-        self, payload: Any, tag: int, members: Sequence[int], me: int, root_pos: int = 0
+        self, payload: Any, tag: int, members: Sequence[int], me: int, root_pos: int
     ) -> Any:
         """Binomial-tree bcast over ``members`` (local ranks), of which
-        this rank is the ``me``-th."""
+        this rank is the ``me``-th, from the ``root_pos``-th."""
         size = len(members)
         parent = coll.binomial_parent(me, size, root_pos)
         if parent is not None:
@@ -476,106 +430,12 @@ class Communicator:
             self._send_impl(payload, members[child], tag)
         return payload
 
-    def _bcast_scatter_allgather(self, payload: Any, root: int, tag: int) -> Any:
-        """van de Geijn bcast: binomial scatter of segments + ring allgather."""
-        if self.size == 1:
-            return payload
-        virtual = (self.rank - root) % self.size
-        meta = None  # (shape, dtype) travels with the scattered segments
-        segments: dict[int, np.ndarray] = {}
-        if virtual == 0:
-            if not isinstance(payload, np.ndarray):
-                raise CommunicatorError(
-                    "scatter_allgather bcast requires an ndarray payload at the root"
-                )
-            meta = (payload.shape, payload.dtype)
-            segments = dict(enumerate(np.array_split(payload.ravel(), self.size)))
-        else:
-            parent = coll.binomial_parent(self.rank, self.size, root)
-            msg = self._recv_impl(parent, tag)
-            meta, segments = msg.payload
-            segments = dict(segments)
-        # Forward each child its subtree's share of the segments; after
-        # the loop this rank holds exactly its own segment.
-        for child in self._plan.peers(coll.binomial_children, self.rank, self.size, root):
-            child_virtual = (child - root) % self.size
-            share = {
-                i: segments.pop(i)
-                for i in coll.binomial_subtree(child_virtual, self.size)
-                if i in segments
-            }
-            self._send_impl((meta, share), child, tag)
-        # Ring allgather (in virtual numbering): circulate one segment
-        # per step until every rank holds all of them.
-        collected = dict(segments)
-        carry = (virtual, segments[virtual])
-        send_to = (self.rank + 1) % self.size
-        recv_from = (self.rank - 1) % self.size
-        for _ in range(self.size - 1):
-            self._send_impl(carry, send_to, tag)
-            msg = self._recv_impl(recv_from, tag)
-            carry = msg.payload
-            collected[carry[0]] = carry[1]
-        if virtual == 0:
-            return payload
-        flat = np.concatenate([collected[i] for i in range(self.size)])
-        return flat.astype(meta[1], copy=False).reshape(meta[0])
-
-    def _bcast_hierarchical(self, payload: Any, root: int, tag: int) -> Any:
-        """Leader-relay bcast: fabric hops leaders-only, shm fan-out on-node."""
-        plan = self._plan
-        node, pos = plan.where[self.rank]
-        root_node, root_pos = plan.where[root]
-        root_leader = plan.leaders[root_node]
-        # Hand off to the root's node leader (one shm hop, skipped if
-        # the root already leads its node).
-        if root_pos != 0:
-            if self.rank == root:
-                self._send_impl(payload, root_leader, tag)
-            elif self.rank == root_leader:
-                msg = self._recv_impl(root, tag)
-                payload = msg.payload
-        if pos == 0:
-            payload = self._bcast_members(
-                payload, tag, plan.leaders, node, root_pos=root_node
-            )
-        return self._bcast_members(payload, tag, plan.node_groups[node], pos)
-
     @_traced_collective
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0,
-               algorithm: str = "binomial") -> Any:
-        """Reduction; the result lands on ``root`` (None elsewhere).
-
-        ``algorithm``: ``"binomial"`` tree or ``"linear"`` (everyone
-        sends to root).
-        """
+    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
+        """Binomial-tree reduction; the result lands on ``root`` (None elsewhere)."""
         self._check_peer(root)
         tag = self._next_coll_tag()
-        if algorithm == "binomial":
-            accum = value
-            # Receive from children in reverse send order (deepest first).
-            for child in reversed(
-                self._plan.peers(coll.binomial_children, self.rank, self.size, root)
-            ):
-                msg = self._recv_impl(child, tag)
-                accum = op(accum, msg.payload)
-            parent = coll.binomial_parent(self.rank, self.size, root)
-            if parent is not None:
-                self._send_impl(accum, parent, tag)
-                return None
-            return accum
-        if algorithm == "linear":
-            if self.rank != root:
-                self._send_impl(value, root, tag)
-                return None
-            accum = value
-            for src in range(self.size):
-                if src == root:
-                    continue
-                msg = self._recv_impl(src, tag)
-                accum = op(accum, msg.payload)
-            return accum
-        raise CommunicatorError(f"unknown reduce algorithm {algorithm!r}")
+        return self._reduce_members(value, op, tag, range(self.size), self.rank, root)
 
     @_traced_collective
     def allreduce(
@@ -746,7 +606,7 @@ class Communicator:
         plan = self._plan
         node, pos = plan.where[self.rank]
         my_group = plan.node_groups[node]
-        accum = self._reduce_members(value, op, tag, my_group, pos)
+        accum = self._reduce_members(value, op, tag, my_group, pos, 0)
         if pos == 0:
             if inter_algorithm == "recursive_doubling":
                 accum = self._allreduce_rd(accum, op, tag, plan.leaders, node)
@@ -758,18 +618,22 @@ class Communicator:
                 raise CommunicatorError(
                     f"unknown hierarchical inter-node algorithm {inter_algorithm!r}"
                 )
-        return self._bcast_members(accum, tag, my_group, pos)
+        return self._bcast_members(accum, tag, my_group, pos, 0)
 
     def _reduce_members(
-        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int
+        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int,
+        root_pos: int,
     ) -> Any:
-        """Binomial reduce over ``members`` to position 0 (None elsewhere)."""
+        """Binomial reduce over ``members`` to position ``root_pos`` (None
+        elsewhere); children are received deepest first."""
         size = len(members)
         accum = value
-        for child in reversed(self._plan.peers(coll.binomial_children, me, size, 0)):
+        for child in reversed(
+            self._plan.peers(coll.binomial_children, me, size, root_pos)
+        ):
             msg = self._recv_impl(members[child], tag)
             accum = op(accum, msg.payload)
-        parent = coll.binomial_parent(me, size, 0)
+        parent = coll.binomial_parent(me, size, root_pos)
         if parent is not None:
             self._send_impl(accum, members[parent], tag)
             return None

@@ -156,13 +156,14 @@ class ScheduleRecording:
     def compatible_with(self, topology: ClusterTopology) -> tuple[bool, str]:
         """Can this schedule be replayed on ``topology`` verbatim?
 
-        A recording freezes the algorithms its ``"auto"`` collective
-        calls resolved on the *capture* topology.  Selection is a pure
-        function of (collective, size, bytes, topology), so the replay
-        is only faithful when the target topology resolves every
-        recorded ``auto`` decision to the same algorithm; explicit
-        picks are topology-independent and always portable.  Returns
-        ``(ok, reason)`` — ``reason`` is the first divergence found.
+        A recording freezes the algorithms its ``"auto"`` allreduces
+        resolved on the *capture* topology.  Selection is a pure
+        function of (size, bytes, topology), so the replay is only
+        faithful when the target topology resolves every recorded
+        ``auto`` decision to the same algorithm; explicit picks (and
+        every broadcast, always binomial) are topology-independent and
+        always portable.  Returns ``(ok, reason)`` — ``reason`` is the
+        first divergence found.
         """
         if not topology.supports(self.num_ranks):
             return False, (
@@ -174,15 +175,9 @@ class ScheduleRecording:
             for collective, algorithm, nbytes, auto, segmentable in rank_decisions:
                 if not auto:
                     continue
-                if collective == "bcast":
-                    resolved = (
-                        "binomial" if nbytes < 0
-                        else selector.select_bcast(int(nbytes)).algorithm
-                    )
-                else:
-                    resolved = selector.select_allreduce(
-                        int(nbytes), segmentable=segmentable
-                    ).algorithm
+                resolved = selector.select_allreduce(
+                    int(nbytes), segmentable=segmentable
+                ).algorithm
                 if resolved != algorithm:
                     return False, (
                         f"auto {collective} of {nbytes} B resolves to "

@@ -7,10 +7,11 @@ MPI's ``coll/tuned`` decision tables).  simmpi does the same, but
 candidate :class:`~repro.simmpi.collectives.ScheduleShape` is priced
 against the platform's alpha-beta links (:mod:`repro.network.model`)
 with NIC-contention flow counts from :mod:`repro.network.contention`,
-and the cheapest schedule wins.
+and the cheapest schedule wins.  Only the allreduce has a menu: broadcast
+and reduce always run the binomial tree.
 
-The selection is a pure function of ``(collective, communicator size,
-message bytes, topology)`` — every rank computes the same answer with
+The selection is a pure function of ``(communicator size, message
+bytes, topology)`` — every rank computes the same answer with
 no extra communication, which is what keeps SPMD ranks in lockstep and
 the serial-vs-parallel bit-identity guarantee intact.  The resulting
 per-interconnect decision tables are documented in
@@ -46,9 +47,8 @@ _TIE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class Selection:
-    """One costed candidate: the algorithm plus its modeled schedule."""
+    """One costed allreduce candidate: the algorithm plus its modeled schedule."""
 
-    collective: str
     algorithm: str
     nbytes: int
     predicted_seconds: float
@@ -103,15 +103,9 @@ class CollectiveSelector:
             total = coll.add_run(total, per_round, r.count)
         return total
 
-    def _costed(self, collective: str, algorithm: str, nbytes: int) -> Selection:
-        if collective == "allreduce":
-            shape = coll.allreduce_shape(
-                algorithm, self.size, nbytes, self.ranks_per_node
-            )
-        else:
-            shape = coll.bcast_shape(algorithm, self.size, nbytes, self.ranks_per_node)
+    def _costed(self, algorithm: str, nbytes: int) -> Selection:
+        shape = coll.allreduce_shape(algorithm, self.size, nbytes, self.ranks_per_node)
         return Selection(
-            collective=collective,
             algorithm=algorithm,
             nbytes=int(nbytes),
             predicted_seconds=self.cost(shape),
@@ -143,7 +137,7 @@ class CollectiveSelector:
             algorithms.append("hier_recursive_doubling")
             if segmentable:
                 algorithms += ["hier_ring", "hier_rabenseifner"]
-        return [self._costed("allreduce", a, nbytes) for a in algorithms]
+        return [self._costed(a, nbytes) for a in algorithms]
 
     def select_allreduce(self, nbytes: int, segmentable: bool = True) -> Selection:
         """Cheapest allreduce schedule for a message of ``nbytes``.
@@ -153,33 +147,10 @@ class CollectiveSelector:
         into blocks; scalars and opaque objects only qualify for the
         whole-message algorithms.
         """
-        key = ("allreduce", int(nbytes), bool(segmentable))
+        key = (int(nbytes), bool(segmentable))
         hit = self._cache.get(key)
         if hit is None:
             hit = self._pick(self.allreduce_candidates(int(nbytes), segmentable))
-            self._cache[key] = hit
-        return hit
-
-    def bcast_candidates(self, nbytes: int) -> list[Selection]:
-        """All eligible costed broadcast candidates, stable order."""
-        algorithms = ["binomial"]
-        if self.size > 1:
-            algorithms.append("scatter_allgather")
-        if self._multinode() and self.ranks_per_node > 1:
-            algorithms.append("hierarchical")
-        return [self._costed("bcast", a, nbytes) for a in algorithms]
-
-    def select_bcast(self, nbytes: int) -> Selection:
-        """Cheapest broadcast schedule for an ndarray of ``nbytes``.
-
-        Callers must pass a size hint every rank knows (non-roots do not
-        hold the payload); ``Communicator.bcast`` falls back to the
-        binomial tree when no hint is given.
-        """
-        key = ("bcast", int(nbytes))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._pick(self.bcast_candidates(int(nbytes)))
             self._cache[key] = hit
         return hit
 
@@ -192,7 +163,6 @@ class CollectiveSelector:
                 {
                     "nbytes": int(nbytes),
                     "allreduce": chosen.algorithm,
-                    "bcast": self.select_bcast(nbytes).algorithm,
                     "predicted_seconds": chosen.predicted_seconds,
                 }
             )

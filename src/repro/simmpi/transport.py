@@ -3,10 +3,11 @@
 One free-running OS thread per rank: the implementation the
 cross-engine tests compare the event scheduler of
 :mod:`repro.simmpi.events` against, built only by
-``run_spmd(engine="threads")``.  One :class:`threading.Condition`
-guards the whole run.  A rank that finds no match records its
-``(context, source, tag)`` and waits; the ``post`` that delivers the
-match clears the record under the same lock.  When every live rank
+``run_spmd(engine="threads")``.  One lock guards the whole run, and
+each rank waits on a :class:`threading.Condition` of its own over it.
+A rank that finds no match records its ``(context, source, tag)`` and
+waits; the ``post`` that delivers the match clears the record under the
+same lock and wakes that rank alone.  When every live rank
 waits, no message can arrive any more: the last one to block raises
 :class:`~repro.errors.DeadlockError` at once and the others unwind --
 the event engine's exact rule.  ``real_timeout`` bounds each wait.
@@ -28,7 +29,9 @@ class Engine(Runtime):
 
     def __init__(self, num_ranks: int, real_timeout: float, fault_injector):
         super().__init__(num_ranks, real_timeout, fault_injector)
-        self._cond = threading.Condition()
+        # Reentrant: the deadlock path aborts while holding it.
+        self._lock = threading.RLock()
+        self._conds = [threading.Condition(self._lock) for _ in range(num_ranks)]
         #: Per rank, ``(context, source, tag)`` while it waits, else None.
         self._waiting: list[tuple[int, int, int] | None] = [None] * num_ranks
         self._idle = 0  # ranks with a waiting record
@@ -36,29 +39,30 @@ class Engine(Runtime):
 
     def abort(self, exc: BaseException) -> None:
         """Propagate a fatal error to every rank; the first one wins."""
-        with self._cond:
+        with self._lock:
             if self._abort_exception is None:
                 self._abort_exception = exc
-            self._cond.notify_all()
+            for cond in self._conds:
+                cond.notify()
 
     def post(self, dest: int, message: Message) -> None:
         """Deliver a message and wake ``dest`` if it waits for it."""
         message = self._filter(dest, message)
         if message is None:
             return
-        with self._cond:
+        with self._lock:
             self.mailboxes[dest].deliver(message)
             want = self._waiting[dest]
             if (want is not None and message.context == want[0]
                     and message.matches(want[1], want[2])):
                 self._waiting[dest] = None
                 self._idle -= 1
-                self._cond.notify_all()
+                self._conds[dest].notify()
 
     def poll(self, rank: int, context: int, source: int, tag: int,
              consume: bool) -> Message | None:
         """The matching message if one is queued, else None; never blocks."""
-        with self._cond:
+        with self._lock:
             return self.mailboxes[rank].match(context, source, tag, consume)
 
     def wait_for_message(self, rank: int, context: int, source: int, tag: int,
@@ -67,8 +71,9 @@ class Engine(Runtime):
         self.fault_op(rank)
         mailbox = self.mailboxes[rank]
         waiting = self._waiting
+        cond = self._conds[rank]
         deadline = time.monotonic() + self.real_timeout
-        with self._cond:
+        with self._lock:
             while True:
                 self.check_abort()
                 msg = mailbox.match(context, source, tag, consume)
@@ -79,7 +84,7 @@ class Engine(Runtime):
                                          f"for {(context, source, tag)}")
                 waiting[rank] = (context, source, tag)
                 self._idle += 1
-                woken = self._cond.wait_for(
+                woken = cond.wait_for(
                     lambda: waiting[rank] is None
                     or self._abort_exception is not None,
                     deadline - time.monotonic(),
@@ -108,7 +113,7 @@ class Engine(Runtime):
                 self._errors.append((rank, exc))
                 self.abort(exc)
             finally:
-                with self._cond:
+                with self._lock:
                     self._alive -= 1
                     # Every rank left waits, and none is last to block.
                     if 0 < self._alive == self._idle:

@@ -10,12 +10,13 @@ from repro.cloud.billing import BillingEngine
 from repro.cloud.ec2 import EC2Service
 from repro.cloud.spot import SpotMarket
 from repro.cloud.placement import (
-    CROSS_GROUP_BANDWIDTH_FACTOR,
-    CROSS_GROUP_LATENCY_FACTOR,
-    PlacementGroup,
+    CROSS_GROUP_BACKPLANE_PENALTY,
+    CROSS_GROUP_BANDWIDTH_PENALTY,
+    CROSS_GROUP_LATENCY_PENALTY,
     PlacementMap,
 )
-from repro.network.model import NetworkModel
+from repro.harness.experiments import _mix_topology
+from repro.platforms.catalog import ec2_cc28xlarge
 from repro.units import HOUR
 
 
@@ -67,7 +68,6 @@ class TestPlacement:
         pm = PlacementMap.single_group(5)
         assert pm.num_nodes == 5
         assert pm.cross_group_pair_fraction() == 0.0
-        assert pm.distance_factor(0, 4) == (1.0, 1.0)
 
     def test_spread_over_four_groups(self):
         pm = PlacementMap.spread(63, 4, seed=1)
@@ -78,14 +78,9 @@ class TestPlacement:
     def test_cross_group_penalty_is_mild(self):
         """Table II found no significant single-group advantage; the
         cross-group fabric penalty must stay small."""
-        assert 1.0 < CROSS_GROUP_LATENCY_FACTOR < 2.0
-        assert 0.85 < CROSS_GROUP_BANDWIDTH_FACTOR < 1.0
-
-    def test_distance_factor_cross(self):
-        pm = PlacementMap([PlacementGroup("a"), PlacementGroup("b")])
-        lat, bw = pm.distance_factor(0, 1)
-        assert lat == CROSS_GROUP_LATENCY_FACTOR
-        assert bw == CROSS_GROUP_BANDWIDTH_FACTOR
+        assert 0.0 < CROSS_GROUP_LATENCY_PENALTY < 1.0
+        assert 0.0 < CROSS_GROUP_BANDWIDTH_PENALTY < 0.15
+        assert 0.0 < CROSS_GROUP_BACKPLANE_PENALTY < 0.15
 
     def test_validation(self):
         with pytest.raises(CloudError):
@@ -207,22 +202,23 @@ class TestEC2Service:
         assert mix.hourly_price < full.hourly_price
 
     def test_topology_exposes_placement_distances(self):
-        svc = EC2Service(seed=3)
-        mix = svc.assemble_mix(8, num_groups=4, seed=3)
-        network = NetworkModel(CC2_8XLARGE.network,
-                               distance_factor=mix.placement.distance_factor)
-        # Find one cross-group pair and check its link is penalized.
-        cross = None
-        for a in range(8):
-            for b in range(a + 1, 8):
-                if not mix.placement.same_group(a, b):
-                    cross = (a, b)
-                    break
-            if cross:
-                break
-        assert cross is not None
-        link = network.link_between(*cross)
-        assert link.latency > network.internode.latency
+        """A mix assembly's topology pays the cross-group penalty,
+        weighted by its cross-group pair fraction, on every internode
+        message and on the backplane."""
+        seed = 3
+        frac = EC2Service(seed=seed).assemble_mix(8, seed=seed) \
+            .placement.cross_group_pair_fraction()
+        assert frac > 0.0
+        network = _mix_topology(8, seed=seed).network
+        base = ec2_cc28xlarge.interconnect
+        link = network.link_between(0, 1)
+        assert link is network.internode
+        assert link.latency == base.latency * (1.0 + CROSS_GROUP_LATENCY_PENALTY * frac)
+        assert link.bandwidth == base.bandwidth * (1.0 - CROSS_GROUP_BANDWIDTH_PENALTY * frac)
+        assert link.latency > base.latency and link.bandwidth < base.bandwidth
+        assert network.aggregate_backplane == ec2_cc28xlarge.backplane_bandwidth * (
+            1.0 - CROSS_GROUP_BACKPLANE_PENALTY * frac
+        )
 
     def test_run_and_terminate_billing(self):
         svc = EC2Service(seed=5)

@@ -80,17 +80,6 @@ class TestNetworkModel:
         assert model.link_between(0, 0) is SHARED_MEMORY
         assert model.link_between(0, 1) is GIGABIT_ETHERNET
 
-    def test_distance_factor_hook(self):
-        def cross_group(a, b):
-            return (2.0, 0.5) if (a < 2) != (b < 2) else (1.0, 1.0)
-
-        model = NetworkModel(TEN_GIGABIT_ETHERNET, distance_factor=cross_group)
-        near = model.link_between(0, 1)
-        far = model.link_between(0, 2)
-        assert near is TEN_GIGABIT_ETHERNET
-        assert far.latency == pytest.approx(2 * TEN_GIGABIT_ETHERNET.latency)
-        assert far.bandwidth == pytest.approx(0.5 * TEN_GIGABIT_ETHERNET.bandwidth)
-
     def test_intranode_ignores_concurrency(self):
         model = NetworkModel(GIGABIT_ETHERNET)
         t1 = model.transfer_time(1e6, 0, 0, concurrency=1)

@@ -140,14 +140,6 @@ class TestCompatibility:
         ok, reason = rec.compatible_with(default_topology(2))
         assert not ok and "no-such-algorithm" in reason
 
-    def test_sizeless_auto_bcast_pins_binomial(self):
-        rec = ScheduleRecording(
-            num_ranks=2, ops=((), ()),
-            algorithms=((("bcast", "binomial", -1, True, False),), ()),
-        )
-        ok, _ = rec.compatible_with(default_topology(2))
-        assert ok
-
 
 class TestReplayValidation:
     def test_nonpositive_compute_rate_rejected(self):

@@ -1,6 +1,6 @@
 """Property tests for the adaptive collective layer.
 
-Every allreduce/bcast variant must deliver correct, cross-rank
+Every allreduce variant must deliver correct, cross-rank
 bit-identical results on arbitrary communicator sizes — including
 single-rank and non-power-of-two — and the hierarchical variants must
 equal the flat ones bit-for-bit.  Payloads are small integers, so every
@@ -29,10 +29,9 @@ from repro.simmpi.selector import CollectiveSelector
 from repro.simmpi.launcher import run_spmd
 from repro.simmpi import collectives as coll
 
-#: Every schedule name ``allreduce`` / ``bcast`` accept.
+#: Every schedule name ``allreduce`` accepts.
 FLAT_ALLREDUCE = ("recursive_doubling", "ring", "rabenseifner")
 ALLREDUCE_ALGORITHMS = FLAT_ALLREDUCE + coll.HIER_ALLREDUCE_ALGORITHMS + ("auto",)
-BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical", "auto")
 
 sizes = st.integers(min_value=1, max_value=9)
 bases = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=24)
@@ -113,43 +112,6 @@ class TestAllreduceVariants:
             assert np.all(result == 6.0)
 
 
-class TestBcastVariants:
-    @pytest.mark.parametrize("algorithm", BCAST_ALGORITHMS)
-    @given(size=sizes, base=bases, root_seed=st.integers(min_value=0, max_value=63))
-    @spmd_settings
-    def test_exact_delivery_from_any_root(self, algorithm, size, base, root_seed):
-        root = root_seed % size
-        payload = np.asarray(base, dtype=float)
-
-        def main(comm):
-            mine = payload.copy() if comm.rank == root else None
-            return comm.bcast(mine, root=root, algorithm=algorithm,
-                              nbytes=payload.nbytes)
-
-        for result in run(main, size).returns:
-            assert np.array_equal(result, payload)
-
-    def test_scatter_allgather_preserves_shape_and_dtype(self):
-        payload = np.arange(30, dtype=np.float32).reshape(5, 6)
-
-        def main(comm):
-            mine = payload if comm.rank == 2 else None
-            return comm.bcast(mine, root=2, algorithm="scatter_allgather")
-
-        for result in run(main, 7).returns:
-            assert result.shape == (5, 6)
-            assert result.dtype == np.float32
-            assert np.array_equal(result, payload)
-
-    def test_auto_without_size_hint_is_binomial(self):
-        def main(comm):
-            comm.bcast({"cfg": 1}, algorithm="auto")
-            return dict(comm.algorithm_counts)
-
-        for counts in run(main, 5).returns:
-            assert counts == {"bcast.binomial": 1}
-
-
 class TestExecutionMatchesShapes:
     """Executed per-rank messages and bytes equal the analytic
     ScheduleShape — the contract the performance model builds on."""
@@ -225,11 +187,6 @@ class TestSelectorDecisions:
         non_pof2 = CollectiveSelector(one_rank_per_node(12), 12)
         assert non_pof2.select_allreduce(1 << 20).algorithm == "ring"
 
-    def test_large_bcast_leaves_the_binomial_tree(self):
-        selector = CollectiveSelector(one_rank_per_node(16), 16)
-        assert selector.select_bcast(64).algorithm == "binomial"
-        assert selector.select_bcast(1 << 20).algorithm != "binomial"
-
     def test_fat_node_large_allreduce_cuts_nic_bytes(self):
         """The headline of docs/collectives.md: 4 nodes x 4 cores on 1 GbE,
         one 512 KB allreduce -- ``auto`` keeps all but the node leaders
@@ -271,7 +228,7 @@ class TestSelectorDecisions:
         topology = spec.topology(num_nodes=spec.nodes_for_ranks(num_ranks))
         labels = {8: "8", 1024: "1 KB", 65536: "64 KB", 1 << 20: "1 MB"}
         derived = [
-            (labels[row["nbytes"]], row["allreduce"], row["bcast"])
+            (labels[row["nbytes"]], row["allreduce"])
             for row in CollectiveSelector(topology, num_ranks).selection_table()
         ]
         assert derived == documented
@@ -284,7 +241,6 @@ class TestSelectorDecisions:
         a = CollectiveSelector(one_rank_per_node(size), size)
         b = CollectiveSelector(one_rank_per_node(size), size)
         assert a.select_allreduce(nbytes) == b.select_allreduce(nbytes)
-        assert a.select_bcast(nbytes) == b.select_bcast(nbytes)
 
     @given(size=st.integers(1, 32), nbytes=st.integers(1, 1 << 21))
     @settings(max_examples=60, deadline=None)

@@ -25,11 +25,10 @@ from repro.simmpi.launcher import run_spmd
 from repro.simmpi.collectives import HIER_ALLREDUCE_ALGORITHMS
 
 RANK_COUNTS = (2, 4, 8, 9)
-#: Every schedule name ``allreduce`` / ``bcast`` accept, "auto" aside.
+#: Every schedule name ``allreduce`` accepts, "auto" aside.
 ALLREDUCE_ALGORITHMS = (
     "recursive_doubling", "ring", "rabenseifner", *HIER_ALLREDUCE_ALGORITHMS
 )
-BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical")
 
 
 def run_both(program, num_ranks, **kwargs):
@@ -101,18 +100,6 @@ class TestAlgorithmVariants:
 
         assert_identical(*run_both(main, num_ranks))
 
-    @pytest.mark.parametrize("algorithm", BCAST_ALGORITHMS)
-    @pytest.mark.parametrize("num_ranks", (4, 9))
-    def test_bcast_algorithms(self, algorithm, num_ranks):
-        def main(comm):
-            root = 2 % comm.size
-            # scatter_allgather segments the payload: ndarray at the root
-            payload = np.arange(64, dtype=float) if comm.rank == root else None
-            value = comm.bcast(payload, root=root, algorithm=algorithm)
-            return np.asarray(value).tolist(), comm.time
-
-        assert_identical(*run_both(main, num_ranks))
-
 
 class TestSharedPlansOnSubCommunicators:
     """Each colour of a split reads one plan built by the parent's rank 0;
@@ -134,8 +121,7 @@ class TestSharedPlansOnSubCommunicators:
                 np.full(5, float(comm.rank)), algorithm="hier_recursive_doubling"
             )
             word = sub.bcast(
-                f"from {comm.rank}" if sub.rank == root else None,
-                root=root, algorithm="hierarchical",
+                f"from {comm.rank}" if sub.rank == root else None, root=root
             )
             sub.barrier()
             return sub.rank, total.tolist(), word, comm.time
@@ -149,7 +135,8 @@ class TestSharedPlansOnSubCommunicators:
             assert word == f"from {members[-1]}"
         assert events.algorithm_counts == threads.algorithm_counts
         assert events.algorithm_counts["allreduce.hier_recursive_doubling"] == num_ranks
-        assert events.algorithm_counts["bcast.hierarchical"] == num_ranks
+        # The split's own broadcast of the colour map, then each colour's.
+        assert events.algorithm_counts["bcast.binomial"] == 2 * num_ranks
 
     def test_colours_fill_their_plans_in_interleaved_order(self):
         """Colour 0 runs allreduce, bcast, barrier while colour 1 runs them
@@ -161,9 +148,7 @@ class TestSharedPlansOnSubCommunicators:
             sub = comm.split(color)
             steps = [
                 lambda: sub.allreduce(comm.rank + 1, algorithm="hier_recursive_doubling"),
-                lambda: sub.bcast(
-                    color if sub.rank == 0 else None, algorithm="hierarchical"
-                ),
+                lambda: sub.bcast(color if sub.rank == 0 else None),
                 lambda: sub.barrier(),
             ]
             out = [step() for step in (steps if color == 0 else reversed(steps))]

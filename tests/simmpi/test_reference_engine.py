@@ -3,8 +3,9 @@
 The cross-engine tests compare the scheduler against this engine on
 programs that succeed; these pin what it does when a program does not:
 exact deadlock detection under its one lock, the real-time bound, the
-root cause a failed launch re-raises, and the rank threads a launch
-leaves behind (none).  The probe test shortens the interpreter's switch
+root cause a failed launch re-raises, the rank threads a launch
+leaves behind (none), and which waiters a delivery wakes (its receiver
+only).  The probe test shortens the interpreter's switch
 interval so the rank threads preempt each other between almost every
 bytecode.
 """
@@ -16,6 +17,8 @@ import time
 import pytest
 
 from repro.errors import DeadlockError, SimMPIError
+from repro.simmpi import transport
+from repro.simmpi.datatypes import Message
 from repro.simmpi.launcher import run_spmd
 
 
@@ -105,6 +108,55 @@ class TestFailurePaths:
 
         with pytest.raises(ValueError, match="rank 2 exploded"):
             run(main, 4)
+
+
+class TestWakeups:
+    def test_a_matched_post_wakes_only_its_receiver(self, monkeypatch):
+        """Ranks 1 and 2 wait; a message for rank 1 returns rank 1 from
+        its wait and leaves rank 2 asleep (one wait return per thread is
+        logged, so a broadcast wake-up shows as a return of rank 2's)."""
+        returns = []
+
+        class LoggedCondition(threading.Condition):
+            def wait(self, timeout=None):
+                woken = super().wait(timeout)
+                returns.append(threading.current_thread().name)
+                return woken
+
+        with monkeypatch.context() as patch:  # the engine's conditions only
+            patch.setattr(threading, "Condition", LoggedCondition)
+            engine = transport.Engine(3, real_timeout=20.0, fault_injector=None)
+        got = {}
+
+        def receive(rank):
+            got[rank] = engine.wait_for_message(rank, 0, 0, rank, consume=True)
+
+        waiters = {
+            rank: threading.Thread(target=receive, args=(rank,), name=f"waiter-{rank}")
+            for rank in (1, 2)
+        }
+        for thread in waiters.values():
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while engine._idle < 2:
+            assert time.monotonic() < deadline, "the waiters never blocked"
+            time.sleep(0.001)
+
+        engine.post(1, Message(0, 0, 1, "one", 3, 0.0))
+        waiters[1].join(10.0)
+        assert got[1].payload == "one"
+        # A woken rank 2 would log its return within microseconds; give
+        # it a quarter of a second to show up.
+        settle = time.monotonic() + 0.25
+        while "waiter-2" not in returns and time.monotonic() < settle:
+            time.sleep(0.005)
+        before_its_message = list(returns)
+
+        engine.post(2, Message(0, 0, 2, "two", 3, 0.0))
+        waiters[2].join(10.0)
+        assert got[2].payload == "two"
+        assert "waiter-2" not in before_its_message
+        assert returns.count("waiter-1") == returns.count("waiter-2") == 1
 
 
 class TestProbesUnderPreemption:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD, paper_rank_series
+from repro.cloud.placement import CROSS_GROUP_BANDWIDTH_PENALTY
 from repro.harness.experiments import weak_scaling_column
 from repro.network.model import TEN_GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
@@ -24,18 +25,16 @@ from repro.simmpi import collectives as coll
 from repro.simmpi.collectives import (
     CollRound,
     binomial_rounds,
-    binomial_scatter_rounds,
     mask_is_intranode,
     recursive_doubling_plan,
 )
 from repro.simmpi.selector import PER_ROUND_OVERHEAD, CollectiveSelector, Selection
 
-#: Every schedule name ``allreduce_shape`` / ``bcast_shape`` accept, in the
-#: order ``allreduce_candidates`` lists them.
+#: Every schedule name ``allreduce_shape`` accepts, in the order
+#: ``allreduce_candidates`` lists them.
 ALLREDUCE_ALGORITHMS = (
     "recursive_doubling", "ring", "rabenseifner", *coll.HIER_ALLREDUCE_ALGORITHMS
 )
-BCAST_ALGORITHMS = ("binomial", "linear", "scatter_allgather", "hierarchical")
 
 # -- the oracle: one CollRound per round ----------------------------------------
 
@@ -94,41 +93,6 @@ def _hier_allreduce_rounds(inter_algorithm, size, nbytes, c):
     return rounds
 
 
-def _binomial_bcast_rounds(size, nbytes, c):
-    _, masks = recursive_doubling_plan(size)
-    rounds = []
-    for mask in masks:
-        intra = mask_is_intranode(mask, size, c)
-        rounds.append(CollRound(nbytes, not intra, flows=1.0))
-    if (1 << len(masks)) < size:
-        rounds.append(CollRound(nbytes, size > c, flows=1.0))
-    return rounds
-
-
-def _scatter_allgather_rounds(size, nbytes, c):
-    if size == 1:
-        return []
-    pof2, _ = recursive_doubling_plan(size)
-    rounds = []
-    for dist in binomial_scatter_rounds(size):
-        intra = mask_is_intranode(dist, size, c)
-        rounds.append(CollRound(nbytes * dist / pof2, not intra, flows=1.0))
-    segment = nbytes / size
-    internode = size > c
-    rounds.extend(CollRound(segment, internode, flows=1.0) for _ in range(size - 1))
-    return rounds
-
-
-def _hier_bcast_rounds(size, nbytes, c):
-    leaders = -(-size // c)
-    rounds = [CollRound(nbytes, internode=False)]
-    rounds.extend(oracle_bcast_rounds("binomial", leaders, nbytes, 1))
-    rounds.extend(
-        CollRound(nbytes, internode=False) for _ in range(binomial_rounds(c))
-    )
-    return rounds
-
-
 def oracle_allreduce_rounds(algorithm, size, nbytes, ranks_per_node=1):
     c = coll.effective_ranks_per_node(size, ranks_per_node)
     if algorithm == "recursive_doubling":
@@ -139,30 +103,6 @@ def oracle_allreduce_rounds(algorithm, size, nbytes, ranks_per_node=1):
         return _rabenseifner_rounds(size, nbytes, c)
     assert algorithm in coll.HIER_ALLREDUCE_ALGORITHMS, algorithm
     return _hier_allreduce_rounds(algorithm[len("hier_"):], size, nbytes, c)
-
-
-def oracle_bcast_rounds(algorithm, size, nbytes, ranks_per_node=1):
-    c = coll.effective_ranks_per_node(size, ranks_per_node)
-    if algorithm == "binomial":
-        return _binomial_bcast_rounds(size, nbytes, c)
-    if algorithm == "linear":
-        return [
-            CollRound(nbytes, internode=size > c, flows=1.0)
-            for _ in range(size - 1)
-        ]
-    if algorithm == "scatter_allgather":
-        return _scatter_allgather_rounds(size, nbytes, c)
-    assert algorithm == "hierarchical", algorithm
-    return _hier_bcast_rounds(size, nbytes, c)
-
-
-def oracle_rounds(algorithm, size, nbytes, ranks_per_node):
-    build = (
-        oracle_allreduce_rounds
-        if algorithm in ALLREDUCE_ALGORITHMS
-        else oracle_bcast_rounds
-    )
-    return build(algorithm, size, nbytes, ranks_per_node)
 
 
 def oracle_properties(rounds):
@@ -186,11 +126,12 @@ class OracleSelector(CollectiveSelector):
             total += PER_ROUND_OVERHEAD + link.latency + r.nbytes * flows / link.bandwidth
         return total
 
-    def _costed(self, collective, algorithm, nbytes):
-        rounds = oracle_rounds(algorithm, self.size, nbytes, self.ranks_per_node)
+    def _costed(self, algorithm, nbytes):
+        rounds = oracle_allreduce_rounds(
+            algorithm, self.size, nbytes, self.ranks_per_node
+        )
         count, internode_count, bytes_per_rank = oracle_properties(rounds)
         return Selection(
-            collective=collective,
             algorithm=algorithm,
             nbytes=int(nbytes),
             predicted_seconds=self.cost(rounds),
@@ -225,18 +166,8 @@ class OraclePhaseModel(PhaseModel):
 
 # -- shapes -----------------------------------------------------------------------
 
-ALGORITHMS = ALLREDUCE_ALGORITHMS + BCAST_ALGORITHMS
 ODD_SIZES = (1, 2, 3, 5, 7, 12, 13, 24, 31, 33, 97, 100, 127, 129, 360, 997, 1000, 1200)
 PAYLOADS = (0, 8, 24, 24.5, 1e6 / 3, 1 << 20)
-
-
-def shape_of(algorithm, size, nbytes, ranks_per_node):
-    build = (
-        coll.allreduce_shape
-        if algorithm in ALLREDUCE_ALGORITHMS
-        else coll.bcast_shape
-    )
-    return build(algorithm, size, nbytes, ranks_per_node)
 
 
 def expand(shape):
@@ -248,7 +179,7 @@ def expand(shape):
 
 
 @given(
-    algorithm=st.sampled_from(ALGORITHMS),
+    algorithm=st.sampled_from(ALLREDUCE_ALGORITHMS),
     size=st.sampled_from(ODD_SIZES) | st.integers(1, 1200),
     ranks_per_node=st.sampled_from([1, 2, 4, 12, 16, 32]),
     nbytes=st.sampled_from(PAYLOADS)
@@ -256,8 +187,8 @@ def expand(shape):
 )
 @settings(max_examples=400, deadline=None)
 def test_runs_expand_to_the_oracle_rounds(algorithm, size, ranks_per_node, nbytes):
-    shape = shape_of(algorithm, size, nbytes, ranks_per_node)
-    rounds = oracle_rounds(algorithm, size, nbytes, ranks_per_node)
+    shape = coll.allreduce_shape(algorithm, size, nbytes, ranks_per_node)
+    rounds = oracle_allreduce_rounds(algorithm, size, nbytes, ranks_per_node)
     assert all(r.count >= 1 for r in shape.rounds)
     assert expand(shape) == rounds
     assert (
@@ -292,8 +223,6 @@ def test_every_catalog_selection_equals_the_oracle():
                     rounds.allreduce_candidates(nbytes, segmentable), where
                 assert runs.select_allreduce(nbytes, segmentable) == \
                     rounds.select_allreduce(nbytes, segmentable), where
-            assert runs.bcast_candidates(nbytes) == rounds.bcast_candidates(nbytes), where
-            assert runs.select_bcast(nbytes) == rounds.select_bcast(nbytes), where
 
 
 def test_selector_and_model_agree_on_ranks_per_node():
@@ -373,7 +302,10 @@ def test_links_that_differ_only_in_bandwidth_never_share_an_entry():
     """Table II's mix assemblies scale the ec2 link per seed: same name,
     same rank count, a different bandwidth, so a different price."""
     base = ec2_cc28xlarge.interconnect
-    a, b = (base.scaled(bandwidth_factor=1.0 - 0.07 * f) for f in (0.25, 0.5))
+    a, b = (
+        base.scaled(bandwidth_factor=1.0 - CROSS_GROUP_BANDWIDTH_PENALTY * f)
+        for f in (0.25, 0.5)
+    )
     assert (a.name, a.latency) == (b.name, b.latency) and a.bandwidth != b.bandwidth
     priced_allreduce.cache_clear()
     prices, oracle = [], []

@@ -318,22 +318,26 @@ def _module_calls(module: ast.Module) -> list[_Call]:
     return calls
 
 
-def calls(root: Path | None = None) -> dict[str, list[_Call]]:
-    """Every call under the caller directories, by resolved callee name."""
+def calls(
+    root: Path | None = None, caller_dirs: tuple[str, ...] = CALLER_DIRS
+) -> dict[str, list[_Call]]:
+    """Every call under ``caller_dirs``, by resolved callee name."""
     root = root or ROOT
     found: dict[str, list[_Call]] = defaultdict(list)
-    for name in CALLER_DIRS:
+    for name in caller_dirs:
         for path in sorted((root / name).rglob("*.py")):
             for call in _module_calls(tree(path)):
                 found[call.name].append(call)
     return found
 
 
-def census(root: Path | None = None) -> tuple[set[str], set[str]]:
-    """``(every setting, the settings no call supplies)``."""
+def census(
+    root: Path | None = None, caller_dirs: tuple[str, ...] = CALLER_DIRS
+) -> tuple[set[str], set[str]]:
+    """``(every setting, the settings no call under ``caller_dirs`` supplies)``."""
     root = root or ROOT
     defs, bases = definitions(root / "src" / "repro")
-    by_name = calls(root)
+    by_name = calls(root, caller_dirs)
     everything: set[str] = set()
     flagged: set[str] = set()
     for spec in defs:
@@ -361,6 +365,14 @@ def census(root: Path | None = None) -> tuple[set[str], set[str]]:
             ):
                 flagged.add(dotted)
     return everything, flagged
+
+
+def settings_test_only(root: Path | None = None) -> set[str]:
+    """The settings only ``tests/`` or ``examples/`` supply: what the
+    library, the benchmarks and the tools never set.  The next knob to
+    remove is among them."""
+    library = census(root, ("src", "benchmarks", "tools"))[1]
+    return library - census(root)[1]
 
 
 @pytest.fixture(scope="module")
@@ -437,5 +449,6 @@ def test_the_census_sees_a_setting_nobody_supplies(tmp_path):
 
 if __name__ == "__main__":
     every, unpassed = census()
-    print(f"settings {len(every)}, not supplied {len(unpassed)}")
+    print(f"settings {len(every)}, not supplied {len(unpassed)}, "
+          f"supplied only by tests or examples {len(settings_test_only())}")
     print("\n".join(sorted(unpassed)))
