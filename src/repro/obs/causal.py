@@ -32,13 +32,10 @@ import numpy as np
 from repro.simmpi.tracing import COLLECTIVE, ENTER, RECV, SEND, LogWindow
 
 #: Collectives after which *every* participant causally depends on
-#: *every* participant's entry (all-to-all information flow).  ``scan``,
-#: ``bcast``, ``reduce``, ``gather`` and ``scatter`` are deliberately
-#: absent: their information flow is one-directional, so exit clocks
-#: need not dominate all entries.
-SYNCHRONIZING_COLLECTIVES = frozenset(
-    {"barrier", "allreduce", "allgather", "alltoall", "reduce_scatter_block"}
-)
+#: *every* participant's entry (all-to-all information flow).  ``bcast``
+#: and ``gather`` are deliberately absent: their information flow is
+#: one-directional, so exit clocks need not dominate all entries.
+SYNCHRONIZING_COLLECTIVES = frozenset({"barrier", "allreduce", "allgather", "alltoall"})
 
 #: Log event kinds that tick a rank's clocks, and their event names.
 _TICKS = {SEND: "send", RECV: "recv", ENTER: "coll_enter", COLLECTIVE: "coll_exit"}

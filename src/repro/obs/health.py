@@ -202,8 +202,7 @@ def _top_level(records: list) -> list[int]:
 
     A rank executes sequentially in virtual time, so records nest by
     strict containment (sends issued inside a collective lie within the
-    collective's interval; ``reduce_scatter_block`` contains its inner
-    ``alltoall`` round).  A greedy sweep over the ``(t_start, t_end)``
+    collective's interval).  A greedy sweep over the ``(t_start, t_end)``
     sorted list keeps exactly the outermost cover, whose summed
     durations equal the rank's merged communication time.
     """

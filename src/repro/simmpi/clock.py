@@ -6,7 +6,8 @@ from repro.errors import SimMPIError
 
 
 class VirtualClock:
-    """A monotonically non-decreasing virtual timestamp for one rank.
+    """A monotonically non-decreasing virtual timestamp for one rank,
+    starting at 0.
 
     Computation advances it by modeled durations; message receipt merges
     it forward to the arrival time (never backward — merging enforces the
@@ -15,10 +16,8 @@ class VirtualClock:
 
     __slots__ = ("_time",)
 
-    def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise SimMPIError(f"clock cannot start negative, got {start}")
-        self._time = float(start)
+    def __init__(self):
+        self._time = 0.0
 
     @property
     def time(self) -> float:

@@ -7,8 +7,9 @@ testable and reusable by the analytic performance model, which costs the
 same rounds without executing them.
 
 Algorithms are the textbook ones Open MPI/MPICH use at these scales:
-binomial trees for bcast/reduce, recursive doubling (with a pre/post
-fold for non-powers-of-two) for allreduce, dissemination for barrier,
+binomial trees for bcast (and the on-node fold of the hierarchical
+allreduces), recursive doubling (with a pre/post fold for
+non-powers-of-two) for allreduce, dissemination for barrier,
 ring for allgather — plus the allreduce's large-message family:
 segmented ring and Rabenseifner (reduce-scatter + allgather), and
 hierarchical node-aware variants that fold intra-node over shared
@@ -39,7 +40,7 @@ import numpy as np
 from repro.errors import CommunicatorError
 
 
-def binomial_children(rank: int, size: int, root: int = 0) -> list[int]:
+def binomial_children(rank: int, size: int, root: int) -> list[int]:
     """Children of ``rank`` in a binomial broadcast tree rooted at ``root``.
 
     Ranks are rotated so the root maps to virtual rank 0.  In round ``k``
@@ -60,7 +61,7 @@ def binomial_children(rank: int, size: int, root: int = 0) -> list[int]:
     return children
 
 
-def binomial_parent(rank: int, size: int, root: int = 0) -> int | None:
+def binomial_parent(rank: int, size: int, root: int) -> int | None:
     """Parent of ``rank`` in the binomial tree, or None for the root."""
     _check_rank(rank, size)
     _check_rank(root, size)

@@ -323,6 +323,8 @@ class Communicator:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive; complete with ``wait()`` or ``test()``."""
+        if source != ANY_SOURCE:
+            self._check_peer(source)
         return Request(self, "recv", source=source, tag=tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
@@ -359,14 +361,6 @@ class Communicator:
     def waitall(requests: list["Request"]) -> list[Any]:
         """Complete a list of requests; returns their payloads in order."""
         return [req.wait() for req in requests]
-
-    def sendrecv(
-        self, payload: Any, dest: int, source: int = ANY_SOURCE,
-        sendtag: int = 0, recvtag: int = ANY_TAG,
-    ) -> Any:
-        """Combined send + receive (deadlock-free since sends are eager)."""
-        self.send(payload, dest, sendtag)
-        return self.recv(source=source, tag=recvtag)
 
     # -- collectives ---------------------------------------------------------------
 
@@ -429,13 +423,6 @@ class Communicator:
         for child in self._plan.peers(coll.binomial_children, me, size, root_pos):
             self._send_impl(payload, members[child], tag)
         return payload
-
-    @_traced_collective
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        """Binomial-tree reduction; the result lands on ``root`` (None elsewhere)."""
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        return self._reduce_members(value, op, tag, range(self.size), self.rank, root)
 
     @_traced_collective
     def allreduce(
@@ -606,7 +593,7 @@ class Communicator:
         plan = self._plan
         node, pos = plan.where[self.rank]
         my_group = plan.node_groups[node]
-        accum = self._reduce_members(value, op, tag, my_group, pos, 0)
+        accum = self._reduce_members(value, op, tag, my_group, pos)
         if pos == 0:
             if inter_algorithm == "recursive_doubling":
                 accum = self._allreduce_rd(accum, op, tag, plan.leaders, node)
@@ -621,19 +608,16 @@ class Communicator:
         return self._bcast_members(accum, tag, my_group, pos, 0)
 
     def _reduce_members(
-        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int,
-        root_pos: int,
+        self, value: Any, op: ReduceOp, tag: int, members: Sequence[int], me: int
     ) -> Any:
-        """Binomial reduce over ``members`` to position ``root_pos`` (None
-        elsewhere); children are received deepest first."""
+        """Binomial reduce over ``members`` to position 0 (None elsewhere);
+        children are received deepest first."""
         size = len(members)
         accum = value
-        for child in reversed(
-            self._plan.peers(coll.binomial_children, me, size, root_pos)
-        ):
+        for child in reversed(self._plan.peers(coll.binomial_children, me, size, 0)):
             msg = self._recv_impl(members[child], tag)
             accum = op(accum, msg.payload)
-        parent = coll.binomial_parent(me, size, root_pos)
+        parent = coll.binomial_parent(me, size, 0)
         if parent is not None:
             self._send_impl(accum, members[parent], tag)
             return None
@@ -672,23 +656,6 @@ class Communicator:
         return out
 
     @_traced_collective
-    def scatter(self, values: list[Any] | None, root: int = 0) -> Any:
-        """Linear scatter from ``root``; each rank returns its slice."""
-        self._check_peer(root)
-        tag = self._next_coll_tag()
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise CommunicatorError(
-                    f"scatter root needs a list of exactly {self.size} items"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self._send_impl(values[dest], dest, tag)
-            return values[root]
-        msg = self._recv_impl(root, tag)
-        return msg.payload
-
-    @_traced_collective
     def alltoall(self, values: list[Any]) -> list[Any]:
         """Pairwise-exchange all-to-all."""
         if len(values) != self.size:
@@ -705,53 +672,6 @@ class Communicator:
             msg = self._recv_impl(src, tag)
             out[self._local_of(msg.source)] = msg.payload
         return out
-
-    @_traced_collective
-    def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Inclusive prefix scan along the rank chain."""
-        tag = self._next_coll_tag()
-        accum = value
-        if self.rank > 0:
-            msg = self._recv_impl(self.rank - 1, tag)
-            accum = op(msg.payload, value)
-        if self.rank + 1 < self.size:
-            self._send_impl(accum, self.rank + 1, tag)
-        return accum
-
-    @_traced_collective
-    def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Exclusive prefix scan; rank 0 receives None.
-
-        The classic use is computing global DOF offsets from local
-        counts, which is exactly what the distributed assembly needs.
-        """
-        tag = self._next_coll_tag()
-        prefix = None
-        if self.rank > 0:
-            msg = self._recv_impl(self.rank - 1, tag)
-            prefix = msg.payload
-        if self.rank + 1 < self.size:
-            carry = value if prefix is None else op(prefix, value)
-            self._send_impl(carry, self.rank + 1, tag)
-        return prefix
-
-    @_traced_collective
-    def reduce_scatter_block(self, values: list[Any], op: ReduceOp = SUM) -> Any:
-        """Reduce ``values`` elementwise across ranks, scatter one block each.
-
-        ``values`` must have exactly ``size`` entries; rank ``i`` returns
-        the reduction of everyone's ``values[i]``.  Implemented as
-        pairwise exchange + local reduction (the small-message algorithm).
-        """
-        if len(values) != self.size:
-            raise CommunicatorError(
-                f"reduce_scatter_block needs a list of exactly {self.size} items"
-            )
-        contributions = self.alltoall(values)
-        accum = contributions[0]
-        for item in contributions[1:]:
-            accum = op(accum, item)
-        return accum
 
     # -- communicator management -----------------------------------------------------
 

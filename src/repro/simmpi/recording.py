@@ -97,9 +97,7 @@ class ScheduleRecording:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_log(
-        cls, events: Sequence[Sequence[tuple]], meta: dict | None = None
-    ) -> "ScheduleRecording | None":
+    def from_log(cls, events: Sequence[Sequence[tuple]]) -> "ScheduleRecording | None":
         """Project one launch's per-rank log events (a
         :class:`~repro.simmpi.tracing.LogWindow`'s ``events``) onto a
         recording; None if any rank logged an unsupported feature.
@@ -123,7 +121,6 @@ class ScheduleRecording:
             ops.append(tuple(rank_ops))
         return cls(
             num_ranks=len(ops),
-            meta=dict(meta) if meta else {},
             ops=tuple(ops),
             algorithms=tuple(tuple(ev[1:] for ev in rank_events if ev[0] == ALGORITHM)
                              for rank_events in events),

@@ -7,8 +7,8 @@ MPI's ``coll/tuned`` decision tables).  simmpi does the same, but
 candidate :class:`~repro.simmpi.collectives.ScheduleShape` is priced
 against the platform's alpha-beta links (:mod:`repro.network.model`)
 with NIC-contention flow counts from :mod:`repro.network.contention`,
-and the cheapest schedule wins.  Only the allreduce has a menu: broadcast
-and reduce always run the binomial tree.
+and the cheapest schedule wins.  Only the allreduce has a menu: a
+broadcast always runs the binomial tree.
 
 The selection is a pure function of ``(communicator size, message
 bytes, topology)`` — every rank computes the same answer with

@@ -110,8 +110,8 @@ class TestRecorder:
         log.rank(0).append((SEND, 1, 7, 64, 2.5, 2.6))
         log.rank(1).append((RECV, 0, 7, 64, 0.0, 2.7, 1, True))
         log.rank(1).append((COLLECTIVE, "allreduce", 2.7, 3.0))
-        rec = ScheduleRecording.from_log(
-            log.since((0, 0)).events, meta={"workload": "unit"}
+        rec = ScheduleRecording.from_log(log.since((0, 0)).events).with_meta(
+            workload="unit"
         )
         assert rec.ops == ((("c", 2.5, "assembly"), ("s", 1, 7, 64)),
                            (("r", 0, 7, 64), ("k", "allreduce")))

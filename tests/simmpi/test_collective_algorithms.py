@@ -1,4 +1,4 @@
-"""Broadcast and reduce: one binomial tree each, on both engines.
+"""Broadcast: one binomial tree, on both engines.
 
 Every size from one rank to a non-power-of-two 27, rooted at the first,
 middle and last rank, with an object and an ndarray payload.  A tree of
@@ -15,7 +15,6 @@ from repro.errors import CommunicatorError
 from repro.network.model import GIGABIT_ETHERNET, NetworkModel
 from repro.network.topology import ClusterTopology
 from repro.simmpi.comm import SEND_OVERHEAD
-from repro.simmpi.datatypes import SUM
 from repro.simmpi.launcher import run_spmd
 
 SIZES = (1, 2, 3, 5, 8, 13, 27)
@@ -57,22 +56,6 @@ def test_bcast_delivers_the_roots_payload(p, root, kind):
     assert result.algorithm_counts == {"bcast.binomial": p}
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("p,root", CASES)
-def test_reduce_lands_the_sum_on_the_root(p, root, kind):
-    def mine(rank):
-        return rank + 1 if kind == "object" else np.full(4, rank + 1.0)
-
-    def main(comm):
-        return comm.reduce(mine(comm.rank), op=SUM, root=root)
-
-    result = run_both(main, p)
-    total = p * (p + 1) // 2
-    expected = total if kind == "object" else np.full(4, float(total))
-    for rank, value in enumerate(result.returns):
-        assert same(value, expected) if rank == root else value is None
-
-
 def test_the_root_injects_one_child_at_a_time():
     """p = 3, one rank per node on 1 GbE: the root's second child gets
     the payload one injection (``SEND_OVERHEAD + n / bandwidth``) after
@@ -90,13 +73,10 @@ def test_the_root_injects_one_child_at_a_time():
     assert second - first == pytest.approx(injection, rel=1e-9)
 
 
-
 def test_an_unknown_algorithm_is_refused():
     """Only the allreduce has a menu: a name outside it is refused, and
-    broadcast and reduce take no ``algorithm=`` at all."""
+    broadcast takes no ``algorithm=`` at all."""
     with pytest.raises(CommunicatorError, match="hypercube"):
         run_spmd(lambda comm: comm.allreduce(1, algorithm="hypercube"), 2)
     with pytest.raises(TypeError, match="algorithm"):
         run_spmd(lambda comm: comm.bcast(1, algorithm="binomial"), 2)
-    with pytest.raises(TypeError, match="algorithm"):
-        run_spmd(lambda comm: comm.reduce(1, algorithm="binomial"), 2)

