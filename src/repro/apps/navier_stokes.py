@@ -76,16 +76,16 @@ class NSProblem:
     t0: ClassVar[float] = 0.0
     bdf_order: ClassVar[int] = 2
 
+    #: The viscosity of the benchmark.
+    nu: ClassVar[float] = EthierSteinmanSolution.nu
+
     mesh_shape: tuple[int, int, int] = (8, 8, 8)
     dt: float = 0.002
     num_steps: int = 10
-    nu: float = 1.0
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or self.num_steps < 1:
             raise ReproError("dt must be positive and num_steps >= 1")
-        if self.nu <= 0:
-            raise ReproError("viscosity must be positive")
 
     def mesh(self) -> StructuredBoxMesh:
         """The [-1, 1]^3 mesh of the Ethier-Steinman benchmark."""
@@ -138,17 +138,9 @@ class NSSolver:
         problem: NSProblem,
         tol: float = 1e-10,
         discard: int = 5,
-        rotational: bool = False,
     ):
-        """``rotational=True`` selects the rotational incremental form
-        (Timmermans/Guermond): ``p^{n+1} = p^n + phi - nu div(u*)``,
-        which removes the artificial pressure Neumann boundary layer of
-        the standard form.  Its payoff appears when the splitting error
-        dominates; at the coarse resolutions the test suite affords, the
-        two variants agree within the spatial error."""
-        self.rotational = rotational
         self.problem = problem
-        self.exact = EthierSteinmanSolution(nu=problem.nu)
+        self.exact = EthierSteinmanSolution()
         # Holding the bundle is what keeps the launch's shared entry alive.
         self._operators = ops = shared_discretization(
             (type(problem), tuple(problem.mesh_shape)),  # always Q1
@@ -347,13 +339,6 @@ class NSSolver:
             projections.append(result)
 
         pressure = self.pressure + phi
-        if self.rotational:
-            # Rotational form: subtract nu * div(u*) (as an L2-projected
-            # nodal field) from the pressure update.
-            div_result = cg(
-                self.mass, divergence, tol=self.tol, maxiter=2000, strict=True
-            )
-            pressure = pressure - self.problem.nu * div_result.x
         self.momentum_iterations.extend(result.iterations for result in momentum)
         self.pressure_iterations.append(phi_result.iterations)
         for bdf, component in zip(self.bdf, u_new):

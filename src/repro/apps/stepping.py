@@ -111,7 +111,8 @@ class DistributedStep:
         ownership: list[np.ndarray] | None = None,
         numbering: str = "owned-first",
     ):
-        self.check_preconditioner(preconditioner)
+        if preconditioner is not None and preconditioner not in self.PRECONDITIONERS:
+            raise ReproError(f"unknown distributed preconditioner {preconditioner!r}")
         self.preconditioner = preconditioner or self.DEFAULT_PRECONDITIONER
         self.comm = comm
         self.tol = self.TOL if tol is None else tol
@@ -128,13 +129,6 @@ class DistributedStep:
             if isinstance(problem, cls.PROBLEM):
                 return cls
         raise ReproError(f"no distributed step for {type(problem).__name__}")
-
-    @classmethod
-    def check_preconditioner(cls, name: str | None) -> None:
-        """Raise :class:`ReproError` unless ``name`` is a distributed
-        preconditioner of this step (``None``: the default)."""
-        if name is not None and name not in cls.PRECONDITIONERS:
-            raise ReproError(f"unknown distributed preconditioner {name!r}")
 
     def make_solver(self, problem, tol: float):
         """The application's solver for ``problem``, built once per step object."""

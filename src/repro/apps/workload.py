@@ -6,8 +6,8 @@ real numerics is pointless; these closed forms are derived from the
 algorithms' operation counts and cross-validated against executed runs
 by the test suite and :mod:`repro.perfmodel.calibration`.
 
-Conventions: every rank owns ``elements_per_rank`` hex elements (the
-paper: 20^3), ranks form a cubic process grid, and the halo with each
+Conventions: every rank owns ``ELEMENTS_PER_RANK`` hex elements (the
+paper's 20^3), ranks form a cubic process grid, and the halo with each
 face neighbour is one element-face layer of DOFs.
 """
 
@@ -18,6 +18,9 @@ from dataclasses import dataclass, replace
 from repro.errors import ExperimentError, ReproError
 
 BYTES_PER_DOF = 8  # double precision
+
+#: Hex elements each rank owns in the paper's weak-scaling runs.
+ELEMENTS_PER_RANK = 20**3
 
 
 @dataclass(frozen=True)

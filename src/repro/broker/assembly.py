@@ -52,9 +52,13 @@ from repro.platforms.spec import PlatformSpec
 #: Name of the synthetic spot-mix candidate (the paper's §VII.D strategy).
 SPOT_MIX = "ec2-mix"
 
-#: Default expected spare cc2.8xlarge capacity in one AZ (the market
-#: model's mean): large spot requests only partially fill (§VII.B).
-DEFAULT_SPOT_POOL = 40.0
+#: Expected spare cc2.8xlarge capacity in one AZ (the market model's
+#: mean): large spot requests only partially fill (§VII.B).
+SPOT_POOL_MEAN = 40.0
+
+#: Seconds to write one checkpoint, and to restart from one (§VII.D).
+CHECKPOINT_SECONDS = 30.0
+RESTART_SECONDS = 120.0
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,6 @@ class BrokerRequest:
     max_interruption_probability: float | None = None
     # Spot-market shape for the mix candidate.
     spot_spike_probability: float = 0.06
-    spot_pool_mean: float = DEFAULT_SPOT_POOL
-    checkpoint_seconds: float = 30.0
-    restart_seconds: float = 120.0
     # Scoring priorities (relative; normalized per attribute).
     cost_weight: float = 1.0
     time_weight: float = 0.25
@@ -85,8 +86,6 @@ class BrokerRequest:
             raise BrokerError("scoring weights must be non-negative")
         if not 0.0 <= self.spot_spike_probability <= 1.0:
             raise BrokerError("spot_spike_probability must be in [0, 1]")
-        if min(self.checkpoint_seconds, self.restart_seconds) < 0:
-            raise BrokerError("checkpoint and restart seconds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -290,18 +289,13 @@ def _platform_plan(platform: PlatformSpec, request: BrokerRequest) -> AssemblyPl
     )
 
 
-def _spot_nodes(request: BrokerRequest, nodes: int) -> int:
-    """Nodes the spot market fills, in expectation (§VII.B)."""
-    return min(nodes, int(round(request.spot_pool_mean)))
-
-
 def _checkpoint_model(
     request: BrokerRequest, spot_nodes: int
 ) -> CheckpointRestartModel:
     """Checkpoint/restart model while ``spot_nodes`` are reclaim-exposed."""
     return CheckpointRestartModel(
-        checkpoint_seconds=request.checkpoint_seconds,
-        restart_seconds=request.restart_seconds,
+        checkpoint_seconds=CHECKPOINT_SECONDS,
+        restart_seconds=RESTART_SECONDS,
         failure_rate_per_hour=request.spot_spike_probability * spot_nodes,
     )
 
@@ -324,7 +318,7 @@ def _spot_mix_plan(request: BrokerRequest) -> AssemblyPlan:
     deployed, phases = base
     compute_s, nodes = deployed.runtime_s, deployed.nodes
 
-    spot_nodes = _spot_nodes(request, nodes)
+    spot_nodes = min(nodes, round(SPOT_POOL_MEAN))
     ondemand_nodes = nodes - spot_nodes
     model = _checkpoint_model(request, spot_nodes)
     failure_rate_per_hour = model.failure_rate_per_hour
@@ -608,7 +602,7 @@ class ElasticBroker:
         if self.market is None:
             self.market = SpotMarket(
                 CC2_8XLARGE,
-                spare_capacity_mean=max(self.request.spot_pool_mean, 1.0),
+                spare_capacity_mean=SPOT_POOL_MEAN,
                 spike_probability=self.request.spot_spike_probability,
                 seed=self.request.seed,
             )
@@ -638,8 +632,8 @@ class ElasticBroker:
                 spot_node_hourly=spot_hr,
                 ondemand_node_hourly=od_hr,
                 spike_probability_per_hour=request.spot_spike_probability,
-                checkpoint_seconds=request.checkpoint_seconds,
-                restart_seconds=request.restart_seconds,
+                checkpoint_seconds=CHECKPOINT_SECONDS,
+                restart_seconds=RESTART_SECONDS,
                 switch_seconds=switch,
             )
             finish_s = elapsed_s + togo["wall_seconds"]
@@ -666,7 +660,7 @@ class ElasticBroker:
                 degraded_rate,
                 survivors,
                 ondemand_nodes,
-                request.restart_seconds,
+                RESTART_SECONDS,
                 f"{hosting} subdomains on {active} nodes",
             ),
             option(
@@ -674,7 +668,7 @@ class ElasticBroker:
                 float(active),
                 survivors,
                 ondemand_nodes,
-                request.restart_seconds + self.repartition_seconds,
+                RESTART_SECONDS + self.repartition_seconds,
                 f"repartition {hosting} -> {active}",
             ),
             option(
@@ -682,7 +676,7 @@ class ElasticBroker:
                 float(nodes),
                 0,
                 nodes,
-                request.restart_seconds + self.migration_seconds,
+                RESTART_SECONDS + self.migration_seconds,
                 f"all {nodes} nodes on demand",
             ),
         )
@@ -719,7 +713,7 @@ class ElasticBroker:
             raise BrokerError(f"{platform.name}: {exc}") from None
         nodes, compute_s = deployed.nodes, deployed.runtime_s
         od_hr = platform.cost_per_core_hour * platform.cores_per_node
-        spot_nodes = _spot_nodes(request, nodes)
+        spot_nodes = min(nodes, round(SPOT_POOL_MEAN))
 
         decisions, cost, elapsed, f_spot, f_od = self._simulate(
             None, nodes, compute_s, spot_nodes, emit=True
@@ -794,7 +788,7 @@ class ElasticBroker:
         def overhead_factor(exposed: int) -> float:
             """Young checkpoint overhead ``1 + c/tau`` while spot-exposed."""
             tau = tau_for(exposed)
-            return 1.0 if tau is None else 1.0 + request.checkpoint_seconds / tau
+            return 1.0 if tau is None else 1.0 + CHECKPOINT_SECONDS / tau
 
         for _round in range(self._max_rounds):
             active = spot_nodes + ondemand_nodes
@@ -847,20 +841,14 @@ class ElasticBroker:
                 survivors=survivors,
             ):
                 if action == "continue-degraded":
-                    pause = rework + request.restart_seconds
+                    pause = rework + RESTART_SECONDS
                     spot_nodes = survivors
                 elif action == "shrink":
-                    pause = (
-                        rework + request.restart_seconds
-                        + self.repartition_seconds
-                    )
+                    pause = rework + RESTART_SECONDS + self.repartition_seconds
                     spot_nodes = survivors
                     hosting = survivors + ondemand_nodes
                 else:  # migrate-and-expand
-                    pause = (
-                        rework + request.restart_seconds
-                        + self.migration_seconds
-                    )
+                    pause = rework + RESTART_SECONDS + self.migration_seconds
                     spot_nodes = 0
                     ondemand_nodes = nodes
                     hosting = nodes

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.broker.cache import CacheStats, SweepCache, code_fingerprint, point_key
 from repro.broker.registry import ArtifactSpec, get_artifact, resolve_artifacts
-from repro.errors import ExperimentError
 from repro.harness.config import RunConfig
 from repro.obs.core import NULL_RANK_OBS, Observability, ObsConfig
 
@@ -70,20 +69,16 @@ def run_sweep(
     config: RunConfig | None = None,
     parallel: int = 0,
     use_cache: bool = True,
-    hub: Observability | None = None,
 ) -> SweepReport:
     """Regenerate ``artifacts`` (names, or 'all') as one point sweep.
 
     ``parallel`` <= 1 evaluates in-process; higher values bound the
-    worker-process pool.  ``hub`` overrides the hub the config would
-    create (so :func:`repro.run` can share one across phases).
+    worker-process pool.  The sweep is observed by the hub ``config``
+    creates (none when ``config.obs`` is off).
     """
     config = config if config is not None else RunConfig()
     specs = resolve_artifacts(artifacts)
-    if hub is None:
-        hub = config.hub()
-    elif not isinstance(hub, Observability):
-        raise ExperimentError("hub= must be an Observability (or None)")
+    hub = config.hub()
     view = NULL_RANK_OBS if hub is None else hub.wall_view()
     observed = hub is not None and hub.config.enabled
 

@@ -160,6 +160,10 @@ class CloudCluster:
         )
 
 
+#: On-demand instances the service can launch at once.
+ON_DEMAND_CAPACITY = 200
+
+
 class EC2Service:
     """The simulated IaaS endpoint."""
 
@@ -167,15 +171,11 @@ class EC2Service:
         self,
         instance_type: InstanceType = CC2_8XLARGE,
         image: MachineImage = BASE_CENTOS_IMAGE,
-        on_demand_capacity: int = 200,
         spot_market: SpotMarket | None = None,
         seed: int = 0,
     ):
-        if on_demand_capacity < 1:
-            raise CloudError("service needs on-demand capacity")
         self.instance_type = instance_type
         self.image = image
-        self.on_demand_capacity = on_demand_capacity
         self.spot_market = spot_market or SpotMarket(instance_type, seed=seed)
         self._launched = 0
         self._ip_counter = itertools.count(10)
@@ -187,7 +187,7 @@ class EC2Service:
     def _launch(
         self, count: int, pricing: str, hourly_price: float, group: PlacementGroup
     ) -> list[Instance]:
-        if self._launched + count > self.on_demand_capacity + 10_000:
+        if self._launched + count > ON_DEMAND_CAPACITY + 10_000:
             raise CloudError("service capacity exhausted")
         out = []
         for _ in range(count):
@@ -209,10 +209,10 @@ class EC2Service:
         """Table II's 'full' column: paid instances, single placement group."""
         if num_nodes < 1:
             raise CloudError(f"need >= 1 node, got {num_nodes}")
-        if num_nodes > self.on_demand_capacity:
+        if num_nodes > ON_DEMAND_CAPACITY:
             raise CloudError(
                 f"requested {num_nodes} on-demand instances; capacity is "
-                f"{self.on_demand_capacity}"
+                f"{ON_DEMAND_CAPACITY}"
             )
         placement = PlacementMap.single_group(num_nodes)
         group = placement.group_of(0)
@@ -237,7 +237,7 @@ class EC2Service:
         )
         spot_count = spot_result.fulfilled
         paid_count = num_nodes - spot_count
-        if paid_count > self.on_demand_capacity:
+        if paid_count > ON_DEMAND_CAPACITY:
             raise CloudError("cannot top up the mix: on-demand capacity exhausted")
 
         placement = PlacementMap.spread(num_nodes, MIX_PLACEMENT_GROUPS, seed=seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PlatformError
-from repro.apps.workload import AppWorkload
+from repro.apps.workload import ELEMENTS_PER_RANK, AppWorkload
 from repro.costs.model import PlatformCostModel
 from repro.perfmodel.calibration import time_scale_for
 from repro.perfmodel.phases import PhaseModel, PhasePrediction
@@ -57,7 +57,6 @@ def deploy_and_run(
     workload: AppWorkload,
     num_ranks: int,
     num_iterations: int = 100,
-    elements_per_rank: int = 20**3,
 ) -> DeploymentReport:
     """Run the full pipeline; raises :class:`PlatformError` when the
     platform cannot execute the request (capacity or §VII.A ceilings).
@@ -67,22 +66,18 @@ def deploy_and_run(
     reason = rank_ceiling_reason(platform, num_ranks)
     if reason is not None:
         raise PlatformError(reason)
-    required = workload.memory_per_rank_bytes(elements_per_rank)
+    required = workload.memory_per_rank_bytes(ELEMENTS_PER_RANK)
     available = platform.node.ram_per_core_gb * 1e9
     if required > available:
         raise PlatformError(
-            f"{platform.name}: {elements_per_rank} elements/rank need "
+            f"{platform.name}: {ELEMENTS_PER_RANK} elements/rank need "
             f"{required / 1e9:.2f} GB but the node offers "
             f"{platform.node.ram_per_core_gb:.1f} GB per core "
             f"(Table I 'RAM/core'; §VIII contrasts 1 GB/core 2006 nodes "
             f"with cc2.8xlarge's 3.8 GB)"
         )
 
-    model = PhaseModel(
-        workload, platform,
-        elements_per_rank=elements_per_rank,
-        time_scale=time_scale_for(workload),
-    )
+    model = PhaseModel(workload, platform, time_scale=time_scale_for(workload))
     phases = model.predict(num_ranks)
     runtime = phases.total * num_iterations
     job = JobRequest(num_ranks=num_ranks, walltime_s=runtime * 1.5)

@@ -44,13 +44,12 @@ def ascii_table(headers: list[str], rows: list[list], fmt: str = "{:.4g}") -> st
 
 def ascii_chart(
     series: dict[str, list[tuple[float, float]]],
-    logy: bool = True,
     title: str = "",
 ) -> str:
-    """A crude 60 x 16 multi-series scatter chart in text, log-y by default.
+    """A crude 60 x 16 multi-series scatter chart in text, log-y.
 
-    Each series is a list of (x, y); y values must be positive for the
-    log scale.  Missing/infeasible points should simply be absent.
+    Each series is a list of (x, y) with positive y.  Missing/infeasible
+    points should simply be absent.
     """
     width, height = 60, 16
     points = [(x, y) for pts in series.values() for x, y in pts if math.isfinite(y)]
@@ -58,13 +57,10 @@ def ascii_chart(
         raise ExperimentError("no finite points to chart")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    if logy and min(ys) <= 0:
+    if min(ys) <= 0:
         raise ExperimentError("log-scale chart requires positive y values")
 
-    def ty(y: float) -> float:
-        return math.log10(y) if logy else y
-
-    y_lo, y_hi = ty(min(ys)), ty(max(ys))
+    y_lo, y_hi = math.log10(min(ys)), math.log10(max(ys))
     x_lo, x_hi = min(xs), max(xs)
     y_span = (y_hi - y_lo) or 1.0
     x_span = (x_hi - x_lo) or 1.0
@@ -77,14 +73,13 @@ def ascii_chart(
             if not math.isfinite(y):
                 continue
             col = round((x - x_lo) / x_span * (width - 1))
-            row = round((ty(y) - y_lo) / y_span * (height - 1))
+            row = round((math.log10(y) - y_lo) / y_span * (height - 1))
             grid[height - 1 - row][col] = mark
 
     out = io.StringIO()
     if title:
         out.write(title + "\n")
-    y_top = f"{10**y_hi:.3g}" if logy else f"{y_hi:.3g}"
-    y_bot = f"{10**y_lo:.3g}" if logy else f"{y_lo:.3g}"
+    y_top, y_bot = f"{10**y_hi:.3g}", f"{10**y_lo:.3g}"
     for i, line in enumerate(grid):
         label = y_top if i == 0 else (y_bot if i == height - 1 else "")
         out.write(f"{label:>9} |" + "".join(line) + "\n")

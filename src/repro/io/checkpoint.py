@@ -190,8 +190,7 @@ def read_checkpoint(path: str | Path) -> CheckpointData:
 # ---------------------------------------------------------------------------
 
 
-def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
-               rng_state: dict | None = None) -> int:
+def save_state(path: str | Path, solver, extra_metadata: dict | None = None) -> int:
     """Write a v2 restart checkpoint of ``solver`` (``solver.state()``).
 
     Works for any solver with ``problem`` / ``state()`` / ``restore()``
@@ -200,9 +199,7 @@ def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
     as raw float64, the clock, step and counters (iteration counts,
     residual histories) as metadata next to the problem's application
     name and discretization, against which :func:`read_state`
-    validates.  ``rng_state`` (a numpy Generator's
-    ``bit_generator.state``) makes stochastic components resume on the
-    exact same draw sequence.
+    validates.  ``extra_metadata`` joins the metadata as given.
     """
     problem, state = solver.problem, solver.state()
     metadata = {
@@ -214,8 +211,6 @@ def save_state(path: str | Path, solver, extra_metadata: dict | None = None,
         "discretization": problem.discretization(),
         "solver_state": dict(state.counters),
     }
-    if rng_state is not None:
-        metadata["rng_state"] = rng_state
     if extra_metadata:
         metadata.update(extra_metadata)
     fields = {

@@ -417,11 +417,11 @@ class BlockJacobiPreconditioner:
     The domain-decomposition preconditioner that mirrors how the parallel
     runs precondition: each rank factorizes its diagonal block and
     applications need no communication.  ``blocks`` is a list of index
-    arrays (one per subdomain); ``local_factory`` builds the local solver
-    (default: ILU(0) of the diagonal block).
+    arrays (one per subdomain); each local solver is ILU(0) of its
+    diagonal block.
     """
 
-    def __init__(self, matrix, blocks: list[np.ndarray], local_factory=None):
+    def __init__(self, matrix, blocks: list[np.ndarray]):
         csr = _require_square_csr(matrix)
         n = csr.shape[0]
         cover = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks]) if blocks else np.array([], dtype=np.int64)
@@ -429,16 +429,13 @@ class BlockJacobiPreconditioner:
             raise SolverError(
                 "block-Jacobi blocks must partition the index set exactly"
             )
-        if local_factory is None:
-            local_factory = ILU0Preconditioner
-        self._local_factory = local_factory
         self._n = n
         self._blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
         self._local = [None] * len(self._blocks)
         self.update(csr)
 
     def update(self, matrix) -> "BlockJacobiPreconditioner":
-        """Refresh (or, for a slot that cannot, rebuild) every local block
+        """Refresh (or, on the first call, build) every local block
         solver for new operator values."""
         csr = _require_square_csr(matrix)
         self.setup_flops = 0
@@ -446,11 +443,10 @@ class BlockJacobiPreconditioner:
         for i, idx in enumerate(self._blocks):
             sub = csr[idx][:, idx].tocsr()
             solver = self._local[i]
-            if hasattr(solver, "update"):
-                solver.update(sub)
+            if solver is None:
+                solver = self._local[i] = ILU0Preconditioner(sub)
             else:
-                solver = self._local_factory(sub)
-                self._local[i] = solver
+                solver.update(sub)
             self.setup_flops += solver.setup_flops
             self.apply_flops += solver.apply_flops
         return self

@@ -35,19 +35,6 @@ class LinkModel:
         if self.bandwidth <= 0:
             raise NetworkError(f"bandwidth must be > 0, got {self.bandwidth}")
 
-    def transfer_time(self, num_bytes: float, concurrency: int = 1) -> float:
-        """Time for one message of ``num_bytes``.
-
-        ``concurrency`` models NIC sharing: that many flows traverse the
-        same adapter simultaneously, so each sees ``bandwidth /
-        concurrency``.
-        """
-        if num_bytes < 0:
-            raise NetworkError(f"message size must be >= 0, got {num_bytes}")
-        if concurrency < 1:
-            raise NetworkError(f"concurrency must be >= 1, got {concurrency}")
-        return self.latency + num_bytes * concurrency / self.bandwidth
-
     def scaled(self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0) -> "LinkModel":
         """A derived link with scaled parameters (e.g. cross-placement-group)."""
         return LinkModel(
@@ -105,15 +92,6 @@ class NetworkModel:
         if node_a == node_b:
             return self.intranode
         return self.internode
-
-    def transfer_time(
-        self, num_bytes: float, node_a: int, node_b: int, concurrency: int = 1
-    ) -> float:
-        """Transfer time for one message between two placed ranks."""
-        link = self.link_between(node_a, node_b)
-        if node_a == node_b:
-            concurrency = 1  # shared memory does not share the NIC
-        return link.transfer_time(num_bytes, concurrency)
 
     def __repr__(self) -> str:
         return f"NetworkModel(internode={self.internode.name}, intranode={self.intranode.name})"

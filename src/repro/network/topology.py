@@ -61,14 +61,6 @@ class ClusterTopology:
         """Whether the machine has enough cores for ``num_ranks``."""
         return 1 <= num_ranks <= self.total_cores
 
-    def transfer_time(
-        self, num_bytes: float, rank_a: int, rank_b: int, concurrency: int = 1
-    ) -> float:
-        """Message time between two ranks, resolving their placement."""
-        return self.network.transfer_time(
-            num_bytes, self.node_of_rank(rank_a), self.node_of_rank(rank_b), concurrency
-        )
-
     def __repr__(self) -> str:
         return (
             f"ClusterTopology({self.num_nodes} nodes x {self.cores_per_node} cores, "

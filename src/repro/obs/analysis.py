@@ -23,7 +23,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.apps.phases import DEFAULT_DISCARD, PHASE_NAMES
+from repro.apps.phases import PHASE_NAMES
 from repro.obs.spans import Span, iter_spans, spans_named
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,7 @@ def _phase_series(roots: list[Span]) -> dict[str, list[float]]:
     return series
 
 
-def phase_statistics(
-    obs, discard: int | None = None
-) -> dict[int | None, dict[str, PhaseStats]]:
+def phase_statistics(obs) -> dict[int | None, dict[str, PhaseStats]]:
     """Per-rank (and merged) phase statistics with the paper's reduction.
 
     Each ``step`` span's children named in ``PHASE_NAMES`` make one
@@ -67,10 +65,10 @@ def phase_statistics(
     The merged row (key ``None``) takes, per iteration, the *maximum*
     over ranks — the slowest rank bounds the iteration, §VII.A's "total
     maximal iteration time" — before the discard-and-average step of
-    :meth:`~repro.apps.phases.PhaseLog.averages`.
+    :meth:`~repro.apps.phases.PhaseLog.averages`, which drops the hub's
+    ``config.discard`` warm-up iterations.
     """
-    if discard is None:
-        discard = getattr(obs.config, "discard", DEFAULT_DISCARD)
+    discard = obs.config.discard
     out: dict[int | None, dict[str, PhaseStats]] = {}
     all_series: dict[int, dict[str, list[float]]] = {}
     for rank, roots in obs.all_roots().items():

@@ -189,11 +189,12 @@ class Observability:
             return NULL_RANK_OBS
         return RankObs(self, comm.rank, lambda: comm.time)
 
-    def wall_view(self, rank: int = 0, now=None) -> RankObs:
-        """A view on the wall clock (sequential solvers, harness sweeps)."""
+    def wall_view(self, now=None) -> RankObs:
+        """Rank 0's view on the wall clock (sequential solvers, harness
+        sweeps)."""
         if not self.config.enabled:
             return NULL_RANK_OBS
-        return RankObs(self, rank, now if now is not None else time.perf_counter)
+        return RankObs(self, 0, now if now is not None else time.perf_counter)
 
     # -- communication counters ---------------------------------------------
 

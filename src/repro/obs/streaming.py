@@ -28,20 +28,22 @@ from typing import Any, Iterator
 #: Default telemetry file name inside an observability out_dir.
 STREAM_FILENAME = "stream.jsonl"
 
+#: Rows that may accumulate before an automatic file flush.
+FLUSH_INTERVAL = 32
+
 
 class StreamingSink:
     """Telemetry rows, batch-flushed to an append-only file.
 
-    ``flush_interval`` is how many rows may accumulate before an
-    automatic file flush (1 = write through).  A sink without a path
-    writes nothing.  The sink never *re*writes the file, so concurrent
+    Every ``FLUSH_INTERVAL`` rows, and on :meth:`flush` / :meth:`close`,
+    the pending rows are appended.  A sink without a path writes
+    nothing.  The sink never *re*writes the file, so concurrent
     readers only ever race the last partial line — which
     :func:`read_rows` tolerates.
     """
 
-    def __init__(self, path: str | os.PathLike | None, flush_interval: int = 32):
+    def __init__(self, path: str | os.PathLike | None):
         self.path = None if path is None else os.fspath(path)
-        self.flush_interval = max(1, int(flush_interval))
         self._pending: list[dict] = []
         self._seq = 0
 
@@ -50,7 +52,7 @@ class StreamingSink:
         row = {"seq": self._seq, "kind": kind, "wall": time.time(), **fields}
         self._seq += 1
         self._pending.append(row)
-        if len(self._pending) >= self.flush_interval:
+        if len(self._pending) >= FLUSH_INTERVAL:
             self.flush()
         return row
 

@@ -1,7 +1,7 @@
 """Recursive coordinate bisection (RCB).
 
 A geometric partitioner: repeatedly split the current cell set through
-the median of its longest bounding-box axis, sending weighted halves to
+the median of its longest bounding-box axis, sending equal halves to
 the two sides.  Handles non-power-of-two part counts by splitting
 proportionally (a 5-part problem splits 3:2 first).
 """
@@ -17,13 +17,11 @@ from repro.fem.mesh import StructuredBoxMesh
 def partition_rcb(
     mesh: StructuredBoxMesh,
     num_parts: int,
-    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Partition cells into ``num_parts`` by recursive coordinate bisection.
 
-    ``weights`` (optional, positive) is the per-cell load; the paper
-    measures load as the number of mesh elements per process, i.e. unit
-    weights.
+    Every cell weighs the same: the paper measures load as the number of
+    mesh elements per process.
     """
     if num_parts < 1:
         raise PartitionError(f"num_parts must be >= 1, got {num_parts}")
@@ -31,26 +29,14 @@ def partition_rcb(
         raise PartitionError(
             f"cannot split {mesh.num_cells} cells into {num_parts} parts"
         )
-    if weights is None:
-        weights = np.ones(mesh.num_cells)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (mesh.num_cells,):
-            raise PartitionError(
-                f"weights shape {weights.shape} != ({mesh.num_cells},)"
-            )
-        if np.any(weights <= 0):
-            raise PartitionError("cell weights must be positive")
-
     centers = mesh.cell_centers
     assignment = np.zeros(mesh.num_cells, dtype=np.int64)
-    _bisect(centers, weights, np.arange(mesh.num_cells), 0, num_parts, assignment)
+    _bisect(centers, np.arange(mesh.num_cells), 0, num_parts, assignment)
     return assignment
 
 
 def _bisect(
     centers: np.ndarray,
-    weights: np.ndarray,
     cells: np.ndarray,
     first_part: int,
     num_parts: int,
@@ -69,19 +55,16 @@ def _bisect(
     axis = int(np.argmax(spans))
     order = np.argsort(pts[:, axis], kind="stable")
     sorted_cells = cells[order]
-    cum = np.cumsum(weights[sorted_cells])
+    # The running unit-weight load: 1.0, 2.0, ... (exact in float64).
+    cum = np.arange(1.0, len(cells) + 1.0)
     total = cum[-1]
     # First index where the left side reaches its weight target.
     split = int(np.searchsorted(cum, target_fraction * total))
     # Keep both sides non-empty and able to host their part counts.
     split = max(left_parts, min(split + 1, len(cells) - right_parts))
 
-    _bisect(centers, weights, sorted_cells[:split], first_part, left_parts, assignment)
+    _bisect(centers, sorted_cells[:split], first_part, left_parts, assignment)
     _bisect(
-        centers,
-        weights,
-        sorted_cells[split:],
-        first_part + left_parts,
-        right_parts,
+        centers, sorted_cells[split:], first_part + left_parts, right_parts,
         assignment,
     )

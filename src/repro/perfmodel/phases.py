@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.apps.workload import AppWorkload
+from repro.apps.workload import ELEMENTS_PER_RANK, AppWorkload
 from repro.network.contention import estimate_offnode_fraction, nic_sharing_factor
 from repro.network.model import LinkModel, NetworkModel
 from repro.network.topology import ClusterTopology
@@ -103,13 +103,10 @@ class PhaseModel:
         self,
         workload: AppWorkload,
         platform: PlatformSpec,
-        elements_per_rank: int = 20**3,
         time_scale: float = 1.0,
         topology: ClusterTopology | None = None,
         fused_solver: bool = False,
     ):
-        if elements_per_rank < 1:
-            raise ExperimentError("elements_per_rank must be >= 1")
         if time_scale <= 0:
             raise ExperimentError("time_scale must be positive")
         if fused_solver:
@@ -120,7 +117,6 @@ class PhaseModel:
         self.fused_solver = fused_solver
         self.workload = workload
         self.platform = platform
-        self.elements_per_rank = elements_per_rank
         self.time_scale = time_scale
         self._topology_override = topology
 
@@ -203,7 +199,7 @@ class PhaseModel:
         if num_ranks < 1:
             raise ExperimentError(f"num_ranks must be >= 1, got {num_ranks}")
         w = self.workload
-        e = self.elements_per_rank
+        e = ELEMENTS_PER_RANK
         topo = self._topology(num_ranks)
         neighbors = w.halo_neighbors(num_ranks)
         halo_unit = w.face_dofs(e) * 8.0  # one vector halo plane, bytes

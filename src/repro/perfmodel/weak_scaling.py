@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ExperimentError
 from repro.apps.workload import AppWorkload, paper_rank_series
 from repro.costs.model import cost_per_iteration
 from repro.perfmodel.calibration import time_scale_for
@@ -35,27 +34,23 @@ class WeakScalingPoint:
 def weak_scaling_sweep(
     workload: AppWorkload,
     platform: PlatformSpec,
-    rank_series: list[int] | None = None,
     core_hour_rate: float | None = None,
 ) -> list[WeakScalingPoint]:
-    """One platform's weak-scaling column for a figure, 20^3 elements a rank.
+    """One platform's weak-scaling column for a figure over the paper's
+    rank series, 20^3 elements a rank.
 
     Infeasible points (beyond the platform's ceiling) are included with
     ``feasible=False`` so the figure generators can report *why* a curve
     stops — the paper's curves for puma, ellipse and lagrange all
     truncate before 1000.
     """
-    if rank_series is None:
-        rank_series = paper_rank_series(1000)
-    if not rank_series:
-        raise ExperimentError("rank series is empty")
     model = PhaseModel(
         workload,
         platform,
         time_scale=time_scale_for(workload),
     )
     points = []
-    for p in rank_series:
+    for p in paper_rank_series(1000):
         reason = rank_ceiling_reason(platform, p)
         if reason is not None:
             points.append(

@@ -13,13 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ProvisioningError
 from repro.platforms.spec import AccessMode, PlatformSpec
-from repro.platforms.software import (
-    LIFEV_TARGET,
-    PackageRegistry,
-    lifev_stack_registry,
-)
+from repro.platforms.software import LIFEV_TARGET, lifev_stack_registry
 
 
 @dataclass(frozen=True)
@@ -104,12 +99,8 @@ def channel_available(platform: PlatformSpec, channel: str) -> bool:
     return channel in platform.install_channels
 
 
-def plan_provisioning(
-    platform: PlatformSpec,
-    registry: PackageRegistry | None = None,
-    target: str = LIFEV_TARGET,
-) -> ProvisioningPlan:
-    """Compute the provisioning plan that elevates ``platform`` to ``target``.
+def plan_provisioning(platform: PlatformSpec) -> ProvisioningPlan:
+    """Compute the provisioning plan that elevates ``platform`` to LifeV.
 
     Reproduces the §VI narratives:
 
@@ -119,42 +110,31 @@ def plan_provisioning(
     * ec2 — yum for toolchain/MPI, source for the scientific stack, plus
       the cloud-configuration actions (~a working day).
     """
-    if registry is None:
-        registry = lifev_stack_registry()
+    registry = lifev_stack_registry()
     plan = ProvisioningPlan(platform=platform.name)
 
-    for name in registry.closure([target]):
+    for name in registry.closure([LIFEV_TARGET]):
         pkg = registry.get(name)
         if name in platform.preinstalled:
             plan.actions.append(
                 ProvisioningAction(name, "preinstalled", 0.0, pkg.note)
             )
             continue
-        for channel in pkg.channels():
-            if channel_available(platform, channel):
-                plan.actions.append(
-                    ProvisioningAction(name, channel, pkg.effort_hours[channel], pkg.note)
-                )
-                break
-        else:
-            raise ProvisioningError(
-                f"{platform.name}: no viable install channel for {name!r} "
-                f"(package offers {pkg.channels()}, platform offers "
-                f"{sorted(platform.install_channels)})"
-            )
+        # Every package builds from source, and every platform can.
+        channel = next(c for c in pkg.channels() if channel_available(platform, c))
+        plan.actions.append(
+            ProvisioningAction(name, channel, pkg.effort_hours[channel], pkg.note)
+        )
 
     if platform.on_demand:
         plan.actions.extend(_CLOUD_CONFIG_ACTIONS)
     return plan
 
 
-def deployment_gap(platform: PlatformSpec,
-                   registry: PackageRegistry | None = None) -> list[str]:
+def deployment_gap(platform: PlatformSpec) -> list[str]:
     """The LifeV-stack packages missing on the platform (Table I's colored cells)."""
-    if registry is None:
-        registry = lifev_stack_registry()
     return [
         name
-        for name in registry.closure([LIFEV_TARGET])
+        for name in lifev_stack_registry().closure([LIFEV_TARGET])
         if name not in platform.preinstalled
     ]

@@ -101,11 +101,10 @@ _CONFIG_RECIPES: dict[str, list[str]] = {
 def provisioning_script(
     plan: ProvisioningPlan,
     platform: PlatformSpec,
-    prefix: str = "$HOME/sw",
 ) -> str:
     """Render an executable shell script for a provisioning plan.
 
-    User-space platforms install under ``prefix``; root platforms (EC2)
+    User-space platforms install under ``$HOME/sw``; root platforms (EC2)
     use yum where the plan says so.  Raises if the plan and platform
     disagree (a yum step on a user-space machine).
     """
@@ -115,7 +114,7 @@ def provisioning_script(
         "# Auto-generated provisioning script: "
         f"{platform.name} -> LifeV stack ({plan.total_hours:.1f} est. man-hours)",
         "set -euo pipefail",
-        f"export PREFIX={prefix}",
+        "export PREFIX=$HOME/sw",
         'mkdir -p "$PREFIX"/{bin,lib,include}',
         'export PATH="$PREFIX/bin:$PATH"',
         'export LD_LIBRARY_PATH="$PREFIX/lib:${LD_LIBRARY_PATH:-}"',

@@ -45,6 +45,12 @@ from repro.io.checkpoint import load_state, save_state
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simmpi.launcher import run_spmd
 
+#: Capped exponential backoff between restart attempts, in seconds.  The
+#: delay is *modeled* (recorded in :class:`RestartStats`), never slept:
+#: virtual time is the only clock the experiments read.
+BACKOFF_BASE_S = 1.0
+BACKOFF_CAP_S = 60.0
+
 
 @dataclass
 class RestartStats:
@@ -104,13 +110,8 @@ class ResilientRunner:
     max_retries:
         Restart budget: how many failures may be absorbed before
         :class:`~repro.errors.RetriesExhaustedError`.
-    backoff_base_s / backoff_cap_s:
-        Capped exponential backoff between restart attempts.  The delay
-        is *modeled* (recorded in :class:`RestartStats`), never slept —
-        virtual time is the only clock the experiments read.
-    preconditioner:
-        ``None`` takes the step's ``DEFAULT_PRECONDITIONER``; the solver
-        tolerance is always the step's ``TOL``.
+
+    The step runs its ``DEFAULT_PRECONDITIONER`` at its ``TOL``.
     """
 
     def __init__(
@@ -121,9 +122,6 @@ class ResilientRunner:
         checkpoint_every: int = 2,
         checkpoint_dir: str | Path | None = None,
         max_retries: int = 5,
-        backoff_base_s: float = 1.0,
-        backoff_cap_s: float = 60.0,
-        preconditioner: str | None = None,
         real_timeout: float = 120.0,
         obs=None,
     ):
@@ -134,7 +132,6 @@ class ResilientRunner:
         if checkpoint_dir is None:
             raise ReproError("ResilientRunner needs a checkpoint_dir")
         self.step_class = DistributedStep.for_problem(problem)
-        self.step_class.check_preconditioner(preconditioner)
         self.problem = problem
         self.num_ranks = num_ranks
         self.plan = plan or FaultPlan()
@@ -143,9 +140,6 @@ class ResilientRunner:
         self.checkpoint_path = Path(checkpoint_dir) / "restart.ckpt"
         self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.preconditioner = preconditioner
         self.real_timeout = real_timeout
         self.obs = obs
 
@@ -208,8 +202,8 @@ class ResilientRunner:
                 else:
                     fault_restarts = stats.restarts - stats.reclaim_restarts
                     backoff = min(
-                        self.backoff_base_s * 2.0 ** (fault_restarts - 1),
-                        self.backoff_cap_s,
+                        BACKOFF_BASE_S * 2.0 ** (fault_restarts - 1),
+                        BACKOFF_CAP_S,
                     )
                 stats.backoff_seconds.append(backoff)
                 if metrics is not None:
@@ -251,7 +245,7 @@ class ResilientRunner:
         rank = comm.rank
         metrics = self._metrics()
 
-        step = self.step_class(comm, self.problem, preconditioner=self.preconditioner)
+        step = self.step_class(comm, self.problem)
         solver = step.solver
         # Resume point: every rank reads the (process-local) checkpoint
         # file; the state is replicated, so no broadcast is needed and

@@ -59,18 +59,13 @@ class TenantQuota:
 class AdmissionPolicy:
     """The service-wide admission configuration.
 
-    ``quotas`` overrides the default per named tenant; unknown tenants
-    get ``default_quota``.  ``max_queue_depth`` bounds jobs waiting for
-    a worker (running jobs do not count — they already hold a slot).
+    Every tenant gets ``default_quota``.  ``max_queue_depth`` bounds
+    jobs waiting for a worker (running jobs do not count — they already
+    hold a slot).
     """
 
     default_quota: TenantQuota = field(default_factory=TenantQuota)
-    quotas: dict[str, TenantQuota] = field(default_factory=dict)
     max_queue_depth: int = 64
-
-    def quota_for(self, tenant: str) -> TenantQuota:
-        """The quota governing one tenant."""
-        return self.quotas.get(tenant, self.default_quota)
 
 
 class TokenBucket:
@@ -131,7 +126,7 @@ class AdmissionController:
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            quota = self.policy.quota_for(tenant)
+            quota = self.policy.default_quota
             bucket = TokenBucket(quota.rate_per_s, quota.burst, clock=self._clock)
             self._buckets[tenant] = bucket
         return bucket
@@ -161,7 +156,7 @@ class AdmissionController:
                 f"queue depth {queue_depth} is at the "
                 f"{self.policy.max_queue_depth}-job limit; retry later",
             )
-        quota = self.policy.quota_for(tenant)
+        quota = self.policy.default_quota
         bucket = self._bucket(tenant)
         if not bucket.try_acquire():
             self._deny(

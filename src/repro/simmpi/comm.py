@@ -27,6 +27,7 @@ from repro.simmpi.clock import VirtualClock
 from repro.simmpi.datatypes import (
     ANY_SOURCE,
     ANY_TAG,
+    COLL_TAG_BASE,
     Message,
     ReduceOp,
     Status,
@@ -50,9 +51,7 @@ if TYPE_CHECKING:
 SEND_OVERHEAD = 0.5e-6
 RECV_OVERHEAD = 0.5e-6
 
-# Collective operations use a reserved tag space above user tags.
-_COLL_TAG_BASE = 1 << 20
-_MAX_USER_TAG = _COLL_TAG_BASE - 1
+_MAX_USER_TAG = COLL_TAG_BASE - 1
 
 
 def _traced_collective(method):
@@ -255,8 +254,7 @@ class Communicator:
 
     def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[Any, Status]:
         """Blocking receive; returns (payload, Status)."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
+        self._check_receive(source, tag)
         msg = self._recv_impl(source, tag, user=True)
         return msg.payload, self._status(msg)
 
@@ -323,16 +321,14 @@ class Communicator:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive; complete with ``wait()`` or ``test()``."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
+        self._check_receive(source, tag)
         return Request(self, "recv", source=source, tag=tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Non-blocking probe: Status of a matching pending message
         (without consuming it), or None.  Does not advance the clock."""
         self._unsupported("iprobe")
-        if source != ANY_SOURCE:
-            self._check_peer(source)
+        self._check_receive(source, tag)
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         msg = self.engine.poll(
             self.world_rank, self.context, world_source, tag, consume=False
@@ -348,8 +344,7 @@ class Communicator:
         # probe merges the clock without absorbing the message, a
         # timing effect the op stream cannot represent.
         self._unsupported("probe")
-        if source != ANY_SOURCE:
-            self._check_peer(source)
+        self._check_receive(source, tag)
         world_source = ANY_SOURCE if source == ANY_SOURCE else self.group[source]
         msg = self.engine.wait_for_message(
             self.world_rank, self.context, world_source, tag, consume=False
@@ -366,7 +361,7 @@ class Communicator:
 
     def _next_coll_tag(self) -> int:
         self._coll_seq += 1
-        return _COLL_TAG_BASE + (self._coll_seq % (1 << 20))
+        return COLL_TAG_BASE + (self._coll_seq % (1 << 20))
 
     # -- adaptive algorithm selection ---------------------------------------
 
@@ -731,3 +726,11 @@ class Communicator:
             raise CommunicatorError(
                 f"user tags must be in [0, {_MAX_USER_TAG}], got {tag}"
             )
+
+    def _check_receive(self, source: int, tag: int) -> None:
+        """A user receive names a peer (or ``ANY_SOURCE``) and a user tag
+        (or ``ANY_TAG``); the collective tags are not its to take."""
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+        if tag != ANY_TAG:
+            self._check_tag(tag)

@@ -12,6 +12,10 @@ import numpy as np
 ANY_SOURCE = -1
 ANY_TAG = -1
 
+#: Collective operations use a reserved tag space above user tags, which
+#: no user receive may name and ``ANY_TAG`` does not match.
+COLL_TAG_BASE = 1 << 20
+
 
 @dataclass
 class Message:
@@ -32,7 +36,7 @@ class Message:
     def matches(self, source: int, tag: int) -> bool:
         """Whether this message satisfies a receive for (source, tag)."""
         source_ok = source == ANY_SOURCE or source == self.source
-        tag_ok = tag == ANY_TAG or tag == self.tag
+        tag_ok = tag == self.tag or (tag == ANY_TAG and self.tag < COLL_TAG_BASE)
         return source_ok and tag_ok
 
 

@@ -34,7 +34,6 @@ def requests(draw) -> BrokerRequest:
         budget_dollars=draw(st.none() | st.floats(0.01, 500.0)),
         max_interruption_probability=draw(st.none() | st.floats(0.0, 1.0)),
         spot_spike_probability=draw(st.floats(0.0, 0.2)),
-        spot_pool_mean=draw(st.sampled_from((0.0, 8.0, 40.0, 80.0))),
         cost_weight=draw(weights),
         time_weight=draw(weights),
         risk_weight=draw(weights),
@@ -67,7 +66,7 @@ class TestLooserConstraints:
     @example(  # lifting the budget once moved the winner puma -> ec2-mix
         request=BrokerRequest(
             app="ns", num_ranks=33, num_iterations=401, budget_dollars=6.0,
-            spot_spike_probability=0.125, spot_pool_mean=8.0,
+            spot_spike_probability=0.125,
             cost_weight=0.25, time_weight=0.25, risk_weight=0.25, seed=0,
         ),
         factor=None,
@@ -88,7 +87,7 @@ class TestLooserConstraints:
     @example(  # lifting the deadline once moved the winner ec2 -> lagrange
         request=BrokerRequest(
             app="ns", num_ranks=33, num_iterations=29, deadline_s=3949.0,
-            spot_spike_probability=0.0, spot_pool_mean=0.0,
+            spot_spike_probability=0.0,
             cost_weight=0.25, time_weight=0.25, risk_weight=0.0, seed=0,
         ),
         factor=None,

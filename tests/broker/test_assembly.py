@@ -120,8 +120,6 @@ class TestConstraints:
             BrokerRequest(cost_weight=-1.0)
         with pytest.raises(BrokerError):
             BrokerRequest(spot_spike_probability=1.5)
-        with pytest.raises(BrokerError):
-            BrokerRequest(checkpoint_seconds=-1.0)
 
 
 def _no_spot(**kwargs) -> BrokerRequest:

@@ -2,12 +2,29 @@
 
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.broker.engine import run_sweep
 from repro.harness.config import RunConfig
 from repro.obs.core import Observability, ObsConfig
+
+#: Observed in memory: a hub, no exported files.
+_OBSERVED = RunConfig(obs=ObsConfig())
+
+
+def _capture_hubs(monkeypatch) -> list[Observability]:
+    """Collect each hub a sweep's config creates, to read it back."""
+    hubs = []
+    make = RunConfig.hub
+
+    def capture(config):
+        hubs.append(make(config))
+        return hubs[-1]
+
+    monkeypatch.setattr(RunConfig, "hub", capture)
+    return hubs
 
 
 class TestRunSweep:
@@ -42,19 +59,21 @@ class TestTelemetryPropagation:
         ]
         assert len(points) == 4  # one per platform, absorbed from workers
 
-    def test_serial_observed_sweep_counts_points(self):
-        hub = Observability(ObsConfig())
-        run_sweep("fig4", parallel=0, use_cache=False, hub=hub)
+    def test_serial_observed_sweep_counts_points(self, monkeypatch):
+        hubs = _capture_hubs(monkeypatch)
+        run_sweep("fig4", config=_OBSERVED, parallel=0, use_cache=False)
+        (hub,) = hubs
         assert hub.metrics.counter("sweep_points_total").total(
             {"artifact": "fig4", "cached": "false"}
         ) == 4.0
         assert hub.metrics.counter("sweep_cache_misses_total").total() == 4.0
 
-    def test_cache_hits_counted_in_metrics(self, tmp_path):
+    def test_cache_hits_counted_in_metrics(self, tmp_path, monkeypatch):
         config = RunConfig(cache_dir=str(tmp_path))
         run_sweep("fig4", config=config)
-        hub = Observability(ObsConfig())
-        run_sweep("fig4", config=config, hub=hub)
+        hubs = _capture_hubs(monkeypatch)
+        run_sweep("fig4", config=replace(config, obs=ObsConfig()))
+        (hub,) = hubs
         assert hub.metrics.counter("sweep_cache_hits_total").total() == 4.0
 
     def test_parallel_observed_matches_serial_result(self, tmp_path):

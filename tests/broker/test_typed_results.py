@@ -97,7 +97,7 @@ class TestRunConfig:
 
 class TestDeprecatedKeywordsRemoved:
     """The per-artifact functions and their shims are gone:
-    ``config=`` (plus ``run_sweep``'s ``hub=``) is the only path."""
+    ``config=`` is the only path."""
 
     def test_obs_keyword_is_gone(self):
         with pytest.raises(TypeError, match="obs"):
@@ -107,14 +107,9 @@ class TestDeprecatedKeywordsRemoved:
         with pytest.raises(TypeError, match="seed"):
             repro.run("table2", seed=3)
 
-    def test_hub_keyword_shares_one_hub(self):
-        hub = Observability(ObsConfig())
-        run_sweep("fig4", config=RunConfig(), use_cache=False, hub=hub)
-        assert [root.name for root in hub.all_roots()[0]] == ["sweep_point"] * 4
-
-    def test_hub_must_be_observability(self):
-        with pytest.raises(ExperimentError, match="hub"):
-            run_sweep("fig4", config=RunConfig(), use_cache=False, hub=ObsConfig())
+    def test_hub_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="hub"):
+            run_sweep("fig4", use_cache=False, hub=Observability(ObsConfig()))
 
     def test_config_path_emits_no_warning(self, recwarn):
         repro.run("fig4", config=RunConfig(), use_cache=False)

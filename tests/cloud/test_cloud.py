@@ -7,7 +7,7 @@ from repro.errors import BillingError, CloudError
 from repro.cloud.images import BASE_CENTOS_IMAGE, precondition_image
 from repro.cloud.instances import CC2_8XLARGE
 from repro.cloud.billing import BillingEngine
-from repro.cloud.ec2 import EC2Service
+from repro.cloud.ec2 import ON_DEMAND_CAPACITY, EC2Service
 from repro.cloud.spot import SpotMarket
 from repro.cloud.placement import (
     CROSS_GROUP_BACKPLANE_PENALTY,
@@ -231,9 +231,9 @@ class TestEC2Service:
             cluster.run_for(10.0)
 
     def test_capacity_limits(self):
-        svc = EC2Service(on_demand_capacity=10, seed=6)
+        svc = EC2Service(seed=6)
         with pytest.raises(CloudError):
-            svc.assemble_on_demand(11)
+            svc.assemble_on_demand(ON_DEMAND_CAPACITY + 1)
 
     def test_validation(self):
         svc = EC2Service(seed=7)

@@ -393,7 +393,10 @@ class TestRngAndNSRestart:
         reference = rng.standard_normal(20)
 
         path = tmp_path / "r.rprc"
-        save_state(path, _Solver(SolverState([np.zeros(1)], 0.0, 0, {})), rng_state=saved)
+        save_state(
+            path, _Solver(SolverState([np.zeros(1)], 0.0, 0, {})),
+            extra_metadata={"rng_state": saved},
+        )
         _, meta = read_state(path, _Problem())
         fresh = np.random.default_rng(0)
         fresh.bit_generator.state = meta["rng_state"]

@@ -198,14 +198,6 @@ class TestBlockJacobi:
         assert r2.converged and r16.converged
         assert r2.iterations <= r16.iterations
 
-    def test_custom_local_factory(self, fem_operator):
-        n = fem_operator.shape[0]
-        p = BlockJacobiPreconditioner(
-            fem_operator, np.array_split(np.arange(n), 4), local_factory=JacobiPreconditioner
-        )
-        res = cg(fem_operator, np.ones(n), preconditioner=p, tol=1e-9, maxiter=2000)
-        assert res.converged
-
     def test_symmetric_for_spd_input(self, fem_operator):
         n = fem_operator.shape[0]
         p = BlockJacobiPreconditioner(fem_operator, np.array_split(np.arange(n), 3))

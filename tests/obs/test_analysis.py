@@ -1,5 +1,7 @@
 """Analysis passes: phase statistics, critical path, overlap."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.obs.core import Observability
@@ -59,9 +61,10 @@ class TestPhaseStatistics:
             assert merged[phase].mean >= max(per_rank_means) - 1e-12
             assert merged[phase].rank is None
 
-    def test_discard_zero_keeps_all_iterations(self, rd_run):
+    def test_discard_zero_keeps_all_iterations(self, rd_run, monkeypatch):
         obs, _, _ = rd_run
-        stats = phase_statistics(obs, discard=0)
+        monkeypatch.setattr(obs, "config", replace(obs.config, discard=0))
+        stats = phase_statistics(obs)
         assert stats[0]["solve"].count == NUM_STEPS
 
 

@@ -31,10 +31,10 @@ class TestAmbientContext:
 
     def test_ambient_metrics_reach_the_hub(self):
         obs = Observability()
-        with obs.wall_view(rank=4).span("work"):
+        with obs.wall_view().span("work"):
             current().count("widgets_total", 2.0, kind="x")
         assert obs.metrics.counter("widgets_total").value(
-            rank=4, labels={"kind": "x"}
+            rank=0, labels={"kind": "x"}
         ) == 2.0
 
 

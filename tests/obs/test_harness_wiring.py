@@ -5,7 +5,7 @@ import json
 import repro
 from repro.broker.engine import run_sweep
 from repro.harness.config import RunConfig
-from repro.obs.core import Observability, ObsConfig
+from repro.obs.core import ObsConfig
 
 
 class TestExperimentObs:
@@ -32,19 +32,9 @@ class TestExperimentObs:
         ]
         assert len(point_slices) == 4  # one per platform
 
-    def test_shared_hub_accumulates_spans(self):
-        # Sharing one live hub across sweeps via run_sweep's hub=.
-        hub = Observability(ObsConfig())
-        run_sweep("fig4", use_cache=False, hub=hub)
-        run_sweep("fig6", use_cache=False, hub=hub)
-        artifacts = [root.attrs["artifact"] for root in hub.all_roots()[0]]
-        assert artifacts == ["fig4"] * 4 + ["fig6"] * 5
-        assert hub.metrics.counter("sweep_points_total").total(
-            {"artifact": "fig6", "cached": "false"}
-        ) == 5.0  # four platforms + the ec2 mix curve
-
-    def test_disabled_hub_collects_nothing(self):
-        hub = Observability(ObsConfig(enabled=False))
-        report = run_sweep("fig4", use_cache=False, hub=hub)
-        assert report.artifacts == ()
-        assert hub.all_roots() == {}
+    def test_disabled_hub_collects_nothing(self, tmp_path):
+        config = RunConfig(obs=ObsConfig(enabled=False, out_dir=tmp_path))
+        assert config.hub() is None
+        report = run_sweep("fig4", config=config, use_cache=False)
+        assert report.artifacts == () and report.health is None
+        assert list(tmp_path.iterdir()) == []

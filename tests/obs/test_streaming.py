@@ -5,6 +5,7 @@ import time
 
 from repro.obs import streaming
 from repro.obs.streaming import (
+    FLUSH_INTERVAL,
     STREAM_FILENAME,
     StreamingSink,
     follow_rows,
@@ -42,7 +43,7 @@ def _append(path, text):
 
 class TestSink:
     def test_rows_are_sequenced_and_stamped(self, tmp_path):
-        with StreamingSink(tmp_path / "s.jsonl", flush_interval=1) as sink:
+        with StreamingSink(tmp_path / "s.jsonl") as sink:
             sink.emit("a", x=1.5)
             sink.emit("b", y="z")
         rows = read_rows(tmp_path / "s.jsonl")
@@ -52,17 +53,17 @@ class TestSink:
 
     def test_flush_interval_batches_writes(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        sink = StreamingSink(path, flush_interval=8)
-        for _ in range(7):
+        sink = StreamingSink(path)
+        for _ in range(FLUSH_INTERVAL - 1):
             sink.emit("tick")
         assert not path.exists()  # still pending
-        sink.emit("tick")  # 8th row triggers the flush
-        assert len(read_rows(path)) == 8
+        sink.emit("tick")  # the interval's last row triggers the flush
+        assert len(read_rows(path)) == FLUSH_INTERVAL
         sink.close()
 
     def test_pathless_sink_is_memory_only(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        sink = StreamingSink(None, flush_interval=1)
+        sink = StreamingSink(None)
         assert sink.emit("tick")["seq"] == 0
         sink.flush()
         assert sink.path is None and not any(tmp_path.iterdir())
@@ -70,7 +71,7 @@ class TestSink:
     def test_numpy_payloads_serialize(self, tmp_path):
         import numpy as np
 
-        with StreamingSink(tmp_path / "s.jsonl", flush_interval=1) as sink:
+        with StreamingSink(tmp_path / "s.jsonl") as sink:
             sink.emit("stats", mean=np.float64(1.25), n=np.int64(3))
         row = read_rows(tmp_path / "s.jsonl")[0]
         assert row["mean"] == 1.25 and row["n"] == 3
@@ -79,7 +80,7 @@ class TestSink:
 class TestReaders:
     def test_half_written_tail_is_skipped(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        with StreamingSink(path, flush_interval=1) as sink:
+        with StreamingSink(path) as sink:
             sink.emit("a")
             sink.emit("b")
         with open(path, "a") as fh:

@@ -46,8 +46,6 @@ class TestPhaseModelBasics:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            PhaseModel(RD_WORKLOAD, puma, elements_per_rank=0)
-        with pytest.raises(ExperimentError):
             PhaseModel(RD_WORKLOAD, puma, time_scale=0.0)
         with pytest.raises(ExperimentError):
             PhaseModel(RD_WORKLOAD, puma).predict(0)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ExperimentError
 from repro.apps.workload import NS_WORKLOAD, RD_WORKLOAD
 from repro.perfmodel.weak_scaling import weak_scaling_sweep
 from repro.platforms.catalog import (
@@ -69,14 +68,6 @@ class TestSweep:
                 assert s.cost_per_iteration == pytest.approx(
                     f.cost_per_iteration * 0.03375 / 0.15
                 )
-
-    def test_custom_series(self):
-        points = weak_scaling_sweep(RD_WORKLOAD, puma, rank_series=[1, 64])
-        assert len(points) == 2
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ExperimentError):
-            weak_scaling_sweep(RD_WORKLOAD, puma, rank_series=[])
 
     def test_ns_slower_than_rd_pointwise(self):
         rd = weak_scaling_sweep(RD_WORKLOAD, ec2_cc28xlarge)

@@ -85,17 +85,17 @@ class TestChannelAvailability:
 
 
 class TestPlans:
-    def test_puma_needs_nothing(self, registry):
+    def test_puma_needs_nothing(self):
         """§VI.A: puma fully sustains the build; zero install effort."""
-        plan = plan_provisioning(puma, registry)
+        plan = plan_provisioning(puma)
         assert plan.total_hours == 0.0
         assert plan.installed_packages == []
         assert all(a.method == "preinstalled" for a in plan.actions)
 
-    def test_ellipse_source_builds_the_stack(self, registry):
+    def test_ellipse_source_builds_the_stack(self):
         """§VI.B: compilers present, everything else built from source;
         about 8 man-hours."""
-        plan = plan_provisioning(ellipse, registry)
+        plan = plan_provisioning(ellipse)
         methods = plan.by_method()
         assert "yum" not in methods
         assert "module" not in methods
@@ -104,21 +104,21 @@ class TestPlans:
                 "boost", "blas-lapack", "lifev"} <= installed
         assert 6.0 <= plan.total_hours <= 10.0
 
-    def test_lagrange_uses_modules(self, registry):
+    def test_lagrange_uses_modules(self):
         """§VI.C: MPI and MKL from the environment, rest from source;
         about 8 man-hours."""
-        plan = plan_provisioning(lagrange, registry)
+        plan = plan_provisioning(lagrange)
         assert set(plan.installed_packages) >= {"boost", "suitesparse", "hdf5",
                                                 "parmetis", "trilinos", "lifev"}
         preinstalled = {a.name for a in plan.actions if a.method == "preinstalled"}
         assert {"openmpi", "blas-lapack"} <= preinstalled
         assert 5.0 <= plan.total_hours <= 10.0
 
-    def test_ec2_yum_plus_source_plus_cloud_config(self, registry):
+    def test_ec2_yum_plus_source_plus_cloud_config(self):
         """§VI.D: toolchain via yum, scientific stack from source, plus
         ssh keys, security group, volume resize, image snapshot — about
         a working day in total."""
-        plan = plan_provisioning(ec2_cc28xlarge, registry)
+        plan = plan_provisioning(ec2_cc28xlarge)
         methods = plan.by_method()
         assert "gcc" in methods["yum"]
         assert "openmpi" in methods["yum"]
@@ -129,28 +129,28 @@ class TestPlans:
                 "private-image", "system-update"} <= config_names
         assert 8.0 <= plan.total_hours <= 14.0
 
-    def test_effort_ordering_matches_narrative(self, registry):
+    def test_effort_ordering_matches_narrative(self):
         """puma < lagrange <= ellipse < ec2 in preparation effort."""
         efforts = {
-            p.name: plan_provisioning(p, registry).total_hours
+            p.name: plan_provisioning(p).total_hours
             for p in (puma, ellipse, lagrange, ec2_cc28xlarge)
         }
         assert efforts["puma"] == 0.0
         assert efforts["lagrange"] <= efforts["ellipse"]
         assert efforts["ellipse"] < efforts["ec2"]
 
-    def test_plan_renders(self, registry):
-        text = str(plan_provisioning(ellipse, registry))
+    def test_plan_renders(self):
+        text = str(plan_provisioning(ellipse))
         assert "ellipse" in text
         assert "trilinos" in text
 
-    def test_deployment_gap(self, registry):
-        assert deployment_gap(puma, registry) == []
-        gap = deployment_gap(ec2_cc28xlarge, registry)
+    def test_deployment_gap(self):
+        assert deployment_gap(puma) == []
+        gap = deployment_gap(ec2_cc28xlarge)
         assert "gcc" in gap and "lifev" in gap
 
-    def test_unresolvable_platform_raises(self, registry):
-        """A platform without a needed channel fails loudly."""
+    def test_source_alone_resolves_the_stack(self):
+        """Every package builds from source, which every platform offers."""
         from dataclasses import replace
 
         crippled = replace(
@@ -159,11 +159,6 @@ class TestPlans:
             preinstalled=frozenset(),
             install_channels=frozenset({"source"}),
         )
-        # Still resolvable (source covers everything)...
-        plan = plan_provisioning(crippled, registry)
+        plan = plan_provisioning(crippled)
+        assert {a.method for a in plan.actions} == {"source"}
         assert plan.total_hours > 8.0
-        # ...but a registry whose target has no channels is not.
-        bad = PackageRegistry([Package("only-yum", "1", "tool",
-                                       effort_hours={"yum": 0.1})])
-        with pytest.raises(ProvisioningError, match="no viable install channel"):
-            plan_provisioning(ellipse, bad, target="only-yum")

@@ -71,8 +71,3 @@ class TestScriptGeneration:
         with pytest.raises(ProvisioningError, match="no yum"):
             provisioning_script(plan, ellipse)
 
-    def test_custom_prefix(self):
-        text = provisioning_script(
-            plan_provisioning(ellipse), ellipse, prefix="/scratch/sw"
-        )
-        assert "export PREFIX=/scratch/sw" in text

@@ -7,9 +7,14 @@ import pytest
 
 import repro
 from repro.apps.navier_stokes import DistributedNSStep, NSProblem
-from repro.apps.reaction_diffusion import RDProblem, run_rd_distributed
+from repro.apps.reaction_diffusion import (
+    DistributedRDStep,
+    RDProblem,
+    run_rd_distributed,
+)
 from repro.errors import ReproError, RetriesExhaustedError
 from repro.resilience.faults import FaultEvent, FaultPlan
+from repro.resilience import runner as runner_module
 from repro.resilience.runner import ResilientRunner
 from repro.simmpi.launcher import run_spmd
 
@@ -25,12 +30,8 @@ def resilience_run():
 
 
 class TestRecovery:
-    @pytest.mark.parametrize("preconditioner", ["block-jacobi", "jacobi", "none"])
-    def test_fault_free_run_matches_plain_distributed(self, tmp_path, preconditioner):
-        runner = ResilientRunner(
-            PROBLEM, num_ranks=2, checkpoint_dir=tmp_path,
-            preconditioner=preconditioner,
-        )
+    def test_fault_free_rd_run_matches_plain_distributed(self, tmp_path):
+        runner = ResilientRunner(PROBLEM, num_ranks=2, checkpoint_dir=tmp_path)
         out = runner.run()
         assert out.stats.attempts == 1
         assert out.stats.restarts == 0
@@ -38,9 +39,7 @@ class TestRecovery:
         assert out.stats.overhead_fraction == 0.0
 
         def body(comm):
-            return run_rd_distributed(
-                comm, PROBLEM, preconditioner=preconditioner, discard=1
-            )
+            return run_rd_distributed(comm, PROBLEM, discard=1)
 
         plain = run_spmd(body, num_ranks=2)
         plain_full = np.concatenate([r[0] for r in plain.returns])
@@ -126,13 +125,14 @@ class TestRecovery:
         assert len(out.records) == PROBLEM.num_steps
         assert out.nodal_error < 1e-9
 
-    def test_backoff_grows_and_caps(self, tmp_path):
+    def test_backoff_grows_and_caps(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "BACKOFF_CAP_S", 4.0)
         plan = FaultPlan([
             FaultEvent(kind="rank_kill", rank=0, at_step=s) for s in range(4)
         ])
         runner = ResilientRunner(
             PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path,
-            max_retries=6, backoff_base_s=1.0, backoff_cap_s=4.0,
+            max_retries=6,
         )
         out = runner.run()
         assert out.stats.backoff_seconds == [1.0, 2.0, 4.0, 4.0]
@@ -153,7 +153,7 @@ class TestRecovery:
         ])
         runner = ResilientRunner(
             PROBLEM, num_ranks=2, plan=plan, checkpoint_dir=tmp_path,
-            max_retries=6, backoff_base_s=1.0, backoff_cap_s=4.0,
+            max_retries=6,
         )
         out = runner.run()
         assert out.stats.restarts == 4
@@ -232,10 +232,10 @@ class TestRetryBudget:
             ResilientRunner(PROBLEM, 2, checkpoint_dir=tmp_path, max_retries=-1)
         with pytest.raises(ReproError, match="checkpoint_dir"):
             ResilientRunner(PROBLEM, 2)
-        with pytest.raises(ReproError, match="unknown distributed preconditioner"):
-            ResilientRunner(PROBLEM, 2, checkpoint_dir=tmp_path, preconditioner="ilu0")
         with pytest.raises(ReproError, match="no distributed step for dict"):
             ResilientRunner({}, 2, checkpoint_dir=tmp_path)
+        with pytest.raises(ReproError, match="unknown distributed preconditioner"):
+            DistributedRDStep(None, PROBLEM, preconditioner="ilu0")
 
 
 class TestAccountingAndReporting:

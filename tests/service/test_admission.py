@@ -70,13 +70,6 @@ class TestQuotaAndPolicy:
         with pytest.raises(ServiceError):
             TenantQuota(max_concurrent_points=-1)
 
-    def test_named_tenant_overrides_default(self):
-        tight = TenantQuota(rate_per_s=1.0, burst=1, max_concurrent_points=1)
-        policy = AdmissionPolicy(quotas={"greedy": tight})
-        assert policy.quota_for("greedy") is tight
-        assert policy.quota_for("anyone-else") is policy.default_quota
-
-
 class TestAdmissionController:
     def controller(self, **kwargs):
         clock = FakeClock()

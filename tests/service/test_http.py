@@ -57,11 +57,11 @@ class TestAcceptance:
             release.wait(timeout=60.0)
             return echo_run(request)
 
+        # Every tenant may hold fig4's four points, not the eight of a
+        # fig4 + fig5 request.
         policy = AdmissionPolicy(
             default_quota=TenantQuota(rate_per_s=10_000.0, burst=10_000,
-                                      max_concurrent_points=10_000),
-            quotas={"greedy": TenantQuota(rate_per_s=10_000.0, burst=10_000,
-                                          max_concurrent_points=1)},
+                                      max_concurrent_points=4),
             max_queue_depth=10_000,
         )
         with BrokerService(

@@ -148,11 +148,11 @@ class TestCliJson:
 
     @pytest.mark.parametrize("argv, digest", [
         (["broker", "--json"],
-         "33fa3a9861199a1acf293833226bb4d19abc844c449ea69f286446bf36a7c396"),
+         "30ae6e723e4554010b40641c3b71a660f6e0116fe3182fe1e724921c93a9ff1b"),
         (["broker", "--elastic", "--json"],
-         "1684a75dcf80e6b79eb61694abcfa2f07348739c44d157257d8412cb8adece63"),
+         "a99ee40991c77997ccfd28e8f146b34de47858f8b56873dff149fedde97d8c26"),
         (["broker", "--ranks", "1000", "--top", "2", "--json"],
-         "cc1850fb53b56f12d7d09fdaee0af67c3956d4903bb2027fe0d334eef367a597"),
+         "44fda8c442b2c3a9a786fd5ea6eaa04a83426a7cdc417e2e56ed46cbaf54eaea"),
     ])
     def test_broker(self, argv, digest, capsys):
         main(argv)

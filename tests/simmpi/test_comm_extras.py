@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
+from repro.simmpi.datatypes import ANY_SOURCE, ANY_TAG, COLL_TAG_BASE
 from repro.simmpi.launcher import run_spmd
 
 
@@ -112,6 +113,45 @@ class TestProbes:
 
         with pytest.raises(CommunicatorError, match=f"peer rank {source} outside"):
             run(main, 4, engine=engine)
+
+
+class TestReservedTags:
+    """The tags above ``COLL_TAG_BASE`` carry collectives' own messages:
+    a user receive may not name one, and ``ANY_TAG`` does not match one."""
+
+    @pytest.mark.parametrize("verb", ["recv", "recv_status", "irecv", "probe", "iprobe"])
+    @pytest.mark.parametrize("engine", ["events", "threads"])
+    def test_a_receive_naming_a_collective_tag_is_refused(self, engine, verb):
+        def main(comm):
+            if comm.rank == 0:
+                comm.bcast("secret")
+            else:
+                return getattr(comm, verb)(source=0, tag=COLL_TAG_BASE + 1)
+
+        with pytest.raises(CommunicatorError, match="user tags must be in"):
+            run(main, 2, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["events", "threads"])
+    def test_a_negative_tag_other_than_any_tag_is_refused(self, engine):
+        def main(comm):
+            comm.recv(source=0, tag=-2)
+
+        with pytest.raises(CommunicatorError, match="user tags must be in"):
+            run(main, 1, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["events", "threads"])
+    def test_any_tag_leaves_a_collective_s_message_to_the_collective(self, engine):
+        """MPI semantics: the wildcard takes the user message sent after
+        the broadcast, and the broadcast still gets its own."""
+        def main(comm):
+            if comm.rank == 0:
+                comm.bcast("secret")
+                comm.send("user", dest=1, tag=5)
+                return None
+            received = comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
+            return received, comm.bcast(None)
+
+        assert run(main, 2, engine=engine).returns[1] == ("user", "secret")
 
 
 class TestWaitall:

@@ -16,8 +16,10 @@ The census counts code references, not prose.  Each file is parsed once
 ``ast.Attribute`` attr, or a string constant that is exactly one
 identifier and is not a docstring (the ``getattr`` tables).  Comments,
 docstrings and messages are therefore no use, and neither are import
-statements, any module's ``__all__``, nor the lines of the name's own
-definition.  Nor is an attribute whose chain starts at a name ``import``
+statements, any module's ``__all__``, nor the lines of any public
+definition of the same identifier: its own, or another's that only
+forwards to it (``Outer.price`` whose body calls ``Inner.price``).  Nor
+is an attribute whose chain starts at a name ``import``
 binds to a module outside ``repro``: ``np.maximum.reduce`` and
 ``sys.exit`` are that module's names.  ``ast`` reads the expressions
 inside f-strings the same way on every supported Python, where
@@ -287,12 +289,16 @@ def _reference_index() -> tuple[dict[str, set[tuple[Path, int]]], set[str]]:
 def unused_public_names() -> set[str]:
     """Dotted names of public definitions no code outside tests refers to."""
     index, callers = _reference_index()
+    definitions = public_definitions()
+    spans: dict[str, list[tuple[Path, range]]] = defaultdict(list)
+    for home, ident, span in definitions.values():
+        spans[ident].append((home, span))
     unused = set()
-    for dotted, (home, ident, span) in public_definitions().items():
+    for dotted, (_, ident, _) in definitions.items():
         if ident in callers:
             continue
         if all(
-            path == home and number in span
+            any(path == home and number in span for home, span in spans[ident])
             for path, number in index.get(ident, ())
         ):
             unused.add(dotted)
@@ -356,6 +362,22 @@ def test_the_census_sees_a_name_only_tests_reach(census_of):
         ),
         "tools/tool.py": "from repro.sub.mod import caller\ncaller()\n",
     }) == {"sub.mod.helper"}
+
+
+def test_a_same_named_chain_is_no_use(census_of):
+    """A reference inside another definition of the same identifier only
+    forwards to it: ``Outer.price`` calling ``Inner.price`` keeps
+    neither alive."""
+    assert census_of({
+        "src/repro/mod.py": (
+            "class Inner:\n    def price(self):\n        return 1\n\n"
+            "class Outer:\n    def __init__(self):\n"
+            "        self.inner = Inner()\n\n"
+            "    def price(self):\n        return self.inner.price()\n\n"
+            "def caller():\n    return Outer()\n"
+        ),
+        "tools/tool.py": "from repro.mod import caller\ncaller()\n",
+    }) == {"mod.Inner.price", "mod.Outer.price"}
 
 
 def test_prose_is_no_use(census_of):

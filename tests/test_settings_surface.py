@@ -9,18 +9,19 @@ A *setting* is
   fields of a mutable dataclass are accumulators, not settings.
 
 A setting is *passed* when some call under ``src/``, ``benchmarks/``,
-``examples/``, ``tools/`` or ``tests/`` supplies it: by keyword, by
-position, through ``dataclasses.replace(..., name=...)``, or through a
-``*`` / ``**`` splat to that callee.  Calls resolve by the callee's name
-(``f(...)``, ``obj.f(...)``), through local aliases (``make = A if x else
-B``, ``from m import A as B``), and a constructor is reached by calls of
-the class, of any subclass, ``cls(...)`` / ``type(self)(...)`` inside the
-class and ``super().__init__(...)`` inside a subclass.
+``examples/`` or ``tools/`` supplies it: by keyword, by position, through
+``dataclasses.replace(..., name=...)``, or through a ``*`` / ``**`` splat
+to that callee.  Calls resolve by the callee's name (``f(...)``,
+``obj.f(...)``, ``(f if x else g)(...)``), through local aliases (``make =
+A if x else B``, ``from m import A as B``), and a constructor is reached by
+calls of the class, of any subclass, ``cls(...)`` / ``type(self)(...)``
+inside the class and ``super().__init__(...)`` inside a subclass.
 
-Tests count as callers here on purpose: the census catches values nobody
-supplies, which are constants in every run.  Make such a setting a
-constant, or give it a ``KEEP`` entry saying why it stays.  An entry
-whose setting is now passed (or gone) must leave ``KEEP``.
+Tests are not callers.  A setting earns its place when two callers other
+than tests need different values; one that only a test turns is a
+constant in every run that matters.  Make such a setting a constant, or
+give it a ``KEEP`` entry saying why it stays.  An entry whose setting is
+now passed (or gone) must leave ``KEEP``.
 """
 
 from __future__ import annotations
@@ -36,17 +37,86 @@ from tests.source_tree import tree
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "benchmarks", "examples", "tools", "tests")
+CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
 
-_SEAM = "the seam a test substitutes a fake through"
+_SEAM = "the seam a test substitutes a fake or a fast path through"
+_WIRE = "a field a peer's HTTP request sets (RunRequest.from_json)"
+_PUBLIC = "a parameter of a name tests/test_public_surface.py keeps"
+_P2P = "MPI surface the p2p conformance workload drives (ROADMAP 7)"
+_REPLAY = "mirrors run_spmd's parameter on the replay path"
+_FAULTS = "the fault-injection vocabulary a FaultPlan is written in"
+_FEM_CHECK = "a correctness measurement the FEM tests verify with"
 
-#: Settings nothing supplies, each with the reason it stays.  Keys are
-#: dotted paths below ``repro``: ``module.function.param``,
+#: Settings no non-test call supplies, each with the reason it stays.
+#: Keys are dotted paths below ``repro``: ``module.function.param``,
 #: ``module.Class.method.param`` or ``module.Class.field``.
 KEEP: dict[str, str] = {
+    "__main__.main.argv": _SEAM + " (a command line)",
+    "broker.cache.recording_key.fingerprint": _SEAM + " (a code fingerprint)",
+    "io.checkpoint.write_checkpoint.chunk_elements": (
+        _SEAM + " (small chunks, to test chunked writes)"
+    ),
+    "obs.core.Observability.wall_view.now": _SEAM + " (a fake clock)",
+    "resilience.runner.ResilientRunner.__init__.real_timeout": (
+        _SEAM + " (a short watchdog)"
+    ),
+    "service.admission.AdmissionController.__init__.clock": (
+        _SEAM + " (a fake clock)"
+    ),
     "service.jobs.Job.__init__.clock": _SEAM + " (a fake clock)",
     "service.service.BrokerService.__init__.hub": (
         _SEAM + " (an observability hub it can read back)"
+    ),
+    "service.service.BrokerService.__init__.run_fn": _SEAM + " (a stub job)",
+    "harness.config.ResilienceParams.checkpoint_dir": _WIRE,
+    "harness.config.ResilienceParams.num_ranks": _WIRE,
+    "harness.config.ResilienceParams.num_steps": _WIRE,
+    "harness.config.ResilienceParams.spike_probability": _WIRE,
+    "harness.config.RunConfig.resilience": _WIRE,
+    "service.client.ServiceClient.__init__.request_timeout_s": (
+        "a deployment's timeout, which depends on its network"
+    ),
+    "la.krylov.gmres.maxiter": _PUBLIC,
+    "la.krylov.gmres.preconditioner": _PUBLIC,
+    "la.krylov.gmres.restart": _PUBLIC,
+    "la.krylov.gmres.strict": _PUBLIC,
+    "la.krylov.gmres.tol": _PUBLIC,
+    "perfmodel.calibration.calibrate_against_sequential_run.mesh_per_dim": _PUBLIC,
+    "perfmodel.calibration.calibrate_against_sequential_run.num_steps": _PUBLIC,
+    "perfmodel.calibration.calibrate_iteration_growth.mesh_per_dim": _PUBLIC,
+    "perfmodel.calibration.calibrate_iteration_growth.rank_counts": _PUBLIC,
+    "perfmodel.compute.ns_modeled_compute.rate": _PUBLIC,
+    "apps.navier_stokes.run_ns_distributed.compute_charger": _PUBLIC,
+    "apps.navier_stokes.run_ns_distributed.cpu_speed_factor": _PUBLIC,
+    "apps.navier_stokes.run_ns_distributed.discard": _PUBLIC,
+    "apps.navier_stokes.run_ns_distributed.tol": _PUBLIC,
+    "simmpi.comm.Communicator.isend.tag": _P2P,
+    "simmpi.comm.Communicator.irecv.source": _P2P,
+    "simmpi.comm.Communicator.irecv.tag": _P2P,
+    "simmpi.comm.Communicator.probe.source": _P2P,
+    "simmpi.comm.Communicator.probe.tag": _P2P,
+    "simmpi.comm.Communicator.iprobe.source": _P2P,
+    "simmpi.comm.Communicator.iprobe.tag": _P2P,
+    "simmpi.comm.Communicator.allreduce.algorithm": (
+        "forces one of the schedules 'auto' picks among, which ROADMAP 1 "
+        "prices against the selector"
+    ),
+    "simmpi.replay.replay_schedule.causal": _REPLAY,
+    "simmpi.replay.replay_schedule.engine": _REPLAY,
+    "simmpi.replay.replay_schedule.trace": _REPLAY,
+    "resilience.faults.FaultEvent.after_ops": _FAULTS,
+    "resilience.faults.FaultEvent.at_phase": _FAULTS,
+    "resilience.faults.FaultEvent.count": _FAULTS,
+    "resilience.faults.FaultEvent.delay_seconds": _FAULTS,
+    "resilience.faults.FaultEvent.occurrence": _FAULTS,
+    "apps.reaction_diffusion.RDProblem.bdf_order": _FEM_CHECK + " (BDF order)",
+    "apps.reaction_diffusion.RDProblem.order": _FEM_CHECK + " (Q1 vs Q2)",
+    "partition.graph.partition_graph.refine_passes": (
+        "the test that KL refinement lowers the cut compares 0 passes with 6"
+    ),
+    "perfmodel.phases.PhaseModel.__init__.fused_solver": (
+        "prices the fused CG both apps run, which ROADMAP 2 makes every "
+        "model's price"
     ),
 }
 
@@ -300,16 +370,18 @@ def _module_calls(module: ast.Module) -> list[_Call]:
         ):
             names.add(f"{owner}()")
         name = _simple_name(func)
+        # ``(f if x else g)(...)`` is a call of either.
+        callees = _referenced(func)
         if name == "replace":
             # dataclasses.replace(obj, field=...) supplies fields by keyword.
             names.add("replace()")
-            positional, splat = 0, False
+            positional, splat, callees = 0, False, set()
         elif name == "partial" and node.args:
             # functools.partial(f, *args, **kwargs) is a call of f.
-            name = _simple_name(node.args[0])
+            callees = _referenced(node.args[0])
             positional -= 1
-        if name is not None and name != "replace":
-            resolved = _resolve(name, aliases)
+        for callee in callees:
+            resolved = _resolve(callee, aliases)
             names |= resolved | {f"{n}()" for n in resolved}
         calls.extend(_Call(callee, positional, keywords, splat) for callee in names)
     return calls
@@ -364,14 +436,6 @@ def census(
     return everything, flagged
 
 
-def settings_test_only(root: Path | None = None) -> set[str]:
-    """The settings only ``tests/`` or ``examples/`` supply: what the
-    library, the benchmarks and the tools never set.  The next knob to
-    remove is among them."""
-    library = census(root, ("src", "benchmarks", "tools"))[1]
-    return library - census(root)[1]
-
-
 @pytest.fixture(scope="module")
 def flagged() -> set[str]:
     return census()[1]
@@ -398,9 +462,9 @@ def test_every_keep_entry_gives_a_reason():
 
 
 def test_the_census_sees_a_setting_nobody_supplies(tmp_path):
-    """Keyword, position, replace(), splats, aliases (unpacked ones too)
-    and constructors reached through subclasses all count as supplying a
-    setting."""
+    """Keyword, position, replace(), splats, aliases (unpacked ones too),
+    a callee chosen by a conditional expression and constructors reached
+    through subclasses all count as supplying a setting."""
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text(
@@ -409,6 +473,8 @@ def test_the_census_sees_a_setting_nobody_supplies(tmp_path):
         "def by_position(a, b=1, c=2):\n    return by_position(0, 1)\n\n"
         "def by_splat(a=1):\n    return None\n\n"
         "def by_unpacked(a=1):\n    return None\n\n"
+        "def if_body(a=1):\n    return None\n\n"
+        "def if_else(a=1):\n    return None\n\n"
         "class Base:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
         "    def method(self, z=0):\n        pass\n\n"
         "class Child(Base):\n    def __init__(self):\n"
@@ -429,12 +495,13 @@ def test_the_census_sees_a_setting_nobody_supplies(tmp_path):
         "make = Base if True else None\n"
         "make().method(5)\n"
         "dataclasses.replace(Point(1), z=2)\n"
+        "(if_body if True else if_else)(a=2)\n"
     )
     every, unpassed = census(tmp_path)
     assert every == {
         "mod.by_keyword.b", "mod.by_keyword.c", "mod.by_position.b",
         "mod.by_position.c", "mod.by_splat.a", "mod.by_unpacked.a",
-        "mod.Base.__init__.x",
+        "mod.if_body.a", "mod.if_else.a", "mod.Base.__init__.x",
         "mod.Base.__init__.y", "mod.Base.method.z", "mod.Point.y",
         "mod.Point.z",
     }
@@ -444,8 +511,29 @@ def test_the_census_sees_a_setting_nobody_supplies(tmp_path):
     }
 
 
+def test_a_setting_only_a_test_supplies_is_flagged(tmp_path):
+    """A test passing a value makes no second caller: the setting is a
+    constant everywhere else."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "def run(steps=10, trace=False):\n    return steps\n"
+    )
+    for name in ("benchmarks", "examples", "tools", "tests"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "tools" / "tool.py").write_text(
+        "from repro.mod import run\nrun(steps=5)\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import run\n\n"
+        "def test_trace():\n    assert run(trace=True) == 10\n"
+    )
+    assert census(tmp_path) == ({"mod.run.steps", "mod.run.trace"},
+                                {"mod.run.trace"})
+
+
 if __name__ == "__main__":
     every, unpassed = census()
     print(f"settings {len(every)}, not supplied {len(unpassed)}, "
-          f"supplied only by tests or examples {len(settings_test_only())}")
+          f"kept {len(KEEP)}")
     print("\n".join(sorted(unpassed)))
